@@ -19,10 +19,10 @@
 //! saved, and a drained `pcd serve` with its restart state sealed) ·
 //! `31` checkpoint unreadable or corrupt (also a sealed serve manifest
 //! that belongs to a different configuration) · `32` batch finished but
-//! degraded (jobs quarantined or shed) · `33` `batch merge` record
-//! conflict or batch-identity mismatch · `34` `report --strict` found
-//! warnings · `35` serve transport failure (socket or state-dir I/O).
-//! Codes 10–14 and 30–31 follow [`PcdError::exit_code`].
+//! degraded (jobs quarantined or shed) · `34` `report --strict` found
+//! warnings · `35` serve transport failure (socket or state-dir I/O) ·
+//! `36` net transport lost for good (resumable) · `37` net protocol
+//! mismatch. Codes 10–14 and 30–31 follow [`PcdError::exit_code`].
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -46,10 +46,9 @@ use pauli_codesign::serve::{
     run_serve, run_serve_chaos, ServeChaosOptions, ServeConfig, ServeError,
 };
 use pauli_codesign::supervisor::{
-    merge_shards, parse_jobs, run_batch_resumed, run_kill_shard_chaos, run_net_chaos, run_shard,
-    run_supervised_chaos, run_worker, BatchReport, Coordinator, CoordinatorOptions, InjectionPlan,
-    JobState, KillShardOptions, MergeError, NetChaosOptions, RemoteError, ShardSpec, ShedPolicy,
-    SupervisedChaosOptions, SupervisorConfig, SupervisorError, WorkerOptions,
+    parse_jobs, run_batch_resumed, run_net_chaos, run_supervised_chaos, run_worker, BatchReport,
+    Coordinator, CoordinatorOptions, InjectionPlan, JobState, NetChaosOptions, RemoteError,
+    ShedPolicy, SupervisedChaosOptions, SupervisorConfig, SupervisorError, WorkerOptions,
 };
 use pauli_codesign::vqe::driver::{
     run_vqe, run_vqe_resumable, ExpectationStrategy, VqeOptions, VqeResult, VqeRun,
@@ -86,9 +85,6 @@ enum CliError {
         /// Jobs shed by admission control.
         shed: usize,
     },
-    /// `batch merge` hit a record conflict or a batch-identity mismatch
-    /// (quarantinable corruption does NOT land here — it degrades).
-    MergeFailed(MergeError),
     /// `report --strict` found warnings (corrupt/unreadable artifacts).
     ReportStrict {
         /// Warnings the report collected.
@@ -129,10 +125,6 @@ const EXIT_BATCH_DRAINED: u8 = 30;
 /// Exit code for a batch that completed with quarantined or shed jobs.
 const EXIT_BATCH_DEGRADED: u8 = 32;
 
-/// Exit code for a manifest merge that found conflicting records or a
-/// batch-identity mismatch (determinism-contract violation).
-const EXIT_MERGE_CONFLICT: u8 = 33;
-
 /// Exit code for `report --strict` when the report carries warnings.
 const EXIT_REPORT_STRICT: u8 = 34;
 
@@ -163,7 +155,6 @@ impl CliError {
             CliError::Batch(_) => 31,
             CliError::BatchDrained { .. } => EXIT_BATCH_DRAINED,
             CliError::BatchDegraded { .. } => EXIT_BATCH_DEGRADED,
-            CliError::MergeFailed(_) => EXIT_MERGE_CONFLICT,
             CliError::ReportStrict { .. } => EXIT_REPORT_STRICT,
             CliError::ServeDrained { .. } => EXIT_BATCH_DRAINED,
             CliError::Serve(ServeError::Io { .. }) => EXIT_SERVE_TRANSPORT,
@@ -205,7 +196,6 @@ impl std::fmt::Display for CliError {
                 f,
                 "batch degraded: {quarantined} job(s) quarantined, {shed} shed"
             ),
-            CliError::MergeFailed(e) => write!(f, "{e}"),
             CliError::ReportStrict { warnings } => {
                 write!(f, "report --strict: {warnings} warning(s) in the evidence")
             }
@@ -313,16 +303,6 @@ commands:
                                       ticks, resume from checkpoint files,
                                       and verify the results match an
                                       uninterrupted run bit-for-bit
-  chaos --kill-shard [--trials N] [--jobs N] [--shards N] [--workers N]
-        [--seed N] [--fault-rate R] [--flight-dir DIR]
-                                      kill-shard chaos: launch real sharded
-                                      pcd batch subprocesses, SIGKILL a
-                                      seeded victim mid-batch, let the
-                                      survivors (or a rescue re-run) take
-                                      the orphaned shard over, merge, and
-                                      assert the sealed batch.manifest is
-                                      bit-identical to a 1-shard reference
-                                      with no job lost or duplicated
   chaos --net [--trials N] [--jobs N] [--workers N] [--threads N]
         [--seed N] [--fault-rate R] [--net-fault-rate R] [--scratch-dir DIR]
                                       net chaos: bind an in-process
@@ -380,14 +360,6 @@ commands:
                                       recorder so quarantines, deadline
                                       expiries, and faults dump
                                       flight-<job>.jsonl rings there
-  batch <JOBS.jsonl> --shards N --shard-id K --checkpoint DIR [...]
-                                      run one shard of a batch (jobs with
-                                      index % N == K): heartbeats a lease,
-                                      seals shard-K.manifest, and adopts
-                                      dead sibling shards after finishing;
-                                      rerunning the same shard resumes or
-                                      takes over automatically (exit 31 if
-                                      a live process holds the lease)
   batch <JOBS.jsonl> --listen ADDR --shards N --checkpoint DIR
         [--lease-ms MS] [--heartbeat-ms MS] [--net-deadline SECS]
         [--no-rescue]
@@ -404,7 +376,9 @@ commands:
                                       shards in-process (unless
                                       --no-rescue); seals the same
                                       batch.manifest a single-machine
-                                      run would, bit for bit
+                                      run would, bit for bit; on one
+                                      host, listen on 127.0.0.1 and run
+                                      the workers locally
   batch --connect ADDR [--worker-id NAME] [--workers N] [--local-dir DIR]
         [--max-reconnects K] [--backoff-ms B]
                                       join a coordinated batch as a
@@ -422,15 +396,6 @@ commands:
                                       worker exits 36 (resumable — rerun
                                       the same command); version skew
                                       exits 37
-  batch merge <JOBS.jsonl> --checkpoint DIR
-                                      union the shard manifests in DIR into
-                                      a sealed batch.manifest (bit-identical
-                                      to a 1-shard run when complete) plus
-                                      merge.lineage provenance; corrupt
-                                      shard manifests are quarantined
-                                      aside; exit 30 if jobs are missing or
-                                      pending (resumable), 33 on a record
-                                      conflict or batch-identity mismatch
   serve [--state-dir DIR] [--socket PATH] [--workers N] [--seed N]
         [--queue-cap Q] [--shed reject-new|drop-oldest] [--max-retries K]
         [--slice-ticks T] [--max-slices M] [--breaker N] [--fault-rate R]
@@ -589,7 +554,6 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "resume",
     "kill-resume",
     "supervised",
-    "kill-shard",
     "serve",
     "net",
     "no-rescue",
@@ -1331,9 +1295,6 @@ fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
     if flags.is_set("supervised") {
         return cmd_supervised_chaos(flags);
     }
-    if flags.is_set("kill-shard") {
-        return cmd_kill_shard_chaos(flags);
-    }
     if flags.is_set("net") {
         return cmd_net_chaos(flags);
     }
@@ -1511,101 +1472,6 @@ fn cmd_supervised_chaos(flags: &Flags) -> Result<(), CliError> {
     println!(
         "  survived: every job in exactly one terminal state, records \
          worker-count invariant, drain/resume bit-identical"
-    );
-    Ok(())
-}
-
-fn cmd_kill_shard_chaos(flags: &Flags) -> Result<(), CliError> {
-    let seed = flags.get_u64("seed", 42)?;
-    let trials = flags.get_usize("trials", 2)?;
-    if trials == 0 {
-        return Err(CliError::Usage("--trials must be positive".to_string()));
-    }
-    let jobs = flags.get_usize("jobs", 6)?;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be positive".to_string()));
-    }
-    let shards = flags.get_usize("shards", 3)?;
-    if shards < 2 {
-        return Err(CliError::Usage(
-            "--kill-shard needs --shards of at least 2 (someone must survive)".to_string(),
-        ));
-    }
-    let workers = flags.get_usize("workers", 2)?.max(1);
-    let fault_rate = flags.get_f64("fault-rate", 0.25)?;
-    if !(0.0..=1.0).contains(&fault_rate) {
-        return Err(CliError::Usage(
-            "--fault-rate must be in [0, 1]".to_string(),
-        ));
-    }
-    let flight_dir = flags.get("flight-dir").map(std::path::PathBuf::from);
-    if let Some(dir) = &flight_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("creating flight dir {}: {e}", dir.display()))?;
-    }
-    let pcd_exe = std::env::current_exe()
-        .map_err(|e| CliError::Usage(format!("locating the pcd binary: {e}")))?;
-
-    obs::enable();
-    let report = run_kill_shard_chaos(&KillShardOptions {
-        seed,
-        trials,
-        jobs,
-        shards,
-        workers,
-        fault_rate,
-        pcd_exe,
-        flight_dir: flight_dir.clone(),
-        ..KillShardOptions::default()
-    });
-
-    println!(
-        "chaos --kill-shard: {trials} trials × {jobs} jobs over {shards} shards, \
-         fault rate {:.0}%, seed {seed}",
-        fault_rate * 100.0
-    );
-    for outcome in &report.outcomes {
-        println!(
-            "  trial {} : victim shard {} ({}), {} takeover(s){}",
-            outcome.trial,
-            outcome.victim,
-            if outcome.killed_mid_run {
-                "killed mid-run"
-            } else {
-                "finished before the kill"
-            },
-            outcome.takeovers,
-            if outcome.rescued {
-                ", rescued by re-run"
-            } else {
-                ""
-            }
-        );
-        for violation in &outcome.violations {
-            eprintln!("  trial {}: VIOLATION: {violation}", outcome.trial);
-        }
-    }
-    let snapshot = obs::snapshot();
-    for counter in [
-        "supervisor.takeovers",
-        "supervisor.shards",
-        "supervisor.lease_write_failures",
-    ] {
-        println!(
-            "  obs {:<28}: {}",
-            counter,
-            snapshot.counters.get(counter).copied().unwrap_or(0)
-        );
-    }
-    if !report.survived() {
-        return Err(CliError::ChaosUnsurvived {
-            failed: report.failures(),
-            trials,
-        });
-    }
-    println!(
-        "  survived: every merged batch.manifest bit-identical to the 1-shard \
-         reference; no job lost, duplicated, or silently degraded"
     );
     Ok(())
 }
@@ -1933,123 +1799,16 @@ fn print_batch_report(report: &BatchReport) {
     );
 }
 
-fn print_shard_report(report: &pauli_codesign::supervisor::ShardRunReport) {
-    match &report.taken_over_from {
-        Some(from) => println!(
-            "shard {}/{}: epoch {} (took over from {from})",
-            report.shard_id, report.shards, report.epoch
-        ),
-        None => println!(
-            "shard {}/{}: epoch {}",
-            report.shard_id, report.shards, report.epoch
-        ),
-    }
-    println!("  own records      : {}", report.records.len());
-    for takeover in &report.takeovers {
-        println!(
-            "  took over shard {} from {} at epoch {} ({} records)",
-            takeover.shard_id,
-            takeover.from,
-            takeover.epoch,
-            takeover.records.len()
-        );
-    }
-    println!(
-        "shard: {} done, {} quarantined, {} shed, {} pending",
-        report.done(),
-        report.quarantined(),
-        report.shed(),
-        report.pending()
-    );
-}
-
-/// `pcd batch merge JOBS.jsonl --checkpoint DIR`: union the shard
-/// manifests in DIR into a sealed `batch.manifest` (bit-identical to a
-/// 1-shard run when complete) plus a `merge.lineage` provenance record.
-fn cmd_batch_merge(flags: &Flags) -> Result<(), CliError> {
-    let jobs_path = flags
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::Usage("batch merge needs a JOBS.jsonl file".to_string()))?;
-    let text = std::fs::read_to_string(jobs_path)
-        .map_err(|e| CliError::Usage(format!("reading {jobs_path}: {e}")))?;
-    let jobs = parse_jobs(&text).map_err(CliError::Usage)?;
-    let dir = flags
-        .get("checkpoint")
-        .map(std::path::PathBuf::from)
-        .ok_or_else(|| CliError::Usage("batch merge needs --checkpoint DIR".to_string()))?;
-
-    let outcome = merge_shards(&dir, &jobs).map_err(|e| match e {
-        MergeError::Conflict { .. } | MergeError::MetaMismatch(_) => CliError::MergeFailed(e),
-        MergeError::NoShards(dir) => CliError::Usage(format!("no shard manifests found in {dir}")),
-        MergeError::Io { path, message } => CliError::Batch(SupervisorError::Io { path, message }),
-    })?;
-
-    println!(
-        "merge: {} shard manifest(s) → {}",
-        outcome.shards.len(),
-        outcome.sealed_path.display()
-    );
-    for shard in &outcome.shards {
-        match &shard.taken_over_from {
-            Some(from) => println!(
-                "  shard {} : {} records, epoch {}, owner {} (took over from {from})",
-                shard.shard_id, shard.records, shard.epoch, shard.owner
-            ),
-            None => println!(
-                "  shard {} : {} records, epoch {}, owner {}",
-                shard.shard_id, shard.records, shard.epoch, shard.owner
-            ),
-        }
-    }
-    for (path, reason) in &outcome.quarantined {
-        eprintln!("  quarantined {} : {reason}", path.display());
-    }
-    if outcome.duplicates_deduped > 0 {
-        println!(
-            "  deduplicated {} bit-identical takeover record(s)",
-            outcome.duplicates_deduped
-        );
-    }
-    let pending = outcome
-        .records
-        .iter()
-        .filter(|r| !r.state.is_terminal())
-        .count();
-    let quarantined_jobs = outcome
-        .records
-        .iter()
-        .filter(|r| r.state.label() == "quarantined")
-        .count();
-    let shed_jobs = outcome
-        .records
-        .iter()
-        .filter(|r| r.state.label() == "shed")
-        .count();
-    println!(
-        "merge: {} job(s) total, {} pending, {} missing (lineage in {})",
-        outcome.records.len(),
-        pending,
-        outcome.missing.len(),
-        dir.join("merge.lineage").display()
-    );
-    if pending > 0 {
-        // The sealed union is exactly a drained manifest: finish it with
-        // `pcd batch --resume`, or rerun the dead shards.
-        return Err(CliError::BatchDrained { pending });
-    }
-    if quarantined_jobs + shed_jobs > 0 {
-        return Err(CliError::BatchDegraded {
-            quarantined: quarantined_jobs,
-            shed: shed_jobs,
-        });
-    }
-    Ok(())
-}
-
 fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
-    if flags.positional.first().map(String::as_str) == Some("merge") {
-        return cmd_batch_merge(flags);
+    // Shards exist only under a coordinator, which grants them; a
+    // multi-process batch on one host is a loopback --listen plus local
+    // --connect workers.
+    if (flags.is_set("shards") && !flags.is_set("listen")) || flags.is_set("shard-id") {
+        return Err(CliError::Usage(
+            "--shards needs --listen: shards are granted by a coordinator to \
+             `batch --connect` workers"
+                .to_string(),
+        ));
     }
     // Worker mode has no jobs file: the batch identity (jobs, seed,
     // fault rate) arrives over the wire in the coordinator's welcome.
@@ -2128,41 +1887,10 @@ fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
     config.progress_interval = Some(Duration::from_millis(interval_ms));
     config.progress_stderr = flags.is_set("progress");
 
-    // Coordinator mode: serve the batch to TCP workers. Checked before
-    // the sharded gate because a coordinator also takes --shards.
+    // Coordinator mode: serve the batch to TCP workers.
     if flags.is_set("listen") {
         return cmd_batch_coordinator(flags, &jobs, &config);
     }
-
-    // Sharded execution: this process runs only `index % shards ==
-    // shard-id` and seals shard-<id>.manifest. A re-run of the same shard
-    // resumes (or takes over) automatically — no --resume needed.
-    if flags.is_set("shards") || flags.is_set("shard-id") {
-        if flags.is_set("resume") {
-            return Err(CliError::Usage(
-                "--resume is implicit for sharded runs: rerun the same --shard-id".to_string(),
-            ));
-        }
-        let spec = ShardSpec {
-            shards: flags.get_usize("shards", 1)?,
-            shard_id: flags.get_usize("shard-id", 0)?,
-        };
-        let report = run_shard(&jobs, &config, spec)?;
-        print_shard_report(&report);
-        if report.pending() > 0 {
-            return Err(CliError::BatchDrained {
-                pending: report.pending(),
-            });
-        }
-        if report.quarantined() + report.shed() > 0 {
-            return Err(CliError::BatchDegraded {
-                quarantined: report.quarantined(),
-                shed: report.shed(),
-            });
-        }
-        return Ok(());
-    }
-
     let report = if flags.is_set("resume") {
         let dir = config
             .ckpt_dir
@@ -3012,6 +2740,29 @@ mod tests {
     }
 
     #[test]
+    fn shards_without_a_coordinator_are_a_usage_error() {
+        for args in [
+            &["jobs.jsonl", "--shards", "2"][..],
+            &["jobs.jsonl", "--shard-id", "0"],
+            &["jobs.jsonl", "--shards", "2", "--shard-id", "1"],
+            &[
+                "jobs.jsonl",
+                "--listen",
+                "127.0.0.1:0",
+                "--shards",
+                "2",
+                "--shard-id",
+                "0",
+            ],
+            &["--connect", "127.0.0.1:1", "--shards", "2"],
+        ] {
+            let err = cmd_batch(&flags(args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 1);
+        }
+    }
+
+    #[test]
     fn resume_without_checkpoint_dir_is_a_usage_error() {
         let r = cmd_run(&flags(&["H2", "--resume"]));
         assert!(matches!(r, Err(CliError::Usage(_))));
@@ -3103,9 +2854,7 @@ mod tests {
             .filter(|line| line.starts_with("| "))
             .filter_map(|line| line.split('|').nth(1)?.trim().parse().ok())
             .collect();
-        for code in [
-            0, 1, 10, 11, 12, 13, 14, 20, 21, 30, 31, 32, 33, 34, 35, 36, 37,
-        ] {
+        for code in [0, 1, 10, 11, 12, 13, 14, 20, 21, 30, 31, 32, 34, 35, 36, 37] {
             assert!(
                 documented.contains(&code),
                 "README exit-code table is stale: exit {code} is undocumented"

@@ -601,7 +601,7 @@ pub fn export_snapshot_jsonl(snap: &Snapshot) -> String {
 /// reader — or a process killed mid-write — therefore sees either the
 /// complete old file or the complete new one, never a truncated artifact.
 /// Shared by trace export, `pcd bench` reports, the resilience checkpoint
-/// writer, and the supervisor's shard manifests and lease files.
+/// writer, and the supervisor's shard manifests.
 ///
 /// # Errors
 ///

@@ -55,6 +55,9 @@ impl Default for ChaosOptions {
 pub struct TrialOutcome {
     /// Trial index.
     pub trial: usize,
+    /// Seed of the trial's fault plan; its `resilience.fault` events
+    /// carry it as `plan_seed`.
+    pub plan_seed: u64,
     /// Faults the plan injected, in decision order.
     pub faults: Vec<FaultKind>,
     /// SCF ladder retries spent.
@@ -185,6 +188,7 @@ fn run_trial(
 ) -> TrialOutcome {
     let mut outcome = TrialOutcome {
         trial,
+        plan_seed: plan.seed(),
         faults: Vec::new(),
         scf_retries: 0,
         vqe_restarts: 0,

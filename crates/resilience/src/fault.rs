@@ -27,10 +27,6 @@ pub enum FaultKind {
     VqeObjective,
     /// Optimizer iteration budget slashed so the first attempt stalls.
     OptimizerStall,
-    /// Shard lease heartbeat write fails (disk full, permission flip).
-    /// Leases are advisory liveness signals, so the shard must survive a
-    /// failed write — count it and keep running, never abort the batch.
-    LeaseWrite,
     /// Serve result-cache seal is corrupted mid-write (torn write, disk
     /// fault). The cache is an accelerator, not a source of truth: the
     /// daemon must detect the bad seal on the next read (CRC), quarantine
@@ -58,14 +54,13 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every injection point, in a stable order.
-    pub const ALL: [FaultKind; 12] = [
+    pub const ALL: [FaultKind; 11] = [
         FaultKind::ScfConvergence,
         FaultKind::ScfEnergy,
         FaultKind::Geometry,
         FaultKind::CouplingGraph,
         FaultKind::VqeObjective,
         FaultKind::OptimizerStall,
-        FaultKind::LeaseWrite,
         FaultKind::CacheWrite,
         FaultKind::Accept,
         FaultKind::FrameWrite,
@@ -82,7 +77,6 @@ impl FaultKind {
             FaultKind::CouplingGraph => "compile.coupling_graph",
             FaultKind::VqeObjective => "vqe.objective",
             FaultKind::OptimizerStall => "vqe.optimizer_stall",
-            FaultKind::LeaseWrite => "supervisor.lease_write",
             FaultKind::CacheWrite => "serve.cache_write",
             FaultKind::Accept => "serve.accept",
             FaultKind::FrameWrite => "net.frame_write",
@@ -93,14 +87,12 @@ impl FaultKind {
 
     /// The recovery policy class responsible for this fault:
     /// `"scf_retry"`, `"compiler_fallback"`, `"vqe_restart"`,
-    /// `"lease_retry"`, `"cache_quarantine"`, `"admission_shed"`, or
-    /// `"transport_retry"`.
+    /// `"cache_quarantine"`, `"admission_shed"`, or `"transport_retry"`.
     pub fn policy_class(self) -> &'static str {
         match self {
             FaultKind::ScfConvergence | FaultKind::ScfEnergy | FaultKind::Geometry => "scf_retry",
             FaultKind::CouplingGraph => "compiler_fallback",
             FaultKind::VqeObjective | FaultKind::OptimizerStall => "vqe_restart",
-            FaultKind::LeaseWrite => "lease_retry",
             FaultKind::CacheWrite => "cache_quarantine",
             FaultKind::Accept => "admission_shed",
             FaultKind::FrameWrite | FaultKind::NetAccept | FaultKind::Partition => {
@@ -109,7 +101,11 @@ impl FaultKind {
         }
     }
 
-    fn index(self) -> usize {
+    /// The site's number in the draw key. Frozen per site, and a retired
+    /// site's number is never reused, so a seed injects the same faults
+    /// at every remaining site across releases (6 was
+    /// `supervisor.lease_write`).
+    fn draw_key(self) -> u64 {
         match self {
             FaultKind::ScfConvergence => 0,
             FaultKind::ScfEnergy => 1,
@@ -117,7 +113,6 @@ impl FaultKind {
             FaultKind::CouplingGraph => 3,
             FaultKind::VqeObjective => 4,
             FaultKind::OptimizerStall => 5,
-            FaultKind::LeaseWrite => 6,
             FaultKind::CacheWrite => 7,
             FaultKind::Accept => 8,
             FaultKind::FrameWrite => 9,
@@ -209,27 +204,31 @@ impl FaultPlan {
     /// Asks the plan whether `kind` should fail on this visit. Records and
     /// reports (via obs) every injection it orders.
     pub fn should_inject(&mut self, kind: FaultKind) -> bool {
-        let idx = kind.index();
-        let visit = self.visits[idx];
-        self.visits[idx] += 1;
+        // The visit counter's slot is the site's position in `ALL`.
+        let slot = kind as usize;
+        let visit = self.visits[slot];
+        self.visits[slot] += 1;
         if self.fault_rate <= 0.0 {
             return false;
         }
         // Site-keyed counter-mode draw: uniform in [0, 1) from the mixed
         // (seed, site, visit) key.
         let key = splitmix64(self.seed)
-            ^ splitmix64((idx as u64).wrapping_add(0xA076_1D64_78BD_642F))
+            ^ splitmix64(kind.draw_key().wrapping_add(0xA076_1D64_78BD_642F))
             ^ splitmix64(visit.wrapping_mul(0xE703_7ED1_A0B4_28DB));
         let u = (splitmix64(key) >> 11) as f64 / (1u64 << 53) as f64;
         let hit = u < self.fault_rate;
         if hit {
             self.injected.push(InjectedFault { kind, visit });
             obs::counter_add("resilience.faults_injected", 1);
+            // `plan_seed` tells apart the events of plans that inject
+            // concurrently (chaos trials run on parallel threads).
             obs::event!(
                 "resilience.fault",
                 site = kind.site(),
                 visit = visit,
-                policy_class = kind.policy_class()
+                policy_class = kind.policy_class(),
+                plan_seed = self.seed
             );
             // Always-on flight note (with the site name even when tracing
             // is off); dumps the ring if a flight dir is armed.
@@ -325,6 +324,25 @@ mod tests {
         );
     }
 
+    /// Retiring a site must not move the draws of the sites after it:
+    /// these are the visits the 12-site plan (with the retired
+    /// `supervisor.lease_write` at key 6) fired at, seed 11, rate 0.3.
+    #[test]
+    fn draw_keys_survive_retired_sites() {
+        let hits = |kind: FaultKind| -> Vec<u64> {
+            let mut plan = FaultPlan::new(11, 0.3);
+            (0..48u64).filter(|_| plan.should_inject(kind)).collect()
+        };
+        assert_eq!(
+            hits(FaultKind::Partition),
+            [1, 7, 9, 14, 15, 16, 17, 18, 21, 23, 24, 26, 31, 32, 38, 40, 41, 42, 43, 47]
+        );
+        assert_eq!(
+            hits(FaultKind::CacheWrite),
+            [7, 9, 10, 13, 16, 18, 19, 23, 26, 28, 31, 34, 44, 46, 47]
+        );
+    }
+
     #[test]
     fn sites_are_decorrelated() {
         // At rate 0.5 the per-site sequences must not be identical copies
@@ -333,7 +351,7 @@ mod tests {
         let mut seq: Vec<Vec<bool>> = vec![Vec::new(); SITES];
         for _ in 0..64 {
             for kind in FaultKind::ALL {
-                seq[kind.index()].push(plan.should_inject(kind));
+                seq[kind as usize].push(plan.should_inject(kind));
             }
         }
         for i in 0..SITES {

@@ -26,8 +26,9 @@
 //!
 //! # Drain and restart protocol
 //!
-//! SIGTERM (or the `drain` op) flips a flag; the accept loop stops
-//! accepting; in-flight jobs finish; queued-but-unstarted requests are
+//! SIGTERM (or the `drain` op) flips a flag; the accept loop unlinks the
+//! socket and stops accepting; in-flight jobs finish; queued-but-unstarted
+//! requests, and connections still in the listener's backlog, are
 //! answered `pending` and journaled as pending records. The daemon then
 //! seals `serve.jobs` (the specs, in admission order) and
 //! `serve.manifest` (a batch-manifest-schema checkpoint under the
@@ -650,6 +651,7 @@ fn accept_loop(shared: &Shared, listener: &UnixListener) {
     let mut last_activity = Instant::now();
     loop {
         if shared.draining() {
+            sweep_backlog(shared, listener);
             return;
         }
         if shared
@@ -680,6 +682,27 @@ fn accept_loop(shared: &Shared, listener: &UnixListener) {
                 obs::event!("serve.accept_error", error = e.to_string());
                 std::thread::sleep(ACCEPT_POLL);
             }
+        }
+    }
+}
+
+/// Drain: connections the kernel already completed still wait in the
+/// listener's backlog. Unlinking the socket makes new connects fail fast;
+/// the backlog is then accepted without blocking until it is empty, and
+/// each connection gets what a worker gives a queued client on drain —
+/// journaled pending plus the typed `pending` response — so every
+/// request is answered or journaled before the seal.
+fn sweep_backlog(shared: &Shared, listener: &UnixListener) {
+    let _ = std::fs::remove_file(shared.config.socket_path());
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                obs::counter_add("serve.drain_swept", 1);
+                pend_client(shared, stream);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // `WouldBlock`: the backlog is empty.
+            Err(_) => return,
         }
     }
 }

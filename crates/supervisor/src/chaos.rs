@@ -14,14 +14,13 @@
 //!    slices and resumed from its manifest reproduces the uninterrupted
 //!    batch bit-for-bit.
 
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::path::PathBuf;
 
 use chem::Benchmark;
 
 use crate::engine::{run_batch, run_batch_resumed, InjectionPlan, SupervisorConfig};
 use crate::job::JobSpec;
-use crate::manifest::{decode_manifest, encode_manifest, BatchMeta};
+use crate::manifest::decode_manifest;
 use crate::queue::ShedPolicy;
 use resilience::Checkpoint;
 
@@ -295,364 +294,6 @@ fn drain_resume_inner(
         return Err("drained-then-resumed records differ from the uninterrupted batch".to_string());
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Kill-shard chaos: SIGKILL a real shard subprocess mid-batch and verify
-// takeover + merge reconstruct the 1-shard manifest bit-for-bit.
-// ---------------------------------------------------------------------------
-
-/// Kill-shard campaign configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KillShardOptions {
-    /// Campaign seed; trial `t` derives its batch seed from it, and the
-    /// victim shard is drawn from it too.
-    pub seed: u64,
-    /// Number of trials.
-    pub trials: usize,
-    /// Jobs per trial batch.
-    pub jobs: usize,
-    /// Shard processes per trial.
-    pub shards: usize,
-    /// Worker threads per shard process.
-    pub workers: usize,
-    /// Pipeline fault-injection rate passed to every shard (and the
-    /// reference run), exercising takeover under concurrent faults.
-    pub fault_rate: f64,
-    /// The `pcd` binary to spawn shards with.
-    pub pcd_exe: PathBuf,
-    /// Scratch parent directory (defaults to the system temp directory).
-    pub scratch_dir: Option<PathBuf>,
-    /// When set, shards arm the flight recorder here and takeovers dump
-    /// rings.
-    pub flight_dir: Option<PathBuf>,
-}
-
-impl Default for KillShardOptions {
-    fn default() -> Self {
-        KillShardOptions {
-            seed: 42,
-            trials: 2,
-            jobs: 6,
-            shards: 3,
-            workers: 2,
-            fault_rate: 0.25,
-            pcd_exe: PathBuf::from("pcd"),
-            scratch_dir: None,
-            flight_dir: None,
-        }
-    }
-}
-
-/// One kill-shard trial's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KillShardTrialOutcome {
-    /// Trial index.
-    pub trial: usize,
-    /// The shard whose process was SIGKILLed.
-    pub victim: usize,
-    /// Whether the kill actually landed mid-run (a fast victim may seal
-    /// its manifest and exit before the signal).
-    pub killed_mid_run: bool,
-    /// Takeovers visible in the merged lineage.
-    pub takeovers: usize,
-    /// Whether an in-process rescue run was needed after the survivors'
-    /// sweep (no sibling adopted the victim in time).
-    pub rescued: bool,
-    /// Invariant violations (empty = the trial survived).
-    pub violations: Vec<String>,
-}
-
-/// The whole kill-shard campaign's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KillShardReport {
-    /// Per-trial outcomes.
-    pub outcomes: Vec<KillShardTrialOutcome>,
-}
-
-impl KillShardReport {
-    /// Trials that violated an invariant.
-    pub fn failures(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| !o.violations.is_empty())
-            .count()
-    }
-
-    /// Whether every trial upheld every invariant.
-    pub fn survived(&self) -> bool {
-        self.failures() == 0
-    }
-
-    /// Takeovers observed across the campaign.
-    pub fn takeovers(&self) -> usize {
-        self.outcomes.iter().map(|o| o.takeovers).sum()
-    }
-}
-
-/// Runs the kill-shard campaign: per trial, launches `shards` real `pcd
-/// batch --shard-id` subprocesses over a shared checkpoint directory,
-/// SIGKILLs a seeded victim as soon as its lease appears, lets the
-/// survivors' takeover sweep (or an in-process rescue re-run) absorb the
-/// orphaned jobs, merges, and asserts the sealed manifest is bit-identical
-/// to an uninterrupted in-process 1-shard reference — no job lost,
-/// duplicated, or silently degraded.
-pub fn run_kill_shard_chaos(opts: &KillShardOptions) -> KillShardReport {
-    let mut span = obs::span("supervisor.kill_shard_chaos");
-    span.record("trials", opts.trials);
-    span.record("shards", opts.shards);
-
-    let jobs = trial_jobs(opts.jobs.max(1));
-    let mut outcomes = Vec::with_capacity(opts.trials);
-    for trial in 0..opts.trials {
-        let batch_seed = opts
-            .seed
-            .wrapping_add((trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let scratch = opts
-            .scratch_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir)
-            .join(format!("pcd-killshard-{}-{trial}", std::process::id()));
-        let outcome = run_kill_shard_trial(trial, batch_seed, &jobs, &scratch, opts);
-        if !outcome.violations.is_empty() {
-            obs::counter_add("supervisor.chaos_failures", 1);
-        }
-        obs::event!(
-            "supervisor.kill_shard_trial",
-            trial = trial,
-            victim = outcome.victim,
-            killed_mid_run = outcome.killed_mid_run,
-            takeovers = outcome.takeovers,
-            rescued = outcome.rescued,
-            violations = outcome.violations.len()
-        );
-        let _ = std::fs::remove_dir_all(&scratch);
-        outcomes.push(outcome);
-    }
-
-    let report = KillShardReport { outcomes };
-    span.record("failures", report.failures());
-    span.record("takeovers", report.takeovers());
-    report
-}
-
-/// The shard subprocesses are spawned with exactly these flags; this
-/// config mirrors what `pcd batch` builds from them, so the in-process
-/// reference and rescue runs share the determinism keys with the fleet.
-fn kill_shard_config(batch_seed: u64, opts: &KillShardOptions) -> SupervisorConfig {
-    SupervisorConfig {
-        workers: opts.workers.max(1),
-        batch_seed,
-        pipeline_fault_rate: opts.fault_rate,
-        injection: if opts.fault_rate > 0.0 {
-            InjectionPlan::chaos(opts.fault_rate)
-        } else {
-            InjectionPlan::none()
-        },
-        ..SupervisorConfig::default()
-    }
-}
-
-fn run_kill_shard_trial(
-    trial: usize,
-    batch_seed: u64,
-    jobs: &[JobSpec],
-    scratch: &Path,
-    opts: &KillShardOptions,
-) -> KillShardTrialOutcome {
-    let victim = (crate::splitmix64(batch_seed ^ 0xDEAD) % opts.shards.max(1) as u64) as usize;
-    let mut outcome = KillShardTrialOutcome {
-        trial,
-        victim,
-        killed_mid_run: false,
-        takeovers: 0,
-        rescued: false,
-        violations: Vec::new(),
-    };
-    if let Err(v) = kill_shard_trial_inner(batch_seed, jobs, scratch, opts, &mut outcome) {
-        outcome.violations.push(v);
-    }
-    outcome
-}
-
-fn kill_shard_trial_inner(
-    batch_seed: u64,
-    jobs: &[JobSpec],
-    scratch: &Path,
-    opts: &KillShardOptions,
-    outcome: &mut KillShardTrialOutcome,
-) -> Result<(), String> {
-    use crate::lease::Lease;
-    use crate::merge::merge_shards;
-    use crate::shard::{job_shard, run_shard, ShardSpec};
-    use std::process::{Command, Stdio};
-
-    let _ = std::fs::remove_dir_all(scratch);
-    std::fs::create_dir_all(scratch).map_err(|e| format!("scratch dir: {e}"))?;
-    let jobs_path = scratch.join("jobs.jsonl");
-    let text: String = jobs.iter().map(|j| j.to_json_line() + "\n").collect();
-    std::fs::write(&jobs_path, text).map_err(|e| format!("jobs file: {e}"))?;
-
-    // Uninterrupted in-process reference: the sealed manifest every
-    // sharded + killed + merged run must reproduce bit-for-bit.
-    let config = kill_shard_config(batch_seed, opts);
-    let reference = run_batch(jobs, &config).map_err(|e| format!("reference run: {e}"))?;
-    let meta = BatchMeta {
-        batch_seed,
-        jobs: jobs.len(),
-        pipeline_fault_rate: config.pipeline_fault_rate,
-    };
-    let reference_bytes = encode_manifest(&meta, &reference.records).to_bytes();
-
-    // Launch the fleet.
-    let dir = scratch.join("ckpt");
-    let mut children = Vec::new();
-    for shard_id in 0..opts.shards {
-        let mut cmd = Command::new(&opts.pcd_exe);
-        cmd.arg("batch")
-            .arg(&jobs_path)
-            .args(["--workers", &opts.workers.to_string()])
-            .args(["--seed", &batch_seed.to_string()])
-            .args(["--shards", &opts.shards.to_string()])
-            .args(["--shard-id", &shard_id.to_string()])
-            .arg("--checkpoint")
-            .arg(&dir)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        if opts.fault_rate > 0.0 {
-            cmd.args(["--fault-rate", &opts.fault_rate.to_string()]);
-        }
-        if let Some(flight) = &opts.flight_dir {
-            cmd.arg("--flight-dir").arg(flight);
-        }
-        children.push((
-            shard_id,
-            cmd.spawn()
-                .map_err(|e| format!("spawning shard {shard_id}: {e}"))?,
-        ));
-    }
-
-    // SIGKILL the victim the moment its lease appears (i.e. mid-run,
-    // after admission but before its manifest can possibly be sealed...
-    // unless the shard is faster than the poll, which the exit status
-    // below detects).
-    let lease_path = Lease::path(&dir, outcome.victim);
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while !lease_path.exists() && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let mut statuses = Vec::new();
-    for (shard_id, mut child) in children {
-        if shard_id == outcome.victim {
-            let _ = child.kill();
-        }
-        let status = child
-            .wait()
-            .map_err(|e| format!("waiting for shard {shard_id}: {e}"))?;
-        statuses.push((shard_id, status));
-    }
-    let victim_status = statuses
-        .iter()
-        .find(|(s, _)| *s == outcome.victim)
-        .map(|(_, st)| *st)
-        .ok_or_else(|| "victim status missing".to_string())?;
-    // `killed_mid_run` = the signal (or a failure) actually cut the run
-    // short; a victim that beat the poll to completion exits 0.
-    outcome.killed_mid_run = !victim_status.success();
-
-    // First merge: survivors may already have absorbed the victim via
-    // their takeover sweep.
-    let first = match merge_shards(&dir, jobs) {
-        Ok(first) => first,
-        Err(e) => return Err(format!("first merge: {e}")),
-    };
-
-    // Rescue path: whatever is still missing or pending belongs to shards
-    // nobody finished — re-run them in-process (`run_shard` takes the dead
-    // lease over) and merge again. This is the "re-run takeover" flow a
-    // human operator would use: `pcd batch --shards N --shard-id K` again.
-    let rescue_config = SupervisorConfig {
-        ckpt_dir: Some(dir.clone()),
-        flight_dir: opts.flight_dir.clone(),
-        ..config.clone()
-    };
-    let mut unfinished: Vec<usize> = first.missing.clone();
-    unfinished.extend(
-        first
-            .records
-            .iter()
-            .filter(|r| !r.state.is_terminal())
-            .map(|r| r.index),
-    );
-    let mut rescue_shards: Vec<usize> = unfinished
-        .iter()
-        .map(|&i| job_shard(i, opts.shards))
-        .collect();
-    rescue_shards.sort_unstable();
-    rescue_shards.dedup();
-    let merged = if rescue_shards.is_empty() {
-        first
-    } else {
-        outcome.rescued = true;
-        for shard_id in rescue_shards {
-            run_shard(
-                jobs,
-                &rescue_config,
-                ShardSpec {
-                    shards: opts.shards,
-                    shard_id,
-                },
-            )
-            .map_err(|e| format!("rescue of shard {shard_id}: {e}"))?;
-        }
-        merge_shards(&dir, jobs).map_err(|e| format!("post-rescue merge: {e}"))?
-    };
-
-    outcome.takeovers = merged.takeovers().count();
-
-    // The invariants: every job terminal exactly once, bit-identical to
-    // the uninterrupted reference, and a mid-run kill must be visible as
-    // a takeover in the lineage.
-    if merged.records.len() != jobs.len() {
-        outcome.violations.push(format!(
-            "merged {} records for {} jobs",
-            merged.records.len(),
-            jobs.len()
-        ));
-    }
-    if !merged.complete() {
-        outcome
-            .violations
-            .push("merged batch left jobs missing or pending".to_string());
-    }
-    if merged.sealed != reference_bytes {
-        outcome
-            .violations
-            .push("merged batch.manifest differs from the 1-shard reference manifest".to_string());
-    }
-    if outcome.killed_mid_run && !merged.quarantined.is_empty() {
-        // A torn victim manifest is quarantined, then the rescue re-seals
-        // it — reaching here with a quarantine AND a clean merge is fine,
-        // so this is informational, not a violation.
-        obs::counter_add("supervisor.kill_shard_torn_manifests", 1);
-    }
-    if outcome.killed_mid_run && outcome.takeovers == 0 && !victim_manifest_sealed(&dir, outcome) {
-        outcome.violations.push(format!(
-            "victim shard {} was killed mid-run but no takeover is recorded",
-            outcome.victim
-        ));
-    }
-    Ok(())
-}
-
-/// Whether the victim sealed its own manifest despite the kill (it raced
-/// past the lease poll): then no takeover is required.
-fn victim_manifest_sealed(dir: &Path, outcome: &KillShardTrialOutcome) -> bool {
-    let path = crate::shard::shard_manifest_path(dir, outcome.victim);
-    Checkpoint::read(&path)
-        .ok()
-        .and_then(|ck| crate::shard::decode_shard_manifest(&ck).ok())
-        .is_some_and(|(meta, _)| meta.taken_over_from.is_none())
 }
 
 #[cfg(test)]

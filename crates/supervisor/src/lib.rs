@@ -36,11 +36,10 @@
 //! hangs, and transient faults.
 //!
 //! Determinism is also what makes the batch **horizontally shardable**
-//! ([`shard`], [`lease`], [`merge`]): `--shards N --shard-id K` splits a
-//! batch across processes by `index % N`, each shard heartbeats a lease
-//! and seals its own CRC-guarded manifest, a surviving sibling (or a
-//! re-run) takes over a dead shard's slice by claiming its lease epoch,
-//! and `pcd batch merge` unions the shard manifests into a sealed
+//! ([`remote`], [`shard`], [`merge`]): a TCP coordinator splits a batch
+//! across worker processes by `index % N`, grants each shard under a
+//! monotonic lease epoch, re-grants a silent worker's shard at the next
+//! epoch, and unions the per-shard manifests into a sealed
 //! `batch.manifest` that is bit-identical to a 1-shard run's — takeover
 //! provenance recorded beside it in `merge.lineage`, never inside it.
 
@@ -51,7 +50,6 @@ pub mod breaker;
 pub mod chaos;
 pub mod engine;
 pub mod job;
-pub mod lease;
 pub mod manifest;
 pub mod merge;
 pub mod progress;
@@ -62,14 +60,12 @@ pub mod shard;
 pub use backoff::BackoffPolicy;
 pub use breaker::{CircuitBreaker, Stage};
 pub use chaos::{
-    run_kill_shard_chaos, run_supervised_chaos, KillShardOptions, KillShardReport,
-    KillShardTrialOutcome, SupervisedChaosOptions, SupervisedChaosReport, SupervisedTrialOutcome,
+    run_supervised_chaos, SupervisedChaosOptions, SupervisedChaosReport, SupervisedTrialOutcome,
 };
 pub use engine::{
     run_batch, run_batch_resumed, BatchReport, InjectionPlan, SupervisorConfig, SupervisorError,
 };
 pub use job::{attempt_seed, job_seed, parse_jobs, JobRecord, JobSpec, JobState};
-pub use lease::{classify, local_host, try_claim, Lease, LeaseHealth, LeaseKeeper, STALE_AFTER};
 pub use manifest::{decode_manifest, encode_manifest, BatchMeta, KIND_BATCH_MANIFEST};
 pub use merge::{merge_shards, MergeError, MergeOutcome, ShardLineage, KIND_MERGE_LINEAGE};
 pub use progress::{ProgressSnapshot, ProgressTracker};
@@ -80,9 +76,8 @@ pub use remote::{
     NetChaosTrialOutcome, RemoteError, RemoteTakeover, WorkerOptions, WorkerReport,
 };
 pub use shard::{
-    decode_shard_manifest, encode_shard_manifest, job_shard, run_shard, shard_indices,
-    shard_manifest_path, ShardMeta, ShardRunReport, ShardSpec, TakeoverOutcome,
-    KIND_SHARD_MANIFEST,
+    decode_shard_manifest, encode_shard_manifest, job_shard, shard_indices, shard_manifest_path,
+    ShardMeta, ShardSpec, KIND_SHARD_MANIFEST,
 };
 
 /// SplitMix64 finalizer used to derive per-job and per-attempt seeds from

@@ -1,18 +1,16 @@
 //! True multi-machine sharding: a coordinator/worker protocol over TCP.
 //!
-//! The shard layer ([`crate::shard`]) assumes every process shares one
-//! checkpoint directory — liveness is a lease file, takeover is a claim
-//! token. This module removes that assumption: only the **coordinator**
-//! touches the checkpoint directory; workers hold nothing but a socket.
+//! This is the only cross-process batch path. Only the **coordinator**
+//! touches the checkpoint directory; workers hold nothing but a socket,
+//! so the same protocol serves one host (a loopback address) and many.
 //!
 //! - The coordinator owns the jobs file, the batch identity, and every
 //!   lease. Workers [`net::message::Message::Claim`] shards and are
 //!   granted them under **monotonic epochs**; a worker that stops
 //!   heartbeating for the lease interval is presumed dead and its shard
-//!   is re-granted at `epoch + 1` to the next claimant (the wire twin of
-//!   [`crate::lease::try_claim`]'s epoch tokens). Pid and mtime
-//!   liveness fallbacks are never consulted — they are meaningless
-//!   across machines.
+//!   is re-granted at `epoch + 1` to the next claimant. Liveness is
+//!   heartbeat silence on the wire, never a pid or a file mtime — those
+//!   are meaningless across machines.
 //! - Delivery is **at-least-once with content-keyed dedup**: workers
 //!   resend every record of the active shard after a reconnect, and the
 //!   coordinator collapses bit-identical duplicates (counting them) while
@@ -27,8 +25,8 @@
 //!   transport budget mid-shard seals what it has as a local
 //!   `shard-<id>.manifest.partial` (same CRC-sealed codec, a name the
 //!   merge scan ignores) and exits resumable; a coordinator that loses
-//!   every worker rescues unfinished shards in-process, exactly like the
-//!   re-run takeover flow a human operator would perform.
+//!   every worker rescues unfinished shards in-process at the next
+//!   epoch.
 //!
 //! After the last job lands the coordinator seals one ordinary
 //! `shard-<id>.manifest` per shard and reuses [`crate::merge`] verbatim,
@@ -461,8 +459,8 @@ impl Coordinator {
         Ok(rescued)
     }
 
-    /// Seals one manifest per shard and merges — the exact same path a
-    /// directory-sharing batch takes, so the sealed bytes are identical.
+    /// Seals one manifest per shard and merges them through
+    /// [`merge_shards`], so the sealed bytes match a 1-shard run's.
     fn seal(&self, rescued: Vec<usize>) -> Result<CoordinatorReport, RemoteError> {
         let meta = BatchMeta {
             batch_seed: self.config.batch_seed,

@@ -51,25 +51,25 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
         .filter(|e| e.name == "resilience.fault")
         .collect();
     assert_eq!(fault_events.len(), report.faults_injected);
-    let event_sites: Vec<&str> = fault_events
-        .iter()
-        .map(|e| {
-            e.fields
-                .iter()
-                .find(|(k, _)| k == "site")
-                .and_then(|(_, v)| match v {
-                    obs::Value::Str(s) => Some(s.as_str()),
-                    _ => None,
-                })
-                .expect("fault event has a site field")
-        })
-        .collect();
-    let report_sites: Vec<&str> = report
-        .outcomes
-        .iter()
-        .flat_map(|o| o.faults.iter().map(|k| k.site()))
-        .collect();
-    assert_eq!(event_sites, report_sites, "trace sites mismatch report");
+    // Trials run on parallel threads, so their events interleave; each
+    // trial's own events, picked out by its plan seed, name its faults'
+    // sites in decision order.
+    for outcome in &report.outcomes {
+        let event_sites: Vec<&str> = fault_events
+            .iter()
+            .filter(|e| e.field("plan_seed") == Some(&obs::Value::UInt(outcome.plan_seed)))
+            .map(|e| match e.field("site") {
+                Some(obs::Value::Str(s)) => s.as_str(),
+                other => panic!("fault event site field: {other:?}"),
+            })
+            .collect();
+        let report_sites: Vec<&str> = outcome.faults.iter().map(|k| k.site()).collect();
+        assert_eq!(
+            event_sites, report_sites,
+            "trial {} trace sites mismatch report",
+            outcome.trial
+        );
+    }
 
     // Every retry/fallback shows up as a `resilience.recovery` event, and
     // the counters agree with the per-trial bookkeeping.

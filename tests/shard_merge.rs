@@ -1,16 +1,21 @@
-//! Shard-fault-tolerance integration: sharded runs merge bit-identically
-//! to 1-shard runs, dead shards are taken over, and the merge is
-//! idempotent and commutative over shard counts (property-tested).
+//! Shard-fault-tolerance integration: coordinated runs merge
+//! bit-identically to 1-shard runs, a dead worker's shard is taken over at
+//! the next lease epoch while a live one's is never handed out twice, and
+//! the merge is idempotent and commutative over shard counts
+//! (property-tested).
 
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
+use net::{read_frame, write_frame, Message, PROTOCOL_VERSION};
 use pauli_codesign::chem::Benchmark;
 use pauli_codesign::report::{classify as classify_artifact, Artifact, ReportBuilder};
 use pauli_codesign::supervisor::{
-    encode_manifest, encode_shard_manifest, local_host, merge_shards, run_batch, run_shard,
-    shard_manifest_path, BatchMeta, JobRecord, JobSpec, JobState, Lease, ShardMeta, ShardSpec,
-    SupervisorConfig,
+    encode_manifest, encode_shard_manifest, merge_shards, run_batch, run_worker,
+    shard_manifest_path, BatchMeta, Coordinator, CoordinatorOptions, CoordinatorReport, JobRecord,
+    JobSpec, JobState, RemoteError, ShardMeta, SupervisorConfig, WorkerOptions,
 };
 use proptest::prelude::*;
 
@@ -130,7 +135,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Real-pipeline equivalence and takeover.
+// Real-pipeline equivalence and takeover over a loopback coordinator.
 // ---------------------------------------------------------------------------
 
 fn config(batch_seed: u64, ckpt: Option<PathBuf>) -> SupervisorConfig {
@@ -151,24 +156,91 @@ fn reference_bytes(specs: &[JobSpec], batch_seed: u64) -> Vec<u8> {
     encode_manifest(&meta, &report.records).to_bytes()
 }
 
+/// Binds a loopback coordinator over `dir` and serves it on a thread.
+fn coordinate(
+    specs: &[JobSpec],
+    batch_seed: u64,
+    dir: &Path,
+    opts: CoordinatorOptions,
+) -> (
+    SocketAddr,
+    std::thread::JoinHandle<Result<CoordinatorReport, RemoteError>>,
+) {
+    let coordinator =
+        Coordinator::bind(specs, &config(batch_seed, Some(dir.to_path_buf())), opts).unwrap();
+    let addr = coordinator.addr();
+    (addr, std::thread::spawn(move || coordinator.run()))
+}
+
+/// Runs `n` in-process workers against `addr` to completion.
+fn run_workers(addr: SocketAddr, n: usize) {
+    let workers: Vec<_> = (0..n)
+        .map(|i| {
+            let opts = WorkerOptions {
+                connect: addr,
+                worker_id: format!("w{i}"),
+                ..WorkerOptions::default()
+            };
+            std::thread::spawn(move || run_worker(&opts))
+        })
+        .collect();
+    for w in workers {
+        let report = w.join().unwrap().unwrap();
+        assert!(
+            report.partial_sealed.is_none(),
+            "worker {} left a partial seal",
+            report.worker_id
+        );
+    }
+}
+
+/// One request/response exchange on the wire.
+fn call(stream: &mut TcpStream, msg: &Message) -> Message {
+    write_frame(stream, &msg.encode()).unwrap();
+    Message::decode(&read_frame(stream).unwrap()).unwrap()
+}
+
+/// A "ghost" claimant: says hello and asks for a shard, then does nothing
+/// else — no heartbeat, no record. Returns the open connection and the
+/// coordinator's answer to the claim.
+fn ghost_claim(addr: SocketAddr, name: &str) -> (TcpStream, Message) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = Message::Hello {
+        worker: name.to_string(),
+        version: PROTOCOL_VERSION,
+    };
+    assert!(matches!(call(&mut stream, &hello), Message::Welcome { .. }));
+    let claim = Message::Claim {
+        worker: name.to_string(),
+    };
+    let reply = call(&mut stream, &claim);
+    (stream, reply)
+}
+
 #[test]
 fn two_shard_run_merges_bit_identically_to_one_shard_reference() {
     let specs = jobs(5);
     let reference = reference_bytes(&specs, 11);
     let dir = scratch("twoshards");
-    for shard_id in 0..2 {
-        let report = run_shard(
-            &specs,
-            &config(11, Some(dir.clone())),
-            ShardSpec {
-                shards: 2,
-                shard_id,
-            },
-        )
-        .unwrap();
-        assert_eq!(report.pending(), 0, "shard {shard_id} left pending jobs");
-        assert!(report.taken_over_from.is_none());
-    }
+    let (addr, coord) = coordinate(
+        &specs,
+        11,
+        &dir,
+        CoordinatorOptions {
+            shards: 2,
+            // Far above the test's runtime: healthy workers are never
+            // taken over, whatever the host's load.
+            lease_ms: 60_000,
+            ..CoordinatorOptions::default()
+        },
+    );
+    run_workers(addr, 2);
+    let report = coord.join().unwrap().unwrap();
+    assert!(
+        report.records.iter().all(|r| r.state.is_terminal()),
+        "coordinated run left pending jobs"
+    );
+    assert!(report.takeovers.is_empty());
     let outcome = merge_shards(&dir, &specs).unwrap();
     assert!(outcome.complete());
     assert_eq!(outcome.takeovers().count(), 0);
@@ -176,57 +248,57 @@ fn two_shard_run_merges_bit_identically_to_one_shard_reference() {
         outcome.sealed, reference,
         "merged manifest differs from the 1-shard reference"
     );
+    assert_eq!(report.sealed, reference);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(unix)]
 #[test]
-fn survivor_takes_over_dead_shard_and_merge_matches_reference() {
+fn dead_owner_is_taken_over_at_the_next_epoch_and_merge_matches_reference() {
     let specs = jobs(4);
     let reference = reference_bytes(&specs, 23);
     let dir = scratch("takeover");
-    // Fixture: shard 1 "died" mid-run — its lease names a pid that cannot
-    // exist, and no manifest was sealed.
-    let dead = Lease {
-        shard_id: 1,
-        owner_pid: u32::MAX - 1,
-        owner_nonce: 0x2a,
-        epoch: 0,
-        beats: 3,
-        done: false,
-        taken_over_from: None,
-        host: local_host(),
-    };
-    std::fs::write(Lease::path(&dir, 1), dead.to_json()).unwrap();
-
-    // Shard 0 runs its own partition, then its sweep adopts shard 1.
-    let report = run_shard(
+    let (addr, coord) = coordinate(
         &specs,
-        &config(23, Some(dir.clone())),
-        ShardSpec {
+        23,
+        &dir,
+        CoordinatorOptions {
             shards: 2,
-            shard_id: 0,
+            lease_ms: 250,
+            heartbeat_ms: 40,
+            ..CoordinatorOptions::default()
         },
-    )
-    .unwrap();
-    assert_eq!(
-        report.takeovers.len(),
-        1,
-        "sweep did not adopt the dead shard"
     );
-    assert_eq!(report.takeovers[0].shard_id, 1);
-    assert_eq!(report.takeovers[0].from, dead.owner());
-    assert_eq!(report.takeovers[0].epoch, 1);
+    // The ghost is granted shard 0 and dies holding it.
+    let (stream, grant) = ghost_claim(addr, "ghost");
+    assert!(matches!(
+        grant,
+        Message::Grant {
+            shard_id: 0,
+            epoch: 0,
+            ..
+        }
+    ));
+    drop(stream);
+
+    // A healthy worker runs shard 1, then takes shard 0 over once the
+    // ghost's lease runs out.
+    run_workers(addr, 1);
+    let report = coord.join().unwrap().unwrap();
+    assert!(report.rescued.is_empty(), "the takeover, not a rescue, ran");
+    assert_eq!(report.takeovers.len(), 1, "takeover not recorded");
+    assert_eq!(report.takeovers[0].shard_id, 0);
+    assert_eq!(report.takeovers[0].from, "ghost");
+    assert_eq!(report.takeovers[0].epoch, 1, "monotonic epoch bump");
 
     let outcome = merge_shards(&dir, &specs).unwrap();
     assert!(outcome.complete());
     let takeovers: Vec<_> = outcome.takeovers().collect();
     assert_eq!(takeovers.len(), 1, "takeover not visible in merged lineage");
-    assert_eq!(takeovers[0].shard_id, 1);
-    assert_eq!(
-        takeovers[0].taken_over_from.as_deref(),
-        Some("pid:4294967294/0000002a")
-    );
+    assert_eq!(takeovers[0].shard_id, 0);
+    assert_eq!(takeovers[0].epoch, 1);
+    assert_eq!(takeovers[0].taken_over_from.as_deref(), Some("ghost"));
+    let lineage = std::fs::read_to_string(dir.join("merge.lineage")).unwrap();
+    assert!(lineage.contains("ghost"), "merge.lineage:\n{lineage}");
     assert_eq!(
         outcome.sealed, reference,
         "post-takeover merge differs from the 1-shard reference"
@@ -234,69 +306,54 @@ fn survivor_takes_over_dead_shard_and_merge_matches_reference() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(unix)]
 #[test]
-fn rerun_of_dead_shard_resumes_and_records_takeover() {
-    let specs = jobs(3);
-    let dir = scratch("rerun");
-    let dead = Lease {
-        shard_id: 0,
-        owner_pid: u32::MAX - 1,
-        owner_nonce: 0x99,
-        epoch: 4,
-        beats: 17,
-        done: false,
-        taken_over_from: None,
-        host: local_host(),
-    };
-    std::fs::write(Lease::path(&dir, 0), dead.to_json()).unwrap();
-    // Re-running the same shard id claims epoch 5 and records provenance.
-    let report = run_shard(
-        &specs,
-        &config(31, Some(dir.clone())),
-        ShardSpec {
-            shards: 3,
-            shard_id: 0,
-        },
-    )
-    .unwrap();
-    assert_eq!(report.epoch, 5);
-    assert_eq!(
-        report.taken_over_from.as_deref(),
-        Some("pid:4294967294/00000099")
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn live_lease_blocks_a_second_claimant() {
+fn live_owner_blocks_a_second_claimant() {
     let specs = jobs(2);
+    let reference = reference_bytes(&specs, 5);
     let dir = scratch("held");
-    // A lease owned by *this* process is alive by definition.
-    let alive = Lease {
-        shard_id: 0,
-        owner_pid: std::process::id(),
-        owner_nonce: 1,
-        epoch: 0,
-        beats: 1,
-        done: false,
-        taken_over_from: None,
-        host: local_host(),
-    };
-    std::fs::write(Lease::path(&dir, 0), alive.to_json()).unwrap();
-    let err = run_shard(
+    let (addr, coord) = coordinate(
         &specs,
-        &config(5, Some(dir.clone())),
-        ShardSpec {
-            shards: 2,
-            shard_id: 0,
+        5,
+        &dir,
+        CoordinatorOptions {
+            shards: 1,
+            // The owner's lease outlives the test: it stays live.
+            lease_ms: 60_000,
+            heartbeat_ms: 10,
+            // Ends the run: the coordinator finishes the held shard itself.
+            deadline: Duration::from_secs(2),
+            ..CoordinatorOptions::default()
         },
-    )
-    .unwrap_err();
-    assert!(
-        err.to_string().contains("lease held"),
-        "expected a lease-held error, got: {err}"
     );
+    let (owner, grant) = ghost_claim(addr, "owner");
+    assert!(matches!(
+        grant,
+        Message::Grant {
+            shard_id: 0,
+            epoch: 0,
+            ..
+        }
+    ));
+    let (mut second, mut reply) = ghost_claim(addr, "second");
+    for attempt in 0..5 {
+        assert!(
+            matches!(reply, Message::Wait { .. }),
+            "claim {attempt} against a live owner got {reply:?}"
+        );
+        let claim = Message::Claim {
+            worker: "second".to_string(),
+        };
+        reply = call(&mut second, &claim);
+    }
+    drop((owner, second));
+
+    let report = coord.join().unwrap().unwrap();
+    assert!(
+        report.takeovers.is_empty(),
+        "a live owner's shard was handed over: {:?}",
+        report.takeovers
+    );
+    assert_eq!(report.sealed, reference);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -308,18 +365,18 @@ fn live_lease_blocks_a_second_claimant() {
 fn report_classifies_shard_manifests_and_lineage() {
     let specs = jobs(4);
     let dir = scratch("report");
-    for shard_id in 0..2 {
-        run_shard(
-            &specs,
-            &config(13, Some(dir.clone())),
-            ShardSpec {
-                shards: 2,
-                shard_id,
-            },
-        )
-        .unwrap();
-    }
-    merge_shards(&dir, &specs).unwrap();
+    let (addr, coord) = coordinate(
+        &specs,
+        13,
+        &dir,
+        CoordinatorOptions {
+            shards: 2,
+            lease_ms: 60_000,
+            ..CoordinatorOptions::default()
+        },
+    );
+    run_workers(addr, 2);
+    coord.join().unwrap().unwrap();
 
     let shard_text = std::fs::read_to_string(shard_manifest_path(&dir, 0)).unwrap();
     let artifact = classify_artifact(&shard_text).unwrap();
