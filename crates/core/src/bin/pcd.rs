@@ -6,17 +6,18 @@
 //! pcd scan H2 --from 0.4 --to 1.6 --step 0.1
 //! pcd compile NaH --ratio 0.5 --arch xtree17 --compiler both
 //! pcd yield --sigma 0.04 --samples 20000
-//! pcd chaos H2 --seed 42 --fault-rate 0.1
+//! pcd chaos --campaign supervised --trials 5 --seed 7
 //! ```
 //!
 //! # Exit codes
 //!
 //! `0` success · `1` usage error · `10` chemistry · `11` SCF · `12`
-//! encoding · `13` compile · `14` VQE · `20` chaos run had unrecovered
-//! trials · `21` bench regressed against `--baseline` or crept past the
-//! `--history` window drift · `30` budget expired, checkpoint saved
-//! (rerun with `--resume`; also a drained `pcd batch` with its manifest
-//! saved, and a drained `pcd serve` with its restart state sealed) ·
+//! encoding · `13` compile · `14` VQE · `20` a chaos campaign trial
+//! broke an invariant · `21` bench regressed against `--baseline` or
+//! crept past the `--history` window drift · `30` budget expired,
+//! checkpoint saved (rerun with `--resume`; also a drained `pcd batch`
+//! with its manifest saved, and a drained `pcd serve` with its restart
+//! state sealed) ·
 //! `31` checkpoint unreadable or corrupt (also a sealed serve manifest
 //! that belongs to a different configuration) · `32` batch finished but
 //! degraded (jobs quarantined or shed) · `34` `report --strict` found
@@ -39,8 +40,8 @@ use pauli_codesign::par::Budget;
 use pauli_codesign::pauli::group_qubit_wise;
 use pauli_codesign::resilience::{
     decode_vqe, decode_vqe_result, decode_yield, encode_vqe, encode_vqe_result, encode_yield,
-    f64_to_hex, run_chaos, ChaosOptions, Checkpoint, DegradationLadder, DegradationPolicy,
-    FaultKind, PcdError,
+    f64_to_hex, run_chaos, run_kill_resume, ChaosOptions, Checkpoint, DegradationLadder,
+    DegradationPolicy, KillResumeOptions, PcdError,
 };
 use pauli_codesign::serve::{
     run_serve, run_serve_chaos, ServeChaosOptions, ServeConfig, ServeError,
@@ -62,11 +63,11 @@ enum CliError {
     Usage(String),
     /// A pipeline stage failed; exit code from [`PcdError::exit_code`].
     Pipeline(PcdError),
-    /// The chaos harness had trials that did not recover.
+    /// A chaos campaign had trials that broke an invariant.
     ChaosUnsurvived {
-        /// Trials that failed despite recovery.
+        /// Trials (or phases) that raised a violation.
         failed: usize,
-        /// Trials executed.
+        /// Trials (and phases) executed.
         trials: usize,
     },
     /// `bench --baseline` found benchmarks slower than the tolerance.
@@ -100,11 +101,6 @@ enum CliError {
     /// transport failure (exit 35), a sealed manifest from a different
     /// configuration is a checkpoint-class failure (exit 31).
     Serve(ServeError),
-    /// `chaos --serve` observed broken daemon promises.
-    ServeChaosFailed {
-        /// Violations the campaign recorded.
-        violations: usize,
-    },
     /// A net coordinator or worker failed: transport exhaustion is
     /// resumable (exit 36, any partial progress sealed locally), a
     /// protocol mismatch is operator error (exit 37), and a supervisor
@@ -112,7 +108,7 @@ enum CliError {
     Remote(RemoteError),
 }
 
-/// Exit code for a chaos run with unrecovered trials.
+/// Exit code for a chaos campaign with a violated invariant.
 const EXIT_CHAOS_UNSURVIVED: u8 = 20;
 
 /// Exit code for a bench run that regressed against its baseline.
@@ -159,7 +155,6 @@ impl CliError {
             CliError::ServeDrained { .. } => EXIT_BATCH_DRAINED,
             CliError::Serve(ServeError::Io { .. }) => EXIT_SERVE_TRANSPORT,
             CliError::Serve(_) => 31,
-            CliError::ServeChaosFailed { .. } => EXIT_CHAOS_UNSURVIVED,
             CliError::Remote(RemoteError::TransportLost(_)) => EXIT_NET_TRANSPORT,
             CliError::Remote(RemoteError::Protocol(_)) => EXIT_NET_PROTOCOL,
             CliError::Remote(RemoteError::Supervisor(SupervisorError::Spec(_))) => 1,
@@ -174,7 +169,7 @@ impl std::fmt::Display for CliError {
             CliError::Usage(msg) => write!(f, "{msg}"),
             CliError::Pipeline(e) => write!(f, "{e}"),
             CliError::ChaosUnsurvived { failed, trials } => {
-                write!(f, "chaos: {failed} of {trials} trials did not recover")
+                write!(f, "chaos: {failed} of {trials} trial(s) broke an invariant")
             }
             CliError::BenchRegression(regressions) => {
                 writeln!(
@@ -205,9 +200,6 @@ impl std::fmt::Display for CliError {
                  (restart `pcd serve` with the same --state-dir to resume)"
             ),
             CliError::Serve(e) => write!(f, "{e}"),
-            CliError::ServeChaosFailed { violations } => {
-                write!(f, "chaos --serve: {violations} violation(s) observed")
-            }
             CliError::Remote(e) => write!(f, "{e}"),
         }
     }
@@ -293,55 +285,33 @@ commands:
                                       export the X-Tree-compiled circuit
   yield [--arch ...] [--sigma GHz] [--samples N]
                                       fabrication-yield Monte Carlo
-  chaos [molecule] [--seed N] [--fault-rate R] [--trials N] [--restarts N]
-                                      fault-injection chaos harness: run the
-                                      pipeline under injected faults and
-                                      verify every one is recovered
-  chaos --kill-resume [molecule] [--kill-every K] [--checkpoint DIR]
-                                      kill-and-resume trial: interrupt the
-                                      VQE and yield stages every K budget
-                                      ticks, resume from checkpoint files,
-                                      and verify the results match an
-                                      uninterrupted run bit-for-bit
-  chaos --net [--trials N] [--jobs N] [--workers N] [--threads N]
-        [--seed N] [--fault-rate R] [--net-fault-rate R] [--scratch-dir DIR]
-                                      net chaos: bind an in-process
-                                      coordinator, stand a frame-granular
-                                      fault proxy in front of it
-                                      (net.accept refusals, net.partition
-                                      mid-message severs, net.frame_write
-                                      drop/bit-flip/duplicate/delay/
-                                      reorder), launch real pcd batch
-                                      --connect worker subprocesses
-                                      through the proxy, SIGKILL a seeded
-                                      victim while it holds a grant, and
-                                      assert the sealed batch.manifest is
-                                      bit-identical to a single-machine
-                                      reference — CRC framing rejects
-                                      damage, dedup collapses resends,
-                                      lease epochs absorb the kill
-  chaos --serve [--trials N] [--requests N] [--workers N] [--seed N]
-        [--fault-rate R] [--scratch-dir DIR] [--flight-dir DIR]
-                                      serve chaos: seeded kill/corrupt/
-                                      disconnect storms against in-process
-                                      daemons plus a real pcd serve
-                                      subprocess; asserts the daemon never
-                                      wedges, never serves a corrupt cached
-                                      result (CRC-quarantined and
-                                      recomputed instead), sheds with typed
-                                      responses, and a SIGTERM + restart
-                                      replays bit-identically to the
-                                      in-process reference
-  chaos --supervised [--trials N] [--jobs N] [--workers N] [--seed N]
-        [--fault-rate R] [--flight-dir DIR]
-                                      supervised-batch chaos: run whole
-                                      batches under injected panics, hangs,
-                                      and transients; assert no job is lost
-                                      or double-counted, records are
-                                      worker-count invariant, and a drained
-                                      batch resumes bit-identically; with
-                                      --flight-dir, quarantines and faults
-                                      dump flight-recorder rings there
+  chaos [--campaign KIND] [molecule] [--seed N] [--trials N] [--fault-rate R]
+        [campaign flags]              run one seeded fault campaign, print
+                                      its report, exit 20 if any trial
+                                      broke an invariant; a flag the
+                                      campaign does not read is a usage
+                                      error. KIND and its flags (defaults):
+                                      pipeline (default; seed 42, 40
+                                      trials, rate 0.1, --restarts 3,
+                                      --bond): every injected pipeline
+                                      fault recovered. kill-resume (--bond,
+                                      --ratio 0.5, --kill-every 2,
+                                      --samples 2000, --checkpoint DIR):
+                                      VQE and yield resumed from checkpoint
+                                      files bit-for-bit. supervised (seed
+                                      42, 20 trials, rate 0.25, --jobs 6,
+                                      --workers 2, --flight-dir DIR): no
+                                      job lost, worker-count invariant,
+                                      drain/resume exact. serve (seed 7, 2
+                                      trials, rate 0.05, --requests 10,
+                                      --workers 2, --scratch-dir DIR,
+                                      --flight-dir DIR): daemon storms and a
+                                      SIGTERM restart replay exactly. net
+                                      (seed 42, 2 trials, rate 0.25, --jobs
+                                      6, --workers 3 (≥ 2), --threads 2,
+                                      --net-fault-rate 0.05, --scratch-dir
+                                      DIR): a faulty proxy and a killed
+                                      worker leave batch.manifest exact
   batch <JOBS.jsonl> [--workers N] [--seed N] [--max-retries K]
         [--queue-cap Q] [--shed reject-new|drop-oldest] [--job-timeout S]
         [--slice-ticks T] [--max-slices M] [--breaker N] [--backoff-ms B]
@@ -488,6 +458,18 @@ molecules: H2 LiH NaH HF BeH2 H2O BH3 NH3 CH4";
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let command = args.first().map(String::as_str).unwrap_or("help");
+    // The retired chaos selectors took no value, so catch them before
+    // flag parsing would swallow the argument after one.
+    if command == "chaos" {
+        if let Some(old) = RETIRED_CHAOS_SELECTORS
+            .iter()
+            .find(|old| args.iter().any(|a| a.strip_prefix("--") == Some(**old)))
+        {
+            return Err(CliError::Usage(format!(
+                "--{old} is gone: select the campaign with `--campaign {old}`"
+            )));
+        }
+    }
     let flags = parse_flags(args.get(1..).unwrap_or(&[]))?;
 
     let trace_path = flags.get("trace").map(str::to_string);
@@ -552,10 +534,6 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "metrics",
     "smoke",
     "resume",
-    "kill-resume",
-    "supervised",
-    "serve",
-    "net",
     "no-rescue",
     "progress",
     "obs-overhead",
@@ -599,6 +577,34 @@ impl Flags {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{key} expects an integer, got `{v}`")),
+        }
+    }
+
+    /// A positive integer flag.
+    fn positive(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get_usize(key, default)? {
+            0 => Err(format!("--{key} must be positive")),
+            n => Ok(n),
+        }
+    }
+
+    /// A probability flag in `[0, 1]`.
+    fn rate(&self, key: &str, default: f64) -> Result<f64, String> {
+        let rate = self.get_f64(key, default)?;
+        if (0.0..=1.0).contains(&rate) {
+            Ok(rate)
+        } else {
+            Err(format!("--{key} must be in [0, 1]"))
+        }
+    }
+
+    /// The `--ratio` compression ratio, in `(0, 1]`.
+    fn ratio(&self, default: f64) -> Result<f64, String> {
+        let ratio = self.get_f64("ratio", default)?;
+        if ratio > 0.0 && ratio <= 1.0 {
+            Ok(ratio)
+        } else {
+            Err("--ratio must be in (0, 1]".to_string())
         }
     }
 
@@ -700,10 +706,7 @@ fn cmd_info(flags: &Flags) -> Result<(), CliError> {
 fn cmd_vqe(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
     let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let ratio = flags.get_f64("ratio", 0.5)?;
-    if !(0.0..=1.0).contains(&ratio) || ratio == 0.0 {
-        return Err(CliError::Usage("--ratio must be in (0, 1]".to_string()));
-    }
+    let ratio = flags.ratio(0.5)?;
     let system = molecule.build(bond)?;
     let full = UccsdAnsatz::for_system(&system).into_ir();
     let (ir, report) = compress(&full, system.qubit_hamiltonian(), ratio);
@@ -792,14 +795,8 @@ fn interrupt(
 fn cmd_run(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
     let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let ratio = flags.get_f64("ratio", 0.5)?;
-    if !(0.0..=1.0).contains(&ratio) || ratio == 0.0 {
-        return Err(CliError::Usage("--ratio must be in (0, 1]".to_string()));
-    }
-    let base_samples = flags.get_usize("samples", 20_000)?;
-    if base_samples == 0 {
-        return Err(CliError::Usage("--samples must be positive".to_string()));
-    }
+    let ratio = flags.ratio(0.5)?;
+    let base_samples = flags.positive("samples", 20_000)?;
     let threshold = flags.get_f64("degrade-threshold", 0.25)?;
     if !(threshold > 0.0 && threshold <= 1.0) {
         return Err(CliError::Usage(
@@ -978,7 +975,7 @@ fn cmd_run(flags: &Flags) -> Result<(), CliError> {
 
 fn cmd_scan(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
-    let ratio = flags.get_f64("ratio", 1.0)?;
+    let ratio = flags.ratio(1.0)?;
     let eq = molecule.equilibrium_bond_length();
     let from = flags.get_f64("from", (eq - 0.3).max(0.3))?;
     let to = flags.get_f64("to", eq + 0.3)?;
@@ -1009,7 +1006,7 @@ fn cmd_scan(flags: &Flags) -> Result<(), CliError> {
 
 fn cmd_compile(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
-    let ratio = flags.get_f64("ratio", 0.5)?;
+    let ratio = flags.ratio(0.5)?;
     let arch = parse_arch(flags.get("arch").unwrap_or("xtree17"))?;
     let which = flags.get("compiler").unwrap_or("both");
     let system = molecule.build(molecule.equilibrium_bond_length())?;
@@ -1098,10 +1095,7 @@ fn cmd_excited(flags: &Flags) -> Result<(), CliError> {
     use pauli_codesign::vqe::vqd::{run_vqd, VqdOptions};
     let molecule = flags.molecule()?;
     let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let k = flags.get_usize("states", 3)?;
-    if k == 0 {
-        return Err(CliError::Usage("--states must be positive".to_string()));
-    }
+    let k = flags.positive("states", 3)?;
     let system = molecule.build(bond)?;
     let ir = UccsdAnsatz::for_system(&system).into_ir();
     let states = run_vqd(system.qubit_hamiltonian(), &ir, k, VqdOptions::default());
@@ -1117,7 +1111,7 @@ fn cmd_excited(flags: &Flags) -> Result<(), CliError> {
 
 fn cmd_qasm(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
-    let ratio = flags.get_f64("ratio", 0.5)?;
+    let ratio = flags.ratio(0.5)?;
     let system = molecule.build(molecule.equilibrium_bond_length())?;
     let full = UccsdAnsatz::for_system(&system).into_ir();
     let (ir, _) = compress(&full, system.qubit_hamiltonian(), ratio);
@@ -1141,10 +1135,7 @@ fn cmd_qasm(flags: &Flags) -> Result<(), CliError> {
 fn cmd_yield(flags: &Flags) -> Result<(), CliError> {
     let arch = parse_arch(flags.get("arch").unwrap_or("xtree17"))?;
     let sigma = flags.get_f64("sigma", 0.04)?;
-    let samples = flags.get_usize("samples", 20_000)?;
-    if samples == 0 {
-        return Err(CliError::Usage("--samples must be positive".to_string()));
-    }
+    let samples = flags.positive("samples", 20_000)?;
     let est = simulate_yield(&arch, &CollisionModel::default(), sigma, samples, 17);
     println!("{arch}");
     println!("  sigma           : {sigma} GHz");
@@ -1154,294 +1145,178 @@ fn cmd_yield(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The kill-and-resume chaos trial: interrupt the VQE and yield stages
-/// every `--kill-every` budget ticks, persist the checkpoint, resume from
-/// the file, and verify the final results equal an uninterrupted run
-/// bit-for-bit. This is the durability layer's end-to-end proof.
-fn cmd_kill_resume(flags: &Flags) -> Result<(), CliError> {
-    let molecule = if flags.positional.is_empty() {
-        Benchmark::H2
-    } else {
-        flags.molecule()?
-    };
-    let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let ratio = flags.get_f64("ratio", 0.5)?;
-    let kill_every = flags.get_u64("kill-every", 2)?;
-    if kill_every == 0 {
-        return Err(CliError::Usage("--kill-every must be positive".to_string()));
-    }
-    let samples = flags.get_usize("samples", 2_000)?;
-    if samples == 0 {
-        return Err(CliError::Usage("--samples must be positive".to_string()));
-    }
-    let (dir, ephemeral) = match flags.get("checkpoint") {
-        Some(d) => (d.to_string(), false),
-        None => (
-            std::env::temp_dir()
-                .join(format!("pcd-kill-resume-{}", std::process::id()))
-                .to_string_lossy()
-                .into_owned(),
-            true,
-        ),
-    };
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating checkpoint dir {dir}: {e}"))?;
-
-    println!(
-        "chaos --kill-resume: {} @ {bond} Å, killing every {kill_every} tick(s)",
-        molecule.name()
-    );
-
-    // VQE: uninterrupted baseline, then the kill/resume gauntlet through
-    // the on-disk checkpoint file.
-    let system = molecule.build(bond)?;
-    let full = UccsdAnsatz::for_system(&system).into_ir();
-    let (ir, _) = compress(&full, system.qubit_hamiltonian(), ratio);
-    let x0 = vec![0.0; ir.num_parameters()];
-    let baseline =
-        run_vqe(system.qubit_hamiltonian(), &ir, VqeOptions::default()).map_err(PcdError::from)?;
-    let vqe_path = format!("{dir}/vqe.ckpt");
-    let _ = std::fs::remove_file(&vqe_path);
-    let mut vqe_kills = 0usize;
-    let resumed = loop {
-        let resume = match std::path::Path::new(&vqe_path).exists() {
-            true => Some(
-                decode_vqe(&Checkpoint::read(&vqe_path).map_err(PcdError::from)?)
-                    .map_err(PcdError::from)?,
-            ),
-            false => None,
-        };
-        let budget = Budget::max_ticks(kill_every);
-        match run_vqe_resumable(
-            system.qubit_hamiltonian(),
-            &ir,
-            &x0,
-            VqeOptions::default(),
-            resume,
-            &budget,
-        )
-        .map_err(PcdError::from)?
-        {
-            VqeRun::Done(r) => break r,
-            VqeRun::Interrupted(ck) => {
-                vqe_kills += 1;
-                encode_vqe(&ck).write(&vqe_path).map_err(PcdError::from)?;
-            }
-        }
-    };
-    let vqe_ok = resumed.energy.to_bits() == baseline.energy.to_bits();
-    println!(
-        "  vqe   : {} kills, energy 0x{} vs baseline 0x{} — {}",
-        vqe_kills,
-        f64_to_hex(resumed.energy),
-        f64_to_hex(baseline.energy),
-        if vqe_ok { "bit-identical" } else { "MISMATCH" }
-    );
-
-    // Yield Monte Carlo: same gauntlet at chunk-wave grain.
-    let topology = Topology::xtree(17);
-    let model = CollisionModel::default();
-    let y_baseline = simulate_yield(&topology, &model, 0.04, samples, 17);
-    let yield_path = format!("{dir}/yield.ckpt");
-    let _ = std::fs::remove_file(&yield_path);
-    let mut yield_kills = 0usize;
-    let y_resumed = loop {
-        let resume = match std::path::Path::new(&yield_path).exists() {
-            true => Some(
-                decode_yield(&Checkpoint::read(&yield_path).map_err(PcdError::from)?)
-                    .map_err(PcdError::from)?,
-            ),
-            false => None,
-        };
-        let budget = Budget::max_ticks(kill_every);
-        match simulate_yield_resumable(&topology, &model, 0.04, samples, 17, resume, &budget) {
-            YieldRun::Done(e) => break e,
-            YieldRun::Interrupted(ck) => {
-                yield_kills += 1;
-                encode_yield(&ck)
-                    .write(&yield_path)
-                    .map_err(PcdError::from)?;
-            }
-        }
-    };
-    let yield_ok = y_resumed.yield_rate.to_bits() == y_baseline.yield_rate.to_bits()
-        && y_resumed.mean_collisions.to_bits() == y_baseline.mean_collisions.to_bits();
-    println!(
-        "  yield : {} kills, rate 0x{} vs baseline 0x{} — {}",
-        yield_kills,
-        f64_to_hex(y_resumed.yield_rate),
-        f64_to_hex(y_baseline.yield_rate),
-        if yield_ok {
-            "bit-identical"
-        } else {
-            "MISMATCH"
-        }
-    );
-
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let failed = [vqe_ok, yield_ok].iter().filter(|ok| !**ok).count();
-    if failed > 0 {
-        return Err(CliError::ChaosUnsurvived { failed, trials: 2 });
-    }
-    println!("  survived: every interrupted run resumed bit-for-bit");
-    Ok(())
+/// A fault campaign `pcd chaos --campaign <kind>` can run.
+struct Campaign {
+    kind: &'static str,
+    /// Flags the campaign reads (space-separated), beyond `--campaign`,
+    /// `--trace` and `--metrics`; any other flag is a usage error.
+    reads: &'static str,
+    /// obs counters (space-separated) printed after the report.
+    counters: &'static str,
 }
 
+const CAMPAIGNS: [Campaign; 5] = [
+    Campaign {
+        kind: "pipeline",
+        reads: "seed fault-rate trials restarts bond",
+        counters: "resilience.faults_injected resilience.retries resilience.fallbacks",
+    },
+    Campaign {
+        kind: "kill-resume",
+        reads: "bond ratio kill-every samples checkpoint",
+        counters: "",
+    },
+    Campaign {
+        kind: "supervised",
+        reads: "seed trials jobs workers fault-rate flight-dir",
+        counters: "supervisor.panics_caught supervisor.timeouts supervisor.jobs_shed \
+                   supervisor.breaker_opened",
+    },
+    Campaign {
+        kind: "serve",
+        reads: "seed trials requests workers fault-rate scratch-dir flight-dir",
+        counters: "",
+    },
+    Campaign {
+        kind: "net",
+        reads: "seed trials jobs workers threads fault-rate net-fault-rate scratch-dir",
+        counters: "net.coord.takeovers net.coord.results_deduped net.proxy.dropped \
+                   net.proxy.corrupted net.proxy.duplicated net.proxy.severed net.proxy.refused",
+    },
+];
+
+/// The boolean campaign selectors `--campaign` replaced.
+const RETIRED_CHAOS_SELECTORS: [&str; 4] = ["kill-resume", "supervised", "net", "serve"];
+
+/// Runs one fault campaign, prints its report, and exits 20 when any
+/// trial broke an invariant.
 fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
-    if flags.is_set("kill-resume") {
-        return cmd_kill_resume(flags);
+    let kind = flags.get("campaign").unwrap_or("pipeline");
+    let campaign = CAMPAIGNS.iter().find(|c| c.kind == kind).ok_or_else(|| {
+        let kinds: Vec<&str> = CAMPAIGNS.iter().map(|c| c.kind).collect();
+        format!(
+            "unknown campaign `{kind}`; --campaign takes one of: {}",
+            kinds.join(", ")
+        )
+    })?;
+    if let Some((key, _)) = flags.options.iter().find(|(key, _)| {
+        !campaign.reads.split_whitespace().any(|read| read == key)
+            && !["campaign", "trace", "metrics"].contains(&key.as_str())
+    }) {
+        return Err(CliError::Usage(format!(
+            "--campaign {kind} does not read --{key}"
+        )));
     }
-    if flags.is_set("supervised") {
-        return cmd_supervised_chaos(flags);
-    }
-    if flags.is_set("net") {
-        return cmd_net_chaos(flags);
-    }
-    if flags.is_set("serve") {
-        return cmd_serve_chaos(flags);
-    }
-    let molecule = if flags.positional.is_empty() {
-        Benchmark::H2
-    } else {
-        flags.molecule()?
+    let molecule = match (kind, flags.positional.is_empty()) {
+        (_, true) => Benchmark::H2,
+        ("pipeline" | "kill-resume", false) => flags.molecule()?,
+        _ => {
+            return Err(CliError::Usage(format!(
+                "--campaign {kind} takes no molecule"
+            )))
+        }
     };
-    let seed = flags.get_u64("seed", 42)?;
-    let fault_rate = flags.get_f64("fault-rate", 0.1)?;
-    if !(0.0..=1.0).contains(&fault_rate) {
-        return Err(CliError::Usage(
-            "--fault-rate must be in [0, 1]".to_string(),
-        ));
-    }
-    let trials = flags.get_usize("trials", 40)?;
-    if trials == 0 {
-        return Err(CliError::Usage("--trials must be positive".to_string()));
-    }
-    let max_restarts = flags.get_usize("restarts", 3)?;
     let bond_length = match flags.get("bond") {
         Some(_) => Some(flags.get_f64("bond", 0.0)?),
         None => None,
     };
-
-    // The chaos harness always records, so the report below can be
-    // cross-checked against obs counters even without --trace/--metrics.
-    obs::enable();
-
-    let report = run_chaos(&ChaosOptions {
-        seed,
-        fault_rate,
-        trials,
-        benchmark: molecule,
-        bond_length,
-        max_restarts,
-    });
-
-    println!(
-        "chaos: {} × {} trials, fault rate {:.0}%, seed {seed}",
-        molecule.name(),
-        report.trials,
-        fault_rate * 100.0
-    );
-    println!("  faults injected : {}", report.faults_injected);
-    for kind in FaultKind::ALL {
-        let count = report.injected_by_kind.get(&kind).copied().unwrap_or(0);
-        if count > 0 {
-            println!("    {:<24}: {count}", kind.site());
-        }
-    }
-    println!("  recovered faults by policy class:");
-    for class in ["scf_retry", "compiler_fallback", "vqe_restart"] {
-        println!(
-            "    {:<24}: {}",
-            class,
-            report.recovered_by_class.get(class).copied().unwrap_or(0)
-        );
-    }
-    let snapshot = obs::snapshot();
-    for counter in [
-        "resilience.faults_injected",
-        "resilience.retries",
-        "resilience.fallbacks",
-    ] {
-        println!(
-            "  obs {:<28}: {}",
-            counter,
-            snapshot.counters.get(counter).copied().unwrap_or(0)
-        );
-    }
-    println!(
-        "  trials completed: {} of {}",
-        report.trials - report.failures,
-        report.trials
-    );
-
-    if !report.survived() {
-        return Err(CliError::ChaosUnsurvived {
-            failed: report.failures,
-            trials: report.trials,
-        });
-    }
-    println!("  survived: every injected fault was recovered");
-    Ok(())
-}
-
-fn cmd_supervised_chaos(flags: &Flags) -> Result<(), CliError> {
-    let seed = flags.get_u64("seed", 42)?;
-    let trials = flags.get_usize("trials", 20)?;
-    if trials == 0 {
-        return Err(CliError::Usage("--trials must be positive".to_string()));
-    }
-    let jobs = flags.get_usize("jobs", 6)?;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be positive".to_string()));
-    }
-    let workers = flags.get_usize("workers", 2)?.max(1);
-    let fault_rate = flags.get_f64("fault-rate", 0.25)?;
-    if !(0.0..=1.0).contains(&fault_rate) {
+    let seed = flags.get_u64("seed", if kind == "serve" { 7 } else { 42 })?;
+    let trials = flags.positive(
+        "trials",
+        match kind {
+            "pipeline" => 40,
+            "supervised" => 20,
+            _ => 2,
+        },
+    )?;
+    let fault_rate = flags.rate(
+        "fault-rate",
+        match kind {
+            "pipeline" => 0.1,
+            "serve" => 0.05,
+            _ => 0.25,
+        },
+    )?;
+    let jobs = flags.positive("jobs", 6)?;
+    let workers = flags.positive("workers", if kind == "net" { 3 } else { 2 })?;
+    if kind == "net" && workers < 2 {
         return Err(CliError::Usage(
-            "--fault-rate must be in [0, 1]".to_string(),
+            "--campaign net needs --workers of at least 2 (someone must survive the kill)"
+                .to_string(),
         ));
     }
-
+    let requests = flags.positive("requests", 10)?;
+    let threads = flags.positive("threads", 2)?;
+    let net_fault_rate = flags.rate("net-fault-rate", 0.05)?;
+    let max_restarts = flags.get_usize("restarts", 3)?;
+    let ratio = flags.ratio(0.5)?;
+    let kill_every = flags.positive("kill-every", 2)? as u64;
+    let samples = flags.positive("samples", 2_000)?;
+    let checkpoint_dir = flags.get("checkpoint").map(std::path::PathBuf::from);
+    let scratch_dir = flags.get("scratch-dir").map(std::path::PathBuf::from);
     let flight_dir = flags.get("flight-dir").map(std::path::PathBuf::from);
     if let Some(dir) = &flight_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("creating flight dir {}: {e}", dir.display()))?;
     }
+    let pcd_exe = std::env::current_exe().map_err(|e| format!("locating the pcd binary: {e}"))?;
 
+    // Campaigns always record, so the obs counters below can be read
+    // back even without --trace/--metrics.
     obs::enable();
-    let report = run_supervised_chaos(&SupervisedChaosOptions {
-        seed,
-        trials,
-        jobs,
-        workers,
-        fault_rate,
-        flight_dir: flight_dir.clone(),
-        ..SupervisedChaosOptions::default()
-    });
+    let report = match kind {
+        "pipeline" => run_chaos(&ChaosOptions {
+            seed,
+            fault_rate,
+            trials,
+            benchmark: molecule,
+            bond_length,
+            max_restarts,
+        }),
+        "kill-resume" => run_kill_resume(&KillResumeOptions {
+            benchmark: molecule,
+            bond_length,
+            ratio,
+            kill_every,
+            samples,
+            checkpoint_dir,
+        })?,
+        "supervised" => run_supervised_chaos(&SupervisedChaosOptions {
+            seed,
+            trials,
+            jobs,
+            workers,
+            fault_rate,
+            check_drain: true,
+            flight_dir: flight_dir.clone(),
+        }),
+        "serve" => run_serve_chaos(&ServeChaosOptions {
+            seed,
+            trials,
+            requests,
+            workers,
+            fault_rate,
+            scratch_dir: scratch_dir
+                .unwrap_or_else(|| std::env::temp_dir().join("pcd-serve-chaos")),
+            flight_dir: flight_dir.clone(),
+            pcd_exe: Some(pcd_exe),
+        }),
+        _ => run_net_chaos(&NetChaosOptions {
+            seed,
+            trials,
+            jobs,
+            workers,
+            threads,
+            fault_rate,
+            net_fault_rate,
+            pcd_exe,
+            scratch_dir,
+        }),
+    };
 
-    println!(
-        "chaos --supervised: {trials} trials × {jobs} jobs at {workers} workers, \
-         fault rate {:.0}%, seed {seed}",
-        fault_rate * 100.0
-    );
-    let (done, quarantined, shed, retries) = report
-        .outcomes
-        .iter()
-        .fold((0, 0, 0, 0), |(d, q, s, r), o| {
-            (d + o.done, q + o.quarantined, s + o.shed, r + o.retries)
-        });
-    println!("  jobs done        : {done}");
-    println!("  jobs quarantined : {quarantined}");
-    println!("  jobs shed        : {shed}");
-    println!("  retries spent    : {retries}");
+    print!("{report}");
     let snapshot = obs::snapshot();
-    for counter in [
-        "supervisor.panics_caught",
-        "supervisor.timeouts",
-        "supervisor.jobs_shed",
-        "supervisor.breaker_opened",
-    ] {
+    for counter in campaign.counters.split_whitespace() {
         println!(
             "  obs {:<28}: {}",
             counter,
@@ -1458,121 +1333,12 @@ fn cmd_supervised_chaos(flags: &Flags) -> Result<(), CliError> {
             .unwrap_or(0);
         println!("  flight dumps     : {dumps} in {}", dir.display());
     }
-    for outcome in &report.outcomes {
-        for violation in &outcome.violations {
-            eprintln!("  trial {}: VIOLATION: {violation}", outcome.trial);
-        }
-    }
     if !report.survived() {
         return Err(CliError::ChaosUnsurvived {
             failed: report.failures(),
-            trials,
+            trials: report.trials.len(),
         });
     }
-    println!(
-        "  survived: every job in exactly one terminal state, records \
-         worker-count invariant, drain/resume bit-identical"
-    );
-    Ok(())
-}
-
-fn cmd_net_chaos(flags: &Flags) -> Result<(), CliError> {
-    let seed = flags.get_u64("seed", 42)?;
-    let trials = flags.get_usize("trials", 2)?;
-    if trials == 0 {
-        return Err(CliError::Usage("--trials must be positive".to_string()));
-    }
-    let jobs = flags.get_usize("jobs", 6)?;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be positive".to_string()));
-    }
-    let workers = flags.get_usize("workers", 3)?;
-    if workers < 2 {
-        return Err(CliError::Usage(
-            "--net needs --workers of at least 2 (someone must survive the kill)".to_string(),
-        ));
-    }
-    let threads = flags.get_usize("threads", 2)?.max(1);
-    let fault_rate = flags.get_f64("fault-rate", 0.25)?;
-    if !(0.0..=1.0).contains(&fault_rate) {
-        return Err(CliError::Usage(
-            "--fault-rate must be in [0, 1]".to_string(),
-        ));
-    }
-    let net_fault_rate = flags.get_f64("net-fault-rate", 0.05)?;
-    if !(0.0..=1.0).contains(&net_fault_rate) {
-        return Err(CliError::Usage(
-            "--net-fault-rate must be in [0, 1]".to_string(),
-        ));
-    }
-    let scratch_dir = flags.get("scratch-dir").map(std::path::PathBuf::from);
-    let pcd_exe = std::env::current_exe()
-        .map_err(|e| CliError::Usage(format!("locating the pcd binary: {e}")))?;
-
-    obs::enable();
-    let report = run_net_chaos(&NetChaosOptions {
-        seed,
-        trials,
-        jobs,
-        workers,
-        threads,
-        fault_rate,
-        net_fault_rate,
-        pcd_exe,
-        scratch_dir,
-        ..NetChaosOptions::default()
-    });
-
-    println!(
-        "chaos --net: {trials} trials × {jobs} jobs over {workers} TCP workers, \
-         pipeline faults {:.0}%, net faults {:.0}%, seed {seed}",
-        fault_rate * 100.0,
-        net_fault_rate * 100.0
-    );
-    for outcome in &report.outcomes {
-        println!(
-            "  trial {} : victim {} ({}), {} takeover(s), {} rescued shard(s), {} dedup(s)",
-            outcome.trial,
-            outcome.victim.as_deref().unwrap_or("none"),
-            if outcome.killed_mid_run {
-                "killed mid-run"
-            } else {
-                "finished before the kill"
-            },
-            outcome.takeovers,
-            outcome.rescued,
-            outcome.deduped
-        );
-        for violation in &outcome.violations {
-            eprintln!("  trial {}: VIOLATION: {violation}", outcome.trial);
-        }
-    }
-    let snapshot = obs::snapshot();
-    for counter in [
-        "net.coord.takeovers",
-        "net.coord.results_deduped",
-        "net.proxy.dropped",
-        "net.proxy.corrupted",
-        "net.proxy.duplicated",
-        "net.proxy.severed",
-        "net.proxy.refused",
-    ] {
-        println!(
-            "  obs {:<28}: {}",
-            counter,
-            snapshot.counters.get(counter).copied().unwrap_or(0)
-        );
-    }
-    if !report.survived() {
-        return Err(CliError::ChaosUnsurvived {
-            failed: report.failures(),
-            trials,
-        });
-    }
-    println!(
-        "  survived: every coordinator batch.manifest bit-identical to the \
-         single-machine reference through drops, corruption, partitions, and the kill"
-    );
     Ok(())
 }
 
@@ -1587,12 +1353,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
     let slice_ticks = flags.get_u64("slice-ticks", 0)?;
     let max_slices = flags.get_usize("max-slices", 64)?;
     let breaker_threshold = flags.get_usize("breaker", 3)?;
-    let fault_rate = flags.get_f64("fault-rate", 0.0)?;
-    if !(0.0..=1.0).contains(&fault_rate) {
-        return Err(CliError::Usage(
-            "--fault-rate must be in [0, 1]".to_string(),
-        ));
-    }
+    let fault_rate = flags.rate("fault-rate", 0.0)?;
     let request_deadline = match flags.get_u64("deadline-ms", 0)? {
         0 => None,
         ms => Some(std::time::Duration::from_millis(ms)),
@@ -1668,80 +1429,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
             pending: summary.pending,
         });
     }
-    Ok(())
-}
-
-fn cmd_serve_chaos(flags: &Flags) -> Result<(), CliError> {
-    let seed = flags.get_u64("seed", 7)?;
-    let trials = flags.get_usize("trials", 2)?;
-    if trials == 0 {
-        return Err(CliError::Usage("--trials must be positive".to_string()));
-    }
-    let requests = flags.get_usize("requests", 10)?;
-    if requests == 0 {
-        return Err(CliError::Usage("--requests must be positive".to_string()));
-    }
-    let workers = flags.get_usize("workers", 2)?.max(1);
-    let fault_rate = flags.get_f64("fault-rate", 0.05)?;
-    if !(0.0..=1.0).contains(&fault_rate) {
-        return Err(CliError::Usage(
-            "--fault-rate must be in [0, 1]".to_string(),
-        ));
-    }
-    let scratch_dir = flags
-        .get("scratch-dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join("pcd-serve-chaos"));
-    let flight_dir = flags.get("flight-dir").map(std::path::PathBuf::from);
-    if let Some(dir) = &flight_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("creating flight dir {}: {e}", dir.display()))?;
-    }
-    let pcd_exe = std::env::current_exe()
-        .map_err(|e| CliError::Usage(format!("locating the pcd binary: {e}")))?;
-
-    obs::enable();
-    let report = run_serve_chaos(&ServeChaosOptions {
-        seed,
-        trials,
-        requests,
-        workers,
-        fault_rate,
-        scratch_dir,
-        flight_dir,
-        pcd_exe: Some(pcd_exe),
-    });
-
-    println!(
-        "chaos --serve: {trials} in-process trial(s) × {requests} requests + subprocess \
-         SIGTERM/restart phase, fault rate {:.0}%, seed {seed}",
-        fault_rate * 100.0
-    );
-    println!(
-        "  {} request(s) sent: {} done ({} from cache), {} shed (typed)",
-        report.requests_sent, report.done_responses, report.cached_responses, report.shed_responses
-    );
-    println!(
-        "  {} cache corruption(s) injected; daemon cache: {} hit(s) / {} miss(es) \
-         ({:.0}% hit ratio)",
-        report.corruptions_injected,
-        report.cache_hits,
-        report.cache_misses,
-        report.cache_hit_ratio() * 100.0
-    );
-    println!("  {} SIGTERM → restart cycle(s) survived", report.restarts);
-    for violation in &report.violations {
-        eprintln!("  VIOLATION: {violation}");
-    }
-    if !report.pass() {
-        return Err(CliError::ServeChaosFailed {
-            violations: report.violations.len(),
-        });
-    }
-    println!(
-        "  survived: never wedged, never served a corrupt cached result, every shed \
-         typed, restart replayed bit-identically to the in-process reference"
-    );
     Ok(())
 }
 
@@ -1831,14 +1518,9 @@ fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
         shed: ShedPolicy::parse(flags.get("shed").unwrap_or("reject-new"))?,
         slice_ticks: flags.get_u64("slice-ticks", 0)?,
         breaker_threshold: flags.get_usize("breaker", 3)?,
-        pipeline_fault_rate: flags.get_f64("fault-rate", 0.0)?,
+        pipeline_fault_rate: flags.rate("fault-rate", 0.0)?,
         ..SupervisorConfig::default()
     };
-    if !(0.0..=1.0).contains(&config.pipeline_fault_rate) {
-        return Err(CliError::Usage(
-            "--fault-rate must be in [0, 1]".to_string(),
-        ));
-    }
     if config.pipeline_fault_rate > 0.0 {
         config.injection = InjectionPlan::chaos(config.pipeline_fault_rate);
     }
@@ -2688,6 +2370,7 @@ fn cmd_report(flags: &Flags) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pauli_codesign::resilience::FaultKind;
 
     fn flags(args: &[&str]) -> Flags {
         parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
@@ -2759,6 +2442,57 @@ mod tests {
             let err = cmd_batch(&flags(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
             assert_eq!(err.exit_code(), 1);
+        }
+    }
+
+    #[test]
+    fn ratio_outside_the_unit_interval_is_a_usage_error() {
+        for ratio in ["0", "7"] {
+            for command in [
+                &["vqe", "H2"][..],
+                &["run", "H2"],
+                &["scan", "H2", "--from", "0.7", "--to", "0.7"],
+                &["compile", "H2"],
+                &["qasm", "H2"],
+                &["chaos", "--campaign", "kill-resume", "H2"],
+            ] {
+                let mut args: Vec<String> = command.iter().map(|s| s.to_string()).collect();
+                args.extend(["--ratio".to_string(), ratio.to_string()]);
+                let err = run(&args).unwrap_err();
+                assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+                assert_eq!(err.exit_code(), 1, "{args:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn chaos_rejects_retired_selectors_unknown_kinds_and_unread_flags() {
+        for (args, names) in [
+            (&["--kill-resume", "LiH"][..], "--campaign kill-resume"),
+            (&["--supervised", "--trials", "5"], "--campaign supervised"),
+            (&["--net"], "--campaign net"),
+            (&["--serve", "--seed", "7"], "--campaign serve"),
+            (
+                &["--campaign", "storm"],
+                "pipeline, kill-resume, supervised, serve, net",
+            ),
+            (&["--campaign", "supervised", "--workers", "0"], "--workers"),
+            (&["--campaign", "serve", "--workers", "0"], "--workers"),
+            (&["--campaign", "net", "--workers", "1"], "--workers"),
+            (&["--campaign", "net", "--requests", "5"], "--requests"),
+            (
+                &["--campaign", "pipeline", "--kill-every", "2"],
+                "--kill-every",
+            ),
+            (&["--kill-every", "2"], "--kill-every"),
+            (&["--campaign", "serve", "H2"], "molecule"),
+        ] {
+            let mut argv = vec!["chaos".to_string()];
+            argv.extend(args.iter().map(|s| s.to_string()));
+            let err = run(&argv).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 1, "{args:?}");
+            assert!(err.to_string().contains(names), "{args:?}: {err}");
         }
     }
 

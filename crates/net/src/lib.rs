@@ -26,8 +26,9 @@
 //!   [`resilience::FaultPlan`] sites `net.frame_write`, `net.accept`,
 //!   and `net.partition`, drops, delays, corrupts, truncates,
 //!   duplicates, and reorders frames and severs connections mid-message.
-//!   `pcd chaos --net` drives whole batches through it and asserts the
-//!   merged manifest still matches the in-process reference bit for bit.
+//!   `pcd chaos --campaign net` drives whole batches through it and
+//!   asserts the merged manifest still matches the in-process reference
+//!   bit for bit.
 //!
 //! Zero dependencies beyond the workspace's own `obs` and `resilience`:
 //! the transport is `std::net` plus the codec in this crate.
@@ -41,13 +42,3 @@ pub mod proxy;
 pub use frame::{encode_frame, read_frame, write_frame, FrameError, FrameReader, MAX_FRAME_LEN};
 pub use message::{Message, ProtocolError, PROTOCOL_VERSION};
 pub use proxy::{FaultProxy, ProxyOptions};
-
-/// SplitMix64 finalizer — the same constants as the supervisor's and the
-/// fault plan's mixers, so the whole fleet shares one notion of
-/// "decorrelate this key".
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}

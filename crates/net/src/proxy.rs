@@ -26,10 +26,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use resilience::{FaultKind, FaultPlan};
+use resilience::{splitmix64, FaultKind, FaultPlan};
 
 use crate::frame::{encode_frame, read_frame};
-use crate::splitmix64;
 
 /// Fault proxy configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]

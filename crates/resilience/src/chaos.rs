@@ -1,29 +1,206 @@
-//! The chaos harness: run the full pipeline many times under a fault
-//! plan and tally what was injected, what recovered, and what died.
+//! The chaos harness: one report type for every fault campaign, plus the
+//! two campaigns that exercise the pipeline itself.
 //!
-//! Each trial gets its own [`FaultPlan`] derived deterministically from
-//! the base seed, runs chemistry → ansatz → VQE → compilation through the
-//! recovery policies in [`crate::recover`], and reports per-policy-class
-//! injection and recovery counts. A chaos run *survives* when every trial
-//! completes — possibly via retries and fallbacks — with a sane energy.
+//! Every campaign — `pipeline` and `kill-resume` here, `supervised` and
+//! `net` in the supervisor crate, `serve` in the serve crate — returns a
+//! [`CampaignReport`]: one [`Trial`] record per seeded trial (or named
+//! phase) carrying its plan seed, named tallies and the violations it
+//! raised. A campaign *survives* when no trial raised a violation. Trial
+//! `t` of a campaign with base seed `s` runs under [`trial_seed`]`(s, t)`.
+//!
+//! - [`run_chaos`] runs chemistry → ansatz → VQE → compilation many times
+//!   under a [`FaultPlan`] per trial, through the recovery policies in
+//!   [`crate::recover`], and tallies per-site injections and per-policy
+//!   recoveries.
+//! - [`run_kill_resume`] interrupts the VQE and yield stages every few
+//!   budget ticks, persists each checkpoint to disk, resumes from the
+//!   file, and checks the results equal an uninterrupted run
+//!   bit-for-bit.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::path::PathBuf;
 
+use ansatz::compress;
 use ansatz::uccsd::UccsdAnsatz;
-use arch::Topology;
+use arch::{simulate_yield, simulate_yield_resumable, CollisionModel, Topology, YieldRun};
 use chem::scf::ScfOptions;
 use chem::Benchmark;
-use vqe::driver::VqeOptions;
+use par::Budget;
+use vqe::driver::{run_vqe, run_vqe_resumable, VqeOptions, VqeRun};
 
+use crate::checkpoint::{f64_to_hex, Checkpoint, CheckpointError};
+use crate::codec::{decode_vqe, decode_yield, encode_vqe, encode_yield};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::recover::{
     build_system_with_recovery, compile_with_fallback, run_vqe_with_restart, CompileStrategy,
 };
+use crate::PcdError;
 
-/// Configuration of a chaos run.
+/// The recovery policy classes the pipeline campaign exercises.
+const PIPELINE_POLICY_CLASSES: [&str; 3] = ["scf_retry", "compiler_fallback", "vqe_restart"];
+
+/// The seed trial `t` of a campaign with base seed `seed` runs under: a
+/// SplitMix64-style odd-constant step that keeps trials decorrelated
+/// while staying reproducible from the base seed.
+pub fn trial_seed(seed: u64, t: usize) -> u64 {
+    seed.wrapping_add((t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// What one trial — or one named phase — of a campaign did.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trial {
+    /// Position in the campaign, counting seeded trials and phases alike.
+    pub trial: usize,
+    /// The phase name (`vqe`, `yield`, `subprocess`) for a record that is
+    /// not one of the campaign's seeded trials.
+    pub phase: Option<&'static str>,
+    /// Seed of the trial's plan (0 for a phase with no seeded plan); the
+    /// pipeline's `resilience.fault` events carry it as `plan_seed`.
+    pub plan_seed: u64,
+    /// Named counts (jobs done, faults injected per site, kills, ...).
+    pub tallies: BTreeMap<String, usize>,
+    /// Faults the trial's [`FaultPlan`] injected, in decision order.
+    pub faults: Vec<FaultKind>,
+    /// The energy (Hartree) the trial ended with, when it computed one.
+    pub energy: Option<f64>,
+    /// Every broken promise, in the order observed.
+    pub violations: Vec<String>,
+}
+
+impl Trial {
+    /// An empty record for seeded trial `trial`.
+    pub fn new(trial: usize, plan_seed: u64) -> Self {
+        Trial {
+            trial,
+            phase: None,
+            plan_seed,
+            tallies: BTreeMap::new(),
+            faults: Vec::new(),
+            energy: None,
+            violations: Vec::new(),
+        }
+    }
+
+    /// An empty record for the named phase at position `trial`.
+    pub fn phase(trial: usize, phase: &'static str, plan_seed: u64) -> Self {
+        Trial {
+            phase: Some(phase),
+            ..Trial::new(trial, plan_seed)
+        }
+    }
+
+    /// Adds `n` to the named tally (creating it at `n`).
+    pub fn add(&mut self, name: impl Into<String>, n: usize) {
+        *self.tallies.entry(name.into()).or_insert(0) += n;
+    }
+
+    /// The named tally (0 when never added).
+    pub fn tally(&self, name: &str) -> usize {
+        self.tallies.get(name).copied().unwrap_or(0)
+    }
+
+    /// Records a broken promise.
+    pub fn violate(&mut self, message: impl Into<String>) {
+        self.violations.push(message.into());
+    }
+}
+
+/// The outcome of any chaos campaign. `Display` renders it as the text
+/// `pcd chaos` prints.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignReport {
+    /// Campaign kind: `pipeline`, `kill-resume`, `supervised`, `serve`
+    /// or `net`.
+    pub campaign: &'static str,
+    /// One line naming the configuration the campaign ran.
+    pub summary: String,
+    /// Per-trial records, in run order.
+    pub trials: Vec<Trial>,
+}
+
+impl CampaignReport {
+    /// An empty report.
+    pub fn new(campaign: &'static str, summary: impl Into<String>) -> Self {
+        CampaignReport {
+            campaign,
+            summary: summary.into(),
+            trials: Vec::new(),
+        }
+    }
+
+    /// Trials that raised at least one violation.
+    pub fn failures(&self) -> usize {
+        self.trials
+            .iter()
+            .filter(|t| !t.violations.is_empty())
+            .count()
+    }
+
+    /// True when no trial raised a violation.
+    pub fn survived(&self) -> bool {
+        self.failures() == 0
+    }
+
+    /// The named tally summed over every trial.
+    pub fn total(&self, name: &str) -> usize {
+        self.trials.iter().map(|t| t.tally(name)).sum()
+    }
+
+    /// Every tally summed over every trial, by name.
+    pub fn totals(&self) -> BTreeMap<&str, usize> {
+        let mut totals = BTreeMap::new();
+        for trial in &self.trials {
+            for (name, n) in &trial.tallies {
+                *totals.entry(name.as_str()).or_insert(0) += n;
+            }
+        }
+        totals
+    }
+
+    /// True when at least one injected fault of *each* pipeline policy
+    /// class was recovered — the acceptance bar for a pipeline campaign
+    /// with a meaningful fault rate.
+    pub fn all_policy_classes_recovered(&self) -> bool {
+        PIPELINE_POLICY_CLASSES
+            .iter()
+            .all(|class| self.total(&format!("recovered {class}")) > 0)
+    }
+}
+
+impl fmt::Display for CampaignReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "chaos --campaign {}: {}", self.campaign, self.summary)?;
+        let totals = self.totals();
+        let width = totals.keys().map(|name| name.len()).max().unwrap_or(0);
+        for (name, n) in totals {
+            writeln!(f, "  {name:<width$} : {n}")?;
+        }
+        for trial in &self.trials {
+            for violation in &trial.violations {
+                match trial.phase {
+                    Some(phase) => writeln!(f, "  {phase}: VIOLATION: {violation}")?,
+                    None => writeln!(f, "  trial {}: VIOLATION: {violation}", trial.trial)?,
+                }
+            }
+        }
+        let n = self.trials.len();
+        if self.survived() {
+            writeln!(f, "  survived: {n} of {n} trial(s) upheld every invariant")
+        } else {
+            writeln!(
+                f,
+                "  FAILED: {} of {n} trial(s) broke an invariant",
+                self.failures()
+            )
+        }
+    }
+}
+
+/// Configuration of a pipeline campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosOptions {
-    /// Base seed; trial `t` uses a seed mixed from `(seed, t)`.
+    /// Base seed; trial `t` runs under [`trial_seed`]`(seed, t)`.
     pub seed: u64,
     /// Per-visit fault probability in `[0, 1]`.
     pub fault_rate: f64,
@@ -50,73 +227,9 @@ impl Default for ChaosOptions {
     }
 }
 
-/// What one trial did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialOutcome {
-    /// Trial index.
-    pub trial: usize,
-    /// Seed of the trial's fault plan; its `resilience.fault` events
-    /// carry it as `plan_seed`.
-    pub plan_seed: u64,
-    /// Faults the plan injected, in decision order.
-    pub faults: Vec<FaultKind>,
-    /// SCF ladder retries spent.
-    pub scf_retries: usize,
-    /// VQE restarts spent.
-    pub vqe_restarts: usize,
-    /// Whether the compiler fell back to SABRE.
-    pub sabre_fallback: bool,
-    /// Final VQE energy (Hartree) when the trial completed.
-    pub energy: Option<f64>,
-    /// The error when the trial died despite recovery.
-    pub error: Option<String>,
-}
-
-impl TrialOutcome {
-    /// Whether the trial completed (with or without recovery work).
-    pub fn completed(&self) -> bool {
-        self.error.is_none()
-    }
-}
-
-/// Aggregate result of a chaos run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosReport {
-    /// Trials executed.
-    pub trials: usize,
-    /// Total faults injected across all trials.
-    pub faults_injected: usize,
-    /// Injected-fault counts per injection site.
-    pub injected_by_kind: BTreeMap<FaultKind, usize>,
-    /// Trials recovered per policy class (`scf_retry`,
-    /// `compiler_fallback`, `vqe_restart`): the trial had a fault of that
-    /// class injected AND completed.
-    pub recovered_by_class: BTreeMap<&'static str, usize>,
-    /// Trials that failed despite recovery.
-    pub failures: usize,
-    /// Per-trial detail.
-    pub outcomes: Vec<TrialOutcome>,
-}
-
-impl ChaosReport {
-    /// True when every trial completed.
-    pub fn survived(&self) -> bool {
-        self.failures == 0
-    }
-
-    /// True when at least one injected fault of *each* policy class was
-    /// recovered — the acceptance bar for a chaos run with a meaningful
-    /// fault rate.
-    pub fn all_policy_classes_recovered(&self) -> bool {
-        ["scf_retry", "compiler_fallback", "vqe_restart"]
-            .iter()
-            .all(|class| self.recovered_by_class.get(class).copied().unwrap_or(0) > 0)
-    }
-}
-
-/// Runs the chaos harness. Emits `resilience.chaos_trial` obs events and
-/// relies on the plan/policies for fault and recovery metrics.
-pub fn run_chaos(options: &ChaosOptions) -> ChaosReport {
+/// Runs the pipeline campaign. Emits `resilience.chaos_trial` obs events
+/// and relies on the plan/policies for fault and recovery metrics.
+pub fn run_chaos(options: &ChaosOptions) -> CampaignReport {
     let mut chaos_span = obs::span("resilience.chaos");
     chaos_span.record("seed", options.seed);
     chaos_span.record("fault_rate", options.fault_rate);
@@ -128,79 +241,48 @@ pub fn run_chaos(options: &ChaosOptions) -> ChaosReport {
 
     // Trials are fully independent (each derives its own seed and fault
     // plan from the trial index), so they run in parallel; `map_indexed`
-    // returns them in trial order, keeping the aggregation below — and the
-    // whole report — identical at any thread count.
-    let outcomes = par::map_indexed(options.trials, |trial| {
-        // Per-trial seed: SplitMix64-style odd-constant mix keeps trials
-        // decorrelated while staying reproducible from the base seed.
-        let trial_seed = options
-            .seed
-            .wrapping_add((trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut plan = FaultPlan::new(trial_seed, options.fault_rate);
-        run_trial(trial, bond, options, &mut plan)
+    // returns them in trial order, keeping the report identical at any
+    // thread count.
+    let trials = par::map_indexed(options.trials, |t| {
+        let mut plan = FaultPlan::new(trial_seed(options.seed, t), options.fault_rate);
+        run_pipeline_trial(t, bond, options, &mut plan)
     });
 
-    let mut injected_by_kind: BTreeMap<FaultKind, usize> = BTreeMap::new();
-    let mut recovered_by_class: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut faults_injected = 0usize;
-    let mut failures = 0usize;
-
-    for outcome in &outcomes {
-        faults_injected += outcome.faults.len();
-        for &kind in &outcome.faults {
-            *injected_by_kind.entry(kind).or_insert(0) += 1;
-            if outcome.completed() {
-                *recovered_by_class.entry(kind.policy_class()).or_insert(0) += 1;
-            }
-        }
-        if !outcome.completed() {
-            failures += 1;
-        }
+    for trial in &trials {
         obs::event!(
             "resilience.chaos_trial",
-            trial = outcome.trial,
-            faults = outcome.faults.len(),
-            completed = outcome.completed(),
-            scf_retries = outcome.scf_retries,
-            vqe_restarts = outcome.vqe_restarts,
-            sabre_fallback = outcome.sabre_fallback
+            trial = trial.trial,
+            faults = trial.faults.len(),
+            completed = trial.violations.is_empty(),
+            scf_retries = trial.tally("scf retries"),
+            vqe_restarts = trial.tally("vqe restarts"),
+            sabre_fallback = trial.tally("sabre fallbacks") > 0
         );
     }
 
-    chaos_span.record("faults_injected", faults_injected);
-    chaos_span.record("failures", failures);
-
-    ChaosReport {
-        trials: options.trials,
-        faults_injected,
-        injected_by_kind,
-        recovered_by_class,
-        failures,
-        outcomes,
-    }
+    let report = CampaignReport {
+        campaign: "pipeline",
+        summary: format!(
+            "{} × {} trials, fault rate {:.0}%, seed {}",
+            options.benchmark.name(),
+            options.trials,
+            options.fault_rate * 100.0,
+            options.seed
+        ),
+        trials,
+    };
+    chaos_span.record("faults_injected", report.total("faults injected"));
+    chaos_span.record("failures", report.failures());
+    report
 }
 
-fn run_trial(
-    trial: usize,
-    bond: f64,
-    options: &ChaosOptions,
-    plan: &mut FaultPlan,
-) -> TrialOutcome {
-    let mut outcome = TrialOutcome {
-        trial,
-        plan_seed: plan.seed(),
-        faults: Vec::new(),
-        scf_retries: 0,
-        vqe_restarts: 0,
-        sabre_fallback: false,
-        energy: None,
-        error: None,
-    };
+fn run_pipeline_trial(t: usize, bond: f64, options: &ChaosOptions, plan: &mut FaultPlan) -> Trial {
+    let mut trial = Trial::new(t, plan.seed());
 
-    let result = (|| -> Result<(), crate::PcdError> {
+    let result = (|| -> Result<(), PcdError> {
         let (system, scf_retries) =
             build_system_with_recovery(options.benchmark, bond, ScfOptions::default(), plan)?;
-        outcome.scf_retries = scf_retries;
+        trial.add("scf retries", scf_retries);
 
         let ir = UccsdAnsatz::for_system(&system).into_ir();
 
@@ -211,20 +293,173 @@ fn run_trial(
             options.max_restarts,
             plan,
         )?;
-        outcome.vqe_restarts = restarts;
-        outcome.energy = Some(vqe_result.energy);
+        trial.add("vqe restarts", restarts);
+        trial.energy = Some(vqe_result.energy);
 
         let topology = Topology::xtree(system.num_qubits().max(5) + 1);
         let (_, strategy) = compile_with_fallback(&ir, &topology, plan)?;
-        outcome.sabre_fallback = strategy == CompileStrategy::SabreFallback;
+        trial.add(
+            "sabre fallbacks",
+            usize::from(strategy == CompileStrategy::SabreFallback),
+        );
         Ok(())
     })();
-
     if let Err(e) = result {
-        outcome.error = Some(e.to_string());
+        trial.violate(e.to_string());
     }
-    outcome.faults = plan.injected().iter().map(|f| f.kind).collect();
-    outcome
+
+    trial.faults = plan.injected().iter().map(|f| f.kind).collect();
+    trial.add("faults injected", trial.faults.len());
+    for class in PIPELINE_POLICY_CLASSES {
+        trial.add(format!("recovered {class}"), 0);
+    }
+    let completed = trial.violations.is_empty();
+    for kind in trial.faults.clone() {
+        trial.add(format!("injected {}", kind.site()), 1);
+        if completed {
+            trial.add(format!("recovered {}", kind.policy_class()), 1);
+        }
+    }
+    trial
+}
+
+/// Configuration of a kill-resume campaign.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KillResumeOptions {
+    /// Benchmark molecule.
+    pub benchmark: Benchmark,
+    /// Bond length in Angstrom (`None` = equilibrium).
+    pub bond_length: Option<f64>,
+    /// Compression ratio in `(0, 1]`.
+    pub ratio: f64,
+    /// Budget ticks each run gets before it is interrupted.
+    pub kill_every: u64,
+    /// Yield Monte Carlo samples.
+    pub samples: usize,
+    /// Where the checkpoint files live; `None` = a scratch directory in
+    /// the system temp directory, removed afterwards.
+    pub checkpoint_dir: Option<PathBuf>,
+}
+
+/// Runs the kill-resume campaign: two phases, `vqe` and `yield`, each an
+/// uninterrupted baseline followed by runs of `kill_every` budget ticks
+/// that checkpoint to disk and resume from the file until done. A phase
+/// violates when its resumed result differs from the baseline in any
+/// bit.
+///
+/// # Errors
+///
+/// Building the molecule, the VQE itself, or checkpoint file I/O failing
+/// outright.
+pub fn run_kill_resume(options: &KillResumeOptions) -> Result<CampaignReport, PcdError> {
+    let bond = options
+        .bond_length
+        .unwrap_or_else(|| options.benchmark.equilibrium_bond_length());
+    let (dir, ephemeral) = match &options.checkpoint_dir {
+        Some(d) => (d.clone(), false),
+        None => (
+            std::env::temp_dir().join(format!("pcd-kill-resume-{}", std::process::id())),
+            true,
+        ),
+    };
+    std::fs::create_dir_all(&dir).map_err(|e| CheckpointError::Io {
+        path: dir.display().to_string(),
+        message: e.to_string(),
+    })?;
+    let mut report = CampaignReport::new(
+        "kill-resume",
+        format!(
+            "{} @ {bond} Å, killing every {} tick(s)",
+            options.benchmark.name(),
+            options.kill_every
+        ),
+    );
+
+    // VQE: uninterrupted baseline, then the kill/resume gauntlet through
+    // the on-disk checkpoint file.
+    let system = options.benchmark.build(bond)?;
+    let full = UccsdAnsatz::for_system(&system).into_ir();
+    let (ir, _) = compress(&full, system.qubit_hamiltonian(), options.ratio);
+    let x0 = vec![0.0; ir.num_parameters()];
+    let baseline = run_vqe(system.qubit_hamiltonian(), &ir, VqeOptions::default())?;
+    let vqe_path = dir.join("vqe.ckpt");
+    let _ = std::fs::remove_file(&vqe_path);
+    let mut vqe = Trial::phase(0, "vqe", 0);
+    let resumed = loop {
+        let resume = match vqe_path.exists() {
+            true => Some(decode_vqe(&Checkpoint::read(&vqe_path)?)?),
+            false => None,
+        };
+        let budget = Budget::max_ticks(options.kill_every);
+        match run_vqe_resumable(
+            system.qubit_hamiltonian(),
+            &ir,
+            &x0,
+            VqeOptions::default(),
+            resume,
+            &budget,
+        )? {
+            VqeRun::Done(r) => break r,
+            VqeRun::Interrupted(ck) => {
+                vqe.add("vqe kills", 1);
+                encode_vqe(&ck).write(&vqe_path)?;
+            }
+        }
+    };
+    vqe.energy = Some(resumed.energy);
+    if resumed.energy.to_bits() != baseline.energy.to_bits() {
+        vqe.violate(format!(
+            "resumed energy 0x{} differs from the uninterrupted 0x{}",
+            f64_to_hex(resumed.energy),
+            f64_to_hex(baseline.energy)
+        ));
+    }
+    report.trials.push(vqe);
+
+    // Yield Monte Carlo: same gauntlet at chunk-wave grain.
+    let topology = Topology::xtree(17);
+    let model = CollisionModel::default();
+    let y_baseline = simulate_yield(&topology, &model, 0.04, options.samples, 17);
+    let yield_path = dir.join("yield.ckpt");
+    let _ = std::fs::remove_file(&yield_path);
+    let mut yield_phase = Trial::phase(1, "yield", 0);
+    let y_resumed = loop {
+        let resume = match yield_path.exists() {
+            true => Some(decode_yield(&Checkpoint::read(&yield_path)?)?),
+            false => None,
+        };
+        let budget = Budget::max_ticks(options.kill_every);
+        match simulate_yield_resumable(
+            &topology,
+            &model,
+            0.04,
+            options.samples,
+            17,
+            resume,
+            &budget,
+        ) {
+            YieldRun::Done(e) => break e,
+            YieldRun::Interrupted(ck) => {
+                yield_phase.add("yield kills", 1);
+                encode_yield(&ck).write(&yield_path)?;
+            }
+        }
+    };
+    if y_resumed.yield_rate.to_bits() != y_baseline.yield_rate.to_bits()
+        || y_resumed.mean_collisions.to_bits() != y_baseline.mean_collisions.to_bits()
+    {
+        yield_phase.violate(format!(
+            "resumed yield 0x{} differs from the uninterrupted 0x{}",
+            f64_to_hex(y_resumed.yield_rate),
+            f64_to_hex(y_baseline.yield_rate)
+        ));
+    }
+    report.trials.push(yield_phase);
+
+    if ephemeral {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -239,8 +474,8 @@ mod tests {
             ..Default::default()
         });
         assert!(report.survived());
-        assert_eq!(report.faults_injected, 0);
-        let e = report.outcomes[0].energy.expect("trial completed");
+        assert_eq!(report.total("faults injected"), 0);
+        let e = report.trials[0].energy.expect("trial completed");
         assert!((e - (-1.1373)).abs() < 1e-2, "H2 energy {e}");
     }
 
@@ -251,11 +486,11 @@ mod tests {
             trials: 1,
             ..Default::default()
         });
-        assert!(report.survived(), "outcome: {:?}", report.outcomes[0]);
+        assert!(report.survived(), "outcome: {:?}", report.trials[0]);
         assert!(report.all_policy_classes_recovered());
-        assert!(report.outcomes[0].scf_retries >= 1);
-        assert!(report.outcomes[0].vqe_restarts >= 1);
-        assert!(report.outcomes[0].sabre_fallback);
+        assert!(report.trials[0].tally("scf retries") >= 1);
+        assert!(report.trials[0].tally("vqe restarts") >= 1);
+        assert_eq!(report.trials[0].tally("sabre fallbacks"), 1);
     }
 
     #[test]
@@ -268,5 +503,33 @@ mod tests {
         let a = run_chaos(&opts);
         let b = run_chaos(&opts);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn trial_seeds_step_by_the_golden_ratio_constant() {
+        assert_eq!(trial_seed(42, 0), 42);
+        assert_eq!(trial_seed(42, 1), 42 + 0x9E37_79B9_7F4A_7C15);
+        assert_eq!(
+            trial_seed(u64::MAX, 2),
+            u64::MAX.wrapping_add(0x3C6E_F372_FE94_F82A)
+        );
+    }
+
+    #[test]
+    fn report_counts_failures_per_trial_and_renders_violations() {
+        let mut report = CampaignReport::new("pipeline", "test");
+        let mut a = Trial::new(0, 1);
+        a.add("jobs done", 2);
+        a.violate("first");
+        a.violate("second");
+        let mut b = Trial::phase(1, "subprocess", 0);
+        b.add("jobs done", 3);
+        report.trials = vec![a, b];
+        assert_eq!(report.failures(), 1);
+        assert!(!report.survived());
+        assert_eq!(report.total("jobs done"), 5);
+        let text = report.to_string();
+        assert!(text.contains("trial 0: VIOLATION: second"), "{text}");
+        assert!(text.contains("FAILED: 1 of 2 trial(s)"), "{text}");
     }
 }

@@ -137,6 +137,27 @@ pub struct InjectedFault {
     pub visit: u64,
 }
 
+/// Number of injection sites (`FaultKind::ALL.len()`). A plan keeps one
+/// visit counter per site, so draws at one site never shift another's.
+///
+/// ```
+/// use resilience::{FaultKind, FaultPlan};
+///
+/// let mut a = FaultPlan::new(7, 0.5);
+/// let mut b = FaultPlan::new(7, 0.5);
+/// // `b` visits every other site first; `Geometry` still draws the same.
+/// for kind in FaultKind::ALL.into_iter().filter(|&k| k != FaultKind::Geometry) {
+///     b.should_inject(kind);
+/// }
+/// for _ in 0..8 {
+///     assert_eq!(
+///         a.should_inject(FaultKind::Geometry),
+///         b.should_inject(FaultKind::Geometry)
+///     );
+/// }
+/// ```
+const SITES: usize = FaultKind::ALL.len();
+
 /// A deterministic, seedable plan of faults to inject.
 ///
 /// ```
@@ -149,9 +170,6 @@ pub struct InjectedFault {
 /// }
 /// assert_eq!(a.injected(), b.injected());
 /// ```
-/// Number of injection sites (`FaultKind::ALL.len()`).
-const SITES: usize = FaultKind::ALL.len();
-
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -161,8 +179,12 @@ pub struct FaultPlan {
 }
 
 /// SplitMix64 finalizer: a high-quality 64-bit mix, enough to decorrelate
-/// the (seed, site, visit) key without carrying RNG state.
-fn splitmix64(mut x: u64) -> u64 {
+/// the (seed, site, visit) key without carrying RNG state. The supervisor,
+/// serve and net crates derive their job, attempt, request and proxy
+/// seeds with it too, so the whole fleet shares one notion of
+/// "decorrelate this key".
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

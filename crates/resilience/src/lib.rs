@@ -15,9 +15,11 @@
 //! | non-tree coupling graph | `CompileError::NotATree` | degrade MtR → SABRE |
 //! | NaN objective / stall | `OptimizeError` / unconverged | restart from perturbed parameters |
 //!
-//! The [`chaos`] harness runs the whole pipeline under a seeded fault
-//! plan and checks every injected fault was recovered — the `pcd chaos`
-//! subcommand is a thin CLI over it. All retries, fallbacks, and
+//! The [`chaos`] module holds the [`CampaignReport`] every fault campaign
+//! returns, and the campaigns that run the whole pipeline under a seeded
+//! fault plan (checking every injected fault was recovered) or kill and
+//! resume it from checkpoint files — `pcd chaos --campaign` is a thin CLI
+//! over them. All retries, fallbacks, and
 //! injections are counted in obs (`resilience.retries`,
 //! `resilience.fallbacks`, `resilience.faults_injected`) and emitted as
 //! events, so a trace shows the full fault/recovery story.
@@ -44,7 +46,9 @@ pub mod error;
 pub mod fault;
 pub mod recover;
 
-pub use chaos::{run_chaos, ChaosOptions, ChaosReport, TrialOutcome};
+pub use chaos::{
+    run_chaos, run_kill_resume, trial_seed, CampaignReport, ChaosOptions, KillResumeOptions, Trial,
+};
 pub use checkpoint::{crc32, f64_from_hex, f64_to_hex, Checkpoint, CheckpointError};
 pub use codec::{
     decode_scf, decode_vqe, decode_vqe_result, decode_yield, encode_scf, encode_vqe,
@@ -52,7 +56,7 @@ pub use codec::{
 };
 pub use degrade::{DegradationLadder, DegradationPolicy};
 pub use error::PcdError;
-pub use fault::{FaultKind, FaultPlan, InjectedFault};
+pub use fault::{splitmix64, FaultKind, FaultPlan, InjectedFault};
 pub use recover::{
     build_system_with_ladder, build_system_with_recovery, compile_with_fallback,
     run_vqe_with_restart, scf_ladder, CompileStrategy,

@@ -16,7 +16,8 @@
 //! - a **write** goes through the atomic temp-file + fsync + rename
 //!   path, except when the [`FaultKind::CacheWrite`] injection site
 //!   orders a torn write, which the next read then detects and
-//!   quarantines (the end-to-end property `pcd chaos --serve` asserts).
+//!   quarantines (the end-to-end property `pcd chaos --campaign serve`
+//!   asserts).
 //!
 //! Key hashing is a pure function of the request fields — stable across
 //! runs, thread counts, and processes — pinned by a proptest.
@@ -27,7 +28,7 @@ use obs::json::JsonValue;
 use resilience::{Checkpoint, FaultKind, FaultPlan};
 use supervisor::{JobSpec, JobState};
 
-use crate::splitmix64;
+use resilience::splitmix64;
 
 /// Checkpoint kind tag for cache entries.
 pub const KIND_SERVE_CACHE: &str = "serve-cache";
@@ -463,6 +464,22 @@ mod tests {
         let mut renamed = spec(0.74);
         renamed.id = "other".to_string();
         assert_eq!(a, cache_key(&renamed, 7, 0.0));
+    }
+
+    /// Cache keys name sealed files on disk and request seeds fix every
+    /// engine draw, so neither may move across releases: a moved key
+    /// orphans every cache entry, a moved seed changes served energies.
+    #[test]
+    fn key_and_request_seed_are_pinned() {
+        let spec = JobSpec {
+            id: "pin".to_string(),
+            benchmark: Benchmark::LiH,
+            bond: Some(1.6),
+            ratio: 0.5,
+        };
+        let key = cache_key(&spec, 42, 0.1);
+        assert_eq!(key, 0xdbe2_f068_b495_6c67);
+        assert_eq!(crate::request_seed(42, key), 0x669d_53e7_14ea_0998);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The serve chaos campaign behind `pcd chaos --serve`.
+//! The serve chaos campaign behind `pcd chaos --campaign serve`.
 //!
 //! Two layers, both seeded and replayable:
 //!
@@ -19,8 +19,9 @@
 //!   which is the zero-downtime-restart contract.
 //!
 //! The campaign never panics on a misbehaving daemon: every broken
-//! promise is a line in [`ServeChaosReport::violations`], and an empty
-//! list is the pass criterion.
+//! promise is a violation of the in-process trial or the `subprocess`
+//! phase that observed it, and a [`CampaignReport`] without violations
+//! is the pass criterion.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
@@ -31,12 +32,11 @@ use std::time::{Duration, Instant};
 
 use chem::Benchmark;
 use obs::json::{self, JsonValue};
-use resilience::Checkpoint;
-use supervisor::{decode_manifest, JobSpec, JobState, KIND_BATCH_MANIFEST};
+use resilience::{splitmix64, trial_seed, CampaignReport, Checkpoint, Trial};
+use supervisor::{decode_manifest, JobRecord, JobSpec, JobState, KIND_BATCH_MANIFEST};
 
 use crate::cache::{cache_key, CACHE_EXT};
 use crate::daemon::{compute_record, run_serve, ServeConfig, KIND_SERVE_MANIFEST};
-use crate::splitmix64;
 use crate::sys;
 
 /// Bond lengths the storm draws from. Four distinct computations, so
@@ -60,7 +60,8 @@ const EXIT_WAIT: Duration = Duration::from_secs(30);
 /// Serve chaos campaign configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeChaosOptions {
-    /// Campaign seed; trial seeds derive from it.
+    /// Campaign seed; in-process trial `t` serves under
+    /// [`trial_seed`]`(seed, t)`.
     pub seed: u64,
     /// In-process storm trials.
     pub trials: usize,
@@ -75,86 +76,43 @@ pub struct ServeChaosOptions {
     /// Flight-recorder dump directory for the daemons under test.
     pub flight_dir: Option<PathBuf>,
     /// Path to the `pcd` binary. When set, the SIGTERM/restart
-    /// subprocess phase runs too; `pcd chaos --serve` passes its own
-    /// path here.
+    /// subprocess phase runs too; `pcd chaos --campaign serve` passes
+    /// its own path here.
     pub pcd_exe: Option<PathBuf>,
-}
-
-impl Default for ServeChaosOptions {
-    fn default() -> Self {
-        ServeChaosOptions {
-            seed: 7,
-            trials: 2,
-            requests: 12,
-            workers: 2,
-            fault_rate: 0.05,
-            scratch_dir: std::env::temp_dir().join("pcd-serve-chaos"),
-            flight_dir: None,
-            pcd_exe: None,
-        }
-    }
-}
-
-/// What the campaign observed. `violations` empty is the pass criterion;
-/// everything else is evidence for the summary line and CI assertions.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServeChaosReport {
-    /// In-process trials run.
-    pub trials: usize,
-    /// Requests sent across all phases.
-    pub requests_sent: usize,
-    /// `done` responses received.
-    pub done_responses: usize,
-    /// `done` responses served from the cache.
-    pub cached_responses: usize,
-    /// Typed shed responses received.
-    pub shed_responses: usize,
-    /// Cache entries deliberately corrupted on disk.
-    pub corruptions_injected: usize,
-    /// SIGTERM → restart cycles survived (subprocess phase).
-    pub restarts: usize,
-    /// Daemon-side cache hits (from summaries / stats ops).
-    pub cache_hits: usize,
-    /// Daemon-side cache misses.
-    pub cache_misses: usize,
-    /// Every broken promise, in the order observed.
-    pub violations: Vec<String>,
-}
-
-impl ServeChaosReport {
-    /// Whether the campaign passed: no violations.
-    pub fn pass(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Cache hits over all cache lookups (0.0 when nothing was looked
-    /// up). CI asserts this is positive: repeat traffic must hit.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Runs the campaign. In-process trials always run; the subprocess
 /// SIGTERM/restart phase runs when
 /// [`pcd_exe`](ServeChaosOptions::pcd_exe) is set.
-pub fn run_serve_chaos(options: &ServeChaosOptions) -> ServeChaosReport {
-    let mut report = ServeChaosReport {
-        trials: options.trials,
-        ..ServeChaosReport::default()
-    };
-    for trial in 0..options.trials {
-        let trial_seed = options
-            .seed
-            .wrapping_add((trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        run_trial_in_process(options, trial, trial_seed, &mut report);
+pub fn run_serve_chaos(options: &ServeChaosOptions) -> CampaignReport {
+    let mut report = CampaignReport::new(
+        "serve",
+        format!(
+            "{} in-process trial(s) × {} requests{}, fault rate {:.0}%, seed {}",
+            options.trials,
+            options.requests,
+            if options.pcd_exe.is_some() {
+                " + subprocess SIGTERM/restart phase"
+            } else {
+                ""
+            },
+            options.fault_rate * 100.0,
+            options.seed
+        ),
+    );
+    for t in 0..options.trials {
+        let mut trial = Trial::new(t, trial_seed(options.seed, t));
+        run_trial_in_process(options, &mut trial);
+        report.trials.push(trial);
     }
     if let Some(exe) = options.pcd_exe.clone() {
-        run_subprocess_phase(options, &exe, &mut report);
+        let mut phase = Trial::phase(
+            options.trials,
+            "subprocess",
+            splitmix64(options.seed ^ 0x5AB5),
+        );
+        run_subprocess_phase(options, &exe, &mut phase);
+        report.trials.push(phase);
     }
     report
 }
@@ -190,18 +148,14 @@ fn reference_outcomes(config: &ServeConfig) -> HashMap<u64, Option<u64>> {
     reference
 }
 
-fn run_trial_in_process(
-    options: &ServeChaosOptions,
-    trial: usize,
-    trial_seed: u64,
-    report: &mut ServeChaosReport,
-) {
-    let state_dir = options.scratch_dir.join(format!("trial{trial}"));
+fn run_trial_in_process(options: &ServeChaosOptions, trial: &mut Trial) {
+    let t = trial.trial;
+    let state_dir = options.scratch_dir.join(format!("trial{t}"));
     let _ = std::fs::remove_dir_all(&state_dir);
     let config = ServeConfig {
         state_dir: state_dir.clone(),
         workers: options.workers.max(1),
-        seed: trial_seed,
+        seed: trial.plan_seed,
         fault_rate: options.fault_rate,
         flight_dir: options.flight_dir.clone(),
         ..ServeConfig::default()
@@ -213,15 +167,13 @@ fn run_trial_in_process(
         move || run_serve(&config)
     });
     if !wait_for_path(&socket, SOCKET_WAIT) {
-        report
-            .violations
-            .push(format!("trial {trial}: socket never appeared"));
+        trial.violate("socket never appeared");
     }
-    let mut rng = splitmix64(trial_seed ^ 0x000C_4A05);
+    let mut rng = splitmix64(trial.plan_seed ^ 0x000C_4A05);
     for i in 0..options.requests {
         let bond = BONDS[(next(&mut rng) % BONDS.len() as u64) as usize];
-        let spec = h2_spec(format!("t{trial}-r{i}"), bond);
-        report.requests_sent += 1;
+        let spec = h2_spec(format!("t{t}-r{i}"), bond);
+        trial.add("requests sent", 1);
         match next(&mut rng) % 5 {
             0 => {
                 // The client vanishes right after sending: the daemon
@@ -240,108 +192,86 @@ fn run_trial_in_process(
                     .join("cache")
                     .join(format!("{key:016x}.{CACHE_EXT}"));
                 if corrupt_file(&entry, next(&mut rng)) {
-                    report.corruptions_injected += 1;
+                    trial.add("corruptions injected", 1);
                 }
             }
             _ => {}
         }
         match roundtrip(&socket, &spec.to_json_line()) {
-            None => report.violations.push(format!(
-                "trial {trial} request {i}: no response within {RESPONSE_WAIT:?} (wedged?)"
+            None => trial.violate(format!(
+                "request {i}: no response within {RESPONSE_WAIT:?} (wedged?)"
             )),
-            Some(line) => check_response(trial, i, &line, bond, &reference, report),
-        }
-    }
-    // Drain (the op itself can be shed by an injected accept fault —
-    // retry until acknowledged).
-    let mut drained = false;
-    for _ in 0..50 {
-        match roundtrip(&socket, "{\"op\":\"drain\"}") {
-            Some(line) if response_status(&line).as_deref() == Some("draining") => {
-                drained = true;
-                break;
+            Some(line) => {
+                check_response(&format!("request {i}"), &line, bond, &reference, trial);
             }
-            Some(_) => {}
-            None => break,
         }
     }
-    if !drained {
-        report
-            .violations
-            .push(format!("trial {trial}: drain op never acknowledged"));
+    if !request_drain(&socket, 50) {
+        trial.violate("drain op never acknowledged");
     }
     match daemon.join() {
         Ok(Ok(summary)) => {
             if !summary.drained {
-                report
-                    .violations
-                    .push(format!("trial {trial}: daemon exited without draining"));
+                trial.violate("daemon exited without draining");
             }
-            report.cache_hits += summary.cache_hits;
-            report.cache_misses += summary.cache_misses;
+            trial.add("cache hits", summary.cache_hits);
+            trial.add("cache misses", summary.cache_misses);
         }
-        Ok(Err(e)) => report
-            .violations
-            .push(format!("trial {trial}: daemon error: {e}")),
-        Err(_) => report
-            .violations
-            .push(format!("trial {trial}: daemon thread panicked")),
+        Ok(Err(e)) => trial.violate(format!("daemon error: {e}")),
+        Err(_) => trial.violate("daemon thread panicked"),
     }
     // The sealed manifest must decode under the serve kind.
-    match Checkpoint::read(config.manifest_path()) {
-        Ok(mut ck) if ck.kind == KIND_SERVE_MANIFEST => {
-            ck.kind = KIND_BATCH_MANIFEST.to_string();
-            match decode_manifest(&ck) {
-                Ok((meta, _)) => {
-                    if meta.batch_seed != config.seed {
-                        report.violations.push(format!(
-                            "trial {trial}: sealed seed {} != {}",
-                            meta.batch_seed, config.seed
-                        ));
-                    }
-                }
-                Err(e) => report
-                    .violations
-                    .push(format!("trial {trial}: sealed manifest undecodable: {e}")),
-            }
+    match read_sealed(&config) {
+        Ok((seed, _)) if seed != config.seed => {
+            trial.violate(format!("sealed seed {seed} != {}", config.seed));
         }
-        Ok(ck) => report.violations.push(format!(
-            "trial {trial}: manifest kind `{}`, expected `{KIND_SERVE_MANIFEST}`",
-            ck.kind
-        )),
-        Err(e) => report
-            .violations
-            .push(format!("trial {trial}: sealed manifest unreadable: {e}")),
+        Ok(_) => {}
+        Err(e) => trial.violate(e),
     }
 }
 
+/// Reads and decodes the daemon's sealed manifest: its batch seed and
+/// records.
+fn read_sealed(config: &ServeConfig) -> Result<(u64, Vec<JobRecord>), String> {
+    let mut ck = Checkpoint::read(config.manifest_path())
+        .map_err(|e| format!("sealed manifest unreadable: {e}"))?;
+    if ck.kind != KIND_SERVE_MANIFEST {
+        return Err(format!(
+            "manifest kind `{}`, expected `{KIND_SERVE_MANIFEST}`",
+            ck.kind
+        ));
+    }
+    ck.kind = KIND_BATCH_MANIFEST.to_string();
+    let (meta, records) =
+        decode_manifest(&ck).map_err(|e| format!("sealed manifest undecodable: {e}"))?;
+    Ok((meta.batch_seed, records))
+}
+
+/// Checks one response against the reference outcome for `bond` and
+/// tallies it. Returns whether it was a `done` served from the cache.
 fn check_response(
-    trial: usize,
-    i: usize,
+    label: &str,
     line: &str,
     bond: f64,
     reference: &HashMap<u64, Option<u64>>,
-    report: &mut ServeChaosReport,
-) {
+    trial: &mut Trial,
+) -> bool {
     let Ok(v) = json::parse(line.trim()) else {
-        report.violations.push(format!(
-            "trial {trial} request {i}: unparseable response {line:?}"
-        ));
-        return;
+        trial.violate(format!("{label}: unparseable response {line:?}"));
+        return false;
     };
+    let mut cached = false;
     match v.get("status").and_then(JsonValue::as_str) {
         Some("done") => {
-            report.done_responses += 1;
-            let cached = v
+            trial.add("done responses", 1);
+            cached = v
                 .get("cached")
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(false);
             if cached {
-                report.cached_responses += 1;
+                trial.add("cached responses", 1);
                 if stages_contain(&v, "scf") || stages_contain(&v, "vqe") {
-                    report.violations.push(format!(
-                        "trial {trial} request {i}: cache hit ran pipeline stages"
-                    ));
+                    trial.violate(format!("{label}: cache hit ran pipeline stages"));
                 }
             }
             let bits = v
@@ -350,29 +280,28 @@ fn check_response(
                 .and_then(|s| u64::from_str_radix(s, 16).ok());
             match reference.get(&bond.to_bits()) {
                 Some(Some(expected)) if bits != Some(*expected) => {
-                    report.violations.push(format!(
-                        "trial {trial} request {i}: energy bits {bits:?} diverge from reference {expected:016x}"
+                    trial.violate(format!(
+                        "{label}: energy bits {bits:?} diverge from reference {expected:016x}"
                     ));
                 }
-                Some(None) => report.violations.push(format!(
-                    "trial {trial} request {i}: daemon served done where reference quarantines"
+                Some(None) => trial.violate(format!(
+                    "{label}: daemon served done where reference quarantines"
                 )),
                 _ => {}
             }
         }
-        Some("shed") => report.shed_responses += 1,
+        Some("shed") => trial.add("shed responses", 1),
         Some("quarantined") => {
             if matches!(reference.get(&bond.to_bits()), Some(Some(_))) {
-                report.violations.push(format!(
-                    "trial {trial} request {i}: daemon quarantined where reference converges"
+                trial.violate(format!(
+                    "{label}: daemon quarantined where reference converges"
                 ));
             }
         }
         Some("pending") | Some("deadline") => {}
-        other => report.violations.push(format!(
-            "trial {trial} request {i}: unexpected response status {other:?}"
-        )),
+        other => trial.violate(format!("{label}: unexpected response status {other:?}")),
     }
+    cached
 }
 
 fn stages_contain(v: &JsonValue, stage: &str) -> bool {
@@ -380,6 +309,20 @@ fn stages_contain(v: &JsonValue, stage: &str) -> bool {
         Some(JsonValue::Array(stages)) => stages.iter().any(|s| s.as_str() == Some(stage)),
         _ => false,
     }
+}
+
+/// Sends `drain` ops until one is acknowledged — an injected accept
+/// fault can shed the op itself. False when `attempts` ran out or the
+/// daemon stopped answering.
+fn request_drain(socket: &Path, attempts: usize) -> bool {
+    for _ in 0..attempts {
+        match roundtrip(socket, "{\"op\":\"drain\"}") {
+            Some(line) if response_status(&line).as_deref() == Some("draining") => return true,
+            Some(_) => {}
+            None => return false,
+        }
+    }
+    false
 }
 
 fn response_status(line: &str) -> Option<String> {
@@ -450,8 +393,10 @@ fn corrupt_file(path: &Path, salt: u64) -> bool {
 // against a real `pcd serve` process.
 // ---------------------------------------------------------------------
 
-fn spawn_serve(exe: &Path, config: &ServeConfig) -> Option<Child> {
-    Command::new(exe)
+/// Spawns `pcd serve` on `config` and waits for its socket; `lifetime`
+/// names the attempt in the violation when either step fails.
+fn start_serve(exe: &Path, config: &ServeConfig, lifetime: &str) -> Result<Child, String> {
+    let mut child = Command::new(exe)
         .arg("serve")
         .arg("--state-dir")
         .arg(&config.state_dir)
@@ -464,7 +409,13 @@ fn spawn_serve(exe: &Path, config: &ServeConfig) -> Option<Child> {
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-        .ok()
+        .map_err(|e| format!("{lifetime}: failed to spawn pcd serve: {e}"))?;
+    if !wait_for_path(&config.socket_path(), SOCKET_WAIT) {
+        let _ = child.kill();
+        let _ = child.wait();
+        return Err(format!("{lifetime}: socket never appeared"));
+    }
+    Ok(child)
 }
 
 fn wait_child(child: &mut Child, timeout: Duration) -> Option<i32> {
@@ -484,47 +435,7 @@ fn wait_child(child: &mut Child, timeout: Duration) -> Option<i32> {
     }
 }
 
-/// Decodes the sealed manifest: pending-record count plus the bonds of
-/// every journaled request (by id, via `sent`). Journaled bonds are the
-/// ones whose repeats must be cache hits after restart.
-fn sealed_state(
-    config: &ServeConfig,
-    sent: &HashMap<String, f64>,
-    report: &mut ServeChaosReport,
-) -> (usize, HashSet<u64>) {
-    let mut pending = 0;
-    let mut sealed = HashSet::new();
-    match Checkpoint::read(config.manifest_path()) {
-        Ok(mut ck) if ck.kind == KIND_SERVE_MANIFEST => {
-            ck.kind = KIND_BATCH_MANIFEST.to_string();
-            match decode_manifest(&ck) {
-                Ok((_, records)) => {
-                    for record in records {
-                        if !record.state.is_terminal() {
-                            pending += 1;
-                        }
-                        if let Some(bond) = sent.get(&record.id) {
-                            sealed.insert(bond.to_bits());
-                        }
-                    }
-                }
-                Err(e) => report
-                    .violations
-                    .push(format!("subprocess: sealed manifest undecodable: {e}")),
-            }
-        }
-        Ok(ck) => report.violations.push(format!(
-            "subprocess: manifest kind `{}`, expected `{KIND_SERVE_MANIFEST}`",
-            ck.kind
-        )),
-        Err(e) => report.violations.push(format!(
-            "subprocess: sealed manifest unreadable after SIGTERM: {e}"
-        )),
-    }
-    (pending, sealed)
-}
-
-fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut ServeChaosReport) {
+fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, trial: &mut Trial) {
     let state_dir = options.scratch_dir.join("subprocess");
     let _ = std::fs::remove_dir_all(&state_dir);
     // Fault rate 0 here: the in-process trials own fault injection; this
@@ -533,7 +444,7 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
     let config = ServeConfig {
         state_dir: state_dir.clone(),
         workers: 1,
-        seed: splitmix64(options.seed ^ 0x5AB5),
+        seed: trial.plan_seed,
         fault_rate: 0.0,
         ..ServeConfig::default()
     };
@@ -542,20 +453,10 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
     let mut sent: HashMap<String, f64> = HashMap::new();
 
     // --- Lifetime 1: burst, then SIGTERM mid-compute. ---
-    let Some(mut child) = spawn_serve(exe, &config) else {
-        report
-            .violations
-            .push("subprocess: failed to spawn pcd serve".to_string());
-        return;
+    let mut child = match start_serve(exe, &config, "first start") {
+        Ok(child) => child,
+        Err(e) => return trial.violate(e),
     };
-    if !wait_for_path(&socket, SOCKET_WAIT) {
-        report
-            .violations
-            .push("subprocess: socket never appeared".to_string());
-        let _ = child.kill();
-        let _ = child.wait();
-        return;
-    }
     // Hold the streams open: a vanished client is *cancelled*, a held
     // one caught by the drain is *pended* — the restart path under test.
     let mut held = Vec::new();
@@ -565,48 +466,46 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
         if let Some(mut stream) = connect_socket(&socket, CONNECT_WAIT) {
             if writeln!(stream, "{}", spec.to_json_line()).is_ok() {
                 held.push(stream);
-                report.requests_sent += 1;
+                trial.add("requests sent", 1);
             }
         }
     }
     // Let the accept loop journal the burst, then pull the plug.
     std::thread::sleep(Duration::from_millis(150));
     if !sys::send_sigterm(child.id()) {
-        report
-            .violations
-            .push("subprocess: SIGTERM delivery failed".to_string());
+        trial.violate("SIGTERM delivery failed");
     }
     match wait_child(&mut child, EXIT_WAIT) {
         Some(30) => {}
-        code => report.violations.push(format!(
-            "subprocess: SIGTERM exit code {code:?}, expected 30 (drained)"
-        )),
+        code => trial.violate(format!("SIGTERM exit code {code:?}, expected 30 (drained)")),
     }
     drop(held);
-    report.restarts += 1;
-    let (pending, sealed) = sealed_state(&config, &sent, report);
+    trial.add("restarts", 1);
+    // Journaled requests (by id, via `sent`) are the ones whose repeats
+    // must be cache hits after the restart.
+    let (pending, sealed) = match read_sealed(&config) {
+        Ok((_, records)) => (
+            records.iter().filter(|r| !r.state.is_terminal()).count(),
+            records
+                .iter()
+                .filter_map(|r| sent.get(&r.id).map(|bond| bond.to_bits()))
+                .collect::<HashSet<u64>>(),
+        ),
+        Err(e) => {
+            trial.violate(e);
+            (0, HashSet::new())
+        }
+    };
     if sealed.is_empty() {
-        report
-            .violations
-            .push("subprocess: no requests journaled before SIGTERM".to_string());
+        trial.violate("no requests journaled before SIGTERM");
     }
 
     // --- Lifetime 2: resume, repeats hit the cache, survive corruption,
     // drain cleanly. ---
-    let Some(mut child) = spawn_serve(exe, &config) else {
-        report
-            .violations
-            .push("subprocess: failed to respawn pcd serve".to_string());
-        return;
+    let mut child = match start_serve(exe, &config, "restart") {
+        Ok(child) => child,
+        Err(e) => return trial.violate(e),
     };
-    if !wait_for_path(&socket, SOCKET_WAIT) {
-        report
-            .violations
-            .push("subprocess: socket never reappeared after restart".to_string());
-        let _ = child.kill();
-        let _ = child.wait();
-        return;
-    }
     // Wait until the resumed tail has recomputed (its results seal the
     // cache the repeats below must hit).
     let deadline = Instant::now() + RESPONSE_WAIT;
@@ -618,9 +517,7 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
             break;
         }
         if Instant::now() > deadline {
-            report
-                .violations
-                .push("subprocess: resumed tail never completed".to_string());
+            trial.violate("resumed tail never completed");
             break;
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -629,52 +526,20 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
     for (i, bond) in BONDS.iter().enumerate() {
         let spec = h2_spec(format!("s2-{i}"), *bond);
         sent.insert(spec.id.clone(), *bond);
-        report.requests_sent += 1;
+        trial.add("requests sent", 1);
         let Some(line) = roundtrip(&socket, &spec.to_json_line()) else {
-            report
-                .violations
-                .push(format!("subprocess repeat {i}: no response (wedged?)"));
+            trial.violate(format!("repeat {i}: no response (wedged?)"));
             continue;
         };
-        let Ok(v) = json::parse(line.trim()) else {
-            report
-                .violations
-                .push(format!("subprocess repeat {i}: unparseable response"));
-            continue;
-        };
-        if v.get("status").and_then(JsonValue::as_str) != Some("done") {
-            report
-                .violations
-                .push(format!("subprocess repeat {i}: not done: {}", line.trim()));
+        if response_status(&line).as_deref() != Some("done") {
+            trial.violate(format!("repeat {i}: not done: {}", line.trim()));
             continue;
         }
-        report.done_responses += 1;
-        let cached = v
-            .get("cached")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false);
-        if cached {
-            report.cached_responses += 1;
-        } else if sealed.contains(&bond.to_bits()) {
-            report.violations.push(format!(
-                "subprocess repeat {i}: journaled request recomputed instead of hitting the cache"
+        let cached = check_response(&format!("repeat {i}"), &line, *bond, &reference, trial);
+        if !cached && sealed.contains(&bond.to_bits()) {
+            trial.violate(format!(
+                "repeat {i}: journaled request recomputed instead of hitting the cache"
             ));
-        }
-        if cached && (stages_contain(&v, "scf") || stages_contain(&v, "vqe")) {
-            report.violations.push(format!(
-                "subprocess repeat {i}: cache hit ran pipeline stages"
-            ));
-        }
-        let bits = v
-            .get("energy_bits")
-            .and_then(JsonValue::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok());
-        if let Some(Some(expected)) = reference.get(&bond.to_bits()) {
-            if bits != Some(*expected) {
-                report.violations.push(format!(
-                    "subprocess repeat {i}: energy bits diverge from reference"
-                ));
-            }
         }
     }
     // Corrupt a sealed entry on disk; the daemon must quarantine it and
@@ -687,86 +552,62 @@ fn run_subprocess_phase(options: &ServeChaosOptions, exe: &Path, report: &mut Se
         .join("cache")
         .join(format!("{key:016x}.{CACHE_EXT}"));
     if corrupt_file(&entry, options.seed ^ 0x0B17_F11B) {
-        report.corruptions_injected += 1;
-        report.requests_sent += 1;
+        trial.add("corruptions injected", 1);
+        trial.add("requests sent", 1);
         match roundtrip(&socket, &corrupt_spec.to_json_line()) {
-            None => report
-                .violations
-                .push("subprocess corruption probe: no response (wedged?)".to_string()),
+            None => trial.violate("corruption probe: no response (wedged?)"),
             Some(line) => {
-                check_response(usize::MAX, 0, &line, bond, &reference, report);
+                check_response("corruption probe", &line, bond, &reference, trial);
                 let mut quarantined = entry.as_os_str().to_os_string();
                 quarantined.push(".quarantined");
                 if !PathBuf::from(quarantined).exists() {
-                    report.violations.push(
-                        "subprocess corruption probe: corrupt entry not quarantined aside"
-                            .to_string(),
-                    );
+                    trial.violate("corruption probe: corrupt entry not quarantined aside");
                 }
             }
         }
     }
     // Grab the daemon-side cache stats before draining.
     if let Some(line) = roundtrip(&socket, "{\"op\":\"stats\"}") {
-        report.cache_hits += response_field(&line, "cache_hits").unwrap_or(0.0) as usize;
-        report.cache_misses += response_field(&line, "cache_misses").unwrap_or(0.0) as usize;
+        trial.add(
+            "cache hits",
+            response_field(&line, "cache_hits").unwrap_or(0.0) as usize,
+        );
+        trial.add(
+            "cache misses",
+            response_field(&line, "cache_misses").unwrap_or(0.0) as usize,
+        );
     }
     // Final drain via the op, then the sealed record-level replay check.
-    let mut acked = false;
-    for _ in 0..10 {
-        if let Some(line) = roundtrip(&socket, "{\"op\":\"drain\"}") {
-            if response_status(&line).as_deref() == Some("draining") {
-                acked = true;
-                break;
-            }
-        }
-    }
-    if !acked {
-        report
-            .violations
-            .push("subprocess: final drain never acknowledged".to_string());
+    if !request_drain(&socket, 10) {
+        trial.violate("final drain never acknowledged");
     }
     match wait_child(&mut child, EXIT_WAIT) {
         Some(30) => {}
-        code => report.violations.push(format!(
-            "subprocess: final drain exit code {code:?}, expected 30"
-        )),
+        code => trial.violate(format!("final drain exit code {code:?}, expected 30")),
     }
-    report.restarts += 1;
+    trial.add("restarts", 1);
     // Every sealed Done record — including the resumed tail — must match
     // the in-process reference bit-for-bit: the restart replay contract.
-    match Checkpoint::read(config.manifest_path()) {
-        Ok(mut ck) if ck.kind == KIND_SERVE_MANIFEST => {
-            ck.kind = KIND_BATCH_MANIFEST.to_string();
-            match decode_manifest(&ck) {
-                Ok((_, records)) => {
-                    for record in &records {
-                        let JobState::Done { energy_bits, .. } = record.state else {
-                            continue;
-                        };
-                        let Some(bond) = sent.get(&record.id) else {
-                            continue;
-                        };
-                        if reference.get(&bond.to_bits()) != Some(&Some(energy_bits)) {
-                            report.violations.push(format!(
-                                "subprocess: sealed record `{}` diverges from reference",
-                                record.id
-                            ));
-                        }
-                    }
-                }
-                Err(e) => report
-                    .violations
-                    .push(format!("subprocess: final manifest undecodable: {e}")),
-            }
+    let records = match read_sealed(&config) {
+        Ok((_, records)) => records,
+        Err(e) => {
+            trial.violate(format!("final {e}"));
+            return;
         }
-        Ok(ck) => report.violations.push(format!(
-            "subprocess: final manifest kind `{}`, expected `{KIND_SERVE_MANIFEST}`",
-            ck.kind
-        )),
-        Err(e) => report
-            .violations
-            .push(format!("subprocess: final manifest unreadable: {e}")),
+    };
+    for record in &records {
+        let JobState::Done { energy_bits, .. } = record.state else {
+            continue;
+        };
+        let Some(bond) = sent.get(&record.id) else {
+            continue;
+        };
+        if reference.get(&bond.to_bits()) != Some(&Some(energy_bits)) {
+            trial.violate(format!(
+                "sealed record `{}` diverges from reference",
+                record.id
+            ));
+        }
     }
 }
 
@@ -788,8 +629,11 @@ mod tests {
             pcd_exe: None,
         };
         let report = run_serve_chaos(&options);
-        assert!(report.pass(), "violations: {:?}", report.violations);
-        assert!(report.done_responses > 0, "storm produced no answers");
+        assert!(report.survived(), "{report}");
+        assert!(
+            report.total("done responses") > 0,
+            "storm produced no answers"
+        );
         let _ = std::fs::remove_dir_all(&options.scratch_dir);
     }
 
@@ -807,7 +651,7 @@ mod tests {
             pcd_exe: None,
         };
         let report = run_serve_chaos(&options);
-        assert!(report.pass(), "violations: {:?}", report.violations);
+        assert!(report.survived(), "{report}");
         let _ = std::fs::remove_dir_all(&options.scratch_dir);
     }
 }

@@ -56,8 +56,8 @@ use supervisor::{
 
 use crate::cache::{cache_key, Cache, CacheProbe, CachedResult};
 use crate::protocol::{self, Request};
-use crate::splitmix64;
 use crate::sys;
+use resilience::splitmix64;
 
 /// Checkpoint kind tag for the sealed serve manifest. The payload schema
 /// is exactly the batch manifest's; the distinct kind lets `pcd report`

@@ -28,10 +28,11 @@
 //!   the batch-manifest schema. A restarted daemon replays the manifest,
 //!   recomputes the pending tail through the same content-keyed path, and
 //!   produces records bit-identical to an uninterrupted run.
-//! - **Chaos campaign** ([`chaos`]) — `pcd chaos --serve` runs seeded
-//!   kill/corrupt/disconnect storms against real daemon subprocesses and
-//!   asserts the daemon never wedges, never serves a corrupt cached
-//!   result, and replays bit-identically to an in-process reference.
+//! - **Chaos campaign** ([`chaos`]) — `pcd chaos --campaign serve` runs
+//!   seeded kill/corrupt/disconnect storms against real daemon
+//!   subprocesses and asserts the daemon never wedges, never serves a
+//!   corrupt cached result, and replays bit-identically to an in-process
+//!   reference.
 //!
 //! Determinism carries over from the batch engine, but keyed by
 //! *content* instead of arrival order: a request's outcome is a pure
@@ -47,19 +48,9 @@ pub mod protocol;
 pub mod sys;
 
 pub use cache::{cache_key, Cache, CacheProbe, CachedResult, CACHE_EXT, KIND_SERVE_CACHE};
-pub use chaos::{run_serve_chaos, ServeChaosOptions, ServeChaosReport};
+pub use chaos::{run_serve_chaos, ServeChaosOptions};
 pub use daemon::{
     compute_record, request_seed, run_serve, ServeConfig, ServeError, ServeSummary,
     KIND_SERVE_MANIFEST,
 };
 pub use protocol::{parse_request, Request};
-
-/// SplitMix64 finalizer — the same constants as the supervisor's and the
-/// fault plan's mixers, so the whole fleet shares one notion of
-/// "decorrelate this key".
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}

@@ -7,7 +7,7 @@
 //! policy knob: tests and the chaos harness run with `base_ms = 0` (no
 //! sleeping, same retry counts), production batches space retries out.
 
-use crate::splitmix64;
+use resilience::splitmix64;
 
 /// Exponential backoff with deterministic jitter.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,8 +1,9 @@
-//! Supervised chaos: drive whole batches through the supervisor under
-//! injected panics, hangs, and transients, and assert the supervision
-//! invariants hold.
+//! The supervisor's chaos campaigns, both reporting through
+//! [`resilience::CampaignReport`].
 //!
-//! Per trial, the harness checks that:
+//! **Supervised** ([`run_supervised_chaos`]) drives whole batches through
+//! the supervisor under injected panics, hangs, and transients. Per
+//! trial it checks that:
 //!
 //! 1. **No job is lost or double-counted** — every job lands in exactly
 //!    one terminal state, and `done + quarantined + shed` equals the
@@ -13,21 +14,31 @@
 //! 3. **Drain/resume is exact** — a batch drained after a few budget
 //!    slices and resumed from its manifest reproduces the uninterrupted
 //!    batch bit-for-bit.
+//!
+//! **Net** ([`run_net_chaos`]) runs a real coordinator and `pcd batch
+//! --connect` worker subprocesses through a [`net::FaultProxy`], SIGKILLs
+//! a worker mid-grant, and checks the sealed batch manifest is still
+//! bit-identical to an uninterrupted in-process run.
 
-use std::path::PathBuf;
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use chem::Benchmark;
+use net::{FaultProxy, ProxyOptions};
+use resilience::{splitmix64, trial_seed, CampaignReport, Checkpoint, Trial};
 
 use crate::engine::{run_batch, run_batch_resumed, InjectionPlan, SupervisorConfig};
-use crate::job::JobSpec;
-use crate::manifest::decode_manifest;
+use crate::job::{JobRecord, JobSpec};
+use crate::manifest::{decode_manifest, encode_manifest, BatchMeta};
 use crate::queue::ShedPolicy;
-use resilience::Checkpoint;
+use crate::remote::{Coordinator, CoordinatorOptions};
 
 /// Supervised-chaos campaign configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedChaosOptions {
-    /// Campaign seed; trial `t` derives its batch seed from it.
+    /// Campaign seed; trial `t` runs batch seed [`trial_seed`]`(seed, t)`.
     pub seed: u64,
     /// Number of trials.
     pub trials: usize,
@@ -41,66 +52,9 @@ pub struct SupervisedChaosOptions {
     /// Also drain each trial's batch mid-flight and verify the resumed
     /// records match the uninterrupted ones bit-for-bit.
     pub check_drain: bool,
-    /// Scratch directory for drain manifests (defaults to the system
-    /// temp directory).
-    pub scratch_dir: Option<PathBuf>,
     /// When set, every trial arms the flight recorder so quarantines and
     /// injected faults dump `flight-<job>.jsonl` rings here.
     pub flight_dir: Option<PathBuf>,
-}
-
-impl Default for SupervisedChaosOptions {
-    fn default() -> Self {
-        SupervisedChaosOptions {
-            seed: 42,
-            trials: 10,
-            jobs: 6,
-            workers: 2,
-            fault_rate: 0.25,
-            check_drain: true,
-            scratch_dir: None,
-            flight_dir: None,
-        }
-    }
-}
-
-/// One trial's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedTrialOutcome {
-    /// Trial index.
-    pub trial: usize,
-    /// Jobs that completed.
-    pub done: usize,
-    /// Jobs quarantined.
-    pub quarantined: usize,
-    /// Jobs shed by admission control.
-    pub shed: usize,
-    /// Supervisor-level retries spent across the batch.
-    pub retries: usize,
-    /// Invariant violations (empty = the trial survived).
-    pub violations: Vec<String>,
-}
-
-/// The whole campaign's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedChaosReport {
-    /// Per-trial outcomes.
-    pub outcomes: Vec<SupervisedTrialOutcome>,
-}
-
-impl SupervisedChaosReport {
-    /// Trials that violated an invariant.
-    pub fn failures(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| !o.violations.is_empty())
-            .count()
-    }
-
-    /// Whether every trial upheld every invariant.
-    pub fn survived(&self) -> bool {
-        self.failures() == 0
-    }
 }
 
 pub(crate) fn trial_jobs(n: usize) -> Vec<JobSpec> {
@@ -115,10 +69,6 @@ pub(crate) fn trial_jobs(n: usize) -> Vec<JobSpec> {
 }
 
 fn trial_config(trial: usize, opts: &SupervisedChaosOptions) -> SupervisorConfig {
-    // Same trial-seed derivation as the unsupervised chaos harness.
-    let batch_seed = opts
-        .seed
-        .wrapping_add((trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // Every third trial undersizes the queue so the shed path gets
     // exercised too, alternating the policy.
     let (queue_cap, shed) = if trial % 3 == 2 && opts.jobs > 1 {
@@ -133,7 +83,7 @@ fn trial_config(trial: usize, opts: &SupervisedChaosOptions) -> SupervisorConfig
     };
     SupervisorConfig {
         workers: opts.workers,
-        batch_seed,
+        batch_seed: trial_seed(opts.seed, trial),
         max_retries: 3,
         queue_cap,
         shed,
@@ -148,124 +98,118 @@ fn trial_config(trial: usize, opts: &SupervisedChaosOptions) -> SupervisorConfig
 }
 
 /// Runs the supervised-chaos campaign.
-pub fn run_supervised_chaos(opts: &SupervisedChaosOptions) -> SupervisedChaosReport {
+pub fn run_supervised_chaos(opts: &SupervisedChaosOptions) -> CampaignReport {
     let mut span = obs::span("supervisor.chaos");
     span.record("trials", opts.trials);
     span.record("fault_rate", opts.fault_rate);
 
+    let mut report = CampaignReport::new(
+        "supervised",
+        format!(
+            "{} trials × {} jobs at {} workers, fault rate {:.0}%, seed {}",
+            opts.trials,
+            opts.jobs,
+            opts.workers,
+            opts.fault_rate * 100.0,
+            opts.seed
+        ),
+    );
     let jobs = trial_jobs(opts.jobs.max(1));
-    let mut outcomes = Vec::with_capacity(opts.trials);
-    for trial in 0..opts.trials {
-        let config = trial_config(trial, opts);
-        let mut violations = Vec::new();
-
-        let baseline = match run_batch(&jobs, &config) {
-            Ok(report) => report,
-            Err(e) => {
-                outcomes.push(SupervisedTrialOutcome {
-                    trial,
-                    done: 0,
-                    quarantined: 0,
-                    shed: 0,
-                    retries: 0,
-                    violations: vec![format!("supervisor error: {e}")],
-                });
-                obs::counter_add("supervisor.chaos_failures", 1);
-                continue;
-            }
-        };
-
-        // Invariant 1: exactly one terminal state per job, none lost.
-        if baseline.records.len() != jobs.len() {
-            violations.push(format!(
-                "{} records for {} jobs",
-                baseline.records.len(),
-                jobs.len()
-            ));
-        }
-        if !baseline.all_terminal() {
-            violations.push("undrained batch left non-terminal jobs".to_string());
-        }
-        let counted = baseline.done() + baseline.quarantined() + baseline.shed();
-        if counted != jobs.len() {
-            violations.push(format!(
-                "terminal states count {counted}, expected {} (lost or double-counted)",
-                jobs.len()
-            ));
-        }
-
-        // Invariant 2: worker count is invisible in the records.
-        let alt_workers = if config.workers == 1 { 4 } else { 1 };
-        match run_batch(
-            &jobs,
-            &SupervisorConfig {
-                workers: alt_workers,
-                ..config.clone()
-            },
-        ) {
-            Ok(alt) if alt.records != baseline.records => violations.push(format!(
-                "records differ between {} and {alt_workers} workers",
-                config.workers
-            )),
-            Ok(_) => {}
-            Err(e) => violations.push(format!("rerun at {alt_workers} workers failed: {e}")),
-        }
-
-        // Invariant 3: drain + resume reproduces the uninterrupted batch.
-        if opts.check_drain {
-            if let Err(v) = check_drain_resume(trial, &jobs, &config, &baseline.records, opts) {
-                violations.push(v);
-            }
-        }
-
-        obs::event!(
-            "supervisor.chaos_trial",
-            trial = trial,
-            done = baseline.done(),
-            quarantined = baseline.quarantined(),
-            shed = baseline.shed(),
-            violations = violations.len()
-        );
-        if !violations.is_empty() {
+    for t in 0..opts.trials {
+        let trial = supervised_trial(t, &jobs, opts);
+        if !trial.violations.is_empty() {
             obs::counter_add("supervisor.chaos_failures", 1);
         }
-        outcomes.push(SupervisedTrialOutcome {
-            trial,
-            done: baseline.done(),
-            quarantined: baseline.quarantined(),
-            shed: baseline.shed(),
-            retries: baseline.records.iter().map(|r| r.retries).sum(),
-            violations,
-        });
+        report.trials.push(trial);
     }
 
-    let report = SupervisedChaosReport { outcomes };
     span.record("failures", report.failures());
     report
 }
 
-fn check_drain_resume(
-    trial: usize,
-    jobs: &[JobSpec],
-    config: &SupervisorConfig,
-    expected: &[crate::job::JobRecord],
-    opts: &SupervisedChaosOptions,
-) -> Result<(), String> {
-    let scratch = opts
-        .scratch_dir
-        .clone()
-        .unwrap_or_else(std::env::temp_dir)
-        .join(format!("pcd-supervised-{}-{trial}", std::process::id()));
-    let result = drain_resume_inner(jobs, config, expected, &scratch);
-    let _ = std::fs::remove_dir_all(&scratch);
-    result
+/// One supervised trial: the batch under injected faults, checked
+/// against the three invariants.
+fn supervised_trial(t: usize, jobs: &[JobSpec], opts: &SupervisedChaosOptions) -> Trial {
+    let config = trial_config(t, opts);
+    let mut trial = Trial::new(t, config.batch_seed);
+
+    let baseline = match run_batch(jobs, &config) {
+        Ok(report) => report,
+        Err(e) => {
+            trial.violate(format!("supervisor error: {e}"));
+            return trial;
+        }
+    };
+
+    // Invariant 1: exactly one terminal state per job, none lost.
+    if baseline.records.len() != jobs.len() {
+        trial.violate(format!(
+            "{} records for {} jobs",
+            baseline.records.len(),
+            jobs.len()
+        ));
+    }
+    if !baseline.all_terminal() {
+        trial.violate("undrained batch left non-terminal jobs");
+    }
+    let counted = baseline.done() + baseline.quarantined() + baseline.shed();
+    if counted != jobs.len() {
+        trial.violate(format!(
+            "terminal states count {counted}, expected {} (lost or double-counted)",
+            jobs.len()
+        ));
+    }
+
+    // Invariant 2: worker count is invisible in the records.
+    let alt_workers = if config.workers == 1 { 4 } else { 1 };
+    match run_batch(
+        jobs,
+        &SupervisorConfig {
+            workers: alt_workers,
+            ..config.clone()
+        },
+    ) {
+        Ok(alt) if alt.records != baseline.records => trial.violate(format!(
+            "records differ between {} and {alt_workers} workers",
+            config.workers
+        )),
+        Ok(_) => {}
+        Err(e) => trial.violate(format!("rerun at {alt_workers} workers failed: {e}")),
+    }
+
+    // Invariant 3: drain + resume reproduces the uninterrupted batch.
+    if opts.check_drain {
+        let scratch =
+            std::env::temp_dir().join(format!("pcd-supervised-{}-{t}", std::process::id()));
+        if let Err(v) = check_drain_resume(jobs, &config, &baseline.records, &scratch) {
+            trial.violate(v);
+        }
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
+
+    obs::event!(
+        "supervisor.chaos_trial",
+        trial = t,
+        done = baseline.done(),
+        quarantined = baseline.quarantined(),
+        shed = baseline.shed(),
+        violations = trial.violations.len()
+    );
+    trial.add("jobs done", baseline.done());
+    trial.add("jobs quarantined", baseline.quarantined());
+    trial.add("jobs shed", baseline.shed());
+    trial.add(
+        "retries",
+        baseline.records.iter().map(|r| r.retries).sum::<usize>(),
+    );
+    trial
 }
 
-fn drain_resume_inner(
+fn check_drain_resume(
     jobs: &[JobSpec],
     config: &SupervisorConfig,
-    expected: &[crate::job::JobRecord],
-    scratch: &std::path::Path,
+    expected: &[JobRecord],
+    scratch: &Path,
 ) -> Result<(), String> {
     let drained_config = SupervisorConfig {
         drain_after_ticks: Some(3),
@@ -296,6 +240,234 @@ fn drain_resume_inner(
     Ok(())
 }
 
+/// Net-chaos campaign configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NetChaosOptions {
+    /// Campaign seed; trial `t` runs batch seed [`trial_seed`]`(seed, t)`,
+    /// and the victim worker is drawn from that.
+    pub seed: u64,
+    /// Number of trials.
+    pub trials: usize,
+    /// Jobs per trial batch.
+    pub jobs: usize,
+    /// Worker subprocesses per trial (the coordinator splits the batch
+    /// into this many net shards).
+    pub workers: usize,
+    /// Worker threads inside each worker process.
+    pub threads: usize,
+    /// Pipeline fault-injection rate (panics/hangs/transients inside the
+    /// jobs themselves), exercising transport recovery under concurrent
+    /// compute faults.
+    pub fault_rate: f64,
+    /// Proxy injection rate per fault site per frame — drop, bit-flip,
+    /// duplicate, delay, reorder, partition, connection refusal.
+    pub net_fault_rate: f64,
+    /// The `pcd` binary to spawn workers with.
+    pub pcd_exe: PathBuf,
+    /// Scratch parent directory (defaults to the system temp directory).
+    pub scratch_dir: Option<PathBuf>,
+}
+
+/// Runs the net-chaos campaign: per trial, binds an in-process
+/// coordinator, stands a [`net::FaultProxy`] in front of it, launches
+/// `workers` real `pcd batch --connect` subprocesses through the proxy,
+/// SIGKILLs a seeded victim as soon as it holds a grant, and asserts the
+/// coordinator's sealed `batch.manifest` is bit-identical to an
+/// uninterrupted in-process reference — no record lost, duplicated, or
+/// silently corrupted by the damaged link.
+///
+/// The takeover, rescue, dedup and `killed mid-run` tallies depend on
+/// timing (how far the victim got before the signal); the verdict does
+/// not.
+pub fn run_net_chaos(opts: &NetChaosOptions) -> CampaignReport {
+    let mut span = obs::span("net.chaos");
+    span.record("trials", opts.trials);
+    span.record("workers", opts.workers);
+
+    let mut report = CampaignReport::new(
+        "net",
+        format!(
+            "{} trials × {} jobs over {} TCP workers, pipeline faults {:.0}%, \
+             net faults {:.0}%, seed {}",
+            opts.trials,
+            opts.jobs,
+            opts.workers,
+            opts.fault_rate * 100.0,
+            opts.net_fault_rate * 100.0,
+            opts.seed
+        ),
+    );
+    let jobs = trial_jobs(opts.jobs.max(1));
+    for t in 0..opts.trials {
+        let mut trial = Trial::new(t, trial_seed(opts.seed, t));
+        let scratch = opts
+            .scratch_dir
+            .clone()
+            .unwrap_or_else(std::env::temp_dir)
+            .join(format!("pcd-netchaos-{}-{t}", std::process::id()));
+        if let Err(v) = net_chaos_trial(&jobs, &scratch, opts, &mut trial) {
+            trial.violate(v);
+        }
+        if !trial.violations.is_empty() {
+            obs::counter_add("supervisor.chaos_failures", 1);
+        }
+        obs::event!(
+            "net.chaos_trial",
+            trial = t,
+            killed_mid_run = trial.tally("killed mid-run") > 0,
+            takeovers = trial.tally("takeovers"),
+            rescued = trial.tally("rescued shards"),
+            deduped = trial.tally("dedups"),
+            violations = trial.violations.len()
+        );
+        let _ = std::fs::remove_dir_all(&scratch);
+        report.trials.push(trial);
+    }
+
+    span.record("failures", report.failures());
+    span.record("takeovers", report.total("takeovers"));
+    report
+}
+
+fn net_chaos_trial(
+    jobs: &[JobSpec],
+    scratch: &Path,
+    opts: &NetChaosOptions,
+    trial: &mut Trial,
+) -> Result<(), String> {
+    let batch_seed = trial.plan_seed;
+    let _ = std::fs::remove_dir_all(scratch);
+    std::fs::create_dir_all(scratch).map_err(|e| format!("scratch dir: {e}"))?;
+
+    // Uninterrupted in-process reference: the sealed manifest every
+    // proxied + killed + merged run must reproduce bit-for-bit.
+    let config = SupervisorConfig {
+        workers: opts.threads.max(1),
+        batch_seed,
+        pipeline_fault_rate: opts.fault_rate,
+        injection: if opts.fault_rate > 0.0 {
+            InjectionPlan::chaos(opts.fault_rate)
+        } else {
+            InjectionPlan::none()
+        },
+        ..SupervisorConfig::default()
+    };
+    let reference = run_batch(jobs, &config).map_err(|e| format!("reference run: {e}"))?;
+    let meta = BatchMeta {
+        batch_seed,
+        jobs: jobs.len(),
+        pipeline_fault_rate: config.pipeline_fault_rate,
+    };
+    let reference_bytes = encode_manifest(&meta, &reference.records).to_bytes();
+
+    // Coordinator behind the fault proxy.
+    let coord_config = SupervisorConfig {
+        ckpt_dir: Some(scratch.join("ckpt")),
+        ..config
+    };
+    let coordinator = Coordinator::bind(
+        jobs,
+        &coord_config,
+        CoordinatorOptions {
+            shards: opts.workers.max(1),
+            deadline: Duration::from_secs(60),
+            ..CoordinatorOptions::default()
+        },
+    )
+    .map_err(|e| format!("coordinator bind: {e}"))?;
+    let watch = coordinator.watch();
+    let proxy = FaultProxy::start(ProxyOptions {
+        listen: SocketAddr::from(([127, 0, 0, 1], 0)),
+        target: coordinator.addr(),
+        seed: splitmix64(batch_seed ^ 0x5EA_F007),
+        fault_rate: opts.net_fault_rate,
+    })
+    .map_err(|e| format!("proxy start: {e}"))?;
+    let proxy_addr = proxy.addr();
+    let coord_thread = std::thread::spawn(move || coordinator.run());
+
+    // The fleet, each worker connecting through the damaged link.
+    let mut children = Vec::new();
+    for w in 0..opts.workers.max(1) {
+        let worker_id = format!("w{w}");
+        let child = Command::new(&opts.pcd_exe)
+            .arg("batch")
+            .args(["--connect", &proxy_addr.to_string()])
+            .args(["--worker-id", &worker_id])
+            .args(["--workers", &opts.threads.max(1).to_string()])
+            .arg("--local-dir")
+            .arg(scratch.join(&worker_id))
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| format!("spawning worker {worker_id}: {e}"))?;
+        children.push((worker_id, child));
+    }
+
+    // SIGKILL the seeded victim the moment it holds a live grant (mid-run
+    // by construction... unless it delivers the whole shard faster than
+    // the poll, which the exit status below detects).
+    let victim = format!(
+        "w{}",
+        splitmix64(batch_seed ^ 0xFEED) % opts.workers.max(1) as u64
+    );
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !watch.granted_to(&victim) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    for (worker_id, mut child) in children {
+        let is_victim = worker_id == victim;
+        if is_victim {
+            let _ = child.kill();
+        }
+        let status = child
+            .wait()
+            .map_err(|e| format!("waiting for worker {worker_id}: {e}"))?;
+        if is_victim {
+            // The signal actually cut the run short; a victim that beat
+            // the poll to completion exits 0.
+            trial.add("killed mid-run", usize::from(!status.success()));
+            continue;
+        }
+        // Survivors must end in the exit taxonomy: 0 (drained clean) or
+        // 36 (transport exhausted, sealed partial, resumable). Anything
+        // else — a panic, a protocol error, a usage failure — is a
+        // violation.
+        match status.code() {
+            Some(0) | Some(36) => {}
+            code => trial.violate(format!("worker {worker_id} exited {code:?} (want 0 or 36)")),
+        }
+    }
+
+    let report = coord_thread
+        .join()
+        .map_err(|_| "coordinator thread panicked".to_string())?
+        .map_err(|e| format!("coordinator run: {e}"))?;
+    proxy.stop();
+
+    trial.add("takeovers", report.takeovers.len());
+    trial.add("rescued shards", report.rescued.len());
+    trial.add("dedups", report.deduped);
+
+    // The invariants: every job terminal exactly once, and the sealed
+    // manifest bit-identical to the uninterrupted reference — whatever
+    // the proxy dropped, flipped, duplicated, or severed.
+    if report.records.len() != jobs.len() {
+        trial.violate(format!(
+            "coordinator merged {} records for {} jobs",
+            report.records.len(),
+            jobs.len()
+        ));
+    }
+    if report.sealed != reference_bytes {
+        trial.violate(
+            "coordinator batch.manifest differs from the single-machine reference manifest",
+        );
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,19 +475,22 @@ mod tests {
     #[test]
     fn small_campaign_survives() {
         let opts = SupervisedChaosOptions {
+            seed: 42,
             trials: 3,
             jobs: 4,
+            workers: 2,
             fault_rate: 0.3,
-            ..SupervisedChaosOptions::default()
+            check_drain: true,
+            flight_dir: None,
         };
         let report = run_supervised_chaos(&opts);
-        assert_eq!(report.outcomes.len(), 3);
-        for outcome in &report.outcomes {
+        assert_eq!(report.trials.len(), 3);
+        for trial in &report.trials {
             assert!(
-                outcome.violations.is_empty(),
+                trial.violations.is_empty(),
                 "trial {} violations: {:?}",
-                outcome.trial,
-                outcome.violations
+                trial.trial,
+                trial.violations
             );
         }
         assert!(report.survived());
@@ -324,15 +499,17 @@ mod tests {
     #[test]
     fn shed_trials_actually_shed() {
         let opts = SupervisedChaosOptions {
+            seed: 42,
             trials: 3,
             jobs: 4,
+            workers: 2,
             fault_rate: 0.0,
             check_drain: false,
-            ..SupervisedChaosOptions::default()
+            flight_dir: None,
         };
         let report = run_supervised_chaos(&opts);
         // Trial 2 undersizes the queue by one.
-        assert_eq!(report.outcomes[2].shed, 1);
+        assert_eq!(report.trials[2].tally("jobs shed"), 1);
         assert!(report.survived());
     }
 }

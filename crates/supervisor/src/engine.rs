@@ -21,8 +21,8 @@
 //!
 //! Consequently the per-job records of a batch are identical at 1, 2, or
 //! 4 workers, and a drained-then-resumed batch reproduces an
-//! uninterrupted one bit-for-bit — the property `pcd chaos --supervised`
-//! asserts under injected faults.
+//! uninterrupted one bit-for-bit — the property `pcd chaos --campaign
+//! supervised` asserts under injected faults.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -49,7 +49,7 @@ use crate::job::{attempt_seed, job_seed, JobRecord, JobSpec, JobState};
 use crate::manifest::{encode_manifest, BatchMeta};
 use crate::progress::ProgressTracker;
 use crate::queue::{admit, admit_plan, JobQueue, ShedPolicy};
-use crate::splitmix64;
+use resilience::splitmix64;
 
 /// A failure of the supervisor itself (not of a job — job failures end in
 /// quarantine records, never here).

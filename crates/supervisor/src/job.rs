@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use chem::Benchmark;
 use obs::json::{self, JsonValue};
 
-use crate::splitmix64;
+use resilience::splitmix64;
 
 /// One batch job: a molecule × bond × compression configuration.
 #[derive(Debug, Clone, PartialEq)]

@@ -59,9 +59,7 @@ pub mod shard;
 
 pub use backoff::BackoffPolicy;
 pub use breaker::{CircuitBreaker, Stage};
-pub use chaos::{
-    run_supervised_chaos, SupervisedChaosOptions, SupervisedChaosReport, SupervisedTrialOutcome,
-};
+pub use chaos::{run_net_chaos, run_supervised_chaos, NetChaosOptions, SupervisedChaosOptions};
 pub use engine::{
     run_batch, run_batch_resumed, BatchReport, InjectionPlan, SupervisorConfig, SupervisorError,
 };
@@ -71,21 +69,10 @@ pub use merge::{merge_shards, MergeError, MergeOutcome, ShardLineage, KIND_MERGE
 pub use progress::{ProgressSnapshot, ProgressTracker};
 pub use queue::{admit, admit_plan, Admission, JobQueue, Lane, ShedPolicy, FAST_LANE_MAX_QUBITS};
 pub use remote::{
-    partial_manifest_path, reconnect_schedule, run_net_chaos, run_worker, Coordinator,
-    CoordinatorOptions, CoordinatorReport, CoordinatorWatch, NetChaosOptions, NetChaosReport,
-    NetChaosTrialOutcome, RemoteError, RemoteTakeover, WorkerOptions, WorkerReport,
+    partial_manifest_path, reconnect_schedule, run_worker, Coordinator, CoordinatorOptions,
+    CoordinatorReport, CoordinatorWatch, RemoteError, RemoteTakeover, WorkerOptions, WorkerReport,
 };
 pub use shard::{
     decode_shard_manifest, encode_shard_manifest, job_shard, shard_indices, shard_manifest_path,
     ShardMeta, ShardSpec, KIND_SHARD_MANIFEST,
 };
-
-/// SplitMix64 finalizer used to derive per-job and per-attempt seeds from
-/// the batch seed. Identical constants to the resilience fault plan's
-/// mixer, so the whole fleet shares one notion of "decorrelate this key".
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}

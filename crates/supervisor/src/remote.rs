@@ -48,7 +48,7 @@ use crate::job::{parse_jobs, JobRecord, JobSpec};
 use crate::manifest::{decode_record_sparse, encode_record, BatchMeta};
 use crate::merge::merge_shards;
 use crate::shard::{encode_shard_manifest, shard_indices, ShardMeta, ShardSpec};
-use crate::splitmix64;
+use resilience::splitmix64;
 
 /// A remote-batch failure, split by exit taxonomy: transport exhaustion
 /// is resumable (exit 36), a protocol mismatch is operator error
@@ -95,7 +95,7 @@ fn worker_seed(worker_id: &str) -> u64 {
 
 /// The deterministic reconnect schedule for a worker: delay before
 /// reconnect attempt `1..=attempts`. Pure function of the inputs — the
-/// replay guarantee `pcd chaos --net` asserts.
+/// replay guarantee `pcd chaos --campaign net` asserts.
 pub fn reconnect_schedule(worker_id: &str, policy: &BackoffPolicy, attempts: usize) -> Vec<u64> {
     let seed = worker_seed(worker_id);
     (1..=attempts).map(|a| policy.delay_ms(seed, a)).collect()
@@ -1151,325 +1151,6 @@ fn seal_partial(
         }
         Err(_) => None,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Net chaos: run a real coordinator + worker subprocesses through the
-// fault proxy, SIGKILL a worker mid-grant, and verify the sealed batch
-// manifest is still bit-identical to an uninterrupted in-process run.
-// ---------------------------------------------------------------------------
-
-/// Net-chaos campaign configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetChaosOptions {
-    /// Campaign seed; trial `t` derives its batch seed from it, and the
-    /// victim worker is drawn from it too.
-    pub seed: u64,
-    /// Number of trials.
-    pub trials: usize,
-    /// Jobs per trial batch.
-    pub jobs: usize,
-    /// Worker subprocesses per trial (the coordinator splits the batch
-    /// into this many net shards).
-    pub workers: usize,
-    /// Worker threads inside each worker process.
-    pub threads: usize,
-    /// Pipeline fault-injection rate (panics/hangs/transients inside the
-    /// jobs themselves), exercising transport recovery under concurrent
-    /// compute faults.
-    pub fault_rate: f64,
-    /// Proxy injection rate per fault site per frame — drop, bit-flip,
-    /// duplicate, delay, reorder, partition, connection refusal.
-    pub net_fault_rate: f64,
-    /// SIGKILL a seeded victim worker the moment it holds a grant.
-    pub kill_worker: bool,
-    /// The `pcd` binary to spawn workers with.
-    pub pcd_exe: PathBuf,
-    /// Scratch parent directory (defaults to the system temp directory).
-    pub scratch_dir: Option<PathBuf>,
-}
-
-impl Default for NetChaosOptions {
-    fn default() -> Self {
-        NetChaosOptions {
-            seed: 42,
-            trials: 2,
-            jobs: 6,
-            workers: 3,
-            threads: 2,
-            fault_rate: 0.25,
-            net_fault_rate: 0.05,
-            kill_worker: true,
-            pcd_exe: PathBuf::from("pcd"),
-            scratch_dir: None,
-        }
-    }
-}
-
-/// One net-chaos trial's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetChaosTrialOutcome {
-    /// Trial index.
-    pub trial: usize,
-    /// The worker id that was SIGKILLed, when one was.
-    pub victim: Option<String>,
-    /// Whether the kill actually landed mid-run (a fast victim may
-    /// deliver its whole shard and exit before the signal).
-    pub killed_mid_run: bool,
-    /// Epoch takeovers the coordinator performed over the wire.
-    pub takeovers: usize,
-    /// Shards the coordinator rescued in-process.
-    pub rescued: usize,
-    /// Bit-identical duplicate records the coordinator collapsed
-    /// (reconnect resends surviving the proxy).
-    pub deduped: usize,
-    /// Invariant violations (empty = the trial survived).
-    pub violations: Vec<String>,
-}
-
-/// The whole net-chaos campaign's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetChaosReport {
-    /// Per-trial outcomes.
-    pub outcomes: Vec<NetChaosTrialOutcome>,
-}
-
-impl NetChaosReport {
-    /// Trials that violated an invariant.
-    pub fn failures(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| !o.violations.is_empty())
-            .count()
-    }
-
-    /// Whether every trial upheld every invariant.
-    pub fn survived(&self) -> bool {
-        self.failures() == 0
-    }
-
-    /// Wire takeovers observed across the campaign.
-    pub fn takeovers(&self) -> usize {
-        self.outcomes.iter().map(|o| o.takeovers).sum()
-    }
-}
-
-/// Runs the net-chaos campaign: per trial, binds an in-process
-/// coordinator, stands a [`net::FaultProxy`] in front of it, launches
-/// `workers` real `pcd batch --connect` subprocesses through the proxy,
-/// SIGKILLs a seeded victim as soon as it holds a grant, and asserts the
-/// coordinator's sealed `batch.manifest` is bit-identical to an
-/// uninterrupted in-process reference — no record lost, duplicated, or
-/// silently corrupted by the damaged link.
-pub fn run_net_chaos(opts: &NetChaosOptions) -> NetChaosReport {
-    let mut span = obs::span("net.chaos");
-    span.record("trials", opts.trials);
-    span.record("workers", opts.workers);
-
-    let jobs = crate::chaos::trial_jobs(opts.jobs.max(1));
-    let mut outcomes = Vec::with_capacity(opts.trials);
-    for trial in 0..opts.trials {
-        let batch_seed = opts
-            .seed
-            .wrapping_add((trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let scratch = opts
-            .scratch_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir)
-            .join(format!("pcd-netchaos-{}-{trial}", std::process::id()));
-        let mut outcome = NetChaosTrialOutcome {
-            trial,
-            victim: None,
-            killed_mid_run: false,
-            takeovers: 0,
-            rescued: 0,
-            deduped: 0,
-            violations: Vec::new(),
-        };
-        if let Err(v) = net_chaos_trial(batch_seed, &jobs, &scratch, opts, &mut outcome) {
-            outcome.violations.push(v);
-        }
-        if !outcome.violations.is_empty() {
-            obs::counter_add("supervisor.chaos_failures", 1);
-        }
-        obs::event!(
-            "net.chaos_trial",
-            trial = trial,
-            killed_mid_run = outcome.killed_mid_run,
-            takeovers = outcome.takeovers,
-            rescued = outcome.rescued,
-            deduped = outcome.deduped,
-            violations = outcome.violations.len()
-        );
-        let _ = std::fs::remove_dir_all(&scratch);
-        outcomes.push(outcome);
-    }
-
-    let report = NetChaosReport { outcomes };
-    span.record("failures", report.failures());
-    span.record("takeovers", report.takeovers());
-    report
-}
-
-fn net_chaos_trial(
-    batch_seed: u64,
-    jobs: &[JobSpec],
-    scratch: &Path,
-    opts: &NetChaosOptions,
-    outcome: &mut NetChaosTrialOutcome,
-) -> Result<(), String> {
-    use crate::engine::run_batch;
-    use crate::manifest::encode_manifest;
-    use net::{FaultProxy, ProxyOptions};
-    use std::process::{Command, Stdio};
-
-    let _ = std::fs::remove_dir_all(scratch);
-    std::fs::create_dir_all(scratch).map_err(|e| format!("scratch dir: {e}"))?;
-
-    // Uninterrupted in-process reference: the sealed manifest every
-    // proxied + killed + merged run must reproduce bit-for-bit.
-    let config = SupervisorConfig {
-        workers: opts.threads.max(1),
-        batch_seed,
-        pipeline_fault_rate: opts.fault_rate,
-        injection: if opts.fault_rate > 0.0 {
-            InjectionPlan::chaos(opts.fault_rate)
-        } else {
-            InjectionPlan::none()
-        },
-        ..SupervisorConfig::default()
-    };
-    let reference = run_batch(jobs, &config).map_err(|e| format!("reference run: {e}"))?;
-    let meta = BatchMeta {
-        batch_seed,
-        jobs: jobs.len(),
-        pipeline_fault_rate: config.pipeline_fault_rate,
-    };
-    let reference_bytes = encode_manifest(&meta, &reference.records).to_bytes();
-
-    // Coordinator behind the fault proxy.
-    let coord_config = SupervisorConfig {
-        ckpt_dir: Some(scratch.join("ckpt")),
-        ..config
-    };
-    let coordinator = Coordinator::bind(
-        jobs,
-        &coord_config,
-        CoordinatorOptions {
-            shards: opts.workers.max(1),
-            deadline: Duration::from_secs(60),
-            ..CoordinatorOptions::default()
-        },
-    )
-    .map_err(|e| format!("coordinator bind: {e}"))?;
-    let watch = coordinator.watch();
-    let proxy = FaultProxy::start(ProxyOptions {
-        listen: SocketAddr::from(([127, 0, 0, 1], 0)),
-        target: coordinator.addr(),
-        seed: splitmix64(batch_seed ^ 0x5EA_F007),
-        fault_rate: opts.net_fault_rate,
-    })
-    .map_err(|e| format!("proxy start: {e}"))?;
-    let proxy_addr = proxy.addr();
-    let coord_thread = std::thread::spawn(move || coordinator.run());
-
-    // The fleet, each worker connecting through the damaged link.
-    let mut children = Vec::new();
-    for w in 0..opts.workers.max(1) {
-        let worker_id = format!("w{w}");
-        let child = Command::new(&opts.pcd_exe)
-            .arg("batch")
-            .args(["--connect", &proxy_addr.to_string()])
-            .args(["--worker-id", &worker_id])
-            .args(["--workers", &opts.threads.max(1).to_string()])
-            .arg("--local-dir")
-            .arg(scratch.join(&worker_id))
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawning worker {worker_id}: {e}"))?;
-        children.push((worker_id, child));
-    }
-
-    // SIGKILL the victim the moment it holds a live grant (mid-run by
-    // construction... unless it delivers the whole shard faster than the
-    // poll, which the exit status below detects).
-    let victim = opts.kill_worker.then(|| {
-        format!(
-            "w{}",
-            splitmix64(batch_seed ^ 0xFEED) % opts.workers.max(1) as u64
-        )
-    });
-    if let Some(victim_id) = &victim {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while !watch.granted_to(victim_id) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        outcome.victim = Some(victim_id.clone());
-    }
-
-    let mut statuses = Vec::new();
-    for (worker_id, mut child) in children {
-        if Some(&worker_id) == victim.as_ref() {
-            let _ = child.kill();
-        }
-        let status = child
-            .wait()
-            .map_err(|e| format!("waiting for worker {worker_id}: {e}"))?;
-        statuses.push((worker_id, status));
-    }
-    if let Some(victim_id) = &victim {
-        let victim_status = statuses
-            .iter()
-            .find(|(id, _)| id == victim_id)
-            .map(|(_, st)| *st)
-            .ok_or_else(|| "victim status missing".to_string())?;
-        // `killed_mid_run` = the signal actually cut the run short; a
-        // victim that beat the poll to completion exits 0.
-        outcome.killed_mid_run = !victim_status.success();
-    }
-    // Survivors must end in the exit taxonomy: 0 (drained clean) or 36
-    // (transport exhausted, sealed partial, resumable). Anything else —
-    // a panic, a protocol error, a usage failure — is a violation.
-    for (worker_id, status) in &statuses {
-        if Some(worker_id) == victim.as_ref() {
-            continue;
-        }
-        match status.code() {
-            Some(0) | Some(36) => {}
-            code => outcome
-                .violations
-                .push(format!("worker {worker_id} exited {code:?} (want 0 or 36)")),
-        }
-    }
-
-    let report = coord_thread
-        .join()
-        .map_err(|_| "coordinator thread panicked".to_string())?
-        .map_err(|e| format!("coordinator run: {e}"))?;
-    proxy.stop();
-
-    outcome.takeovers = report.takeovers.len();
-    outcome.rescued = report.rescued.len();
-    outcome.deduped = report.deduped;
-
-    // The invariants: every job terminal exactly once, and the sealed
-    // manifest bit-identical to the uninterrupted reference — whatever
-    // the proxy dropped, flipped, duplicated, or severed.
-    if report.records.len() != jobs.len() {
-        outcome.violations.push(format!(
-            "coordinator merged {} records for {} jobs",
-            report.records.len(),
-            jobs.len()
-        ));
-    }
-    if report.sealed != reference_bytes {
-        outcome.violations.push(
-            "coordinator batch.manifest differs from the single-machine reference manifest"
-                .to_string(),
-        );
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -28,12 +28,15 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
 
     // Every trial completed, with faults actually injected and at least
     // one recovery from each policy class.
-    assert!(report.survived(), "failures: {}", report.failures);
-    assert!(report.faults_injected > 0, "plan injected nothing at 10%");
+    assert!(report.survived(), "failures: {}", report.failures());
+    assert!(
+        report.total("faults injected") > 0,
+        "plan injected nothing at 10%"
+    );
     assert!(
         report.all_policy_classes_recovered(),
-        "recovered_by_class: {:?}",
-        report.recovered_by_class
+        "tallies: {:?}",
+        report.totals()
     );
 
     // The obs counter agrees with the report's injection count.
@@ -42,7 +45,7 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
         .get("resilience.faults_injected")
         .copied()
         .unwrap_or(0);
-    assert_eq!(injected_counter as usize, report.faults_injected);
+    assert_eq!(injected_counter as usize, report.total("faults injected"));
 
     // Every injected fault has a `resilience.fault` event naming its site.
     let fault_events: Vec<_> = snap
@@ -50,11 +53,11 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
         .iter()
         .filter(|e| e.name == "resilience.fault")
         .collect();
-    assert_eq!(fault_events.len(), report.faults_injected);
+    assert_eq!(fault_events.len(), report.total("faults injected"));
     // Trials run on parallel threads, so their events interleave; each
     // trial's own events, picked out by its plan seed, name its faults'
     // sites in decision order.
-    for outcome in &report.outcomes {
+    for outcome in &report.trials {
         let event_sites: Vec<&str> = fault_events
             .iter()
             .filter(|e| e.field("plan_seed") == Some(&obs::Value::UInt(outcome.plan_seed)))
@@ -94,7 +97,7 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
         retries_counter + fallbacks_counter,
         "every retry and fallback must emit exactly one recovery event"
     );
-    let reported_fallbacks = report.outcomes.iter().filter(|o| o.sabre_fallback).count() as u64;
+    let reported_fallbacks = report.total("sabre fallbacks") as u64;
     assert_eq!(fallbacks_counter, reported_fallbacks);
 
     // Trials that completed despite faults had recoveries recorded: each
@@ -107,7 +110,7 @@ fn h2_pipeline_survives_ten_percent_faults_with_full_obs_audit() {
     assert!(recovered_events > 0, "no recovered events in the trace");
 
     // Energies of completed trials are physical (H2 ground state region).
-    for outcome in &report.outcomes {
+    for outcome in &report.trials {
         let e = outcome.energy.expect("every trial completed");
         assert!(
             (-1.20..=-1.05).contains(&e),
