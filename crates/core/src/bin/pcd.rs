@@ -398,10 +398,10 @@ commands:
                                       scanned) into per-stage latency
                                       quantiles, counter totals, the
                                       slowest-span critical path, the
-                                      quarantine/fault breakdown, shard and
-                                      takeover lineage (shard-*.manifest,
-                                      merge.lineage), and bench drift vs
-                                      --baseline (default
+                                      quarantine/fault breakdown, shard
+                                      takeovers (net.takeover events,
+                                      shard-*.manifest.partial seals), and
+                                      bench drift vs --baseline (default
                                       BENCH_pipeline.json); corrupt inputs
                                       degrade to warnings, exit stays 0 —
                                       unless --strict, which exits 34 when
@@ -1497,6 +1497,14 @@ fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
                 .to_string(),
         ));
     }
+    if flags.is_set("listen") && flags.is_set("resume") {
+        return Err(CliError::Usage(
+            "--resume does not apply to --listen: the coordinator does not resume; \
+             resume a drained manifest with a plain `pcd batch JOBS.jsonl --checkpoint DIR \
+             --resume`"
+                .to_string(),
+        ));
+    }
     // Worker mode has no jobs file: the batch identity (jobs, seed,
     // fault rate) arrives over the wire in the coordinator's welcome.
     if flags.is_set("connect") {
@@ -2283,13 +2291,13 @@ fn report_dir_entries(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
             }
             if matches!(
                 p.extension().and_then(|e| e.to_str()),
-                Some("jsonl" | "json" | "manifest" | "lineage")
+                Some("jsonl" | "json" | "manifest")
             ) {
                 return true;
             }
             // Transport forensics: partial shard manifests sealed by
-            // degraded workers, and artifacts the merge or serve cache
-            // set aside as corrupt.
+            // degraded workers, and artifacts the serve cache set aside
+            // as corrupt.
             let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
             name.ends_with(".manifest.partial") || name.ends_with(".quarantined")
         })
@@ -2443,6 +2451,25 @@ mod tests {
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
             assert_eq!(err.exit_code(), 1);
         }
+    }
+
+    #[test]
+    fn resume_under_a_coordinator_is_a_usage_error() {
+        let args = [
+            "jobs.jsonl",
+            "--listen",
+            "127.0.0.1:0",
+            "--checkpoint",
+            "ckpt",
+            "--resume",
+        ];
+        let err = cmd_batch(&flags(&args)).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert_eq!(err.exit_code(), 1);
+        assert!(
+            err.to_string().contains("--checkpoint DIR --resume"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2606,6 +2633,7 @@ mod tests {
             "shard-0.manifest.partial",
             "shard-1.manifest.quarantined",
             "0011223344556677.cache.quarantined",
+            "merge.lineage", // `.lineage` is not a report input
             "notes.txt",
             "core.partial", // `.partial` alone is not a transport artifact
         ] {

@@ -20,6 +20,8 @@
 //! - **quarantine/fault breakdown** — quarantined jobs by failing stage
 //!   (from manifests), injected-fault sites (from `resilience.fault`
 //!   events and flight `fault` entries), and flight-dump reasons;
+//! - **takeovers** — shards a coordinator re-granted past a silent
+//!   worker (from `net.takeover` events and partial shard seals);
 //! - **drift vs baseline** — bench medians compared against a committed
 //!   `BENCH_pipeline.json`, so a report over CI artifacts shows creep at
 //!   a glance.
@@ -36,7 +38,7 @@ use resilience::Checkpoint;
 use serve::KIND_SERVE_MANIFEST;
 use supervisor::{
     decode_manifest, decode_shard_manifest, BatchMeta, JobRecord, JobState, ShardMeta,
-    KIND_BATCH_MANIFEST, KIND_MERGE_LINEAGE, KIND_SHARD_MANIFEST,
+    KIND_BATCH_MANIFEST, KIND_SHARD_MANIFEST,
 };
 
 /// One input file, classified by content.
@@ -58,13 +60,6 @@ pub enum Artifact {
         /// Per-job records.
         records: Vec<JobRecord>,
     },
-    /// A per-shard manifest checkpoint (`shard-<id>.manifest`).
-    Shard {
-        /// Shard header: batch identity plus lineage.
-        meta: ShardMeta,
-        /// The shard's records (sparse global indices).
-        records: Vec<JobRecord>,
-    },
     /// A sealed serve-daemon restart manifest (`serve.manifest`) — the
     /// batch-manifest payload schema under a serve kind tag.
     Serve {
@@ -73,22 +68,19 @@ pub enum Artifact {
         /// Per-request records in admission order.
         records: Vec<JobRecord>,
     },
-    /// A merge lineage checkpoint (`merge.lineage`).
-    Lineage(LineageSummary),
-    /// A partial shard manifest (`shard-<id>.manifest.partial`) a worker
-    /// sealed after losing its coordinator transport for good — the same
-    /// CRC-sealed codec as [`Artifact::Shard`], under a name the merge
-    /// scan deliberately ignores. Forensic evidence, never workload: the
-    /// coordinator re-granted the shard after the worker vanished, so
-    /// these records are also in whichever manifest the rescuer sealed.
+    /// A shard-manifest checkpoint: the partial seal
+    /// (`shard-<id>.manifest.partial`) a worker writes after losing its
+    /// coordinator transport for good. Forensic evidence, never workload:
+    /// the coordinator re-granted the shard after the worker vanished, so
+    /// these records are also in the `batch.manifest` it sealed.
     PartialShard {
         /// Shard header: batch identity plus lineage.
         meta: ShardMeta,
         /// Records delivered before the transport died.
         records: Vec<JobRecord>,
     },
-    /// A `*.quarantined` file — a shard manifest or serve cache entry
-    /// set aside because its CRC or schema failed validation. The content
+    /// A `*.quarantined` file — a serve cache entry set aside because
+    /// its CRC or schema failed validation. The content
     /// is possibly arbitrary corrupt bytes, so only the size is kept.
     Quarantined {
         /// File size in bytes.
@@ -105,32 +97,6 @@ pub enum Artifact {
     },
 }
 
-/// One shard's line in a parsed `merge.lineage` artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LineageEntry {
-    /// Shard id.
-    pub shard_id: usize,
-    /// Owner descriptor that sealed the shard.
-    pub owner: String,
-    /// Lease epoch it sealed under.
-    pub epoch: u64,
-    /// Dead owner it took over from, when the seal was a takeover.
-    pub taken_over_from: Option<String>,
-    /// Records the shard contributed.
-    pub records: u64,
-}
-
-/// A parsed `merge.lineage` checkpoint.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LineageSummary {
-    /// Per-shard lineage lines.
-    pub shards: Vec<LineageEntry>,
-    /// Shard manifests the merge quarantined.
-    pub quarantined: usize,
-    /// Jobs no shard covered (sealed as pending placeholders).
-    pub missing: usize,
-}
-
 impl Artifact {
     /// Short kind label for the inputs table.
     pub fn kind(&self) -> &'static str {
@@ -138,49 +104,12 @@ impl Artifact {
             Artifact::Trace { .. } => "trace",
             Artifact::Flight(_) => "flight",
             Artifact::Manifest { .. } => "manifest",
-            Artifact::Shard { .. } => "shard",
             Artifact::Serve { .. } => "serve",
-            Artifact::Lineage(_) => "lineage",
             Artifact::PartialShard { .. } => "partial",
             Artifact::Quarantined { .. } => "quarantined",
             Artifact::Bench { .. } => "bench",
         }
     }
-}
-
-fn parse_lineage(ck: &Checkpoint) -> Result<LineageSummary, String> {
-    let mut summary = LineageSummary::default();
-    // Payload line 0 is the batch header; the rest are typed lines.
-    for line in ck.payload.iter().skip(1) {
-        match line.get("kind").and_then(JsonValue::as_str) {
-            Some("shard") => summary.shards.push(LineageEntry {
-                shard_id: line
-                    .get("shard_id")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("lineage: shard line without shard_id")?
-                    as usize,
-                owner: line
-                    .get("owner")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("lineage: shard line without owner")?
-                    .to_string(),
-                epoch: line
-                    .get("epoch")
-                    .and_then(JsonValue::as_str)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("lineage: shard line without epoch")?,
-                taken_over_from: line
-                    .get("taken_over_from")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string),
-                records: line.get("records").and_then(JsonValue::as_u64).unwrap_or(0),
-            }),
-            Some("quarantined") => summary.quarantined += 1,
-            Some("missing") => summary.missing += 1,
-            _ => {}
-        }
-    }
-    Ok(summary)
 }
 
 /// Classifies `text` by content and parses it into an [`Artifact`].
@@ -203,9 +132,8 @@ pub fn classify(text: &str) -> Result<Artifact, String> {
             KIND_SHARD_MANIFEST => {
                 let (meta, records) =
                     decode_shard_manifest(&ck).map_err(|e| format!("shard manifest: {e}"))?;
-                Ok(Artifact::Shard { meta, records })
+                Ok(Artifact::PartialShard { meta, records })
             }
-            KIND_MERGE_LINEAGE => parse_lineage(&ck).map(Artifact::Lineage),
             KIND_SERVE_MANIFEST => {
                 // Serve manifests reuse the batch-manifest payload under
                 // their own kind tag; rewrap so the decoder accepts it.
@@ -266,13 +194,11 @@ pub fn classify(text: &str) -> Result<Artifact, String> {
 
 /// Classifies a file by name first, then content.
 ///
-/// Two transport artifacts are recognizable only by suffix: a
-/// `*.quarantined` file was set aside precisely *because* its content
-/// failed validation (it may not even be UTF-8), and a
-/// `*.manifest.partial` is a byte-ordinary shard manifest whose name is
-/// the whole point — it marks progress a degraded worker sealed after
-/// losing transport, which must never be mistaken for a complete shard.
-/// Every other name defers to [`classify`] on content alone.
+/// A `*.quarantined` file is recognizable only by suffix: it was set
+/// aside precisely *because* its content failed validation (it may not
+/// even be UTF-8). A `*.manifest.partial` must decode as a shard
+/// manifest — the name promises one. Every other name defers to
+/// [`classify`] on content alone.
 ///
 /// # Errors
 ///
@@ -288,7 +214,7 @@ pub fn classify_named(name: &str, bytes: &[u8]) -> Result<Artifact, String> {
     let text = std::str::from_utf8(bytes).map_err(|_| "not UTF-8".to_string())?;
     if name.ends_with(".manifest.partial") {
         return match classify(text)? {
-            Artifact::Shard { meta, records } => Ok(Artifact::PartialShard { meta, records }),
+            partial @ Artifact::PartialShard { .. } => Ok(partial),
             other => Err(format!(
                 "partial shard manifest: decoded as {}, expected a shard-manifest checkpoint",
                 other.kind()
@@ -365,20 +291,13 @@ pub struct Report {
     /// quarantined / shed / pending (kept apart from batch `jobs` — a
     /// daemon's traffic is not a batch's workload).
     pub serve: (u64, u64, u64, u64),
-    /// Per-shard breakdown from shard manifests, by shard id: `(shard_id,
-    /// owner, epoch, done, quarantined, shed, pending)`.
-    pub shards: Vec<(usize, String, u64, u64, u64, u64, u64)>,
-    /// Takeovers visible in shard manifests and merge lineage:
-    /// `(shard_id, dead owner, adopting owner)`.
-    pub takeovers: Vec<(usize, String, String)>,
-    /// Jobs the merge found uncovered (from lineage).
-    pub merge_missing: usize,
-    /// Shard manifests the merge quarantined (from lineage).
-    pub merge_quarantined: usize,
+    /// Takeovers from `net.takeover` trace events and partial shard
+    /// seals: `(shard_id, dead owner, epoch of the new grant)`.
+    pub takeovers: Vec<(usize, String, u64)>,
     /// Partial shard manifests from degraded workers, by shard id:
     /// `(shard_id, owner, epoch, records delivered, records assigned)`.
-    /// Kept out of the job totals — the re-granted shard's sealed
-    /// manifest covers the same jobs.
+    /// Kept out of the job totals — the sealed `batch.manifest` covers
+    /// the same jobs.
     pub partial_shards: Vec<(usize, String, u64, u64, u64)>,
     /// `*.quarantined` files seen: `(count, total bytes)`.
     pub quarantined_files: (u64, u64),
@@ -406,10 +325,7 @@ pub struct ReportBuilder {
     flight_by_reason: BTreeMap<String, u64>,
     jobs: (u64, u64, u64, u64),
     serve: (u64, u64, u64, u64),
-    shards: Vec<(usize, String, u64, u64, u64, u64, u64)>,
-    takeovers: Vec<(usize, String, String)>,
-    merge_missing: usize,
-    merge_quarantined: usize,
+    takeovers: Vec<(usize, String, u64)>,
     partial_shards: Vec<(usize, String, u64, u64, u64)>,
     quarantined_files: (u64, u64),
     bench: BTreeMap<String, u64>,
@@ -446,13 +362,23 @@ impl ReportBuilder {
                                 .record(span.duration_us);
                             self.spans.push(span);
                         }
-                        Record::Event(event) => {
-                            if event.name == "resilience.fault" {
+                        Record::Event(event) => match event.name.as_str() {
+                            "resilience.fault" => {
                                 if let Some(obs::Value::Str(site)) = event.field("site") {
                                     *self.faults_by_site.entry(site.clone()).or_insert(0) += 1;
                                 }
                             }
-                        }
+                            "net.takeover" => {
+                                let shard = event.field("shard").and_then(obs::Value::as_u64);
+                                let epoch = event.field("epoch").and_then(obs::Value::as_u64);
+                                if let (Some(shard), Some(obs::Value::Str(from)), Some(epoch)) =
+                                    (shard, event.field("from"), epoch)
+                                {
+                                    self.takeovers.push((shard as usize, from.clone(), epoch));
+                                }
+                            }
+                            _ => {}
+                        },
                         Record::Counter { name, value } => {
                             *self.counters.entry(name).or_insert(0) += value;
                         }
@@ -494,60 +420,17 @@ impl ReportBuilder {
                     }
                 }
             }
-            Artifact::Shard { meta, records } => {
-                let mut counts = (0u64, 0u64, 0u64, 0u64);
-                for record in &records {
-                    match &record.state {
-                        JobState::Done { .. } => counts.0 += 1,
-                        JobState::Quarantined { stage, .. } => {
-                            counts.1 += 1;
-                            *self.quarantined_by_stage.entry(stage.clone()).or_insert(0) += 1;
-                        }
-                        JobState::Shed => counts.2 += 1,
-                        JobState::Pending { .. } => counts.3 += 1,
-                    }
-                }
-                // Shard records contribute to the job totals too — a
-                // directory of shard manifests with no merged
-                // batch.manifest still reports its fleet.
-                self.jobs.0 += counts.0;
-                self.jobs.1 += counts.1;
-                self.jobs.2 += counts.2;
-                self.jobs.3 += counts.3;
-                if let Some(from) = &meta.taken_over_from {
-                    self.takeovers
-                        .push((meta.shard_id, from.clone(), meta.owner.clone()));
-                }
-                self.shards.push((
-                    meta.shard_id,
-                    meta.owner,
-                    meta.epoch,
-                    counts.0,
-                    counts.1,
-                    counts.2,
-                    counts.3,
-                ));
-            }
-            Artifact::Lineage(summary) => {
-                for entry in summary.shards {
-                    if let Some(from) = entry.taken_over_from {
-                        self.takeovers.push((entry.shard_id, from, entry.owner));
-                    }
-                }
-                self.merge_missing += summary.missing;
-                self.merge_quarantined += summary.quarantined;
-            }
             Artifact::PartialShard { meta, records } => {
                 // Deliberately NOT folded into the job totals: the
                 // coordinator re-granted this shard after the worker
-                // vanished, so every record here is also in a sealed
-                // manifest — counting both would double-report the fleet.
+                // vanished, so every record here is also in the sealed
+                // batch.manifest — counting both would double-report.
                 let jobs = meta.batch.jobs;
                 let shards = meta.shards.max(1);
                 let assigned = (jobs / shards + usize::from(meta.shard_id < jobs % shards)) as u64;
                 if let Some(from) = &meta.taken_over_from {
                     self.takeovers
-                        .push((meta.shard_id, from.clone(), meta.owner.clone()));
+                        .push((meta.shard_id, from.clone(), meta.epoch));
                 }
                 self.partial_shards.push((
                     meta.shard_id,
@@ -623,12 +506,10 @@ impl ReportBuilder {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
 
-        let mut shards = self.shards;
-        shards.sort_by_key(|a| a.0);
         let mut partial_shards = self.partial_shards;
         partial_shards.sort();
-        // Takeovers can surface in both a shard manifest and the merge
-        // lineage — report each once.
+        // A takeover can surface in several traces of one run (and in a
+        // partial seal) — report each once.
         let mut takeovers = self.takeovers;
         takeovers.sort();
         takeovers.dedup();
@@ -644,10 +525,7 @@ impl ReportBuilder {
             flight_by_reason: self.flight_by_reason,
             jobs: self.jobs,
             serve: self.serve,
-            shards,
             takeovers,
-            merge_missing: self.merge_missing,
-            merge_quarantined: self.merge_quarantined,
             partial_shards,
             quarantined_files: self.quarantined_files,
             drift,
@@ -750,28 +628,11 @@ impl Report {
                  {pending} pending"
             );
         }
-        if !self.shards.is_empty() {
-            let _ = writeln!(out, "shards:");
-            for (id, owner, epoch, done, quarantined, shed, pending) in &self.shards {
-                let _ = writeln!(
-                    out,
-                    "  shard {id:<3} epoch {epoch:<3} {done} done, {quarantined} quarantined, \
-                     {shed} shed, {pending} pending  (owner {owner})"
-                );
-            }
-        }
         if !self.takeovers.is_empty() {
             let _ = writeln!(out, "takeovers:");
-            for (shard, from, by) in &self.takeovers {
-                let _ = writeln!(out, "  shard {shard:<3} {from} → {by}");
+            for (shard, from, epoch) in &self.takeovers {
+                let _ = writeln!(out, "  shard {shard:<3} from {from} at epoch {epoch}");
             }
-        }
-        if self.merge_missing + self.merge_quarantined > 0 {
-            let _ = writeln!(
-                out,
-                "merge: {} job(s) uncovered, {} shard manifest(s) quarantined",
-                self.merge_missing, self.merge_quarantined
-            );
         }
         if !self.partial_shards.is_empty() || self.quarantined_files.0 > 0 {
             let _ = writeln!(out, "transport artifacts:");
@@ -939,41 +800,17 @@ impl Report {
             serve.insert("pending".to_string(), JsonValue::Number(pending as f64));
             root.insert("serve".to_string(), JsonValue::Object(serve));
         }
-        if !self.shards.is_empty() {
-            root.insert(
-                "shards".to_string(),
-                JsonValue::Array(
-                    self.shards
-                        .iter()
-                        .map(|(id, owner, epoch, done, quarantined, shed, pending)| {
-                            let mut o = BTreeMap::new();
-                            o.insert("shard_id".to_string(), JsonValue::Number(*id as f64));
-                            o.insert("owner".to_string(), JsonValue::String(owner.clone()));
-                            o.insert("epoch".to_string(), JsonValue::Number(*epoch as f64));
-                            o.insert("done".to_string(), JsonValue::Number(*done as f64));
-                            o.insert(
-                                "quarantined".to_string(),
-                                JsonValue::Number(*quarantined as f64),
-                            );
-                            o.insert("shed".to_string(), JsonValue::Number(*shed as f64));
-                            o.insert("pending".to_string(), JsonValue::Number(*pending as f64));
-                            JsonValue::Object(o)
-                        })
-                        .collect(),
-                ),
-            );
-        }
         if !self.takeovers.is_empty() {
             root.insert(
                 "takeovers".to_string(),
                 JsonValue::Array(
                     self.takeovers
                         .iter()
-                        .map(|(shard, from, by)| {
+                        .map(|(shard, from, epoch)| {
                             let mut o = BTreeMap::new();
                             o.insert("shard_id".to_string(), JsonValue::Number(*shard as f64));
                             o.insert("from".to_string(), JsonValue::String(from.clone()));
-                            o.insert("by".to_string(), JsonValue::String(by.clone()));
+                            o.insert("epoch".to_string(), JsonValue::Number(*epoch as f64));
                             JsonValue::Object(o)
                         })
                         .collect(),
@@ -1205,6 +1042,27 @@ mod tests {
     }
 
     #[test]
+    fn takeover_events_render_with_shard_from_and_epoch() {
+        let trace = [
+            r#"{"type":"event","name":"net.takeover","at_us":5.0,"fields":{"shard":1,"from":"ghost","epoch":2}}"#,
+            r#"{"type":"event","name":"net.hello","at_us":1.0,"fields":{"worker":"w0"}}"#,
+        ]
+        .join("\n");
+        let mut b = ReportBuilder::new();
+        b.add("coordinator.jsonl", classify(&trace).expect("classifies"));
+        let report = b.finish(&BTreeMap::new(), 0.10);
+        assert_eq!(report.takeovers, vec![(1, "ghost".to_string(), 2)]);
+        let rendered = report.render();
+        assert!(
+            rendered.contains("takeovers:\n  shard 1   from ghost at epoch 2\n"),
+            "{rendered}"
+        );
+        let json = report.to_json();
+        let takeover = json.get("takeovers").expect("takeovers in JSON");
+        assert!(matches!(takeover, JsonValue::Array(a) if a.len() == 1));
+    }
+
+    #[test]
     fn garbage_input_is_an_error_not_a_panic() {
         assert!(classify("not json at all {{{").is_err());
     }
@@ -1241,13 +1099,14 @@ mod tests {
     #[test]
     fn partial_shard_manifest_classifies_by_name_not_as_a_live_shard() {
         let bytes = partial_fixture();
-        // Content alone says "shard"; the name says "partial" — and a
-        // partial must never be counted as fleet workload.
+        // Only a degraded worker writes shard manifests, so content alone
+        // says "partial" too — and a partial must never be counted as
+        // fleet workload.
         assert_eq!(
             classify_named("shard-0.manifest", &bytes)
-                .expect("shard")
+                .expect("partial")
                 .kind(),
-            "shard"
+            "partial"
         );
         let artifact =
             classify_named("shard-0.manifest.partial", &bytes).expect("classifies partial");
@@ -1260,7 +1119,6 @@ mod tests {
             (0, 0, 0, 0),
             "partials must not inflate job totals"
         );
-        assert!(report.shards.is_empty());
         // jobs=5 over 2 shards: shard 0 owns indices 0, 2, 4 — 1 of 3
         // records made it out before the transport died.
         assert_eq!(report.partial_shards, vec![(0, "w0".to_string(), 2, 1, 3)]);

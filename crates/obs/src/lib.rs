@@ -15,9 +15,7 @@
 //! - **Histograms** — `f64` sample distributions, e.g. per-pass timings or
 //!   line-search step sizes. Fed with [`histogram_record`] into a
 //!   bounded-memory [`stream::StreamingHistogram`] (~1% relative-error
-//!   quantiles), so long batches run in O(1) telemetry memory. The
-//!   `exact-histograms` feature additionally retains raw samples for
-//!   verification in tests.
+//!   quantiles), so long batches run in O(1) telemetry memory.
 //!
 //! # Disabled fast path
 //!

@@ -21,12 +21,9 @@
 //! recent sample (`last`) are tracked exactly; the mean is computed from
 //! bucket representatives (same ≤ `ALPHA` relative bound) so it is
 //! bit-deterministic regardless of the order concurrent threads recorded
-//! samples in. `NaN` samples are ignored.
-//!
-//! With the `exact-histograms` feature the histogram *additionally* retains
-//! every raw sample, exposed via [`StreamingHistogram::exact_samples`], so
-//! tests can check the streaming estimates against exact statistics on the
-//! same data. The feature changes memory usage only, never the estimates.
+//! samples in. `NaN` samples are ignored. Tests check the estimates
+//! against exact statistics they compute from their own copy of the
+//! samples.
 
 use std::collections::BTreeMap;
 
@@ -73,8 +70,6 @@ pub struct StreamingHistogram {
     pos: BTreeMap<i32, u64>,
     /// Bucket key (of `|v|`) → sample count for negative samples.
     neg: BTreeMap<i32, u64>,
-    #[cfg(feature = "exact-histograms")]
-    samples: Vec<f64>,
 }
 
 impl Default for StreamingHistogram {
@@ -94,8 +89,6 @@ impl StreamingHistogram {
             last: f64::NAN,
             pos: BTreeMap::new(),
             neg: BTreeMap::new(),
-            #[cfg(feature = "exact-histograms")]
-            samples: Vec::new(),
         }
     }
 
@@ -115,8 +108,6 @@ impl StreamingHistogram {
         } else {
             *self.neg.entry(bucket_key(-value)).or_insert(0) += 1;
         }
-        #[cfg(feature = "exact-histograms")]
-        self.samples.push(value);
     }
 
     /// Folds another histogram's buckets into this one (used by rolling
@@ -136,8 +127,6 @@ impl StreamingHistogram {
         for (k, c) in &other.neg {
             *self.neg.entry(*k).or_insert(0) += c;
         }
-        #[cfg(feature = "exact-histograms")]
-        self.samples.extend_from_slice(&other.samples);
     }
 
     /// Number of samples recorded (exact).
@@ -233,13 +222,6 @@ impl StreamingHistogram {
     /// number of distinct sample magnitudes, not the sample count).
     pub fn bucket_count(&self) -> usize {
         self.pos.len() + self.neg.len() + usize::from(self.zeros > 0)
-    }
-
-    /// The raw samples, retained only under the `exact-histograms`
-    /// feature so tests can compare streaming estimates to exact values.
-    #[cfg(feature = "exact-histograms")]
-    pub fn exact_samples(&self) -> &[f64] {
-        &self.samples
     }
 }
 

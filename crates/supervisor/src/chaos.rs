@@ -340,7 +340,7 @@ fn net_chaos_trial(
     std::fs::create_dir_all(scratch).map_err(|e| format!("scratch dir: {e}"))?;
 
     // Uninterrupted in-process reference: the sealed manifest every
-    // proxied + killed + merged run must reproduce bit-for-bit.
+    // proxied + killed run must reproduce bit-for-bit.
     let config = SupervisorConfig {
         workers: opts.threads.max(1),
         batch_seed,
@@ -455,7 +455,7 @@ fn net_chaos_trial(
     // the proxy dropped, flipped, duplicated, or severed.
     if report.records.len() != jobs.len() {
         trial.violate(format!(
-            "coordinator merged {} records for {} jobs",
+            "coordinator sealed {} records for {} jobs",
             report.records.len(),
             jobs.len()
         ));

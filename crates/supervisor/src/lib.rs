@@ -36,12 +36,13 @@
 //! hangs, and transient faults.
 //!
 //! Determinism is also what makes the batch **horizontally shardable**
-//! ([`remote`], [`shard`], [`merge`]): a TCP coordinator splits a batch
-//! across worker processes by `index % N`, grants each shard under a
-//! monotonic lease epoch, re-grants a silent worker's shard at the next
-//! epoch, and unions the per-shard manifests into a sealed
-//! `batch.manifest` that is bit-identical to a 1-shard run's — takeover
-//! provenance recorded beside it in `merge.lineage`, never inside it.
+//! ([`remote`], [`shard`]): a TCP coordinator splits a batch across
+//! worker processes by `index % N`, grants each shard under a monotonic
+//! lease epoch, re-grants a silent worker's shard at the next epoch,
+//! checks every record on the wire as it arrives, and seals the union of
+//! its record table as a `batch.manifest` that is bit-identical to a
+//! 1-shard run's — takeover provenance goes to `net.takeover` trace
+//! events, never into the manifest.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -51,7 +52,6 @@ pub mod chaos;
 pub mod engine;
 pub mod job;
 pub mod manifest;
-pub mod merge;
 pub mod progress;
 pub mod queue;
 pub mod remote;
@@ -65,7 +65,6 @@ pub use engine::{
 };
 pub use job::{attempt_seed, job_seed, parse_jobs, JobRecord, JobSpec, JobState};
 pub use manifest::{decode_manifest, encode_manifest, BatchMeta, KIND_BATCH_MANIFEST};
-pub use merge::{merge_shards, MergeError, MergeOutcome, ShardLineage, KIND_MERGE_LINEAGE};
 pub use progress::{ProgressSnapshot, ProgressTracker};
 pub use queue::{admit, admit_plan, Admission, JobQueue, Lane, ShedPolicy, FAST_LANE_MAX_QUBITS};
 pub use remote::{
@@ -73,6 +72,6 @@ pub use remote::{
     CoordinatorReport, CoordinatorWatch, RemoteError, RemoteTakeover, WorkerOptions, WorkerReport,
 };
 pub use shard::{
-    decode_shard_manifest, encode_shard_manifest, job_shard, shard_indices, shard_manifest_path,
-    ShardMeta, ShardSpec, KIND_SHARD_MANIFEST,
+    decode_shard_manifest, encode_shard_manifest, job_shard, shard_indices, ShardMeta, ShardSpec,
+    KIND_SHARD_MANIFEST,
 };

@@ -21,17 +21,22 @@
 //!   [`BackoffPolicy`](crate::backoff::BackoffPolicy): the retry
 //!   schedule is a pure function of `(worker id, attempt)` and replays
 //!   bit-for-bit.
+//! - Every record is checked on the wire as it arrives: a stale epoch is
+//!   fenced off, an index must belong to the claimed shard, its id must
+//!   match the jobs file, and a duplicate must be bit-identical. A record
+//!   that passes is final; nothing re-validates it later.
 //! - Degradation is graceful on both ends: a worker that exhausts its
 //!   transport budget mid-shard seals what it has as a local
-//!   `shard-<id>.manifest.partial` (same CRC-sealed codec, a name the
-//!   merge scan ignores) and exits resumable; a coordinator that loses
-//!   every worker rescues unfinished shards in-process at the next
-//!   epoch.
+//!   `shard-<id>.manifest.partial` (the CRC-sealed shard codec, read only
+//!   by `pcd report`) and exits resumable; a coordinator that loses every
+//!   worker rescues unfinished shards in-process at the next epoch.
 //!
-//! After the last job lands the coordinator seals one ordinary
-//! `shard-<id>.manifest` per shard and reuses [`crate::merge`] verbatim,
-//! so a multi-machine batch's `batch.manifest` is bit-identical to a
-//! single-machine run's.
+//! After the last job lands the coordinator seals the union of its
+//! per-shard record tables into `batch.manifest` with the same encoder a
+//! single-process run uses, so a multi-machine batch's manifest is
+//! bit-identical to a single-machine run's. Takeover provenance lives in
+//! the `net.takeover` trace events and the [`CoordinatorReport`], never
+//! in the manifest.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -45,8 +50,7 @@ use net::{read_frame, write_frame, Message, PROTOCOL_VERSION};
 use crate::backoff::BackoffPolicy;
 use crate::engine::{run_scoped, InjectionPlan, SupervisorConfig, SupervisorError};
 use crate::job::{parse_jobs, JobRecord, JobSpec};
-use crate::manifest::{decode_record_sparse, encode_record, BatchMeta};
-use crate::merge::merge_shards;
+use crate::manifest::{decode_record_sparse, encode_manifest, encode_record, BatchMeta};
 use crate::shard::{encode_shard_manifest, shard_indices, ShardMeta, ShardSpec};
 use resilience::splitmix64;
 
@@ -151,7 +155,7 @@ pub struct RemoteTakeover {
 /// What a coordinator run accomplished.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordinatorReport {
-    /// The full merged record set, ascending indices.
+    /// The full record set, ascending indices.
     pub records: Vec<JobRecord>,
     /// The sealed `batch.manifest` bytes — bit-identical to a
     /// single-machine run of the same batch.
@@ -194,7 +198,8 @@ impl CoordState {
 struct CoordCtx {
     state: Mutex<CoordState>,
     jobs_jsonl: String,
-    n_jobs: usize,
+    /// Job ids by index: a record must carry its job's id.
+    ids: Vec<String>,
     batch_seed: u64,
     fault_rate: f64,
     shards: usize,
@@ -261,7 +266,7 @@ impl Coordinator {
         }
         let Some(dir) = config.ckpt_dir.clone() else {
             return Err(SupervisorError::Spec(
-                "a coordinator needs --checkpoint (shard manifests seal there)".to_string(),
+                "a coordinator needs --checkpoint (batch.manifest seals there)".to_string(),
             )
             .into());
         };
@@ -301,7 +306,7 @@ impl Coordinator {
                 draining: false,
             }),
             jobs_jsonl,
-            n_jobs: jobs.len(),
+            ids: jobs.iter().map(|j| j.id.clone()).collect(),
             batch_seed: config.batch_seed,
             fault_rate: config.pipeline_fault_rate,
             shards: opts.shards,
@@ -335,13 +340,14 @@ impl Coordinator {
     }
 
     /// Serves the batch to completion: accepts workers, grants shards,
-    /// expires silent leases into epoch takeovers, collects records,
-    /// seals per-shard manifests, and merges them into `batch.manifest`.
+    /// expires silent leases into epoch takeovers, collects records, and
+    /// seals them into `batch.manifest`.
     ///
     /// # Errors
     ///
     /// [`RemoteError::TransportLost`] when the deadline passes with
-    /// rescue disabled, otherwise supervisor/merge failures.
+    /// rescue disabled, otherwise supervisor failures (a rescue run or the
+    /// seal).
     pub fn run(self) -> Result<CoordinatorReport, RemoteError> {
         let mut span = obs::span("net.coordinator");
         span.record("shards", self.opts.shards);
@@ -446,9 +452,7 @@ impl Coordinator {
             let mut state = self.ctx.state.lock().unwrap_or_else(|e| e.into_inner());
             let slot = &mut state.slots[shard_id];
             slot.epoch += if slot.granted { 1 } else { 0 };
-            if let Some(dead) = slot.owner.replace("net:coordinator".to_string()) {
-                slot.taken_over_from = Some(dead);
-            }
+            slot.owner = Some("net:coordinator".to_string());
             slot.records = records
                 .iter()
                 .map(|r| (r.index, (encode_record(r).to_string(), r.clone())))
@@ -459,41 +463,45 @@ impl Coordinator {
         Ok(rescued)
     }
 
-    /// Seals one manifest per shard and merges them through
-    /// [`merge_shards`], so the sealed bytes match a 1-shard run's.
+    /// Seals the union of the shard record tables as `batch.manifest`.
+    /// Every slot is done or rescued by now, and the slots partition the
+    /// indices, so the union is the whole batch and its bytes match a
+    /// 1-shard run's.
     fn seal(&self, rescued: Vec<usize>) -> Result<CoordinatorReport, RemoteError> {
         let meta = BatchMeta {
             batch_seed: self.config.batch_seed,
             jobs: self.jobs.len(),
             pipeline_fault_rate: self.config.pipeline_fault_rate,
         };
-        let (takeovers, deduped) = {
+        let (mut records, takeovers, deduped) = {
             let state = self.ctx.state.lock().unwrap_or_else(|e| e.into_inner());
-            for (shard_id, slot) in state.slots.iter().enumerate() {
-                let records: Vec<JobRecord> =
-                    slot.records.values().map(|(_, r)| r.clone()).collect();
-                let shard_meta = ShardMeta {
-                    batch: meta,
-                    shards: self.opts.shards,
-                    shard_id,
-                    owner: slot
-                        .owner
-                        .clone()
-                        .unwrap_or_else(|| "net:coordinator".to_string()),
-                    epoch: slot.epoch,
-                    taken_over_from: slot.taken_over_from.clone(),
-                };
-                encode_shard_manifest(&shard_meta, &records)
-                    .write(crate::shard::shard_manifest_path(&self.dir, shard_id))
-                    .map_err(SupervisorError::from)?;
-            }
-            (state.takeovers.clone(), state.deduped)
+            let records: Vec<JobRecord> = state
+                .slots
+                .iter()
+                .flat_map(|slot| slot.records.values().map(|(_, r)| r.clone()))
+                .collect();
+            (records, state.takeovers.clone(), state.deduped)
         };
-        let merged = merge_shards(&self.dir, &self.jobs)
-            .map_err(|e| RemoteError::Supervisor(SupervisorError::Spec(format!("merge: {e}"))))?;
+        records.sort_by_key(|r| r.index);
+        if records.len() != self.jobs.len() {
+            return Err(SupervisorError::Spec(format!(
+                "coordinator holds {} of {} records at seal",
+                records.len(),
+                self.jobs.len()
+            ))
+            .into());
+        }
+        let manifest = encode_manifest(&meta, &records);
+        manifest
+            .write(self.dir.join("batch.manifest"))
+            .map_err(SupervisorError::from)?;
+        obs::event!(
+            "supervisor.manifest_written",
+            pending = records.iter().filter(|r| !r.state.is_terminal()).count()
+        );
         Ok(CoordinatorReport {
-            records: merged.records,
-            sealed: merged.sealed,
+            records,
+            sealed: manifest.to_bytes(),
             takeovers,
             rescued,
             deduped,
@@ -637,7 +645,7 @@ fn respond(msg: Message, ctx: &Arc<CoordCtx>) -> Message {
                     ),
                 };
             }
-            if index >= ctx.n_jobs || crate::shard::job_shard(index, ctx.shards) != shard_id {
+            if index >= ctx.ids.len() || crate::shard::job_shard(index, ctx.shards) != shard_id {
                 return Message::Reject {
                     reason: format!("index {index} does not belong to shard {shard_id}"),
                 };
@@ -646,12 +654,20 @@ fn respond(msg: Message, ctx: &Arc<CoordCtx>) -> Message {
                 .map_err(|e| e.to_string())
                 .and_then(|v| decode_record_sparse(&v).map_err(|e| e.to_string()))
             {
-                Ok(r) if r.index == index => r,
-                Ok(r) => {
+                Ok(r) if r.index != index => {
                     return Message::Reject {
                         reason: format!("record index {} disagrees with envelope {index}", r.index),
                     }
                 }
+                Ok(r) if r.id != ctx.ids[index] => {
+                    return Message::Reject {
+                        reason: format!(
+                            "job {index} is `{}` in the record but `{}` in the jobs file",
+                            r.id, ctx.ids[index]
+                        ),
+                    }
+                }
+                Ok(r) => r,
                 Err(e) => {
                     return Message::Reject {
                         reason: format!("undecodable record: {e}"),
@@ -675,7 +691,7 @@ fn respond(msg: Message, ctx: &Arc<CoordCtx>) -> Message {
             slot.records.insert(index, (record_json, record));
             obs::counter_add("net.coord.results_received", 1);
             let owned = shard_indices(
-                ctx.n_jobs,
+                ctx.ids.len(),
                 &ShardSpec {
                     shards: ctx.shards,
                     shard_id,
@@ -871,10 +887,9 @@ fn parse_welcome(welcome: Message, opts: &WorkerOptions) -> Result<WelcomeInfo, 
     })
 }
 
-/// The path a worker seals partial progress to: the ordinary shard
-/// manifest name plus `.partial`, which the merge scan deliberately
-/// ignores — partial seals are for `pcd report` forensics and manual
-/// resume, never for silent inclusion in a merge.
+/// The path a worker seals partial progress to: `shard-<id>.manifest`
+/// plus `.partial`. The coordinator never reads it — partial seals are
+/// for `pcd report` forensics and manual resume, never workload.
 pub fn partial_manifest_path(dir: &Path, shard_id: usize) -> PathBuf {
     dir.join(format!("shard-{shard_id}.manifest.partial"))
 }
@@ -1339,6 +1354,87 @@ mod tests {
     }
 
     #[test]
+    fn wire_checks_reject_foreign_mislabelled_and_divergent_records() {
+        let dir = scratch("wire");
+        let jobs = trial_jobs(4);
+        let config = config(29, &dir.join("ckpt"));
+        let expected = reference_bytes(&jobs, &config);
+
+        let coordinator = Coordinator::bind(
+            &jobs,
+            &config,
+            CoordinatorOptions {
+                shards: 2,
+                lease_ms: 200,
+                heartbeat_ms: 40,
+                ..CoordinatorOptions::default()
+            },
+        )
+        .unwrap();
+        let addr = coordinator.addr();
+        let coord = std::thread::spawn(move || coordinator.run());
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let hello = Message::Hello {
+            worker: "prober".to_string(),
+            version: PROTOCOL_VERSION,
+        };
+        assert!(matches!(
+            call(&mut stream, &hello).unwrap(),
+            Message::Welcome { .. }
+        ));
+        let claim = Message::Claim {
+            worker: "prober".to_string(),
+        };
+        assert!(matches!(
+            call(&mut stream, &claim).unwrap(),
+            Message::Grant {
+                shard_id: 0,
+                epoch: 0,
+                ..
+            }
+        ));
+        let worker_config = SupervisorConfig {
+            batch_seed: 29,
+            ..SupervisorConfig::default()
+        };
+        let records = run_scoped(&jobs, &worker_config, None, Some(&[0, 1])).unwrap();
+        let mut send = |record: &JobRecord| {
+            let msg = Message::JobResult {
+                shard_id: 0,
+                epoch: 0,
+                index: record.index,
+                record_json: encode_record(record).to_string(),
+            };
+            call(&mut stream, &msg).unwrap()
+        };
+        // Job 1 belongs to shard 1, not to the granted shard 0.
+        assert!(matches!(send(&records[1]), Message::Reject { .. }));
+        let mislabelled = JobRecord {
+            id: "not-job-0".to_string(),
+            ..records[0].clone()
+        };
+        assert!(matches!(send(&mislabelled), Message::Reject { .. }));
+        // A good record is acked, and so is its bit-identical resend...
+        assert!(matches!(send(&records[0]), Message::Ack { .. }));
+        assert!(matches!(send(&records[0]), Message::Ack { .. }));
+        // ...but a divergent duplicate breaks the determinism contract.
+        let divergent = JobRecord {
+            retries: records[0].retries + 1,
+            ..records[0].clone()
+        };
+        assert!(matches!(send(&divergent), Message::Reject { .. }));
+        drop(stream);
+
+        // A healthy worker takes the prober's shard over and finishes.
+        run_worker(&worker_opts(addr, "healthy")).unwrap();
+        let report = coord.join().unwrap().unwrap();
+        assert!(report.deduped >= 1, "the resend was not deduplicated");
+        assert_eq!(report.sealed, expected, "rejected records leaked in");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn version_skew_is_rejected_as_protocol_error() {
         let dir = scratch("version");
         let jobs = trial_jobs(2);
@@ -1430,9 +1526,6 @@ mod tests {
         assert_eq!(meta.owner, "net:sealer");
         assert_eq!(meta.epoch, 3);
         assert_eq!(back, owned);
-        // The merge scan must not pick the partial up as a shard.
-        let err = merge_shards(&dir, &jobs).unwrap_err();
-        assert!(matches!(err, crate::merge::MergeError::NoShards(_)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

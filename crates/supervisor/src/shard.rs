@@ -7,17 +7,16 @@
 //! it — any process can execute any job and produce the bit-identical
 //! record. That is the safety argument for takeover: when the
 //! [coordinator](crate::remote) re-grants a silent worker's shard at the
-//! next lease epoch, even a *duplicated* execution merges cleanly because
+//! next lease epoch, even a *duplicated* execution is deduplicated because
 //! both copies of a record are equal.
 //!
-//! The coordinator seals `shard-<id>.manifest` per shard — the same
-//! record codec as the batch manifest, but carrying a sparse, ascending
-//! set of *global* job indices plus shard lineage (owner, lease epoch,
-//! takeover provenance) in the header. [`crate::merge`] unions these back
-//! into a standard `batch.manifest` that is bit-identical to a 1-shard
-//! run's.
-
-use std::path::{Path, PathBuf};
+//! The shard manifest is the record codec of the batch manifest, but it
+//! carries a sparse, ascending set of *global* job indices plus shard
+//! lineage (owner, lease epoch, takeover provenance) in the header. Its
+//! one writer is a worker that loses its coordinator mid-shard and seals
+//! `shard-<id>.manifest.partial`; its one reader is `pcd report`. The
+//! coordinator itself never writes per-shard files: it seals
+//! `batch.manifest` straight from its record table.
 
 use obs::json::JsonValue;
 use resilience::{Checkpoint, CheckpointError};
@@ -41,7 +40,7 @@ pub struct ShardSpec {
 }
 
 /// Deterministic job→shard assignment: round-robin over arrival order, so
-/// every shard (and the merge) computes the same partition with no
+/// the coordinator and every worker compute the same partition with no
 /// coordination.
 pub fn job_shard(index: usize, shards: usize) -> usize {
     index % shards.max(1)
@@ -54,17 +53,12 @@ pub fn shard_indices(n_jobs: usize, spec: &ShardSpec) -> Vec<usize> {
         .collect()
 }
 
-/// The path of shard `shard_id`'s manifest under `dir`.
-pub fn shard_manifest_path(dir: &Path, shard_id: usize) -> PathBuf {
-    dir.join(format!("shard-{shard_id}.manifest"))
-}
-
 /// Shard-manifest header: the batch identity every shard must agree on,
 /// plus this shard's lineage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardMeta {
     /// Batch identity (seed, total jobs, fault rate) — identical across
-    /// shards, and identical to the merged manifest's meta.
+    /// shards, and identical to the sealed batch manifest's meta.
     pub batch: BatchMeta,
     /// Total shard count of the run.
     pub shards: usize,

@@ -1,8 +1,9 @@
-//! Shard-fault-tolerance integration: coordinated runs merge
-//! bit-identically to 1-shard runs, a dead worker's shard is taken over at
-//! the next lease epoch while a live one's is never handed out twice, and
-//! the merge is idempotent and commutative over shard counts
-//! (property-tested).
+//! Shard-fault-tolerance integration: a coordinated run seals a
+//! `batch.manifest` bit-identical to a 1-shard run's, whatever the shard
+//! count and whatever an earlier run left in the checkpoint directory; a
+//! dead worker's shard is taken over at the next lease epoch while a live
+//! one's is never handed out twice; and `pcd report` over the checkpoint
+//! directory counts each job once.
 
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -11,13 +12,11 @@ use std::time::Duration;
 
 use net::{read_frame, write_frame, Message, PROTOCOL_VERSION};
 use pauli_codesign::chem::Benchmark;
-use pauli_codesign::report::{classify as classify_artifact, Artifact, ReportBuilder};
+use pauli_codesign::report::{classify_named, ReportBuilder};
 use pauli_codesign::supervisor::{
-    encode_manifest, encode_shard_manifest, merge_shards, run_batch, run_worker,
-    shard_manifest_path, BatchMeta, Coordinator, CoordinatorOptions, CoordinatorReport, JobRecord,
-    JobSpec, JobState, RemoteError, ShardMeta, SupervisorConfig, WorkerOptions,
+    encode_manifest, run_batch, run_worker, BatchMeta, Coordinator, CoordinatorOptions,
+    CoordinatorReport, JobSpec, RemoteError, SupervisorConfig, WorkerOptions,
 };
-use proptest::prelude::*;
 
 static SCRATCH_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -39,99 +38,6 @@ fn jobs(n: usize) -> Vec<JobSpec> {
             ratio: 1.0,
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Property: merge idempotence and commutativity over 1/2/4 shards.
-// ---------------------------------------------------------------------------
-
-/// An arbitrary terminal (or pending) job state.
-fn state_strategy() -> impl Strategy<Value = JobState> {
-    let stage = prop_oneof![Just("scf"), Just("compile"), Just("vqe")];
-    prop_oneof![
-        (0u32..u32::MAX, 1usize..100, 0usize..5).prop_map(|(e, iters, retries)| JobState::Done {
-            energy_bits: (-1.0 - f64::from(e) * 1e-9).to_bits(),
-            iterations: iters,
-            evaluations: iters * 4,
-            scf_retries: retries,
-            sabre_fallback: e % 2 == 0,
-        }),
-        (1usize..4, stage).prop_map(|(attempts, stage)| JobState::Quarantined {
-            attempts,
-            stage: stage.to_string(),
-            error: "injected".to_string(),
-        }),
-        Just(JobState::Shed),
-        (0usize..3, 0usize..8).prop_map(|(attempt, slices)| JobState::Pending {
-            attempt,
-            slices_used: slices,
-            checkpoint: None,
-            breaker: [0, 0, 0],
-        }),
-    ]
-}
-
-fn write_partition(dir: &Path, specs: &[JobSpec], states: &[JobState], shards: usize) {
-    let batch = BatchMeta {
-        batch_seed: 7,
-        jobs: specs.len(),
-        pipeline_fault_rate: 0.125,
-    };
-    for shard_id in 0..shards {
-        let records: Vec<JobRecord> = (0..specs.len())
-            .filter(|i| i % shards == shard_id)
-            .map(|i| JobRecord {
-                index: i,
-                id: specs[i].id.clone(),
-                state: states[i].clone(),
-                retries: i % 3,
-                backoff_ms: 0,
-            })
-            .collect();
-        let meta = ShardMeta {
-            batch,
-            shards,
-            shard_id,
-            owner: format!("pid:{}/{:08x}", 1000 + shard_id, shard_id),
-            epoch: 0,
-            taken_over_from: None,
-        };
-        encode_shard_manifest(&meta, &records)
-            .write(shard_manifest_path(dir, shard_id))
-            .unwrap();
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The same record set partitioned as 1, 2, and 4 shards seals the
-    /// byte-identical batch.manifest, and re-merging is a no-op — the
-    /// merge is a pure function of the record set, not of the partition
-    /// or the number of merge passes.
-    #[test]
-    fn merge_is_idempotent_and_commutative_over_shard_counts(
-        states in prop::collection::vec(state_strategy(), 1..12),
-    ) {
-        let specs = jobs(states.len());
-        let mut sealed: Vec<Vec<u8>> = Vec::new();
-        for shards in [1usize, 2, 4] {
-            let dir = scratch("prop");
-            write_partition(&dir, &specs, &states, shards);
-            let first = merge_shards(&dir, &specs).unwrap();
-            let second = merge_shards(&dir, &specs).unwrap();
-            prop_assert!(
-                first.sealed == second.sealed,
-                "merge not idempotent at {} shards", shards
-            );
-            prop_assert_eq!(first.records.len(), specs.len());
-            prop_assert_eq!(first.missing.len(), 0);
-            sealed.push(first.sealed);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        prop_assert!(sealed[0] == sealed[1], "1-shard vs 2-shard seal differs");
-        prop_assert!(sealed[0] == sealed[2], "1-shard vs 4-shard seal differs");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -194,6 +100,45 @@ fn run_workers(addr: SocketAddr, n: usize) {
     }
 }
 
+/// A loopback run of `specs` at `shards` shards with two healthy workers.
+fn coordinated_run(
+    specs: &[JobSpec],
+    batch_seed: u64,
+    dir: &Path,
+    shards: usize,
+) -> CoordinatorReport {
+    let (addr, coord) = coordinate(
+        specs,
+        batch_seed,
+        dir,
+        CoordinatorOptions {
+            shards,
+            // Far above the test's runtime: healthy workers are never
+            // taken over, whatever the host's load.
+            lease_ms: 60_000,
+            ..CoordinatorOptions::default()
+        },
+    );
+    run_workers(addr, 2);
+    coord
+        .join()
+        .unwrap()
+        .unwrap_or_else(|e| panic!("{shards}-shard run failed: {e}"))
+}
+
+/// The sealed `batch.manifest` bytes, after checking the coordinator left
+/// no per-shard manifest or merge lineage beside it.
+fn sealed_manifest(dir: &Path) -> Vec<u8> {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(
+            name == "batch.manifest" || (!name.ends_with(".manifest") && name != "merge.lineage"),
+            "coordinator left {name} in the checkpoint dir"
+        );
+    }
+    std::fs::read(dir.join("batch.manifest")).unwrap()
+}
+
 /// One request/response exchange on the wire.
 fn call(stream: &mut TcpStream, msg: &Message) -> Message {
     write_frame(stream, &msg.encode()).unwrap();
@@ -222,33 +167,31 @@ fn two_shard_run_merges_bit_identically_to_one_shard_reference() {
     let specs = jobs(5);
     let reference = reference_bytes(&specs, 11);
     let dir = scratch("twoshards");
-    let (addr, coord) = coordinate(
-        &specs,
-        11,
-        &dir,
-        CoordinatorOptions {
-            shards: 2,
-            // Far above the test's runtime: healthy workers are never
-            // taken over, whatever the host's load.
-            lease_ms: 60_000,
-            ..CoordinatorOptions::default()
-        },
-    );
-    run_workers(addr, 2);
-    let report = coord.join().unwrap().unwrap();
+    let report = coordinated_run(&specs, 11, &dir, 2);
     assert!(
         report.records.iter().all(|r| r.state.is_terminal()),
         "coordinated run left pending jobs"
     );
+    assert_eq!(report.records.len(), specs.len());
     assert!(report.takeovers.is_empty());
-    let outcome = merge_shards(&dir, &specs).unwrap();
-    assert!(outcome.complete());
-    assert_eq!(outcome.takeovers().count(), 0);
     assert_eq!(
-        outcome.sealed, reference,
-        "merged manifest differs from the 1-shard reference"
+        sealed_manifest(&dir),
+        reference,
+        "sealed manifest differs from the 1-shard reference"
     );
     assert_eq!(report.sealed, reference);
+
+    // A rerun into the same checkpoint dir at another shard count seals
+    // the same bytes: nothing a 3-shard run leaves behind can trip a
+    // 2-shard run.
+    for shards in [3, 2] {
+        coordinated_run(&specs, 11, &dir, shards);
+        assert_eq!(
+            sealed_manifest(&dir),
+            reference,
+            "{shards}-shard rerun differs from the 1-shard reference"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -290,18 +233,15 @@ fn dead_owner_is_taken_over_at_the_next_epoch_and_merge_matches_reference() {
     assert_eq!(report.takeovers[0].from, "ghost");
     assert_eq!(report.takeovers[0].epoch, 1, "monotonic epoch bump");
 
-    let outcome = merge_shards(&dir, &specs).unwrap();
-    assert!(outcome.complete());
-    let takeovers: Vec<_> = outcome.takeovers().collect();
-    assert_eq!(takeovers.len(), 1, "takeover not visible in merged lineage");
-    assert_eq!(takeovers[0].shard_id, 0);
-    assert_eq!(takeovers[0].epoch, 1);
-    assert_eq!(takeovers[0].taken_over_from.as_deref(), Some("ghost"));
-    let lineage = std::fs::read_to_string(dir.join("merge.lineage")).unwrap();
-    assert!(lineage.contains("ghost"), "merge.lineage:\n{lineage}");
+    assert!(
+        report.records.iter().all(|r| r.state.is_terminal()),
+        "post-takeover run left pending jobs"
+    );
+    assert_eq!(report.sealed, reference);
     assert_eq!(
-        outcome.sealed, reference,
-        "post-takeover merge differs from the 1-shard reference"
+        sealed_manifest(&dir),
+        reference,
+        "post-takeover seal differs from the 1-shard reference"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -358,49 +298,28 @@ fn live_owner_blocks_a_second_claimant() {
 }
 
 // ---------------------------------------------------------------------------
-// Report pipeline: shard manifests and merge lineage classify and render.
+// Report pipeline: a coordinated checkpoint dir reports each job once.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn report_classifies_shard_manifests_and_lineage() {
+fn report_counts_each_job_of_a_coordinated_run_once() {
     let specs = jobs(4);
     let dir = scratch("report");
-    let (addr, coord) = coordinate(
-        &specs,
-        13,
-        &dir,
-        CoordinatorOptions {
-            shards: 2,
-            lease_ms: 60_000,
-            ..CoordinatorOptions::default()
-        },
-    );
-    run_workers(addr, 2);
-    coord.join().unwrap().unwrap();
-
-    let shard_text = std::fs::read_to_string(shard_manifest_path(&dir, 0)).unwrap();
-    let artifact = classify_artifact(&shard_text).unwrap();
-    assert!(
-        matches!(artifact, Artifact::Shard { .. }),
-        "shard manifest misclassified"
-    );
-    let lineage_text = std::fs::read_to_string(dir.join("merge.lineage")).unwrap();
-    let lineage = classify_artifact(&lineage_text).unwrap();
-    assert!(
-        matches!(lineage, Artifact::Lineage(_)),
-        "lineage misclassified"
-    );
+    coordinated_run(&specs, 13, &dir, 2);
 
     let mut builder = ReportBuilder::new();
-    builder.add("shard-0.manifest", artifact);
-    builder.add("merge.lineage", lineage);
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let artifact = classify_named(&name, &std::fs::read(&path).unwrap()).unwrap();
+        builder.add(&name, artifact);
+    }
     let report = builder.finish(&Default::default(), 0.25);
-    assert_eq!(report.shards.len(), 1);
-    assert_eq!(report.shards[0].0, 0, "wrong shard id in breakdown");
-    let rendered = report.render();
-    assert!(
-        rendered.contains("shards:"),
-        "render misses the shard section:\n{rendered}"
+    assert_eq!(
+        report.jobs,
+        (4, 0, 0, 0),
+        "jobs (done, quarantined, shed, pending) over {:?}",
+        report.inputs
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
