@@ -53,7 +53,6 @@ fn main() {
                         value_tolerance: 1e-8,
                         ..Default::default()
                     },
-                    ..Default::default()
                 };
                 let run = run_vqe_noisy(system.qubit_hamiltonian(), &ir, evaluator, options)
                     .expect("noisy VQE run");

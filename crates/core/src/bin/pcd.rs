@@ -51,9 +51,7 @@ use pauli_codesign::supervisor::{
     Coordinator, CoordinatorOptions, InjectionPlan, JobState, NetChaosOptions, RemoteError,
     ShedPolicy, SupervisedChaosOptions, SupervisorConfig, SupervisorError, WorkerOptions,
 };
-use pauli_codesign::vqe::driver::{
-    run_vqe, run_vqe_resumable, ExpectationStrategy, VqeOptions, VqeResult, VqeRun,
-};
+use pauli_codesign::vqe::driver::{run_vqe, run_vqe_resumable, VqeOptions, VqeResult, VqeRun};
 
 /// A CLI failure: either bad usage (exit 1, prints usage) or a typed
 /// pipeline error carrying its own exit code.
@@ -264,16 +262,11 @@ commands:
   vqe <molecule> [--bond Å] [--ratio R]
                                       run compressed-ansatz VQE
   run <molecule> [--bond Å] [--ratio R] [--samples N]
-      [--expectation terms|clustered]
                                       durable pipeline: compressed VQE then
                                       fabrication-yield Monte Carlo, under
                                       the budget/checkpoint options below;
-                                      --expectation picks the energy
-                                      evaluator for objective-only
-                                      optimizers (terms = per-term sweeps,
-                                      clustered = one fused sweep per
-                                      commuting cluster) and the result is
-                                      cross-checked with both
+                                      the VQE energy is cross-checked with
+                                      the per-term and clustered evaluators
   adapt <molecule> [--bond Å] [--pool plain|generalized]
                                       run ADAPT-VQE
   excited <molecule> [--states K]     run a VQD excited-state ladder
@@ -415,8 +408,11 @@ commands:
                                       Hamiltonian evaluator (which must
                                       beat the per-term serial sweep, else
                                       exit 21; cluster structure lands in
-                                      the report's _clusters block) and
-                                      write a JSON report (default
+                                      the report's _clusters block), the
+                                      grouped H|ψ⟩ (h_apply) and the fused
+                                      adjoint gradient (which must beat its
+                                      parameter-shift oracle, else exit
+                                      21), and write a JSON report (default
                                       BENCH_pipeline.json);
                                       with --baseline, exit 21 if any
                                       benchmark is >10% slower than FILE
@@ -458,6 +454,15 @@ molecules: H2 LiH NaH HF BeH2 H2O BH3 NH3 CH4";
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let command = args.first().map(String::as_str).unwrap_or("help");
+    // `pcd run --expectation` is retired; caught before flag parsing so a
+    // trailing `--expectation` names the removal too.
+    if command == "run" && args.iter().any(|a| a == "--expectation") {
+        return Err(CliError::Usage(
+            "--expectation is gone: the optimizer always uses the grouped H|ψ⟩ energy, \
+             and `pcd run` still prints the per-term/clustered cross-check"
+                .to_string(),
+        ));
+    }
     // The retired chaos selectors took no value, so catch them before
     // flag parsing would swallow the argument after one.
     if command == "chaos" {
@@ -803,15 +808,6 @@ fn cmd_run(flags: &Flags) -> Result<(), CliError> {
             "--degrade-threshold must be in (0, 1]".to_string(),
         ));
     }
-    let expectation = match flags.get("expectation").unwrap_or("terms") {
-        "terms" => ExpectationStrategy::PerTerm,
-        "clustered" => ExpectationStrategy::Clustered,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--expectation must be `terms` or `clustered`, got `{other}`"
-            )));
-        }
-    };
     let ckpt_dir = flags.get("checkpoint").map(str::to_string);
     let resume = flags.is_set("resume");
     if resume && ckpt_dir.is_none() {
@@ -852,10 +848,7 @@ fn cmd_run(flags: &Flags) -> Result<(), CliError> {
                 system.qubit_hamiltonian(),
                 &ir,
                 &x0,
-                VqeOptions {
-                    expectation,
-                    ..Default::default()
-                },
+                VqeOptions::default(),
                 vqe_resume,
                 &budget,
             )
@@ -938,9 +931,9 @@ fn cmd_run(flags: &Flags) -> Result<(), CliError> {
     );
     println!("  VQE energy   : {:.6} Ha", result.energy);
     println!("  energy bits  : 0x{}", f64_to_hex(result.energy));
-    // Cross-check the converged energy with both evaluators: the clustered
-    // and per-term paths must agree at the optimum regardless of which one
-    // drove the optimizer.
+    // Cross-check the converged energy with both evaluators: the per-term
+    // and clustered paths must agree with each other and with the grouped
+    // `H|ψ⟩` energy that drove the optimizer.
     {
         use pauli_codesign::pauli::ClusteredSum;
         let final_state = pauli_codesign::vqe::prepare_state(&ir, &result.params);
@@ -948,12 +941,8 @@ fn cmd_run(flags: &Flags) -> Result<(), CliError> {
         let clustered_sum = ClusteredSum::build(system.qubit_hamiltonian());
         let clustered = final_state.expectation_with(&clustered_sum);
         let stats = clustered_sum.stats();
-        let label = match expectation {
-            ExpectationStrategy::PerTerm => "terms",
-            ExpectationStrategy::Clustered => "clustered",
-        };
         println!(
-            "  evaluator    : {label} (cross-check terms {per_term:.9} / clustered {clustered:.9})"
+            "  evaluator    : grouped (cross-check terms {per_term:.9} / clustered {clustered:.9})"
         );
         println!(
             "  H clusters   : {} over {} terms (largest {}, fused {}, Clifford depth {})",
@@ -2045,6 +2034,63 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         )]));
     }
 
+    // Grouped H|ψ⟩ (one pair sweep per distinct flip mask) at one thread:
+    // the Lanczos matvec and the H|ψ⟩ inside every gradient.
+    let mut h_psi = vec![pauli_codesign::numeric::Complex64::ZERO; 1 << n_qubits];
+    let h_apply = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || h.apply(sv.amplitudes(), &mut h_psi))
+    });
+    println!("{:<28} {:>14}", "h_apply", h_apply.median_ns);
+    records.push(BenchRecord {
+        name: "h_apply".to_string(),
+        median_ns: h_apply.median_ns,
+        threads: 1,
+        n_qubits,
+    });
+
+    // Fused adjoint gradient against its per-entry parameter-shift oracle
+    // at one thread, on a chemistry-free UCCSD IR (2 electrons) and the
+    // synthetic H. In-bench gate: the fused walk exists to beat the
+    // unfused one, so falling behind it is a regression (exit 21).
+    if n_qubits % 2 == 0 && n_qubits >= 4 {
+        let ir = UccsdAnsatz::new(n_qubits / 2, 2).into_ir();
+        let theta: Vec<f64> = (0..ir.num_parameters())
+            .map(|k| 0.05 * ((k % 7) as f64 - 3.0))
+            .collect();
+        let fused = criterion::measure(warmup, samples, || {
+            par::with_threads(1, || vqe::energy_and_gradient(&h, &ir, &theta))
+        });
+        let oracle = criterion::measure(warmup, samples, || {
+            par::with_threads(1, || vqe::parameter_shift_gradient(&h, &ir, &theta))
+        });
+        println!(
+            "{:<28} {:>14} {:>14} {:>8.2}x",
+            "vqe_gradient (oracle/fused)",
+            oracle.median_ns,
+            fused.median_ns,
+            oracle.median_ns as f64 / fused.median_ns.max(1) as f64
+        );
+        for (name, m) in [
+            ("vqe_gradient_oracle", &oracle),
+            ("vqe_gradient_fused", &fused),
+        ] {
+            records.push(BenchRecord {
+                name: name.to_string(),
+                median_ns: m.median_ns,
+                threads: 1,
+                n_qubits,
+            });
+        }
+        if fused.median_ns >= oracle.median_ns {
+            return Err(CliError::BenchRegression(vec![format!(
+                "vqe_gradient_fused: {} ns not faster than vqe_gradient_oracle {} ns",
+                fused.median_ns, oracle.median_ns
+            )]));
+        }
+    } else {
+        println!("vqe_gradient: skipped (a UCCSD register needs an even qubit count ≥ 4)");
+    }
+
     // Pauli-string evolution spanning the full register.
     let ops = ["X", "Y", "Z"];
     let label: String = (0..n_qubits).map(|q| ops[q % 3]).collect();
@@ -2530,6 +2576,24 @@ mod tests {
     }
 
     #[test]
+    fn retired_expectation_flag_is_a_usage_error_naming_its_removal() {
+        for args in [
+            &["run", "H2", "--expectation", "clustered"][..],
+            &["run", "H2", "--expectation", "terms"],
+            &["run", "H2", "--expectation"],
+        ] {
+            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = run(&argv).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 1, "{args:?}");
+            assert!(
+                err.to_string().contains("--expectation is gone"),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn bench_gate_flags_synthetic_slowdown_over_tolerance() {
         let baseline = obs::json::parse(
             r#"{"expectation_serial": {"median_ns": 1000, "threads": 1, "n_qubits": 12},
@@ -2620,6 +2684,34 @@ mod tests {
                 documented.contains(&code),
                 "README exit-code table is stale: exit {code} is undocumented"
             );
+        }
+    }
+
+    /// Doc-sync: a retired flag appears in neither the usage text nor a
+    /// README command line (`$ …`), so no documented invocation hits the
+    /// usage error that names its removal.
+    #[test]
+    fn retired_flags_appear_in_no_usage_text_or_readme_command() {
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+                .expect("README.md readable");
+        let commands = readme
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix("$ "));
+        let retired: Vec<String> = RETIRED_CHAOS_SELECTORS
+            .iter()
+            .map(|s| format!("--{s}"))
+            .chain(["--expectation".to_string()])
+            .collect();
+        for (source, text) in
+            std::iter::once(("usage", USAGE)).chain(commands.map(|c| ("README", c)))
+        {
+            for token in text.split_whitespace() {
+                assert!(
+                    !retired.iter().any(|r| r == token),
+                    "{source} still advertises retired flag {token}: {text}"
+                );
+            }
         }
     }
 

@@ -232,42 +232,74 @@ pub fn for_each_chunk_mut<T: Send>(
     chunk_len: usize,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
+    map_chunks_mut(data, chunk_len, f);
+}
+
+/// [`for_each_chunk_mut`] for kernels that also return a per-chunk result:
+/// the results come back **in ascending chunk order**, whatever worker ran
+/// each chunk, so a caller folding them in order gets the same floats at
+/// every thread count.
+///
+/// # Panics
+///
+/// Panics if `chunk_len` is zero.
+pub fn map_chunks_mut<T: Send, A: Send>(
+    data: &mut [T],
+    chunk_len: usize,
+    f: impl Fn(usize, &mut [T]) -> A + Sync,
+) -> Vec<A> {
     assert!(chunk_len > 0, "chunk_len must be positive");
     let len = data.len();
     let threads = threads_for(len);
-    let n_chunks = len.div_ceil(chunk_len.max(1));
+    let n_chunks = len.div_ceil(chunk_len);
     if threads <= 1 || n_chunks <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i * chunk_len, chunk);
-        }
-        return;
+        return data
+            .chunks_mut(chunk_len)
+            .enumerate()
+            .map(|(i, chunk)| f(i * chunk_len, chunk))
+            .collect();
     }
     let workers = threads.min(n_chunks);
     record(n_chunks, workers);
     let mut assignments: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
     for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        assignments[i % workers].push((i * chunk_len, chunk));
+        assignments[i % workers].push((i, chunk));
     }
     let f = &f;
+    let mut slots: Vec<Option<A>> = std::iter::repeat_with(|| None).take(n_chunks).collect();
     std::thread::scope(|s| {
         let handles: Vec<_> = assignments
             .into_iter()
             .map(|batch| {
                 s.spawn(move || {
                     with_threads(1, || {
-                        for (offset, chunk) in batch {
-                            f(offset, chunk);
-                        }
+                        batch
+                            .into_iter()
+                            .map(|(i, chunk)| (i, f(i * chunk_len, chunk)))
+                            .collect::<Vec<_>>()
                     })
                 })
             })
             .collect();
         for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
+            match h.join() {
+                Ok(results) => {
+                    for (i, a) in results {
+                        slots[i] = Some(a);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
+    slots
+        .into_iter()
+        .map(|slot| match slot {
+            Some(a) => a,
+            // Every chunk index is assigned to exactly one worker above.
+            None => unreachable!("chunk result missing"),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -372,6 +404,25 @@ mod tests {
             for (i, &x) in data.iter().enumerate() {
                 assert_eq!(x, i as u32 + 1, "threads {t}, index {i}");
             }
+        }
+    }
+
+    #[test]
+    fn map_chunks_mut_returns_results_in_chunk_order() {
+        let len = 2 * SERIAL_CUTOFF + 5;
+        for t in [1, 2, 4] {
+            let mut data = vec![1u32; len];
+            let offsets = with_threads(t, || {
+                map_chunks_mut(&mut data, 1000, |offset, chunk| {
+                    chunk.iter_mut().for_each(|x| *x = 2);
+                    (offset, chunk.len())
+                })
+            });
+            let expected: Vec<(usize, usize)> = (0..len.div_ceil(1000))
+                .map(|i| (i * 1000, 1000.min(len - i * 1000)))
+                .collect();
+            assert_eq!(offsets, expected, "threads {t}");
+            assert!(data.iter().all(|&x| x == 2), "threads {t}");
         }
     }
 

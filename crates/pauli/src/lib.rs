@@ -10,6 +10,9 @@
 //! * [`WeightedPauliSum`] — weighted sums of Pauli strings, i.e. Hermitian
 //!   observables such as molecular Hamiltonians, with fast statevector
 //!   action, expectation values, and exact ground states via Lanczos;
+//! * [`flip`] — the amplitude pairs `{b, b⊕x}` that every string with X
+//!   mask `x` acts on: the sweep structure of the grouped `H|ψ⟩` and of the
+//!   fused VQE inner loop;
 //! * [`ClusteredSum`] — the same sum partitioned into general-commuting
 //!   clusters, each simultaneously diagonalized by one Clifford circuit,
 //!   with a fused diagonal-frame expectation evaluator.
@@ -34,6 +37,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cluster;
+pub mod flip;
 pub mod grouping;
 pub mod string;
 pub mod sum;

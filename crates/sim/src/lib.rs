@@ -4,7 +4,9 @@
 //!
 //! * [`Statevector`] — exact noise-free simulation, with a fast direct
 //!   Pauli-evolution path (`exp(-i·θ/2·P)` applied in one O(2ⁿ) sweep, no
-//!   gate decomposition) used by the VQE inner loop;
+//!   gate decomposition), and a fused path that applies a run of
+//!   [`PauliRotation`]s sharing one flip mask in one sweep — the VQE inner
+//!   loop;
 //! * [`DensityMatrix`] — mixed-state simulation with depolarizing noise
 //!   channels attached to CNOTs, used for the paper's noisy case studies
 //!   (Fig 10);
@@ -31,10 +33,12 @@
 
 pub mod density;
 pub mod noise;
+pub mod rotation;
 pub mod statevector;
 pub mod trajectory;
 
 pub use density::DensityMatrix;
 pub use noise::NoiseModel;
+pub use rotation::PauliRotation;
 pub use statevector::Statevector;
 pub use trajectory::{noisy_expectation_trajectories, TrajectoryEstimate};

@@ -2,7 +2,9 @@
 
 use circuit::{Circuit, Gate};
 use numeric::Complex64;
-use pauli::{PauliString, WeightedPauliSum};
+use pauli::{flip, PauliString, WeightedPauliSum};
+
+use crate::rotation::PauliRotation;
 
 /// A pure quantum state on `n ≤ 24` qubits.
 ///
@@ -211,7 +213,10 @@ impl Statevector {
     }
 
     /// Applies the Pauli evolution `exp(-i·θ/2·P)` directly, without gate
-    /// decomposition — the VQE inner-loop fast path (one O(2ⁿ) sweep).
+    /// decomposition — one O(2ⁿ) sweep per string. This is the per-string
+    /// kernel and the oracle for the fused
+    /// [`apply_pauli_rotations`](Self::apply_pauli_rotations), which the
+    /// VQE inner loop uses.
     ///
     /// Uses `P² = I`: `exp(-i·θ/2·P) = cos(θ/2)·I − i·sin(θ/2)·P`.
     ///
@@ -286,6 +291,56 @@ impl Statevector {
                     }
                     base += block;
                 }
+            });
+        }
+    }
+
+    /// Applies a run of rotations that share one flip mask, in order, in
+    /// one sweep: each amplitude pair (or, for diagonal strings, each
+    /// amplitude) is loaded once and every rotation of the run is applied
+    /// to it in registers. No commutation is assumed — program order is
+    /// kept per pair — so the result is bit-identical to calling
+    /// [`apply_pauli_evolution`](Self::apply_pauli_evolution) for each
+    /// rotation in turn, which stays the per-string kernel and the oracle
+    /// this sweep is tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rotations' flip masks differ or their width differs
+    /// from the state.
+    pub fn apply_pauli_rotations(&mut self, run: &[PauliRotation]) {
+        let Some(first) = run.first() else {
+            return;
+        };
+        let x = first.x_mask();
+        for r in run {
+            assert_eq!(r.x_mask(), x, "a fused run must share one flip mask");
+            assert_eq!(
+                r.num_qubits(),
+                self.num_qubits,
+                "Pauli width must match state"
+            );
+        }
+        let xs = x as usize;
+        for part in run.chunks(flip::MAX_MASKS) {
+            let zs: Vec<u64> = part.iter().map(PauliRotation::z_mask).collect();
+            par::for_each_chunk_mut(&mut self.amps, flip::chunk_len(x), |offset, amps| {
+                flip::for_each_pair(offset, amps.len(), x, &zs, |lo, p| {
+                    if x == 0 {
+                        amps[lo] = part
+                            .iter()
+                            .enumerate()
+                            .fold(amps[lo], |a, (k, r)| r.rotate_diagonal((p >> k) & 1, a));
+                    } else {
+                        let hi = lo ^ xs;
+                        let (mut a_lo, mut a_hi) = (amps[lo], amps[hi]);
+                        for (k, r) in part.iter().enumerate() {
+                            (a_lo, a_hi) = r.rotate_pair((p >> k) & 1, a_lo, a_hi);
+                        }
+                        amps[lo] = a_lo;
+                        amps[hi] = a_hi;
+                    }
+                });
             });
         }
     }

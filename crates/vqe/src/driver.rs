@@ -13,26 +13,6 @@ use crate::optimize::{
 };
 use crate::state::energy_and_gradient;
 
-/// How objective-only optimizers evaluate `⟨ψ(θ)|H|ψ(θ)⟩`.
-///
-/// The L-BFGS path computes energy and gradient together with the adjoint
-/// sweep and is unaffected by this choice; it applies to the
-/// derivative-free optimizers (Nelder-Mead, SPSA), which call the energy
-/// many times against a fixed Hamiltonian.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExpectationStrategy {
-    /// Per-term evaluation: every Hamiltonian term sweeps the full
-    /// statevector independently.
-    #[default]
-    PerTerm,
-    /// Cluster-diagonalized evaluation: the Hamiltonian is partitioned
-    /// once, up front, into general-commuting clusters
-    /// ([`pauli::ClusteredSum`]) and every energy call reuses the
-    /// partition, paying one fused diagonal-frame sweep per cluster
-    /// instead of one sweep per term.
-    Clustered,
-}
-
 /// Options for a VQE run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VqeOptions {
@@ -40,8 +20,6 @@ pub struct VqeOptions {
     pub optimizer: OptimizerKind,
     /// Convergence controls.
     pub controls: OptimizeControls,
-    /// Energy evaluator for objective-only optimizers.
-    pub expectation: ExpectationStrategy,
 }
 
 impl Default for VqeOptions {
@@ -49,7 +27,6 @@ impl Default for VqeOptions {
         VqeOptions {
             optimizer: OptimizerKind::Lbfgs,
             controls: OptimizeControls::default(),
-            expectation: ExpectationStrategy::default(),
         }
     }
 }
@@ -220,15 +197,7 @@ pub fn run_vqe_resumable(
         span.record("resumed", true);
     }
     let x0 = x0.to_vec();
-    // Partition once; every objective call below reuses it.
-    let clustered = match options.expectation {
-        ExpectationStrategy::Clustered => Some(pauli::ClusteredSum::build(hamiltonian)),
-        ExpectationStrategy::PerTerm => None,
-    };
-    let objective = |theta: &[f64]| match &clustered {
-        Some(cs) => crate::state::prepare_state(ir, theta).expectation_with(cs),
-        None => crate::state::energy(hamiltonian, ir, theta),
-    };
+    let objective = |theta: &[f64]| crate::state::energy(hamiltonian, ir, theta);
     let run = match options.optimizer {
         OptimizerKind::Lbfgs => {
             let st = match resume {
@@ -451,7 +420,6 @@ mod tests {
                     max_iterations: 2000,
                     ..Default::default()
                 },
-                ..Default::default()
             },
         )
         .unwrap();
@@ -459,32 +427,35 @@ mod tests {
     }
 
     #[test]
-    fn clustered_strategy_agrees_with_per_term() {
+    fn objective_only_optimum_agrees_with_per_term_and_clustered_evaluators() {
+        // Nelder-Mead drives the grouped `H|ψ⟩` energy; at its optimum the
+        // per-term and clustered evaluators must read the same energy.
         let (h, ir) = toy();
-        let base = VqeOptions {
-            optimizer: OptimizerKind::NelderMead,
-            controls: OptimizeControls {
-                max_iterations: 2000,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let per_term = run_vqe(&h, &ir, base).unwrap();
-        let clustered = run_vqe(
+        let run = run_vqe(
             &h,
             &ir,
             VqeOptions {
-                expectation: ExpectationStrategy::Clustered,
-                ..base
+                optimizer: OptimizerKind::NelderMead,
+                controls: OptimizeControls {
+                    max_iterations: 2000,
+                    ..Default::default()
+                },
             },
         )
         .unwrap();
+        let psi = crate::state::prepare_state(&ir, &run.params);
+        let per_term = psi.expectation(&h);
+        let clustered = psi.expectation_with(&pauli::ClusteredSum::build(&h));
         assert!(
-            (per_term.energy - clustered.energy).abs() < 1e-6,
-            "per-term {} vs clustered {}",
-            per_term.energy,
-            clustered.energy
+            (run.energy - per_term).abs() < 1e-12,
+            "grouped {} vs per-term {per_term}",
+            run.energy
         );
+        assert!(
+            (per_term - clustered).abs() < 1e-12,
+            "per-term {per_term} vs clustered {clustered}"
+        );
+        assert!((run.energy + 0.41f64.sqrt()).abs() < 1e-5);
     }
 
     #[test]
@@ -527,7 +498,6 @@ mod tests {
                     max_iterations: 400,
                     ..Default::default()
                 },
-                ..Default::default()
             },
         )
         .unwrap();

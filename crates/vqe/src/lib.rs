@@ -41,8 +41,8 @@ pub use adapt::{
     PoolOperator,
 };
 pub use driver::{
-    run_vqe, run_vqe_from, run_vqe_noisy, run_vqe_resumable, ExpectationStrategy, NoisyEvaluator,
-    VqeCheckpoint, VqeOptions, VqeResult, VqeRun,
+    run_vqe, run_vqe_from, run_vqe_noisy, run_vqe_resumable, NoisyEvaluator, VqeCheckpoint,
+    VqeOptions, VqeResult, VqeRun,
 };
 pub use error::VqeError;
 pub use measurement::{estimate_energy_sampled, measurement_basis_circuit, SampledEnergy};

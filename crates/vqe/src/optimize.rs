@@ -746,13 +746,18 @@ pub fn fd_gradient(f: impl Fn(&[f64]) -> f64 + Sync, x: &[f64], eps: f64) -> Vec
 /// contributions. On a statevector the shifted-energy difference has an
 /// exact closed form — `∂E/∂a_k = Im⟨U_k†…U_E†·HΨ | P_k·φ_{k-1}⟩` — so
 /// instead of rebuilding `2·|entries|` full circuits (quadratic in the
-/// ansatz length) both bra and ket peel backward through the entries once,
-/// like the adjoint sweep in [`crate::state::energy_and_gradient`]. Unlike
-/// the adjoint recurrence, entry `k` is unapplied from *both* states
+/// ansatz length) both bra and ket peel backward through the entries once.
+/// Unlike the adjoint recurrence, entry `k` is unapplied from *both* states
 /// before its bracket is taken: the shift rule differentiates through
 /// `U_k`, so the bracket straddles it. Numerically identical to the
-/// literal shifted-circuit evaluation (pinned by tests) and still serves
-/// as an independent cross-check of the adjoint gradient.
+/// literal shifted-circuit evaluation (pinned by tests).
+///
+/// This is the per-entry, unfused reference oracle for the fused adjoint
+/// walk in [`crate::state::energy_and_gradient`]: it prepares the state and
+/// peels it one [`apply_pauli_evolution`](sim::Statevector::apply_pauli_evolution)
+/// sweep per entry and applies `H` one sweep per term
+/// ([`apply_per_term`](pauli::WeightedPauliSum::apply_per_term)), sharing
+/// no kernel with the fused path.
 ///
 /// # Panics
 ///
@@ -772,10 +777,13 @@ pub fn parameter_shift_gradient(
         ir.num_qubits(),
         "register mismatch"
     );
-    let mut phi = crate::state::prepare_state(ir, params);
+    let mut phi = sim::Statevector::basis_state(ir.num_qubits(), ir.initial_state());
+    for e in ir.entries() {
+        phi.apply_pauli_evolution(&e.string, e.rotation_angle(params[e.param]));
+    }
     let dim = phi.amplitudes().len();
     let mut h_psi = vec![numeric::Complex64::ZERO; dim];
-    hamiltonian.apply(phi.amplitudes(), &mut h_psi);
+    hamiltonian.apply_per_term(phi.amplitudes(), &mut h_psi);
     let mut lambda = sim::Statevector::from_amplitudes(h_psi);
     let mut scratch = vec![numeric::Complex64::ZERO; dim];
 
@@ -784,7 +792,7 @@ pub fn parameter_shift_gradient(
         let angle = e_k.rotation_angle(params[e_k.param]);
         phi.apply_pauli_evolution(&e_k.string, -angle);
         lambda.apply_pauli_evolution(&e_k.string, -angle);
-        crate::state::apply_pauli(&e_k.string, phi.amplitudes(), &mut scratch);
+        apply_pauli(&e_k.string, phi.amplitudes(), &mut scratch);
         let d: f64 = -scratch
             .iter()
             .zip(lambda.amplitudes())
@@ -793,6 +801,25 @@ pub fn parameter_shift_gradient(
         grad[e_k.param] += -2.0 * e_k.coefficient * d;
     }
     grad
+}
+
+/// Applies a bare Pauli string: `out = P·state`.
+fn apply_pauli(
+    p: &pauli::PauliString,
+    state: &[numeric::Complex64],
+    out: &mut [numeric::Complex64],
+) {
+    let x = p.x_mask();
+    let z = p.z_mask();
+    let base = pauli::Phase::from_power_of_i((x & z).count_ones()).to_complex();
+    for b in 0..state.len() as u64 {
+        let sign = if (b & z).count_ones().is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        };
+        out[(b ^ x) as usize] = state[b as usize] * (base * sign);
+    }
 }
 
 #[cfg(test)]

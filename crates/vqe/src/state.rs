@@ -2,17 +2,37 @@
 //!
 //! The VQE inner loop evaluates `E(θ) = ⟨ψ(θ)|H|ψ(θ)⟩` where `ψ(θ)` is the
 //! Pauli-IR evolution applied to the Hartree-Fock determinant. The gradient
-//! is computed in reverse mode with two statevector sweeps — exact, and far
-//! cheaper than parameter-shift for UCCSD's shared parameters.
+//! is computed in reverse mode — exact, and far cheaper than
+//! parameter-shift for UCCSD's shared parameters.
+//!
+//! Both walks are fused by flip mask. Under Jordan–Wigner every string of
+//! one UCCSD excitation shares its X mask, so the IR falls into maximal
+//! runs of consecutive entries with one mask (8 strings per double, 2 per
+//! single). Each run costs one sweep over the amplitude pairs `{b, b⊕x}`
+//! instead of one sweep per entry, with program order kept per pair. The
+//! per-entry paths stay as oracles: [`sim::Statevector::apply_pauli_evolution`]
+//! for [`prepare_state`], and [`crate::optimize::parameter_shift_gradient`]
+//! for the gradients.
 
 use numeric::Complex64;
-use pauli::WeightedPauliSum;
-use sim::Statevector;
+use pauli::{flip, WeightedPauliSum};
+use sim::{PauliRotation, Statevector};
 
 use ansatz::PauliIr;
 
+/// One rotation per IR entry at `params`, negated angles when `inverse`.
+fn rotations(ir: &PauliIr, params: &[f64], inverse: bool) -> Vec<PauliRotation> {
+    let sign = if inverse { -1.0 } else { 1.0 };
+    ir.entries()
+        .iter()
+        .map(|e| PauliRotation::new(&e.string, sign * e.rotation_angle(params[e.param])))
+        .collect()
+}
+
 /// Prepares `|ψ(θ)⟩`: the Hartree-Fock basis state evolved by every IR
-/// entry in program order.
+/// entry in program order, one pair sweep per same-mask run. Bit-identical
+/// to applying each entry with
+/// [`apply_pauli_evolution`](sim::Statevector::apply_pauli_evolution).
 ///
 /// # Panics
 ///
@@ -24,22 +44,37 @@ pub fn prepare_state(ir: &PauliIr, params: &[f64]) -> Statevector {
         "parameter count mismatch"
     );
     let mut sv = Statevector::basis_state(ir.num_qubits(), ir.initial_state());
-    for e in ir.entries() {
-        sv.apply_pauli_evolution(&e.string, e.rotation_angle(params[e.param]));
+    for run in rotations(ir, params, false).chunk_by(|a, b| a.x_mask() == b.x_mask()) {
+        sv.apply_pauli_rotations(run);
     }
     sv
 }
 
-/// The energy `E(θ)`.
+/// `(⟨ψ|H|ψ⟩, H|ψ⟩)` through the grouped [`WeightedPauliSum::apply`].
+fn energy_and_h_psi(hamiltonian: &WeightedPauliSum, psi: &Statevector) -> (f64, Vec<Complex64>) {
+    let mut h_psi = vec![Complex64::ZERO; psi.amplitudes().len()];
+    hamiltonian.apply(psi.amplitudes(), &mut h_psi);
+    let e = psi
+        .amplitudes()
+        .iter()
+        .zip(&h_psi)
+        .map(|(a, b)| (a.conj() * *b).re)
+        .sum();
+    (e, h_psi)
+}
+
+/// The energy `E(θ)`: the fused preparation, then `⟨ψ|H|ψ⟩` as the grouped
+/// `H|ψ⟩` dotted with `ψ`.
 pub fn energy(hamiltonian: &WeightedPauliSum, ir: &PauliIr, params: &[f64]) -> f64 {
-    prepare_state(ir, params).expectation(hamiltonian)
+    energy_and_h_psi(hamiltonian, &prepare_state(ir, params)).0
 }
 
 /// Energy and exact gradient `∂E/∂θ` by the adjoint method.
 ///
 /// With `|φ⟩` the working state and `|λ⟩ = H|ψ⟩` back-propagated through
 /// the inverse evolutions, each entry `U_k = exp(i·θ_p·c_k·P_k)` contributes
-/// `2·Re⟨λ|i·c_k·P_k|φ⟩` to `∂E/∂θ_p`.
+/// `2·Re⟨λ|i·c_k·P_k|φ⟩` to `∂E/∂θ_p`. The walk is fused by same-mask run
+/// (see the module docs).
 ///
 /// # Panics
 ///
@@ -50,117 +85,126 @@ pub fn energy_and_gradient(
     params: &[f64],
 ) -> (f64, Vec<f64>) {
     assert_eq!(
-        params.len(),
-        ir.num_parameters(),
-        "parameter count mismatch"
-    );
-    assert_eq!(
         hamiltonian.num_qubits(),
         ir.num_qubits(),
         "register mismatch"
     );
-
-    let mut phi = prepare_state(ir, params);
-    let dim = phi.amplitudes().len();
-
-    // λ = H|ψ⟩.
-    let mut lambda_vec = vec![Complex64::ZERO; dim];
-    hamiltonian.apply(phi.amplitudes(), &mut lambda_vec);
-    let e: f64 = phi
-        .amplitudes()
-        .iter()
-        .zip(&lambda_vec)
-        .map(|(a, b)| (a.conj() * *b).re)
-        .sum();
-    let mut lambda = Statevector::from_amplitudes(lambda_vec);
-
-    let mut grad = vec![0.0; params.len()];
-    let mut scratch = vec![Complex64::ZERO; dim];
-
-    for e_k in ir.entries().iter().rev() {
-        // grad contribution BEFORE peeling U_k off:
-        //   ∂E/∂θ += 2·Re⟨λ| i·c_k·P_k |φ⟩.
-        // P_k|φ⟩ into scratch.
-        apply_pauli(&e_k.string, phi.amplitudes(), &mut scratch);
-        let inner: Complex64 = lambda
-            .amplitudes()
-            .iter()
-            .zip(&scratch)
-            .map(|(l, s)| l.conj() * *s)
-            .sum();
-        grad[e_k.param] += 2.0 * (Complex64::I * e_k.coefficient * inner).re;
-
-        // Peel U_k off both states.
-        let angle = e_k.rotation_angle(params[e_k.param]);
-        phi.apply_pauli_evolution(&e_k.string, -angle);
-        lambda.apply_pauli_evolution(&e_k.string, -angle);
-    }
-    (e, grad)
+    let psi = prepare_state(ir, params);
+    let (e, h_psi) = energy_and_h_psi(hamiltonian, &psi);
+    (e, adjoint_gradient(ir, params, &psi, &h_psi))
 }
 
 /// Squared overlap `|⟨φ|ψ(θ)⟩|²` and its exact gradient, by the same
-/// adjoint sweep as [`energy_and_gradient`] with `|φ⟩` in place of `H|ψ⟩`.
-/// Used by the VQD excited-state penalty terms.
+/// adjoint walk as [`energy_and_gradient`]. Used by the VQD excited-state
+/// penalty terms.
+///
+/// With `c = ⟨φ|ψ⟩`, `∂|c|²/∂θ = 2·Re(c̄·⟨φ_k|i·c_k·P_k|ψ_k⟩)
+/// = 2·Re⟨c·φ_k|i·c_k·P_k|ψ_k⟩`: the energy walk seeded with `λ₀ = c·|φ⟩`
+/// instead of `H|ψ⟩`.
 ///
 /// # Panics
 ///
 /// Panics if dimensions disagree.
 pub fn overlap_and_gradient(phi: &[Complex64], ir: &PauliIr, params: &[f64]) -> (f64, Vec<f64>) {
     assert_eq!(
-        params.len(),
-        ir.num_parameters(),
-        "parameter count mismatch"
-    );
-    assert_eq!(
         phi.len(),
         1usize << ir.num_qubits(),
         "reference state has wrong length"
     );
-
-    let mut psi = prepare_state(ir, params);
+    let psi = prepare_state(ir, params);
     let c: Complex64 = phi
         .iter()
         .zip(psi.amplitudes())
         .map(|(p, a)| p.conj() * *a)
         .sum();
-    let value = c.norm_sqr();
-
-    let mut lambda = Statevector::from_amplitudes(phi.to_vec());
-    let mut grad = vec![0.0; params.len()];
-    let dim = phi.len();
-    let mut scratch = vec![Complex64::ZERO; dim];
-
-    for e_k in ir.entries().iter().rev() {
-        apply_pauli(&e_k.string, psi.amplitudes(), &mut scratch);
-        let inner: Complex64 = lambda
-            .amplitudes()
-            .iter()
-            .zip(&scratch)
-            .map(|(l, s)| l.conj() * *s)
-            .sum();
-        // ∂|c|²/∂θ = 2·Re( c̄ · ⟨φ_k| i·c_k·P_k |ψ_k⟩ ).
-        grad[e_k.param] += 2.0 * (c.conj() * (Complex64::I * e_k.coefficient * inner)).re;
-
-        let angle = e_k.rotation_angle(params[e_k.param]);
-        psi.apply_pauli_evolution(&e_k.string, -angle);
-        lambda.apply_pauli_evolution(&e_k.string, -angle);
-    }
-    (value, grad)
+    let seed: Vec<Complex64> = phi.iter().map(|p| *p * c).collect();
+    (c.norm_sqr(), adjoint_gradient(ir, params, &psi, &seed))
 }
 
-/// Applies a bare Pauli string: `out = P·state`.
-pub(crate) fn apply_pauli(p: &pauli::PauliString, state: &[Complex64], out: &mut [Complex64]) {
-    let x = p.x_mask();
-    let z = p.z_mask();
-    let base = pauli::Phase::from_power_of_i((x & z).count_ones()).to_complex();
-    for b in 0..state.len() as u64 {
-        let sign = if (b & z).count_ones().is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        };
-        out[(b ^ x) as usize] = state[b as usize] * (base * sign);
+/// The adjoint walk: `Σ_k 2·Re⟨λ_k|i·c_k·P_k|φ_k⟩` accumulated per
+/// parameter, where `φ_k` and `λ_k` are `|ψ(θ)⟩` and the seed `λ₀` with
+/// entries `k+1…` peeled off.
+///
+/// The IR is walked run by run from the back. Each same-mask run is one
+/// sweep over the interleaved `(φ, λ)` pairs: per pair the run is walked
+/// backwards in registers, each entry adding its bracket `Im⟨λ|P_k|φ⟩`
+/// before being peeled off both states. Per-chunk bracket sums fold in
+/// chunk order over a grid fixed by the flip mask, so the gradient is
+/// bit-identical at every thread count.
+fn adjoint_gradient(
+    ir: &PauliIr,
+    params: &[f64],
+    psi: &Statevector,
+    lambda: &[Complex64],
+) -> Vec<f64> {
+    let entries = ir.entries();
+    let inverse = rotations(ir, params, true);
+    let mut states: Vec<[Complex64; 2]> = psi
+        .amplitudes()
+        .iter()
+        .zip(lambda)
+        .map(|(&phi, &lambda)| [phi, lambda])
+        .collect();
+    let mut grad = vec![0.0; ir.num_parameters()];
+    let mut end = entries.len();
+    let runs = inverse
+        .chunk_by(|a, b| a.x_mask() == b.x_mask())
+        .flat_map(|run| run.chunks(flip::MAX_MASKS));
+    for run in runs.rev() {
+        let start = end - run.len();
+        let brackets = peel_run(&mut states, run);
+        for (e, bracket) in entries[start..end].iter().zip(&brackets).rev() {
+            // 2·Re(i·c·⟨λ|P|φ⟩) = −2·c·Im⟨λ|P|φ⟩.
+            grad[e.param] += -2.0 * e.coefficient * bracket;
+        }
+        end = start;
     }
+    grad
+}
+
+/// One fused backward sweep of a same-mask run of at most
+/// [`flip::MAX_MASKS`] inverse rotations over the `(φ, λ)` pairs; returns
+/// each entry's `Im⟨λ|P|φ⟩`, taken before that entry is peeled off.
+fn peel_run(states: &mut [[Complex64; 2]], run: &[PauliRotation]) -> Vec<f64> {
+    let x = run[0].x_mask();
+    let xs = x as usize;
+    let zs: Vec<u64> = run.iter().map(PauliRotation::z_mask).collect();
+    let partials = par::map_chunks_mut(states, flip::chunk_len(x), |offset, chunk| {
+        let mut acc = vec![0.0; run.len()];
+        flip::for_each_pair(offset, chunk.len(), x, &zs, |lo, p| {
+            if x == 0 {
+                let [mut phi, mut lambda] = chunk[lo];
+                for (k, r) in run.iter().enumerate().rev() {
+                    let parity = (p >> k) & 1;
+                    acc[k] += r.bracket_diagonal(parity, phi, lambda);
+                    phi = r.rotate_diagonal(parity, phi);
+                    lambda = r.rotate_diagonal(parity, lambda);
+                }
+                chunk[lo] = [phi, lambda];
+            } else {
+                let hi = lo ^ xs;
+                let [mut phi_lo, mut lam_lo] = chunk[lo];
+                let [mut phi_hi, mut lam_hi] = chunk[hi];
+                for (k, r) in run.iter().enumerate().rev() {
+                    let parity = (p >> k) & 1;
+                    acc[k] += r.bracket_pair(parity, (phi_lo, phi_hi), (lam_lo, lam_hi));
+                    (phi_lo, phi_hi) = r.rotate_pair(parity, phi_lo, phi_hi);
+                    (lam_lo, lam_hi) = r.rotate_pair(parity, lam_lo, lam_hi);
+                }
+                chunk[lo] = [phi_lo, lam_lo];
+                chunk[hi] = [phi_hi, lam_hi];
+            }
+        });
+        acc
+    });
+    partials
+        .into_iter()
+        .fold(vec![0.0; run.len()], |mut total, partial| {
+            for (t, p) in total.iter_mut().zip(partial) {
+                *t += p;
+            }
+            total
+        })
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 
+use pauli_codesign::ansatz::uccsd::UccsdAnsatz;
 use pauli_codesign::arch::{simulate_yield, CollisionModel, Topology};
 use pauli_codesign::chem::integrals::EriTensor;
 use pauli_codesign::circuit::Gate;
@@ -140,6 +141,62 @@ proptest! {
             let e4 = par::with_threads(4, || sv.expectation(&h));
             prop_assert_eq!(e1.to_bits(), e2.to_bits());
             prop_assert_eq!(e1.to_bits(), e4.to_bits());
+        }
+    }
+
+    /// The grouped `H|ψ⟩` (one pair sweep per flip mask, each chunk
+    /// writing only its own pairs) is bit-identical at 1/2/4 threads, with
+    /// masks whose blocks span one chunk or several.
+    #[test]
+    fn grouped_apply_bit_identical_across_threads(
+        state_seed in 1u64..u64::MAX,
+        ham_seed in 1u64..u64::MAX,
+    ) {
+        let sv = deterministic_state(BIG_QUBITS, state_seed);
+        let h = deterministic_hamiltonian(BIG_QUBITS, 40, ham_seed);
+        let run = |threads: usize| {
+            let mut out = vec![Complex64::ZERO; 1 << BIG_QUBITS];
+            par::with_threads(threads, || h.apply(sv.amplitudes(), &mut out));
+            Statevector::from_amplitudes(out)
+        };
+        let reference = run(1);
+        for threads in [2usize, 4] {
+            assert_bits_equal(&reference, &run(threads), &format!("grouped apply @ {threads} threads"));
+        }
+    }
+
+    /// The fused preparation and the fused adjoint gradient are
+    /// bit-identical at 1/2/4 threads: each chunk rotates only its own
+    /// pairs, and the gradient's per-chunk bracket sums fold in chunk
+    /// order over a grid fixed by the flip mask, as `term_expectation`'s do.
+    #[test]
+    fn fused_prepare_and_gradient_bit_identical_across_threads(
+        theta_seed in 1u64..u64::MAX,
+        ham_seed in 1u64..u64::MAX,
+    ) {
+        let ir = UccsdAnsatz::new(BIG_QUBITS / 2, 4).into_ir();
+        let mut s = theta_seed | 1;
+        let theta: Vec<f64> = (0..ir.num_parameters())
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            })
+            .collect();
+        let h = deterministic_hamiltonian(BIG_QUBITS, 20, ham_seed);
+        let prepared = |threads: usize| par::with_threads(threads, || vqe::prepare_state(&ir, &theta));
+        let gradient = |threads: usize| {
+            par::with_threads(threads, || vqe::energy_and_gradient(&h, &ir, &theta))
+        };
+        let (ref_state, (ref_e, ref_grad)) = (prepared(1), gradient(1));
+        for threads in [2usize, 4] {
+            assert_bits_equal(&ref_state, &prepared(threads), &format!("prepare_state @ {threads} threads"));
+            let (e, grad) = gradient(threads);
+            prop_assert_eq!(ref_e.to_bits(), e.to_bits());
+            for (a, b) in ref_grad.iter().zip(&grad) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 
