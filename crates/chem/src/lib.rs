@@ -27,8 +27,9 @@
 //! // H2 at its equilibrium bond length: a 4-qubit Hamiltonian.
 //! let system = Benchmark::H2.build(0.74)?;
 //! assert_eq!(system.num_qubits(), 4);
-//! let e = system.qubit_hamiltonian().ground_state_energy();
-//! assert!(e < -1.0); // Hartree
+//! // Exact reference: Lanczos in the 2-electron (1α, 1β) sector.
+//! let e = system.exact_ground_state_energy();
+//! assert!(e < system.hartree_fock_energy()); // Hartree
 //! # Ok::<(), chem::ChemError>(())
 //! ```
 

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use numeric::{jacobi_eigen, lu_solve, RealMatrix};
+use numeric::{jacobi_eigen, lu_solve, Eigen, RealMatrix};
 
 use crate::integrals::AoIntegrals;
 
@@ -35,6 +35,16 @@ pub enum ScfError {
         /// The offending electronic energy.
         energy: f64,
     },
+    /// The orthogonalized Fock matrix about to be diagonalized is not
+    /// finite, or not symmetric to 1e-9 — the precondition of the Jacobi
+    /// eigensolver. Seen when DIIS extrapolation runs away on a stretched
+    /// geometry; callers can retry with damping or a level shift.
+    IllFormedFock {
+        /// Iteration whose Fock matrix failed the check.
+        iteration: usize,
+        /// The largest `|F_ij − F_ji|` (NaN when an entry is not finite).
+        asymmetry: f64,
+    },
 }
 
 impl fmt::Display for ScfError {
@@ -65,6 +75,16 @@ impl fmt::Display for ScfError {
                 write!(
                     f,
                     "SCF energy became non-finite ({energy}) at iteration {iteration}"
+                )
+            }
+            ScfError::IllFormedFock {
+                iteration,
+                asymmetry,
+            } => {
+                write!(
+                    f,
+                    "orthogonalized Fock matrix is not finite and symmetric at iteration \
+                     {iteration} (max |F_ij − F_ji| = {asymmetry:e})"
                 )
             }
         }
@@ -275,8 +295,7 @@ pub fn restricted_hartree_fock_resumable(
             })));
         }
         // Orthogonalize, diagonalize, back-transform.
-        let f_ortho = x.mul(&fock).mul(&x);
-        let f_eig = jacobi_eigen(&f_ortho);
+        let f_eig = diagonalize_fock(&x.mul(&fock).mul(&x), it)?;
         let c = x.mul(&f_eig.vectors);
 
         // Closed-shell density D = 2 C_occ C_occᵀ.
@@ -337,8 +356,7 @@ pub fn restricted_hartree_fock_resumable(
 
         if delta_e < options.energy_tol && err_norm < options.error_tol {
             // Recompute final orbitals from the converged Fock matrix.
-            let f_ortho = x.mul(&new_fock).mul(&x);
-            let f_eig = jacobi_eigen(&f_ortho);
+            let f_eig = diagonalize_fock(&x.mul(&new_fock).mul(&x), it)?;
             let c = x.mul(&f_eig.vectors);
             scf_span.record("iterations", it);
             scf_span.record("converged", true);
@@ -398,6 +416,29 @@ pub fn restricted_hartree_fock_resumable(
         iterations: options.max_iter,
         delta_e: last_delta_e,
     })
+}
+
+/// Diagonalizes the orthogonalized Fock matrix of iteration `iteration`,
+/// or returns [`ScfError::IllFormedFock`] where [`jacobi_eigen`] would
+/// panic. The matrix is checked, never symmetrized: a converging run's
+/// orbitals stay bit-identical.
+fn diagonalize_fock(f_ortho: &RealMatrix, iteration: usize) -> Result<Eigen, ScfError> {
+    let n = f_ortho.rows();
+    let pairs = (0..n).flat_map(|i| (i..n).map(move |j| (f_ortho[(i, j)], f_ortho[(j, i)])));
+    let finite = pairs.clone().all(|(a, b)| a.is_finite() && b.is_finite());
+    let asymmetry = if finite {
+        pairs.map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
+    } else {
+        f64::NAN
+    };
+    // The tolerance `jacobi_eigen` asserts.
+    if !finite || asymmetry > 1e-9 {
+        return Err(ScfError::IllFormedFock {
+            iteration,
+            asymmetry,
+        });
+    }
+    Ok(jacobi_eigen(f_ortho))
 }
 
 /// Solves the DIIS least-squares problem and returns the extrapolated Fock
@@ -612,6 +653,44 @@ mod tests {
         };
         assert_eq!(ckpt.next_iteration, 1);
         assert!(ckpt.last_delta_e.is_nan());
+    }
+
+    #[test]
+    fn stretched_points_fail_typed_instead_of_panicking() {
+        // At 2.5 Å, DIIS runs away on H2O and NH3 until the orthogonalized
+        // Fock matrix is asymmetric past Jacobi's 1e-9 precondition. The
+        // build must end in Ok or a typed SCF error, never a panic.
+        for molecule in [crate::Benchmark::H2O, crate::Benchmark::NH3] {
+            match molecule.build(2.5) {
+                Ok(system) => assert!(system.hartree_fock_energy().is_finite()),
+                Err(crate::ChemError::Scf(e)) => {
+                    assert!(
+                        matches!(e, ScfError::IllFormedFock { .. }),
+                        "{molecule:?}: {e}"
+                    )
+                }
+                Err(e) => panic!("{molecule:?}: unexpected {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn ill_formed_fock_is_a_typed_error() {
+        let asymmetric = RealMatrix::from_vec(2, 2, vec![1.0, 0.5, 0.5 + 2e-9, 1.0]);
+        assert!(matches!(
+            diagonalize_fock(&asymmetric, 4),
+            Err(ScfError::IllFormedFock { iteration: 4, asymmetry }) if asymmetry > 1e-9
+        ));
+        let poisoned = RealMatrix::from_vec(2, 2, vec![f64::NAN, 0.0, 0.0, 1.0]);
+        assert!(matches!(
+            diagonalize_fock(&poisoned, 2),
+            Err(ScfError::IllFormedFock { asymmetry, .. }) if asymmetry.is_nan()
+        ));
+        let symmetric = RealMatrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]);
+        assert_eq!(
+            diagonalize_fock(&symmetric, 1).unwrap(),
+            jacobi_eigen(&symmetric)
+        );
     }
 
     #[test]

@@ -412,7 +412,10 @@ commands:
                                       grouped H|ψ⟩ (h_apply) and the fused
                                       adjoint gradient (which must beat its
                                       parameter-shift oracle, else exit
-                                      21), and write a JSON report (default
+                                      21), the H2O exact reference in its
+                                      electron sector (which must beat the
+                                      full-space Lanczos, else exit 21),
+                                      and write a JSON report (default
                                       BENCH_pipeline.json);
                                       with --baseline, exit 21 if any
                                       benchmark is >10% slower than FILE
@@ -2089,6 +2092,39 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         }
     } else {
         println!("vqe_gradient: skipped (a UCCSD register needs an even qubit count ≥ 4)");
+    }
+
+    // Exact reference of H2O at equilibrium at one thread: Lanczos on the
+    // 225-state N-electron sector (CSR build included) against its oracle,
+    // Lanczos on the 4,096-state Fock space. In-bench gate: the sector
+    // solve exists to beat the full-space one (exit 21 otherwise).
+    let h2o = Benchmark::H2O.build(Benchmark::H2O.equilibrium_bond_length())?;
+    let sector = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || h2o.exact_ground_state_energy())
+    });
+    let fullspace = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || h2o.qubit_hamiltonian().ground_state_energy())
+    });
+    println!(
+        "{:<28} {:>14} {:>14} {:>8.2}x",
+        "exact_h2o (fullspace/sector)",
+        fullspace.median_ns,
+        sector.median_ns,
+        fullspace.median_ns as f64 / sector.median_ns.max(1) as f64
+    );
+    for (name, m) in [("exact_sector", &sector), ("exact_fullspace", &fullspace)] {
+        records.push(BenchRecord {
+            name: name.to_string(),
+            median_ns: m.median_ns,
+            threads: 1,
+            n_qubits: h2o.num_qubits(),
+        });
+    }
+    if sector.median_ns >= fullspace.median_ns {
+        return Err(CliError::BenchRegression(vec![format!(
+            "exact_sector: {} ns not faster than exact_fullspace {} ns",
+            sector.median_ns, fullspace.median_ns
+        )]));
     }
 
     // Pauli-string evolution spanning the full register.

@@ -219,7 +219,8 @@ impl CoDesignPipeline {
 pub struct CoDesignReport {
     /// VQE energy (Hartree).
     pub energy: f64,
-    /// Exact (Lanczos) ground-state energy of the active space.
+    /// Exact (Lanczos) ground-state energy of the active space, in its
+    /// N-electron sector.
     pub exact_energy: f64,
     /// Hartree-Fock reference energy.
     pub hartree_fock_energy: f64,

@@ -9,8 +9,9 @@
 //!   solvers and decompositions used by the Hartree-Fock engine;
 //! * [`eigen`] — a Jacobi eigensolver for real symmetric matrices (Fock and
 //!   overlap matrices are tiny: ≤ ~20×20 for our benchmark set);
-//! * [`lanczos`] — a Lanczos ground-state solver for large implicit Hermitian
-//!   operators (exact molecular ground states on up to 16 qubits);
+//! * [`lanczos`] — a Lanczos solver for large implicit Hermitian operators:
+//!   ground states and, by deflation, the low spectrum (exact molecular
+//!   references in the N-electron sector, and the full 2ⁿ space as oracle);
 //! * [`linsolve`] — LU factorization with partial pivoting (DIIS
 //!   extrapolation, quasi-Newton subproblems).
 //!
@@ -37,7 +38,8 @@ pub mod matrix;
 pub use complex::Complex64;
 pub use eigen::{jacobi_eigen, tridiagonal_eigen, tridiagonal_eigenvalues, Eigen};
 pub use lanczos::{
-    lanczos_ground_state, lanczos_ground_state_with_vector, LanczosOptions, LanczosResult,
+    lanczos_ground_state, lanczos_ground_state_with_vector, lanczos_lowest_eigenvalues,
+    LanczosOptions, LanczosResult,
 };
 pub use linsolve::{lu_solve, LinSolveError};
 pub use matrix::RealMatrix;

@@ -9,10 +9,14 @@
 //!   group algebra (products, commutation, phases);
 //! * [`WeightedPauliSum`] — weighted sums of Pauli strings, i.e. Hermitian
 //!   observables such as molecular Hamiltonians, with fast statevector
-//!   action, expectation values, and exact ground states via Lanczos;
+//!   action, expectation values, and exact full-space ground states via
+//!   Lanczos;
 //! * [`flip`] — the amplitude pairs `{b, b⊕x}` that every string with X
 //!   mask `x` acts on: the sweep structure of the grouped `H|ψ⟩` and of the
 //!   fused VQE inner loop;
+//! * [`sector`] — one particle-number sector of a number-conserving sum:
+//!   [`SectorBasis`] ranks its basis states, [`SectorOperator`] holds the
+//!   sum's block as a real sparse matrix for the exact N-electron reference;
 //! * [`ClusteredSum`] — the same sum partitioned into general-commuting
 //!   clusters, each simultaneously diagonalized by one Clifford circuit,
 //!   with a fused diagonal-frame expectation evaluator.
@@ -39,10 +43,12 @@
 pub mod cluster;
 pub mod flip;
 pub mod grouping;
+pub mod sector;
 pub mod string;
 pub mod sum;
 
 pub use cluster::{CliffordOp, ClusterError, ClusterStats, ClusteredSum, DiagonalFrame};
 pub use grouping::{group_qubit_wise, qubit_wise_commute, MeasurementGroup};
+pub use sector::{SectorBasis, SectorError, SectorOperator};
 pub use string::{ParsePauliError, Pauli, PauliString, Phase};
 pub use sum::WeightedPauliSum;

@@ -3,7 +3,7 @@
 //! A molecular Hamiltonian after Jordan–Wigner encoding is exactly such a sum
 //! `H = Σ_j w_j P_j` (paper §II-A). This module provides the container plus
 //! the numerics the evaluation needs: statevector action, expectation values,
-//! and exact ground-state energies through the Lanczos solver.
+//! and exact full-space ground-state energies through the Lanczos solver.
 
 use std::fmt;
 use std::ops::Index;
@@ -325,10 +325,13 @@ impl WeightedPauliSum {
         (e2 - e * e).max(0.0)
     }
 
-    /// Exact smallest eigenvalue (ground-state energy) via Lanczos.
+    /// Exact smallest eigenvalue over the whole `2^n` space, via Lanczos.
     ///
-    /// This regenerates the paper's "Ground State" reference curves. The
-    /// computation is deterministic for a given `seed`.
+    /// The minimum may lie in any particle-number sector. Molecular
+    /// references solve in the N-electron sector instead
+    /// ([`SectorOperator`](crate::SectorOperator)); this full-space solve is
+    /// the general path (Hubbard, encoding comparisons) and their oracle.
+    /// The computation is deterministic.
     pub fn ground_state_energy(&self) -> f64 {
         let dim = checked_dim(self.num_qubits);
         let groups = FlipGroups::new(self);
@@ -357,8 +360,9 @@ impl WeightedPauliSum {
         (r.eigenvalue, v)
     }
 
-    /// The `k` lowest eigenvalues via Lanczos with deflation: each found
-    /// eigenvector is projected up by a large shift before the next solve.
+    /// The `k` lowest eigenvalues via Lanczos with deflation
+    /// ([`numeric::lanczos_lowest_eigenvalues`]), shifted by ten times the
+    /// sum's one-norm.
     ///
     /// Degenerate eigenvalues are returned once per copy (the deflated
     /// operator still contains the remaining degenerate partners).
@@ -367,35 +371,18 @@ impl WeightedPauliSum {
     ///
     /// Panics if `k` is zero or exceeds the space dimension.
     pub fn lowest_eigenvalues(&self, k: usize) -> Vec<f64> {
-        let dim = checked_dim(self.num_qubits);
-        assert!(k >= 1 && k <= dim, "k must be in 1..=2^n");
-        let shift = 10.0 * self.one_norm().max(1.0);
         let groups = FlipGroups::new(self);
-        let mut deflated: Vec<Vec<Complex64>> = Vec::new();
-        let mut values = Vec::with_capacity(k);
-        for round in 0..k {
-            let (r, v) = numeric::lanczos_ground_state_with_vector(
-                dim,
-                |x, y| {
-                    groups.apply(x, y);
-                    // + shift · Σ_j |v_j⟩⟨v_j| x
-                    for vj in &deflated {
-                        let overlap: Complex64 = vj.iter().zip(x).map(|(a, b)| a.conj() * *b).sum();
-                        for (yi, vi) in y.iter_mut().zip(vj) {
-                            *yi += *vi * overlap * shift;
-                        }
-                    }
-                },
-                LanczosOptions {
-                    tol: 1e-12,
-                    max_iter: 400,
-                },
-                0x5eed + round as u64,
-            );
-            values.push(r.eigenvalue);
-            deflated.push(v);
-        }
-        values
+        numeric::lanczos_lowest_eigenvalues(
+            checked_dim(self.num_qubits),
+            k,
+            10.0 * self.one_norm().max(1.0),
+            |x, y| groups.apply(x, y),
+            LanczosOptions {
+                tol: 1e-12,
+                max_iter: 400,
+            },
+            0x5eed,
+        )
     }
 }
 

@@ -102,8 +102,8 @@ pub fn build_system_with_recovery(
         first.max_iter = 2;
     }
     if plan.should_inject(FaultKind::ScfEnergy) {
-        // NaN damping poisons the Fock update; the SCF non-finite guard
-        // turns that into a typed ScfError::NonFiniteEnergy.
+        // NaN damping poisons the Fock update; the SCF guard on the next
+        // diagonalization turns that into a typed ScfError::IllFormedFock.
         first.damping = f64::NAN;
     }
     if plan.should_inject(FaultKind::Geometry) {
@@ -354,6 +354,18 @@ mod tests {
                 .expect("H2 builds");
         assert_eq!(retries, 0);
         assert_eq!(system.num_qubits(), 4);
+    }
+
+    #[test]
+    fn ladder_answers_stretched_points_without_panicking() {
+        // H2O and NH3 at 2.5 Å once panicked inside the Jacobi eigensolver,
+        // bypassing this ladder. Each must now build or fail typed.
+        for molecule in [Benchmark::H2O, Benchmark::NH3] {
+            match build_system_with_ladder(molecule, 2.5, ScfOptions::default()) {
+                Ok((system, _)) => assert!(system.hartree_fock_energy().is_finite()),
+                Err(e) => assert_eq!(e.stage(), "scf", "{molecule:?}: {e}"),
+            }
+        }
     }
 
     #[test]

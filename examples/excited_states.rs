@@ -1,6 +1,6 @@
 //! Excited states of H₂ with Variational Quantum Deflation on the same
-//! compressed-ansatz stack, validated against deflated-Lanczos exact
-//! eigenvalues.
+//! compressed-ansatz stack, validated against the exact spectrum of the
+//! two-electron sector (deflated Lanczos on its 4 states).
 //!
 //! Run with: `cargo run --release -p pauli-codesign --example excited_states`
 
@@ -13,8 +13,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let h = system.qubit_hamiltonian();
     let ir = UccsdAnsatz::for_system(&system).into_ir();
 
-    println!("H2 @ 0.74 Å — exact low spectrum (deflated Lanczos):");
-    let exact = h.lowest_eigenvalues(5);
+    let sector = system.electron_sector();
+    println!(
+        "H2 @ 0.74 Å — exact spectrum of the ({}α, {}β) sector (deflated Lanczos):",
+        sector.n_alpha(),
+        sector.n_beta()
+    );
+    let exact = system.lowest_eigenvalues(sector.dim());
     for (k, e) in exact.iter().enumerate() {
         println!("  E{k} = {e:.6} Ha");
     }
@@ -44,13 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
     println!(
-        "note: the ground state is exact to machine precision. The 3-parameter \
-         UCCSD manifold cannot express every 2-electron eigenstate (the exact \
-         E1/E2 pair are triplet-like states outside its reach), so VQD's upper \
-         rungs are the lowest *ansatz-expressible* excited states — mutually \
-         orthogonal and variationally above the levels they approximate. A \
-         richer pool (e.g. the generalized excitations used by ADAPT) closes \
-         that gap."
+        "note: the ground state is exact to machine precision. Rungs 1 and 2 are \
+         orthogonal and their energies sum to E1 + E2, so together they span the \
+         sector's E1/E2 pair (the Ms = 0 triplet and the open-shell singlet). The \
+         3-parameter UCCSD manifold reaches that plane only through mixtures of the \
+         two, so each rung sits between E1 and E2 rather than on a level. A richer \
+         pool (e.g. the generalized excitations used by ADAPT) separates them."
     );
     Ok(())
 }
