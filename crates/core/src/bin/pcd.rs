@@ -28,20 +28,18 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use pauli_codesign::ansatz::compress;
 use pauli_codesign::ansatz::uccsd::UccsdAnsatz;
-use pauli_codesign::arch::{
-    simulate_yield, simulate_yield_resumable, CollisionModel, Topology, YieldRun,
-};
-use pauli_codesign::chem::{Benchmark, ChemError};
+use pauli_codesign::ansatz::CompressionReport;
+use pauli_codesign::arch::{simulate_yield, CollisionModel, Topology};
+use pauli_codesign::chem::Benchmark;
 use pauli_codesign::compiler::pipeline::{compile_mtr, compile_sabre};
 use pauli_codesign::compiler::synthesis::synthesize_chain_nominal;
 use pauli_codesign::par::Budget;
 use pauli_codesign::pauli::group_qubit_wise;
+use pauli_codesign::resilience::stages::{self, Checkpoints, CrossCheck};
 use pauli_codesign::resilience::{
-    decode_vqe, decode_vqe_result, decode_yield, encode_vqe, encode_vqe_result, encode_yield,
-    f64_to_hex, run_chaos, run_kill_resume, ChaosOptions, Checkpoint, DegradationLadder,
-    DegradationPolicy, KillResumeOptions, PcdError,
+    f64_to_hex, run_chaos, run_kill_resume, ChaosOptions, Checkpoint, FaultPlan, KillResumeOptions,
+    PcdError,
 };
 use pauli_codesign::serve::{
     run_serve, run_serve_chaos, ServeChaosOptions, ServeConfig, ServeError,
@@ -51,7 +49,7 @@ use pauli_codesign::supervisor::{
     Coordinator, CoordinatorOptions, InjectionPlan, JobState, NetChaosOptions, RemoteError,
     ShedPolicy, SupervisedChaosOptions, SupervisorConfig, SupervisorError, WorkerOptions,
 };
-use pauli_codesign::vqe::driver::{run_vqe, run_vqe_resumable, VqeOptions, VqeResult, VqeRun};
+use pauli_codesign::vqe::driver::{VqeOptions, VqeResult};
 
 /// A CLI failure: either bad usage (exit 1, prints usage) or a typed
 /// pipeline error carrying its own exit code.
@@ -224,12 +222,6 @@ impl From<SupervisorError> for CliError {
 impl From<String> for CliError {
     fn from(msg: String) -> Self {
         CliError::Usage(msg)
-    }
-}
-
-impl From<ChemError> for CliError {
-    fn from(e: ChemError) -> Self {
-        CliError::Pipeline(e.into())
     }
 }
 
@@ -665,7 +657,7 @@ fn parse_arch(name: &str) -> Result<Topology, String> {
 fn cmd_info(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
     let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let system = molecule.build(bond)?;
+    let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
     let ansatz = UccsdAnsatz::for_system(&system);
     let circuit = synthesize_chain_nominal(ansatz.ir());
     let groups = group_qubit_wise(system.qubit_hamiltonian());
@@ -711,17 +703,25 @@ fn cmd_info(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Build → compressed ansatz → VQE → exact reference at one bond length.
+fn vqe_point(
+    molecule: Benchmark,
+    bond: f64,
+    ratio: f64,
+) -> Result<(VqeResult, f64, CompressionReport), PcdError> {
+    let _root = stages::root();
+    let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
+    let (ir, report) = stages::ansatz(&system, ratio);
+    let unlimited = Budget::unlimited();
+    let run = stages::vqe(&system, &ir, VqeOptions::default(), &unlimited, None)?;
+    Ok((run, stages::reference(&system), report))
+}
+
 fn cmd_vqe(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
     let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
     let ratio = flags.ratio(0.5)?;
-    let system = molecule.build(bond)?;
-    let full = UccsdAnsatz::for_system(&system).into_ir();
-    let (ir, report) = compress(&full, system.qubit_hamiltonian(), ratio);
-    let run =
-        run_vqe(system.qubit_hamiltonian(), &ir, VqeOptions::default()).map_err(PcdError::from)?;
-    let exact = system.exact_ground_state_energy();
-
+    let (run, exact, report) = vqe_point(molecule, bond, ratio)?;
     println!(
         "{} @ {bond} Å, ratio {:.0}%",
         molecule.name(),
@@ -758,203 +758,75 @@ fn parse_budget(flags: &Flags) -> Result<Budget, CliError> {
     Ok(budget)
 }
 
-/// Reads `DIR/<file>` as a checkpoint of the given kind-specific decoder,
-/// returning `None` when the file does not exist yet (a fresh run).
-fn load_checkpoint(dir: &str, file: &str) -> Result<Option<Checkpoint>, CliError> {
-    let path = format!("{dir}/{file}");
-    if !std::path::Path::new(&path).exists() {
-        return Ok(None);
-    }
-    let ck = Checkpoint::read(&path).map_err(PcdError::from)?;
-    eprintln!("resuming from {path}");
-    Ok(Some(ck))
-}
-
-/// Writes a stage checkpoint into `dir` (when configured) and returns the
-/// `Interrupted` error the CLI maps to exit 30.
-fn interrupt(
-    stage: &'static str,
-    dir: Option<&str>,
-    file: &str,
-    ck: &Checkpoint,
-) -> Result<(), CliError> {
-    let saved = match dir {
-        None => None,
-        Some(dir) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("creating checkpoint dir {dir}: {e}"))?;
-            let path = format!("{dir}/{file}");
-            ck.write(&path).map_err(PcdError::from)?;
-            eprintln!("checkpoint saved to {path}");
-            Some(path)
-        }
-    };
-    Err(PcdError::Interrupted {
-        stage,
-        checkpoint: saved,
-    }
-    .into())
-}
-
-/// The durable pipeline: compressed VQE then fabrication-yield Monte
-/// Carlo, both budget-aware and resumable. Completed stages are
-/// deterministic, so a resumed run recomputes them bit-identically and
-/// restores only the interrupted stage from its checkpoint.
+/// The durable pipeline: the build through the SCF retry ladder,
+/// compressed VQE, then fabrication-yield Monte Carlo, both budget-aware
+/// and resumable, then the exact reference and the evaluator cross-check.
+/// Completed stages are deterministic, so a resumed run recomputes them
+/// bit-identically and restores only the interrupted stage from its
+/// checkpoint.
 fn cmd_run(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
     let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
     let ratio = flags.ratio(0.5)?;
     let base_samples = flags.positive("samples", 20_000)?;
-    let threshold = flags.get_f64("degrade-threshold", 0.25)?;
+    let threshold = flags.get_f64("degrade-threshold", stages::DEGRADE_THRESHOLD)?;
     if !(threshold > 0.0 && threshold <= 1.0) {
         return Err(CliError::Usage(
             "--degrade-threshold must be in (0, 1]".to_string(),
         ));
     }
-    let ckpt_dir = flags.get("checkpoint").map(str::to_string);
     let resume = flags.is_set("resume");
-    if resume && ckpt_dir.is_none() {
+    let store = flags
+        .get("checkpoint")
+        .map(|dir| Checkpoints::new(dir, resume));
+    if resume && store.is_none() {
         return Err(CliError::Usage(
             "--resume requires --checkpoint DIR".to_string(),
         ));
     }
     let budget = parse_budget(flags)?;
-    let dir = ckpt_dir.as_deref();
 
-    // Chemistry + ansatz: fast and deterministic, always recomputed.
-    let system = molecule.build(bond)?;
-    let full = UccsdAnsatz::for_system(&system).into_ir();
-    let (ir, report) = compress(&full, system.qubit_hamiltonian(), ratio);
-    let x0 = vec![0.0; ir.num_parameters()];
-
-    // VQE stage, resumable at optimizer-iteration grain. A run that
-    // already finished VQE left a done-marker; resuming skips the stage
-    // instead of re-spending budget on it.
-    let vqe_done = match (dir, resume) {
-        (Some(d), true) => match load_checkpoint(d, "vqe.done")? {
-            Some(ck) => Some(decode_vqe_result(&ck).map_err(PcdError::from)?),
-            None => None,
-        },
-        _ => None,
-    };
-    let result: VqeResult = match vqe_done {
-        Some(r) => r,
-        None => {
-            let vqe_resume = match (dir, resume) {
-                (Some(d), true) => match load_checkpoint(d, "vqe.ckpt")? {
-                    Some(ck) => Some(decode_vqe(&ck).map_err(PcdError::from)?),
-                    None => None,
-                },
-                _ => None,
-            };
-            let r = match run_vqe_resumable(
-                system.qubit_hamiltonian(),
-                &ir,
-                &x0,
-                VqeOptions::default(),
-                vqe_resume,
-                &budget,
-            )
-            .map_err(PcdError::from)?
-            {
-                VqeRun::Done(r) => r,
-                VqeRun::Interrupted(ck) => {
-                    return interrupt("vqe", dir, "vqe.ckpt", &encode_vqe(&ck));
-                }
-            };
-            if let Some(d) = dir {
-                std::fs::create_dir_all(d)
-                    .map_err(|e| format!("creating checkpoint dir {d}: {e}"))?;
-                encode_vqe_result(&r)
-                    .write(format!("{d}/vqe.done"))
-                    .map_err(PcdError::from)?;
-                let _ = std::fs::remove_file(format!("{d}/vqe.ckpt"));
-            }
-            r
-        }
-    };
-
-    // Yield stage, resumable at chunk-wave grain. A fresh start may shed
-    // samples down the ladder when the budget is nearly spent; a resumed
-    // run is pinned to the sample count its checkpoint was taken for.
-    let yield_resume = match (dir, resume) {
-        (Some(d), true) => match load_checkpoint(d, "yield.ckpt")? {
-            Some(ck) => Some(decode_yield(&ck).map_err(PcdError::from)?),
-            None => None,
-        },
-        _ => None,
-    };
-    let samples = match &yield_resume {
-        Some(ck) => ck.samples,
-        None => {
-            let mut levels = vec![base_samples];
-            for div in [4usize, 20] {
-                let l = base_samples / div;
-                if l >= 1 && l < levels[levels.len() - 1] {
-                    levels.push(l);
-                }
-            }
-            DegradationPolicy::new(DegradationLadder::new("yield.samples", levels), threshold)
-                .select(&budget)
-        }
-    };
-    let topology = Topology::xtree(17);
-    let estimate = match simulate_yield_resumable(
-        &topology,
-        &CollisionModel::default(),
-        0.04,
-        samples,
-        17,
-        yield_resume,
-        &budget,
-    ) {
-        YieldRun::Done(e) => e,
-        YieldRun::Interrupted(ck) => {
-            return interrupt("yield", dir, "yield.ckpt", &encode_yield(&ck));
-        }
-    };
-
+    let root = stages::root();
+    let (system, scf_retries) = stages::build(molecule, bond, &mut FaultPlan::none())?;
+    let (ir, report) = stages::ansatz(&system, ratio);
+    let result = stages::vqe(&system, &ir, VqeOptions::default(), &budget, store.as_ref())?;
+    let estimate = stages::yield_mc(base_samples, threshold, &budget, store.as_ref())?;
     // The run completed: stale stage checkpoints must not leak into the
     // next invocation.
-    if let Some(d) = dir {
-        for file in ["vqe.ckpt", "vqe.done", "yield.ckpt"] {
-            let _ = std::fs::remove_file(format!("{d}/{file}"));
-        }
+    if let Some(store) = &store {
+        store.clear();
     }
+    let exact = stages::reference(&system);
+    let CrossCheck {
+        per_term,
+        clustered,
+        stats,
+    } = stages::crosscheck(&system, &ir, &result.params);
+    drop(root);
 
-    let exact = system.exact_ground_state_energy();
     println!(
         "{} @ {bond} Å, ratio {:.0}%",
         molecule.name(),
         ratio * 100.0
     );
+    println!("  SCF retries  : {scf_retries}");
     println!(
         "  parameters   : {} of {}",
         report.kept_parameters, report.original_parameters
     );
     println!("  VQE energy   : {:.6} Ha", result.energy);
     println!("  energy bits  : 0x{}", f64_to_hex(result.energy));
-    // Cross-check the converged energy with both evaluators: the per-term
-    // and clustered paths must agree with each other and with the grouped
-    // `H|ψ⟩` energy that drove the optimizer.
-    {
-        use pauli_codesign::pauli::ClusteredSum;
-        let final_state = pauli_codesign::vqe::prepare_state(&ir, &result.params);
-        let per_term = final_state.expectation(system.qubit_hamiltonian());
-        let clustered_sum = ClusteredSum::build(system.qubit_hamiltonian());
-        let clustered = final_state.expectation_with(&clustered_sum);
-        let stats = clustered_sum.stats();
-        println!(
-            "  evaluator    : grouped (cross-check terms {per_term:.9} / clustered {clustered:.9})"
-        );
-        println!(
-            "  H clusters   : {} over {} terms (largest {}, fused {}, Clifford depth {})",
-            stats.clusters, stats.terms, stats.largest, stats.fused, stats.clifford_depth
-        );
-    }
+    println!(
+        "  evaluator    : grouped (cross-check terms {per_term:.9} / clustered {clustered:.9})"
+    );
+    println!(
+        "  H clusters   : {} over {} terms (largest {}, fused {}, Clifford depth {})",
+        stats.clusters, stats.terms, stats.largest, stats.fused, stats.clifford_depth
+    );
     println!("  exact energy : {exact:.6} Ha");
     println!("  error        : {:+.2e} Ha", result.energy - exact);
     println!("  iterations   : {}", result.iterations);
+    let samples = estimate.samples;
     if samples != base_samples {
         println!("  yield samples: {samples} (degraded from {base_samples})");
     } else {
@@ -977,23 +849,36 @@ fn cmd_scan(flags: &Flags) -> Result<(), CliError> {
             "scan needs --from ≤ --to and --step > 0".to_string(),
         ));
     }
+    let first_failure = scan(molecule, ratio, (from, to, step), |row| println!("{row}"));
+    first_failure.map_or(Ok(()), |e| Err(e.into()))
+}
 
-    println!("bond (Å)   VQE (Ha)      exact (Ha)");
+/// Emits a header and one row per bond length in `from..=to`: the VQE
+/// and exact energies, or the typed error of the stage that failed. A
+/// failed bond does not stop the scan; the first failure is returned.
+fn scan(
+    molecule: Benchmark,
+    ratio: f64,
+    (from, to, step): (f64, f64, f64),
+    mut emit: impl FnMut(&str),
+) -> Option<PcdError> {
+    emit("bond (Å)   VQE (Ha)      exact (Ha)");
+    let mut first_failure = None;
     let mut bond = from;
     while bond <= to + 1e-9 {
-        let system = molecule.build(bond)?;
-        let full = UccsdAnsatz::for_system(&system).into_ir();
-        let (ir, _) = compress(&full, system.qubit_hamiltonian(), ratio);
-        let run = run_vqe(system.qubit_hamiltonian(), &ir, VqeOptions::default())
-            .map_err(PcdError::from)?;
-        println!(
-            "{bond:<9.2}  {:>11.6}   {:>11.6}",
-            run.energy,
-            system.exact_ground_state_energy()
-        );
+        match vqe_point(molecule, bond, ratio) {
+            Ok((run, exact, _)) => emit(&format!(
+                "{bond:<9.2}  {:>11.6}   {exact:>11.6}",
+                run.energy
+            )),
+            Err(e) => {
+                emit(&format!("{bond:<9.2}  error: {e}"));
+                first_failure.get_or_insert(e);
+            }
+        }
         bond += step;
     }
-    Ok(())
+    first_failure
 }
 
 fn cmd_compile(flags: &Flags) -> Result<(), CliError> {
@@ -1001,7 +886,11 @@ fn cmd_compile(flags: &Flags) -> Result<(), CliError> {
     let ratio = flags.ratio(0.5)?;
     let arch = parse_arch(flags.get("arch").unwrap_or("xtree17"))?;
     let which = flags.get("compiler").unwrap_or("both");
-    let system = molecule.build(molecule.equilibrium_bond_length())?;
+    let (system, _) = stages::build(
+        molecule,
+        molecule.equilibrium_bond_length(),
+        &mut FaultPlan::none(),
+    )?;
     if arch.num_qubits() < system.num_qubits() {
         return Err(CliError::Usage(format!(
             "{} needs {} qubits but {} has {}",
@@ -1011,8 +900,7 @@ fn cmd_compile(flags: &Flags) -> Result<(), CliError> {
             arch.num_qubits()
         )));
     }
-    let full = UccsdAnsatz::for_system(&system).into_ir();
-    let (ir, _) = compress(&full, system.qubit_hamiltonian(), ratio);
+    let (ir, _) = stages::ansatz(&system, ratio);
 
     println!("{} at {:.0}% on {}", molecule.name(), ratio * 100.0, arch);
     if which == "mtr" || which == "both" {
@@ -1047,7 +935,7 @@ fn cmd_adapt(flags: &Flags) -> Result<(), CliError> {
     };
     let molecule = flags.molecule()?;
     let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let system = molecule.build(bond)?;
+    let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
     let m = system.num_qubits() / 2;
     let pool = match flags.get("pool").unwrap_or("plain") {
         "plain" => uccsd_pool(m, system.num_active_electrons()),
@@ -1088,7 +976,7 @@ fn cmd_excited(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
     let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
     let k = flags.positive("states", 3)?;
-    let system = molecule.build(bond)?;
+    let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
     let ir = UccsdAnsatz::for_system(&system).into_ir();
     let states = run_vqd(system.qubit_hamiltonian(), &ir, k, VqdOptions::default());
     println!("{} @ {bond} Å — VQD ladder", molecule.name());
@@ -1104,11 +992,10 @@ fn cmd_excited(flags: &Flags) -> Result<(), CliError> {
 fn cmd_qasm(flags: &Flags) -> Result<(), CliError> {
     let molecule = flags.molecule()?;
     let ratio = flags.ratio(0.5)?;
-    let system = molecule.build(molecule.equilibrium_bond_length())?;
-    let full = UccsdAnsatz::for_system(&system).into_ir();
-    let (ir, _) = compress(&full, system.qubit_hamiltonian(), ratio);
-    let arch = Topology::xtree(system.num_qubits().max(5) + 1);
-    let compiled = compile_mtr(&ir, &arch);
+    let mut plan = FaultPlan::none();
+    let (system, _) = stages::build(molecule, molecule.equilibrium_bond_length(), &mut plan)?;
+    let (ir, _) = stages::ansatz(&system, ratio);
+    let (compiled, _) = stages::compile(&ir, &stages::xtree_for(&system), &mut plan)?;
     let qasm = compiled.circuit().to_qasm();
     match flags.get("out") {
         Some(path) => {
@@ -2098,7 +1985,9 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     // 225-state N-electron sector (CSR build included) against its oracle,
     // Lanczos on the 4,096-state Fock space. In-bench gate: the sector
     // solve exists to beat the full-space one (exit 21 otherwise).
-    let h2o = Benchmark::H2O.build(Benchmark::H2O.equilibrium_bond_length())?;
+    let h2o = Benchmark::H2O
+        .build(Benchmark::H2O.equilibrium_bond_length())
+        .map_err(PcdError::from)?;
     let sector = criterion::measure(warmup, samples, || {
         par::with_threads(1, || h2o.exact_ground_state_energy())
     });
@@ -2186,7 +2075,9 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     pair(&mut records, "yield_xtree17", 17, serial, parallel);
 
     // Finite-difference gradient of the H2 VQE energy.
-    let system = Benchmark::H2.build(Benchmark::H2.equilibrium_bond_length())?;
+    let system = Benchmark::H2
+        .build(Benchmark::H2.equilibrium_bond_length())
+        .map_err(PcdError::from)?;
     let ir = UccsdAnsatz::for_system(&system).into_ir();
     let params = vec![0.05; ir.num_parameters()];
     let energy = |x: &[f64]| vqe::energy(system.qubit_hamiltonian(), &ir, x);
@@ -2609,6 +2500,65 @@ mod tests {
     fn resume_without_checkpoint_dir_is_a_usage_error() {
         let r = cmd_run(&flags(&["H2", "--resume"]));
         assert!(matches!(r, Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn scan_reports_a_failed_bond_and_finishes_the_range() {
+        // H2O at 1.9 Å defeats every rung of the SCF ladder (`pcd batch`
+        // quarantines that bond with the same error); the ladder converges
+        // the bonds on either side.
+        let mut rows = Vec::new();
+        let first_failure = scan(Benchmark::H2O, 0.5, (1.8, 2.1, 0.1), |row| {
+            rows.push(row.to_string())
+        });
+        assert_eq!(rows.len(), 5, "{rows:#?}");
+        let row = |bond: &str| {
+            rows.iter()
+                .find(|r| r.starts_with(bond))
+                .unwrap_or_else(|| panic!("no row for {bond}: {rows:#?}"))
+        };
+        for converged in ["1.80", "2.10"] {
+            assert!(!row(converged).contains("error"), "{}", row(converged));
+        }
+        assert!(
+            row("1.90").contains("error: scf stage unrecovered after 4 attempts"),
+            "{}",
+            row("1.90")
+        );
+        let e = first_failure.expect("the 1.9 Å bond fails");
+        assert!(
+            matches!(
+                e,
+                PcdError::Unrecovered {
+                    stage: "scf",
+                    attempts: 4,
+                    ..
+                }
+            ),
+            "{e:?}"
+        );
+        assert_eq!(CliError::from(e).exit_code(), 11);
+
+        // `pcd batch` quarantines that bond after the same 4 ladder attempts.
+        use pauli_codesign::supervisor::{run_batch, JobSpec};
+        let job = JobSpec {
+            id: "h2o-1.9".to_string(),
+            benchmark: Benchmark::H2O,
+            bond: Some(1.9),
+            ratio: 0.5,
+        };
+        let config = SupervisorConfig {
+            max_retries: 0,
+            ..SupervisorConfig::default()
+        };
+        let report = run_batch(&[job], &config).expect("batch runs");
+        match &report.records[0].state {
+            JobState::Quarantined { stage, error, .. } => {
+                assert_eq!(stage, "scf");
+                assert!(error.contains("unrecovered after 4 attempts"), "{error}");
+            }
+            other => panic!("H2O at 1.9 Å should be quarantined: {other:?}"),
+        }
     }
 
     #[test]

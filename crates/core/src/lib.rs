@@ -56,14 +56,14 @@ pub use vqe;
 
 pub mod report;
 
-use ansatz::uccsd::UccsdAnsatz;
-use ansatz::{compress, PauliIr};
+use ansatz::PauliIr;
 use arch::Topology;
 use chem::{Benchmark, MolecularSystem};
-use compiler::pipeline::{compile_mtr, CompiledProgram};
-use resilience::PcdError;
+use compiler::pipeline::CompiledProgram;
+use par::Budget;
+use resilience::{stages, FaultPlan, PcdError};
 use sim::NoiseModel;
-use vqe::driver::{run_vqe, run_vqe_noisy, NoisyEvaluator, VqeOptions, VqeResult};
+use vqe::driver::{NoisyEvaluator, VqeOptions, VqeResult};
 
 /// The end-to-end co-design pipeline: chemistry → compressed ansatz →
 /// VQE → X-Tree compilation, with the paper's default configuration.
@@ -132,72 +132,51 @@ impl CoDesignPipeline {
         self
     }
 
-    /// Runs the whole pipeline.
+    /// Runs the whole pipeline through [`resilience::stages`]: the build
+    /// through the SCF retry ladder, compressed ansatz, VQE, measurement
+    /// grouping, exact reference, and Merge-to-Root compilation (SABRE
+    /// when the topology is not a tree).
     ///
     /// # Errors
     ///
     /// Returns [`PcdError`] if the electronic-structure stage or the VQE
     /// optimizer fails.
     pub fn run(&self) -> Result<CoDesignReport, PcdError> {
-        let mut run_span = obs::span("pipeline.run");
+        let mut run_span = stages::root();
         run_span.record("compression_ratio", self.compression_ratio);
         run_span.record("noisy", self.noise.is_some());
 
         let bond = self
             .bond_length
             .unwrap_or_else(|| self.benchmark.equilibrium_bond_length());
-        let system = {
-            let mut stage = obs::span("pipeline.chemistry");
-            stage.record("bond_length", bond);
-            let system = self.benchmark.build(bond)?;
-            stage.record("system", system.name());
-            stage.record("qubits", system.num_qubits());
-            system
-        };
+        let mut plan = FaultPlan::none();
+        let (system, _) = stages::build(self.benchmark, bond, &mut plan)?;
         run_span.record("system", system.name());
 
-        let (ir, compression) = {
-            let mut stage = obs::span("pipeline.ansatz");
-            let full = UccsdAnsatz::for_system(&system).into_ir();
-            let out = compress(&full, system.qubit_hamiltonian(), self.compression_ratio);
-            stage.record("original_parameters", out.1.original_parameters);
-            stage.record("kept_parameters", out.1.kept_parameters);
-            out
+        let (ir, compression) = stages::ansatz(&system, self.compression_ratio);
+        let vqe_result = match self.noise {
+            None => stages::vqe(&system, &ir, self.vqe_options, &Budget::unlimited(), None)?,
+            Some(noise) => stages::vqe_noisy(
+                &system,
+                &ir,
+                NoisyEvaluator::GlobalDepolarizing(noise),
+                self.vqe_options,
+            )?,
         };
+        let measurement_groups = stages::measure(&system);
+        let exact_energy = stages::reference(&system);
 
-        let vqe_result = {
-            let _stage = obs::span("pipeline.vqe");
-            match self.noise {
-                None => run_vqe(system.qubit_hamiltonian(), &ir, self.vqe_options)?,
-                Some(noise) => run_vqe_noisy(
-                    system.qubit_hamiltonian(),
-                    &ir,
-                    NoisyEvaluator::GlobalDepolarizing(noise),
-                    self.vqe_options,
-                )?,
-            }
-        };
-        let measurement_groups = {
-            let mut stage = obs::span("pipeline.measure");
-            let groups = pauli::group_qubit_wise(system.qubit_hamiltonian()).len();
-            stage.record("groups", groups);
-            groups
-        };
-
-        let compiled = {
-            let _stage = obs::span("pipeline.compile");
-            let topology = self
-                .topology
-                .clone()
-                .unwrap_or_else(|| Topology::xtree(system.num_qubits().max(5) + 1));
-            compile_mtr(&ir, &topology)
-        };
+        let topology = self
+            .topology
+            .clone()
+            .unwrap_or_else(|| stages::xtree_for(&system));
+        let (compiled, _) = stages::compile(&ir, &topology, &mut plan)?;
 
         run_span.record("energy", vqe_result.energy);
         run_span.record("added_cnots", compiled.added_cnots());
 
         Ok(CoDesignReport {
-            exact_energy: system.exact_ground_state_energy(),
+            exact_energy,
             hartree_fock_energy: system.hartree_fock_energy(),
             energy: vqe_result.energy,
             iterations: vqe_result.iterations,

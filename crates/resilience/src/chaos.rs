@@ -8,33 +8,28 @@
 //! raised. A campaign *survives* when no trial raised a violation. Trial
 //! `t` of a campaign with base seed `s` runs under [`trial_seed`]`(s, t)`.
 //!
-//! - [`run_chaos`] runs chemistry → ansatz → VQE → compilation many times
-//!   under a [`FaultPlan`] per trial, through the recovery policies in
-//!   [`crate::recover`], and tallies per-site injections and per-policy
-//!   recoveries.
+//! Both drive the pipeline through [`crate::stages`]:
+//!
+//! - [`run_chaos`] runs the build, ansatz (compressed at ratio 1.0), VQE
+//!   (under the restart policy) and compile stages many times under a
+//!   [`FaultPlan`] per trial, and tallies per-site injections and
+//!   per-policy recoveries.
 //! - [`run_kill_resume`] interrupts the VQE and yield stages every few
-//!   budget ticks, persists each checkpoint to disk, resumes from the
-//!   file, and checks the results equal an uninterrupted run
-//!   bit-for-bit.
+//!   budget ticks, lets each stage save its checkpoint file, resumes from
+//!   it, and checks the results equal an uninterrupted run bit-for-bit.
+//!   A scratch checkpoint directory is removed however the campaign ends.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use ansatz::compress;
-use ansatz::uccsd::UccsdAnsatz;
-use arch::{simulate_yield, simulate_yield_resumable, CollisionModel, Topology, YieldRun};
-use chem::scf::ScfOptions;
 use chem::Benchmark;
 use par::Budget;
-use vqe::driver::{run_vqe, run_vqe_resumable, VqeOptions, VqeRun};
+use vqe::driver::VqeOptions;
 
-use crate::checkpoint::{f64_to_hex, Checkpoint, CheckpointError};
-use crate::codec::{decode_vqe, decode_yield, encode_vqe, encode_yield};
+use crate::checkpoint::f64_to_hex;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::recover::{
-    build_system_with_recovery, compile_with_fallback, run_vqe_with_restart, CompileStrategy,
-};
+use crate::stages::{self, Checkpoints, CompileStrategy, DEGRADE_THRESHOLD};
 use crate::PcdError;
 
 /// The recovery policy classes the pipeline campaign exercises.
@@ -280,24 +275,18 @@ fn run_pipeline_trial(t: usize, bond: f64, options: &ChaosOptions, plan: &mut Fa
     let mut trial = Trial::new(t, plan.seed());
 
     let result = (|| -> Result<(), PcdError> {
-        let (system, scf_retries) =
-            build_system_with_recovery(options.benchmark, bond, ScfOptions::default(), plan)?;
+        let _root = stages::root();
+        let (system, scf_retries) = stages::build(options.benchmark, bond, plan)?;
         trial.add("scf retries", scf_retries);
 
-        let ir = UccsdAnsatz::for_system(&system).into_ir();
+        let (ir, _) = stages::ansatz(&system, 1.0);
 
-        let (vqe_result, restarts) = run_vqe_with_restart(
-            system.qubit_hamiltonian(),
-            &ir,
-            VqeOptions::default(),
-            options.max_restarts,
-            plan,
-        )?;
+        let (vqe_result, restarts) =
+            stages::vqe_with_restart(&system, &ir, options.max_restarts, plan)?;
         trial.add("vqe restarts", restarts);
         trial.energy = Some(vqe_result.energy);
 
-        let topology = Topology::xtree(system.num_qubits().max(5) + 1);
-        let (_, strategy) = compile_with_fallback(&ir, &topology, plan)?;
+        let (_, strategy) = stages::compile(&ir, &stages::xtree_for(&system), plan)?;
         trial.add(
             "sabre fallbacks",
             usize::from(strategy == CompileStrategy::SabreFallback),
@@ -341,31 +330,53 @@ pub struct KillResumeOptions {
     pub checkpoint_dir: Option<PathBuf>,
 }
 
+/// Runs `stage` with a `kill_every`-tick budget until it finishes,
+/// resuming each time from the checkpoint the interrupted run saved in
+/// `dir`. Returns the result and the number of kills.
+fn through_kills<T>(
+    dir: &Path,
+    kill_every: u64,
+    mut stage: impl FnMut(&Budget, &Checkpoints) -> Result<T, PcdError>,
+) -> Result<(T, usize), PcdError> {
+    let mut store = Checkpoints::new(dir, false);
+    let mut kills = 0;
+    loop {
+        match stage(&Budget::max_ticks(kill_every), &store) {
+            Ok(done) => return Ok((done, kills)),
+            Err(PcdError::Interrupted { .. }) => {
+                kills += 1;
+                store.resume = true;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Runs the kill-resume campaign: two phases, `vqe` and `yield`, each an
 /// uninterrupted baseline followed by runs of `kill_every` budget ticks
 /// that checkpoint to disk and resume from the file until done. A phase
 /// violates when its resumed result differs from the baseline in any
-/// bit.
+/// bit. A scratch checkpoint directory is removed however the campaign
+/// ends.
 ///
 /// # Errors
 ///
 /// Building the molecule, the VQE itself, or checkpoint file I/O failing
 /// outright.
 pub fn run_kill_resume(options: &KillResumeOptions) -> Result<CampaignReport, PcdError> {
+    let Some(dir) = &options.checkpoint_dir else {
+        let scratch = std::env::temp_dir().join(format!("pcd-kill-resume-{}", std::process::id()));
+        let report = kill_resume_in(&scratch, options);
+        let _ = std::fs::remove_dir_all(&scratch);
+        return report;
+    };
+    kill_resume_in(dir, options)
+}
+
+fn kill_resume_in(dir: &Path, options: &KillResumeOptions) -> Result<CampaignReport, PcdError> {
     let bond = options
         .bond_length
         .unwrap_or_else(|| options.benchmark.equilibrium_bond_length());
-    let (dir, ephemeral) = match &options.checkpoint_dir {
-        Some(d) => (d.clone(), false),
-        None => (
-            std::env::temp_dir().join(format!("pcd-kill-resume-{}", std::process::id())),
-            true,
-        ),
-    };
-    std::fs::create_dir_all(&dir).map_err(|e| CheckpointError::Io {
-        path: dir.display().to_string(),
-        message: e.to_string(),
-    })?;
     let mut report = CampaignReport::new(
         "kill-resume",
         format!(
@@ -374,38 +385,19 @@ pub fn run_kill_resume(options: &KillResumeOptions) -> Result<CampaignReport, Pc
             options.kill_every
         ),
     );
+    let _root = stages::root();
 
     // VQE: uninterrupted baseline, then the kill/resume gauntlet through
     // the on-disk checkpoint file.
-    let system = options.benchmark.build(bond)?;
-    let full = UccsdAnsatz::for_system(&system).into_ir();
-    let (ir, _) = compress(&full, system.qubit_hamiltonian(), options.ratio);
-    let x0 = vec![0.0; ir.num_parameters()];
-    let baseline = run_vqe(system.qubit_hamiltonian(), &ir, VqeOptions::default())?;
-    let vqe_path = dir.join("vqe.ckpt");
-    let _ = std::fs::remove_file(&vqe_path);
+    let (system, _) = stages::build(options.benchmark, bond, &mut FaultPlan::none())?;
+    let (ir, _) = stages::ansatz(&system, options.ratio);
+    let (vqe_options, unlimited) = (VqeOptions::default(), Budget::unlimited());
+    let baseline = stages::vqe(&system, &ir, vqe_options, &unlimited, None)?;
+    let (resumed, kills) = through_kills(dir, options.kill_every, |budget, store| {
+        stages::vqe(&system, &ir, vqe_options, budget, Some(store))
+    })?;
     let mut vqe = Trial::phase(0, "vqe", 0);
-    let resumed = loop {
-        let resume = match vqe_path.exists() {
-            true => Some(decode_vqe(&Checkpoint::read(&vqe_path)?)?),
-            false => None,
-        };
-        let budget = Budget::max_ticks(options.kill_every);
-        match run_vqe_resumable(
-            system.qubit_hamiltonian(),
-            &ir,
-            &x0,
-            VqeOptions::default(),
-            resume,
-            &budget,
-        )? {
-            VqeRun::Done(r) => break r,
-            VqeRun::Interrupted(ck) => {
-                vqe.add("vqe kills", 1);
-                encode_vqe(&ck).write(&vqe_path)?;
-            }
-        }
-    };
+    vqe.add("vqe kills", kills);
     vqe.energy = Some(resumed.energy);
     if resumed.energy.to_bits() != baseline.energy.to_bits() {
         vqe.violate(format!(
@@ -417,34 +409,12 @@ pub fn run_kill_resume(options: &KillResumeOptions) -> Result<CampaignReport, Pc
     report.trials.push(vqe);
 
     // Yield Monte Carlo: same gauntlet at chunk-wave grain.
-    let topology = Topology::xtree(17);
-    let model = CollisionModel::default();
-    let y_baseline = simulate_yield(&topology, &model, 0.04, options.samples, 17);
-    let yield_path = dir.join("yield.ckpt");
-    let _ = std::fs::remove_file(&yield_path);
+    let y_baseline = stages::yield_mc(options.samples, DEGRADE_THRESHOLD, &unlimited, None)?;
+    let (y_resumed, kills) = through_kills(dir, options.kill_every, |budget, store| {
+        stages::yield_mc(options.samples, DEGRADE_THRESHOLD, budget, Some(store))
+    })?;
     let mut yield_phase = Trial::phase(1, "yield", 0);
-    let y_resumed = loop {
-        let resume = match yield_path.exists() {
-            true => Some(decode_yield(&Checkpoint::read(&yield_path)?)?),
-            false => None,
-        };
-        let budget = Budget::max_ticks(options.kill_every);
-        match simulate_yield_resumable(
-            &topology,
-            &model,
-            0.04,
-            options.samples,
-            17,
-            resume,
-            &budget,
-        ) {
-            YieldRun::Done(e) => break e,
-            YieldRun::Interrupted(ck) => {
-                yield_phase.add("yield kills", 1);
-                encode_yield(&ck).write(&yield_path)?;
-            }
-        }
-    };
+    yield_phase.add("yield kills", kills);
     if y_resumed.yield_rate.to_bits() != y_baseline.yield_rate.to_bits()
         || y_resumed.mean_collisions.to_bits() != y_baseline.mean_collisions.to_bits()
     {
@@ -456,9 +426,7 @@ pub fn run_kill_resume(options: &KillResumeOptions) -> Result<CampaignReport, Pc
     }
     report.trials.push(yield_phase);
 
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    Checkpoints::new(dir, false).clear();
     Ok(report)
 }
 
@@ -531,5 +499,20 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("trial 0: VIOLATION: second"), "{text}");
         assert!(text.contains("FAILED: 1 of 2 trial(s)"), "{text}");
+    }
+
+    #[test]
+    fn kill_resume_removes_its_scratch_dir_when_a_stage_fails() {
+        let scratch = std::env::temp_dir().join(format!("pcd-kill-resume-{}", std::process::id()));
+        let result = run_kill_resume(&KillResumeOptions {
+            benchmark: Benchmark::H2,
+            bond_length: Some(1e-5),
+            ratio: 1.0,
+            kill_every: 2,
+            samples: 100,
+            checkpoint_dir: None,
+        });
+        assert!(result.is_err(), "a collapsed bond must not build");
+        assert!(!scratch.exists(), "{} was left behind", scratch.display());
     }
 }

@@ -6,7 +6,7 @@
 //! Merge-to-Root's tree precondition, optimizers can hit NaN or stall.
 //! This crate gives each failure a typed home ([`PcdError`]), a way to
 //! provoke it on demand ([`FaultPlan`]), and a policy that survives it
-//! ([`recover`]):
+//! ([`recover`] for the SCF ladder, [`stages`] for the others):
 //!
 //! | failure | typed error | recovery policy |
 //! |---|---|---|
@@ -15,11 +15,15 @@
 //! | non-tree coupling graph | `CompileError::NotATree` | degrade MtR → SABRE |
 //! | NaN objective / stall | `OptimizeError` / unconverged | restart from perturbed parameters |
 //!
+//! The [`stages`] module owns each stage of the pipeline chain with its
+//! policy, checkpoint files and `pipeline.*` span; every driver calls it
+//! instead of keeping its own copy of the chain.
+//!
 //! The [`chaos`] module holds the [`CampaignReport`] every fault campaign
-//! returns, and the campaigns that run the whole pipeline under a seeded
-//! fault plan (checking every injected fault was recovered) or kill and
-//! resume it from checkpoint files — `pcd chaos --campaign` is a thin CLI
-//! over them. All retries, fallbacks, and
+//! returns, and the campaigns that run the stages under a seeded fault
+//! plan (checking every injected fault was recovered) or kill and resume
+//! them from checkpoint files — `pcd chaos --campaign` is a thin CLI over
+//! them. All retries, fallbacks, and
 //! injections are counted in obs (`resilience.retries`,
 //! `resilience.fallbacks`, `resilience.faults_injected`) and emitted as
 //! events, so a trace shows the full fault/recovery story.
@@ -45,6 +49,7 @@ pub mod degrade;
 pub mod error;
 pub mod fault;
 pub mod recover;
+pub mod stages;
 
 pub use chaos::{
     run_chaos, run_kill_resume, trial_seed, CampaignReport, ChaosOptions, KillResumeOptions, Trial,
@@ -57,7 +62,5 @@ pub use codec::{
 pub use degrade::{DegradationLadder, DegradationPolicy};
 pub use error::PcdError;
 pub use fault::{splitmix64, FaultKind, FaultPlan, InjectedFault};
-pub use recover::{
-    build_system_with_ladder, build_system_with_recovery, compile_with_fallback,
-    run_vqe_with_restart, scf_ladder, CompileStrategy,
-};
+pub use recover::build_system_with_recovery;
+pub use stages::CompileStrategy;

@@ -1,30 +1,19 @@
-//! Recovery policies: what each pipeline stage does when its typed error
-//! surfaces.
-//!
-//! - **SCF retry ladder** — on non-convergence or a non-finite energy,
-//!   re-run with progressively more conservative options: Fock damping,
-//!   then damping plus a level shift, then a strong shift with a
-//!   restarted (shallower) DIIS history. A degenerate geometry retries
-//!   with the caller's clean geometry (the fault model corrupts inputs,
-//!   not the molecule definition).
-//! - **VQE restart** — on a non-finite objective or a stalled optimizer,
-//!   restart from a deterministically perturbed starting point with a
-//!   fresh iteration budget, bounded by `max_restarts`.
-//! - **Compiler fallback** — Merge-to-Root requires a tree; when the
-//!   coupling graph is not one (or MtR fails for any reason), degrade
-//!   gracefully to SABRE, which only needs connectivity.
+//! The SCF retry ladder: on non-convergence or a non-finite energy,
+//! re-run with progressively more conservative options — Fock damping,
+//! then damping plus a level shift, then a strong shift with a restarted
+//! (shallower) DIIS history. A degenerate geometry retries with the
+//! caller's clean geometry (the fault model corrupts inputs, not the
+//! molecule definition). The other two policies live with their stages:
+//! the VQE restart in [`crate::stages::vqe_with_restart`], the
+//! Merge-to-Root → SABRE fallback in [`crate::stages::compile`].
 //!
 //! Every retry and fallback bumps the `resilience.retries` /
 //! `resilience.fallbacks` counters and emits a `resilience.recovery`
 //! event, so an obs trace shows exactly which policy fired and why.
 
-use ansatz::PauliIr;
 use arch::Topology;
 use chem::scf::ScfOptions;
-use chem::{Benchmark, ChemError, MolecularSystem};
-use compiler::pipeline::{try_compile_mtr, try_compile_sabre, CompiledProgram};
-use pauli::WeightedPauliSum;
-use vqe::driver::{run_vqe_from, VqeOptions, VqeResult};
+use chem::{Benchmark, MolecularSystem};
 
 use crate::error::PcdError;
 use crate::fault::{FaultKind, FaultPlan};
@@ -32,10 +21,7 @@ use crate::fault::{FaultKind, FaultPlan};
 /// Bond length (Angstrom) used to model a corrupted, collapsed geometry.
 const COLLAPSED_BOND_ANGSTROM: f64 = 1e-5;
 
-/// SABRE bidirectional layout round trips used by the fallback path.
-const SABRE_LAYOUT_ROUNDS: usize = 3;
-
-fn record_recovery(policy: &str, stage: &str, attempt: usize, cause: &str) {
+pub(crate) fn record_recovery(policy: &str, stage: &str, attempt: usize, cause: &str) {
     obs::counter_add("resilience.retries", 1);
     obs::event!(
         "resilience.recovery",
@@ -49,11 +35,7 @@ fn record_recovery(policy: &str, stage: &str, attempt: usize, cause: &str) {
 /// The SCF retry ladder's rungs, most conservative last. Each rung also
 /// restores a full iteration budget (an injected `ScfConvergence` fault
 /// slashes it on the first attempt only).
-///
-/// Public so that a batch resume can rebuild a system with the *exact*
-/// rung that succeeded originally — a clean-options rebuild would land on
-/// a slightly different SCF fixed point and break bit-identical resume.
-pub fn scf_ladder(base: ScfOptions) -> [ScfOptions; 3] {
+fn scf_ladder(base: ScfOptions) -> [ScfOptions; 3] {
     let restored = ScfOptions {
         max_iter: base.max_iter.max(200),
         damping: 0.0,
@@ -148,30 +130,6 @@ pub fn build_system_with_recovery(
     })
 }
 
-/// Like [`build_system_with_recovery`] but surfaces the raw first-attempt
-/// error when no plan is active — used by callers that want the ladder
-/// without fault injection.
-///
-/// # Errors
-///
-/// Returns [`PcdError::Unrecovered`] when the whole ladder fails.
-pub fn build_system_with_ladder(
-    benchmark: Benchmark,
-    bond_length: f64,
-    base: ScfOptions,
-) -> Result<(MolecularSystem, usize), PcdError> {
-    build_system_with_recovery(benchmark, bond_length, base, &mut FaultPlan::none())
-}
-
-/// How the compiler stage produced its program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompileStrategy {
-    /// Merge-to-Root ran on a tree topology (the co-designed fast path).
-    MergeToRoot,
-    /// MtR's precondition failed; SABRE routed the circuit instead.
-    SabreFallback,
-}
-
 /// Adds one chord edge to `topology`, producing a connected coupling graph
 /// that is no longer a tree — the injected `CouplingGraph` fault.
 pub fn corrupt_with_chord(topology: &Topology) -> Topology {
@@ -190,156 +148,6 @@ pub fn corrupt_with_chord(topology: &Topology) -> Topology {
         edges.push(chord);
     }
     Topology::from_edges("chord-corrupted", n, edges)
-}
-
-/// Compiles `ir` with Merge-to-Root, degrading to SABRE when MtR's tree
-/// precondition does not hold. The fault plan may corrupt the coupling
-/// graph first (a chord edge, making it cyclic but still connected).
-///
-/// # Errors
-///
-/// Returns [`PcdError::Compile`] when both strategies fail.
-pub fn compile_with_fallback(
-    ir: &PauliIr,
-    topology: &Topology,
-    plan: &mut FaultPlan,
-) -> Result<(CompiledProgram, CompileStrategy), PcdError> {
-    let corrupted;
-    let target: &Topology = if plan.should_inject(FaultKind::CouplingGraph) {
-        corrupted = corrupt_with_chord(topology);
-        &corrupted
-    } else {
-        topology
-    };
-
-    match try_compile_mtr(ir, target) {
-        Ok(program) => Ok((program, CompileStrategy::MergeToRoot)),
-        Err(mtr_err) => {
-            obs::counter_add("resilience.fallbacks", 1);
-            obs::event!(
-                "resilience.recovery",
-                policy = "compiler_fallback",
-                stage = "compile",
-                attempt = 1usize,
-                cause = format!("{mtr_err}")
-            );
-            match try_compile_sabre(ir, target, SABRE_LAYOUT_ROUNDS) {
-                Ok(program) => {
-                    obs::event!(
-                        "resilience.recovered",
-                        policy = "compiler_fallback",
-                        attempt = 1usize
-                    );
-                    Ok((program, CompileStrategy::SabreFallback))
-                }
-                Err(sabre_err) => Err(PcdError::Unrecovered {
-                    stage: "compile",
-                    attempts: 2,
-                    last: Box::new(PcdError::Compile(sabre_err)),
-                }),
-            }
-        }
-    }
-}
-
-/// Deterministic perturbation for restart attempt `attempt`: small,
-/// attempt-dependent, and symmetry-breaking.
-fn perturbed_start(base: &[f64], attempt: usize, scale: f64) -> Vec<f64> {
-    base.iter()
-        .enumerate()
-        .map(|(j, &x)| {
-            let t = (attempt * base.len() + j) as f64;
-            let x = if x.is_finite() { x } else { 0.0 };
-            x + scale * (t * 0.7 + attempt as f64).sin()
-        })
-        .collect()
-}
-
-/// Runs VQE with the restart policy: on a non-finite objective or a
-/// stalled (unconverged) optimizer, restart from a perturbed starting
-/// point with a fresh iteration budget, at most `max_restarts` times.
-///
-/// Returns the result and the number of restarts spent.
-///
-/// # Errors
-///
-/// Returns [`PcdError::Unrecovered`] when every attempt fails with a
-/// typed error; a merely-unconverged final attempt is returned as-is
-/// (`converged = false`) for the caller to judge.
-pub fn run_vqe_with_restart(
-    hamiltonian: &WeightedPauliSum,
-    ir: &PauliIr,
-    options: VqeOptions,
-    max_restarts: usize,
-    plan: &mut FaultPlan,
-) -> Result<(VqeResult, usize), PcdError> {
-    let n = ir.num_parameters();
-    let mut x0 = vec![0.0; n];
-    let mut first_options = options;
-    if n > 0 && plan.should_inject(FaultKind::VqeObjective) {
-        x0[0] = f64::NAN;
-    }
-    if plan.should_inject(FaultKind::OptimizerStall) {
-        first_options.controls.max_iterations = 1;
-    }
-
-    let mut attempt = 0usize;
-    let mut current = x0;
-    let mut current_options = first_options;
-    let mut stalled: Option<VqeResult> = None;
-
-    loop {
-        match run_vqe_from(hamiltonian, ir, &current, current_options) {
-            Ok(result) if result.converged => {
-                if attempt > 0 {
-                    obs::event!(
-                        "resilience.recovered",
-                        policy = "vqe_restart",
-                        attempt = attempt
-                    );
-                }
-                return Ok((result, attempt));
-            }
-            Ok(result) => {
-                // Stall: keep the best params as the warm start.
-                if attempt >= max_restarts {
-                    return Ok((result, attempt));
-                }
-                attempt += 1;
-                record_recovery("vqe_restart", "vqe", attempt, "optimizer_stall");
-                current = perturbed_start(&result.params, attempt, 0.02);
-                stalled = Some(result);
-                current_options = options;
-            }
-            Err(e) => {
-                let err: PcdError = e.into();
-                if attempt >= max_restarts {
-                    return match stalled {
-                        // A prior stalled-but-finite result beats dying.
-                        Some(result) => Ok((result, attempt)),
-                        None => Err(PcdError::Unrecovered {
-                            stage: "vqe",
-                            attempts: attempt + 1,
-                            last: Box::new(err),
-                        }),
-                    };
-                }
-                attempt += 1;
-                record_recovery("vqe_restart", "vqe", attempt, err.stage());
-                current = perturbed_start(&vec![0.0; n], attempt, 0.05);
-                current_options = options;
-            }
-        }
-    }
-}
-
-/// Maps a `ChemError` to the retry-cause label used in events.
-pub fn chem_cause(e: &ChemError) -> &'static str {
-    match e {
-        ChemError::Scf(_) => "scf",
-        ChemError::InvalidActiveSpace(_) => "active_space",
-        ChemError::DegenerateGeometry { .. } => "geometry",
-    }
 }
 
 #[cfg(test)]
@@ -361,7 +169,13 @@ mod tests {
         // H2O and NH3 at 2.5 Å once panicked inside the Jacobi eigensolver,
         // bypassing this ladder. Each must now build or fail typed.
         for molecule in [Benchmark::H2O, Benchmark::NH3] {
-            match build_system_with_ladder(molecule, 2.5, ScfOptions::default()) {
+            let built = build_system_with_recovery(
+                molecule,
+                2.5,
+                ScfOptions::default(),
+                &mut FaultPlan::none(),
+            );
+            match built {
                 Ok((system, _)) => assert!(system.hartree_fock_energy().is_finite()),
                 Err(e) => assert_eq!(e.stage(), "scf", "{molecule:?}: {e}"),
             }

@@ -30,18 +30,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
-use ansatz::compress;
-use ansatz::uccsd::UccsdAnsatz;
-use arch::Topology;
-use chem::scf::ScfOptions;
 use par::Budget;
 use resilience::checkpoint::CheckpointError;
-use resilience::recover::CompileStrategy;
-use resilience::{
-    build_system_with_recovery, compile_with_fallback, decode_vqe, encode_vqe, Checkpoint,
-    FaultKind, FaultPlan, PcdError,
-};
-use vqe::driver::{run_vqe_resumable, VqeCheckpoint, VqeOptions, VqeRun};
+use resilience::stages::{self, CompileStrategy};
+use resilience::{encode_vqe, FaultPlan, PcdError};
+use vqe::driver::{VqeCheckpoint, VqeOptions, VqeRun};
 
 use crate::backoff::BackoffPolicy;
 use crate::breaker::{CircuitBreaker, Stage};
@@ -638,8 +631,7 @@ fn start_state(record: Option<&JobRecord>, config: &SupervisorConfig) -> StartSt
     };
     let resume_ck = checkpoint.as_ref().and_then(|name| {
         let dir = config.ckpt_dir.as_ref()?;
-        let ck = Checkpoint::read(dir.join(name)).ok()?;
-        decode_vqe(&ck).ok()
+        stages::read_vqe_checkpoint(&dir.join(name)).ok()
     });
     StartState {
         attempt: *attempt,
@@ -898,24 +890,16 @@ fn attempt_job(
     }
 
     let mut plan = FaultPlan::new(aseed, config.pipeline_fault_rate);
+    let _root = stages::root();
     let t_chem = Instant::now();
-    let built = build_system_with_recovery(
-        spec.benchmark,
-        spec.bond_length(),
-        ScfOptions::default(),
-        &mut plan,
-    );
+    let built = stages::build(spec.benchmark, spec.bond_length(), &mut plan);
     progress.stage_us("chem", t_chem.elapsed().as_secs_f64() * 1e6);
     let (system, scf_retries) = match built {
         Ok(built) => built,
         Err(e) => return failed(&e),
     };
-    let full = UccsdAnsatz::for_system(&system).into_ir();
-    let (ir, _) = compress(&full, system.qubit_hamiltonian(), spec.ratio);
-    let mut x0 = vec![0.0; ir.num_parameters()];
-    if !x0.is_empty() && plan.should_inject(FaultKind::VqeObjective) {
-        x0[0] = f64::NAN;
-    }
+    let (ir, _) = stages::ansatz(&system, spec.ratio);
+    let x0 = stages::vqe_start(&ir, &mut plan);
 
     let mut resume = resume_ck;
     let mut slices = start_slices;
@@ -956,8 +940,8 @@ fn attempt_job(
                 base
             }
         };
-        match run_vqe_resumable(
-            system.qubit_hamiltonian(),
+        match stages::vqe_slice(
+            &system,
             &ir,
             &x0,
             VqeOptions::default(),
@@ -966,14 +950,13 @@ fn attempt_job(
         ) {
             Ok(VqeRun::Done(r)) => break r,
             Ok(VqeRun::Interrupted(ck)) => resume = Some(*ck),
-            Err(e) => return failed(&PcdError::from(e)),
+            Err(e) => return failed(&e),
         }
     };
     progress.stage_us("vqe", t_vqe.elapsed().as_secs_f64() * 1e6);
 
-    let topology = Topology::xtree(system.num_qubits().max(5) + 1);
     let t_compile = Instant::now();
-    let compiled = compile_with_fallback(&ir, &topology, &mut plan);
+    let compiled = stages::compile(&ir, &stages::xtree_for(&system), &mut plan);
     progress.stage_us("compile", t_compile.elapsed().as_secs_f64() * 1e6);
     match compiled {
         Ok((_, strategy)) => AttemptOutcome::Done {

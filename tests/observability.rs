@@ -1,10 +1,13 @@
 //! Integration test: the instrumented `CoDesignPipeline::run()` must emit
 //! spans for every stage with sane timings, and the compiler metrics
 //! recorded in the trace must agree with the `CompiledProgram` bookkeeping.
+//! A `pcd run` trace must put its stages under one `pipeline.run` root
+//! whose direct children account for nearly all of its time.
 //!
 //! This lives in its own test binary so enabling the process-global obs
 //! registry cannot interfere with other tests.
 
+use std::process::{Command, Stdio};
 use std::sync::Mutex;
 
 use pauli_codesign::chem::Benchmark;
@@ -155,4 +158,66 @@ fn disabled_pipeline_records_nothing() {
     assert!(snap.events.is_empty());
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());
+}
+
+/// The spans of one default `pcd run <molecule> --trace`, read back from
+/// the trace file.
+fn pcd_run_spans(molecule: &str) -> Vec<obs::SpanRecord> {
+    let trace = std::env::temp_dir().join(format!(
+        "pcd-observability-{molecule}-{}.jsonl",
+        std::process::id()
+    ));
+    let status = Command::new(env!("CARGO_BIN_EXE_pcd"))
+        .args(["run", molecule, "--trace"])
+        .arg(&trace)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("pcd starts");
+    assert!(status.success(), "pcd run {molecule}: {status}");
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_file(&trace);
+    obs::parse_jsonl(&text)
+        .expect("trace parses")
+        .into_iter()
+        .filter_map(|record| match record {
+            obs::Record::Span(span) => Some(span),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn pcd_run_stage_spans_cover_the_root() {
+    for molecule in ["H2", "LiH"] {
+        let spans = pcd_run_spans(molecule);
+        let roots: Vec<_> = spans.iter().filter(|s| s.name == "pipeline.run").collect();
+        assert_eq!(roots.len(), 1, "{molecule}: one pipeline.run root");
+        let root = roots[0];
+        assert_eq!(root.parent, None, "{molecule}: the root has no parent");
+
+        let children: Vec<_> = spans
+            .iter()
+            .filter(|s| s.parent.as_deref() == Some("pipeline.run"))
+            .collect();
+        for stage in [
+            "pipeline.chemistry",
+            "pipeline.ansatz",
+            "pipeline.vqe",
+            "pipeline.yield",
+            "pipeline.reference",
+            "pipeline.crosscheck",
+        ] {
+            assert!(
+                children.iter().any(|s| s.name == stage),
+                "{molecule}: no `{stage}` under pipeline.run"
+            );
+        }
+        let covered: f64 = children.iter().map(|s| s.duration_us).sum();
+        assert!(
+            covered >= 0.95 * root.duration_us,
+            "{molecule}: stages cover {covered:.0} of {:.0} µs",
+            root.duration_us
+        );
+    }
 }
