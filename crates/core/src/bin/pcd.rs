@@ -50,6 +50,7 @@ use pauli_codesign::supervisor::{
     ShedPolicy, SupervisedChaosOptions, SupervisorConfig, SupervisorError, WorkerOptions,
 };
 use pauli_codesign::vqe::driver::{VqeOptions, VqeResult};
+use pauli_codesign::vqe::SectorAnsatz;
 
 /// A CLI failure: either bad usage (exit 1, prints usage) or a typed
 /// pipeline error carrying its own exit code.
@@ -407,6 +408,10 @@ commands:
                                       21), the H2O exact reference in its
                                       electron sector (which must beat the
                                       full-space Lanczos, else exit 21),
+                                      the H2O VQE energy + gradient in its
+                                      electron sector, build included
+                                      (which must beat the full-space
+                                      fused path, else exit 21),
                                       and write a JSON report (default
                                       BENCH_pipeline.json);
                                       with --baseline, exit 21 if any
@@ -816,8 +821,13 @@ fn cmd_run(flags: &Flags) -> Result<(), CliError> {
     );
     println!("  VQE energy   : {:.6} Ha", result.energy);
     println!("  energy bits  : 0x{}", f64_to_hex(result.energy));
+    // The VQE drivers take the sector path exactly when this build succeeds.
+    let evaluator = match SectorAnsatz::build(system.qubit_hamiltonian(), &ir) {
+        Ok(sector) => format!("sector {}/{}", sector.dim(), 1u64 << ir.num_qubits()),
+        Err(_) => "grouped".to_string(),
+    };
     println!(
-        "  evaluator    : grouped (cross-check terms {per_term:.9} / clustered {clustered:.9})"
+        "  evaluator    : {evaluator} (cross-check terms {per_term:.9} / clustered {clustered:.9})"
     );
     println!(
         "  H clusters   : {} over {} terms (largest {}, fused {}, Clifford depth {})",
@@ -2013,6 +2023,49 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         return Err(CliError::BenchRegression(vec![format!(
             "exact_sector: {} ns not faster than exact_fullspace {} ns",
             sector.median_ns, fullspace.median_ns
+        )]));
+    }
+
+    // The VQE objective of H2O at equilibrium, ratio 0.5, at one thread:
+    // energy + adjoint gradient on the 225-state electron sector (the
+    // SectorAnsatz build included, as each VQE run pays it) against the
+    // full-space fused path on 4,096 amplitudes. In-bench gate: the sector
+    // evaluator exists to beat the full-space one (exit 21 otherwise).
+    let (h2o_ir, _) = stages::ansatz(&h2o, 0.5);
+    let h2o_h = h2o.qubit_hamiltonian();
+    let h2o_theta: Vec<f64> = (0..h2o_ir.num_parameters())
+        .map(|k| 0.02 * ((k % 5) as f64 - 2.0))
+        .collect();
+    let vqe_sector = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || {
+            SectorAnsatz::build(h2o_h, &h2o_ir).map(|s| s.energy_and_gradient(&h2o_theta))
+        })
+    });
+    let vqe_fullspace = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || vqe::energy_and_gradient(h2o_h, &h2o_ir, &h2o_theta))
+    });
+    println!(
+        "{:<28} {:>14} {:>14} {:>8.2}x",
+        "vqe_h2o (fullspace/sector)",
+        vqe_fullspace.median_ns,
+        vqe_sector.median_ns,
+        vqe_fullspace.median_ns as f64 / vqe_sector.median_ns.max(1) as f64
+    );
+    for (name, m) in [
+        ("vqe_sector", &vqe_sector),
+        ("vqe_fullspace", &vqe_fullspace),
+    ] {
+        records.push(BenchRecord {
+            name: name.to_string(),
+            median_ns: m.median_ns,
+            threads: 1,
+            n_qubits: h2o.num_qubits(),
+        });
+    }
+    if vqe_sector.median_ns >= vqe_fullspace.median_ns {
+        return Err(CliError::BenchRegression(vec![format!(
+            "vqe_sector: {} ns not faster than vqe_fullspace {} ns",
+            vqe_sector.median_ns, vqe_fullspace.median_ns
         )]));
     }
 

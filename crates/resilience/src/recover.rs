@@ -183,6 +183,30 @@ mod tests {
     }
 
     #[test]
+    fn ladder_answers_the_known_unrecovered_points_without_panicking() {
+        // The points the ladder does not converge yet (ROADMAP direction
+        // 4): each must build or fail typed, never panic.
+        for (molecule, bond) in [
+            (Benchmark::H2O, 1.9),
+            (Benchmark::H2O, 2.0),
+            (Benchmark::NH3, 2.1),
+            (Benchmark::NH3, 2.2),
+            (Benchmark::NH3, 2.3),
+        ] {
+            let built = build_system_with_recovery(
+                molecule,
+                bond,
+                ScfOptions::default(),
+                &mut FaultPlan::none(),
+            );
+            match built {
+                Ok((system, _)) => assert!(system.hartree_fock_energy().is_finite()),
+                Err(e) => assert_eq!(e.stage(), "scf", "{molecule:?} at {bond} Å: {e}"),
+            }
+        }
+    }
+
+    #[test]
     fn ladder_recovers_from_every_scf_fault() {
         // Rate 1.0 injects all three chemistry faults at once.
         let mut plan = FaultPlan::new(9, 1.0);

@@ -485,6 +485,27 @@ mod tests {
     }
 
     #[test]
+    fn the_crosscheck_holds_on_the_sector_vqe_of_h2o() {
+        // H2O's VQE runs on its 225-state electron sector; the full-space
+        // per-term and clustered evaluators must read the same energy.
+        let (system, _) = build(Benchmark::H2O, 0.96, &mut FaultPlan::none()).expect("H2O");
+        let (ir, _) = ansatz(&system, 0.5);
+        let sector = ::vqe::SectorAnsatz::build(system.qubit_hamiltonian(), &ir).expect("eligible");
+        assert_eq!(sector.dim(), 225);
+        let run = vqe(
+            &system,
+            &ir,
+            VqeOptions::default(),
+            &Budget::unlimited(),
+            None,
+        )
+        .expect("vqe");
+        let check = crosscheck(&system, &ir, &run.params);
+        assert!((check.per_term - run.energy).abs() < 1e-9);
+        assert!((check.clustered - run.energy).abs() < 1e-9);
+    }
+
+    #[test]
     fn a_corrupted_coupling_graph_falls_back_to_sabre() {
         let (system, ir) = h2();
         let mut plan = FaultPlan::new(5, 1.0);

@@ -135,6 +135,73 @@ impl PauliRotation {
     }
 }
 
+/// A same-mask run applied in program order to one amplitude pair
+/// `(a_b, a_{b⊕x})`: bit `k` of `parities` is rotation `k`'s parity at `b`,
+/// as [`pauli::flip::for_each_pair`] supplies it. The per-pair body of every
+/// fused preparation sweep, full-space or sector.
+#[inline(always)]
+pub fn rotate_run_pair(
+    run: &[PauliRotation],
+    parities: u64,
+    mut lo: Complex64,
+    mut hi: Complex64,
+) -> (Complex64, Complex64) {
+    for (k, r) in run.iter().enumerate() {
+        (lo, hi) = r.rotate_pair((parities >> k) & 1, lo, hi);
+    }
+    (lo, hi)
+}
+
+/// A diagonal run (`x = 0`) applied in program order to one amplitude;
+/// `parities` as for [`rotate_run_pair`].
+#[inline(always)]
+pub fn rotate_run_diagonal(run: &[PauliRotation], parities: u64, a: Complex64) -> Complex64 {
+    run.iter()
+        .enumerate()
+        .fold(a, |a, (k, r)| r.rotate_diagonal((parities >> k) & 1, a))
+}
+
+/// One pair's share of the adjoint peel of a run of inverse rotations:
+/// walking the run backwards, entry `k` adds its bracket `Im⟨λ|P_k|φ⟩` to
+/// `acc[k]` and is then peeled off both `φ` and `λ`. `lo` and `hi` hold
+/// `[φ, λ]` at `b` and `b ⊕ x`; `parities` as for [`rotate_run_pair`].
+#[inline(always)]
+pub fn peel_run_pair(
+    run: &[PauliRotation],
+    parities: u64,
+    acc: &mut [f64],
+    lo: [Complex64; 2],
+    hi: [Complex64; 2],
+) -> ([Complex64; 2], [Complex64; 2]) {
+    let [mut phi_lo, mut lam_lo] = lo;
+    let [mut phi_hi, mut lam_hi] = hi;
+    for (k, r) in run.iter().enumerate().rev() {
+        let parity = (parities >> k) & 1;
+        acc[k] += r.bracket_pair(parity, (phi_lo, phi_hi), (lam_lo, lam_hi));
+        (phi_lo, phi_hi) = r.rotate_pair(parity, phi_lo, phi_hi);
+        (lam_lo, lam_hi) = r.rotate_pair(parity, lam_lo, lam_hi);
+    }
+    ([phi_lo, lam_lo], [phi_hi, lam_hi])
+}
+
+/// [`peel_run_pair`] for a diagonal run: one amplitude's `[φ, λ]`.
+#[inline(always)]
+pub fn peel_run_diagonal(
+    run: &[PauliRotation],
+    parities: u64,
+    acc: &mut [f64],
+    state: [Complex64; 2],
+) -> [Complex64; 2] {
+    let [mut phi, mut lambda] = state;
+    for (k, r) in run.iter().enumerate().rev() {
+        let parity = (parities >> k) & 1;
+        acc[k] += r.bracket_diagonal(parity, phi, lambda);
+        phi = r.rotate_diagonal(parity, phi);
+        lambda = r.rotate_diagonal(parity, lambda);
+    }
+    [phi, lambda]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

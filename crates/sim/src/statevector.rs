@@ -4,7 +4,7 @@ use circuit::{Circuit, Gate};
 use numeric::Complex64;
 use pauli::{flip, PauliString, WeightedPauliSum};
 
-use crate::rotation::PauliRotation;
+use crate::rotation::{rotate_run_diagonal, rotate_run_pair, PauliRotation};
 
 /// A pure quantum state on `n ≤ 24` qubits.
 ///
@@ -327,18 +327,10 @@ impl Statevector {
             par::for_each_chunk_mut(&mut self.amps, flip::chunk_len(x), |offset, amps| {
                 flip::for_each_pair(offset, amps.len(), x, &zs, |lo, p| {
                     if x == 0 {
-                        amps[lo] = part
-                            .iter()
-                            .enumerate()
-                            .fold(amps[lo], |a, (k, r)| r.rotate_diagonal((p >> k) & 1, a));
+                        amps[lo] = rotate_run_diagonal(part, p, amps[lo]);
                     } else {
                         let hi = lo ^ xs;
-                        let (mut a_lo, mut a_hi) = (amps[lo], amps[hi]);
-                        for (k, r) in part.iter().enumerate() {
-                            (a_lo, a_hi) = r.rotate_pair((p >> k) & 1, a_lo, a_hi);
-                        }
-                        amps[lo] = a_lo;
-                        amps[hi] = a_hi;
+                        (amps[lo], amps[hi]) = rotate_run_pair(part, p, amps[lo], amps[hi]);
                     }
                 });
             });

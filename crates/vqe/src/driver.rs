@@ -11,7 +11,8 @@ use crate::optimize::{
     lbfgs, lbfgs_resumable, nelder_mead, nelder_mead_resumable, spsa, spsa_resumable, OptRun,
     OptimizeControls, OptimizeOutcome, OptimizerKind, OptimizerState,
 };
-use crate::state::energy_and_gradient;
+use crate::sector::SectorAnsatz;
+use crate::state::{energy, energy_and_gradient};
 
 /// Options for a VQE run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,6 +79,50 @@ pub enum VqeRun {
     Done(VqeResult),
     /// The budget expired; resume later from the checkpoint.
     Interrupted(Box<VqeCheckpoint>),
+}
+
+/// The noise-free objective of one VQE run: the sector sweeps when the
+/// `(H, IR)` pair is eligible, the full-space fused path otherwise.
+enum Evaluator<'a> {
+    Sector(Box<SectorAnsatz>),
+    Full(&'a WeightedPauliSum, &'a PauliIr),
+}
+
+impl<'a> Evaluator<'a> {
+    /// Picks the path and records it on the `vqe.run` span: `space`, and
+    /// `sector_dim` or the `fallback` reason.
+    fn select(
+        hamiltonian: &'a WeightedPauliSum,
+        ir: &'a PauliIr,
+        span: &mut obs::SpanGuard,
+    ) -> Self {
+        match SectorAnsatz::build(hamiltonian, ir) {
+            Ok(sector) => {
+                span.record("space", "sector");
+                span.record("sector_dim", sector.dim());
+                Evaluator::Sector(Box::new(sector))
+            }
+            Err(why) => {
+                span.record("space", "full");
+                span.record("fallback", why.kind());
+                Evaluator::Full(hamiltonian, ir)
+            }
+        }
+    }
+
+    fn energy(&self, theta: &[f64]) -> f64 {
+        match self {
+            Evaluator::Sector(s) => s.energy(theta),
+            Evaluator::Full(h, ir) => energy(h, ir, theta),
+        }
+    }
+
+    fn energy_and_gradient(&self, theta: &[f64]) -> (f64, Vec<f64>) {
+        match self {
+            Evaluator::Sector(s) => s.energy_and_gradient(theta),
+            Evaluator::Full(h, ir) => energy_and_gradient(h, ir, theta),
+        }
+    }
 }
 
 /// Runs noise-free VQE: minimizes `⟨ψ(θ)|H|ψ(θ)⟩` from `θ = 0` (the
@@ -158,6 +203,10 @@ pub fn run_vqe_from(
 /// when it expires. Resuming with that checkpoint (and identical inputs)
 /// reproduces the uninterrupted run bit-for-bit.
 ///
+/// The objective runs on the initial determinant's electron sector when
+/// [`SectorAnsatz::build`] accepts `(hamiltonian, ir)`, and on the full
+/// register otherwise; the build is paid once per call.
+///
 /// # Errors
 ///
 /// Returns [`VqeError`] on register/parameter mismatches, a checkpoint from
@@ -197,7 +246,8 @@ pub fn run_vqe_resumable(
         span.record("resumed", true);
     }
     let x0 = x0.to_vec();
-    let objective = |theta: &[f64]| crate::state::energy(hamiltonian, ir, theta);
+    let evaluator = Evaluator::select(hamiltonian, ir, &mut span);
+    let objective = |theta: &[f64]| evaluator.energy(theta);
     let run = match options.optimizer {
         OptimizerKind::Lbfgs => {
             let st = match resume {
@@ -207,7 +257,7 @@ pub fn run_vqe_resumable(
                 _ => None,
             };
             match lbfgs_resumable(
-                |theta| energy_and_gradient(hamiltonian, ir, theta),
+                |theta| evaluator.energy_and_gradient(theta),
                 &x0,
                 options.controls,
                 st,
@@ -298,10 +348,11 @@ pub fn run_vqe_noisy(
             let cnots = compiler::pipeline::original_cnot_count(ir);
             let fidelity = noise.global_fidelity(cnots, 0);
             let floor = hamiltonian.identity_weight();
+            let evaluator = Evaluator::select(hamiltonian, ir, &mut span);
             match options.optimizer {
                 OptimizerKind::Lbfgs => lbfgs(
                     |theta| {
-                        let (e, g) = energy_and_gradient(hamiltonian, ir, theta);
+                        let (e, g) = evaluator.energy_and_gradient(theta);
                         (
                             fidelity * e + (1.0 - fidelity) * floor,
                             g.into_iter().map(|x| fidelity * x).collect(),
@@ -312,20 +363,14 @@ pub fn run_vqe_noisy(
                 )?
                 .into(),
                 OptimizerKind::NelderMead => nelder_mead(
-                    |theta| {
-                        fidelity * crate::state::energy(hamiltonian, ir, theta)
-                            + (1.0 - fidelity) * floor
-                    },
+                    |theta| fidelity * evaluator.energy(theta) + (1.0 - fidelity) * floor,
                     &x0,
                     0.1,
                     options.controls,
                 )?
                 .into(),
                 OptimizerKind::Spsa(seed) => spsa(
-                    |theta| {
-                        fidelity * crate::state::energy(hamiltonian, ir, theta)
-                            + (1.0 - fidelity) * floor
-                    },
+                    |theta| fidelity * evaluator.energy(theta) + (1.0 - fidelity) * floor,
                     &x0,
                     seed,
                     options.controls,

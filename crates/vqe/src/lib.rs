@@ -33,6 +33,7 @@ pub mod error;
 pub mod measurement;
 pub mod mitigation;
 pub mod optimize;
+pub mod sector;
 pub mod state;
 pub mod vqd;
 
@@ -53,5 +54,6 @@ pub use optimize::{
     fd_gradient, parameter_shift_gradient, LbfgsState, NelderMeadState, OptRun, OptimizeError,
     OptimizeOutcome, OptimizerKind, OptimizerState, SpsaState,
 };
+pub use sector::{SectorAnsatz, SectorFallback};
 pub use state::{energy, energy_and_gradient, overlap_and_gradient, prepare_state};
 pub use vqd::{run_vqd, try_run_vqd, VqdOptions, VqdState};

@@ -16,17 +16,30 @@
 
 use numeric::Complex64;
 use pauli::{flip, WeightedPauliSum};
+use sim::rotation::{peel_run_diagonal, peel_run_pair};
 use sim::{PauliRotation, Statevector};
 
 use ansatz::PauliIr;
 
 /// One rotation per IR entry at `params`, negated angles when `inverse`.
-fn rotations(ir: &PauliIr, params: &[f64], inverse: bool) -> Vec<PauliRotation> {
+pub(crate) fn rotations(ir: &PauliIr, params: &[f64], inverse: bool) -> Vec<PauliRotation> {
     let sign = if inverse { -1.0 } else { 1.0 };
     ir.entries()
         .iter()
         .map(|e| PauliRotation::new(&e.string, sign * e.rotation_angle(params[e.param])))
         .collect()
+}
+
+/// The fused runs of an IR-ordered slice: maximal runs of consecutive items
+/// with one flip mask `x(item)`, cut into pieces of at most
+/// [`flip::MAX_MASKS`]. Every fused sweep, full-space or sector, walks these.
+pub(crate) fn mask_runs<T>(
+    items: &[T],
+    x: impl Fn(&T) -> u64,
+) -> impl DoubleEndedIterator<Item = &[T]> {
+    items
+        .chunk_by(move |a, b| x(a) == x(b))
+        .flat_map(|run| run.chunks(flip::MAX_MASKS))
 }
 
 /// Prepares `|ψ(θ)⟩`: the Hartree-Fock basis state evolved by every IR
@@ -137,22 +150,32 @@ fn adjoint_gradient(
     psi: &Statevector,
     lambda: &[Complex64],
 ) -> Vec<f64> {
-    let entries = ir.entries();
-    let inverse = rotations(ir, params, true);
     let mut states: Vec<[Complex64; 2]> = psi
         .amplitudes()
         .iter()
         .zip(lambda)
         .map(|(&phi, &lambda)| [phi, lambda])
         .collect();
+    adjoint_walk(ir, params, |_, run| peel_run(&mut states, run))
+}
+
+/// The adjoint walk's bookkeeping, shared by the full-space and sector
+/// sweeps: the fused runs of inverse rotations ([`mask_runs`]) from the
+/// back, `peel(i, run)` peeling run `i` and returning each entry's
+/// `Im⟨λ|P|φ⟩`, folded into the gradient.
+pub(crate) fn adjoint_walk(
+    ir: &PauliIr,
+    params: &[f64],
+    mut peel: impl FnMut(usize, &[PauliRotation]) -> Vec<f64>,
+) -> Vec<f64> {
+    let entries = ir.entries();
+    let inverse = rotations(ir, params, true);
+    let runs: Vec<&[PauliRotation]> = mask_runs(&inverse, PauliRotation::x_mask).collect();
     let mut grad = vec![0.0; ir.num_parameters()];
     let mut end = entries.len();
-    let runs = inverse
-        .chunk_by(|a, b| a.x_mask() == b.x_mask())
-        .flat_map(|run| run.chunks(flip::MAX_MASKS));
-    for run in runs.rev() {
+    for (i, run) in runs.iter().enumerate().rev() {
         let start = end - run.len();
-        let brackets = peel_run(&mut states, run);
+        let brackets = peel(i, run);
         for (e, bracket) in entries[start..end].iter().zip(&brackets).rev() {
             // 2·Re(i·c·⟨λ|P|φ⟩) = −2·c·Im⟨λ|P|φ⟩.
             grad[e.param] += -2.0 * e.coefficient * bracket;
@@ -173,26 +196,10 @@ fn peel_run(states: &mut [[Complex64; 2]], run: &[PauliRotation]) -> Vec<f64> {
         let mut acc = vec![0.0; run.len()];
         flip::for_each_pair(offset, chunk.len(), x, &zs, |lo, p| {
             if x == 0 {
-                let [mut phi, mut lambda] = chunk[lo];
-                for (k, r) in run.iter().enumerate().rev() {
-                    let parity = (p >> k) & 1;
-                    acc[k] += r.bracket_diagonal(parity, phi, lambda);
-                    phi = r.rotate_diagonal(parity, phi);
-                    lambda = r.rotate_diagonal(parity, lambda);
-                }
-                chunk[lo] = [phi, lambda];
+                chunk[lo] = peel_run_diagonal(run, p, &mut acc, chunk[lo]);
             } else {
                 let hi = lo ^ xs;
-                let [mut phi_lo, mut lam_lo] = chunk[lo];
-                let [mut phi_hi, mut lam_hi] = chunk[hi];
-                for (k, r) in run.iter().enumerate().rev() {
-                    let parity = (p >> k) & 1;
-                    acc[k] += r.bracket_pair(parity, (phi_lo, phi_hi), (lam_lo, lam_hi));
-                    (phi_lo, phi_hi) = r.rotate_pair(parity, phi_lo, phi_hi);
-                    (lam_lo, lam_hi) = r.rotate_pair(parity, lam_lo, lam_hi);
-                }
-                chunk[lo] = [phi_lo, lam_lo];
-                chunk[hi] = [phi_hi, lam_hi];
+                (chunk[lo], chunk[hi]) = peel_run_pair(run, p, &mut acc, chunk[lo], chunk[hi]);
             }
         });
         acc

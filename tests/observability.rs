@@ -221,3 +221,61 @@ fn pcd_run_stage_spans_cover_the_root() {
         );
     }
 }
+
+/// A default `pcd run H2O` evaluates its VQE on the 225-state electron
+/// sector, and its `vqe.run` span says so.
+#[test]
+fn h2o_chain_records_a_sector_vqe() {
+    let spans = pcd_run_spans("H2O");
+    let vqe = spans
+        .iter()
+        .find(|s| s.name == "vqe.run")
+        .expect("a vqe.run span");
+    assert_eq!(
+        vqe.field("space"),
+        Some(&obs::Value::Str("sector".to_string()))
+    );
+    assert_eq!(
+        vqe.field("sector_dim").and_then(obs::Value::as_u64),
+        Some(225)
+    );
+    assert_eq!(vqe.field("fallback"), None);
+}
+
+/// The driver toy's α → β hop leaves the electron sector, so its VQE runs
+/// full-space and the span names the reason.
+#[test]
+fn driver_toy_records_a_full_space_vqe() {
+    use pauli_codesign::ansatz::{IrEntry, PauliIr};
+    use pauli_codesign::pauli::WeightedPauliSum;
+    use pauli_codesign::vqe::driver::{run_vqe, VqeOptions};
+
+    let mut h = WeightedPauliSum::new(2);
+    h.push(-1.0, "IZ".parse().unwrap());
+    h.push(-0.5, "ZI".parse().unwrap());
+    h.push(0.4, "XX".parse().unwrap());
+    let mut ir = PauliIr::new(2, 0b01);
+    for (s, c) in [("XY", 0.5), ("YX", -0.5)] {
+        ir.push(IrEntry {
+            string: s.parse().unwrap(),
+            param: 0,
+            coefficient: c,
+        });
+    }
+    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    obs::reset();
+    obs::enable();
+    run_vqe(&h, &ir, VqeOptions::default()).expect("toy VQE");
+    obs::disable();
+    let snap = obs::snapshot();
+    let vqe = snap.span("vqe.run").expect("vqe.run span");
+    assert_eq!(
+        vqe.field("space"),
+        Some(&obs::Value::Str("full".to_string()))
+    );
+    assert_eq!(vqe.field("sector_dim"), None);
+    assert_eq!(
+        vqe.field("fallback"),
+        Some(&obs::Value::Str("leaks".to_string()))
+    );
+}
