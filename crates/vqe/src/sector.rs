@@ -128,7 +128,6 @@ struct SectorPair {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SectorAnsatz {
     ir: PauliIr,
-    basis: SectorBasis,
     hamiltonian: SectorOperator,
     /// Rank of the initial determinant.
     initial: usize,
@@ -158,21 +157,15 @@ impl SectorAnsatz {
         };
         Ok(SectorAnsatz {
             ir: ir.clone(),
-            basis,
             hamiltonian: operator,
             initial,
             runs,
         })
     }
 
-    /// The sector's basis.
-    pub fn basis(&self) -> &SectorBasis {
-        &self.basis
-    }
-
     /// The number of amplitudes the sweeps touch.
     pub fn dim(&self) -> usize {
-        self.basis.dim()
+        self.hamiltonian.dim()
     }
 
     /// `|ψ(θ)⟩` on the sector, indexed by [`SectorBasis::rank`].
@@ -180,7 +173,7 @@ impl SectorAnsatz {
     /// # Panics
     ///
     /// Panics if `params.len()` differs from the IR's parameter count.
-    pub fn prepare(&self, params: &[f64]) -> Vec<Complex64> {
+    fn prepare(&self, params: &[f64]) -> Vec<Complex64> {
         assert_eq!(
             params.len(),
             self.ir.num_parameters(),
@@ -383,8 +376,9 @@ mod tests {
         }
         // The sector state is the full state's sector block.
         let full = crate::prepare_state(&ir, &theta);
+        let basis = SectorBasis::containing(6, ir.initial_state()).unwrap();
         for (r, a) in sector.prepare(&theta).iter().enumerate() {
-            let b = sector.basis().unrank(r) as usize;
+            let b = basis.unrank(r) as usize;
             assert!((*a - full.amplitudes()[b]).norm() < 1e-14);
         }
     }
