@@ -388,8 +388,8 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if the qubits are disconnected. Use [`try_shortest_path`]
-    /// (Topology::try_shortest_path) to handle broken coupling graphs
+    /// Panics if the qubits are disconnected. Use
+    /// [`try_shortest_path`](Self::try_shortest_path) to handle broken coupling graphs
     /// without panicking.
     pub fn shortest_path(&self, from: usize, to: usize) -> Vec<usize> {
         match self.try_shortest_path(from, to) {

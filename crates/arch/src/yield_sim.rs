@@ -277,7 +277,7 @@ pub enum YieldRun {
 /// Monte-Carlo yield of a topology at fabrication precision `sigma` (GHz).
 ///
 /// Deterministic for a fixed `seed` *at any thread count*: samples are
-/// grouped into fixed [`YIELD_CHUNK`]-sized chunks, each with its own RNG
+/// grouped into fixed `YIELD_CHUNK`-sized chunks, each with its own RNG
 /// seeded from `seed` and the chunk index, and the per-chunk tallies are
 /// integers, so the reduction is exact regardless of scheduling.
 ///
@@ -306,7 +306,7 @@ pub fn simulate_yield(
 }
 
 /// Budget-aware [`simulate_yield`]: processes chunks in waves of
-/// [`YIELD_WAVE`], polling `budget` once per wave, and returns
+/// `YIELD_WAVE`, polling `budget` once per wave, and returns
 /// [`YieldRun::Interrupted`] with the integer tallies when it expires.
 /// Resuming continues at the next chunk; because every chunk's RNG is
 /// seeded from its absolute index (counter mode) and the tallies are

@@ -39,7 +39,6 @@ pub mod analysis;
 pub mod basis;
 pub mod boys;
 pub mod element;
-pub mod encoding;
 pub mod fermion;
 pub mod geometry;
 pub mod hamiltonian;

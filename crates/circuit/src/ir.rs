@@ -139,15 +139,6 @@ impl Circuit {
         self.gates.iter().filter(|g| !g.is_two_qubit()).count()
     }
 
-    /// Total gate count with SWAPs expanded to 3 CNOTs, i.e. the length of
-    /// [`decompose_swaps`](Circuit::decompose_swaps).
-    pub fn gate_count_swaps_decomposed(&self) -> usize {
-        self.gates
-            .iter()
-            .map(|g| if matches!(g, Gate::Swap(_, _)) { 3 } else { 1 })
-            .sum()
-    }
-
     /// Circuit depth: the longest chain of gates sharing qubits.
     pub fn depth(&self) -> usize {
         let mut frontier = vec![0usize; self.num_qubits];
@@ -205,47 +196,6 @@ impl Circuit {
             out.push(g.remapped(&map));
         }
         out
-    }
-
-    /// Removes adjacent canceling CNOT pairs (identical control/target with
-    /// no intervening gate on either qubit). This mirrors the cancellation
-    /// a gate-level compiler applies between consecutive Pauli evolution
-    /// blocks and is used when reporting Table I gate counts.
-    ///
-    /// Runs to a fixed point.
-    pub fn cancel_adjacent_cnots(&self) -> Circuit {
-        let mut gates = self.gates.clone();
-        loop {
-            let mut removed = false;
-            let mut i = 0;
-            'outer: while i < gates.len() {
-                if let Gate::Cnot { control, target } = gates[i] {
-                    // Scan forward for the next gate touching control or target.
-                    let mut j = i + 1;
-                    while j < gates.len() {
-                        let qs = gates[j].qubits();
-                        if qs.contains(&control) || qs.contains(&target) {
-                            if gates[j] == gates[i] {
-                                gates.remove(j);
-                                gates.remove(i);
-                                removed = true;
-                                continue 'outer;
-                            }
-                            break;
-                        }
-                        j += 1;
-                    }
-                }
-                i += 1;
-            }
-            if !removed {
-                break;
-            }
-        }
-        Circuit {
-            num_qubits: self.num_qubits,
-            gates,
-        }
     }
 
     /// Serializes to OpenQASM 2.0, the interchange format understood by
@@ -374,82 +324,6 @@ mod tests {
         let inv = c.inverse();
         assert_eq!(inv.gates()[0], Gate::Rz(1, -0.3));
         assert_eq!(inv.gates()[1], Gate::Sdg(0));
-    }
-
-    #[test]
-    fn cancel_adjacent_cnots_removes_pairs() {
-        let mut c = Circuit::new(3);
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        c.push(Gate::Cnot {
-            control: 1,
-            target: 2,
-        });
-        let r = c.cancel_adjacent_cnots();
-        assert_eq!(r.cnot_count(), 1);
-        assert_eq!(
-            r.gates()[0],
-            Gate::Cnot {
-                control: 1,
-                target: 2
-            }
-        );
-    }
-
-    #[test]
-    fn cancel_respects_intervening_gates() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        c.push(Gate::Rz(1, 0.1)); // blocks cancellation
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        assert_eq!(c.cancel_adjacent_cnots().cnot_count(), 2);
-
-        let mut d = Circuit::new(3);
-        d.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        d.push(Gate::Rz(2, 0.1)); // disjoint qubit: does not block
-        d.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        assert_eq!(d.cancel_adjacent_cnots().cnot_count(), 0);
-    }
-
-    #[test]
-    fn cancel_runs_to_fixed_point() {
-        // Nested pairs: outer pair only cancels after inner pair is gone.
-        let mut c = Circuit::new(2);
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        c.push(Gate::Cnot {
-            control: 1,
-            target: 0,
-        });
-        c.push(Gate::Cnot {
-            control: 1,
-            target: 0,
-        });
-        c.push(Gate::Cnot {
-            control: 0,
-            target: 1,
-        });
-        assert_eq!(c.cancel_adjacent_cnots().cnot_count(), 0);
     }
 
     #[test]

@@ -32,8 +32,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod approximate;
-pub mod cluster;
 pub mod error;
 pub mod layout;
 pub mod mtr;
@@ -43,10 +41,6 @@ pub mod reorder;
 pub mod sabre;
 pub mod synthesis;
 
-pub use approximate::{approximate_ir, ApproximationReport};
-pub use cluster::{
-    cluster_pass_stats, synthesize_clustered, synthesize_clustered_nominal, ClusterPassStats,
-};
 pub use error::CompileError;
 pub use layout::{hierarchical_initial_layout, try_hierarchical_initial_layout, Layout};
 pub use mtr::{merge_to_root, try_merge_to_root, MtrOptions};

@@ -36,6 +36,7 @@ use pauli_codesign::compiler::pipeline::{compile_mtr, compile_sabre};
 use pauli_codesign::compiler::synthesis::synthesize_chain_nominal;
 use pauli_codesign::par::Budget;
 use pauli_codesign::pauli::group_qubit_wise;
+use pauli_codesign::report::{compare_medians, parse_bench_medians};
 use pauli_codesign::resilience::stages::{self, Checkpoints, CrossCheck};
 use pauli_codesign::resilience::{
     f64_to_hex, run_chaos, run_kill_resume, ChaosOptions, Checkpoint, FaultPlan, KillResumeOptions,
@@ -484,26 +485,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
         obs::enable();
     }
 
-    let result = match command {
-        "info" => cmd_info(&flags),
-        "vqe" => cmd_vqe(&flags),
-        "run" => cmd_run(&flags),
-        "adapt" => cmd_adapt(&flags),
-        "excited" => cmd_excited(&flags),
-        "scan" => cmd_scan(&flags),
-        "compile" => cmd_compile(&flags),
-        "qasm" => cmd_qasm(&flags),
-        "yield" => cmd_yield(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "batch" => cmd_batch(&flags),
-        "serve" => cmd_serve(&flags),
-        "bench" => cmd_bench(&flags),
-        "report" => cmd_report(&flags),
-        "help" | "--help" | "-h" => {
+    let result = match COMMANDS.iter().find(|c| c.name == command) {
+        Some(c) => check_flags(c, &flags).and_then(|()| (c.run)(&flags)),
+        None if matches!(command, "help" | "--help" | "-h") => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
+        None => Err(CliError::Usage(format!("unknown command `{command}`"))),
     };
 
     // A budget expiry (exit 30) is a scheduled stop and a degraded batch
@@ -526,6 +514,118 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
     }
     result
+}
+
+/// A `pcd` command: its name, the flags it reads, and its handler.
+struct Command {
+    name: &'static str,
+    /// Flags the command reads (space-separated), beyond `--trace` and
+    /// `--metrics`, which every command reads; any other flag is a usage
+    /// error. `chaos` also reads its campaign's [`Campaign::reads`].
+    reads: &'static str,
+    run: fn(&Flags) -> Result<(), CliError>,
+}
+
+const COMMANDS: [Command; 14] = [
+    Command {
+        name: "info",
+        reads: "bond",
+        run: cmd_info,
+    },
+    Command {
+        name: "vqe",
+        reads: "bond ratio",
+        run: cmd_vqe,
+    },
+    Command {
+        name: "run",
+        reads: "bond ratio samples degrade-threshold checkpoint resume deadline budget-iters",
+        run: cmd_run,
+    },
+    Command {
+        name: "adapt",
+        reads: "bond pool",
+        run: cmd_adapt,
+    },
+    Command {
+        name: "excited",
+        reads: "bond states",
+        run: cmd_excited,
+    },
+    Command {
+        name: "scan",
+        reads: "ratio from to step",
+        run: cmd_scan,
+    },
+    Command {
+        name: "compile",
+        reads: "ratio arch compiler",
+        run: cmd_compile,
+    },
+    Command {
+        name: "qasm",
+        reads: "ratio out",
+        run: cmd_qasm,
+    },
+    Command {
+        name: "yield",
+        reads: "arch sigma samples",
+        run: cmd_yield,
+    },
+    Command {
+        name: "chaos",
+        reads: "campaign",
+        run: cmd_chaos,
+    },
+    Command {
+        name: "batch",
+        reads: "workers seed max-retries queue-cap shed job-timeout slice-ticks max-slices \
+                breaker backoff-ms fault-rate deadline drain-after-ticks checkpoint resume \
+                progress progress-interval-ms flight-dir listen shards shard-id lease-ms \
+                heartbeat-ms net-deadline no-rescue connect worker-id local-dir max-reconnects",
+        run: cmd_batch,
+    },
+    Command {
+        name: "serve",
+        reads: "state-dir socket workers seed queue-cap shed max-retries slice-ticks \
+                max-slices breaker fault-rate deadline-ms max-requests idle-exit-ms flight-dir \
+                cache-max-bytes",
+        run: cmd_serve,
+    },
+    Command {
+        name: "bench",
+        reads: "smoke out qubits baseline tolerance history window drift-tolerance \
+                obs-overhead budget-ns",
+        run: cmd_bench,
+    },
+    Command {
+        name: "report",
+        reads: "baseline drift-tolerance out strict",
+        run: cmd_report,
+    },
+];
+
+/// Rejects the first flag `command` does not read: a misspelt or
+/// misplaced flag is a usage error, never a silently ignored setting.
+fn check_flags(command: &Command, flags: &Flags) -> Result<(), CliError> {
+    let (who, campaign_reads) = if command.name == "chaos" {
+        let campaign = campaign(flags)?;
+        (format!("--campaign {}", campaign.kind), campaign.reads)
+    } else {
+        (format!("pcd {}", command.name), "")
+    };
+    let reads = |key: &str| {
+        ["trace", "metrics"].contains(&key)
+            || command
+                .reads
+                .split_whitespace()
+                .chain(campaign_reads.split_whitespace())
+                .any(|read| read == key)
+    };
+    match flags.options.iter().find(|(key, _)| !reads(key)) {
+        Some((key, _)) => Err(CliError::Usage(format!("{who} does not read --{key}"))),
+        None => Ok(()),
+    }
 }
 
 /// Positional arguments plus `--flag value` pairs.
@@ -1037,8 +1137,8 @@ fn cmd_yield(flags: &Flags) -> Result<(), CliError> {
 /// A fault campaign `pcd chaos --campaign <kind>` can run.
 struct Campaign {
     kind: &'static str,
-    /// Flags the campaign reads (space-separated), beyond `--campaign`,
-    /// `--trace` and `--metrics`; any other flag is a usage error.
+    /// Flags the campaign reads (space-separated), beyond those every
+    /// `chaos` run reads (see [`check_flags`]).
     reads: &'static str,
     /// obs counters (space-separated) printed after the report.
     counters: &'static str,
@@ -1077,25 +1177,23 @@ const CAMPAIGNS: [Campaign; 5] = [
 /// The boolean campaign selectors `--campaign` replaced.
 const RETIRED_CHAOS_SELECTORS: [&str; 4] = ["kill-resume", "supervised", "net", "serve"];
 
-/// Runs one fault campaign, prints its report, and exits 20 when any
-/// trial broke an invariant.
-fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
+/// The campaign `--campaign` selects (default `pipeline`).
+fn campaign(flags: &Flags) -> Result<&'static Campaign, String> {
     let kind = flags.get("campaign").unwrap_or("pipeline");
-    let campaign = CAMPAIGNS.iter().find(|c| c.kind == kind).ok_or_else(|| {
+    CAMPAIGNS.iter().find(|c| c.kind == kind).ok_or_else(|| {
         let kinds: Vec<&str> = CAMPAIGNS.iter().map(|c| c.kind).collect();
         format!(
             "unknown campaign `{kind}`; --campaign takes one of: {}",
             kinds.join(", ")
         )
-    })?;
-    if let Some((key, _)) = flags.options.iter().find(|(key, _)| {
-        !campaign.reads.split_whitespace().any(|read| read == key)
-            && !["campaign", "trace", "metrics"].contains(&key.as_str())
-    }) {
-        return Err(CliError::Usage(format!(
-            "--campaign {kind} does not read --{key}"
-        )));
-    }
+    })
+}
+
+/// Runs one fault campaign, prints its report, and exits 20 when any
+/// trial broke an invariant.
+fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
+    let campaign = campaign(flags)?;
+    let kind = campaign.kind;
     let molecule = match (kind, flags.positional.is_empty()) {
         (_, true) => Benchmark::H2,
         ("pipeline" | "kill-resume", false) => flags.molecule()?,
@@ -1726,39 +1824,29 @@ fn write_bench_json(
 /// Relative slowdown beyond which `--baseline` fails the run.
 const BENCH_TOLERANCE: f64 = 0.10;
 
-/// Compares fresh measurements against a parsed baseline report and
+/// Compares fresh measurements against a baseline's medians and
 /// returns one line per benchmark slower than `tolerance` (relative).
 /// Benchmarks missing from the baseline are skipped — a new benchmark
 /// cannot regress.
 fn bench_regressions(
-    baseline: &obs::json::JsonValue,
+    baseline: &std::collections::BTreeMap<String, u64>,
     records: &[BenchRecord],
     tolerance: f64,
 ) -> Vec<String> {
-    let mut regressions = Vec::new();
-    for r in records {
-        let Some(base) = baseline
-            .get(&r.name)
-            .and_then(|e| e.get("median_ns"))
-            .and_then(|v| v.as_u64())
-        else {
-            continue;
-        };
-        if base == 0 {
-            continue;
-        }
-        let ratio = r.median_ns as f64 / base as f64;
-        if ratio > 1.0 + tolerance {
-            regressions.push(format!(
+    let now = records.iter().map(|r| (r.name.as_str(), r.median_ns));
+    compare_medians(now, baseline, tolerance)
+        .1
+        .iter()
+        .map(|d| {
+            format!(
                 "{}: {} ns vs baseline {} ns (+{:.1}%)",
-                r.name,
-                r.median_ns,
-                base,
-                (ratio - 1.0) * 100.0
-            ));
-        }
-    }
-    regressions
+                d.name,
+                d.now_ns,
+                d.baseline_ns,
+                (d.ratio - 1.0) * 100.0
+            )
+        })
+        .collect()
 }
 
 /// Parses a `--history` file: `{"reports": [{name: median_ns, ...}, ...]}`
@@ -1816,24 +1904,21 @@ fn bench_drift(window: &[std::collections::BTreeMap<String, u64>], tolerance: f6
     if window.len() < 2 {
         return Vec::new();
     }
-    let mut drifts = Vec::new();
-    for (name, &now) in newest {
-        let Some(&base) = oldest.get(name) else {
-            continue;
-        };
-        if base == 0 {
-            continue;
-        }
-        let ratio = now as f64 / base as f64;
-        if ratio > 1.0 + tolerance {
-            drifts.push(format!(
-                "{name}: {now} ns vs {base} ns {} report(s) ago (+{:.1}% cumulative)",
+    let now = newest.iter().map(|(name, &ns)| (name.as_str(), ns));
+    compare_medians(now, oldest, tolerance)
+        .1
+        .iter()
+        .map(|d| {
+            format!(
+                "{}: {} ns vs {} ns {} report(s) ago (+{:.1}% cumulative)",
+                d.name,
+                d.now_ns,
+                d.baseline_ns,
                 window.len() - 1,
-                (ratio - 1.0) * 100.0
-            ));
-        }
-    }
-    drifts
+                (d.ratio - 1.0) * 100.0
+            )
+        })
+        .collect()
 }
 
 fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
@@ -2176,7 +2261,7 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         }
         let text = std::fs::read_to_string(baseline_path)
             .map_err(|e| format!("reading baseline {baseline_path}: {e}"))?;
-        let baseline = obs::json::parse(&text)
+        let baseline = parse_bench_medians(&text)
             .map_err(|e| format!("parsing baseline {baseline_path}: {e}"))?;
         let regressions = bench_regressions(&baseline, &records, tolerance);
         if !regressions.is_empty() {
@@ -2333,7 +2418,7 @@ fn report_dir_entries(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 }
 
 fn cmd_report(flags: &Flags) -> Result<(), CliError> {
-    use pauli_codesign::report::{classify_named, parse_bench_medians, ReportBuilder};
+    use pauli_codesign::report::{classify_named, ReportBuilder};
 
     if flags.positional.is_empty() {
         return Err(CliError::Usage(
@@ -2550,6 +2635,25 @@ mod tests {
     }
 
     #[test]
+    fn every_command_rejects_a_flag_it_does_not_read() {
+        for (args, names) in [
+            (
+                &["info", "H2", "--bnd", "2.5"][..],
+                "pcd info does not read --bnd",
+            ),
+            (&["vqe", "H2", "--samples", "10"], "--samples"),
+            (&["yield", "--ratio", "0.5"], "--ratio"),
+            (&["report", ".", "--strictt"], "--strictt"),
+        ] {
+            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = run(&argv).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 1, "{args:?}");
+            assert!(err.to_string().contains(names), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
     fn resume_without_checkpoint_dir_is_a_usage_error() {
         let r = cmd_run(&flags(&["H2", "--resume"]));
         assert!(matches!(r, Err(CliError::Usage(_))));
@@ -2634,7 +2738,7 @@ mod tests {
 
     #[test]
     fn bench_gate_flags_synthetic_slowdown_over_tolerance() {
-        let baseline = obs::json::parse(
+        let baseline = parse_bench_medians(
             r#"{"expectation_serial": {"median_ns": 1000, "threads": 1, "n_qubits": 12},
                 "eri_build_parallel": {"median_ns": 500, "threads": 4, "n_qubits": 8}}"#,
         )
@@ -2669,7 +2773,7 @@ mod tests {
     #[test]
     fn bench_gate_passes_when_faster_or_equal() {
         let baseline =
-            obs::json::parse(r#"{"yield_xtree17_serial": {"median_ns": 1000}}"#).unwrap();
+            parse_bench_medians(r#"{"yield_xtree17_serial": {"median_ns": 1000}}"#).unwrap();
         let records = vec![BenchRecord {
             name: "yield_xtree17_serial".to_string(),
             median_ns: 900,

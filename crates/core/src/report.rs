@@ -480,26 +480,11 @@ impl ReportBuilder {
 
         let critical_path = critical_path(&self.spans);
 
-        let mut drift = Vec::new();
-        let mut compared = 0usize;
-        for (name, &now_ns) in &self.bench {
-            let Some(&baseline_ns) = baseline.get(name) else {
-                continue;
-            };
-            if baseline_ns == 0 {
-                continue;
-            }
-            compared += 1;
-            let ratio = now_ns as f64 / baseline_ns as f64;
-            if ratio > 1.0 + drift_tolerance {
-                drift.push(DriftLine {
-                    name: name.clone(),
-                    now_ns,
-                    baseline_ns,
-                    ratio,
-                });
-            }
-        }
+        let (compared, mut drift) = compare_medians(
+            self.bench.iter().map(|(name, &ns)| (name.as_str(), ns)),
+            baseline,
+            drift_tolerance,
+        );
         drift.sort_by(|a, b| {
             b.ratio
                 .partial_cmp(&a.ratio)
@@ -929,6 +914,35 @@ impl Report {
         );
         JsonValue::Object(root)
     }
+}
+
+/// Compares benchmark medians against a baseline, in the order given.
+/// Returns how many benchmarks the baseline also holds (with a non-zero
+/// median) and, of those, every one whose `now / baseline` exceeds
+/// `1 + tolerance`. A benchmark missing from the baseline cannot regress.
+pub fn compare_medians<'a>(
+    now: impl IntoIterator<Item = (&'a str, u64)>,
+    baseline: &BTreeMap<String, u64>,
+    tolerance: f64,
+) -> (usize, Vec<DriftLine>) {
+    let mut compared = 0usize;
+    let mut slower = Vec::new();
+    for (name, now_ns) in now {
+        let Some(&baseline_ns) = baseline.get(name).filter(|&&ns| ns > 0) else {
+            continue;
+        };
+        compared += 1;
+        let ratio = now_ns as f64 / baseline_ns as f64;
+        if ratio > 1.0 + tolerance {
+            slower.push(DriftLine {
+                name: name.to_string(),
+                now_ns,
+                baseline_ns,
+                ratio,
+            });
+        }
+    }
+    (compared, slower)
 }
 
 /// Parses a bench report's benchmark → median ns map (root `_`-prefixed

@@ -9,9 +9,9 @@
 //! - **Frames** ([`frame`]) — every message travels as a length-prefixed
 //!   frame sealed with the same CRC-32 the checkpoint container uses. A
 //!   truncated, bit-flipped, or mis-framed message surfaces as a typed
-//!   [`FrameError`](frame::FrameError) *before* any payload parsing —
+//!   [`FrameError`] *before* any payload parsing —
 //!   the transport twin of "verify the checksum before trusting the
-//!   bytes". The incremental [`FrameReader`](frame::FrameReader)
+//!   bytes". The incremental [`FrameReader`]
 //!   reassembles frames from arbitrarily small reads, so a peer that
 //!   dribbles one byte at a time decodes identically to one that writes
 //!   whole frames.

@@ -3,7 +3,7 @@
 //! The proxy sits between workers and the coordinator (workers connect
 //! to the proxy, the proxy connects to the real listener) and damages
 //! traffic at *frame* granularity, driven by the seeded
-//! [`FaultPlan`](resilience::FaultPlan) sites:
+//! [`FaultPlan`] sites:
 //!
 //! - `net.accept` — an incoming connection is refused (closed before a
 //!   byte flows), exercising the worker's connect-retry backoff.

@@ -330,7 +330,8 @@ impl WeightedPauliSum {
     /// The minimum may lie in any particle-number sector. Molecular
     /// references solve in the N-electron sector instead
     /// ([`SectorOperator`](crate::SectorOperator)); this full-space solve is
-    /// the general path (Hubbard, encoding comparisons) and their oracle.
+    /// the general path (Hubbard, the ADAPT tests) and the sector solve's
+    /// oracle.
     /// The computation is deterministic.
     pub fn ground_state_energy(&self) -> f64 {
         let dim = checked_dim(self.num_qubits);

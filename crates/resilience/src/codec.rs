@@ -1,5 +1,5 @@
 //! Codecs between in-memory stage checkpoints and the on-disk
-//! [`Checkpoint`](crate::checkpoint::Checkpoint) format.
+//! [`Checkpoint`] format.
 //!
 //! Every floating-point field goes through the bit-exact hex encoding of
 //! [`checkpoint::f64_to_hex`](crate::checkpoint::f64_to_hex), so a decode ∘

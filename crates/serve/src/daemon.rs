@@ -30,14 +30,14 @@
 //! socket and stops accepting; in-flight jobs finish; queued-but-unstarted
 //! requests, and connections still in the listener's backlog, are
 //! answered `pending` and journaled as pending records. The daemon then
-//! seals `serve.jobs` (the specs, in admission order) and
-//! `serve.manifest` (a batch-manifest-schema checkpoint under the
-//! `serve-manifest` kind) and exits. A restarted daemon replays the
-//! pair, re-enqueues every pending record on the slow lane, and serves
-//! new traffic immediately — zero downtime, bit-identical resume. A
-//! corrupt manifest is quarantined aside and the daemon starts fresh:
-//! an always-on front door must come up even when its own state is
-//! damaged.
+//! seals one file, `serve.manifest`: a batch-manifest-schema checkpoint
+//! under the `serve-manifest` kind whose record lines, in admission
+//! order, each also carry their request's `spec`, so one CRC covers
+//! both. A restarted daemon replays it, re-enqueues every pending record
+//! on the slow lane, and serves new traffic immediately — zero downtime,
+//! bit-identical resume. A corrupt manifest is quarantined aside and the
+//! daemon starts fresh: an always-on front door must come up even when
+//! its own state is damaged.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -47,11 +47,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use obs::json::JsonValue;
 use resilience::{Checkpoint, CheckpointError, FaultPlan};
 use supervisor::engine::InjectionPlan;
 use supervisor::{
-    decode_manifest, encode_manifest, parse_jobs, run_batch, BatchMeta, JobRecord, JobSpec,
-    JobState, ShedPolicy, SupervisorConfig, KIND_BATCH_MANIFEST,
+    decode_manifest, encode_manifest, run_batch, BatchMeta, JobRecord, JobSpec, JobState,
+    ShedPolicy, SupervisorConfig, KIND_BATCH_MANIFEST,
 };
 
 use crate::cache::{cache_key, Cache, CacheProbe, CachedResult};
@@ -66,11 +67,6 @@ pub const KIND_SERVE_MANIFEST: &str = "serve-manifest";
 
 /// Sealed manifest filename inside the state dir.
 pub const MANIFEST_NAME: &str = "serve.manifest";
-
-/// Sealed jobs-journal filename inside the state dir (spec lines in
-/// admission order; deliberately *not* `.jsonl` so a report scan does
-/// not try to parse it as a trace).
-pub const JOBS_NAME: &str = "serve.jobs";
 
 /// Serve daemon configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,11 +144,6 @@ impl ServeConfig {
     pub fn manifest_path(&self) -> PathBuf {
         self.state_dir.join(MANIFEST_NAME)
     }
-
-    /// The sealed jobs-journal path.
-    pub fn jobs_path(&self) -> PathBuf {
-        self.state_dir.join(JOBS_NAME)
-    }
 }
 
 /// A failure of the daemon itself (job failures end in quarantine
@@ -167,7 +158,7 @@ pub enum ServeError {
         message: String,
     },
     /// The sealed restart state does not belong to this configuration
-    /// (different seed, fault rate, or job ids).
+    /// (different seed or fault rate).
     ManifestMismatch(String),
     /// A sealed artifact failed validation in a way quarantine cannot
     /// absorb.
@@ -562,38 +553,21 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeSummary, ServeError> {
 /// bit-identical).
 fn load_restart_state(shared: &Shared) -> Result<Vec<usize>, ServeError> {
     let manifest_path = shared.config.manifest_path();
-    let jobs_path = shared.config.jobs_path();
     if !manifest_path.exists() {
         return Ok(Vec::new());
     }
-    let quarantine = |path: &std::path::Path, reason: String| {
-        let mut target = path.as_os_str().to_os_string();
-        target.push(".quarantined");
-        obs::counter_add("serve.manifest.quarantined", 1);
-        obs::event!(
-            "serve.manifest_quarantine",
-            path = path.display().to_string(),
-            reason = reason
-        );
-        let _ = std::fs::rename(path, std::path::PathBuf::from(target));
-    };
-    let mut ck = match Checkpoint::read(&manifest_path) {
-        Ok(ck) => ck,
-        Err(e) => {
-            quarantine(&manifest_path, e.to_string());
-            return Ok(Vec::new());
-        }
-    };
-    if ck.kind != KIND_SERVE_MANIFEST {
-        quarantine(&manifest_path, format!("unexpected kind `{}`", ck.kind));
-        return Ok(Vec::new());
-    }
-    // The payload schema is the batch manifest's; reuse its decoder.
-    ck.kind = KIND_BATCH_MANIFEST.to_string();
-    let (meta, records) = match decode_manifest(&ck) {
+    let (meta, entries) = match read_seal(&manifest_path) {
         Ok(decoded) => decoded,
-        Err(e) => {
-            quarantine(&manifest_path, e.to_string());
+        Err(reason) => {
+            let mut target = manifest_path.as_os_str().to_os_string();
+            target.push(".quarantined");
+            obs::counter_add("serve.manifest.quarantined", 1);
+            obs::event!(
+                "serve.manifest_quarantine",
+                path = manifest_path.display().to_string(),
+                reason = reason
+            );
+            let _ = std::fs::rename(&manifest_path, PathBuf::from(target));
             return Ok(Vec::new());
         }
     };
@@ -609,41 +583,46 @@ fn load_restart_state(shared: &Shared) -> Result<Vec<usize>, ServeError> {
             meta.pipeline_fault_rate, shared.config.fault_rate
         )));
     }
-    let jobs_text = std::fs::read_to_string(&jobs_path).map_err(|e| io_err(&jobs_path, &e))?;
-    let specs = if records.is_empty() {
-        Vec::new()
-    } else {
-        parse_jobs(&jobs_text).map_err(ServeError::ManifestMismatch)?
-    };
-    if specs.len() != records.len() {
-        return Err(ServeError::ManifestMismatch(format!(
-            "{} sealed specs vs {} sealed records",
-            specs.len(),
-            records.len()
-        )));
-    }
     let mut pending = Vec::new();
     let mut journal = shared.journal.lock().unwrap_or_else(|e| e.into_inner());
-    for (spec, record) in specs.into_iter().zip(records) {
-        if spec.id != record.id {
-            return Err(ServeError::ManifestMismatch(format!(
-                "sealed spec `{}` vs record `{}` at index {}",
-                spec.id, record.id, record.index
-            )));
-        }
-        let index = record.index;
-        let resolved = if record.state.is_terminal() {
+    for (spec, record) in entries {
+        let record = if record.state.is_terminal() {
             Some(record)
         } else {
-            pending.push(index);
+            pending.push(record.index);
             None
         };
-        journal.push(Entry {
-            spec,
-            record: resolved,
-        });
+        journal.push(Entry { spec, record });
     }
     Ok(pending)
+}
+
+/// Reads and validates a sealed serve manifest: its meta and, in
+/// admission order, each record with the spec sealed beside it. Any
+/// failure is a reason to quarantine the file.
+fn read_seal(path: &std::path::Path) -> Result<(BatchMeta, Vec<(JobSpec, JobRecord)>), String> {
+    let mut ck = Checkpoint::read(path).map_err(|e| e.to_string())?;
+    if ck.kind != KIND_SERVE_MANIFEST {
+        return Err(format!("unexpected kind `{}`", ck.kind));
+    }
+    // The payload schema is the batch manifest's; reuse its decoder.
+    ck.kind = KIND_BATCH_MANIFEST.to_string();
+    let (meta, records) = decode_manifest(&ck).map_err(|e| e.to_string())?;
+    let mut entries = Vec::with_capacity(records.len());
+    for (line, record) in ck.payload[1..].iter().zip(records) {
+        let spec = line
+            .get("spec")
+            .ok_or_else(|| format!("record {} carries no spec", record.index))
+            .and_then(|v| JobSpec::from_json(v, ""))?;
+        if spec.id != record.id {
+            return Err(format!(
+                "sealed spec `{}` vs record `{}` at index {}",
+                spec.id, record.id, record.index
+            ));
+        }
+        entries.push((spec, record));
+    }
+    Ok((meta, entries))
 }
 
 fn accept_loop(shared: &Shared, listener: &UnixListener) {
@@ -968,18 +947,12 @@ fn compute_via_cache(
     (record, false)
 }
 
-/// Seals the restart state: `serve.jobs` (specs, admission order) and
-/// `serve.manifest` (batch-manifest schema under the serve kind), both
+/// Seals the restart state as `serve.manifest` (batch-manifest schema
+/// under the serve kind, each record line also carrying its `spec`)
 /// through the atomic write path. Entries without a record seal as
 /// pending and are recomputed by the next lifetime.
 fn seal(shared: &Shared) -> Result<(), ServeError> {
     let journal = shared.journal.lock().unwrap_or_else(|e| e.into_inner());
-    let jobs_text: String = journal
-        .iter()
-        .map(|e| format!("{}\n", e.spec.to_json_line()))
-        .collect();
-    let jobs_path = shared.config.jobs_path();
-    obs::atomic_write(&jobs_path, jobs_text.as_bytes()).map_err(|e| io_err(&jobs_path, &e))?;
     let records: Vec<JobRecord> = journal
         .iter()
         .enumerate()
@@ -1006,6 +979,11 @@ fn seal(shared: &Shared) -> Result<(), ServeError> {
     };
     let mut ck = encode_manifest(&meta, &records);
     ck.kind = KIND_SERVE_MANIFEST.to_string();
+    for (line, entry) in ck.payload[1..].iter_mut().zip(journal.iter()) {
+        if let JsonValue::Object(fields) = line {
+            fields.insert("spec".to_string(), entry.spec.to_json());
+        }
+    }
     let manifest_path = shared.config.manifest_path();
     ck.write(&manifest_path)?;
     obs::event!(

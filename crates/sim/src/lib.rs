@@ -35,10 +35,8 @@ pub mod density;
 pub mod noise;
 pub mod rotation;
 pub mod statevector;
-pub mod trajectory;
 
 pub use density::DensityMatrix;
 pub use noise::NoiseModel;
 pub use rotation::PauliRotation;
 pub use statevector::Statevector;
-pub use trajectory::{noisy_expectation_trajectories, TrajectoryEstimate};

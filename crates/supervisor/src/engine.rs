@@ -6,8 +6,7 @@
 //! A job's outcome is a pure function of `(batch_seed, job index, spec)`:
 //!
 //! - every seed is derived from the batch seed and the job's *arrival
-//!   index* ([`job_seed`](crate::job::job_seed)), never from worker
-//!   identity or timing;
+//!   index* ([`job_seed`]), never from worker identity or timing;
 //! - workers pin the `par` thread budget to 1 for the job body, so the
 //!   numerical kernels decompose identically regardless of pool shape
 //!   (the `par` layer is thread-count-invariant anyway; pinning also
@@ -268,18 +267,6 @@ impl BatchReport {
     /// Whether every job reached a terminal state (no drain residue).
     pub fn all_terminal(&self) -> bool {
         self.records.iter().all(|r| r.state.is_terminal())
-    }
-
-    /// Batch-wide failure-stage tally, folded in job-index order (the
-    /// deterministic, post-hoc counterpart of the per-job breaker).
-    pub fn failure_stages(&self) -> std::collections::BTreeMap<String, usize> {
-        let mut tally = std::collections::BTreeMap::new();
-        for r in &self.records {
-            if let JobState::Quarantined { stage, .. } = &r.state {
-                *tally.entry(stage.clone()).or_insert(0) += 1;
-            }
-        }
-        tally
     }
 }
 

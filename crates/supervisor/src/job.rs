@@ -42,6 +42,11 @@ impl JobSpec {
 
     /// Serializes to one JSONL line (without trailing newline).
     pub fn to_json_line(&self) -> String {
+        self.to_json().to_string()
+    }
+
+    /// Serializes to the JSON object [`JobSpec::from_json`] reads back.
+    pub fn to_json(&self) -> JsonValue {
         let mut fields = BTreeMap::new();
         fields.insert("id".to_string(), JsonValue::String(self.id.clone()));
         fields.insert(
@@ -52,7 +57,44 @@ impl JobSpec {
             fields.insert("bond".to_string(), JsonValue::Number(bond));
         }
         fields.insert("ratio".to_string(), JsonValue::Number(self.ratio));
-        JsonValue::Object(fields).to_string()
+        JsonValue::Object(fields)
+    }
+
+    /// Parses one spec object: `molecule` (required), `bond` (optional),
+    /// `ratio` (optional, default 0.5), and `id` (optional, defaults to
+    /// `default_id`).
+    ///
+    /// # Errors
+    ///
+    /// A message on a missing or unknown molecule or an out-of-range ratio.
+    pub fn from_json(record: &JsonValue, default_id: &str) -> Result<JobSpec, String> {
+        let molecule = record
+            .get("molecule")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| "missing `molecule`".to_string())?;
+        let benchmark = Benchmark::ALL
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(molecule))
+            .ok_or_else(|| format!("unknown molecule `{molecule}`"))?;
+        let bond = record.get("bond").and_then(JsonValue::as_f64);
+        let ratio = record
+            .get("ratio")
+            .and_then(JsonValue::as_f64)
+            .unwrap_or(0.5);
+        if !(ratio > 0.0 && ratio <= 1.0) {
+            return Err(format!("ratio {ratio} outside (0, 1]"));
+        }
+        let id = record
+            .get("id")
+            .and_then(JsonValue::as_str)
+            .unwrap_or(default_id)
+            .to_string();
+        Ok(JobSpec {
+            id,
+            benchmark,
+            bond,
+            ratio,
+        })
     }
 }
 
@@ -66,47 +108,22 @@ impl JobSpec {
 /// molecule, an out-of-range ratio, or a duplicate id.
 pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, String> {
     let mut jobs = Vec::new();
-    let mut seen_ids = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let record = json::parse(line).map_err(|e| format!("jobs line {}: {e}", lineno + 1))?;
-        let molecule = record
-            .get("molecule")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("jobs line {}: missing `molecule`", lineno + 1))?;
-        let benchmark = Benchmark::ALL
-            .into_iter()
-            .find(|b| b.name().eq_ignore_ascii_case(molecule))
-            .ok_or_else(|| format!("jobs line {}: unknown molecule `{molecule}`", lineno + 1))?;
-        let bond = record.get("bond").and_then(JsonValue::as_f64);
-        let ratio = record
-            .get("ratio")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.5);
-        if !(ratio > 0.0 && ratio <= 1.0) {
+        let spec = JobSpec::from_json(&record, &format!("job{}", jobs.len()))
+            .map_err(|e| format!("jobs line {}: {e}", lineno + 1))?;
+        if jobs.iter().any(|job: &JobSpec| job.id == spec.id) {
             return Err(format!(
-                "jobs line {}: ratio {ratio} outside (0, 1]",
-                lineno + 1
+                "jobs line {}: duplicate id `{}`",
+                lineno + 1,
+                spec.id
             ));
         }
-        let id = record
-            .get("id")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("job{}", jobs.len()));
-        if seen_ids.contains(&id) {
-            return Err(format!("jobs line {}: duplicate id `{id}`", lineno + 1));
-        }
-        seen_ids.push(id.clone());
-        jobs.push(JobSpec {
-            id,
-            benchmark,
-            bond,
-            ratio,
-        });
+        jobs.push(spec);
     }
     if jobs.is_empty() {
         return Err("jobs file has no job lines".to_string());

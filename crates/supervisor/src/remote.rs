@@ -18,7 +18,7 @@
 //!   pure function of `(batch_seed, index, spec)`) is what makes blind
 //!   resend safe.
 //! - Worker reconnects reuse the supervisor's seeded
-//!   [`BackoffPolicy`](crate::backoff::BackoffPolicy): the retry
+//!   [`BackoffPolicy`]: the retry
 //!   schedule is a pure function of `(worker id, attempt)` and replays
 //!   bit-for-bit.
 //! - Every record is checked on the wire as it arrives: a stale epoch is

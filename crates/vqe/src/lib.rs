@@ -30,7 +30,6 @@
 pub mod adapt;
 pub mod driver;
 pub mod error;
-pub mod measurement;
 pub mod mitigation;
 pub mod optimize;
 pub mod sector;
@@ -46,7 +45,6 @@ pub use driver::{
     VqeOptions, VqeResult, VqeRun,
 };
 pub use error::VqeError;
-pub use measurement::{estimate_energy_sampled, measurement_basis_circuit, SampledEnergy};
 pub use mitigation::{
     fold_cnots, richardson_extrapolate, zne_energy, MitigatedEnergy, NoiseScaling,
 };

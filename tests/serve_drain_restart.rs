@@ -8,7 +8,7 @@
 //! on a mutex instead of racing each other's daemons.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -204,4 +204,59 @@ fn restart_with_a_different_seed_is_refused() {
         Err(ServeError::ManifestMismatch(_)) => {}
         other => panic!("expected a manifest mismatch, got {other:?}"),
     }
+}
+
+#[test]
+fn corrupt_sealed_state_is_quarantined_and_the_daemon_comes_up() {
+    let _guard = SIGNAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let scratch = ScratchDir::new("serve-corrupt-seal");
+    let cfg = ServeConfig {
+        max_requests: Some(1),
+        ..config(&scratch.0)
+    };
+    let spec = &specs(1)[0];
+
+    // Lifetime 1: one request to completion, then the seal.
+    let summary = std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| run_serve(&cfg));
+        wait_for_socket(&cfg.socket_path());
+        let mut stream = UnixStream::connect(cfg.socket_path()).expect("connect");
+        writeln!(stream, "{}", spec.to_json_line()).expect("send request");
+        let mut response = String::new();
+        BufReader::new(stream)
+            .read_line(&mut response)
+            .expect("read response");
+        assert!(response.contains("\"status\":\"done\""), "got {response}");
+        daemon.join().expect("daemon joins").expect("daemon runs")
+    });
+    assert_eq!(summary.done, 1);
+    assert!(scratch.0.join("serve.manifest").exists());
+    assert!(!scratch.0.join("serve.jobs").exists(), "one sealed file");
+
+    // Damage the sealed spec: wherever the restart state records the
+    // molecule, name one that does not exist.
+    let mut corrupted = 0;
+    for entry in std::fs::read_dir(&scratch.0).expect("list state dir") {
+        let path = entry.expect("dir entry").path();
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        if text.contains("\"molecule\":\"H2\"") {
+            let damaged = text.replace("\"molecule\":\"H2\"", "\"molecule\":\"Q2\"");
+            std::fs::write(&path, damaged).expect("corrupt sealed state");
+            corrupted += 1;
+        }
+    }
+    assert!(corrupted > 0, "the sealed state records the spec");
+
+    // Lifetime 2: the damaged seal is quarantined aside, the daemon comes
+    // up fresh and seals an empty journal.
+    let restarted = run_serve(&ServeConfig {
+        max_requests: Some(0),
+        ..cfg.clone()
+    })
+    .expect("daemon comes up over a corrupt seal");
+    assert_eq!(restarted.resumed, 0);
+    assert!(scratch.0.join("serve.manifest.quarantined").exists());
+    assert!(read_manifest(&scratch.0).is_empty());
 }
