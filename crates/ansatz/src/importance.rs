@@ -86,14 +86,21 @@ pub fn parameter_importance(ir: &PauliIr, hamiltonian: &WeightedPauliSum) -> Imp
     let n = ir.num_qubits();
     let mask: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
 
+    // 2^-d is exact for every d ≤ 64, so the table reproduces `powi`
+    // bit for bit; the Hamiltonian side of every pair is read once.
+    let decay: [f64; 65] = std::array::from_fn(|d| 0.5f64.powi(d as i32));
+    let terms: Vec<(f64, u64, u64)> = hamiltonian
+        .iter()
+        .map(|(w, ph)| (w.abs(), ph.x_mask(), ph.z_mask()))
+        .collect();
+
     let mut scores = vec![0.0; ir.num_parameters()];
     for entry in ir.entries() {
         let ax = entry.string.x_mask();
         let az = entry.string.z_mask();
         let mut s = 0.0;
-        for (w, ph) in hamiltonian.iter() {
-            let d = decay_factor(ax, az, ph.x_mask(), ph.z_mask(), mask);
-            s += w.abs() * (0.5f64).powi(d as i32);
+        for &(w, hx, hz) in &terms {
+            s += w * decay[decay_factor(ax, az, hx, hz, mask) as usize];
         }
         scores[entry.param] += s;
     }
@@ -152,6 +159,60 @@ mod tests {
                 assert_eq!(fast, pa.importance_decay_factor(&ph), "{a} vs {h}");
             }
         }
+    }
+
+    /// Algorithm 1 as written before the decay table: `powi` per pair.
+    fn powi_oracle(ir: &PauliIr, hamiltonian: &WeightedPauliSum) -> Vec<f64> {
+        let n = ir.num_qubits();
+        let mask: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let mut scores = vec![0.0; ir.num_parameters()];
+        for entry in ir.entries() {
+            let (ax, az) = (entry.string.x_mask(), entry.string.z_mask());
+            let mut s = 0.0;
+            for (w, ph) in hamiltonian.iter() {
+                let d = decay_factor(ax, az, ph.x_mask(), ph.z_mask(), mask);
+                s += w.abs() * (0.5f64).powi(d as i32);
+            }
+            scores[entry.param] += s;
+        }
+        scores
+    }
+
+    #[test]
+    fn scores_are_bit_identical_to_the_powi_oracle() {
+        use crate::uccsd::UccsdAnsatz;
+        use chem::Benchmark;
+
+        for molecule in [Benchmark::H2, Benchmark::LiH, Benchmark::H2O, Benchmark::BeH2] {
+            let system = molecule.build_equilibrium().unwrap();
+            let ir = UccsdAnsatz::for_system(&system).into_ir();
+            let h = system.qubit_hamiltonian();
+            let fast: Vec<u64> = parameter_importance(&ir, h)
+                .scores()
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            let slow: Vec<u64> = powi_oracle(&ir, h).iter().map(|s| s.to_bits()).collect();
+            assert_eq!(fast, slow, "{molecule}");
+        }
+        // Every decay factor 0..=64 on a 64-qubit register.
+        let mut ir = PauliIr::new(64, 0);
+        ir.push(IrEntry {
+            string: PauliString::from_symplectic(64, u64::MAX, 0),
+            param: 0,
+            coefficient: 1.0,
+        });
+        let h = WeightedPauliSum::from_terms(
+            64,
+            (0..=64u32).map(|k| {
+                let z = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
+                (0.1 + k as f64, PauliString::from_symplectic(64, 0, z))
+            }),
+        );
+        assert_eq!(
+            parameter_importance(&ir, &h).scores()[0].to_bits(),
+            powi_oracle(&ir, &h)[0].to_bits()
+        );
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! Gaussians whose exponents are `a_k·ζ²` with fixed fit constants `a_k`
 //! and contraction coefficients `c_k` (Hehre–Stewart–Pople). The 1s and
 //! 2sp constants are the published values; the 3sp constants (needed only
-//! for Na) are fitted at startup by maximizing the Slater–Gaussian overlap,
-//! the same criterion used to produce the published tables (substitution
-//! documented in DESIGN.md).
-
-use std::sync::OnceLock;
+//! for Na) come from [`fit_shell`], which maximizes the Slater–Gaussian
+//! overlap, the same criterion used to produce the published tables
+//! (substitution documented in DESIGN.md). Its result is committed as
+//! [`FIT_3SP`], and `fit_shell` stays as the oracle a test checks it by.
 
 use crate::element::Shell;
 use crate::geometry::Molecule;
@@ -80,17 +79,19 @@ pub const FIT_2SP: ShellFit = ShellFit {
     coeff_p: [0.155_916_27, 0.607_683_72, 0.391_957_39],
 };
 
-/// The 3sp fit, computed once by [`fit_shell`] for quantum number n = 3.
-pub fn fit_3sp() -> &'static ShellFit {
-    static FIT: OnceLock<ShellFit> = OnceLock::new();
-    FIT.get_or_init(|| fit_shell(3))
-}
+/// The 3sp fit (Na): [`fit_shell`]`(3)`'s result, committed so no process
+/// reruns its 600-step Nelder–Mead. A unit test pins it to the fit.
+pub const FIT_3SP: ShellFit = ShellFit {
+    alpha_scale: [0.4828540139972426, 0.1347150279167008, 0.05272655773581807],
+    coeff_s: [-0.21962039077365858, 0.22559560774004503, 0.9003982795242113],
+    coeff_p: [0.010587664183880715, 0.5951671088465433, 0.4620008508791788],
+};
 
 fn shell_fit(shell: Shell) -> ShellFit {
     match shell {
         Shell::S1 => FIT_1S,
         Shell::SP2 => FIT_2SP,
-        Shell::SP3 => *fit_3sp(),
+        Shell::SP3 => FIT_3SP,
     }
 }
 
@@ -492,8 +493,23 @@ mod tests {
     }
 
     #[test]
+    fn fit_3sp_constants_reproduce_the_fit() {
+        let fit = fit_shell(3);
+        let pairs = [
+            (fit.alpha_scale, FIT_3SP.alpha_scale),
+            (fit.coeff_s, FIT_3SP.coeff_s),
+            (fit.coeff_p, FIT_3SP.coeff_p),
+        ];
+        for (fitted, committed) in pairs {
+            for (a, b) in fitted.iter().zip(&committed) {
+                assert!((a - b).abs() <= 1e-12, "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
     fn fit_3sp_has_high_overlap() {
-        let fit = fit_3sp();
+        let fit = FIT_3SP;
         let (ov_s, _) = best_coefficients(3, 0, &fit.alpha_scale);
         let (ov_p, _) = best_coefficients(3, 1, &fit.alpha_scale);
         assert!(ov_s > 0.995, "3s fit overlap {ov_s}");

@@ -24,18 +24,42 @@
 /// assert!((f[0] - 1.0).abs() < 1e-15); // F_0(0) = 1
 /// ```
 pub fn boys(m_max: usize, x: f64) -> Vec<f64> {
+    let mut out = vec![0.0; m_max + 1];
+    boys_into(x, &mut out);
+    out
+}
+
+/// Evaluates `F_0(x) … F_{out.len()−1}(x)` into `out` without allocating;
+/// the same arithmetic as [`boys`], bit for bit. The integral engine calls
+/// it with a stack buffer once per primitive quartet and angular momentum.
+///
+/// # Panics
+///
+/// Panics if `x` is negative or not finite, or if `out` is empty.
+///
+/// # Examples
+///
+/// ```
+/// use chem::boys::{boys, boys_into};
+///
+/// let mut f = [0.0; 3];
+/// boys_into(1.3, &mut f);
+/// assert_eq!(f.to_vec(), boys(2, 1.3));
+/// ```
+pub fn boys_into(x: f64, out: &mut [f64]) {
     assert!(
         x.is_finite() && x >= 0.0,
         "Boys argument must be finite and non-negative"
     );
-    let mut out = vec![0.0; m_max + 1];
+    assert!(!out.is_empty(), "Boys output needs at least F_0");
+    let m_max = out.len() - 1;
 
     if x < 1e-14 {
         // F_m(0) = 1/(2m+1).
         for (m, o) in out.iter_mut().enumerate() {
             *o = 1.0 / (2.0 * m as f64 + 1.0);
         }
-        return out;
+        return;
     }
 
     if x > 35.0 {
@@ -46,7 +70,7 @@ pub fn boys(m_max: usize, x: f64) -> Vec<f64> {
         for m in 1..=m_max {
             out[m] = ((2.0 * m as f64 - 1.0) * out[m - 1] - ex) / (2.0 * x);
         }
-        return out;
+        return;
     }
 
     // Series at the top order:
@@ -70,7 +94,6 @@ pub fn boys(m_max: usize, x: f64) -> Vec<f64> {
     for m in (0..m_max).rev() {
         out[m] = (2.0 * x * out[m + 1] + ex) / (2.0 * m as f64 + 1.0);
     }
-    out
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use numeric::Complex64;
-use pauli::{Pauli, PauliString, WeightedPauliSum};
+use pauli::{PauliString, WeightedPauliSum};
 
 use crate::mo::ActiveIntegrals;
 
@@ -62,14 +62,10 @@ pub fn jordan_wigner_ladder(num_qubits: usize, op: LadderOp) -> [(Complex64, Pau
         "spin orbital {} out of range",
         op.index
     );
-    let mut x_string = PauliString::identity(num_qubits);
-    let mut y_string = PauliString::identity(num_qubits);
-    for q in 0..op.index {
-        x_string.set_op(q, Pauli::Z);
-        y_string.set_op(q, Pauli::Z);
-    }
-    x_string.set_op(op.index, Pauli::X);
-    y_string.set_op(op.index, Pauli::Y);
+    let bit = 1u64 << op.index;
+    let chain = bit - 1;
+    let x_string = PauliString::from_symplectic(num_qubits, bit, chain);
+    let y_string = PauliString::from_symplectic(num_qubits, bit, chain | bit);
     let half = Complex64::from_real(0.5);
     let y_coef = if op.creation {
         Complex64::new(0.0, -0.5)
@@ -79,24 +75,66 @@ pub fn jordan_wigner_ladder(num_qubits: usize, op: LadderOp) -> [(Complex64, Pau
     [(half, x_string), (y_coef, y_string)]
 }
 
+/// Reusable buffers for the Jordan–Wigner image of one ladder-operator
+/// product. A product of `k` operators has at most `2^k` distinct strings
+/// (16 for a two-body term); they are multiplied out factor by factor, with
+/// duplicates merged by a linear scan. A buffer kept across products
+/// allocates nothing after the first.
+///
+/// Every coefficient of such a product is an exact dyadic (±2^-k, real or
+/// imaginary), so the merged sums do not depend on the order terms meet in.
+#[derive(Debug, Default)]
+struct ProductBuffer {
+    terms: Vec<(Complex64, PauliString)>,
+    next: Vec<(Complex64, PauliString)>,
+}
+
+impl ProductBuffer {
+    /// The terms of `JW(ops)` with `|w| > 1e-14`.
+    fn expand(&mut self, num_qubits: usize, ops: &[LadderOp]) -> &[(Complex64, PauliString)] {
+        self.terms.clear();
+        self.terms
+            .push((Complex64::ONE, PauliString::identity(num_qubits)));
+        for &op in ops {
+            let factors = jordan_wigner_ladder(num_qubits, op);
+            self.next.clear();
+            for &(w, p) in &self.terms {
+                for (fw, fp) in &factors {
+                    let (phase, prod) = p.mul(fp);
+                    let coef = w * *fw * phase.to_complex();
+                    match self.next.iter_mut().find(|(_, s)| *s == prod) {
+                        Some((acc, _)) => *acc += coef,
+                        None => self.next.push((Complex64::ZERO + coef, prod)),
+                    }
+                }
+            }
+            self.next.retain(|(w, _)| w.norm() > 1e-14);
+            std::mem::swap(&mut self.terms, &mut self.next);
+        }
+        &self.terms
+    }
+
+    /// Adds `scale · JW(ops)` into `acc`.
+    fn accumulate(
+        &mut self,
+        acc: &mut ComplexPauliMap,
+        num_qubits: usize,
+        ops: &[LadderOp],
+        scale: f64,
+    ) {
+        for &(w, p) in self.expand(num_qubits, ops) {
+            *acc.entry(p).or_insert(Complex64::ZERO) += w * scale;
+        }
+    }
+}
+
 /// Expands a product of ladder operators into its Pauli decomposition.
 pub fn jordan_wigner_product(num_qubits: usize, ops: &[LadderOp]) -> ComplexPauliMap {
-    let mut acc: ComplexPauliMap = HashMap::new();
-    acc.insert(PauliString::identity(num_qubits), Complex64::ONE);
-    for &op in ops {
-        let factors = jordan_wigner_ladder(num_qubits, op);
-        let mut next: ComplexPauliMap = HashMap::with_capacity(acc.len() * 2);
-        for (p, w) in &acc {
-            for (fw, fp) in &factors {
-                let (phase, prod) = p.mul(fp);
-                let coef = *w * *fw * phase.to_complex();
-                *next.entry(prod).or_insert(Complex64::ZERO) += coef;
-            }
-        }
-        next.retain(|_, w| w.norm() > 1e-14);
-        acc = next;
-    }
-    acc
+    ProductBuffer::default()
+        .expand(num_qubits, ops)
+        .iter()
+        .map(|&(w, p)| (p, w))
+        .collect()
 }
 
 /// Adds `scale · JW(ops)` into an accumulator map.
@@ -104,9 +142,7 @@ pub fn accumulate_term(acc: &mut ComplexPauliMap, num_qubits: usize, ops: &[Ladd
     if scale == 0.0 {
         return;
     }
-    for (p, w) in jordan_wigner_product(num_qubits, ops) {
-        *acc.entry(p).or_insert(Complex64::ZERO) += w * scale;
-    }
+    ProductBuffer::default().accumulate(acc, num_qubits, ops, scale);
 }
 
 /// Converts an accumulated (Hermitian) complex map into a real weighted sum.
@@ -148,7 +184,8 @@ pub fn antihermitian_pauli_terms(
     excitation: &[LadderOp],
 ) -> Vec<(f64, PauliString)> {
     let mut acc: ComplexPauliMap = HashMap::new();
-    accumulate_term(&mut acc, num_qubits, excitation, 1.0);
+    let mut buffer = ProductBuffer::default();
+    buffer.accumulate(&mut acc, num_qubits, excitation, 1.0);
     // Subtract the Hermitian conjugate: reverse order, flip dagger.
     let conj: Vec<LadderOp> = excitation
         .iter()
@@ -158,7 +195,7 @@ pub fn antihermitian_pauli_terms(
             creation: !op.creation,
         })
         .collect();
-    accumulate_term(&mut acc, num_qubits, &conj, -1.0);
+    buffer.accumulate(&mut acc, num_qubits, &conj, -1.0);
 
     let mut out: Vec<(f64, PauliString)> = acc
         .into_iter()
@@ -195,6 +232,7 @@ pub fn build_qubit_hamiltonian(act: &ActiveIntegrals) -> WeightedPauliSum {
     let m = act.h.rows();
     let n_so = 2 * m;
     let mut acc: ComplexPauliMap = HashMap::new();
+    let mut buffer = ProductBuffer::default();
 
     // Constant core energy on the identity string.
     acc.insert(
@@ -212,7 +250,7 @@ pub fn build_qubit_hamiltonian(act: &ActiveIntegrals) -> WeightedPauliSum {
             for beta in [false, true] {
                 let sp = spin_orbital(m, p, beta);
                 let sq = spin_orbital(m, q, beta);
-                accumulate_term(
+                buffer.accumulate(
                     &mut acc,
                     n_so,
                     &[LadderOp::create(sp), LadderOp::annihilate(sq)],
@@ -240,7 +278,7 @@ pub fn build_qubit_hamiltonian(act: &ActiveIntegrals) -> WeightedPauliSum {
                             if a == b || c == d {
                                 continue; // a†a† or aa on the same mode is zero
                             }
-                            accumulate_term(
+                            buffer.accumulate(
                                 &mut acc,
                                 n_so,
                                 &[
@@ -288,6 +326,203 @@ pub fn hartree_fock_bitmask(num_spatial: usize, num_electrons: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The map-per-product Jordan–Wigner path the product buffer replaced,
+    /// kept as the bit-identity oracle of the Hamiltonian and of the UCCSD
+    /// generators.
+    mod oracle {
+        use super::super::*;
+        use pauli::Pauli;
+
+        fn ladder(num_qubits: usize, op: LadderOp) -> [(Complex64, PauliString); 2] {
+            let mut x_string = PauliString::identity(num_qubits);
+            let mut y_string = PauliString::identity(num_qubits);
+            for q in 0..op.index {
+                x_string.set_op(q, Pauli::Z);
+                y_string.set_op(q, Pauli::Z);
+            }
+            x_string.set_op(op.index, Pauli::X);
+            y_string.set_op(op.index, Pauli::Y);
+            let y_coef = if op.creation {
+                Complex64::new(0.0, -0.5)
+            } else {
+                Complex64::new(0.0, 0.5)
+            };
+            [(Complex64::from_real(0.5), x_string), (y_coef, y_string)]
+        }
+
+        pub fn product(num_qubits: usize, ops: &[LadderOp]) -> ComplexPauliMap {
+            let mut acc: ComplexPauliMap = HashMap::new();
+            acc.insert(PauliString::identity(num_qubits), Complex64::ONE);
+            for &op in ops {
+                let factors = ladder(num_qubits, op);
+                let mut next: ComplexPauliMap = HashMap::with_capacity(acc.len() * 2);
+                for (p, w) in &acc {
+                    for (fw, fp) in &factors {
+                        let (phase, prod) = p.mul(fp);
+                        let coef = *w * *fw * phase.to_complex();
+                        *next.entry(prod).or_insert(Complex64::ZERO) += coef;
+                    }
+                }
+                next.retain(|_, w| w.norm() > 1e-14);
+                acc = next;
+            }
+            acc
+        }
+
+        fn accumulate(acc: &mut ComplexPauliMap, n: usize, ops: &[LadderOp], scale: f64) {
+            if scale == 0.0 {
+                return;
+            }
+            for (p, w) in product(n, ops) {
+                *acc.entry(p).or_insert(Complex64::ZERO) += w * scale;
+            }
+        }
+
+        pub fn antihermitian(num_qubits: usize, excitation: &[LadderOp]) -> Vec<(f64, PauliString)> {
+            let mut acc: ComplexPauliMap = HashMap::new();
+            accumulate(&mut acc, num_qubits, excitation, 1.0);
+            let conj: Vec<LadderOp> = excitation
+                .iter()
+                .rev()
+                .map(|op| LadderOp {
+                    index: op.index,
+                    creation: !op.creation,
+                })
+                .collect();
+            accumulate(&mut acc, num_qubits, &conj, -1.0);
+            let mut out: Vec<(f64, PauliString)> = acc
+                .into_iter()
+                .filter(|(_, w)| w.norm() > 1e-12)
+                .map(|(p, w)| (w.im, p))
+                .collect();
+            out.sort_by_key(|a| a.1);
+            out
+        }
+
+        pub fn hamiltonian(act: &ActiveIntegrals) -> WeightedPauliSum {
+            let m = act.h.rows();
+            let n_so = 2 * m;
+            let mut acc: ComplexPauliMap = HashMap::new();
+            acc.insert(
+                PauliString::identity(n_so),
+                Complex64::from_real(act.core_energy),
+            );
+            for p in 0..m {
+                for q in 0..m {
+                    let h = act.h[(p, q)];
+                    if h.abs() < 1e-12 {
+                        continue;
+                    }
+                    for beta in [false, true] {
+                        let ops = [
+                            LadderOp::create(spin_orbital(m, p, beta)),
+                            LadderOp::annihilate(spin_orbital(m, q, beta)),
+                        ];
+                        accumulate(&mut acc, n_so, &ops, h);
+                    }
+                }
+            }
+            for p in 0..m {
+                for q in 0..m {
+                    for r in 0..m {
+                        for s in 0..m {
+                            let g = act.eri.get(p, r, q, s);
+                            if g.abs() < 1e-12 {
+                                continue;
+                            }
+                            for sigma in [false, true] {
+                                for tau in [false, true] {
+                                    let a = spin_orbital(m, p, sigma);
+                                    let b = spin_orbital(m, q, tau);
+                                    let c = spin_orbital(m, s, tau);
+                                    let d = spin_orbital(m, r, sigma);
+                                    if a == b || c == d {
+                                        continue;
+                                    }
+                                    let ops = [
+                                        LadderOp::create(a),
+                                        LadderOp::create(b),
+                                        LadderOp::annihilate(c),
+                                        LadderOp::annihilate(d),
+                                    ];
+                                    accumulate(&mut acc, n_so, &ops, 0.5 * g);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            into_real_sum(n_so, acc)
+        }
+    }
+
+    fn term_bits(terms: &[(f64, PauliString)]) -> Vec<(u64, PauliString)> {
+        terms.iter().map(|&(w, p)| (w.to_bits(), p)).collect()
+    }
+
+    #[test]
+    fn hamiltonian_is_bit_identical_to_the_map_oracle() {
+        use crate::basis::build_basis;
+        use crate::integrals::compute_ao_integrals;
+        use crate::mo::{active_space_integrals, transform_to_mo};
+        use crate::molecules::Benchmark;
+        use crate::scf::{restricted_hartree_fock, ScfOptions};
+
+        for molecule in Benchmark::ALL {
+            let m = molecule.molecule(molecule.equilibrium_bond_length());
+            let ints = compute_ao_integrals(&m, &build_basis(&m));
+            let scf = restricted_hartree_fock(&ints, m.num_electrons(), ScfOptions::default())
+                .expect("Table I molecules converge at equilibrium");
+            let mo = transform_to_mo(&ints, &scf);
+            let act = active_space_integrals(&mo, &molecule.active_space(), ints.nuclear_repulsion);
+            let fast = build_qubit_hamiltonian(&act);
+            let slow = oracle::hamiltonian(&act);
+            let fast: Vec<(f64, PauliString)> = fast.iter().copied().collect();
+            let slow: Vec<(f64, PauliString)> = slow.iter().copied().collect();
+            assert_eq!(term_bits(&fast), term_bits(&slow), "{molecule}");
+        }
+    }
+
+    #[test]
+    fn products_and_generators_are_bit_identical_to_the_map_oracle() {
+        // Every single and double excitation of an 8-qubit register, in
+        // both operator orders, and products of up to four operators.
+        let n = 8;
+        for a in 0..n {
+            for i in 0..n {
+                let single = [LadderOp::create(a), LadderOp::annihilate(i)];
+                let fast = jordan_wigner_product(n, &single);
+                assert_eq!(fast, oracle::product(n, &single));
+                if a != i {
+                    assert_eq!(
+                        term_bits(&antihermitian_pauli_terms(n, &single)),
+                        term_bits(&oracle::antihermitian(n, &single))
+                    );
+                }
+                for b in 0..n {
+                    for j in 0..n {
+                        let double = [
+                            LadderOp::create(a),
+                            LadderOp::create(b),
+                            LadderOp::annihilate(j),
+                            LadderOp::annihilate(i),
+                        ];
+                        assert_eq!(
+                            jordan_wigner_product(n, &double),
+                            oracle::product(n, &double)
+                        );
+                        if a > b && i > j && a != i && a != j && b != i && b != j {
+                            assert_eq!(
+                                term_bits(&antihermitian_pauli_terms(n, &double)),
+                                term_bits(&oracle::antihermitian(n, &double))
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn number_operator_expansion() {

@@ -9,7 +9,7 @@
 use numeric::RealMatrix;
 
 use crate::basis::BasisFunction;
-use crate::boys::boys;
+use crate::boys::{boys, boys_into};
 use crate::geometry::Molecule;
 
 /// Hermite expansion coefficient `E_t^{ij}` for a 1D Gaussian product.
@@ -417,21 +417,545 @@ pub struct AoIntegrals {
 }
 
 /// Computes every AO integral for a molecule in the given basis.
+///
+/// Consecutive functions that share a center and an exponent set form a
+/// shell (an STO-3G sp shell is s + px + py + pz on one set). Each
+/// primitive pair of a shell pair is set up once: `p`, `P` and iterative
+/// Hermite `E` tables. Each primitive quartet of a shell quartet evaluates
+/// the Boys function and the Hermite `R` table once per total angular
+/// momentum present in the block, and every function quartet of the block
+/// reads them. DESIGN.md §21 describes the layout.
+///
+/// Every number is computed by the same floating-point operations, in the
+/// same order, as the per-function [`overlap`]/[`kinetic`]/[`nuclear`]/
+/// [`eri`] (the slow paths it is tested against), so the result is bit for
+/// bit theirs. That includes the SCF's choice of rotation inside a
+/// degenerate orbital shell (BH3, NH3, CH4) and the index tie-breaks of the
+/// importance ranking, both of which turn last-bit differences into
+/// different numbers downstream. Shell quartets run in parallel; each
+/// canonical `(pq|rs)` is computed once, so the tensor is bit-identical at
+/// every thread count.
+///
+/// # Panics
+///
+/// Panics if a basis function has angular momentum above 1 (the engine
+/// holds s and p functions, all STO-3G needs; the per-function integrals
+/// take any angular momentum).
 pub fn compute_ao_integrals(molecule: &Molecule, basis: &[BasisFunction]) -> AoIntegrals {
     let n = basis.len();
-    let s = RealMatrix::from_fn(n, n, |i, j| overlap(&basis[i], &basis[j]));
-    let t = RealMatrix::from_fn(n, n, |i, j| kinetic(&basis[i], &basis[j]));
-    let v = RealMatrix::from_fn(n, n, |i, j| nuclear(&basis[i], &basis[j], molecule));
-    let h = &t + &v;
-    let eri_t = EriTensor::from_fn_symmetric(n, |p, q, r, s| {
-        eri(&basis[p], &basis[q], &basis[r], &basis[s])
+    let shells = group_shells(basis);
+    let mut s = RealMatrix::zeros(n, n);
+    let mut h = RealMatrix::zeros(n, n);
+    for sa in &shells {
+        for sb in &shells {
+            one_electron(sa, sb, molecule, &mut s, &mut h);
+        }
+    }
+
+    let pairs: Vec<ShellPair> = (0..shells.len())
+        .flat_map(|a| (0..=a).map(move |b| (a, b)))
+        .map(|(a, b)| ShellPair::new(&shells, a, b))
+        .collect();
+    let blocks = shell_quartets(&shells, &pairs);
+    let values = par::map_indexed(blocks.len(), |i| {
+        let (bra, ket) = blocks[i];
+        shell_quartet(&shells, &pairs[bra], &pairs[ket])
     });
+    let mut eri_t = EriTensor {
+        n,
+        data: vec![0.0; n * n * n * n],
+    };
+    for (p, q, r, s, v) in values.into_iter().flatten() {
+        eri_t.set_sym(p, q, r, s, v);
+    }
     AoIntegrals {
         overlap: s,
         core_hamiltonian: h,
         eri: eri_t,
         nuclear_repulsion: molecule.nuclear_repulsion(),
     }
+}
+
+// ---------------------------------------------------------------------------
+// The integral engine behind `compute_ao_integrals`. Every expression below
+// mirrors one of the slow paths above operation for operation; a change to
+// either side must keep `tests/integral_equivalence.rs` bit-identical.
+// ---------------------------------------------------------------------------
+
+/// Highest angular momentum of one function the engine's fixed tables hold.
+const MAX_L: usize = 1;
+
+/// Distinct total angular momenta of a function quartet, `0 ..= 4·MAX_L`.
+const L_SLOTS: usize = 4 * MAX_L + 1;
+
+/// Side of the Hermite `R` cube: `t, u, v < L_SLOTS`.
+const R_SIDE: usize = L_SLOTS;
+
+/// Entries of the `R` cube, indexed `(t·R_SIDE + u)·R_SIDE + v`. The index
+/// is additive, so `R_{t+τ, u+ν, v+φ}` sits at `idx(t,u,v) + idx(τ,ν,φ)`.
+const R_LEN: usize = R_SIDE * R_SIDE * R_SIDE;
+
+/// One Hermite axis of a primitive pair: `E_t^{ij}` for `i ≤ MAX_L`,
+/// `j ≤ MAX_L + 2` (the kinetic integral raises `j` by two) and
+/// `t ≤ i + j`.
+type Hermite1d = [[[f64; 2 * MAX_L + 3]; MAX_L + 3]; MAX_L + 1];
+
+/// Consecutive basis functions sharing a center and an exponent set.
+struct Shell {
+    center: [f64; 3],
+    exponents: Vec<f64>,
+    /// Basis index of the shell's first function.
+    first: usize,
+    /// Angular momentum of each function, in basis order.
+    angmoms: Vec<[usize; 3]>,
+    /// `coefficients[f][k]`: function `f`'s coefficient on primitive `k`.
+    coefficients: Vec<Vec<f64>>,
+    /// Highest total angular momentum of the shell's functions.
+    l: usize,
+}
+
+fn group_shells(basis: &[BasisFunction]) -> Vec<Shell> {
+    let mut shells: Vec<Shell> = Vec::new();
+    for (i, f) in basis.iter().enumerate() {
+        let angmom = f.angmom.map(|l| l as usize);
+        let l = angmom.iter().sum::<usize>();
+        assert!(
+            l <= MAX_L,
+            "basis function {i} has angular momentum {l}; compute_ao_integrals holds up to {MAX_L}"
+        );
+        let coefficients = f.primitives.iter().map(|p| p.coefficient).collect();
+        let same_shell = shells.last().is_some_and(|s| {
+            s.center == f.center
+                && s.exponents.len() == f.primitives.len()
+                && s.exponents
+                    .iter()
+                    .zip(&f.primitives)
+                    .all(|(&e, p)| e == p.exponent)
+        });
+        match shells.last_mut() {
+            Some(shell) if same_shell => {
+                shell.angmoms.push(angmom);
+                shell.coefficients.push(coefficients);
+                shell.l = shell.l.max(l);
+            }
+            _ => shells.push(Shell {
+                center: f.center,
+                exponents: f.primitives.iter().map(|p| p.exponent).collect(),
+                first: i,
+                angmoms: vec![angmom],
+                coefficients: vec![coefficients],
+                l,
+            }),
+        }
+    }
+    shells
+}
+
+fn total(l: [usize; 3]) -> usize {
+    l[0] + l[1] + l[2]
+}
+
+/// [`hermite_e`] for every `i ≤ imax`, `j ≤ jmax`, `t ≤ i + j` along one
+/// axis, filled bottom-up by the same recursion.
+fn hermite_1d(imax: usize, jmax: usize, qx: f64, a: f64, b: f64) -> Hermite1d {
+    let p = a + b;
+    let q = a * b / p;
+    let mut e: Hermite1d = [[[0.0; 2 * MAX_L + 3]; MAX_L + 3]; MAX_L + 1];
+    e[0][0][0] = (-q * qx * qx).exp();
+    // `E_t` of a lower (i, j), zero outside 0 ≤ t ≤ i + j.
+    let at = |row: &[f64], top: usize, t: isize| -> f64 {
+        if t < 0 || t as usize > top {
+            0.0
+        } else {
+            row[t as usize]
+        }
+    };
+    for i in 0..=imax {
+        for j in 0..=jmax {
+            if i == 0 && j == 0 {
+                continue;
+            }
+            for t in 0..=(i + j) as isize {
+                e[i][j][t as usize] = if i > 0 {
+                    let (row, top) = (&e[i - 1][j], i - 1 + j);
+                    at(row, top, t - 1) / (2.0 * p) - q * qx / a * at(row, top, t)
+                        + (t + 1) as f64 * at(row, top, t + 1)
+                } else {
+                    let (row, top) = (&e[i][j - 1], i + j - 1);
+                    at(row, top, t - 1) / (2.0 * p)
+                        + q * qx / b * at(row, top, t)
+                        + (t + 1) as f64 * at(row, top, t + 1)
+                };
+            }
+        }
+    }
+    e
+}
+
+/// [`hermite_coulomb`]`(t, u, v, 0, …)` for every `t + u + v ≤ l` into
+/// `out`, by the same recursion run from Boys order `l` down to 0: level
+/// `n` lands in `out` when `n` is even and in `scratch` when odd, so level
+/// 0 ends in `out`. `f` holds `F_0 … F_l`. Entries with `t + u + v > l`
+/// are left stale; nothing is cleared between calls.
+fn hermite_r(
+    l: usize,
+    alpha: f64,
+    pq: [f64; 3],
+    f: &[f64],
+    out: &mut [f64; R_LEN],
+    scratch: &mut [f64; R_LEN],
+) {
+    let idx = |t: usize, u: usize, v: usize| (t * R_SIDE + u) * R_SIDE + v;
+    for n in (0..=l).rev() {
+        let (cur, prev) = if n % 2 == 0 {
+            (&mut *out, &*scratch)
+        } else {
+            (&mut *scratch, &*out)
+        };
+        let top = l - n;
+        for t in 0..=top {
+            for u in 0..=top - t {
+                for v in 0..=top - t - u {
+                    // (k − 1)·R_{k−2} + PQ·R_{k−1} along the first non-zero
+                    // index, with R_{−1} = 0 as the recursion returns it.
+                    let step = |k: usize, axis: usize, below: usize, two_below: usize| {
+                        let far = if k > 1 { prev[two_below] } else { 0.0 };
+                        (k - 1) as f64 * far + pq[axis] * prev[below]
+                    };
+                    cur[idx(t, u, v)] = if t > 0 {
+                        step(t, 0, idx(t - 1, u, v), idx(t.saturating_sub(2), u, v))
+                    } else if u > 0 {
+                        step(u, 1, idx(t, u - 1, v), idx(t, u.saturating_sub(2), v))
+                    } else if v > 0 {
+                        step(v, 2, idx(t, u, v - 1), idx(t, u, v.saturating_sub(2)))
+                    } else {
+                        (-2.0 * alpha).powi(n as i32) * f[n]
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// One non-zero term `E_t^x·E_u^y·E_v^z` of a function pair's Hermite
+/// expansion.
+#[derive(Clone, Copy)]
+struct HermiteTerm {
+    /// `idx(t, u, v)` in the `R` cube.
+    idx: usize,
+    /// The product, as the bra side reads it.
+    e: f64,
+    /// `(−1)^{t+u+v}·e`, as the ket side reads it.
+    signed: f64,
+}
+
+/// A primitive pair of a shell pair.
+struct PrimPair {
+    p: f64,
+    /// The Gaussian product center, `(a·A + b·B)/p`.
+    center: [f64; 3],
+}
+
+/// A shell pair `(a, b)` with `a ≥ b`, set up once per integral build.
+struct ShellPair {
+    a: usize,
+    b: usize,
+    /// Function pairs `(fa, fb)` (indices within the shells) whose integrals
+    /// the pair feeds: all of them, or `fa ≥ fb` on a diagonal pair.
+    functions: Vec<(usize, usize)>,
+    /// Primitive pairs, `ka`-major, as the per-function loops visit them.
+    prims: Vec<PrimPair>,
+    /// The contraction coefficients `(c_a, c_b)` of primitive pair `k` in
+    /// function pair `f`, at `k·F + f` with `F = functions.len()`.
+    coefficients: Vec<(f64, f64)>,
+    /// Hermite terms of primitive pair `k` and function pair `f` are
+    /// `terms[offsets[k·F + f]..offsets[k·F + f + 1]]`.
+    terms: Vec<HermiteTerm>,
+    offsets: Vec<usize>,
+}
+
+impl ShellPair {
+    fn new(shells: &[Shell], a: usize, b: usize) -> Self {
+        let (sa, sb) = (&shells[a], &shells[b]);
+        let functions: Vec<(usize, usize)> = (0..sa.angmoms.len())
+            .flat_map(|fa| (0..sb.angmoms.len()).map(move |fb| (fa, fb)))
+            .filter(|&(fa, fb)| a != b || fa >= fb)
+            .collect();
+        let ab = sub(sa.center, sb.center);
+        let mut prims = Vec::with_capacity(sa.exponents.len() * sb.exponents.len());
+        let mut coefficients = Vec::new();
+        let mut terms = Vec::new();
+        let mut offsets = vec![0];
+        for (ka, &ea) in sa.exponents.iter().enumerate() {
+            for (kb, &eb) in sb.exponents.iter().enumerate() {
+                let e = [0, 1, 2].map(|d| hermite_1d(sa.l, sb.l, ab[d], ea, eb));
+                for &(fa, fb) in &functions {
+                    let (la, lb) = (sa.angmoms[fa], sb.angmoms[fb]);
+                    coefficients.push((sa.coefficients[fa][ka], sb.coefficients[fb][kb]));
+                    for t in 0..=la[0] + lb[0] {
+                        for u in 0..=la[1] + lb[1] {
+                            for v in 0..=la[2] + lb[2] {
+                                let e = e[0][la[0]][lb[0]][t]
+                                    * e[1][la[1]][lb[1]][u]
+                                    * e[2][la[2]][lb[2]][v];
+                                if e == 0.0 {
+                                    continue;
+                                }
+                                let sign = if (t + u + v) % 2 == 0 { 1.0 } else { -1.0 };
+                                terms.push(HermiteTerm {
+                                    idx: (t * R_SIDE + u) * R_SIDE + v,
+                                    e,
+                                    signed: sign * e,
+                                });
+                            }
+                        }
+                    }
+                    offsets.push(terms.len());
+                }
+                prims.push(PrimPair {
+                    p: ea + eb,
+                    center: product_center(ea, sa.center, eb, sb.center),
+                });
+            }
+        }
+        ShellPair {
+            a,
+            b,
+            functions,
+            prims,
+            coefficients,
+            terms,
+            offsets,
+        }
+    }
+
+    fn terms(&self, prim: usize, function: usize) -> &[HermiteTerm] {
+        let k = prim * self.functions.len() + function;
+        &self.terms[self.offsets[k]..self.offsets[k + 1]]
+    }
+
+    fn coefficients(&self, prim: usize, function: usize) -> (f64, f64) {
+        self.coefficients[prim * self.functions.len() + function]
+    }
+}
+
+fn sub(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
+    [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+}
+
+/// The Gaussian product center `(a·A + b·B)/(a + b)`.
+fn product_center(a: f64, ra: [f64; 3], b: f64, rb: [f64; 3]) -> [f64; 3] {
+    let p = a + b;
+    [
+        (a * ra[0] + b * rb[0]) / p,
+        (a * ra[1] + b * rb[1]) / p,
+        (a * ra[2] + b * rb[2]) / p,
+    ]
+}
+
+/// `S` and `h = T + V` of every function pair of the ordered shell pair
+/// `(sa, sb)`, written into `s` and `h`: [`overlap`], [`kinetic`] and
+/// [`nuclear`] with one `E` table per primitive pair and one Boys
+/// evaluation and `R` table per primitive pair, nucleus and total angular
+/// momentum.
+fn one_electron(sa: &Shell, sb: &Shell, molecule: &Molecule, s: &mut RealMatrix, h: &mut RealMatrix) {
+    let functions: Vec<(usize, usize)> = (0..sa.angmoms.len())
+        .flat_map(|fa| (0..sb.angmoms.len()).map(move |fb| (fa, fb)))
+        .collect();
+    let atoms = molecule.atoms();
+    let nf = functions.len();
+    let (mut s_acc, mut t_acc) = (vec![0.0; nf], vec![0.0; nf]);
+    // One contraction per function pair and nucleus, as `nuclear` sums them.
+    let mut v_acc = vec![0.0; nf * atoms.len()];
+    let ab = sub(sa.center, sb.center);
+    let l_max = sa.l + sb.l;
+    let mut f = [[0.0; L_SLOTS]; L_SLOTS];
+    let mut r = [[0.0; R_LEN]; L_SLOTS];
+    let mut scratch = [0.0; R_LEN];
+    for (ka, &a) in sa.exponents.iter().enumerate() {
+        for (kb, &b) in sb.exponents.iter().enumerate() {
+            let p = a + b;
+            let e = [0, 1, 2].map(|d| hermite_1d(sa.l, sb.l + 2, ab[d], a, b));
+            let pref = (std::f64::consts::PI / p).powf(1.5);
+            let rp = product_center(a, sa.center, b, sb.center);
+            for (k, &(fa, fb)) in functions.iter().enumerate() {
+                let (la, lb) = (sa.angmoms[fa], sb.angmoms[fb]);
+                let c = sa.coefficients[fa][ka] * sb.coefficients[fb][kb];
+                // `overlap_prim` and `kinetic_prim`.
+                let sd = |d: usize, dj: isize| -> f64 {
+                    let j = lb[d] as isize + dj;
+                    if j < 0 {
+                        0.0
+                    } else {
+                        e[d][la[d]][j as usize][0]
+                    }
+                };
+                let t1d = |d: usize| -> f64 {
+                    let j = lb[d] as f64;
+                    -2.0 * b * b * sd(d, 2) + b * (2.0 * j + 1.0) * sd(d, 0)
+                        - 0.5 * j * (j - 1.0) * sd(d, -2)
+                };
+                let mut overlap = pref;
+                for d in 0..3 {
+                    overlap *= sd(d, 0);
+                }
+                let (sx, sy, sz) = (sd(0, 0), sd(1, 0), sd(2, 0));
+                let kinetic = pref * (t1d(0) * sy * sz + sx * t1d(1) * sz + sx * sy * t1d(2));
+                s_acc[k] += c * overlap;
+                t_acc[k] += c * kinetic;
+            }
+            // `nuclear_prim`, per nucleus.
+            for (atom_index, atom) in atoms.iter().enumerate() {
+                let pc = sub(rp, atom.position);
+                let x = p * dist_sq(rp, atom.position);
+                for l in 0..=l_max {
+                    boys_into(x, &mut f[l][..=l]);
+                    hermite_r(l, p, pc, &f[l], &mut r[l], &mut scratch);
+                }
+                for (k, &(fa, fb)) in functions.iter().enumerate() {
+                    let (la, lb) = (sa.angmoms[fa], sb.angmoms[fb]);
+                    let r = &r[total(la) + total(lb)];
+                    let mut acc = 0.0;
+                    for t in 0..=la[0] + lb[0] {
+                        for u in 0..=la[1] + lb[1] {
+                            for v in 0..=la[2] + lb[2] {
+                                let e = e[0][la[0]][lb[0]][t]
+                                    * e[1][la[1]][lb[1]][u]
+                                    * e[2][la[2]][lb[2]][v];
+                                acc += e * r[(t * R_SIDE + u) * R_SIDE + v];
+                            }
+                        }
+                    }
+                    let c = sa.coefficients[fa][ka] * sb.coefficients[fb][kb];
+                    v_acc[k * atoms.len() + atom_index] +=
+                        c * (2.0 * std::f64::consts::PI / p * acc);
+                }
+            }
+        }
+    }
+    for (k, &(fa, fb)) in functions.iter().enumerate() {
+        let mut v = 0.0;
+        for (atom_index, atom) in atoms.iter().enumerate() {
+            let z = atom.element.atomic_number() as f64;
+            v -= z * v_acc[k * atoms.len() + atom_index];
+        }
+        let (i, j) = (sa.first + fa, sb.first + fb);
+        s[(i, j)] = s_acc[k];
+        h[(i, j)] = t_acc[k] + v;
+    }
+}
+
+/// The shell quartets whose blocks hold every canonical `(pq|rs)`:
+/// `p ≥ q`, `r ≥ s` and `(p, q) ≥ (r, s)`, the octant and orientation
+/// [`EriTensor::from_fn_symmetric`] evaluates. Bra pair `P ≥ Q` and ket
+/// pair `R ≥ S` with `P > R`, or `P = R` and any `Q`, `S` (a quartet there
+/// is canonical when `p > r` inside the shared shell, or `p = r` and
+/// `q ≥ s`). Returned as indices into `pairs`; a block that can hold no
+/// canonical quartet is left out.
+fn shell_quartets(shells: &[Shell], pairs: &[ShellPair]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (i, bra) in pairs.iter().enumerate() {
+        for (j, ket) in pairs.iter().enumerate() {
+            if ket.a > bra.a {
+                continue;
+            }
+            if ket.a == bra.a && ket.b > bra.b && shells[bra.a].angmoms.len() == 1 {
+                // p = r is forced and needs q ≥ s, impossible when Q < S.
+                continue;
+            }
+            out.push((i, j));
+        }
+    }
+    out
+}
+
+/// Every canonical `(pq|rs)` of one shell quartet, as `(p, q, r, s, value)`:
+/// [`eri`] of each, with the Boys function and `R` table of a primitive
+/// quartet evaluated once per total angular momentum.
+fn shell_quartet(
+    shells: &[Shell],
+    bra: &ShellPair,
+    ket: &ShellPair,
+) -> Vec<(usize, usize, usize, usize, f64)> {
+    let (sa, sb, sc, sd) = (
+        &shells[bra.a],
+        &shells[bra.b],
+        &shells[ket.a],
+        &shells[ket.b],
+    );
+    let index = |shell: &Shell, f: usize| shell.first + f;
+    // The canonical function quartets of the block: (bra function pair,
+    // ket function pair, total angular momentum).
+    let quartets: Vec<(usize, usize, usize)> = (0..bra.functions.len())
+        .flat_map(|i| (0..ket.functions.len()).map(move |j| (i, j)))
+        .filter(|&(i, j)| {
+            let (fa, fb) = bra.functions[i];
+            let (fc, fd) = ket.functions[j];
+            (index(sa, fa), index(sb, fb)) >= (index(sc, fc), index(sd, fd))
+        })
+        .map(|(i, j)| {
+            let (fa, fb) = bra.functions[i];
+            let (fc, fd) = ket.functions[j];
+            let l = total(sa.angmoms[fa])
+                + total(sb.angmoms[fb])
+                + total(sc.angmoms[fc])
+                + total(sd.angmoms[fd]);
+            (i, j, l)
+        })
+        .collect();
+    if quartets.is_empty() {
+        return Vec::new();
+    }
+    let mut needed = [false; L_SLOTS];
+    for &(_, _, l) in &quartets {
+        needed[l] = true;
+    }
+    let two_pi_2_5 = 2.0 * std::f64::consts::PI.powf(2.5);
+    let mut values = vec![0.0; quartets.len()];
+    let mut f = [[0.0; L_SLOTS]; L_SLOTS];
+    let mut r = [[0.0; R_LEN]; L_SLOTS];
+    let mut scratch = [0.0; R_LEN];
+    for (bp, bra_prim) in bra.prims.iter().enumerate() {
+        for (kp, ket_prim) in ket.prims.iter().enumerate() {
+            let (p, q) = (bra_prim.p, ket_prim.p);
+            let alpha = p * q / (p + q);
+            let pq = sub(bra_prim.center, ket_prim.center);
+            let x = alpha * dist_sq(bra_prim.center, ket_prim.center);
+            for l in (0..L_SLOTS).filter(|&l| needed[l]) {
+                boys_into(x, &mut f[l][..=l]);
+                hermite_r(l, alpha, pq, &f[l], &mut r[l], &mut scratch);
+            }
+            let factor = two_pi_2_5 / (p * q * (p + q).sqrt());
+            for (value, &(i, j, l)) in values.iter_mut().zip(&quartets) {
+                let r = &r[l];
+                let ket_terms = ket.terms(kp, j);
+                let mut acc = 0.0;
+                for bt in bra.terms(bp, i) {
+                    for kt in ket_terms {
+                        acc += bt.e * kt.signed * r[bt.idx + kt.idx];
+                    }
+                }
+                let (ca, cb) = bra.coefficients(bp, i);
+                let (cc, cd) = ket.coefficients(kp, j);
+                *value += ca * cb * cc * cd * (factor * acc);
+            }
+        }
+    }
+    quartets
+        .iter()
+        .zip(values)
+        .map(|(&(i, j, _), v)| {
+            let (fa, fb) = bra.functions[i];
+            let (fc, fd) = ket.functions[j];
+            (
+                index(sa, fa),
+                index(sb, fb),
+                index(sc, fc),
+                index(sd, fd),
+                v,
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]

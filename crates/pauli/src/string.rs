@@ -367,22 +367,29 @@ impl PauliString {
 
     /// The group product `self · other = phase · string`.
     ///
+    /// The phase comes from the symplectic masks alone. Per qubit,
+    /// `σ(x, z) = i^{xz}·X^x·Z^z`, and moving `Z^{z₁}` past `X^{x₂}` costs
+    /// `(−1)^{z₁x₂}`, so `σ(x₁,z₁)·σ(x₂,z₂) = i^{x₁z₁ + x₂z₂ + 2z₁x₂ − x₃z₃}·σ(x₃,z₃)`
+    /// with `x₃ = x₁ ⊕ x₂`, `z₃ = z₁ ⊕ z₂`; summed over qubits by popcounts.
+    ///
     /// # Panics
     ///
     /// Panics if qubit counts differ.
     pub fn mul(&self, other: &PauliString) -> (Phase, PauliString) {
         assert_eq!(self.num_qubits, other.num_qubits, "qubit counts must match");
-        let mut k: u32 = 0;
-        for q in 0..self.num_qubits() {
-            let (ph, _) = self.op(q).mul(other.op(q));
-            k += ph.power_of_i();
-        }
+        let x = self.x ^ other.x;
+        let z = self.z ^ other.z;
+        // −x₃z₃ ≡ 3·x₃z₃ (mod 4).
+        let k = (self.x & self.z).count_ones()
+            + (other.x & other.z).count_ones()
+            + 2 * (self.z & other.x).count_ones()
+            + 3 * (x & z).count_ones();
         (
             Phase::from_power_of_i(k),
             PauliString {
                 num_qubits: self.num_qubits,
-                x: self.x ^ other.x,
-                z: self.z ^ other.z,
+                x,
+                z,
             },
         )
     }
@@ -529,6 +536,46 @@ mod tests {
         // Componentwise: X·Y=iZ, Y·Y=I, Z·X=iY, I·Z=Z → i² = -1, string ZIYZ.
         assert_eq!(c, "ZIYZ".parse().unwrap());
         assert_eq!(phase, Phase::MinusOne);
+    }
+
+    /// The per-qubit product the mask form replaced.
+    fn per_qubit_mul(a: &PauliString, b: &PauliString) -> (Phase, PauliString) {
+        let mut k: u32 = 0;
+        let mut out = PauliString::identity(a.num_qubits());
+        for q in 0..a.num_qubits() {
+            let (ph, op) = a.op(q).mul(b.op(q));
+            k += ph.power_of_i();
+            out.set_op(q, op);
+        }
+        (Phase::from_power_of_i(k), out)
+    }
+
+    #[test]
+    fn mask_product_matches_the_per_qubit_oracle() {
+        // Every pair of 3-qubit strings, then random 64-qubit ones.
+        for xa in 0..8u64 {
+            for za in 0..8u64 {
+                for xb in 0..8u64 {
+                    for zb in 0..8u64 {
+                        let a = PauliString::from_symplectic(3, xa, za);
+                        let b = PauliString::from_symplectic(3, xb, zb);
+                        assert_eq!(a.mul(&b), per_qubit_mul(&a, &b), "{a} · {b}");
+                    }
+                }
+            }
+        }
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for _ in 0..2000 {
+            let a = PauliString::from_symplectic(64, next(), next());
+            let b = PauliString::from_symplectic(64, next(), next());
+            assert_eq!(a.mul(&b), per_qubit_mul(&a, &b));
+        }
     }
 
     #[test]
