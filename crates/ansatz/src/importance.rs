@@ -183,7 +183,12 @@ mod tests {
         use crate::uccsd::UccsdAnsatz;
         use chem::Benchmark;
 
-        for molecule in [Benchmark::H2, Benchmark::LiH, Benchmark::H2O, Benchmark::BeH2] {
+        for molecule in [
+            Benchmark::H2,
+            Benchmark::LiH,
+            Benchmark::H2O,
+            Benchmark::BeH2,
+        ] {
             let system = molecule.build_equilibrium().unwrap();
             let ir = UccsdAnsatz::for_system(&system).into_ir();
             let h = system.qubit_hamiltonian();

@@ -83,7 +83,11 @@ pub const FIT_2SP: ShellFit = ShellFit {
 /// reruns its 600-step Nelder–Mead. A unit test pins it to the fit.
 pub const FIT_3SP: ShellFit = ShellFit {
     alpha_scale: [0.4828540139972426, 0.1347150279167008, 0.05272655773581807],
-    coeff_s: [-0.21962039077365858, 0.22559560774004503, 0.9003982795242113],
+    coeff_s: [
+        -0.21962039077365858,
+        0.22559560774004503,
+        0.9003982795242113,
+    ],
     coeff_p: [0.010587664183880715, 0.5951671088465433, 0.4620008508791788],
 };
 

@@ -6,6 +6,7 @@
 //! based on.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use numeric::Complex64;
 use pauli::{PauliString, WeightedPauliSum};
@@ -115,9 +116,9 @@ impl ProductBuffer {
     }
 
     /// Adds `scale · JW(ops)` into `acc`.
-    fn accumulate(
+    fn accumulate<S: BuildHasher>(
         &mut self,
-        acc: &mut ComplexPauliMap,
+        acc: &mut HashMap<PauliString, Complex64, S>,
         num_qubits: usize,
         ops: &[LadderOp],
         scale: f64,
@@ -125,6 +126,33 @@ impl ProductBuffer {
         for &(w, p) in self.expand(num_qubits, ops) {
             *acc.entry(p).or_insert(Complex64::ZERO) += w * scale;
         }
+    }
+}
+
+/// A multiply-rotate hasher for the Hamiltonian build's accumulation map,
+/// which hashes every string of every product: SipHash cost more than the
+/// product itself. The keys are `PauliString`s the program builds, so no
+/// collision resistance is needed.
+#[derive(Debug, Default)]
+struct StringHasher(u64);
+
+impl Hasher for StringHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
@@ -151,7 +179,10 @@ pub fn accumulate_term(acc: &mut ComplexPauliMap, num_qubits: usize, ops: &[Ladd
 ///
 /// Panics if any coefficient has an imaginary part above `1e-8` — that would
 /// mean the assembled operator is not Hermitian.
-pub fn into_real_sum(num_qubits: usize, acc: ComplexPauliMap) -> WeightedPauliSum {
+pub fn into_real_sum<S>(
+    num_qubits: usize,
+    acc: HashMap<PauliString, Complex64, S>,
+) -> WeightedPauliSum {
     let mut terms: Vec<(f64, PauliString)> = acc
         .into_iter()
         .filter(|(_, w)| w.norm() > 1e-12)
@@ -231,7 +262,8 @@ pub fn spin_orbital(num_spatial: usize, spatial: usize, beta: bool) -> usize {
 pub fn build_qubit_hamiltonian(act: &ActiveIntegrals) -> WeightedPauliSum {
     let m = act.h.rows();
     let n_so = 2 * m;
-    let mut acc: ComplexPauliMap = HashMap::new();
+    let mut acc: HashMap<PauliString, Complex64, BuildHasherDefault<StringHasher>> =
+        HashMap::default();
     let mut buffer = ProductBuffer::default();
 
     // Constant core energy on the identity string.
@@ -379,7 +411,10 @@ mod tests {
             }
         }
 
-        pub fn antihermitian(num_qubits: usize, excitation: &[LadderOp]) -> Vec<(f64, PauliString)> {
+        pub fn antihermitian(
+            num_qubits: usize,
+            excitation: &[LadderOp],
+        ) -> Vec<(f64, PauliString)> {
             let mut acc: ComplexPauliMap = HashMap::new();
             accumulate(&mut acc, num_qubits, excitation, 1.0);
             let conj: Vec<LadderOp> = excitation

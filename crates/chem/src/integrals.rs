@@ -1,10 +1,15 @@
 //! One- and two-electron integrals over contracted Cartesian Gaussians,
 //! McMurchie–Davidson scheme.
 //!
-//! The minimal STO-3G basis only needs s and p functions, but the recursions
-//! are implemented for general angular momentum. References: Helgaker,
-//! Jørgensen & Olsen, *Molecular Electronic-Structure Theory*, ch. 9; test
-//! values from Szabo & Ostlund appendix tables.
+//! The per-function integrals ([`overlap`], [`kinetic`], [`nuclear`],
+//! [`dipole`], [`eri`]) recurse per primitive and take any angular
+//! momentum. [`compute_ao_integrals`] is the engine the pipeline runs: it
+//! groups functions into shells, sets each primitive pair up once and
+//! shares the Boys function and Hermite tables across a shell quartet,
+//! for the s and p functions of the minimal STO-3G basis. It reproduces
+//! the per-function integrals bit for bit, and they are its test oracle.
+//! References: Helgaker, Jørgensen & Olsen, *Molecular Electronic-Structure
+//! Theory*, ch. 9; test values from Szabo & Ostlund appendix tables.
 
 use numeric::RealMatrix;
 
@@ -326,6 +331,26 @@ impl EriTensor {
         self.data[((p * self.n + q) * self.n + r) * self.n + s]
     }
 
+    /// An all-zero tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `n⁴` element count overflows `usize`.
+    fn zeros(n: usize) -> Self {
+        let len = n
+            .checked_mul(n)
+            .and_then(|m| m.checked_mul(n))
+            .and_then(|m| m.checked_mul(n));
+        let len = match len {
+            Some(len) => len,
+            None => panic!("ERI tensor with {n}^4 elements overflows usize on this platform"),
+        };
+        EriTensor {
+            n,
+            data: vec![0.0; len],
+        }
+    }
+
     fn set_sym(&mut self, p: usize, q: usize, r: usize, s: usize, v: f64) {
         let n = self.n;
         let mut put = |a: usize, b: usize, c: usize, d: usize| {
@@ -357,18 +382,7 @@ impl EriTensor {
         n: usize,
         f: impl Fn(usize, usize, usize, usize) -> f64 + Sync,
     ) -> Self {
-        let len = n
-            .checked_mul(n)
-            .and_then(|m| m.checked_mul(n))
-            .and_then(|m| m.checked_mul(n));
-        let len = match len {
-            Some(len) => len,
-            None => panic!("ERI tensor with {n}^4 elements overflows usize on this platform"),
-        };
-        let mut t = EriTensor {
-            n,
-            data: vec![0.0; len],
-        };
+        let mut t = EriTensor::zeros(n);
         let mut quads = Vec::new();
         for p in 0..n {
             for q in 0..=p {
@@ -461,10 +475,7 @@ pub fn compute_ao_integrals(molecule: &Molecule, basis: &[BasisFunction]) -> AoI
         let (bra, ket) = blocks[i];
         shell_quartet(&shells, &pairs[bra], &pairs[ket])
     });
-    let mut eri_t = EriTensor {
-        n,
-        data: vec![0.0; n * n * n * n],
-    };
+    let mut eri_t = EriTensor::zeros(n);
     for (p, q, r, s, v) in values.into_iter().flatten() {
         eri_t.set_sym(p, q, r, s, v);
     }
@@ -758,7 +769,13 @@ fn product_center(a: f64, ra: [f64; 3], b: f64, rb: [f64; 3]) -> [f64; 3] {
 /// [`nuclear`] with one `E` table per primitive pair and one Boys
 /// evaluation and `R` table per primitive pair, nucleus and total angular
 /// momentum.
-fn one_electron(sa: &Shell, sb: &Shell, molecule: &Molecule, s: &mut RealMatrix, h: &mut RealMatrix) {
+fn one_electron(
+    sa: &Shell,
+    sb: &Shell,
+    molecule: &Molecule,
+    s: &mut RealMatrix,
+    h: &mut RealMatrix,
+) {
     let functions: Vec<(usize, usize)> = (0..sa.angmoms.len())
         .flat_map(|fa| (0..sb.angmoms.len()).map(move |fb| (fa, fb)))
         .collect();
@@ -1007,6 +1024,52 @@ mod tests {
         assert!((eri(&b[0], &b[0], &b[1], &b[1]) - 0.5697).abs() < 1e-3);
         assert!((eri(&b[1], &b[0], &b[1], &b[0]) - 0.2970).abs() < 1e-3);
         assert!((eri(&b[1], &b[0], &b[0], &b[0]) - 0.4441).abs() < 1e-3);
+    }
+
+    #[test]
+    fn sp_functions_share_one_shell() {
+        let m = crate::molecules::Benchmark::H2O.molecule(0.96);
+        let shells = group_shells(&build_basis(&m));
+        // O 1s, O 2sp (s + px + py + pz), H 1s, H 1s.
+        let sizes: Vec<usize> = shells.iter().map(|s| s.angmoms.len()).collect();
+        assert_eq!(sizes, [1, 4, 1, 1]);
+        assert_eq!(shells[1].first, 1);
+        assert_eq!(shells[1].l, 1);
+    }
+
+    #[test]
+    fn engine_matches_the_oracle_in_any_basis_order() {
+        // Reordered bases split and reorder the shells, which moves the
+        // canonical quartets between blocks and orientations.
+        let m = crate::molecules::Benchmark::NH3.molecule(1.01);
+        let basis = build_basis(&m);
+        let n = basis.len();
+        let reversed: Vec<BasisFunction> = basis.iter().rev().cloned().collect();
+        let interleaved: Vec<BasisFunction> = (0..n).map(|i| basis[(i * 3) % n].clone()).collect();
+        for b in [reversed, interleaved] {
+            let fast = compute_ao_integrals(&m, &b);
+            let t = RealMatrix::from_fn(n, n, |i, j| kinetic(&b[i], &b[j]));
+            let v = RealMatrix::from_fn(n, n, |i, j| nuclear(&b[i], &b[j], &m));
+            let slow = AoIntegrals {
+                overlap: RealMatrix::from_fn(n, n, |i, j| overlap(&b[i], &b[j])),
+                core_hamiltonian: &t + &v,
+                eri: EriTensor::from_fn_symmetric(n, |p, q, r, s| eri(&b[p], &b[q], &b[r], &b[s])),
+                nuclear_repulsion: m.nuclear_repulsion(),
+            };
+            // Bitwise, so a signed zero would count as a difference too.
+            let bits = |x: &AoIntegrals| -> Vec<u64> {
+                let mut out: Vec<u64> = Vec::new();
+                for i in 0..n {
+                    for j in 0..n {
+                        out.push(x.overlap[(i, j)].to_bits());
+                        out.push(x.core_hamiltonian[(i, j)].to_bits());
+                    }
+                }
+                out.extend(x.eri.data.iter().map(|v| v.to_bits()));
+                out
+            };
+            assert!(bits(&fast) == bits(&slow));
+        }
     }
 
     #[test]

@@ -412,7 +412,10 @@ commands:
                                       the H2O VQE energy + gradient in its
                                       electron sector, build included
                                       (which must beat the full-space
-                                      fused path, else exit 21),
+                                      fused path, else exit 21), the H2O
+                                      AO integrals (ao_integrals, which
+                                      must beat the per-function oracle,
+                                      else exit 21),
                                       and write a JSON report (default
                                       BENCH_pipeline.json);
                                       with --baseline, exit 21 if any
@@ -1922,8 +1925,10 @@ fn bench_drift(window: &[std::collections::BTreeMap<String, u64>], tolerance: f6
 }
 
 fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
-    use pauli_codesign::chem::integrals::EriTensor;
+    use pauli_codesign::chem::basis::build_basis;
+    use pauli_codesign::chem::integrals::{self, EriTensor};
     use pauli_codesign::circuit::Gate;
+    use pauli_codesign::numeric::RealMatrix;
     use pauli_codesign::pauli::PauliString;
     use pauli_codesign::{par, vqe};
 
@@ -2151,6 +2156,57 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         return Err(CliError::BenchRegression(vec![format!(
             "vqe_sector: {} ns not faster than vqe_fullspace {} ns",
             vqe_sector.median_ns, vqe_fullspace.median_ns
+        )]));
+    }
+
+    // AO integrals of H2O at equilibrium at one thread: the shell-pair
+    // engine against its oracle, the per-function integrals (S and h per
+    // element, the ERI per canonical quartet through
+    // `EriTensor::from_fn_symmetric`). The two are bit-identical; the
+    // in-bench gate holds the engine to beating its oracle (exit 21).
+    let h2o_molecule = Benchmark::H2O.molecule(Benchmark::H2O.equilibrium_bond_length());
+    let h2o_basis = build_basis(&h2o_molecule);
+    let ao_engine = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || {
+            integrals::compute_ao_integrals(&h2o_molecule, &h2o_basis)
+        })
+    });
+    let ao_oracle = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || {
+            let b = &h2o_basis;
+            let n = b.len();
+            let s = RealMatrix::from_fn(n, n, |i, j| integrals::overlap(&b[i], &b[j]));
+            let t = RealMatrix::from_fn(n, n, |i, j| integrals::kinetic(&b[i], &b[j]));
+            let v =
+                RealMatrix::from_fn(n, n, |i, j| integrals::nuclear(&b[i], &b[j], &h2o_molecule));
+            let eri = EriTensor::from_fn_symmetric(n, |p, q, r, s| {
+                integrals::eri(&b[p], &b[q], &b[r], &b[s])
+            });
+            (s, &t + &v, eri)
+        })
+    });
+    println!(
+        "{:<28} {:>14} {:>14} {:>8.2}x",
+        "ao_integrals (oracle/engine)",
+        ao_oracle.median_ns,
+        ao_engine.median_ns,
+        ao_oracle.median_ns as f64 / ao_engine.median_ns.max(1) as f64
+    );
+    for (name, m) in [
+        ("ao_integrals", &ao_engine),
+        ("ao_integrals_oracle", &ao_oracle),
+    ] {
+        records.push(BenchRecord {
+            name: name.to_string(),
+            median_ns: m.median_ns,
+            threads: 1,
+            n_qubits: h2o_basis.len(),
+        });
+    }
+    if ao_engine.median_ns >= ao_oracle.median_ns {
+        return Err(CliError::BenchRegression(vec![format!(
+            "ao_integrals: {} ns not faster than ao_integrals_oracle {} ns",
+            ao_engine.median_ns, ao_oracle.median_ns
         )]));
     }
 
@@ -2781,6 +2837,26 @@ mod tests {
             n_qubits: 17,
         }];
         assert!(bench_regressions(&baseline, &records, 0.10).is_empty());
+    }
+
+    #[test]
+    fn bench_drift_skips_rows_the_oldest_report_lacks() {
+        // A history written before `ao_integrals` existed: the new rows
+        // are compared from the first report that carries them on.
+        let mut window = parse_bench_history(
+            r#"{"reports": [{"h_apply": 1000}, {"h_apply": 1010, "ao_integrals": 5}]}"#,
+        )
+        .unwrap();
+        window.push(
+            [("h_apply", 1020), ("ao_integrals", 900_000)]
+                .into_iter()
+                .map(|(name, ns)| (name.to_string(), ns))
+                .collect(),
+        );
+        assert!(bench_drift(&window, 0.25).is_empty());
+        // The same slowdown on a row the oldest report has is flagged.
+        window[0].insert("ao_integrals".to_string(), 5);
+        assert_eq!(bench_drift(&window, 0.25).len(), 1);
     }
 
     #[test]

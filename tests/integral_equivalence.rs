@@ -132,4 +132,3 @@ fn engine_is_bit_identical_across_thread_counts() {
         }
     }
 }
-
