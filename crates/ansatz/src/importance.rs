@@ -161,7 +161,8 @@ mod tests {
         }
     }
 
-    /// Algorithm 1 as written before the decay table: `powi` per pair.
+    /// Algorithm 1 with `powi` per pair: the oracle the decay table must
+    /// reproduce bit for bit.
     fn powi_oracle(ir: &PauliIr, hamiltonian: &WeightedPauliSum) -> Vec<f64> {
         let n = ir.num_qubits();
         let mask: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };

@@ -103,6 +103,8 @@ impl ProductBuffer {
                 for (fw, fp) in &factors {
                     let (phase, prod) = p.mul(fp);
                     let coef = w * *fw * phase.to_complex();
+                    // `ZERO + coef` gives a new term the signed zero a
+                    // zero-initialized map entry would.
                     match self.next.iter_mut().find(|(_, s)| *s == prod) {
                         Some((acc, _)) => *acc += coef,
                         None => self.next.push((Complex64::ZERO + coef, prod)),
@@ -359,9 +361,9 @@ pub fn hartree_fock_bitmask(num_spatial: usize, num_electrons: usize) -> u64 {
 mod tests {
     use super::*;
 
-    /// The map-per-product Jordan–Wigner path the product buffer replaced,
-    /// kept as the bit-identity oracle of the Hamiltonian and of the UCCSD
-    /// generators.
+    /// Jordan–Wigner with a `HashMap` per factor and SipHash: the
+    /// bit-identity oracle of the product buffer, the Hamiltonian build and
+    /// the UCCSD generators.
     mod oracle {
         use super::super::*;
         use pauli::Pauli;

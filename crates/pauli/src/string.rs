@@ -538,7 +538,7 @@ mod tests {
         assert_eq!(phase, Phase::MinusOne);
     }
 
-    /// The per-qubit product the mask form replaced.
+    /// The product qubit by qubit: the oracle of the mask form.
     fn per_qubit_mul(a: &PauliString, b: &PauliString) -> (Phase, PauliString) {
         let mut k: u32 = 0;
         let mut out = PauliString::identity(a.num_qubits());
