@@ -29,24 +29,14 @@ pub fn boys(m_max: usize, x: f64) -> Vec<f64> {
     out
 }
 
-/// Evaluates `F_0(x) … F_{out.len()−1}(x)` into `out` without allocating;
-/// the same arithmetic as [`boys`], bit for bit. The integral engine calls
-/// it with a stack buffer once per primitive quartet and angular momentum.
+/// Evaluates `F_0(x) … F_{out.len()−1}(x)` into `out` without allocating:
+/// the body of [`boys`]. The integral engine calls it with a stack buffer
+/// once per primitive quartet and angular momentum.
 ///
 /// # Panics
 ///
 /// Panics if `x` is negative or not finite, or if `out` is empty.
-///
-/// # Examples
-///
-/// ```
-/// use chem::boys::{boys, boys_into};
-///
-/// let mut f = [0.0; 3];
-/// boys_into(1.3, &mut f);
-/// assert_eq!(f.to_vec(), boys(2, 1.3));
-/// ```
-pub fn boys_into(x: f64, out: &mut [f64]) {
+pub(crate) fn boys_into(x: f64, out: &mut [f64]) {
     assert!(
         x.is_finite() && x >= 0.0,
         "Boys argument must be finite and non-negative"
