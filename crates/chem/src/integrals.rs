@@ -605,7 +605,7 @@ fn hermite_1d(imax: usize, jmax: usize, qx: f64, a: f64, b: f64) -> Hermite1d {
 
 /// [`hermite_coulomb`]`(t, u, v, 0, …)` for every `t + u + v ≤ l` into
 /// `out`, by the same recursion run from Boys order `l` down to 0: level
-/// `n` lands in `out` when `n` is even and in `scratch` when odd, so level
+/// `n` lands in `out` when `n` is even and in `spare` when odd, so level
 /// 0 ends in `out`. `f` holds `F_0 … F_l`. Entries with `t + u + v > l`
 /// are left stale; nothing is cleared between calls.
 fn hermite_r(
@@ -614,14 +614,14 @@ fn hermite_r(
     pq: [f64; 3],
     f: &[f64],
     out: &mut [f64; R_LEN],
-    scratch: &mut [f64; R_LEN],
+    spare: &mut [f64; R_LEN],
 ) {
     let idx = |t: usize, u: usize, v: usize| (t * R_SIDE + u) * R_SIDE + v;
     for n in (0..=l).rev() {
         let (cur, prev) = if n % 2 == 0 {
-            (&mut *out, &*scratch)
+            (&mut *out, &*spare)
         } else {
-            (&mut *scratch, &*out)
+            (&mut *spare, &*out)
         };
         let top = l - n;
         for t in 0..=top {
@@ -788,7 +788,7 @@ fn one_electron(
     let l_max = sa.l + sb.l;
     let mut f = [[0.0; L_SLOTS]; L_SLOTS];
     let mut r = [[0.0; R_LEN]; L_SLOTS];
-    let mut scratch = [0.0; R_LEN];
+    let mut spare = [0.0; R_LEN];
     for (ka, &a) in sa.exponents.iter().enumerate() {
         for (kb, &b) in sb.exponents.iter().enumerate() {
             let p = a + b;
@@ -827,7 +827,7 @@ fn one_electron(
                 let x = p * dist_sq(rp, atom.position);
                 for l in 0..=l_max {
                     boys_into(x, &mut f[l][..=l]);
-                    hermite_r(l, p, pc, &f[l], &mut r[l], &mut scratch);
+                    hermite_r(l, p, pc, &f[l], &mut r[l], &mut spare);
                 }
                 for (k, &(fa, fb)) in functions.iter().enumerate() {
                     let (la, lb) = (sa.angmoms[fa], sb.angmoms[fb]);
@@ -931,7 +931,7 @@ fn shell_quartet(
     let mut values = vec![0.0; quartets.len()];
     let mut f = [[0.0; L_SLOTS]; L_SLOTS];
     let mut r = [[0.0; R_LEN]; L_SLOTS];
-    let mut scratch = [0.0; R_LEN];
+    let mut spare = [0.0; R_LEN];
     for (bp, bra_prim) in bra.prims.iter().enumerate() {
         for (kp, ket_prim) in ket.prims.iter().enumerate() {
             let (p, q) = (bra_prim.p, ket_prim.p);
@@ -940,7 +940,7 @@ fn shell_quartet(
             let x = alpha * dist_sq(bra_prim.center, ket_prim.center);
             for l in (0..L_SLOTS).filter(|&l| needed[l]) {
                 boys_into(x, &mut f[l][..=l]);
-                hermite_r(l, alpha, pq, &f[l], &mut r[l], &mut scratch);
+                hermite_r(l, alpha, pq, &f[l], &mut r[l], &mut spare);
             }
             let factor = two_pi_2_5 / (p * q * (p + q).sqrt());
             for (value, &(i, j, l)) in values.iter_mut().zip(&quartets) {

@@ -1,8 +1,8 @@
 //! No panic anywhere on the potential-energy surface.
 //!
 //! All nine Table I molecules at 0.3–3.5 Å in 0.1 Å steps (297 points) go
-//! through the SCF retry ladder at one thread, the path every driver
-//! builds through. Each point must converge or fail with a typed
+//! through the SCF retry ladder at one thread, the path the pipeline
+//! stages build through. Each point must converge or fail with a typed
 //! `scf`-stage error, and only the five points known to defeat the ladder
 //! may fail. Several of these points converge or fail on energy
 //! differences of ~1e-13 Ha, so the grid also guards the integral engine
