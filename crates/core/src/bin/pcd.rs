@@ -9,6 +9,10 @@
 //! pcd chaos --campaign supervised --trials 5 --seed 7
 //! ```
 //!
+//! Each command is one row of [`COMMANDS`]: its synopses name the flags it
+//! reads and state their defaults, and with its descriptions they make up
+//! `pcd help`. The handlers live in one module per command family.
+//!
 //! # Exit codes
 //!
 //! `0` success · `1` usage error · `10` chemistry · `11` SCF · `12`
@@ -28,30 +32,21 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use pauli_codesign::ansatz::uccsd::UccsdAnsatz;
-use pauli_codesign::ansatz::CompressionReport;
-use pauli_codesign::arch::{simulate_yield, CollisionModel, Topology};
 use pauli_codesign::chem::Benchmark;
-use pauli_codesign::compiler::pipeline::{compile_mtr, compile_sabre};
-use pauli_codesign::compiler::synthesis::synthesize_chain_nominal;
-use pauli_codesign::par::Budget;
-use pauli_codesign::pauli::group_qubit_wise;
-use pauli_codesign::report::{compare_medians, parse_bench_medians};
-use pauli_codesign::resilience::stages::{self, Checkpoints, CrossCheck};
-use pauli_codesign::resilience::{
-    f64_to_hex, run_chaos, run_kill_resume, ChaosOptions, Checkpoint, FaultPlan, KillResumeOptions,
-    PcdError,
-};
-use pauli_codesign::serve::{
-    run_serve, run_serve_chaos, ServeChaosOptions, ServeConfig, ServeError,
-};
-use pauli_codesign::supervisor::{
-    parse_jobs, run_batch_resumed, run_net_chaos, run_supervised_chaos, run_worker, BatchReport,
-    Coordinator, CoordinatorOptions, InjectionPlan, JobState, NetChaosOptions, RemoteError,
-    ShedPolicy, SupervisedChaosOptions, SupervisorConfig, SupervisorError, WorkerOptions,
-};
-use pauli_codesign::vqe::driver::{VqeOptions, VqeResult};
-use pauli_codesign::vqe::SectorAnsatz;
+use pauli_codesign::resilience::PcdError;
+use pauli_codesign::serve::ServeError;
+use pauli_codesign::supervisor::{RemoteError, SupervisorError};
+
+#[path = "pcd/batch.rs"]
+mod batch;
+#[path = "pcd/bench.rs"]
+mod bench;
+#[path = "pcd/chaos.rs"]
+mod chaos;
+#[path = "pcd/report.rs"]
+mod report;
+#[path = "pcd/science.rs"]
+mod science;
 
 /// A CLI failure: either bad usage (exit 1, prints usage) or a typed
 /// pipeline error carrying its own exit code.
@@ -241,245 +236,30 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             if matches!(e, CliError::Usage(_)) {
                 eprintln!();
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
             }
             ExitCode::from(e.exit_code())
         }
     }
 }
 
-const USAGE: &str = "\
-usage: pcd <command> [options]
-
-commands:
-  info <molecule>                     benchmark statistics (Table I view)
-  vqe <molecule> [--bond Å] [--ratio R]
-                                      run compressed-ansatz VQE
-  run <molecule> [--bond Å] [--ratio R] [--samples N]
-                                      durable pipeline: compressed VQE then
-                                      fabrication-yield Monte Carlo, under
-                                      the budget/checkpoint options below;
-                                      the VQE energy is cross-checked with
-                                      the per-term and clustered evaluators
-  adapt <molecule> [--bond Å] [--pool plain|generalized]
-                                      run ADAPT-VQE
-  excited <molecule> [--states K]     run a VQD excited-state ladder
-  scan <molecule> [--ratio R] [--from Å --to Å --step Å]
-                                      bond-length energy scan
-  compile <molecule> [--ratio R] [--arch xtree17|grid17|line17|heavyhex]
-          [--compiler mtr|sabre|both] compile onto an architecture
-  qasm <molecule> [--ratio R] [--out FILE]
-                                      export the X-Tree-compiled circuit
-  yield [--arch ...] [--sigma GHz] [--samples N]
-                                      fabrication-yield Monte Carlo
-  chaos [--campaign KIND] [molecule] [--seed N] [--trials N] [--fault-rate R]
-        [campaign flags]              run one seeded fault campaign, print
-                                      its report, exit 20 if any trial
-                                      broke an invariant; a flag the
-                                      campaign does not read is a usage
-                                      error. KIND and its flags (defaults):
-                                      pipeline (default; seed 42, 40
-                                      trials, rate 0.1, --restarts 3,
-                                      --bond): every injected pipeline
-                                      fault recovered. kill-resume (--bond,
-                                      --ratio 0.5, --kill-every 2,
-                                      --samples 2000, --checkpoint DIR):
-                                      VQE and yield resumed from checkpoint
-                                      files bit-for-bit. supervised (seed
-                                      42, 20 trials, rate 0.25, --jobs 6,
-                                      --workers 2, --flight-dir DIR): no
-                                      job lost, worker-count invariant,
-                                      drain/resume exact. serve (seed 7, 2
-                                      trials, rate 0.05, --requests 10,
-                                      --workers 2, --scratch-dir DIR,
-                                      --flight-dir DIR): daemon storms and a
-                                      SIGTERM restart replay exactly. net
-                                      (seed 42, 2 trials, rate 0.25, --jobs
-                                      6, --workers 3 (≥ 2), --threads 2,
-                                      --net-fault-rate 0.05, --scratch-dir
-                                      DIR): a faulty proxy and a killed
-                                      worker leave batch.manifest exact
-  batch <JOBS.jsonl> [--workers N] [--seed N] [--max-retries K]
-        [--queue-cap Q] [--shed reject-new|drop-oldest] [--job-timeout S]
-        [--slice-ticks T] [--max-slices M] [--breaker N] [--backoff-ms B]
-        [--fault-rate R] [--deadline SECS] [--drain-after-ticks T]
-        [--checkpoint DIR] [--resume] [--progress]
-        [--progress-interval-ms MS] [--flight-dir DIR]
-                                      run a batch of pipeline jobs (one
-                                      JSON object per line: molecule, bond,
-                                      ratio, id) over supervised workers;
-                                      exit 0 all done, 30 drained with a
-                                      resumable manifest, 32 degraded
-                                      (quarantined/shed jobs); --progress
-                                      renders a live stderr status line
-                                      (snapshots also land in --trace
-                                      JSONL); --flight-dir arms the flight
-                                      recorder so quarantines, deadline
-                                      expiries, and faults dump
-                                      flight-<job>.jsonl rings there
-  batch <JOBS.jsonl> --listen ADDR --shards N --checkpoint DIR
-        [--lease-ms MS] [--heartbeat-ms MS] [--net-deadline SECS]
-        [--no-rescue]
-                                      coordinate a multi-machine batch
-                                      over TCP: workers connect with
-                                      `batch --connect`, claim shards
-                                      under monotonic lease epochs, and
-                                      stream records back (CRC-framed,
-                                      at-least-once, content-deduped); a
-                                      worker silent past --lease-ms is
-                                      re-granted at the next epoch; when
-                                      the whole fleet dies the
-                                      coordinator finishes unfinished
-                                      shards in-process (unless
-                                      --no-rescue); seals the same
-                                      batch.manifest a single-machine
-                                      run would, bit for bit; on one
-                                      host, listen on 127.0.0.1 and run
-                                      the workers locally
-  batch --connect ADDR [--worker-id NAME] [--workers N] [--local-dir DIR]
-        [--max-reconnects K] [--backoff-ms B]
-                                      join a coordinated batch as a
-                                      worker (no jobs file — the batch
-                                      identity arrives over the wire):
-                                      claim shards, compute, stream
-                                      records, heartbeat on a side
-                                      connection; reconnects follow the
-                                      worker-id-seeded backoff ladder
-                                      (replayable bit-for-bit); when the
-                                      transport dies for good, any
-                                      undelivered records seal into
-                                      --local-dir as
-                                      shard-<id>.manifest.partial and the
-                                      worker exits 36 (resumable — rerun
-                                      the same command); version skew
-                                      exits 37
-  serve [--state-dir DIR] [--socket PATH] [--workers N] [--seed N]
-        [--queue-cap Q] [--shed reject-new|drop-oldest] [--max-retries K]
-        [--slice-ticks T] [--max-slices M] [--breaker N] [--fault-rate R]
-        [--deadline-ms MS] [--max-requests N] [--idle-exit-ms MS]
-        [--flight-dir DIR] [--cache-max-bytes B]
-                                      always-on co-design daemon: accept
-                                      JSONL job requests (batch spec lines)
-                                      over a Unix socket (default
-                                      DIR/serve.sock), run each through the
-                                      supervised engine, and answer from a
-                                      CRC-sealed content-addressed result
-                                      cache on repeat traffic; over-cap
-                                      arrivals get typed shed responses per
-                                      --shed; SIGTERM (or a drain op)
-                                      drains gracefully, seals restart
-                                      state into DIR/serve.manifest, and
-                                      exits 30 — a restart with the same
-                                      --state-dir resumes the pending tail
-                                      bit-identically; corrupt cache
-                                      entries and manifests are quarantined
-                                      aside, never trusted;
-                                      --cache-max-bytes caps the result
-                                      cache, evicting by deterministic
-                                      second chance (0 = unbounded)
-  report <FILE|DIR> ... [--baseline FILE] [--drift-tolerance PCT]
-         [--out FILE] [--strict]      aggregate observability artifacts
-                                      (--trace JSONL, flight-*.jsonl dumps,
-                                      batch.manifest, BENCH_pipeline.json;
-                                      classified by content, directories
-                                      scanned) into per-stage latency
-                                      quantiles, counter totals, the
-                                      slowest-span critical path, the
-                                      quarantine/fault breakdown, shard
-                                      takeovers (net.takeover events,
-                                      shard-*.manifest.partial seals), and
-                                      bench drift vs --baseline (default
-                                      BENCH_pipeline.json); corrupt inputs
-                                      degrade to warnings, exit stays 0 —
-                                      unless --strict, which exits 34 when
-                                      any warning was recorded
-  bench [--smoke] [--out FILE] [--qubits N] [--baseline FILE]
-        [--tolerance PCT] [--history FILE] [--window K]
-        [--drift-tolerance PCT]
-                                      benchmark the parallel hot paths
-                                      (serial vs parallel; PCD_THREADS sets
-                                      the worker count) plus the clustered
-                                      Hamiltonian evaluator (which must
-                                      beat the per-term serial sweep, else
-                                      exit 21; cluster structure lands in
-                                      the report's _clusters block), the
-                                      grouped H|ψ⟩ (h_apply) and the fused
-                                      adjoint gradient (which must beat its
-                                      parameter-shift oracle, else exit
-                                      21), the H2O exact reference in its
-                                      electron sector (which must beat the
-                                      full-space Lanczos, else exit 21),
-                                      the H2O VQE energy + gradient in its
-                                      electron sector, build included
-                                      (which must beat the full-space
-                                      fused path, else exit 21), the H2O
-                                      AO integrals (ao_integrals, which
-                                      must beat the per-function oracle,
-                                      else exit 21),
-                                      and write a JSON report (default
-                                      BENCH_pipeline.json);
-                                      with --baseline, exit 21 if any
-                                      benchmark is >10% slower than FILE
-                                      (--tolerance overrides the 10%, for
-                                      noisy shared runners); with --history,
-                                      keep a rolling window of the last K
-                                      reports (default 8) and exit 21 on
-                                      cumulative creep beyond
-                                      --drift-tolerance (default 25%) over
-                                      the window; reports carry a _meta
-                                      block (threads, cores, git rev)
-  bench --obs-overhead [--budget-ns NS]
-                                      measure the disabled-tracing fast
-                                      path (span/event/counter with obs
-                                      off, flight ring still recording);
-                                      exit 21 if any op exceeds the
-                                      per-call budget (default 2000 ns)
-  help                                this message
-
-durability (pcd run):
-  --deadline SECS       wall-clock budget; on expiry the interrupted stage
-                        checkpoints and the run exits 30
-  --budget-iters N      deterministic iteration budget (composes with
-                        --deadline; the scarcer limit wins)
-  --checkpoint DIR      directory for stage checkpoints (vqe.ckpt,
-                        yield.ckpt), written atomically with a CRC trailer
-  --resume              restore interrupted stages from --checkpoint DIR;
-                        pass the same molecule/bond/ratio/samples as the
-                        original run
-  --degrade-threshold F shed yield samples down a 1×/4×/20× ladder once the
-                        remaining budget fraction drops below F
-                        (default 0.25; each downgrade is an obs event)
-
-observability (any command):
-  --trace FILE    write a JSONL trace of spans/events/counters/histograms
-  --metrics       print an end-of-run summary table of recorded metrics
-
-molecules: H2 LiH NaH HF BeH2 H2O BH3 NH3 CH4";
-
 fn run(args: &[String]) -> Result<(), CliError> {
     let command = args.first().map(String::as_str).unwrap_or("help");
-    // `pcd run --expectation` is retired; caught before flag parsing so a
-    // trailing `--expectation` names the removal too.
-    if command == "run" && args.iter().any(|a| a == "--expectation") {
-        return Err(CliError::Usage(
-            "--expectation is gone: the optimizer always uses the grouped H|ψ⟩ energy, \
-             and `pcd run` still prints the per-term/clustered cross-check"
+    // Caught before flag parsing: the retired chaos selectors took no
+    // value, so parsing would swallow the argument after one.
+    if let Some((_, old)) = RETIRED_FLAGS.iter().find(|(cmd, old)| {
+        *cmd == command && args.iter().any(|a| a.strip_prefix("--") == Some(*old))
+    }) {
+        return Err(CliError::Usage(match *old {
+            "expectation" => "--expectation is gone: the optimizer always uses the grouped H|ψ⟩ \
+                              energy, and `pcd run` still prints the per-term/clustered \
+                              cross-check"
                 .to_string(),
-        ));
+            "shard-id" => batch::SHARDS_NEED_LISTEN.to_string(),
+            old => format!("--{old} is gone: select the campaign with `--campaign {old}`"),
+        }));
     }
-    // The retired chaos selectors took no value, so catch them before
-    // flag parsing would swallow the argument after one.
-    if command == "chaos" {
-        if let Some(old) = RETIRED_CHAOS_SELECTORS
-            .iter()
-            .find(|old| args.iter().any(|a| a.strip_prefix("--") == Some(**old)))
-        {
-            return Err(CliError::Usage(format!(
-                "--{old} is gone: select the campaign with `--campaign {old}`"
-            )));
-        }
-    }
-    let flags = parse_flags(args.get(1..).unwrap_or(&[]))?;
+    let mut flags = parse_flags(args.get(1..).unwrap_or(&[]))?;
 
     let trace_path = flags.get("trace").map(str::to_string);
     let metrics = flags.is_set("metrics");
@@ -489,9 +269,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
 
     let result = match COMMANDS.iter().find(|c| c.name == command) {
-        Some(c) => check_flags(c, &flags).and_then(|()| (c.run)(&flags)),
+        Some(c) => check_flags(c, &mut flags).and_then(|()| (c.run)(&flags)),
         None if matches!(command, "help" | "--help" | "-h") => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
         None => Err(CliError::Usage(format!("unknown command `{command}`"))),
@@ -519,186 +299,372 @@ fn run(args: &[String]) -> Result<(), CliError> {
     result
 }
 
-/// A `pcd` command: its name, the flags it reads, and its handler.
+/// Flags a command no longer takes, as `(command, flag)`: each is a usage
+/// error naming what replaced it.
+const RETIRED_FLAGS: [(&str, &str); 6] = [
+    ("run", "expectation"),
+    ("chaos", "kill-resume"),
+    ("chaos", "supervised"),
+    ("chaos", "net"),
+    ("chaos", "serve"),
+    ("batch", "shard-id"),
+];
+
+/// One form of a `pcd` command: a row of `pcd help` and the handler.
 struct Command {
     name: &'static str,
-    /// Flags the command reads (space-separated), beyond `--trace` and
-    /// `--metrics`, which every command reads; any other flag is a usage
-    /// error. `chaos` also reads its campaign's [`Campaign::reads`].
-    reads: &'static str,
+    /// The `--name` tokens of a command's synopses are the flags it reads
+    /// beyond [`GLOBAL`] (`chaos` also reads its campaign's): a flag
+    /// followed by no metavar takes no value, and `METAVAR=DEFAULT`
+    /// states the default [`Flags::get`] falls back to.
+    synopsis: &'static str,
+    about: &'static str,
     run: fn(&Flags) -> Result<(), CliError>,
 }
 
-const COMMANDS: [Command; 14] = [
+/// The flags every command reads, and what they do.
+const GLOBAL: (&str, &str) = (
+    "[--trace FILE] [--metrics]",
+    "--trace writes a JSONL trace of spans/events/counters/histograms; --metrics prints an \
+     end-of-run summary table of recorded metrics",
+);
+
+static COMMANDS: [Command; 17] = [
     Command {
         name: "info",
-        reads: "bond",
-        run: cmd_info,
+        synopsis: "<molecule> [--bond Å]",
+        about: "benchmark statistics (Table I view)",
+        run: science::cmd_info,
     },
     Command {
         name: "vqe",
-        reads: "bond ratio",
-        run: cmd_vqe,
+        synopsis: "<molecule> [--bond Å] [--ratio R=0.5]",
+        about: "run compressed-ansatz VQE",
+        run: science::cmd_vqe,
     },
     Command {
         name: "run",
-        reads: "bond ratio samples degrade-threshold checkpoint resume deadline budget-iters",
-        run: cmd_run,
+        synopsis: "<molecule> [--bond Å] [--ratio R=0.5] [--samples N=20000] [--deadline SECS] \
+                   [--budget-iters N] [--checkpoint DIR] [--resume] [--degrade-threshold F=0.25]",
+        about: "durable pipeline: compressed VQE, yield Monte Carlo, and a per-term/clustered \
+                cross-check of the energy. On expiry of --deadline or --budget-iters (the \
+                scarcer wins) the stage checkpoints into DIR (atomic, CRC) and the run exits 30; \
+                --resume restores it (same molecule/bond/ratio/samples). Yield samples shed \
+                1×/4×/20× once the budget fraction left drops below F",
+        run: science::cmd_run,
     },
     Command {
         name: "adapt",
-        reads: "bond pool",
-        run: cmd_adapt,
+        synopsis: "<molecule> [--bond Å] [--pool plain|generalized=plain]",
+        about: "run ADAPT-VQE",
+        run: science::cmd_adapt,
     },
     Command {
         name: "excited",
-        reads: "bond states",
-        run: cmd_excited,
+        synopsis: "<molecule> [--bond Å] [--states K=3]",
+        about: "run a VQD excited-state ladder",
+        run: science::cmd_excited,
     },
     Command {
         name: "scan",
-        reads: "ratio from to step",
-        run: cmd_scan,
+        synopsis: "<molecule> [--ratio R=1] [--from Å] [--to Å] [--step Å=0.1]",
+        about: "bond-length energy scan, by default 0.3 Å either side of equilibrium; a \
+                failed bond prints its error and the scan goes on",
+        run: science::cmd_scan,
     },
     Command {
         name: "compile",
-        reads: "ratio arch compiler",
-        run: cmd_compile,
+        synopsis: "<molecule> [--ratio R=0.5] [--arch xtree17|grid17|line17|heavyhex=xtree17] \
+                   [--compiler mtr|sabre|both=both]",
+        about: "compile onto an architecture",
+        run: science::cmd_compile,
     },
     Command {
         name: "qasm",
-        reads: "ratio out",
-        run: cmd_qasm,
+        synopsis: "<molecule> [--ratio R=0.5] [--out FILE]",
+        about: "export the X-Tree-compiled circuit (to stdout without --out)",
+        run: science::cmd_qasm,
     },
     Command {
         name: "yield",
-        reads: "arch sigma samples",
-        run: cmd_yield,
+        synopsis: "[--arch xtree17|grid17|line17|heavyhex=xtree17] [--sigma GHz=0.04] \
+                   [--samples N=20000]",
+        about: "fabrication-yield Monte Carlo",
+        run: science::cmd_yield,
     },
     Command {
         name: "chaos",
-        reads: "campaign",
-        run: cmd_chaos,
+        synopsis: "[--campaign KIND=pipeline] [campaign flags]",
+        about: "run one seeded fault campaign; exit 20 if a trial broke an invariant. Each \
+                KIND, the flags it reads, and what it checks:",
+        run: chaos::cmd_chaos,
     },
     Command {
         name: "batch",
-        reads: "workers seed max-retries queue-cap shed job-timeout slice-ticks max-slices \
-                breaker backoff-ms fault-rate deadline drain-after-ticks checkpoint resume \
-                progress progress-interval-ms flight-dir listen shards shard-id lease-ms \
-                heartbeat-ms net-deadline no-rescue connect worker-id local-dir max-reconnects",
-        run: cmd_batch,
+        synopsis: "<JOBS.jsonl> [--workers N] [--seed N] [--max-retries K] [--queue-cap Q] \
+                   [--shed reject-new|drop-oldest] [--job-timeout S] [--slice-ticks T] \
+                   [--max-slices M] [--breaker N] [--backoff-ms B] [--fault-rate R] \
+                   [--deadline SECS] [--drain-after-ticks T] [--checkpoint DIR] [--resume] \
+                   [--progress] [--progress-interval-ms MS=500] [--flight-dir DIR]",
+        about: "run pipeline jobs (JSONL: molecule, bond, ratio, id) on supervised workers; \
+                exit 30 drained (resumable manifest), 32 degraded (quarantined/shed jobs); \
+                --progress shows a live status line; --flight-dir collects flight-<job>.jsonl \
+                dumps of quarantines, deadline expiries and faults",
+        run: batch::cmd_batch,
+    },
+    Command {
+        name: "batch",
+        synopsis: "<JOBS.jsonl> --listen ADDR --shards N --checkpoint DIR [--lease-ms MS] \
+                   [--heartbeat-ms MS] [--net-deadline SECS] [--no-rescue]",
+        about: "coordinate the batch over TCP: `batch --connect` workers lease shards and \
+                stream records back; a shard silent past --lease-ms is re-granted; with no \
+                workers left the coordinator finishes it (unless --no-rescue); seals the \
+                batch.manifest a one-machine run would, bit for bit",
+        run: batch::cmd_batch,
+    },
+    Command {
+        name: "batch",
+        synopsis: "--connect ADDR [--worker-id NAME] [--workers N] [--local-dir DIR] \
+                   [--max-reconnects K] [--backoff-ms B]",
+        about: "join a coordinated batch as a worker, reconnecting on a worker-id-seeded \
+                backoff ladder; on a lost transport, seal undelivered records into --local-dir \
+                and exit 36 (rerun to resume); version skew exits 37",
+        run: batch::cmd_batch,
     },
     Command {
         name: "serve",
-        reads: "state-dir socket workers seed queue-cap shed max-retries slice-ticks \
-                max-slices breaker fault-rate deadline-ms max-requests idle-exit-ms flight-dir \
-                cache-max-bytes",
-        run: cmd_serve,
+        synopsis: "[--state-dir DIR] [--socket PATH] [--workers N] [--seed N] [--queue-cap Q] \
+                   [--shed reject-new|drop-oldest] [--max-retries K] [--slice-ticks T] \
+                   [--max-slices M] [--breaker N] [--fault-rate R] [--deadline-ms MS] \
+                   [--max-requests N] [--idle-exit-ms MS] [--flight-dir DIR] \
+                   [--cache-max-bytes B]",
+        about: "always-on daemon: answer JSONL job requests on a Unix socket (default \
+                DIR/serve.sock) from a CRC-sealed result cache (--cache-max-bytes 0 = \
+                unbounded) or the supervised engine; SIGTERM drains, seals DIR/serve.manifest \
+                and exits 30; a restart with the same --state-dir resumes bit-identically",
+        run: batch::cmd_serve,
     },
     Command {
         name: "bench",
-        reads: "smoke out qubits baseline tolerance history window drift-tolerance \
-                obs-overhead budget-ns",
-        run: cmd_bench,
+        synopsis: "[--smoke] [--out FILE=BENCH_pipeline.json] [--qubits N] [--baseline FILE] \
+                   [--tolerance PCT=10] [--history FILE] [--window K=8] \
+                   [--drift-tolerance PCT=25]",
+        about: "time the hot paths serial vs parallel (PCD_THREADS workers; 14 qubits, 12 \
+                with --smoke) into a JSON report; exit 21 if a fast path loses to its oracle \
+                (clustered expectation, fused gradient, H2O sector reference and VQE, AO \
+                integrals), is PCT% slower than --baseline, or creeps past --drift-tolerance \
+                over the last K --history reports",
+        run: bench::cmd_bench,
+    },
+    Command {
+        name: "bench",
+        synopsis: "--obs-overhead [--budget-ns NS=2000]",
+        about: "time the disabled-tracing fast path (span, event, counter, histogram); exit \
+                21 if an op exceeds the per-call budget",
+        run: bench::cmd_bench,
     },
     Command {
         name: "report",
-        reads: "baseline drift-tolerance out strict",
-        run: cmd_report,
+        synopsis: "<FILE|DIR>... [--baseline FILE=BENCH_pipeline.json] [--drift-tolerance \
+                   PCT=10] [--out FILE] [--strict]",
+        about: "aggregate traces, flight dumps, manifests and bench reports into stage \
+                latencies, counters, the critical path, quarantines, takeovers and bench drift; \
+                corrupt inputs are warnings, and --strict exits 34 on any",
+        run: report::cmd_report,
     },
 ];
 
-/// Rejects the first flag `command` does not read: a misspelt or
-/// misplaced flag is a usage error, never a silently ignored setting.
-fn check_flags(command: &Command, flags: &Flags) -> Result<(), CliError> {
-    let (who, campaign_reads) = if command.name == "chaos" {
-        let campaign = campaign(flags)?;
-        (format!("--campaign {}", campaign.kind), campaign.reads)
+/// Column `pcd help` wraps at.
+const WIDTH: usize = 80;
+
+/// The `pcd help` text, generated from [`COMMANDS`] and
+/// [`chaos::CAMPAIGNS`].
+fn usage() -> String {
+    let mut out = String::from("usage: pcd <command> [options]\n\ncommands:\n");
+    for command in &COMMANDS {
+        let head = format!("{} {}", command.name, command.synopsis);
+        entry(&mut out, 2, &head, command.about);
+        for c in chaos::CAMPAIGNS.iter().filter(|_| command.name == "chaos") {
+            entry(&mut out, 10, &format!("{} {}", c.kind, c.synopsis), c.about);
+        }
+    }
+    entry(&mut out, 2, "help", "this message");
+    let global = format!("<any command> {}", GLOBAL.0);
+    entry(&mut out, 2, &global, GLOBAL.1);
+    let molecules: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
+    out.push_str("\nMETAVAR=DEFAULT states a flag's default; --bond defaults to the molecule's\n");
+    out.push_str("equilibrium bond length.\n\nmolecules: ");
+    out + &molecules.join(" ")
+}
+
+/// Appends one `pcd help` entry word-wrapped at [`WIDTH`] columns: `head`
+/// from column `indent` (continued 4 further in), then `about` 8 further
+/// in. A bracketed group, and a flag with the word after it, stay on one
+/// line.
+fn entry(out: &mut String, indent: usize, head: &str, about: &str) {
+    for (text, first, rest) in [(head, indent, indent + 4), (about, indent + 8, indent + 8)] {
+        let mut units: Vec<String> = Vec::new();
+        let (mut depth, mut after_flag) = (0usize, false);
+        for word in text.split_whitespace() {
+            match units.last_mut() {
+                Some(unit) if depth > 0 || (after_flag && !word.starts_with(['-', '['])) => {
+                    unit.push(' ');
+                    unit.push_str(word);
+                }
+                _ => units.push(word.to_string()),
+            }
+            depth = (depth + word.matches('[').count()).saturating_sub(word.matches(']').count());
+            after_flag = word.trim_start_matches('[').starts_with("--") && !word.ends_with(']');
+        }
+        let mut line = " ".repeat(first);
+        for (i, unit) in units.iter().enumerate() {
+            if i > 0 && line.chars().count() + 1 + unit.chars().count() > WIDTH {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(rest);
+            } else if i > 0 {
+                line.push(' ');
+            }
+            line.push_str(unit);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+}
+
+/// The flags a synopsis names, in order, each with its metavar — `None`
+/// for a flag that takes no value (one closing a bracket, or followed by
+/// another flag or by nothing).
+fn synopsis_flags(synopsis: &str) -> Vec<(&str, Option<&str>)> {
+    let words: Vec<&str> = synopsis.split_whitespace().collect();
+    let mut flags = Vec::new();
+    for (i, word) in words.iter().enumerate() {
+        let Some(name) = word.trim_start_matches('[').strip_prefix("--") else {
+            continue;
+        };
+        let metavar = match words.get(i + 1) {
+            Some(next) if !word.ends_with(']') && !next.starts_with(['-', '[']) => {
+                Some(next.trim_end_matches(']'))
+            }
+            _ => None,
+        };
+        flags.push((name.trim_end_matches(']'), metavar));
+    }
+    flags
+}
+
+/// Every synopsis in the table: [`GLOBAL`], each command's and each
+/// campaign's.
+fn all_synopses() -> impl Iterator<Item = &'static str> {
+    let commands = COMMANDS.iter().map(|c| c.synopsis);
+    std::iter::once(GLOBAL.0)
+        .chain(commands)
+        .chain(chaos::CAMPAIGNS.iter().map(|c| c.synopsis))
+}
+
+/// Binds `flags` to the synopses of `command` (and, for `chaos`, of its
+/// campaign), whose defaults [`Flags::get`] then falls back to, and
+/// rejects the first flag they do not name: a misspelt or misplaced flag
+/// is a usage error, never a silently ignored setting.
+fn check_flags(command: &Command, flags: &mut Flags) -> Result<(), CliError> {
+    let forms = COMMANDS.iter().filter(|c| c.name == command.name);
+    let synopses = std::iter::once(GLOBAL.0).chain(forms.map(|c| c.synopsis));
+    flags.known = synopses.flat_map(synopsis_flags).collect();
+    let who = if command.name == "chaos" {
+        let campaign = chaos::campaign(flags)?;
+        flags.known.extend(synopsis_flags(campaign.synopsis));
+        format!("--campaign {}", campaign.kind)
     } else {
-        (format!("pcd {}", command.name), "")
+        format!("pcd {}", command.name)
     };
-    let reads = |key: &str| {
-        ["trace", "metrics"].contains(&key)
-            || command
-                .reads
-                .split_whitespace()
-                .chain(campaign_reads.split_whitespace())
-                .any(|read| read == key)
-    };
+    let reads = |key: &str| flags.known.iter().any(|(name, _)| *name == key);
     match flags.options.iter().find(|(key, _)| !reads(key)) {
         Some((key, _)) => Err(CliError::Usage(format!("{who} does not read --{key}"))),
         None => Ok(()),
     }
 }
 
-/// Positional arguments plus `--flag value` pairs.
+/// Positional arguments plus `--flag value` pairs, and the flags (with
+/// their metavars) of the synopses [`check_flags`] bound them to.
 struct Flags {
     positional: Vec<String>,
     options: Vec<(String, String)>,
+    known: Vec<(&'static str, Option<&'static str>)>,
 }
 
-/// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &[
-    "metrics",
-    "smoke",
-    "resume",
-    "no-rescue",
-    "progress",
-    "obs-overhead",
-    "strict",
-];
+/// A numeric flag type, with what a usage error says such a flag expects.
+trait Number: std::str::FromStr {
+    const EXPECTS: &'static str;
+}
+
+impl Number for f64 {
+    const EXPECTS: &'static str = "a finite number";
+}
+
+impl Number for usize {
+    const EXPECTS: &'static str = "an integer";
+}
+
+impl Number for u64 {
+    const EXPECTS: &'static str = "an integer";
+}
 
 impl Flags {
+    /// Whether `--key` was given.
     fn is_set(&self, key: &str) -> bool {
         self.options.iter().any(|(k, _)| k == key)
     }
 
+    /// The last value given for `--key`, else the default a bound
+    /// synopsis states for it.
     fn get(&self, key: &str) -> Option<&str> {
         self.options
             .iter()
             .rev()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+            .or_else(|| {
+                let mut named = self.known.iter().filter(|(name, _)| *name == key);
+                named.find_map(|(_, metavar)| Some((*metavar)?.split_once('=')?.1))
+            })
     }
 
+    /// [`Flags::get`] as a number, `None` when it has no value.
+    fn opt<T: Number>(&self, key: &str) -> Result<Option<T>, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        // Every integer is a finite float; `inf`, `nan` and overflow are not.
+        match v.parse::<T>() {
+            Ok(n) if v.parse::<f64>().is_ok_and(f64::is_finite) => Ok(Some(n)),
+            _ => Err(format!("--{key} expects {}, got `{v}`", T::EXPECTS)),
+        }
+    }
+
+    /// A number whose default the command's synopsis states.
+    fn number<T: Number>(&self, key: &str) -> Result<T, String> {
+        self.opt(key)?
+            .ok_or_else(|| format!("--{key} needs a value"))
+    }
+
+    /// A number flag with a default the synopsis does not state.
     fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a number, got `{v}`")),
-        }
+        Ok(self.opt(key)?.unwrap_or(default))
     }
 
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects an integer, got `{v}`")),
-        }
-    }
-
-    fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects an integer, got `{v}`")),
-        }
-    }
-
-    /// A positive integer flag.
-    fn positive(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get_usize(key, default)? {
-            0 => Err(format!("--{key} must be positive")),
-            n => Ok(n),
+    /// A positive number whose default the command's synopsis states.
+    fn positive<T: Number + PartialOrd + Default>(&self, key: &str) -> Result<T, String> {
+        let n = self.number(key)?;
+        if n > T::default() {
+            Ok(n)
+        } else {
+            Err(format!("--{key} must be positive"))
         }
     }
 
     /// A probability flag in `[0, 1]`.
-    fn rate(&self, key: &str, default: f64) -> Result<f64, String> {
-        let rate = self.get_f64(key, default)?;
+    fn rate(&self, key: &str) -> Result<f64, String> {
+        let rate = self.number(key)?;
         if (0.0..=1.0).contains(&rate) {
             Ok(rate)
         } else {
@@ -707,13 +673,26 @@ impl Flags {
     }
 
     /// The `--ratio` compression ratio, in `(0, 1]`.
-    fn ratio(&self, default: f64) -> Result<f64, String> {
-        let ratio = self.get_f64("ratio", default)?;
+    fn ratio(&self) -> Result<f64, String> {
+        let ratio = self.number("ratio")?;
         if ratio > 0.0 && ratio <= 1.0 {
             Ok(ratio)
         } else {
             Err("--ratio must be in (0, 1]".to_string())
         }
+    }
+
+    /// A positive number of seconds, `None` when not given.
+    fn seconds(&self, key: &str) -> Result<Option<Duration>, String> {
+        let Some(secs) = self.opt::<f64>(key)? else {
+            return Ok(None);
+        };
+        if secs <= 0.0 {
+            return Err(format!("--{key} must be positive"));
+        }
+        Duration::try_from_secs_f64(secs)
+            .map(Some)
+            .map_err(|_| format!("--{key} is too long, got `{secs:e}`"))
     }
 
     fn molecule(&self) -> Result<Benchmark, String> {
@@ -726,6 +705,11 @@ impl Flags {
             .find(|b| b.name().eq_ignore_ascii_case(name))
             .ok_or_else(|| format!("unknown molecule `{name}`"))
     }
+
+    /// `--bond`, by default the molecule's equilibrium bond length.
+    fn bond(&self, molecule: Benchmark) -> Result<f64, String> {
+        self.get_f64("bond", molecule.equilibrium_bond_length())
+    }
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -734,7 +718,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         if let Some(key) = a.strip_prefix("--") {
-            if BOOLEAN_FLAGS.contains(&key) {
+            let boolean = all_synopses().any(|s| synopsis_flags(s).contains(&(key, None)));
+            if boolean {
                 options.push((key.to_string(), "true".to_string()));
                 continue;
             }
@@ -746,1809 +731,31 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             positional.push(a.clone());
         }
     }
+    let known = Vec::new();
     Ok(Flags {
         positional,
         options,
+        known,
     })
-}
-
-fn parse_arch(name: &str) -> Result<Topology, String> {
-    match name {
-        "xtree17" => Ok(Topology::xtree(17)),
-        "grid17" => Ok(Topology::grid17q()),
-        "line17" => Ok(Topology::line(17)),
-        "heavyhex" => Ok(Topology::heavy_hex(2, 7)),
-        other => Err(format!("unknown architecture `{other}`")),
-    }
-}
-
-fn cmd_info(flags: &Flags) -> Result<(), CliError> {
-    let molecule = flags.molecule()?;
-    let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
-    let ansatz = UccsdAnsatz::for_system(&system);
-    let circuit = synthesize_chain_nominal(ansatz.ir());
-    let groups = group_qubit_wise(system.qubit_hamiltonian());
-
-    println!("{} @ {bond} Å", molecule.name());
-    println!("  qubits                 : {}", system.num_qubits());
-    println!(
-        "  active electrons       : {}",
-        system.num_active_electrons()
-    );
-    println!(
-        "  Hamiltonian terms      : {}",
-        system.qubit_hamiltonian().len()
-    );
-    println!("  measurement groups     : {}", groups.len());
-    let cstats = pauli_codesign::pauli::ClusteredSum::build(system.qubit_hamiltonian()).stats();
-    println!(
-        "  commuting clusters     : {} ({} singleton, {} fused)",
-        cstats.clusters, cstats.singletons, cstats.fused
-    );
-    println!(
-        "  cluster Clifford cost  : {} ops, depth {}",
-        cstats.clifford_ops, cstats.clifford_depth
-    );
-    println!(
-        "  UCCSD parameters       : {}",
-        ansatz.ir().num_parameters()
-    );
-    println!("  UCCSD Pauli strings    : {}", ansatz.ir().len());
-    println!(
-        "  circuit gates (CNOTs)  : {} ({})",
-        circuit.gate_count(),
-        circuit.cnot_count()
-    );
-    println!(
-        "  Hartree-Fock energy    : {:.6} Ha",
-        system.hartree_fock_energy()
-    );
-    println!(
-        "  exact ground state     : {:.6} Ha",
-        system.exact_ground_state_energy()
-    );
-    Ok(())
-}
-
-/// Build → compressed ansatz → VQE → exact reference at one bond length.
-fn vqe_point(
-    molecule: Benchmark,
-    bond: f64,
-    ratio: f64,
-) -> Result<(VqeResult, f64, CompressionReport), PcdError> {
-    let _root = stages::root();
-    let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
-    let (ir, report) = stages::ansatz(&system, ratio);
-    let unlimited = Budget::unlimited();
-    let run = stages::vqe(&system, &ir, VqeOptions::default(), &unlimited, None)?;
-    Ok((run, stages::reference(&system), report))
-}
-
-fn cmd_vqe(flags: &Flags) -> Result<(), CliError> {
-    let molecule = flags.molecule()?;
-    let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let ratio = flags.ratio(0.5)?;
-    let (run, exact, report) = vqe_point(molecule, bond, ratio)?;
-    println!(
-        "{} @ {bond} Å, ratio {:.0}%",
-        molecule.name(),
-        ratio * 100.0
-    );
-    println!(
-        "  parameters   : {} of {}",
-        report.kept_parameters, report.original_parameters
-    );
-    println!("  VQE energy   : {:.6} Ha", run.energy);
-    println!("  exact energy : {exact:.6} Ha");
-    println!("  error        : {:+.2e} Ha", run.energy - exact);
-    println!("  iterations   : {}", run.iterations);
-    println!("  evaluations  : {}", run.evaluations);
-    Ok(())
-}
-
-/// Builds the run budget from `--deadline` / `--budget-iters` (unlimited
-/// when neither is given; the scarcer limit wins when both are).
-fn parse_budget(flags: &Flags) -> Result<Budget, CliError> {
-    let mut budget = match flags.get("deadline") {
-        None => Budget::unlimited(),
-        Some(_) => {
-            let secs = flags.get_f64("deadline", 0.0)?;
-            if secs.is_nan() || secs <= 0.0 {
-                return Err(CliError::Usage("--deadline must be positive".to_string()));
-            }
-            Budget::wall_clock(Duration::from_secs_f64(secs))
-        }
-    };
-    if flags.get("budget-iters").is_some() {
-        budget = budget.with_max_ticks(flags.get_u64("budget-iters", 0)?);
-    }
-    Ok(budget)
-}
-
-/// The durable pipeline: the build through the SCF retry ladder,
-/// compressed VQE, then fabrication-yield Monte Carlo, both budget-aware
-/// and resumable, then the exact reference and the evaluator cross-check.
-/// Completed stages are deterministic, so a resumed run recomputes them
-/// bit-identically and restores only the interrupted stage from its
-/// checkpoint.
-fn cmd_run(flags: &Flags) -> Result<(), CliError> {
-    let molecule = flags.molecule()?;
-    let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let ratio = flags.ratio(0.5)?;
-    let base_samples = flags.positive("samples", 20_000)?;
-    let threshold = flags.get_f64("degrade-threshold", stages::DEGRADE_THRESHOLD)?;
-    if !(threshold > 0.0 && threshold <= 1.0) {
-        return Err(CliError::Usage(
-            "--degrade-threshold must be in (0, 1]".to_string(),
-        ));
-    }
-    let resume = flags.is_set("resume");
-    let store = flags
-        .get("checkpoint")
-        .map(|dir| Checkpoints::new(dir, resume));
-    if resume && store.is_none() {
-        return Err(CliError::Usage(
-            "--resume requires --checkpoint DIR".to_string(),
-        ));
-    }
-    let budget = parse_budget(flags)?;
-
-    let root = stages::root();
-    let (system, scf_retries) = stages::build(molecule, bond, &mut FaultPlan::none())?;
-    let (ir, report) = stages::ansatz(&system, ratio);
-    let result = stages::vqe(&system, &ir, VqeOptions::default(), &budget, store.as_ref())?;
-    let estimate = stages::yield_mc(base_samples, threshold, &budget, store.as_ref())?;
-    // The run completed: stale stage checkpoints must not leak into the
-    // next invocation.
-    if let Some(store) = &store {
-        store.clear();
-    }
-    let exact = stages::reference(&system);
-    let CrossCheck {
-        per_term,
-        clustered,
-        stats,
-    } = stages::crosscheck(&system, &ir, &result.params);
-    drop(root);
-
-    println!(
-        "{} @ {bond} Å, ratio {:.0}%",
-        molecule.name(),
-        ratio * 100.0
-    );
-    println!("  SCF retries  : {scf_retries}");
-    println!(
-        "  parameters   : {} of {}",
-        report.kept_parameters, report.original_parameters
-    );
-    println!("  VQE energy   : {:.6} Ha", result.energy);
-    println!("  energy bits  : 0x{}", f64_to_hex(result.energy));
-    // The VQE drivers take the sector path exactly when this build succeeds.
-    let evaluator = match SectorAnsatz::build(system.qubit_hamiltonian(), &ir) {
-        Ok(sector) => format!("sector {}/{}", sector.dim(), 1u64 << ir.num_qubits()),
-        Err(_) => "grouped".to_string(),
-    };
-    println!(
-        "  evaluator    : {evaluator} (cross-check terms {per_term:.9} / clustered {clustered:.9})"
-    );
-    println!(
-        "  H clusters   : {} over {} terms (largest {}, fused {}, Clifford depth {})",
-        stats.clusters, stats.terms, stats.largest, stats.fused, stats.clifford_depth
-    );
-    println!("  exact energy : {exact:.6} Ha");
-    println!("  error        : {:+.2e} Ha", result.energy - exact);
-    println!("  iterations   : {}", result.iterations);
-    let samples = estimate.samples;
-    if samples != base_samples {
-        println!("  yield samples: {samples} (degraded from {base_samples})");
-    } else {
-        println!("  yield samples: {samples}");
-    }
-    println!("  yield (xtree): {:.4}", estimate.yield_rate);
-    println!("  budget ticks : {}", budget.ticks_used());
-    Ok(())
-}
-
-fn cmd_scan(flags: &Flags) -> Result<(), CliError> {
-    let molecule = flags.molecule()?;
-    let ratio = flags.ratio(1.0)?;
-    let eq = molecule.equilibrium_bond_length();
-    let from = flags.get_f64("from", (eq - 0.3).max(0.3))?;
-    let to = flags.get_f64("to", eq + 0.3)?;
-    let step = flags.get_f64("step", 0.1)?;
-    if step <= 0.0 || to < from {
-        return Err(CliError::Usage(
-            "scan needs --from ≤ --to and --step > 0".to_string(),
-        ));
-    }
-    let first_failure = scan(molecule, ratio, (from, to, step), |row| println!("{row}"));
-    first_failure.map_or(Ok(()), |e| Err(e.into()))
-}
-
-/// Emits a header and one row per bond length in `from..=to`: the VQE
-/// and exact energies, or the typed error of the stage that failed. A
-/// failed bond does not stop the scan; the first failure is returned.
-fn scan(
-    molecule: Benchmark,
-    ratio: f64,
-    (from, to, step): (f64, f64, f64),
-    mut emit: impl FnMut(&str),
-) -> Option<PcdError> {
-    emit("bond (Å)   VQE (Ha)      exact (Ha)");
-    let mut first_failure = None;
-    let mut bond = from;
-    while bond <= to + 1e-9 {
-        match vqe_point(molecule, bond, ratio) {
-            Ok((run, exact, _)) => emit(&format!(
-                "{bond:<9.2}  {:>11.6}   {exact:>11.6}",
-                run.energy
-            )),
-            Err(e) => {
-                emit(&format!("{bond:<9.2}  error: {e}"));
-                first_failure.get_or_insert(e);
-            }
-        }
-        bond += step;
-    }
-    first_failure
-}
-
-fn cmd_compile(flags: &Flags) -> Result<(), CliError> {
-    let molecule = flags.molecule()?;
-    let ratio = flags.ratio(0.5)?;
-    let arch = parse_arch(flags.get("arch").unwrap_or("xtree17"))?;
-    let which = flags.get("compiler").unwrap_or("both");
-    let (system, _) = stages::build(
-        molecule,
-        molecule.equilibrium_bond_length(),
-        &mut FaultPlan::none(),
-    )?;
-    if arch.num_qubits() < system.num_qubits() {
-        return Err(CliError::Usage(format!(
-            "{} needs {} qubits but {} has {}",
-            molecule.name(),
-            system.num_qubits(),
-            arch.name(),
-            arch.num_qubits()
-        )));
-    }
-    let (ir, _) = stages::ansatz(&system, ratio);
-
-    println!("{} at {:.0}% on {}", molecule.name(), ratio * 100.0, arch);
-    if which == "mtr" || which == "both" {
-        if arch.root().is_some() {
-            let p = compile_mtr(&ir, &arch);
-            println!(
-                "  MtR   : {} original CNOTs, +{} added ({} swaps)",
-                p.original_cnots(),
-                p.added_cnots(),
-                p.swap_count()
-            );
-        } else {
-            println!("  MtR   : (skipped — requires a tree architecture)");
-        }
-    }
-    if which == "sabre" || which == "both" {
-        let p = compile_sabre(&ir, &arch, 1);
-        println!(
-            "  SABRE : {} original CNOTs, +{} added ({} swaps)",
-            p.original_cnots(),
-            p.added_cnots(),
-            p.swap_count()
-        );
-    }
-    Ok(())
-}
-
-fn cmd_adapt(flags: &Flags) -> Result<(), CliError> {
-    use pauli_codesign::ansatz::uccsd::enumerate_generalized_excitations;
-    use pauli_codesign::vqe::adapt::{
-        pool_from_excitations, run_adapt_vqe, uccsd_pool, AdaptOptions,
-    };
-    let molecule = flags.molecule()?;
-    let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
-    let m = system.num_qubits() / 2;
-    let pool = match flags.get("pool").unwrap_or("plain") {
-        "plain" => uccsd_pool(m, system.num_active_electrons()),
-        "generalized" => {
-            pool_from_excitations(system.num_qubits(), &enumerate_generalized_excitations(m))
-        }
-        other => return Err(CliError::Usage(format!("unknown pool `{other}`"))),
-    };
-    let r = run_adapt_vqe(
-        system.qubit_hamiltonian(),
-        system.hartree_fock_state(),
-        &pool,
-        AdaptOptions::default(),
-    );
-    let exact = system.exact_ground_state_energy();
-    println!(
-        "{} @ {bond} Å — ADAPT-VQE ({} pool operators)",
-        molecule.name(),
-        pool.len()
-    );
-    println!(
-        "  energy     : {:.6} Ha (exact {exact:.6}, error {:+.2e})",
-        r.energy,
-        r.energy - exact
-    );
-    println!(
-        "  operators  : {} selected ({:?})",
-        r.selected.len(),
-        r.selected
-    );
-    println!("  iterations : {}", r.total_iterations);
-    println!("  converged  : {}", r.converged);
-    Ok(())
-}
-
-fn cmd_excited(flags: &Flags) -> Result<(), CliError> {
-    use pauli_codesign::vqe::vqd::{run_vqd, VqdOptions};
-    let molecule = flags.molecule()?;
-    let bond = flags.get_f64("bond", molecule.equilibrium_bond_length())?;
-    let k = flags.positive("states", 3)?;
-    let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
-    let ir = UccsdAnsatz::for_system(&system).into_ir();
-    let states = run_vqd(system.qubit_hamiltonian(), &ir, k, VqdOptions::default());
-    println!("{} @ {bond} Å — VQD ladder", molecule.name());
-    for (i, s) in states.iter().enumerate() {
-        println!(
-            "  state {i}: E = {:.6} Ha ({} iters, residual overlap {:.1e})",
-            s.energy, s.iterations, s.max_overlap_with_lower
-        );
-    }
-    Ok(())
-}
-
-fn cmd_qasm(flags: &Flags) -> Result<(), CliError> {
-    let molecule = flags.molecule()?;
-    let ratio = flags.ratio(0.5)?;
-    let mut plan = FaultPlan::none();
-    let (system, _) = stages::build(molecule, molecule.equilibrium_bond_length(), &mut plan)?;
-    let (ir, _) = stages::ansatz(&system, ratio);
-    let (compiled, _) = stages::compile(&ir, &stages::xtree_for(&system), &mut plan)?;
-    let qasm = compiled.circuit().to_qasm();
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &qasm).map_err(|e| format!("writing {path}: {e}"))?;
-            println!(
-                "wrote {} gates ({} CNOTs) to {path}",
-                compiled.circuit().gate_count(),
-                compiled.total_cnots()
-            );
-        }
-        None => print!("{qasm}"),
-    }
-    Ok(())
-}
-
-fn cmd_yield(flags: &Flags) -> Result<(), CliError> {
-    let arch = parse_arch(flags.get("arch").unwrap_or("xtree17"))?;
-    let sigma = flags.get_f64("sigma", 0.04)?;
-    let samples = flags.positive("samples", 20_000)?;
-    let est = simulate_yield(&arch, &CollisionModel::default(), sigma, samples, 17);
-    println!("{arch}");
-    println!("  sigma           : {sigma} GHz");
-    println!("  samples         : {samples}");
-    println!("  yield           : {:.4}", est.yield_rate);
-    println!("  mean collisions : {:.2}", est.mean_collisions);
-    Ok(())
-}
-
-/// A fault campaign `pcd chaos --campaign <kind>` can run.
-struct Campaign {
-    kind: &'static str,
-    /// Flags the campaign reads (space-separated), beyond those every
-    /// `chaos` run reads (see [`check_flags`]).
-    reads: &'static str,
-    /// obs counters (space-separated) printed after the report.
-    counters: &'static str,
-}
-
-const CAMPAIGNS: [Campaign; 5] = [
-    Campaign {
-        kind: "pipeline",
-        reads: "seed fault-rate trials restarts bond",
-        counters: "resilience.faults_injected resilience.retries resilience.fallbacks",
-    },
-    Campaign {
-        kind: "kill-resume",
-        reads: "bond ratio kill-every samples checkpoint",
-        counters: "",
-    },
-    Campaign {
-        kind: "supervised",
-        reads: "seed trials jobs workers fault-rate flight-dir",
-        counters: "supervisor.panics_caught supervisor.timeouts supervisor.jobs_shed \
-                   supervisor.breaker_opened",
-    },
-    Campaign {
-        kind: "serve",
-        reads: "seed trials requests workers fault-rate scratch-dir flight-dir",
-        counters: "",
-    },
-    Campaign {
-        kind: "net",
-        reads: "seed trials jobs workers threads fault-rate net-fault-rate scratch-dir",
-        counters: "net.coord.takeovers net.coord.results_deduped net.proxy.dropped \
-                   net.proxy.corrupted net.proxy.duplicated net.proxy.severed net.proxy.refused",
-    },
-];
-
-/// The boolean campaign selectors `--campaign` replaced.
-const RETIRED_CHAOS_SELECTORS: [&str; 4] = ["kill-resume", "supervised", "net", "serve"];
-
-/// The campaign `--campaign` selects (default `pipeline`).
-fn campaign(flags: &Flags) -> Result<&'static Campaign, String> {
-    let kind = flags.get("campaign").unwrap_or("pipeline");
-    CAMPAIGNS.iter().find(|c| c.kind == kind).ok_or_else(|| {
-        let kinds: Vec<&str> = CAMPAIGNS.iter().map(|c| c.kind).collect();
-        format!(
-            "unknown campaign `{kind}`; --campaign takes one of: {}",
-            kinds.join(", ")
-        )
-    })
-}
-
-/// Runs one fault campaign, prints its report, and exits 20 when any
-/// trial broke an invariant.
-fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
-    let campaign = campaign(flags)?;
-    let kind = campaign.kind;
-    let molecule = match (kind, flags.positional.is_empty()) {
-        (_, true) => Benchmark::H2,
-        ("pipeline" | "kill-resume", false) => flags.molecule()?,
-        _ => {
-            return Err(CliError::Usage(format!(
-                "--campaign {kind} takes no molecule"
-            )))
-        }
-    };
-    let bond_length = match flags.get("bond") {
-        Some(_) => Some(flags.get_f64("bond", 0.0)?),
-        None => None,
-    };
-    let seed = flags.get_u64("seed", if kind == "serve" { 7 } else { 42 })?;
-    let trials = flags.positive(
-        "trials",
-        match kind {
-            "pipeline" => 40,
-            "supervised" => 20,
-            _ => 2,
-        },
-    )?;
-    let fault_rate = flags.rate(
-        "fault-rate",
-        match kind {
-            "pipeline" => 0.1,
-            "serve" => 0.05,
-            _ => 0.25,
-        },
-    )?;
-    let jobs = flags.positive("jobs", 6)?;
-    let workers = flags.positive("workers", if kind == "net" { 3 } else { 2 })?;
-    if kind == "net" && workers < 2 {
-        return Err(CliError::Usage(
-            "--campaign net needs --workers of at least 2 (someone must survive the kill)"
-                .to_string(),
-        ));
-    }
-    let requests = flags.positive("requests", 10)?;
-    let threads = flags.positive("threads", 2)?;
-    let net_fault_rate = flags.rate("net-fault-rate", 0.05)?;
-    let max_restarts = flags.get_usize("restarts", 3)?;
-    let ratio = flags.ratio(0.5)?;
-    let kill_every = flags.positive("kill-every", 2)? as u64;
-    let samples = flags.positive("samples", 2_000)?;
-    let checkpoint_dir = flags.get("checkpoint").map(std::path::PathBuf::from);
-    let scratch_dir = flags.get("scratch-dir").map(std::path::PathBuf::from);
-    let flight_dir = flags.get("flight-dir").map(std::path::PathBuf::from);
-    if let Some(dir) = &flight_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("creating flight dir {}: {e}", dir.display()))?;
-    }
-    let pcd_exe = std::env::current_exe().map_err(|e| format!("locating the pcd binary: {e}"))?;
-
-    // Campaigns always record, so the obs counters below can be read
-    // back even without --trace/--metrics.
-    obs::enable();
-    let report = match kind {
-        "pipeline" => run_chaos(&ChaosOptions {
-            seed,
-            fault_rate,
-            trials,
-            benchmark: molecule,
-            bond_length,
-            max_restarts,
-        }),
-        "kill-resume" => run_kill_resume(&KillResumeOptions {
-            benchmark: molecule,
-            bond_length,
-            ratio,
-            kill_every,
-            samples,
-            checkpoint_dir,
-        })?,
-        "supervised" => run_supervised_chaos(&SupervisedChaosOptions {
-            seed,
-            trials,
-            jobs,
-            workers,
-            fault_rate,
-            check_drain: true,
-            flight_dir: flight_dir.clone(),
-        }),
-        "serve" => run_serve_chaos(&ServeChaosOptions {
-            seed,
-            trials,
-            requests,
-            workers,
-            fault_rate,
-            scratch_dir: scratch_dir
-                .unwrap_or_else(|| std::env::temp_dir().join("pcd-serve-chaos")),
-            flight_dir: flight_dir.clone(),
-            pcd_exe: Some(pcd_exe),
-        }),
-        _ => run_net_chaos(&NetChaosOptions {
-            seed,
-            trials,
-            jobs,
-            workers,
-            threads,
-            fault_rate,
-            net_fault_rate,
-            pcd_exe,
-            scratch_dir,
-        }),
-    };
-
-    print!("{report}");
-    let snapshot = obs::snapshot();
-    for counter in campaign.counters.split_whitespace() {
-        println!(
-            "  obs {:<28}: {}",
-            counter,
-            snapshot.counters.get(counter).copied().unwrap_or(0)
-        );
-    }
-    if let Some(dir) = &flight_dir {
-        let dumps = std::fs::read_dir(dir)
-            .map(|rd| {
-                rd.filter_map(Result::ok)
-                    .filter(|e| e.file_name().to_string_lossy().starts_with("flight-"))
-                    .count()
-            })
-            .unwrap_or(0);
-        println!("  flight dumps     : {dumps} in {}", dir.display());
-    }
-    if !report.survived() {
-        return Err(CliError::ChaosUnsurvived {
-            failed: report.failures(),
-            trials: report.trials.len(),
-        });
-    }
-    Ok(())
-}
-
-fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
-    let state_dir = std::path::PathBuf::from(flags.get("state-dir").unwrap_or("serve-state"));
-    let socket = flags.get("socket").map(std::path::PathBuf::from);
-    let workers = flags.get_usize("workers", 2)?.max(1);
-    let seed = flags.get_u64("seed", 42)?;
-    let queue_cap = flags.get_usize("queue-cap", 0)?;
-    let shed = ShedPolicy::parse(flags.get("shed").unwrap_or("reject-new"))?;
-    let max_retries = flags.get_usize("max-retries", 3)?;
-    let slice_ticks = flags.get_u64("slice-ticks", 0)?;
-    let max_slices = flags.get_usize("max-slices", 64)?;
-    let breaker_threshold = flags.get_usize("breaker", 3)?;
-    let fault_rate = flags.rate("fault-rate", 0.0)?;
-    let request_deadline = match flags.get_u64("deadline-ms", 0)? {
-        0 => None,
-        ms => Some(std::time::Duration::from_millis(ms)),
-    };
-    let max_requests = match flags.get_usize("max-requests", 0)? {
-        0 => None,
-        n => Some(n),
-    };
-    let idle_exit = match flags.get_u64("idle-exit-ms", 0)? {
-        0 => None,
-        ms => Some(std::time::Duration::from_millis(ms)),
-    };
-    let flight_dir = flags.get("flight-dir").map(std::path::PathBuf::from);
-    if let Some(dir) = &flight_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("creating flight dir {}: {e}", dir.display()))?;
-    }
-    let cache_max_bytes = match flags.get_u64("cache-max-bytes", 0)? {
-        0 => None,
-        bytes => Some(bytes),
-    };
-
-    let config = ServeConfig {
-        state_dir,
-        socket,
-        workers,
-        seed,
-        queue_cap,
-        shed,
-        max_retries,
-        slice_ticks,
-        max_slices,
-        breaker_threshold,
-        fault_rate,
-        request_deadline,
-        max_requests,
-        idle_exit,
-        flight_dir,
-        cache_max_bytes,
-    };
-    eprintln!(
-        "pcd serve: listening on {} ({} worker(s), seed {seed}, state in {})",
-        config.socket_path().display(),
-        config.workers,
-        config.state_dir.display()
-    );
-
-    let summary = run_serve(&config)?;
-    println!(
-        "serve: {} accepted, {} done ({} cache hit(s), {} miss(es)), \
-         {} shed, {} cancelled, {} quarantined, {} resumed",
-        summary.accepted,
-        summary.done,
-        summary.cache_hits,
-        summary.cache_misses,
-        summary.shed,
-        summary.cancelled,
-        summary.quarantined,
-        summary.resumed,
-    );
-    if summary.cache_quarantined > 0 {
-        println!(
-            "  {} corrupt cache entrie(s) quarantined aside and recomputed",
-            summary.cache_quarantined
-        );
-    }
-    if summary.drained {
-        println!(
-            "  drained: restart state sealed in {}",
-            config.manifest_path().display()
-        );
-        return Err(CliError::ServeDrained {
-            pending: summary.pending,
-        });
-    }
-    Ok(())
-}
-
-fn print_batch_report(report: &BatchReport) {
-    println!(
-        "{:<4} {:<14} {:<12} {:>12} {:>8}  detail",
-        "#", "job", "state", "energy", "retries"
-    );
-    for record in &report.records {
-        let (energy, detail) = match &record.state {
-            JobState::Done {
-                iterations,
-                scf_retries,
-                sabre_fallback,
-                ..
-            } => (
-                record
-                    .energy()
-                    .map(|e| format!("{e:.6}"))
-                    .unwrap_or_default(),
-                format!(
-                    "{iterations} iters{}{}",
-                    if *scf_retries > 0 {
-                        format!(", {scf_retries} scf retries")
-                    } else {
-                        String::new()
-                    },
-                    if *sabre_fallback { ", sabre" } else { "" }
-                ),
-            ),
-            JobState::Quarantined { stage, error, .. } => {
-                (String::new(), format!("{stage}: {error}"))
-            }
-            JobState::Shed => (String::new(), "shed by admission control".to_string()),
-            JobState::Pending { attempt, .. } => {
-                (String::new(), format!("pending at attempt {attempt}"))
-            }
-        };
-        println!(
-            "{:<4} {:<14} {:<12} {:>12} {:>8}  {}",
-            record.index,
-            record.id,
-            record.state.label(),
-            energy,
-            record.retries,
-            detail
-        );
-    }
-    println!(
-        "batch: {} done, {} quarantined, {} shed, {} pending",
-        report.done(),
-        report.quarantined(),
-        report.shed(),
-        report.pending()
-    );
-}
-
-fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
-    // Shards exist only under a coordinator, which grants them; a
-    // multi-process batch on one host is a loopback --listen plus local
-    // --connect workers.
-    if (flags.is_set("shards") && !flags.is_set("listen")) || flags.is_set("shard-id") {
-        return Err(CliError::Usage(
-            "--shards needs --listen: shards are granted by a coordinator to \
-             `batch --connect` workers"
-                .to_string(),
-        ));
-    }
-    if flags.is_set("listen") && flags.is_set("resume") {
-        return Err(CliError::Usage(
-            "--resume does not apply to --listen: the coordinator does not resume; \
-             resume a drained manifest with a plain `pcd batch JOBS.jsonl --checkpoint DIR \
-             --resume`"
-                .to_string(),
-        ));
-    }
-    // Worker mode has no jobs file: the batch identity (jobs, seed,
-    // fault rate) arrives over the wire in the coordinator's welcome.
-    if flags.is_set("connect") {
-        return cmd_batch_worker(flags);
-    }
-    let jobs_path = flags
-        .positional
-        .first()
-        .ok_or_else(|| CliError::Usage("a JOBS.jsonl file is required".to_string()))?;
-    let text = std::fs::read_to_string(jobs_path)
-        .map_err(|e| CliError::Usage(format!("reading {jobs_path}: {e}")))?;
-    let jobs = parse_jobs(&text).map_err(CliError::Usage)?;
-
-    let mut config = SupervisorConfig {
-        workers: flags.get_usize("workers", 2)?.max(1),
-        batch_seed: flags.get_u64("seed", 42)?,
-        max_retries: flags.get_usize("max-retries", 3)?,
-        queue_cap: flags.get_usize("queue-cap", 0)?,
-        shed: ShedPolicy::parse(flags.get("shed").unwrap_or("reject-new"))?,
-        slice_ticks: flags.get_u64("slice-ticks", 0)?,
-        breaker_threshold: flags.get_usize("breaker", 3)?,
-        pipeline_fault_rate: flags.rate("fault-rate", 0.0)?,
-        ..SupervisorConfig::default()
-    };
-    if config.pipeline_fault_rate > 0.0 {
-        config.injection = InjectionPlan::chaos(config.pipeline_fault_rate);
-    }
-    config.backoff.base_ms = flags.get_u64("backoff-ms", 0)?;
-    if let Some(secs) = flags.get("job-timeout") {
-        let secs: f64 = secs
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--job-timeout expects seconds, got `{secs}`")))?;
-        if secs.is_nan() || secs <= 0.0 {
-            return Err(CliError::Usage(
-                "--job-timeout must be positive".to_string(),
-            ));
-        }
-        config.slice_wall = Some(Duration::from_secs_f64(secs));
-        // One wall-clock slice per attempt unless the caller asked for a
-        // finer slicing explicitly.
-        config.max_slices = flags.get_usize("max-slices", 1)?;
-    } else {
-        config.max_slices = flags.get_usize("max-slices", 64)?;
-    }
-    if let Some(secs) = flags.get("deadline") {
-        let secs: f64 = secs
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--deadline expects seconds, got `{secs}`")))?;
-        config.deadline = Some(Duration::from_secs_f64(secs));
-    }
-    if flags.is_set("drain-after-ticks") {
-        config.drain_after_ticks = Some(flags.get_u64("drain-after-ticks", 0)?);
-    }
-    if let Some(dir) = flags.get("checkpoint") {
-        config.ckpt_dir = Some(std::path::PathBuf::from(dir));
-    }
-    if let Some(dir) = flags.get("flight-dir") {
-        config.flight_dir = Some(std::path::PathBuf::from(dir));
-    }
-    // The monitor thread only observes (it cannot influence job
-    // outcomes), so it is always on for `pcd batch`: snapshots land in
-    // the --trace JSONL, and --progress additionally renders the live
-    // stderr line.
-    let interval_ms = flags.get_u64("progress-interval-ms", 500)?;
-    if interval_ms == 0 {
-        return Err(CliError::Usage(
-            "--progress-interval-ms must be positive".to_string(),
-        ));
-    }
-    config.progress_interval = Some(Duration::from_millis(interval_ms));
-    config.progress_stderr = flags.is_set("progress");
-
-    // Coordinator mode: serve the batch to TCP workers.
-    if flags.is_set("listen") {
-        return cmd_batch_coordinator(flags, &jobs, &config);
-    }
-    let report = if flags.is_set("resume") {
-        let dir = config
-            .ckpt_dir
-            .clone()
-            .ok_or_else(|| CliError::Usage("--resume needs --checkpoint DIR".to_string()))?;
-        let manifest_path = dir.join("batch.manifest");
-        let ck = Checkpoint::read(&manifest_path).map_err(PcdError::from)?;
-        let (meta, prior) =
-            pauli_codesign::supervisor::decode_manifest(&ck).map_err(PcdError::from)?;
-        // The manifest is authoritative for the determinism keys: resume
-        // with its seed and fault rate, whatever the flags say.
-        config.batch_seed = meta.batch_seed;
-        config.pipeline_fault_rate = meta.pipeline_fault_rate;
-        config.injection = if meta.pipeline_fault_rate > 0.0 {
-            InjectionPlan::chaos(meta.pipeline_fault_rate)
-        } else {
-            InjectionPlan::none()
-        };
-        run_batch_resumed(&jobs, &config, Some(&prior))?
-    } else {
-        run_batch_resumed(&jobs, &config, None)?
-    };
-
-    print_batch_report(&report);
-    if report.pending() > 0 {
-        return Err(CliError::BatchDrained {
-            pending: report.pending(),
-        });
-    }
-    if report.quarantined() + report.shed() > 0 {
-        return Err(CliError::BatchDegraded {
-            quarantined: report.quarantined(),
-            shed: report.shed(),
-        });
-    }
-    Ok(())
-}
-
-/// `pcd batch JOBS.jsonl --listen ADDR --shards N --checkpoint DIR`:
-/// coordinate a multi-machine batch over TCP and seal the same
-/// `batch.manifest` a single-machine run would.
-fn cmd_batch_coordinator(
-    flags: &Flags,
-    jobs: &[pauli_codesign::supervisor::JobSpec],
-    config: &SupervisorConfig,
-) -> Result<(), CliError> {
-    let listen = parse_addr(flags, "listen")?;
-    let opts = CoordinatorOptions {
-        listen,
-        shards: flags.get_usize("shards", 2)?,
-        lease_ms: flags.get_u64("lease-ms", 500)?,
-        heartbeat_ms: flags.get_u64("heartbeat-ms", 100)?,
-        deadline: Duration::from_secs(flags.get_u64("net-deadline", 120)?.max(1)),
-        rescue: !flags.is_set("no-rescue"),
-    };
-    let coordinator = Coordinator::bind(jobs, config, opts).map_err(CliError::Remote)?;
-    eprintln!(
-        "pcd batch: coordinating {} job(s) as {} shard(s) on {}",
-        jobs.len(),
-        flags.get_usize("shards", 2)?,
-        coordinator.addr()
-    );
-    let report = coordinator.run().map_err(CliError::Remote)?;
-
-    for takeover in &report.takeovers {
-        println!(
-            "  took over shard {} from {} at epoch {}",
-            takeover.shard_id, takeover.from, takeover.epoch
-        );
-    }
-    for shard in &report.rescued {
-        println!("  rescued shard {shard} in-process after losing its workers");
-    }
-    if report.deduped > 0 {
-        println!(
-            "  deduplicated {} bit-identical resent record(s)",
-            report.deduped
-        );
-    }
-    let (done, quarantined, shed, pending) =
-        report
-            .records
-            .iter()
-            .fold((0, 0, 0, 0), |(d, q, s, p), r| match r.state.label() {
-                "done" => (d + 1, q, s, p),
-                "quarantined" => (d, q + 1, s, p),
-                "shed" => (d, q, s + 1, p),
-                _ => (d, q, s, p + 1),
-            });
-    println!("batch: {done} done, {quarantined} quarantined, {shed} shed, {pending} pending");
-    if pending > 0 {
-        return Err(CliError::BatchDrained { pending });
-    }
-    if quarantined + shed > 0 {
-        return Err(CliError::BatchDegraded { quarantined, shed });
-    }
-    Ok(())
-}
-
-/// `pcd batch --connect ADDR`: join a coordinated batch as a worker.
-fn cmd_batch_worker(flags: &Flags) -> Result<(), CliError> {
-    if !flags.positional.is_empty() {
-        return Err(CliError::Usage(
-            "--connect takes no jobs file: the batch identity arrives over the wire".to_string(),
-        ));
-    }
-    let connect = parse_addr(flags, "connect")?;
-    let worker_id = flags
-        .get("worker-id")
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    let mut opts = WorkerOptions {
-        connect,
-        worker_id,
-        threads: flags.get_usize("workers", 2)?.max(1),
-        max_reconnects: flags.get_usize("max-reconnects", 8)?,
-        local_dir: flags.get("local-dir").map(std::path::PathBuf::from),
-        ..WorkerOptions::default()
-    };
-    if flags.is_set("backoff-ms") {
-        opts.backoff.base_ms = flags.get_u64("backoff-ms", 10)?;
-    }
-    eprintln!(
-        "pcd batch: worker {} connecting to {}",
-        opts.worker_id, opts.connect
-    );
-    let report = run_worker(&opts).map_err(|e| {
-        if let (RemoteError::TransportLost(_), Some(dir)) = (&e, &opts.local_dir) {
-            eprintln!(
-                "transport lost: partial progress (if any) sealed under {} — \
-                 rerun the same command to resume",
-                dir.display()
-            );
-        }
-        CliError::Remote(e)
-    })?;
-    println!(
-        "worker {}: {} shard(s) run {:?}, {} record(s) delivered, {} reconnect(s)",
-        report.worker_id,
-        report.shards_run.len(),
-        report.shards_run,
-        report.records_sent,
-        report.reconnects
-    );
-    if !report.reconnect_delays_ms.is_empty() {
-        println!(
-            "  reconnect backoff ladder (ms): {:?}",
-            report.reconnect_delays_ms
-        );
-    }
-    Ok(())
-}
-
-/// Parses `--<key> HOST:PORT` as a socket address.
-fn parse_addr(flags: &Flags, key: &str) -> Result<std::net::SocketAddr, CliError> {
-    let value = flags
-        .get(key)
-        .ok_or_else(|| CliError::Usage(format!("--{key} needs HOST:PORT")))?;
-    value
-        .parse()
-        .map_err(|_| CliError::Usage(format!("--{key} expects HOST:PORT, got `{value}`")))
-}
-
-/// One benchmark measurement destined for the JSON report.
-struct BenchRecord {
-    name: String,
-    median_ns: u64,
-    threads: usize,
-    n_qubits: usize,
-}
-
-/// Deterministic pseudo-random Pauli sum (no chemistry needed for kernels).
-fn synthetic_hamiltonian(n: usize, terms: usize) -> pauli_codesign::pauli::WeightedPauliSum {
-    use pauli_codesign::pauli::{PauliString, WeightedPauliSum};
-    let mut h = WeightedPauliSum::new(n);
-    let mut state = 0x1234_5678_9abc_def0u64;
-    for k in 0..terms {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let x = state & ((1 << n) - 1);
-        state = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let z = state & ((1 << n) - 1);
-        h.push(
-            0.01 * (k as f64 + 1.0),
-            PauliString::from_symplectic(n, x, z),
-        );
-    }
-    h
-}
-
-/// Deterministic normalized pseudo-random statevector.
-fn synthetic_state(n_qubits: usize) -> pauli_codesign::sim::Statevector {
-    use pauli_codesign::numeric::Complex64;
-    let mut s = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-    };
-    let amps: Vec<Complex64> = (0..1usize << n_qubits)
-        .map(|_| Complex64::new(next(), next()))
-        .collect();
-    let norm = amps.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-    pauli_codesign::sim::Statevector::from_amplitudes(amps.into_iter().map(|z| z / norm).collect())
-}
-
-/// Host metadata pinned into bench artifacts, so the drift gate can tell
-/// a hardware change from a real regression: worker threads the run used,
-/// cores the host offers, and the git revision that produced the numbers.
-fn bench_meta_json(threads: usize) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    let git_rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    format!("{{\"threads\": {threads}, \"cores\": {cores}, \"git_rev\": \"{git_rev}\"}}")
-}
-
-fn write_bench_json(
-    path: &str,
-    records: &[BenchRecord],
-    meta: &str,
-    clusters: Option<&str>,
-) -> Result<(), String> {
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"_meta\": {meta},\n"));
-    if let Some(c) = clusters {
-        json.push_str(&format!("  \"_clusters\": {c},\n"));
-    }
-    for (i, r) in records.iter().enumerate() {
-        json.push_str(&format!(
-            "  \"{}\": {{\"median_ns\": {}, \"threads\": {}, \"n_qubits\": {}}}{}\n",
-            r.name,
-            r.median_ns,
-            r.threads,
-            r.n_qubits,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("}\n");
-    // Atomic rename: a crash mid-bench must not leave a truncated report
-    // for a later --baseline comparison to choke on.
-    obs::atomic_write(path, json.as_bytes()).map_err(|e| format!("writing {path}: {e}"))
-}
-
-/// Relative slowdown beyond which `--baseline` fails the run.
-const BENCH_TOLERANCE: f64 = 0.10;
-
-/// Compares fresh measurements against a baseline's medians and
-/// returns one line per benchmark slower than `tolerance` (relative).
-/// Benchmarks missing from the baseline are skipped — a new benchmark
-/// cannot regress.
-fn bench_regressions(
-    baseline: &std::collections::BTreeMap<String, u64>,
-    records: &[BenchRecord],
-    tolerance: f64,
-) -> Vec<String> {
-    let now = records.iter().map(|r| (r.name.as_str(), r.median_ns));
-    compare_medians(now, baseline, tolerance)
-        .1
-        .iter()
-        .map(|d| {
-            format!(
-                "{}: {} ns vs baseline {} ns (+{:.1}%)",
-                d.name,
-                d.now_ns,
-                d.baseline_ns,
-                (d.ratio - 1.0) * 100.0
-            )
-        })
-        .collect()
-}
-
-/// Parses a `--history` file: `{"reports": [{name: median_ns, ...}, ...]}`
-/// with the oldest report first. A missing file is an empty history.
-fn parse_bench_history(text: &str) -> Result<Vec<std::collections::BTreeMap<String, u64>>, String> {
-    let root = obs::json::parse(text).map_err(|e| format!("parsing history: {e}"))?;
-    let Some(obs::json::JsonValue::Array(entries)) = root.get("reports") else {
-        return Err("history: missing `reports` array".to_string());
-    };
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| match entry {
-            obs::json::JsonValue::Object(fields) => fields
-                .iter()
-                .map(|(name, v)| {
-                    v.as_u64()
-                        .map(|ns| (name.clone(), ns))
-                        .ok_or_else(|| format!("history report {i}: `{name}` is not an integer"))
-                })
-                .collect(),
-            _ => Err(format!("history report {i} is not an object")),
-        })
-        .collect()
-}
-
-fn write_bench_history(
-    path: &str,
-    reports: &[std::collections::BTreeMap<String, u64>],
-    meta: &str,
-) -> Result<(), String> {
-    let mut json = format!("{{\"_meta\": {meta},\n\"reports\": [\n");
-    for (i, report) in reports.iter().enumerate() {
-        json.push_str("  {");
-        for (j, (name, ns)) in report.iter().enumerate() {
-            json.push_str(&format!(
-                "\"{name}\": {ns}{}",
-                if j + 1 < report.len() { ", " } else { "" }
-            ));
-        }
-        json.push_str(if i + 1 < reports.len() { "},\n" } else { "}\n" });
-    }
-    json.push_str("]}\n");
-    obs::atomic_write(path, json.as_bytes()).map_err(|e| format!("writing {path}: {e}"))
-}
-
-/// Cumulative-drift check over the rolling window: the newest report
-/// (last) is compared against the *oldest* in the window, so a sequence of
-/// small slowdowns that each pass the per-run `--tolerance` still fails
-/// once their product creeps past `tolerance`.
-fn bench_drift(window: &[std::collections::BTreeMap<String, u64>], tolerance: f64) -> Vec<String> {
-    let (Some(oldest), Some(newest)) = (window.first(), window.last()) else {
-        return Vec::new();
-    };
-    if window.len() < 2 {
-        return Vec::new();
-    }
-    let now = newest.iter().map(|(name, &ns)| (name.as_str(), ns));
-    compare_medians(now, oldest, tolerance)
-        .1
-        .iter()
-        .map(|d| {
-            format!(
-                "{}: {} ns vs {} ns {} report(s) ago (+{:.1}% cumulative)",
-                d.name,
-                d.now_ns,
-                d.baseline_ns,
-                window.len() - 1,
-                (d.ratio - 1.0) * 100.0
-            )
-        })
-        .collect()
-}
-
-fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
-    use pauli_codesign::chem::basis::build_basis;
-    use pauli_codesign::chem::integrals::{self, EriTensor};
-    use pauli_codesign::circuit::Gate;
-    use pauli_codesign::numeric::RealMatrix;
-    use pauli_codesign::pauli::PauliString;
-    use pauli_codesign::{par, vqe};
-
-    if flags.is_set("obs-overhead") {
-        return cmd_obs_overhead(flags);
-    }
-
-    let smoke = flags.is_set("smoke");
-    let out_path = flags
-        .get("out")
-        .unwrap_or("BENCH_pipeline.json")
-        .to_string();
-    let n_qubits = flags.get_usize("qubits", if smoke { 12 } else { 14 })?;
-    if !(2..=24).contains(&n_qubits) {
-        return Err(CliError::Usage("--qubits must be in 2..=24".to_string()));
-    }
-    let (warmup, samples) = if smoke { (1, 3) } else { (3, 15) };
-    let yield_samples = if smoke { 2_000 } else { 20_000 };
-    let threads = par::num_threads();
-    obs::enable();
-
-    println!(
-        "pcd bench — {n_qubits}-qubit kernels, {threads} worker thread(s){}",
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!(
-        "{:<28} {:>14} {:>14} {:>9}",
-        "benchmark", "serial (ns)", "parallel (ns)", "speedup"
-    );
-
-    let mut records: Vec<BenchRecord> = Vec::new();
-    let pair = |records: &mut Vec<BenchRecord>,
-                name: &str,
-                size: usize,
-                serial: criterion::Measurement,
-                parallel: criterion::Measurement| {
-        println!(
-            "{name:<28} {:>14} {:>14} {:>8.2}x",
-            serial.median_ns,
-            parallel.median_ns,
-            serial.median_ns as f64 / parallel.median_ns.max(1) as f64
-        );
-        records.push(BenchRecord {
-            name: format!("{name}_serial"),
-            median_ns: serial.median_ns,
-            threads: 1,
-            n_qubits: size,
-        });
-        records.push(BenchRecord {
-            name: format!("{name}_parallel"),
-            median_ns: parallel.median_ns,
-            threads,
-            n_qubits: size,
-        });
-    };
-
-    // Hamiltonian expectation on a statevector: the VQE inner loop.
-    let h = synthetic_hamiltonian(n_qubits, 64);
-    let sv = synthetic_state(n_qubits);
-    let serial = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || sv.expectation(&h))
-    });
-    let serial_expectation_ns = serial.median_ns;
-    let parallel = criterion::measure(warmup, samples, || sv.expectation(&h));
-    pair(&mut records, "expectation", n_qubits, serial, parallel);
-
-    // Cluster-diagonalized expectation on the same Hamiltonian and state.
-    // The partition build is measured inside the closure — it is a
-    // per-Hamiltonian cost a caller pays once, dwarfed by the sweeps.
-    let clustered = criterion::measure(warmup, samples, || sv.expectation_clustered(&h));
-    let cluster_stats = pauli_codesign::pauli::ClusteredSum::build(&h).stats();
-    println!(
-        "{:<28} {:>14} {:>14} {:>8.2}x",
-        "expectation_clustered",
-        serial_expectation_ns,
-        clustered.median_ns,
-        serial_expectation_ns as f64 / clustered.median_ns.max(1) as f64
-    );
-    let clustered_ns = clustered.median_ns;
-    records.push(BenchRecord {
-        name: "expectation_clustered".to_string(),
-        median_ns: clustered_ns,
-        threads,
-        n_qubits,
-    });
-    // In-bench gate: the whole point of the clustered evaluator is to beat
-    // the per-term serial sweep on this Hamiltonian. Falling behind it is
-    // a regression regardless of any --baseline file.
-    if clustered_ns >= serial_expectation_ns {
-        return Err(CliError::BenchRegression(vec![format!(
-            "expectation_clustered: {clustered_ns} ns not faster than expectation_serial \
-             {serial_expectation_ns} ns"
-        )]));
-    }
-
-    // Grouped H|ψ⟩ (one pair sweep per distinct flip mask) at one thread:
-    // the Lanczos matvec and the H|ψ⟩ inside every gradient.
-    let mut h_psi = vec![pauli_codesign::numeric::Complex64::ZERO; 1 << n_qubits];
-    let h_apply = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || h.apply(sv.amplitudes(), &mut h_psi))
-    });
-    println!("{:<28} {:>14}", "h_apply", h_apply.median_ns);
-    records.push(BenchRecord {
-        name: "h_apply".to_string(),
-        median_ns: h_apply.median_ns,
-        threads: 1,
-        n_qubits,
-    });
-
-    // Fused adjoint gradient against its per-entry parameter-shift oracle
-    // at one thread, on a chemistry-free UCCSD IR (2 electrons) and the
-    // synthetic H. In-bench gate: the fused walk exists to beat the
-    // unfused one, so falling behind it is a regression (exit 21).
-    if n_qubits % 2 == 0 && n_qubits >= 4 {
-        let ir = UccsdAnsatz::new(n_qubits / 2, 2).into_ir();
-        let theta: Vec<f64> = (0..ir.num_parameters())
-            .map(|k| 0.05 * ((k % 7) as f64 - 3.0))
-            .collect();
-        let fused = criterion::measure(warmup, samples, || {
-            par::with_threads(1, || vqe::energy_and_gradient(&h, &ir, &theta))
-        });
-        let oracle = criterion::measure(warmup, samples, || {
-            par::with_threads(1, || vqe::parameter_shift_gradient(&h, &ir, &theta))
-        });
-        println!(
-            "{:<28} {:>14} {:>14} {:>8.2}x",
-            "vqe_gradient (oracle/fused)",
-            oracle.median_ns,
-            fused.median_ns,
-            oracle.median_ns as f64 / fused.median_ns.max(1) as f64
-        );
-        for (name, m) in [
-            ("vqe_gradient_oracle", &oracle),
-            ("vqe_gradient_fused", &fused),
-        ] {
-            records.push(BenchRecord {
-                name: name.to_string(),
-                median_ns: m.median_ns,
-                threads: 1,
-                n_qubits,
-            });
-        }
-        if fused.median_ns >= oracle.median_ns {
-            return Err(CliError::BenchRegression(vec![format!(
-                "vqe_gradient_fused: {} ns not faster than vqe_gradient_oracle {} ns",
-                fused.median_ns, oracle.median_ns
-            )]));
-        }
-    } else {
-        println!("vqe_gradient: skipped (a UCCSD register needs an even qubit count ≥ 4)");
-    }
-
-    // Exact reference of H2O at equilibrium at one thread: Lanczos on the
-    // 225-state N-electron sector (CSR build included) against its oracle,
-    // Lanczos on the 4,096-state Fock space. In-bench gate: the sector
-    // solve exists to beat the full-space one (exit 21 otherwise).
-    let h2o = Benchmark::H2O
-        .build(Benchmark::H2O.equilibrium_bond_length())
-        .map_err(PcdError::from)?;
-    let sector = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || h2o.exact_ground_state_energy())
-    });
-    let fullspace = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || h2o.qubit_hamiltonian().ground_state_energy())
-    });
-    println!(
-        "{:<28} {:>14} {:>14} {:>8.2}x",
-        "exact_h2o (fullspace/sector)",
-        fullspace.median_ns,
-        sector.median_ns,
-        fullspace.median_ns as f64 / sector.median_ns.max(1) as f64
-    );
-    for (name, m) in [("exact_sector", &sector), ("exact_fullspace", &fullspace)] {
-        records.push(BenchRecord {
-            name: name.to_string(),
-            median_ns: m.median_ns,
-            threads: 1,
-            n_qubits: h2o.num_qubits(),
-        });
-    }
-    if sector.median_ns >= fullspace.median_ns {
-        return Err(CliError::BenchRegression(vec![format!(
-            "exact_sector: {} ns not faster than exact_fullspace {} ns",
-            sector.median_ns, fullspace.median_ns
-        )]));
-    }
-
-    // The VQE objective of H2O at equilibrium, ratio 0.5, at one thread:
-    // energy + adjoint gradient on the 225-state electron sector (the
-    // SectorAnsatz build included, as each VQE run pays it) against the
-    // full-space fused path on 4,096 amplitudes. In-bench gate: the sector
-    // evaluator exists to beat the full-space one (exit 21 otherwise).
-    let (h2o_ir, _) = stages::ansatz(&h2o, 0.5);
-    let h2o_h = h2o.qubit_hamiltonian();
-    let h2o_theta: Vec<f64> = (0..h2o_ir.num_parameters())
-        .map(|k| 0.02 * ((k % 5) as f64 - 2.0))
-        .collect();
-    let vqe_sector = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || {
-            SectorAnsatz::build(h2o_h, &h2o_ir).map(|s| s.energy_and_gradient(&h2o_theta))
-        })
-    });
-    let vqe_fullspace = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || vqe::energy_and_gradient(h2o_h, &h2o_ir, &h2o_theta))
-    });
-    println!(
-        "{:<28} {:>14} {:>14} {:>8.2}x",
-        "vqe_h2o (fullspace/sector)",
-        vqe_fullspace.median_ns,
-        vqe_sector.median_ns,
-        vqe_fullspace.median_ns as f64 / vqe_sector.median_ns.max(1) as f64
-    );
-    for (name, m) in [
-        ("vqe_sector", &vqe_sector),
-        ("vqe_fullspace", &vqe_fullspace),
-    ] {
-        records.push(BenchRecord {
-            name: name.to_string(),
-            median_ns: m.median_ns,
-            threads: 1,
-            n_qubits: h2o.num_qubits(),
-        });
-    }
-    if vqe_sector.median_ns >= vqe_fullspace.median_ns {
-        return Err(CliError::BenchRegression(vec![format!(
-            "vqe_sector: {} ns not faster than vqe_fullspace {} ns",
-            vqe_sector.median_ns, vqe_fullspace.median_ns
-        )]));
-    }
-
-    // AO integrals of H2O at equilibrium at one thread: the shell-pair
-    // engine against its oracle, the per-function integrals (S and h per
-    // element, the ERI per canonical quartet through
-    // `EriTensor::from_fn_symmetric`). The two are bit-identical; the
-    // in-bench gate holds the engine to beating its oracle (exit 21).
-    let h2o_molecule = Benchmark::H2O.molecule(Benchmark::H2O.equilibrium_bond_length());
-    let h2o_basis = build_basis(&h2o_molecule);
-    let ao_engine = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || {
-            integrals::compute_ao_integrals(&h2o_molecule, &h2o_basis)
-        })
-    });
-    let ao_oracle = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || {
-            let b = &h2o_basis;
-            let n = b.len();
-            let s = RealMatrix::from_fn(n, n, |i, j| integrals::overlap(&b[i], &b[j]));
-            let t = RealMatrix::from_fn(n, n, |i, j| integrals::kinetic(&b[i], &b[j]));
-            let v =
-                RealMatrix::from_fn(n, n, |i, j| integrals::nuclear(&b[i], &b[j], &h2o_molecule));
-            let eri = EriTensor::from_fn_symmetric(n, |p, q, r, s| {
-                integrals::eri(&b[p], &b[q], &b[r], &b[s])
-            });
-            (s, &t + &v, eri)
-        })
-    });
-    println!(
-        "{:<28} {:>14} {:>14} {:>8.2}x",
-        "ao_integrals (oracle/engine)",
-        ao_oracle.median_ns,
-        ao_engine.median_ns,
-        ao_oracle.median_ns as f64 / ao_engine.median_ns.max(1) as f64
-    );
-    for (name, m) in [
-        ("ao_integrals", &ao_engine),
-        ("ao_integrals_oracle", &ao_oracle),
-    ] {
-        records.push(BenchRecord {
-            name: name.to_string(),
-            median_ns: m.median_ns,
-            threads: 1,
-            n_qubits: h2o_basis.len(),
-        });
-    }
-    if ao_engine.median_ns >= ao_oracle.median_ns {
-        return Err(CliError::BenchRegression(vec![format!(
-            "ao_integrals: {} ns not faster than ao_integrals_oracle {} ns",
-            ao_engine.median_ns, ao_oracle.median_ns
-        )]));
-    }
-
-    // Pauli-string evolution spanning the full register.
-    let ops = ["X", "Y", "Z"];
-    let label: String = (0..n_qubits).map(|q| ops[q % 3]).collect();
-    let p: PauliString = match label.parse() {
-        Ok(p) => p,
-        Err(_) => unreachable!("XYZ cycle always parses"),
-    };
-    let mut evolved = sv.clone();
-    let serial = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || evolved.apply_pauli_evolution(&p, 0.137))
-    });
-    let parallel = criterion::measure(warmup, samples, || evolved.apply_pauli_evolution(&p, 0.137));
-    pair(&mut records, "pauli_evolution", n_qubits, serial, parallel);
-
-    // Single-qubit gate kernel.
-    let mut rotated = sv.clone();
-    let gate = Gate::Rx(n_qubits / 2, 0.21);
-    let serial = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || rotated.apply_gate(&gate))
-    });
-    let parallel = criterion::measure(warmup, samples, || rotated.apply_gate(&gate));
-    pair(
-        &mut records,
-        "single_qubit_gate",
-        n_qubits,
-        serial,
-        parallel,
-    );
-
-    // Symmetric ERI-tensor build with a synthetic integrand standing in
-    // for the primitive-quartet contraction.
-    let nb = if smoke { 8 } else { 10 };
-    let integrand = |p: usize, q: usize, r: usize, s: usize| {
-        let mut acc = 0.0f64;
-        for k in 0..200 {
-            acc += ((p + 1) * (q + 2) * (r + 3) * (s + 4)) as f64 / ((k + 1) as f64 * 7.3).sqrt();
-        }
-        acc
-    };
-    let serial = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || EriTensor::from_fn_symmetric(nb, integrand))
-    });
-    let parallel = criterion::measure(warmup, samples, || {
-        EriTensor::from_fn_symmetric(nb, integrand)
-    });
-    pair(&mut records, "eri_build", nb, serial, parallel);
-
-    // Fabrication-yield Monte Carlo on the 17-qubit X-Tree.
-    let topo = Topology::xtree(17);
-    let model = CollisionModel::default();
-    let serial = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || simulate_yield(&topo, &model, 0.04, yield_samples, 17))
-    });
-    let parallel = criterion::measure(warmup, samples, || {
-        simulate_yield(&topo, &model, 0.04, yield_samples, 17)
-    });
-    pair(&mut records, "yield_xtree17", 17, serial, parallel);
-
-    // Finite-difference gradient of the H2 VQE energy.
-    let system = Benchmark::H2
-        .build(Benchmark::H2.equilibrium_bond_length())
-        .map_err(PcdError::from)?;
-    let ir = UccsdAnsatz::for_system(&system).into_ir();
-    let params = vec![0.05; ir.num_parameters()];
-    let energy = |x: &[f64]| vqe::energy(system.qubit_hamiltonian(), &ir, x);
-    let serial = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || vqe::fd_gradient(energy, &params, 1e-6))
-    });
-    let parallel = criterion::measure(warmup, samples, || vqe::fd_gradient(energy, &params, 1e-6));
-    pair(
-        &mut records,
-        "fd_gradient_h2",
-        system.num_qubits(),
-        serial,
-        parallel,
-    );
-
-    let meta = bench_meta_json(threads);
-    let clusters_json = format!(
-        "{{\"clusters\": {}, \"terms\": {}, \"largest\": {}, \"singletons\": {}, \
-         \"fused\": {}, \"clifford_ops\": {}, \"clifford_depth\": {}}}",
-        cluster_stats.clusters,
-        cluster_stats.terms,
-        cluster_stats.largest,
-        cluster_stats.singletons,
-        cluster_stats.fused,
-        cluster_stats.clifford_ops,
-        cluster_stats.clifford_depth,
-    );
-    write_bench_json(&out_path, &records, &meta, Some(&clusters_json))?;
-    let snapshot = obs::snapshot();
-    for counter in ["par.tasks", "par.threads"] {
-        println!(
-            "obs {:<24}: {}",
-            counter,
-            snapshot.counters.get(counter).copied().unwrap_or(0)
-        );
-    }
-    println!("report written to {out_path}");
-
-    if let Some(baseline_path) = flags.get("baseline") {
-        let tolerance = flags.get_f64("tolerance", BENCH_TOLERANCE * 100.0)? / 100.0;
-        if tolerance.is_nan() || tolerance <= 0.0 {
-            return Err(CliError::Usage("--tolerance must be positive".to_string()));
-        }
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("reading baseline {baseline_path}: {e}"))?;
-        let baseline = parse_bench_medians(&text)
-            .map_err(|e| format!("parsing baseline {baseline_path}: {e}"))?;
-        let regressions = bench_regressions(&baseline, &records, tolerance);
-        if !regressions.is_empty() {
-            return Err(CliError::BenchRegression(regressions));
-        }
-        println!(
-            "baseline check: no benchmark more than {:.0}% slower than {baseline_path}",
-            tolerance * 100.0
-        );
-    }
-
-    if let Some(history_path) = flags.get("history") {
-        let window = flags.get_usize("window", 8)?;
-        if window < 2 {
-            return Err(CliError::Usage("--window must be at least 2".to_string()));
-        }
-        let drift_tolerance = flags.get_f64("drift-tolerance", 25.0)? / 100.0;
-        if drift_tolerance.is_nan() || drift_tolerance <= 0.0 {
-            return Err(CliError::Usage(
-                "--drift-tolerance must be positive".to_string(),
-            ));
-        }
-        let mut reports = match std::fs::read_to_string(history_path) {
-            Ok(text) => {
-                parse_bench_history(&text).map_err(|e| format!("history {history_path}: {e}"))?
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(format!("reading history {history_path}: {e}").into()),
-        };
-        reports.push(
-            records
-                .iter()
-                .map(|r| (r.name.clone(), r.median_ns))
-                .collect(),
-        );
-        let excess = reports.len().saturating_sub(window);
-        reports.drain(..excess);
-        write_bench_history(history_path, &reports, &meta)?;
-        let drifts = bench_drift(&reports, drift_tolerance);
-        if !drifts.is_empty() {
-            return Err(CliError::BenchRegression(drifts));
-        }
-        println!(
-            "history check: no cumulative creep beyond {:.0}% across {} report(s) in {history_path}",
-            drift_tolerance * 100.0,
-            reports.len()
-        );
-    }
-    Ok(())
-}
-
-/// Per-call budget (ns) for the disabled-tracing fast path.
-const OBS_OVERHEAD_BUDGET_NS: f64 = 2000.0;
-
-/// `pcd bench --obs-overhead`: measures span/event/counter/histogram calls
-/// with tracing *disabled* — the state every always-on hook (flight ring
-/// included) runs in during production batches — and fails with exit 21
-/// if any op's per-call cost exceeds the budget.
-fn cmd_obs_overhead(flags: &Flags) -> Result<(), CliError> {
-    let budget_ns = flags.get_f64("budget-ns", OBS_OVERHEAD_BUDGET_NS)?;
-    if budget_ns.is_nan() || budget_ns <= 0.0 {
-        return Err(CliError::Usage("--budget-ns must be positive".to_string()));
-    }
-    // Each op is far below the vendored harness's ~10µs floor, so batch
-    // calls per sample and divide.
-    const CALLS: usize = 10_000;
-    let (warmup, samples) = (3, 15);
-    obs::reset();
-    obs::disable();
-
-    println!(
-        "pcd bench --obs-overhead — disabled-tracing fast path, \
-         {CALLS} calls/sample, budget {budget_ns:.0} ns/call"
-    );
-    println!("{:<28} {:>12}", "op", "ns/call");
-    let mut over: Vec<String> = Vec::new();
-    let mut check = |name: &str, m: criterion::Measurement| {
-        let per_call = m.median_ns as f64 / CALLS as f64;
-        println!("{name:<28} {per_call:>12.1}");
-        if per_call > budget_ns {
-            over.push(format!(
-                "{name}: {per_call:.1} ns/call exceeds the {budget_ns:.0} ns budget"
-            ));
-        }
-    };
-
-    let m = criterion::measure(warmup, samples, || {
-        for i in 0..CALLS {
-            let span = obs::span("bench.overhead.span");
-            std::hint::black_box(i);
-            drop(span);
-        }
-    });
-    check("span open+drop", m);
-
-    let m = criterion::measure(warmup, samples, || {
-        for i in 0..CALLS {
-            obs::event!("bench.overhead.event");
-            std::hint::black_box(i);
-        }
-    });
-    check("event", m);
-
-    let m = criterion::measure(warmup, samples, || {
-        for i in 0..CALLS {
-            obs::counter_add("bench.overhead.counter", 1);
-            std::hint::black_box(i);
-        }
-    });
-    check("counter_add", m);
-
-    let m = criterion::measure(warmup, samples, || {
-        for i in 0..CALLS {
-            obs::histogram_record("bench.overhead.hist", i as f64);
-            std::hint::black_box(i);
-        }
-    });
-    check("histogram_record", m);
-
-    if !over.is_empty() {
-        return Err(CliError::BenchRegression(over));
-    }
-    println!("obs overhead within budget");
-    Ok(())
-}
-
-/// Files worth scanning when a `pcd report` input is a directory.
-fn report_dir_entries(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-    let Ok(read) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut paths: Vec<_> = read
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            if !p.is_file() {
-                return false;
-            }
-            if matches!(
-                p.extension().and_then(|e| e.to_str()),
-                Some("jsonl" | "json" | "manifest")
-            ) {
-                return true;
-            }
-            // Transport forensics: partial shard manifests sealed by
-            // degraded workers, and artifacts the serve cache set aside
-            // as corrupt.
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            name.ends_with(".manifest.partial") || name.ends_with(".quarantined")
-        })
-        .collect();
-    paths.sort();
-    paths
-}
-
-fn cmd_report(flags: &Flags) -> Result<(), CliError> {
-    use pauli_codesign::report::{classify_named, ReportBuilder};
-
-    if flags.positional.is_empty() {
-        return Err(CliError::Usage(
-            "report needs at least one trace/flight/manifest/bench file or directory".to_string(),
-        ));
-    }
-    let drift_tolerance = flags.get_f64("drift-tolerance", BENCH_TOLERANCE * 100.0)? / 100.0;
-    if drift_tolerance.is_nan() || drift_tolerance <= 0.0 {
-        return Err(CliError::Usage(
-            "--drift-tolerance must be positive".to_string(),
-        ));
-    }
-
-    let mut paths: Vec<std::path::PathBuf> = Vec::new();
-    for arg in &flags.positional {
-        let path = std::path::PathBuf::from(arg);
-        if path.is_dir() {
-            paths.extend(report_dir_entries(&path));
-        } else {
-            paths.push(path);
-        }
-    }
-
-    // Post-mortem tooling must not die on the evidence: unreadable or
-    // corrupt inputs become warnings in the report, and the exit stays 0.
-    let mut builder = ReportBuilder::new();
-    for path in &paths {
-        let display = path.display().to_string();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        // Bytes, not a string: quarantined artifacts are often exactly
-        // the files that stopped being valid UTF-8.
-        match std::fs::read(path) {
-            Ok(bytes) => match classify_named(name, &bytes) {
-                Ok(artifact) => builder.add(&display, artifact),
-                Err(e) => builder.add_warning(&display, e),
-            },
-            Err(e) => builder.add_warning(&display, e.to_string()),
-        }
-    }
-
-    let baseline_path = flags.get("baseline").unwrap_or("BENCH_pipeline.json");
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => {
-            parse_bench_medians(&text).map_err(|e| format!("baseline {baseline_path}: {e}"))?
-        }
-        // No baseline on disk simply skips the drift section (the
-        // default path is a convenience, not a requirement).
-        Err(_) => std::collections::BTreeMap::new(),
-    };
-
-    let report = builder.finish(&baseline, drift_tolerance);
-    print!("{}", report.render());
-    if let Some(out) = flags.get("out") {
-        let json = format!("{}\n", report.to_json());
-        obs::atomic_write(out, json.as_bytes()).map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("report JSON written to {out}");
-    }
-    // --strict turns degraded evidence into a failure: CI gates on it so
-    // corrupt or missing artifacts cannot pass silently.
-    if flags.is_set("strict") && !report.warnings.is_empty() {
-        return Err(CliError::ReportStrict {
-            warnings: report.warnings.len(),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pauli_codesign::resilience::FaultKind;
+    use pauli_codesign::supervisor::{JobState, SupervisorConfig};
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
 
     fn flags(args: &[&str]) -> Flags {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        parse_flags(&argv(args)).unwrap()
+    }
+
+    fn readme() -> String {
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+            .expect("README.md readable")
     }
 
     #[test]
@@ -2569,9 +776,9 @@ mod tests {
 
     #[test]
     fn arch_lookup() {
-        assert_eq!(parse_arch("xtree17").unwrap().num_qubits(), 17);
-        assert_eq!(parse_arch("grid17").unwrap().num_edges(), 24);
-        assert!(parse_arch("torus").is_err());
+        assert_eq!(science::parse_arch("xtree17").unwrap().num_qubits(), 17);
+        assert_eq!(science::parse_arch("grid17").unwrap().num_edges(), 24);
+        assert!(science::parse_arch("torus").is_err());
     }
 
     #[test]
@@ -2600,10 +807,11 @@ mod tests {
     #[test]
     fn shards_without_a_coordinator_are_a_usage_error() {
         for args in [
-            &["jobs.jsonl", "--shards", "2"][..],
-            &["jobs.jsonl", "--shard-id", "0"],
-            &["jobs.jsonl", "--shards", "2", "--shard-id", "1"],
+            &["batch", "jobs.jsonl", "--shards", "2"][..],
+            &["batch", "jobs.jsonl", "--shard-id", "0"],
+            &["batch", "jobs.jsonl", "--shards", "2", "--shard-id", "1"],
             &[
+                "batch",
                 "jobs.jsonl",
                 "--listen",
                 "127.0.0.1:0",
@@ -2612,11 +820,12 @@ mod tests {
                 "--shard-id",
                 "0",
             ],
-            &["--connect", "127.0.0.1:1", "--shards", "2"],
+            &["batch", "--connect", "127.0.0.1:1", "--shards", "2"],
         ] {
-            let err = cmd_batch(&flags(args)).unwrap_err();
+            let err = run(&argv(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
             assert_eq!(err.exit_code(), 1);
+            assert!(err.to_string().contains("--shards needs --listen"), "{err}");
         }
     }
 
@@ -2630,7 +839,7 @@ mod tests {
             "ckpt",
             "--resume",
         ];
-        let err = cmd_batch(&flags(&args)).unwrap_err();
+        let err = batch::cmd_batch(&flags(&args)).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
         assert_eq!(err.exit_code(), 1);
         assert!(
@@ -2650,13 +859,38 @@ mod tests {
                 &["qasm", "H2"],
                 &["chaos", "--campaign", "kill-resume", "H2"],
             ] {
-                let mut args: Vec<String> = command.iter().map(|s| s.to_string()).collect();
+                let mut args = argv(command);
                 args.extend(["--ratio".to_string(), ratio.to_string()]);
                 let err = run(&args).unwrap_err();
                 assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
                 assert_eq!(err.exit_code(), 1, "{args:?}");
             }
         }
+    }
+
+    /// Numeric flags fail as usage errors naming the flag, never as a
+    /// panic, a silent one-row scan, or an endless one.
+    #[test]
+    fn numeric_flags_out_of_domain_are_usage_errors() {
+        for args in [
+            &["batch", "J", "--deadline", "-1"][..],
+            &["batch", "J", "--deadline", "nan"],
+            &["batch", "J", "--job-timeout", "inf"],
+            &["run", "H2", "--deadline", "inf"],
+            &["run", "H2", "--deadline", "1e300"],
+            &["yield", "--sigma", "nan"],
+            &["yield", "--sigma", "-0.1"],
+            &["scan", "H2", "--step", "nan"],
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 1, "{args:?}");
+            let flag = args[args.len() - 2];
+            assert!(err.to_string().contains(flag), "{args:?}: {err}");
+        }
+        // `pcd scan H2 --to inf` would scan forever; the flag is refused.
+        let err = flags(&["H2", "--to", "inf"]).get_f64("to", 1.0);
+        assert!(err.unwrap_err().contains("--to"));
     }
 
     #[test]
@@ -2701,18 +935,74 @@ mod tests {
             (&["yield", "--ratio", "0.5"], "--ratio"),
             (&["report", ".", "--strictt"], "--strictt"),
         ] {
-            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            let err = run(&argv).unwrap_err();
+            let err = run(&argv(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
             assert_eq!(err.exit_code(), 1, "{args:?}");
             assert!(err.to_string().contains(names), "{args:?}: {err}");
         }
     }
 
+    /// `pcd help` shows every command form and campaign; `check_flags`
+    /// accepts each flag a row names and rejects another row's; and the
+    /// flags that take no value are those written without a metavar.
+    #[test]
+    fn usage_and_check_flags_follow_the_table() {
+        let words = |s: &str| s.split_whitespace().collect::<Vec<_>>().join(" ");
+        let help = words(&usage());
+        let every: Vec<&str> = all_synopses()
+            .flat_map(synopsis_flags)
+            .map(|f| f.0)
+            .collect();
+        for command in &COMMANDS {
+            let chaos = command.name == "chaos";
+            let campaigns = chaos::CAMPAIGNS.iter().map(Some).filter(|_| chaos);
+            for campaign in campaigns.chain((!chaos).then_some(None)) {
+                let forms = COMMANDS.iter().filter(|c| c.name == command.name);
+                let forms = forms.map(|c| format!("{} {}", c.name, c.synopsis));
+                let rows: Vec<String> = forms
+                    .chain(campaign.map(|c| format!("{} {}", c.kind, c.synopsis)))
+                    .collect();
+                let mut reads = vec!["trace", "metrics"];
+                for row in &rows {
+                    assert!(help.contains(&words(row)), "help lacks `{row}`");
+                    reads.extend(synopsis_flags(row).iter().map(|f| f.0));
+                }
+                let bind = |key: &str| {
+                    let mut f = flags(&[]);
+                    f.options.push((key.to_string(), "1".to_string()));
+                    f.options
+                        .extend(campaign.map(|c| ("campaign".into(), c.kind.into())));
+                    check_flags(command, &mut f)
+                };
+                for key in &reads {
+                    assert!(bind(key).is_ok(), "{rows:?} rejects --{key}");
+                }
+                let stranger = every.iter().find(|key| !reads.contains(key)).unwrap();
+                let err = bind(stranger).unwrap_err().to_string();
+                assert!(
+                    err.contains(&format!("does not read --{stranger}")),
+                    "{err}"
+                );
+            }
+        }
+        let booleans: std::collections::BTreeSet<&str> = all_synopses()
+            .flat_map(synopsis_flags)
+            .filter_map(|(name, metavar)| metavar.is_none().then_some(name))
+            .collect();
+        let valueless = "metrics no-rescue obs-overhead progress resume smoke strict";
+        assert_eq!(booleans, valueless.split(' ').collect());
+        // `pcd run` states the library's yield degradation threshold.
+        let mut f = flags(&[]);
+        check_flags(&COMMANDS[2], &mut f).unwrap();
+        let threshold = pauli_codesign::resilience::stages::DEGRADE_THRESHOLD;
+        assert_eq!(f.number("degrade-threshold"), Ok(threshold));
+    }
+
     #[test]
     fn resume_without_checkpoint_dir_is_a_usage_error() {
-        let r = cmd_run(&flags(&["H2", "--resume"]));
-        assert!(matches!(r, Err(CliError::Usage(_))));
+        let err = run(&argv(&["run", "H2", "--resume"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("--checkpoint"), "{err}");
     }
 
     #[test]
@@ -2721,7 +1011,7 @@ mod tests {
         // quarantines that bond with the same error); the ladder converges
         // the bonds on either side.
         let mut rows = Vec::new();
-        let first_failure = scan(Benchmark::H2O, 0.5, (1.8, 2.1, 0.1), |row| {
+        let first_failure = science::scan(Benchmark::H2O, 0.5, (1.8, 2.1, 0.1), |row| {
             rows.push(row.to_string())
         });
         assert_eq!(rows.len(), 5, "{rows:#?}");
@@ -2781,8 +1071,7 @@ mod tests {
             &["run", "H2", "--expectation", "terms"],
             &["run", "H2", "--expectation"],
         ] {
-            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            let err = run(&argv).unwrap_err();
+            let err = run(&argv(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
             assert_eq!(err.exit_code(), 1, "{args:?}");
             assert!(
@@ -2794,30 +1083,17 @@ mod tests {
 
     #[test]
     fn bench_gate_flags_synthetic_slowdown_over_tolerance() {
+        use bench::{bench_regressions, record};
+        use pauli_codesign::report::parse_bench_medians;
         let baseline = parse_bench_medians(
             r#"{"expectation_serial": {"median_ns": 1000, "threads": 1, "n_qubits": 12},
                 "eri_build_parallel": {"median_ns": 500, "threads": 4, "n_qubits": 8}}"#,
         )
         .unwrap();
         let records = vec![
-            BenchRecord {
-                name: "expectation_serial".to_string(),
-                median_ns: 1200, // +20%: over the 10% tolerance
-                threads: 1,
-                n_qubits: 12,
-            },
-            BenchRecord {
-                name: "eri_build_parallel".to_string(),
-                median_ns: 540, // +8%: within tolerance
-                threads: 4,
-                n_qubits: 8,
-            },
-            BenchRecord {
-                name: "brand_new_bench".to_string(), // absent from baseline
-                median_ns: 9999,
-                threads: 1,
-                n_qubits: 2,
-            },
+            record("expectation_serial", 1200, 1, 12), // +20%: over the 10% tolerance
+            record("eri_build_parallel", 540, 4, 8),   // +8%: within tolerance
+            record("brand_new_bench", 9999, 1, 2),     // absent from baseline
         ];
         let regressions = bench_regressions(&baseline, &records, 0.10);
         assert_eq!(regressions.len(), 1, "{regressions:?}");
@@ -2828,19 +1104,18 @@ mod tests {
 
     #[test]
     fn bench_gate_passes_when_faster_or_equal() {
-        let baseline =
-            parse_bench_medians(r#"{"yield_xtree17_serial": {"median_ns": 1000}}"#).unwrap();
-        let records = vec![BenchRecord {
-            name: "yield_xtree17_serial".to_string(),
-            median_ns: 900,
-            threads: 1,
-            n_qubits: 17,
-        }];
+        use bench::{bench_regressions, record};
+        let baseline = pauli_codesign::report::parse_bench_medians(
+            r#"{"yield_xtree17_serial": {"median_ns": 1000}}"#,
+        )
+        .unwrap();
+        let records = vec![record("yield_xtree17_serial", 900, 1, 17)];
         assert!(bench_regressions(&baseline, &records, 0.10).is_empty());
     }
 
     #[test]
     fn bench_drift_skips_rows_the_oldest_report_lacks() {
+        use bench::{bench_drift, parse_bench_history};
         // A history written before `ao_integrals` existed: the new rows
         // are compared from the first report that carries them on.
         let mut window = parse_bench_history(
@@ -2874,9 +1149,7 @@ mod tests {
     /// documenting it fails here, not in a reader's mental model.
     #[test]
     fn readme_documents_every_fault_site() {
-        let readme =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
-                .expect("README.md readable");
+        let readme = readme();
         for kind in FaultKind::ALL {
             assert!(
                 readme.contains(&format!("`{}`", kind.site())),
@@ -2890,9 +1163,7 @@ mod tests {
     /// code the CLI can return.
     #[test]
     fn readme_exit_code_table_is_complete() {
-        let readme =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
-                .expect("README.md readable");
+        let readme = readme();
         let documented: Vec<u32> = readme
             .lines()
             .filter(|line| line.starts_with("| "))
@@ -2911,21 +1182,20 @@ mod tests {
     /// usage error that names its removal.
     #[test]
     fn retired_flags_appear_in_no_usage_text_or_readme_command() {
-        let readme =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
-                .expect("README.md readable");
+        let readme = readme();
         let commands = readme
             .lines()
             .filter_map(|line| line.trim_start().strip_prefix("$ "));
-        let retired: Vec<String> = RETIRED_CHAOS_SELECTORS
+        let retired: Vec<String> = RETIRED_FLAGS
             .iter()
-            .map(|s| format!("--{s}"))
-            .chain(["--expectation".to_string()])
+            .map(|(_, flag)| format!("--{flag}"))
             .collect();
+        let help = usage();
         for (source, text) in
-            std::iter::once(("usage", USAGE)).chain(commands.map(|c| ("README", c)))
+            std::iter::once(("usage", help.as_str())).chain(commands.map(|c| ("README", c)))
         {
             for token in text.split_whitespace() {
+                let token = token.trim_matches(['[', ']']);
                 assert!(
                     !retired.iter().any(|r| r == token),
                     "{source} still advertises retired flag {token}: {text}"
@@ -2950,7 +1220,7 @@ mod tests {
         ] {
             std::fs::write(dir.join(name), b"x").expect("write fixture");
         }
-        let names: Vec<String> = report_dir_entries(&dir)
+        let names: Vec<String> = report::report_dir_entries(&dir)
             .into_iter()
             .filter_map(|p| p.file_name().map(|n| n.to_string_lossy().into_owned()))
             .collect();
