@@ -12,7 +12,7 @@ use pauli_codesign::sim::NoiseModel;
 use pauli_codesign::vqe::driver::{
     noisy_energy_density, run_vqe_noisy, NoisyEvaluator, VqeOptions,
 };
-use pauli_codesign::vqe::optimize::{OptimizeControls, OptimizerKind};
+use pauli_codesign::vqe::optimize::OptimizeControls;
 use pauli_codesign_bench::{build_system, full_sweep, scan_bonds, section, RATIOS};
 
 fn main() {
@@ -43,11 +43,9 @@ fn main() {
                     // 8+ qubits: the validated global approximation.
                     _ => NoisyEvaluator::GlobalDepolarizing(noise),
                 };
+                // The evaluator picks the optimizer: Nelder–Mead on the
+                // density matrix, L-BFGS on the global approximation.
                 let options = VqeOptions {
-                    optimizer: match evaluator {
-                        NoisyEvaluator::DensityMatrix(_) => OptimizerKind::NelderMead,
-                        NoisyEvaluator::GlobalDepolarizing(_) => OptimizerKind::Lbfgs,
-                    },
                     controls: OptimizeControls {
                         max_iterations: 600,
                         value_tolerance: 1e-8,

@@ -146,87 +146,17 @@ impl Default for ScfOptions {
     }
 }
 
-/// SCF loop state captured at an iteration boundary, sufficient to resume
-/// the run bit-identically.
-///
-/// The loop's only carried state is the Fock matrix about to be
-/// diagonalized, the DIIS histories, the last electronic energy, and the
-/// iteration index — the density is recomputed from the Fock matrix every
-/// iteration. Restoring these and re-entering the loop reproduces the
-/// uninterrupted trajectory exactly (every operation is deterministic).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScfCheckpoint {
-    /// The 1-based iteration the resumed loop executes next.
-    pub next_iteration: usize,
-    /// Electronic energy after the last completed iteration (0 before the
-    /// first).
-    pub energy: f64,
-    /// Energy change seen on the last completed iteration (NaN before the
-    /// first).
-    pub last_delta_e: f64,
-    /// The Fock matrix the next iteration will diagonalize.
-    pub fock: RealMatrix,
-    /// DIIS Fock history (empty when damping/level-shift bypass DIIS).
-    pub fock_history: Vec<RealMatrix>,
-    /// DIIS error history, parallel to `fock_history`.
-    pub error_history: Vec<RealMatrix>,
-}
-
-/// Outcome of a budget-aware SCF run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScfRun {
-    /// The loop converged to a solution.
-    Converged(ScfResult),
-    /// The budget expired first; resume later from the checkpoint.
-    Interrupted(Box<ScfCheckpoint>),
-}
-
 /// Runs restricted Hartree-Fock for `num_electrons` electrons.
 ///
 /// # Errors
 ///
-/// Returns [`ScfError`] for odd electron counts, too-small bases, or
-/// non-convergence.
+/// Returns [`ScfError`] for odd electron counts, too-small bases,
+/// non-convergence, a non-finite energy, or an ill-formed Fock matrix.
 pub fn restricted_hartree_fock(
     ints: &AoIntegrals,
     num_electrons: usize,
     options: ScfOptions,
 ) -> Result<ScfResult, ScfError> {
-    match restricted_hartree_fock_resumable(
-        ints,
-        num_electrons,
-        options,
-        None,
-        &par::Budget::unlimited(),
-    )? {
-        ScfRun::Converged(result) => Ok(result),
-        ScfRun::Interrupted(_) => unreachable!("unlimited budget cannot expire"),
-    }
-}
-
-/// Budget-aware, resumable restricted Hartree-Fock.
-///
-/// Polls `budget` once per SCF iteration; on expiry the loop stops at the
-/// iteration boundary and returns [`ScfRun::Interrupted`] with a
-/// [`ScfCheckpoint`]. Passing that checkpoint back as `resume` continues
-/// the run exactly where it stopped — an interrupted-then-resumed run
-/// converges to a bit-identical [`ScfResult`] (same energy, same MO
-/// coefficients) as an uninterrupted one, at any thread count.
-///
-/// `options` must be the same across segments; the iteration cap counts
-/// total iterations across all segments.
-///
-/// # Errors
-///
-/// Returns [`ScfError`] for odd electron counts, too-small bases,
-/// non-convergence, or a non-finite energy.
-pub fn restricted_hartree_fock_resumable(
-    ints: &AoIntegrals,
-    num_electrons: usize,
-    options: ScfOptions,
-    resume: Option<ScfCheckpoint>,
-    budget: &par::Budget,
-) -> Result<ScfRun, ScfError> {
     if !num_electrons.is_multiple_of(2) {
         return Err(ScfError::OddElectronCount(num_electrons));
     }
@@ -253,53 +183,23 @@ pub fn restricted_hartree_fock_resumable(
         })
     };
 
+    // The loop carries the Fock matrix about to be diagonalized, the DIIS
+    // histories and the last energy; the density is rebuilt every iteration.
     let h = &ints.core_hamiltonian;
-    let (
-        start_iteration,
-        mut fock,
-        mut energy,
-        mut last_delta_e,
-        mut fock_history,
-        mut error_history,
-    ) = match resume {
-        Some(ckpt) => {
-            scf_span.record("resumed_from", ckpt.next_iteration);
-            (
-                ckpt.next_iteration,
-                ckpt.fock,
-                ckpt.energy,
-                ckpt.last_delta_e,
-                ckpt.fock_history,
-                ckpt.error_history,
-            )
-        }
-        None => (1, h.clone(), 0.0, f64::NAN, Vec::new(), Vec::new()),
-    };
-    #[allow(unused_assignments)]
-    let mut density = RealMatrix::zeros(n, n);
+    let mut fock = h.clone();
+    let (mut energy, mut last_delta_e) = (0.0, f64::NAN);
+    let (mut fock_history, mut error_history) = (Vec::new(), Vec::new());
     // Damping/level-shift take precedence over DIIS: they are the stable,
     // slow ladder used on retries after divergence.
     let use_ladder = options.damping != 0.0 || options.level_shift != 0.0;
 
-    for it in start_iteration..=options.max_iter {
-        if !budget.tick() {
-            scf_span.record("interrupted_at", it);
-            obs::event!("chem.scf.interrupted", iteration = it);
-            return Ok(ScfRun::Interrupted(Box::new(ScfCheckpoint {
-                next_iteration: it,
-                energy,
-                last_delta_e,
-                fock,
-                fock_history,
-                error_history,
-            })));
-        }
+    for it in 1..=options.max_iter {
         // Orthogonalize, diagonalize, back-transform.
         let f_eig = diagonalize_fock(&x.mul(&fock).mul(&x), it)?;
         let c = x.mul(&f_eig.vectors);
 
         // Closed-shell density D = 2 C_occ C_occᵀ.
-        density = RealMatrix::from_fn(n, n, |mu, nu| {
+        let density = RealMatrix::from_fn(n, n, |mu, nu| {
             2.0 * (0..nocc).map(|i| c[(mu, i)] * c[(nu, i)]).sum::<f64>()
         });
 
@@ -363,14 +263,14 @@ pub fn restricted_hartree_fock_resumable(
             scf_span.record("electronic_energy", energy);
             scf_span.record("total_energy", energy + ints.nuclear_repulsion);
             obs::counter_add("chem.scf.iterations", it as u64);
-            return Ok(ScfRun::Converged(ScfResult {
+            return Ok(ScfResult {
                 total_energy: energy + ints.nuclear_repulsion,
                 electronic_energy: energy,
                 mo_coefficients: c,
                 orbital_energies: f_eig.values,
                 num_occupied: nocc,
                 iterations: it,
-            }));
+            });
         }
 
         fock = if use_ladder {
@@ -562,97 +462,6 @@ mod tests {
             restricted_hartree_fock(&ints, 3, ScfOptions::default()),
             Err(ScfError::OddElectronCount(3))
         ));
-    }
-
-    #[test]
-    fn interrupted_and_resumed_scf_is_bit_identical() {
-        let m = bent_xh2(Element::O, 0.96, 104.5);
-        let basis = build_basis(&m);
-        let ints = compute_ao_integrals(&m, &basis);
-        let uninterrupted =
-            restricted_hartree_fock(&ints, m.num_electrons(), ScfOptions::default()).unwrap();
-
-        for interrupt_after in [1u64, 3, 7] {
-            let budget = par::Budget::max_ticks(interrupt_after);
-            let first = restricted_hartree_fock_resumable(
-                &ints,
-                m.num_electrons(),
-                ScfOptions::default(),
-                None,
-                &budget,
-            )
-            .unwrap();
-            let ScfRun::Interrupted(ckpt) = first else {
-                panic!("tight budget must interrupt");
-            };
-            assert_eq!(ckpt.next_iteration as u64, interrupt_after + 1);
-            let resumed = restricted_hartree_fock_resumable(
-                &ints,
-                m.num_electrons(),
-                ScfOptions::default(),
-                Some(*ckpt),
-                &par::Budget::unlimited(),
-            )
-            .unwrap();
-            let ScfRun::Converged(result) = resumed else {
-                panic!("resumed run must converge");
-            };
-            // PartialEq compares every f64 exactly: energy, orbitals, MOs.
-            assert_eq!(result, uninterrupted, "after {interrupt_after} iters");
-        }
-    }
-
-    #[test]
-    fn scf_survives_many_tiny_resume_segments() {
-        let m = diatomic(Element::Li, Element::H, 1.60);
-        let basis = build_basis(&m);
-        let ints = compute_ao_integrals(&m, &basis);
-        let uninterrupted = restricted_hartree_fock(&ints, 4, ScfOptions::default()).unwrap();
-
-        let mut checkpoint: Option<ScfCheckpoint> = None;
-        let mut segments = 0usize;
-        let result = loop {
-            segments += 1;
-            assert!(segments < 300, "resume loop must terminate");
-            let budget = par::Budget::max_ticks(2);
-            match restricted_hartree_fock_resumable(
-                &ints,
-                4,
-                ScfOptions::default(),
-                checkpoint.take(),
-                &budget,
-            )
-            .unwrap()
-            {
-                ScfRun::Converged(r) => break r,
-                ScfRun::Interrupted(c) => checkpoint = Some(*c),
-            }
-        };
-        assert!(
-            segments > 1,
-            "2-iteration segments must interrupt at least once"
-        );
-        assert_eq!(result, uninterrupted);
-    }
-
-    #[test]
-    fn exhausted_budget_interrupts_before_the_first_iteration() {
-        let m = diatomic(Element::H, Element::H, 0.74);
-        let basis = build_basis(&m);
-        let ints = compute_ao_integrals(&m, &basis);
-        let run = restricted_hartree_fock_resumable(
-            &ints,
-            2,
-            ScfOptions::default(),
-            None,
-            &par::Budget::max_ticks(0),
-        )
-        .unwrap();
-        let ScfRun::Interrupted(ckpt) = run else {
-            panic!("zero budget must interrupt immediately");
-        };
-        assert_eq!(ckpt.next_iteration, 1);
-        assert!(ckpt.last_delta_e.is_nan());
     }
 
     #[test]

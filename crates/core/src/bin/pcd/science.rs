@@ -12,7 +12,7 @@ use pauli_codesign::par::Budget;
 use pauli_codesign::pauli::group_qubit_wise;
 use pauli_codesign::resilience::stages::{self, Checkpoints, CrossCheck};
 use pauli_codesign::resilience::{f64_to_hex, FaultPlan, PcdError};
-use pauli_codesign::vqe::driver::{VqeOptions, VqeResult};
+use pauli_codesign::vqe::driver::VqeResult;
 use pauli_codesign::vqe::SectorAnsatz;
 
 use crate::{CliError, Flags};
@@ -86,7 +86,7 @@ fn vqe_point(
     let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
     let (ir, report) = stages::ansatz(&system, ratio);
     let unlimited = Budget::unlimited();
-    let run = stages::vqe(&system, &ir, VqeOptions::default(), &unlimited, None)?;
+    let run = stages::vqe(&system, &ir, &unlimited, None)?;
     Ok((run, stages::reference(&system), report))
 }
 
@@ -150,7 +150,7 @@ pub(crate) fn cmd_run(flags: &Flags) -> Result<(), CliError> {
     let root = stages::root();
     let (system, scf_retries) = stages::build(molecule, bond, &mut FaultPlan::none())?;
     let (ir, report) = stages::ansatz(&system, ratio);
-    let result = stages::vqe(&system, &ir, VqeOptions::default(), &budget, store.as_ref())?;
+    let result = stages::vqe(&system, &ir, &budget, store.as_ref())?;
     let estimate = stages::yield_mc(base_samples, threshold, &budget, store.as_ref())?;
     // The run completed: stale stage checkpoints must not leak into the
     // next invocation.

@@ -63,7 +63,7 @@ use compiler::pipeline::CompiledProgram;
 use par::Budget;
 use resilience::{stages, FaultPlan, PcdError};
 use sim::NoiseModel;
-use vqe::driver::{NoisyEvaluator, VqeOptions, VqeResult};
+use vqe::driver::{NoisyEvaluator, VqeResult};
 
 /// The end-to-end co-design pipeline: chemistry → compressed ansatz →
 /// VQE → X-Tree compilation, with the paper's default configuration.
@@ -75,7 +75,6 @@ pub struct CoDesignPipeline {
     bond_length: Option<f64>,
     compression_ratio: f64,
     topology: Option<Topology>,
-    vqe_options: VqeOptions,
     noise: Option<NoiseModel>,
 }
 
@@ -87,7 +86,6 @@ impl CoDesignPipeline {
             bond_length: None,
             compression_ratio: 0.5,
             topology: None,
-            vqe_options: VqeOptions::default(),
             noise: None,
         }
     }
@@ -116,12 +114,6 @@ impl CoDesignPipeline {
     /// Sets the target topology (default: the X-Tree sized to fit).
     pub fn topology(&mut self, topology: Topology) -> &mut Self {
         self.topology = Some(topology);
-        self
-    }
-
-    /// Overrides the VQE options.
-    pub fn vqe_options(&mut self, options: VqeOptions) -> &mut Self {
-        self.vqe_options = options;
         self
     }
 
@@ -155,13 +147,10 @@ impl CoDesignPipeline {
 
         let (ir, compression) = stages::ansatz(&system, self.compression_ratio);
         let vqe_result = match self.noise {
-            None => stages::vqe(&system, &ir, self.vqe_options, &Budget::unlimited(), None)?,
-            Some(noise) => stages::vqe_noisy(
-                &system,
-                &ir,
-                NoisyEvaluator::GlobalDepolarizing(noise),
-                self.vqe_options,
-            )?,
+            None => stages::vqe(&system, &ir, &Budget::unlimited(), None)?,
+            Some(noise) => {
+                stages::vqe_noisy(&system, &ir, NoisyEvaluator::GlobalDepolarizing(noise))?
+            }
         };
         let measurement_groups = stages::measure(&system);
         let exact_energy = stages::reference(&system);

@@ -1,7 +1,7 @@
 //! Cooperative execution budgets: wall-clock deadlines and iteration caps.
 //!
-//! Long-running stages (SCF iterations, VQE optimizer steps, Monte-Carlo
-//! chunk waves) poll a shared [`Budget`] at their natural loop boundaries.
+//! Long-running stages (L-BFGS VQE iterations, Monte-Carlo chunk waves)
+//! poll a shared [`Budget`] at their natural loop boundaries.
 //! When the budget expires the stage stops *cooperatively*: it snapshots its
 //! loop state and returns an `Interrupted` outcome instead of panicking or
 //! being killed mid-write. Two independent limits compose:
@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 /// A cooperative wall-clock + iteration budget.
 ///
-/// `tick()` is called once per unit of work (one SCF iteration, one
-/// optimizer step, one Monte-Carlo chunk wave). The budget expires when
+/// `tick()` is called once per unit of work (one L-BFGS iteration, one
+/// Monte-Carlo chunk wave). The budget expires when
 /// either the deadline passes or the tick cap is exhausted; expiry is
 /// sticky — once expired, a budget stays expired.
 #[derive(Debug)]

@@ -25,7 +25,6 @@ use std::path::{Path, PathBuf};
 
 use chem::Benchmark;
 use par::Budget;
-use vqe::driver::VqeOptions;
 
 use crate::checkpoint::f64_to_hex;
 use crate::fault::{FaultKind, FaultPlan};
@@ -391,10 +390,10 @@ fn kill_resume_in(dir: &Path, options: &KillResumeOptions) -> Result<CampaignRep
     // the on-disk checkpoint file.
     let (system, _) = stages::build(options.benchmark, bond, &mut FaultPlan::none())?;
     let (ir, _) = stages::ansatz(&system, options.ratio);
-    let (vqe_options, unlimited) = (VqeOptions::default(), Budget::unlimited());
-    let baseline = stages::vqe(&system, &ir, vqe_options, &unlimited, None)?;
+    let unlimited = Budget::unlimited();
+    let baseline = stages::vqe(&system, &ir, &unlimited, None)?;
     let (resumed, kills) = through_kills(dir, options.kill_every, |budget, store| {
-        stages::vqe(&system, &ir, vqe_options, budget, Some(store))
+        stages::vqe(&system, &ir, budget, Some(store))
     })?;
     let mut vqe = Trial::phase(0, "vqe", 0);
     vqe.add("vqe kills", kills);

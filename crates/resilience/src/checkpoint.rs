@@ -3,7 +3,7 @@
 //! A checkpoint is a small JSONL file:
 //!
 //! ```text
-//! {"kind":"scf","lines":3,"magic":"pcd-ckpt","version":2}   ← header
+//! {"job":"vqe-…","kind":"vqe","lines":1,"magic":"pcd-ckpt","version":2}  ← header
 //! {...}                                                      ← payload ×N
 //! {"crc32":3735928559}                                       ← trailer
 //! ```
@@ -24,9 +24,11 @@
 //! schema never invalidates checkpoints already on disk. Version history:
 //!
 //! - **1** — header is `magic`/`version`/`kind`/`lines`.
-//! - **2** — adds the optional `job` header field: the batch-supervisor
-//!   job id a per-job checkpoint or manifest belongs to. v1 files migrate
-//!   by defaulting `job` to absent; payloads are unchanged.
+//! - **2** — adds the optional `job` header field: the run a file belongs
+//!   to — the batch-supervisor job id of a per-job checkpoint or manifest,
+//!   or the input key of a `vqe.ckpt`/`vqe.done` stage file
+//!   ([`stages::vqe_key`](crate::stages::vqe_key)). v1 files migrate by
+//!   defaulting `job` to absent; payloads are unchanged.
 //!
 //! Floating-point payload fields are encoded as 16-digit hex of their IEEE
 //! bit pattern ([`f64_to_hex`]), so a round-trip is bit-exact and resumed
@@ -90,6 +92,16 @@ pub enum CheckpointError {
     /// The payload is structurally invalid (bad JSON, wrong field types,
     /// wrong line count).
     Malformed(String),
+    /// A stage file was saved by a run with other inputs (another
+    /// molecule, bond length or ansatz), or carries no input key.
+    InputsMismatch {
+        /// The refused file.
+        path: String,
+        /// Input key of the resuming run.
+        expected: String,
+        /// Input key the file carries, if any.
+        found: Option<String>,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -115,6 +127,16 @@ impl fmt::Display for CheckpointError {
                 "checkpoint holds `{found}` state but `{expected}` was requested"
             ),
             CheckpointError::Malformed(msg) => write!(f, "malformed checkpoint payload: {msg}"),
+            CheckpointError::InputsMismatch {
+                path,
+                expected,
+                found,
+            } => write!(
+                f,
+                "{path} was saved for other inputs (key {}, this run {expected}); \
+                 resume with the inputs that wrote it or remove the file",
+                found.as_deref().unwrap_or("none")
+            ),
         }
     }
 }
@@ -152,11 +174,11 @@ pub fn f64_from_hex(s: &str) -> Result<f64, CheckpointError> {
 /// A parsed (or to-be-written) checkpoint: a kind tag plus payload records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Which stage's state this is (`"scf"`, `"vqe"`, `"yield"`, ...).
+    /// Which stage's state this is (`"vqe"`, `"yield"`, ...).
     pub kind: String,
-    /// Batch-supervisor job id this checkpoint belongs to, when it was
-    /// written as part of a supervised batch (format v2+; `None` for
-    /// standalone runs and for migrated v1 files).
+    /// The run this checkpoint belongs to (format v2+): the batch job id of
+    /// a supervised job's file, the input key of a VQE stage file, `None`
+    /// otherwise and for migrated v1 files.
     pub job: Option<String>,
     /// One JSON record per payload line.
     pub payload: Vec<JsonValue>,
@@ -207,8 +229,8 @@ impl Checkpoint {
         }
     }
 
-    /// Tags the checkpoint with the batch job id it belongs to (written
-    /// into the v2 header).
+    /// Tags the checkpoint with the run it belongs to (written into the v2
+    /// header's `job` field).
     pub fn with_job(mut self, job: impl Into<String>) -> Self {
         self.job = Some(job.into());
         self

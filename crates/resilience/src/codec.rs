@@ -10,17 +10,13 @@
 use std::collections::BTreeMap;
 
 use arch::YieldCheckpoint;
-use chem::scf::ScfCheckpoint;
-use numeric::RealMatrix;
 use obs::json::JsonValue;
 use vqe::driver::{VqeCheckpoint, VqeResult};
-use vqe::optimize::{LbfgsState, NelderMeadState, OptimizerState, SpsaState};
+use vqe::optimize::LbfgsState;
 
 use crate::checkpoint::{f64_from_hex, f64_to_hex, Checkpoint, CheckpointError};
 
-/// Checkpoint kind tag for SCF state.
-pub const KIND_SCF: &str = "scf";
-/// Checkpoint kind tag for VQE optimizer state.
+/// Checkpoint kind tag for VQE optimizer (L-BFGS) state.
 pub const KIND_VQE: &str = "vqe";
 /// Checkpoint kind tag for yield Monte-Carlo tallies.
 pub const KIND_YIELD: &str = "yield";
@@ -51,14 +47,6 @@ fn floats(vs: &[f64]) -> JsonValue {
 
 fn nested(vs: &[Vec<f64>]) -> JsonValue {
     JsonValue::Array(vs.iter().map(|v| floats(v)).collect())
-}
-
-fn matrix(m: &RealMatrix) -> JsonValue {
-    obj(vec![
-        ("rows", num(m.rows())),
-        ("cols", num(m.cols())),
-        ("data", floats(m.as_slice())),
-    ])
 }
 
 fn get<'a>(record: &'a JsonValue, field: &str) -> Result<&'a JsonValue, CheckpointError> {
@@ -127,105 +115,21 @@ fn get_nested(record: &JsonValue, field: &str) -> Result<Vec<Vec<f64>>, Checkpoi
     }
 }
 
-fn get_matrix(record: &JsonValue) -> Result<RealMatrix, CheckpointError> {
-    let rows = get_usize(record, "rows")?;
-    let cols = get_usize(record, "cols")?;
-    let data = get_floats(record, "data")?;
-    if data.len() != rows * cols {
-        return Err(CheckpointError::Malformed(format!(
-            "matrix declares {rows}×{cols} but carries {} entries",
-            data.len()
-        )));
-    }
-    Ok(RealMatrix::from_vec(rows, cols, data))
-}
-
-/// Encodes SCF loop state as a `"scf"` checkpoint.
-pub fn encode_scf(state: &ScfCheckpoint) -> Checkpoint {
-    let mut payload = vec![obj(vec![
-        ("next_iteration", num(state.next_iteration)),
-        ("energy", hex(state.energy)),
-        ("last_delta_e", hex(state.last_delta_e)),
-        ("history_len", num(state.fock_history.len())),
-    ])];
-    payload.push(matrix(&state.fock));
-    payload.extend(state.fock_history.iter().map(matrix));
-    payload.extend(state.error_history.iter().map(matrix));
-    Checkpoint::new(KIND_SCF, payload)
-}
-
-/// Decodes a `"scf"` checkpoint back to SCF loop state.
-///
-/// # Errors
-///
-/// [`CheckpointError::KindMismatch`] or [`CheckpointError::Malformed`].
-pub fn decode_scf(ck: &Checkpoint) -> Result<ScfCheckpoint, CheckpointError> {
-    ck.expect_kind(KIND_SCF)?;
-    let head = ck
-        .payload
-        .first()
-        .ok_or_else(|| CheckpointError::Malformed("empty scf payload".to_string()))?;
-    let history_len = get_usize(head, "history_len")?;
-    let expected_lines = 2 + 2 * history_len;
-    if ck.payload.len() != expected_lines {
-        return Err(CheckpointError::Malformed(format!(
-            "scf checkpoint with history {history_len} needs {expected_lines} lines, found {}",
-            ck.payload.len()
-        )));
-    }
-    let fock = get_matrix(&ck.payload[1])?;
-    let fock_history = ck.payload[2..2 + history_len]
-        .iter()
-        .map(get_matrix)
-        .collect::<Result<Vec<_>, _>>()?;
-    let error_history = ck.payload[2 + history_len..]
-        .iter()
-        .map(get_matrix)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ScfCheckpoint {
-        next_iteration: get_usize(head, "next_iteration")?,
-        energy: get_f64(head, "energy")?,
-        last_delta_e: get_f64(head, "last_delta_e")?,
-        fock,
-        fock_history,
-        error_history,
-    })
-}
-
-/// Encodes VQE optimizer state as a `"vqe"` checkpoint.
+/// Encodes VQE optimizer state as a `"vqe"` checkpoint. The record keeps
+/// its `"optimizer":"lbfgs"` tag.
 pub fn encode_vqe(state: &VqeCheckpoint) -> Checkpoint {
-    let record = match &state.optimizer {
-        OptimizerState::Lbfgs(s) => obj(vec![
-            ("optimizer", JsonValue::String("lbfgs".to_string())),
-            ("next_iteration", num(s.next_iteration)),
-            ("evaluations", num(s.evaluations)),
-            ("f", hex(s.f)),
-            ("x", floats(&s.x)),
-            ("g", floats(&s.g)),
-            ("s_list", nested(&s.s_list)),
-            ("y_list", nested(&s.y_list)),
-            ("trace", floats(&s.trace)),
-        ]),
-        OptimizerState::NelderMead(s) => obj(vec![
-            ("optimizer", JsonValue::String("nelder-mead".to_string())),
-            ("next_iteration", num(s.next_iteration)),
-            ("evaluations", num(s.evaluations)),
-            ("simplex", nested(&s.simplex)),
-            ("values", floats(&s.values)),
-            ("trace", floats(&s.trace)),
-        ]),
-        OptimizerState::Spsa(s) => obj(vec![
-            ("optimizer", JsonValue::String("spsa".to_string())),
-            ("next_iteration", num(s.next_iteration)),
-            ("evaluations", num(s.evaluations)),
-            // u64 seeds don't fit f64 exactly; carry as a decimal string.
-            ("seed", JsonValue::String(s.seed.to_string())),
-            ("x", floats(&s.x)),
-            ("best_x", floats(&s.best_x)),
-            ("best_f", hex(s.best_f)),
-            ("trace", floats(&s.trace)),
-        ]),
-    };
+    let s = &state.lbfgs;
+    let record = obj(vec![
+        ("optimizer", JsonValue::String("lbfgs".to_string())),
+        ("next_iteration", num(s.next_iteration)),
+        ("evaluations", num(s.evaluations)),
+        ("f", hex(s.f)),
+        ("x", floats(&s.x)),
+        ("g", floats(&s.g)),
+        ("s_list", nested(&s.s_list)),
+        ("y_list", nested(&s.y_list)),
+        ("trace", floats(&s.trace)),
+    ]);
     Checkpoint::new(KIND_VQE, vec![record])
 }
 
@@ -233,7 +137,8 @@ pub fn encode_vqe(state: &VqeCheckpoint) -> Checkpoint {
 ///
 /// # Errors
 ///
-/// [`CheckpointError::KindMismatch`] or [`CheckpointError::Malformed`].
+/// [`CheckpointError::KindMismatch`], or [`CheckpointError::Malformed`]
+/// for a bad record or an optimizer tag other than `lbfgs`.
 pub fn decode_vqe(ck: &Checkpoint) -> Result<VqeCheckpoint, CheckpointError> {
     ck.expect_kind(KIND_VQE)?;
     let record = match ck.payload.as_slice() {
@@ -245,38 +150,8 @@ pub fn decode_vqe(ck: &Checkpoint) -> Result<VqeCheckpoint, CheckpointError> {
             )))
         }
     };
-    let optimizer = match get(record, "optimizer")?.as_str() {
-        Some("lbfgs") => OptimizerState::Lbfgs(LbfgsState {
-            next_iteration: get_usize(record, "next_iteration")?,
-            x: get_floats(record, "x")?,
-            f: get_f64(record, "f")?,
-            g: get_floats(record, "g")?,
-            s_list: get_nested(record, "s_list")?,
-            y_list: get_nested(record, "y_list")?,
-            trace: get_floats(record, "trace")?,
-            evaluations: get_usize(record, "evaluations")?,
-        }),
-        Some("nelder-mead") => OptimizerState::NelderMead(NelderMeadState {
-            next_iteration: get_usize(record, "next_iteration")?,
-            simplex: get_nested(record, "simplex")?,
-            values: get_floats(record, "values")?,
-            trace: get_floats(record, "trace")?,
-            evaluations: get_usize(record, "evaluations")?,
-        }),
-        Some("spsa") => OptimizerState::Spsa(SpsaState {
-            next_iteration: get_usize(record, "next_iteration")?,
-            seed: get(record, "seed")?
-                .as_str()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| {
-                    CheckpointError::Malformed("spsa seed is not a u64 string".to_string())
-                })?,
-            x: get_floats(record, "x")?,
-            best_x: get_floats(record, "best_x")?,
-            best_f: get_f64(record, "best_f")?,
-            trace: get_floats(record, "trace")?,
-            evaluations: get_usize(record, "evaluations")?,
-        }),
+    match get(record, "optimizer")?.as_str() {
+        Some("lbfgs") => {}
         Some(other) => {
             return Err(CheckpointError::Malformed(format!(
                 "unknown optimizer `{other}`"
@@ -287,8 +162,19 @@ pub fn decode_vqe(ck: &Checkpoint) -> Result<VqeCheckpoint, CheckpointError> {
                 "vqe checkpoint has no optimizer tag".to_string(),
             ))
         }
-    };
-    Ok(VqeCheckpoint { optimizer })
+    }
+    Ok(VqeCheckpoint {
+        lbfgs: LbfgsState {
+            next_iteration: get_usize(record, "next_iteration")?,
+            x: get_floats(record, "x")?,
+            f: get_f64(record, "f")?,
+            g: get_floats(record, "g")?,
+            s_list: get_nested(record, "s_list")?,
+            y_list: get_nested(record, "y_list")?,
+            trace: get_floats(record, "trace")?,
+            evaluations: get_usize(record, "evaluations")?,
+        },
+    })
 }
 
 /// Encodes a finished VQE result as a `"vqe-result"` done-marker.
@@ -376,38 +262,9 @@ pub fn decode_yield(ck: &Checkpoint) -> Result<YieldCheckpoint, CheckpointError>
 mod tests {
     use super::*;
 
-    fn scf_state() -> ScfCheckpoint {
-        ScfCheckpoint {
-            next_iteration: 4,
-            energy: -1.116_759_303_3,
-            last_delta_e: 3.4e-7,
-            fock: RealMatrix::from_vec(2, 2, vec![-1.25, 0.33, 0.33, -0.47]),
-            fock_history: vec![
-                RealMatrix::from_vec(2, 2, vec![-1.2, 0.3, 0.3, -0.4]),
-                RealMatrix::from_vec(2, 2, vec![-1.24, 0.31, 0.31, -0.44]),
-            ],
-            error_history: vec![
-                RealMatrix::from_vec(2, 2, vec![0.1, 0.0, 0.0, 0.1]),
-                RealMatrix::from_vec(2, 2, vec![0.01, 0.0, 0.0, 0.01]),
-            ],
-        }
-    }
-
-    #[test]
-    fn scf_round_trips_bit_exactly() {
-        let state = scf_state();
-        let decoded = decode_scf(&encode_scf(&state)).unwrap();
-        assert_eq!(state, decoded);
-        // And through the full byte format.
-        let bytes = encode_scf(&state).to_bytes();
-        let decoded = decode_scf(&Checkpoint::from_bytes(&bytes).unwrap()).unwrap();
-        assert_eq!(state, decoded);
-    }
-
-    #[test]
-    fn vqe_lbfgs_round_trips_bit_exactly() {
-        let state = VqeCheckpoint {
-            optimizer: OptimizerState::Lbfgs(LbfgsState {
+    fn lbfgs_state() -> VqeCheckpoint {
+        VqeCheckpoint {
+            lbfgs: LbfgsState {
                 next_iteration: 9,
                 x: vec![0.1, -0.2, 1.0 / 3.0],
                 f: -7.882_362_286_798_4,
@@ -416,43 +273,31 @@ mod tests {
                 y_list: vec![vec![0.5, -0.5, 0.25], vec![0.125, 0.0, -0.125]],
                 trace: vec![-7.0, -7.5, -7.88],
                 evaluations: 31,
-            }),
-        };
+            },
+        }
+    }
+
+    #[test]
+    fn vqe_lbfgs_round_trips_bit_exactly() {
+        let state = lbfgs_state();
         let bytes = encode_vqe(&state).to_bytes();
         let decoded = decode_vqe(&Checkpoint::from_bytes(&bytes).unwrap()).unwrap();
         assert_eq!(state, decoded);
     }
 
     #[test]
-    fn vqe_spsa_round_trips_with_large_seed() {
-        let state = VqeCheckpoint {
-            optimizer: OptimizerState::Spsa(SpsaState {
-                next_iteration: 100,
-                seed: u64::MAX - 3,
-                x: vec![0.4],
-                best_x: vec![0.39],
-                best_f: 1.5000000001,
-                trace: vec![2.0, 1.5000000001],
-                evaluations: 301,
-            }),
-        };
-        let decoded = decode_vqe(&encode_vqe(&state)).unwrap();
-        assert_eq!(state, decoded);
-    }
-
-    #[test]
-    fn vqe_nelder_mead_round_trips() {
-        let state = VqeCheckpoint {
-            optimizer: OptimizerState::NelderMead(NelderMeadState {
-                next_iteration: 12,
-                simplex: vec![vec![0.0, 0.1], vec![0.2, 0.3], vec![0.4, 0.5]],
-                values: vec![1.0, 2.0, 3.0],
-                trace: vec![1.5, 1.0],
-                evaluations: 40,
-            }),
-        };
-        let decoded = decode_vqe(&encode_vqe(&state)).unwrap();
-        assert_eq!(state, decoded);
+    fn vqe_records_of_other_optimizers_are_malformed() {
+        for tag in ["nelder-mead", "spsa"] {
+            let mut ck = encode_vqe(&lbfgs_state());
+            if let JsonValue::Object(fields) = &mut ck.payload[0] {
+                fields.insert("optimizer".to_string(), JsonValue::String(tag.to_string()));
+            }
+            let back = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
+            assert!(
+                matches!(decode_vqe(&back), Err(CheckpointError::Malformed(_))),
+                "{tag}"
+            );
+        }
     }
 
     #[test]
@@ -496,21 +341,16 @@ mod tests {
             total_collisions: 0,
         });
         assert!(matches!(
-            decode_scf(&y),
-            Err(CheckpointError::KindMismatch { .. })
-        ));
-        assert!(matches!(
             decode_vqe(&y),
             Err(CheckpointError::KindMismatch { .. })
         ));
     }
 
     #[test]
-    fn truncated_matrix_is_malformed() {
-        let mut ck = encode_scf(&scf_state());
-        // Drop the last payload line but fix the header count by rebuilding.
+    fn vqe_payload_without_its_record_is_malformed() {
+        let mut ck = encode_vqe(&lbfgs_state());
         ck.payload.pop();
-        let err = decode_scf(&ck).unwrap_err();
+        let err = decode_vqe(&ck).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)));
     }
 }

@@ -56,8 +56,8 @@ pub use chaos::{
 };
 pub use checkpoint::{crc32, f64_from_hex, f64_to_hex, Checkpoint, CheckpointError};
 pub use codec::{
-    decode_scf, decode_vqe, decode_vqe_result, decode_yield, encode_scf, encode_vqe,
-    encode_vqe_result, encode_yield, KIND_SCF, KIND_VQE, KIND_VQE_RESULT, KIND_YIELD,
+    decode_vqe, decode_vqe_result, decode_yield, encode_vqe, encode_vqe_result, encode_yield,
+    KIND_VQE, KIND_VQE_RESULT, KIND_YIELD,
 };
 pub use degrade::{DegradationLadder, DegradationPolicy};
 pub use error::PcdError;

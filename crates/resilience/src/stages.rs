@@ -13,11 +13,11 @@ use chem::scf::ScfOptions;
 use chem::{Benchmark, MolecularSystem};
 use compiler::pipeline::{try_compile_mtr, try_compile_sabre, CompiledProgram};
 use par::Budget;
-use pauli::{ClusterStats, ClusteredSum};
+use pauli::{ClusterStats, ClusteredSum, WeightedPauliSum};
 use vqe::driver::{run_vqe_from, run_vqe_noisy, run_vqe_resumable, NoisyEvaluator};
 use vqe::driver::{VqeCheckpoint, VqeOptions, VqeResult, VqeRun};
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{crc32, Checkpoint, CheckpointError};
 use crate::codec::{decode_vqe, decode_vqe_result, decode_yield};
 use crate::codec::{encode_vqe, encode_vqe_result, encode_yield};
 use crate::degrade::{DegradationLadder, DegradationPolicy};
@@ -68,10 +68,28 @@ impl Checkpoints {
 }
 
 /// The stage file `file`, when the run resumes from a directory holding it.
-fn load(store: Option<&Checkpoints>, file: &str) -> Result<Option<Checkpoint>, PcdError> {
-    match store.filter(|s| s.resume).map(|s| s.dir.join(file)) {
-        Some(path) if path.exists() => Ok(Some(Checkpoint::read(&path)?)),
-        _ => Ok(None),
+/// With a `key`, a file tagged with another key (or with none) is refused
+/// as [`CheckpointError::InputsMismatch`].
+fn load(
+    store: Option<&Checkpoints>,
+    file: &str,
+    key: Option<&str>,
+) -> Result<Option<Checkpoint>, PcdError> {
+    let Some(path) = store.filter(|s| s.resume).map(|s| s.dir.join(file)) else {
+        return Ok(None);
+    };
+    if !path.exists() {
+        return Ok(None);
+    }
+    let ck = Checkpoint::read(&path)?;
+    match key {
+        Some(key) if ck.job.as_deref() != Some(key) => Err(CheckpointError::InputsMismatch {
+            path: path.display().to_string(),
+            expected: key.to_string(),
+            found: ck.job,
+        }
+        .into()),
+        _ => Ok(Some(ck)),
     }
 }
 
@@ -129,41 +147,68 @@ pub fn vqe_start(ir: &PauliIr, plan: &mut FaultPlan) -> Vec<f64> {
     x0
 }
 
-/// One budget slice of VQE from `x0`, or from `resume`.
+/// One budget slice of L-BFGS VQE from `x0`, or from `resume`.
 pub fn vqe_slice(
     system: &MolecularSystem,
     ir: &PauliIr,
     x0: &[f64],
-    options: VqeOptions,
     resume: Option<VqeCheckpoint>,
     budget: &Budget,
 ) -> Result<VqeRun, PcdError> {
     let _span = obs::span("pipeline.vqe");
     let h = system.qubit_hamiltonian();
-    Ok(run_vqe_resumable(h, ir, x0, options, resume, budget)?)
+    Ok(run_vqe_resumable(
+        h,
+        ir,
+        x0,
+        VqeOptions::default(),
+        resume,
+        budget,
+    )?)
+}
+
+/// The input key a VQE stage file carries in its `job` header field: the
+/// CRC-32 of the Hamiltonian's terms and the IR's entries, so a file saved
+/// for another molecule, bond length or ratio is never resumed.
+pub fn vqe_key(hamiltonian: &WeightedPauliSum, ir: &PauliIr) -> String {
+    let mut words = vec![
+        hamiltonian.num_qubits() as u64,
+        ir.num_qubits() as u64,
+        ir.initial_state(),
+    ];
+    for (weight, string) in hamiltonian.iter() {
+        words.extend([weight.to_bits(), string.x_mask(), string.z_mask()]);
+    }
+    for e in ir.entries() {
+        let (x, z) = (e.string.x_mask(), e.string.z_mask());
+        words.extend([x, z, e.param as u64, e.coefficient.to_bits()]);
+    }
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    format!("vqe-{:08x}", crc32(&bytes))
 }
 
 /// VQE from θ = 0 under `budget`. With a checkpoint directory, a budget
 /// expiry saves `vqe.ckpt` and returns `Interrupted`, a finished run saves
 /// the `vqe.done` marker, and a resuming run returns the marker's result or
-/// continues from `vqe.ckpt`.
+/// continues from `vqe.ckpt`. Both files carry [`vqe_key`]; a resume under
+/// other inputs is refused as [`CheckpointError::InputsMismatch`].
 pub fn vqe(
     system: &MolecularSystem,
     ir: &PauliIr,
-    options: VqeOptions,
     budget: &Budget,
     store: Option<&Checkpoints>,
 ) -> Result<VqeResult, PcdError> {
-    if let Some(done) = load(store, VQE_DONE)? {
+    let key = vqe_key(system.qubit_hamiltonian(), ir);
+    if let Some(done) = load(store, VQE_DONE, Some(&key))? {
         return Ok(decode_vqe_result(&done)?);
     }
-    let resume = load(store, VQE_CKPT)?
+    let resume = load(store, VQE_CKPT, Some(&key))?
         .map(|ck| decode_vqe(&ck))
         .transpose()?;
     let x0 = vec![0.0; ir.num_parameters()];
-    match vqe_slice(system, ir, &x0, options, resume, budget)? {
+    match vqe_slice(system, ir, &x0, resume, budget)? {
         VqeRun::Done(result) => {
-            save(store, VQE_DONE, &encode_vqe_result(&result))?;
+            save(store, VQE_DONE, &encode_vqe_result(&result).with_job(key))?;
             if let Some(store) = store {
                 let _ = std::fs::remove_file(store.dir.join(VQE_CKPT));
             }
@@ -171,7 +216,7 @@ pub fn vqe(
         }
         VqeRun::Interrupted(ck) => Err(PcdError::Interrupted {
             stage: "vqe",
-            checkpoint: save(store, VQE_CKPT, &encode_vqe(&ck))?,
+            checkpoint: save(store, VQE_CKPT, &encode_vqe(&ck).with_job(key))?,
         }),
     }
 }
@@ -181,11 +226,10 @@ pub fn vqe_noisy(
     system: &MolecularSystem,
     ir: &PauliIr,
     evaluator: NoisyEvaluator,
-    options: VqeOptions,
 ) -> Result<VqeResult, PcdError> {
     let _span = obs::span("pipeline.vqe");
     let h = system.qubit_hamiltonian();
-    Ok(run_vqe_noisy(h, ir, evaluator, options)?)
+    Ok(run_vqe_noisy(h, ir, evaluator, VqeOptions::default())?)
 }
 
 /// Deterministic perturbation for restart attempt `attempt`: small,
@@ -280,7 +324,7 @@ pub fn yield_mc(
     store: Option<&Checkpoints>,
 ) -> Result<YieldEstimate, PcdError> {
     let mut span = obs::span("pipeline.yield");
-    let resume = load(store, YIELD_CKPT)?
+    let resume = load(store, YIELD_CKPT, None)?
         .map(|ck| decode_yield(&ck))
         .transpose()?;
     let samples = match &resume {
@@ -418,12 +462,11 @@ mod tests {
     #[test]
     fn interrupted_vqe_resumes_to_the_uninterrupted_bits() {
         let (system, ir) = h2();
-        let options = VqeOptions::default();
-        let baseline = vqe(&system, &ir, options, &Budget::unlimited(), None).expect("vqe");
+        let baseline = vqe(&system, &ir, &Budget::unlimited(), None).expect("vqe");
         let mut store = scratch("vqe");
         let mut kills = 0;
         let resumed = loop {
-            match vqe(&system, &ir, options, &Budget::max_ticks(1), Some(&store)) {
+            match vqe(&system, &ir, &Budget::max_ticks(1), Some(&store)) {
                 Ok(r) => break r,
                 Err(PcdError::Interrupted { stage, checkpoint }) => {
                     assert_eq!(stage, "vqe");
@@ -439,7 +482,7 @@ mod tests {
         // The done-marker replaces the stage on a later resume, even with
         // no budget left.
         assert!(store.dir.join(VQE_DONE).exists() && !store.dir.join(VQE_CKPT).exists());
-        let replay = vqe(&system, &ir, options, &Budget::max_ticks(0), Some(&store));
+        let replay = vqe(&system, &ir, &Budget::max_ticks(0), Some(&store));
         assert_eq!(
             replay.expect("marker").energy.to_bits(),
             baseline.energy.to_bits()
@@ -472,8 +515,7 @@ mod tests {
     fn the_chain_runs_end_to_end_on_h2() {
         let _root = root();
         let (system, ir) = h2();
-        let options = VqeOptions::default();
-        let run = vqe(&system, &ir, options, &Budget::unlimited(), None).expect("vqe");
+        let run = vqe(&system, &ir, &Budget::unlimited(), None).expect("vqe");
         let check = crosscheck(&system, &ir, &run.params);
         assert!((check.per_term - run.energy).abs() < 1e-9);
         assert!((check.clustered - run.energy).abs() < 1e-9);
@@ -492,14 +534,7 @@ mod tests {
         let (ir, _) = ansatz(&system, 0.5);
         let sector = ::vqe::SectorAnsatz::build(system.qubit_hamiltonian(), &ir).expect("eligible");
         assert_eq!(sector.dim(), 225);
-        let run = vqe(
-            &system,
-            &ir,
-            VqeOptions::default(),
-            &Budget::unlimited(),
-            None,
-        )
-        .expect("vqe");
+        let run = vqe(&system, &ir, &Budget::unlimited(), None).expect("vqe");
         let check = crosscheck(&system, &ir, &run.params);
         assert!((check.per_term - run.energy).abs() < 1e-9);
         assert!((check.clustered - run.energy).abs() < 1e-9);

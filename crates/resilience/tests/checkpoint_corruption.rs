@@ -7,21 +7,22 @@ use proptest::prelude::*;
 
 use resilience::{decode_vqe, decode_yield, encode_vqe, encode_yield, Checkpoint, CheckpointError};
 use vqe::driver::VqeCheckpoint;
-use vqe::optimize::{OptimizerState, SpsaState};
+use vqe::optimize::LbfgsState;
 
-/// A representative checkpoint with float payloads (hex-encoded f64s) and
-/// a u64 seed — the fields most sensitive to corruption.
+/// A representative checkpoint dense in float payloads (hex-encoded f64s,
+/// nested curvature pairs) — the fields most sensitive to corruption.
 fn sample_bytes() -> Vec<u8> {
     let state = VqeCheckpoint {
-        optimizer: OptimizerState::Spsa(SpsaState {
+        lbfgs: LbfgsState {
             next_iteration: 41,
-            seed: u64::MAX - 3,
             x: vec![0.125, -3.5e-9, 1.0],
-            best_x: vec![0.5, 0.25, -0.75],
-            best_f: -7.882_362_286_798_721,
+            f: -7.882_362_286_798_721,
+            g: vec![1e-3, -2.5e-5, 0.0],
+            s_list: vec![vec![0.5, 0.25, -0.75], vec![-0.04, 0.05, -0.06]],
+            y_list: vec![vec![0.01, 0.02, 0.03], vec![0.125, 0.0, -0.125]],
             trace: vec![-7.1, -7.5, -7.882_362_286_798_721],
             evaluations: 123,
-        }),
+        },
     };
     encode_vqe(&state).to_bytes()
 }

@@ -33,7 +33,7 @@ use par::Budget;
 use resilience::checkpoint::CheckpointError;
 use resilience::stages::{self, CompileStrategy};
 use resilience::{encode_vqe, FaultPlan, PcdError};
-use vqe::driver::{VqeCheckpoint, VqeOptions, VqeRun};
+use vqe::driver::{VqeCheckpoint, VqeRun};
 
 use crate::backoff::BackoffPolicy;
 use crate::breaker::{CircuitBreaker, Stage};
@@ -927,14 +927,7 @@ fn attempt_job(
                 base
             }
         };
-        match stages::vqe_slice(
-            &system,
-            &ir,
-            &x0,
-            VqeOptions::default(),
-            resume.take(),
-            &budget,
-        ) {
+        match stages::vqe_slice(&system, &ir, &x0, resume.take(), &budget) {
             Ok(VqeRun::Done(r)) => break r,
             Ok(VqeRun::Interrupted(ck)) => resume = Some(*ck),
             Err(e) => return failed(&e),

@@ -8,28 +8,18 @@ use compiler::synthesis::synthesize_chain;
 
 use crate::error::VqeError;
 use crate::optimize::{
-    lbfgs, lbfgs_resumable, nelder_mead, nelder_mead_resumable, spsa, spsa_resumable, OptRun,
-    OptimizeControls, OptimizeOutcome, OptimizerKind, OptimizerState,
+    lbfgs, lbfgs_resumable, nelder_mead, LbfgsState, OptRun, OptimizeControls, OptimizeOutcome,
 };
 use crate::sector::SectorAnsatz;
-use crate::state::{energy, energy_and_gradient};
+use crate::state::energy_and_gradient;
 
-/// Options for a VQE run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Options for a VQE run. The optimizer follows from the objective:
+/// L-BFGS wherever a gradient exists, Nelder–Mead on the density-matrix
+/// evaluator.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VqeOptions {
-    /// The classical optimizer.
-    pub optimizer: OptimizerKind,
     /// Convergence controls.
     pub controls: OptimizeControls,
-}
-
-impl Default for VqeOptions {
-    fn default() -> Self {
-        VqeOptions {
-            optimizer: OptimizerKind::Lbfgs,
-            controls: OptimizeControls::default(),
-        }
-    }
 }
 
 /// Result of a VQE run.
@@ -62,14 +52,14 @@ impl From<OptimizeOutcome> for VqeResult {
     }
 }
 
-/// A VQE run frozen at an optimizer iteration boundary, ready to be
+/// A VQE run frozen at an L-BFGS iteration boundary, ready to be
 /// serialized and resumed. The caller must resume with the *same*
 /// Hamiltonian, IR, starting point, and options — the checkpoint carries
 /// only the optimizer loop state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VqeCheckpoint {
-    /// Loop state of the optimizer the run uses.
-    pub optimizer: OptimizerState,
+    /// L-BFGS loop state.
+    pub lbfgs: LbfgsState,
 }
 
 /// Outcome of a budget-aware VQE run.
@@ -110,13 +100,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn energy(&self, theta: &[f64]) -> f64 {
-        match self {
-            Evaluator::Sector(s) => s.energy(theta),
-            Evaluator::Full(h, ir) => energy(h, ir, theta),
-        }
-    }
-
     fn energy_and_gradient(&self, theta: &[f64]) -> (f64, Vec<f64>) {
         match self {
             Evaluator::Sector(s) => s.energy_and_gradient(theta),
@@ -139,16 +122,8 @@ pub fn run_vqe(
     run_vqe_from(hamiltonian, ir, &vec![0.0; ir.num_parameters()], options)
 }
 
-fn optimizer_name(kind: OptimizerKind) -> &'static str {
-    match kind {
-        OptimizerKind::Lbfgs => "lbfgs",
-        OptimizerKind::NelderMead => "nelder-mead",
-        OptimizerKind::Spsa(_) => "spsa",
-    }
-}
-
-fn record_vqe_outcome(span: &mut obs::SpanGuard, options: &VqeOptions, result: &VqeResult) {
-    span.record("optimizer", optimizer_name(options.optimizer));
+fn record_vqe_outcome(span: &mut obs::SpanGuard, optimizer: &'static str, result: &VqeResult) {
+    span.record("optimizer", optimizer);
     span.record("iterations", result.iterations);
     span.record("evaluations", result.evaluations);
     span.record("energy", result.energy);
@@ -198,10 +173,10 @@ pub fn run_vqe_from(
     }
 }
 
-/// Budget-aware [`run_vqe_from`]: polls `budget` once per optimizer
-/// iteration and returns [`VqeRun::Interrupted`] with a [`VqeCheckpoint`]
-/// when it expires. Resuming with that checkpoint (and identical inputs)
-/// reproduces the uninterrupted run bit-for-bit.
+/// Budget-aware [`run_vqe_from`] by L-BFGS: polls `budget` once per
+/// optimizer iteration and returns [`VqeRun::Interrupted`] with a
+/// [`VqeCheckpoint`] when it expires. Resuming with that checkpoint (and
+/// identical inputs) reproduces the uninterrupted run bit-for-bit.
 ///
 /// The objective runs on the initial determinant's electron sector when
 /// [`SectorAnsatz::build`] accepts `(hamiltonian, ir)`, and on the full
@@ -209,8 +184,9 @@ pub fn run_vqe_from(
 ///
 /// # Errors
 ///
-/// Returns [`VqeError`] on register/parameter mismatches, a checkpoint from
-/// a different optimizer, or a non-finite objective.
+/// Returns [`VqeError`] on register/parameter mismatches, a checkpoint
+/// whose vectors do not fit the IR's parameter count, or a non-finite
+/// objective.
 pub fn run_vqe_resumable(
     hamiltonian: &WeightedPauliSum,
     ir: &PauliIr,
@@ -231,75 +207,33 @@ pub fn run_vqe_resumable(
             actual: x0.len(),
         });
     }
-    let expected = optimizer_name(options.optimizer);
-    if let Some(ck) = &resume {
-        if ck.optimizer.kind() != expected {
-            return Err(VqeError::CheckpointOptimizerMismatch {
-                expected,
-                found: ck.optimizer.kind(),
-            });
-        }
+    if let Some(ck) = resume
+        .as_ref()
+        .filter(|ck| !ck.lbfgs.fits(ir.num_parameters()))
+    {
+        return Err(VqeError::CheckpointLength {
+            expected: ir.num_parameters(),
+            found: ck.lbfgs.x.len(),
+        });
     }
     let mut span = obs::span("vqe.run");
     span.record("parameters", ir.num_parameters());
     if resume.is_some() {
         span.record("resumed", true);
     }
-    let x0 = x0.to_vec();
     let evaluator = Evaluator::select(hamiltonian, ir, &mut span);
-    let objective = |theta: &[f64]| evaluator.energy(theta);
-    let run = match options.optimizer {
-        OptimizerKind::Lbfgs => {
-            let st = match resume {
-                Some(VqeCheckpoint {
-                    optimizer: OptimizerState::Lbfgs(st),
-                }) => Some(st),
-                _ => None,
-            };
-            match lbfgs_resumable(
-                |theta| evaluator.energy_and_gradient(theta),
-                &x0,
-                options.controls,
-                st,
-                budget,
-            )? {
-                OptRun::Done(out) => VqeRun::Done(out.into()),
-                OptRun::Interrupted(st) => VqeRun::Interrupted(Box::new(VqeCheckpoint {
-                    optimizer: OptimizerState::Lbfgs(*st),
-                })),
-            }
-        }
-        OptimizerKind::NelderMead => {
-            let st = match resume {
-                Some(VqeCheckpoint {
-                    optimizer: OptimizerState::NelderMead(st),
-                }) => Some(st),
-                _ => None,
-            };
-            match nelder_mead_resumable(objective, &x0, 0.1, options.controls, st, budget)? {
-                OptRun::Done(out) => VqeRun::Done(out.into()),
-                OptRun::Interrupted(st) => VqeRun::Interrupted(Box::new(VqeCheckpoint {
-                    optimizer: OptimizerState::NelderMead(*st),
-                })),
-            }
-        }
-        OptimizerKind::Spsa(seed) => {
-            let st = match resume {
-                Some(VqeCheckpoint {
-                    optimizer: OptimizerState::Spsa(st),
-                }) => Some(st),
-                _ => None,
-            };
-            match spsa_resumable(objective, &x0, seed, options.controls, st, budget)? {
-                OptRun::Done(out) => VqeRun::Done(out.into()),
-                OptRun::Interrupted(st) => VqeRun::Interrupted(Box::new(VqeCheckpoint {
-                    optimizer: OptimizerState::Spsa(*st),
-                })),
-            }
-        }
+    let run = match lbfgs_resumable(
+        |theta| evaluator.energy_and_gradient(theta),
+        x0,
+        options.controls,
+        resume.map(|ck| ck.lbfgs),
+        budget,
+    )? {
+        OptRun::Done(out) => VqeRun::Done(out.into()),
+        OptRun::Interrupted(st) => VqeRun::Interrupted(Box::new(VqeCheckpoint { lbfgs: *st })),
     };
     if let VqeRun::Done(result) = &run {
-        record_vqe_outcome(&mut span, &options, result);
+        record_vqe_outcome(&mut span, "lbfgs", result);
     }
     Ok(run)
 }
@@ -320,9 +254,9 @@ pub enum NoisyEvaluator {
 
 /// Runs VQE with a noisy objective.
 ///
-/// The gradient-free optimizers are used for the density-matrix path; the
-/// global-depolarizing path keeps exact gradients (the fidelity factor is
-/// parameter-independent).
+/// The evaluator picks the optimizer: the global-depolarizing path keeps
+/// exact gradients (the fidelity factor is parameter-independent) and runs
+/// L-BFGS; the density-matrix path has no gradient and runs Nelder–Mead.
 ///
 /// # Errors
 ///
@@ -343,52 +277,31 @@ pub fn run_vqe_noisy(
     span.record("parameters", ir.num_parameters());
     span.record("noisy", true);
     let x0 = vec![0.0; ir.num_parameters()];
-    let result: VqeResult = match evaluator {
+    let (optimizer, outcome) = match evaluator {
         NoisyEvaluator::GlobalDepolarizing(noise) => {
             let cnots = compiler::pipeline::original_cnot_count(ir);
             let fidelity = noise.global_fidelity(cnots, 0);
             let floor = hamiltonian.identity_weight();
             let evaluator = Evaluator::select(hamiltonian, ir, &mut span);
-            match options.optimizer {
-                OptimizerKind::Lbfgs => lbfgs(
-                    |theta| {
-                        let (e, g) = evaluator.energy_and_gradient(theta);
-                        (
-                            fidelity * e + (1.0 - fidelity) * floor,
-                            g.into_iter().map(|x| fidelity * x).collect(),
-                        )
-                    },
-                    &x0,
-                    options.controls,
-                )?
-                .into(),
-                OptimizerKind::NelderMead => nelder_mead(
-                    |theta| fidelity * evaluator.energy(theta) + (1.0 - fidelity) * floor,
-                    &x0,
-                    0.1,
-                    options.controls,
-                )?
-                .into(),
-                OptimizerKind::Spsa(seed) => spsa(
-                    |theta| fidelity * evaluator.energy(theta) + (1.0 - fidelity) * floor,
-                    &x0,
-                    seed,
-                    options.controls,
-                )?
-                .into(),
-            }
+            let objective = |theta: &[f64]| {
+                let (e, g) = evaluator.energy_and_gradient(theta);
+                (
+                    fidelity * e + (1.0 - fidelity) * floor,
+                    g.into_iter().map(|x| fidelity * x).collect(),
+                )
+            };
+            ("lbfgs", lbfgs(objective, &x0, options.controls)?)
         }
         NoisyEvaluator::DensityMatrix(noise) => {
             let objective = |theta: &[f64]| noisy_energy_density(hamiltonian, ir, theta, &noise);
-            match options.optimizer {
-                OptimizerKind::Spsa(seed) => spsa(objective, &x0, seed, options.controls)?.into(),
-                // L-BFGS has no analytic gradient here; default to
-                // Nelder–Mead for the density path.
-                _ => nelder_mead(objective, &x0, 0.1, options.controls)?.into(),
-            }
+            (
+                "nelder-mead",
+                nelder_mead(objective, &x0, 0.1, options.controls)?,
+            )
         }
     };
-    record_vqe_outcome(&mut span, &options, &result);
+    let result = VqeResult::from(outcome);
+    record_vqe_outcome(&mut span, optimizer, &result);
     Ok(result)
 }
 
@@ -452,23 +365,22 @@ mod tests {
         assert!(r.energy > h.ground_state_energy());
     }
 
+    /// Nelder–Mead on the toy's grouped `H|ψ⟩` energy.
+    fn nelder_mead_on_toy(h: &WeightedPauliSum, ir: &PauliIr) -> OptimizeOutcome {
+        let controls = OptimizeControls {
+            max_iterations: 2000,
+            ..Default::default()
+        };
+        let objective = |theta: &[f64]| crate::state::energy(h, ir, theta);
+        nelder_mead(objective, &[0.0], 0.1, controls).unwrap()
+    }
+
     #[test]
     fn optimizers_agree_on_toy() {
         let (h, ir) = toy();
         let lb = run_vqe(&h, &ir, VqeOptions::default()).unwrap();
-        let nm = run_vqe(
-            &h,
-            &ir,
-            VqeOptions {
-                optimizer: OptimizerKind::NelderMead,
-                controls: OptimizeControls {
-                    max_iterations: 2000,
-                    ..Default::default()
-                },
-            },
-        )
-        .unwrap();
-        assert!((lb.energy - nm.energy).abs() < 1e-5);
+        let nm = nelder_mead_on_toy(&h, &ir);
+        assert!((lb.energy - nm.value).abs() < 1e-5);
     }
 
     #[test]
@@ -476,18 +388,7 @@ mod tests {
         // Nelder-Mead drives the grouped `H|ψ⟩` energy; at its optimum the
         // per-term and clustered evaluators must read the same energy.
         let (h, ir) = toy();
-        let run = run_vqe(
-            &h,
-            &ir,
-            VqeOptions {
-                optimizer: OptimizerKind::NelderMead,
-                controls: OptimizeControls {
-                    max_iterations: 2000,
-                    ..Default::default()
-                },
-            },
-        )
-        .unwrap();
+        let run = VqeResult::from(nelder_mead_on_toy(&h, &ir));
         let psi = crate::state::prepare_state(&ir, &run.params);
         let per_term = psi.expectation(&h);
         let clustered = psi.expectation_with(&pauli::ClusteredSum::build(&h));
@@ -538,7 +439,6 @@ mod tests {
             &ir,
             NoisyEvaluator::DensityMatrix(NoiseModel::cnot_only(0.01)),
             VqeOptions {
-                optimizer: OptimizerKind::NelderMead,
                 controls: OptimizeControls {
                     max_iterations: 400,
                     ..Default::default()
@@ -591,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_from_wrong_optimizer_is_a_typed_error() {
+    fn checkpoint_of_another_ansatz_is_a_typed_error() {
         let (h, ir) = toy();
         let x0 = vec![0.0; ir.num_parameters()];
         let budget = par::Budget::max_ticks(1);
@@ -600,25 +500,29 @@ mod tests {
                 VqeRun::Interrupted(ck) => *ck,
                 VqeRun::Done(_) => panic!("one tick cannot finish the toy"),
             };
+        // The same register with a second parameter.
+        let mut wider = ir.clone();
+        wider.push(IrEntry {
+            string: "ZY".parse().unwrap(),
+            param: 1,
+            coefficient: 0.25,
+        });
         let err = run_vqe_resumable(
             &h,
-            &ir,
-            &x0,
-            VqeOptions {
-                optimizer: OptimizerKind::Spsa(1),
-                ..Default::default()
-            },
+            &wider,
+            &[0.0, 0.0],
+            VqeOptions::default(),
             Some(ck),
             &par::Budget::unlimited(),
         )
         .unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            VqeError::CheckpointOptimizerMismatch {
-                expected: "spsa",
-                found: "lbfgs"
+            VqeError::CheckpointLength {
+                expected: 2,
+                found: 1
             }
-        ));
+        );
     }
 
     #[test]

@@ -28,13 +28,13 @@ pub enum VqeError {
     EmptyPool,
     /// VQD was asked for zero states.
     NoStatesRequested,
-    /// A resumed checkpoint carries state for a different optimizer than the
-    /// run was configured with.
-    CheckpointOptimizerMismatch {
-        /// Optimizer the options select.
-        expected: &'static str,
-        /// Optimizer the checkpoint state belongs to.
-        found: &'static str,
+    /// A resumed checkpoint's L-BFGS vectors do not have the IR's
+    /// parameter count: it was saved for another ansatz.
+    CheckpointLength {
+        /// Parameters the IR declares.
+        expected: usize,
+        /// Length of the checkpoint's iterate.
+        found: usize,
     },
 }
 
@@ -55,9 +55,9 @@ impl fmt::Display for VqeError {
             VqeError::Optimize(e) => write!(f, "optimizer failure: {e}"),
             VqeError::EmptyPool => write!(f, "ADAPT-VQE requires a non-empty operator pool"),
             VqeError::NoStatesRequested => write!(f, "VQD requires at least one state"),
-            VqeError::CheckpointOptimizerMismatch { expected, found } => write!(
+            VqeError::CheckpointLength { expected, found } => write!(
                 f,
-                "checkpoint holds {found} optimizer state but the run is configured for {expected}"
+                "checkpoint holds optimizer state for {found} parameters, the ansatz has {expected}"
             ),
         }
     }

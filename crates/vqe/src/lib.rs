@@ -4,8 +4,9 @@
 //!   the exact adjoint-mode energy gradient (the classical stand-in for the
 //!   paper's SLSQP gradients);
 //! * [`optimize`] — classical optimizers: L-BFGS with strong-Wolfe line
-//!   search (default, a smooth quasi-Newton like the paper's SLSQP),
-//!   Nelder–Mead, and SPSA;
+//!   search (a smooth quasi-Newton like the paper's SLSQP, and the one
+//!   resumable loop), and Nelder–Mead for the gradient-free density-matrix
+//!   evaluator;
 //! * [`driver`] — the VQE outer loop with convergence tracing, plus the
 //!   noisy evaluators for the Fig 10 case studies (exact density-matrix
 //!   simulation and the fast global-depolarizing approximation).
@@ -49,8 +50,7 @@ pub use mitigation::{
     fold_cnots, richardson_extrapolate, zne_energy, MitigatedEnergy, NoiseScaling,
 };
 pub use optimize::{
-    fd_gradient, parameter_shift_gradient, LbfgsState, NelderMeadState, OptRun, OptimizeError,
-    OptimizeOutcome, OptimizerKind, OptimizerState, SpsaState,
+    fd_gradient, parameter_shift_gradient, LbfgsState, OptRun, OptimizeError, OptimizeOutcome,
 };
 pub use sector::{SectorAnsatz, SectorFallback};
 pub use state::{energy, energy_and_gradient, overlap_and_gradient, prepare_state};

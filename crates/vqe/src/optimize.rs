@@ -3,14 +3,14 @@
 //! The paper optimizes with SciPy's SLSQP; the default here is L-BFGS with a
 //! strong-Wolfe line search — also a smooth quasi-Newton method, so the
 //! *relative* iteration counts across compression ratios (the paper's
-//! convergence metric, Fig 9 bottom) are preserved. Nelder–Mead and SPSA are
-//! provided for noisy objectives.
+//! convergence metric, Fig 9 bottom) are preserved. L-BFGS is also the one
+//! resumable loop: [`lbfgs_resumable`] stops at an iteration boundary when
+//! its budget expires and continues bit-identically from the saved state.
+//! Nelder–Mead is provided for objectives without a gradient (the
+//! density-matrix evaluator of the Fig 10 case studies).
 
 use std::error::Error;
 use std::fmt;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Error from an optimizer run.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,18 +38,6 @@ impl fmt::Display for OptimizeError {
 }
 
 impl Error for OptimizeError {}
-
-/// Which optimizer to run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OptimizerKind {
-    /// L-BFGS with strong-Wolfe line search (needs gradients).
-    Lbfgs,
-    /// Nelder–Mead simplex (derivative-free).
-    NelderMead,
-    /// Simultaneous perturbation stochastic approximation (derivative-free,
-    /// noise-tolerant); the payload is the RNG seed.
-    Spsa(u64),
-}
 
 /// Result of an optimization run.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,78 +100,26 @@ pub struct LbfgsState {
     pub evaluations: usize,
 }
 
-/// Nelder–Mead loop state at an iteration boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NelderMeadState {
-    /// The 1-based outer iteration the resumed loop executes next.
-    pub next_iteration: usize,
-    /// Simplex vertices.
-    pub simplex: Vec<Vec<f64>>,
-    /// Objective values, parallel to `simplex`.
-    pub values: Vec<f64>,
-    /// Best value after each completed outer iteration.
-    pub trace: Vec<f64>,
-    /// Objective evaluations consumed so far.
-    pub evaluations: usize,
-}
-
-/// SPSA loop state at an iteration boundary. The perturbation RNG is
-/// counter-mode — re-seeded from `(seed, iteration)` every iteration — so
-/// no generator state needs to be captured: the iteration index *is* the
-/// RNG counter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpsaState {
-    /// The 1-based outer iteration the resumed loop executes next.
-    pub next_iteration: usize,
-    /// Base RNG seed (per-iteration generators derive from it).
-    pub seed: u64,
-    /// Current iterate.
-    pub x: Vec<f64>,
-    /// Best iterate seen.
-    pub best_x: Vec<f64>,
-    /// Best objective value seen.
-    pub best_f: f64,
-    /// Best value after each completed outer iteration.
-    pub trace: Vec<f64>,
-    /// Objective evaluations consumed so far.
-    pub evaluations: usize,
-}
-
-/// Loop state of whichever optimizer a VQE run uses, for checkpointing.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OptimizerState {
-    /// L-BFGS state.
-    Lbfgs(LbfgsState),
-    /// Nelder–Mead state.
-    NelderMead(NelderMeadState),
-    /// SPSA state.
-    Spsa(SpsaState),
-}
-
-impl OptimizerState {
-    /// Short label for diagnostics and checkpoint headers.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            OptimizerState::Lbfgs(_) => "lbfgs",
-            OptimizerState::NelderMead(_) => "nelder-mead",
-            OptimizerState::Spsa(_) => "spsa",
-        }
+impl LbfgsState {
+    /// Whether the state belongs to a problem with `n` parameters: the
+    /// iterate, the gradient and every curvature pair have length `n`.
+    pub(crate) fn fits(&self, n: usize) -> bool {
+        self.s_list.len() == self.y_list.len()
+            && [&self.x, &self.g]
+                .into_iter()
+                .chain(&self.s_list)
+                .chain(&self.y_list)
+                .all(|v| v.len() == n)
     }
 }
 
-/// Outcome of a budget-aware optimizer run.
+/// Outcome of a budget-aware L-BFGS run.
 #[derive(Debug, Clone, PartialEq)]
-pub enum OptRun<S> {
+pub enum OptRun {
     /// The optimizer finished (converged or hit its iteration cap).
     Done(OptimizeOutcome),
     /// The budget expired first; resume later from the state.
-    Interrupted(Box<S>),
-}
-
-/// SplitMix64-style odd-constant mix used to derive per-iteration SPSA
-/// seeds — the same scheme the yield Monte Carlo uses for per-chunk RNGs.
-fn counter_seed(seed: u64, counter: u64) -> u64 {
-    seed.wrapping_add(counter.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    Interrupted(Box<LbfgsState>),
 }
 
 /// Fails with [`OptimizeError::NonFiniteObjective`] unless `value` and every
@@ -231,7 +167,7 @@ pub fn lbfgs_resumable(
     controls: OptimizeControls,
     resume: Option<LbfgsState>,
     budget: &par::Budget,
-) -> Result<OptRun<LbfgsState>, OptimizeError> {
+) -> Result<OptRun, OptimizeError> {
     let n = x0.len();
     let memory = 8usize;
     let (start_iteration, mut x, mut f, mut g, mut s_list, mut y_list, mut trace, mut evaluations) =
@@ -422,95 +358,41 @@ pub fn lbfgs_resumable(
 /// [`OptimizeError::NonFiniteObjective`] the first time the objective is
 /// NaN/±∞.
 pub fn nelder_mead(
-    f: impl FnMut(&[f64]) -> f64,
-    x0: &[f64],
-    initial_step: f64,
-    controls: OptimizeControls,
-) -> Result<OptimizeOutcome, OptimizeError> {
-    match nelder_mead_resumable(
-        f,
-        x0,
-        initial_step,
-        controls,
-        None,
-        &par::Budget::unlimited(),
-    )? {
-        OptRun::Done(out) => Ok(out),
-        OptRun::Interrupted(_) => unreachable!("unlimited budget cannot expire"),
-    }
-}
-
-/// Budget-aware Nelder–Mead: polls `budget` once per outer iteration and
-/// returns [`OptRun::Interrupted`] with the simplex when it expires. Passing
-/// the state back as `resume` continues the run bit-identically.
-///
-/// # Errors
-///
-/// [`OptimizeError::NonFiniteObjective`] the first time the objective is
-/// NaN/±∞.
-pub fn nelder_mead_resumable(
     mut f: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     initial_step: f64,
     controls: OptimizeControls,
-    resume: Option<NelderMeadState>,
-    budget: &par::Budget,
-) -> Result<OptRun<NelderMeadState>, OptimizeError> {
+) -> Result<OptimizeOutcome, OptimizeError> {
     let n = x0.len();
     if n == 0 {
         let v = f(x0);
         check_finite(0, v, &[])?;
-        return Ok(OptRun::Done(OptimizeOutcome {
+        return Ok(OptimizeOutcome {
             params: x0.to_vec(),
             value: v,
             iterations: 0,
             evaluations: 1,
             trace: vec![v],
             converged: true,
-        }));
+        });
     }
-    let (start_iteration, mut simplex, mut values, mut trace, mut evaluations) = match resume {
-        Some(st) => (
-            st.next_iteration,
-            st.simplex,
-            st.values,
-            st.trace,
-            st.evaluations,
-        ),
-        None => {
-            let mut simplex: Vec<Vec<f64>> = vec![x0.to_vec()];
-            for k in 0..n {
-                let mut v = x0.to_vec();
-                v[k] += initial_step;
-                simplex.push(v);
-            }
-            let mut evaluations = 0usize;
-            let mut values = Vec::with_capacity(simplex.len());
-            for v in &simplex {
-                evaluations += 1;
-                let fv = f(v);
-                check_finite(0, fv, &[])?;
-                values.push(fv);
-            }
-            (1, simplex, values, Vec::new(), evaluations)
-        }
-    };
+    let mut simplex: Vec<Vec<f64>> = vec![x0.to_vec()];
+    for k in 0..n {
+        let mut v = x0.to_vec();
+        v[k] += initial_step;
+        simplex.push(v);
+    }
+    let mut evaluations = 0usize;
+    let mut values = Vec::with_capacity(simplex.len());
+    for v in &simplex {
+        evaluations += 1;
+        let fv = f(v);
+        check_finite(0, fv, &[])?;
+        values.push(fv);
+    }
+    let mut trace = Vec::new();
 
-    for it in start_iteration..=controls.max_iterations {
-        if !budget.tick() {
-            obs::event!(
-                "vqe.optimize.interrupted",
-                optimizer = "nelder-mead",
-                iteration = it
-            );
-            return Ok(OptRun::Interrupted(Box::new(NelderMeadState {
-                next_iteration: it,
-                simplex,
-                values,
-                trace,
-                evaluations,
-            })));
-        }
+    for it in 1..=controls.max_iterations {
         // Order ascending (values stay finite thanks to the eval guards).
         let mut idx: Vec<usize> = (0..simplex.len()).collect();
         idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
@@ -519,14 +401,14 @@ pub fn nelder_mead_resumable(
         trace.push(values[0]);
 
         if (values[n] - values[0]).abs() < controls.value_tolerance {
-            return Ok(OptRun::Done(OptimizeOutcome {
+            return Ok(OptimizeOutcome {
                 params: simplex[0].clone(),
                 value: values[0],
                 iterations: it,
                 evaluations,
                 trace,
                 converged: true,
-            }));
+            });
         }
 
         let centroid: Vec<f64> = (0..n)
@@ -598,124 +480,14 @@ pub fn nelder_mead_resumable(
     else {
         unreachable!("non-empty simplex")
     };
-    Ok(OptRun::Done(OptimizeOutcome {
+    Ok(OptimizeOutcome {
         params: simplex[best].clone(),
         value: values[best],
         iterations: controls.max_iterations,
         evaluations,
         trace,
         converged: false,
-    }))
-}
-
-/// Minimizes `f` with SPSA (deterministic for a fixed seed).
-///
-/// # Errors
-///
-/// [`OptimizeError::NonFiniteObjective`] the first time the objective is
-/// NaN/±∞.
-pub fn spsa(
-    f: impl FnMut(&[f64]) -> f64,
-    x0: &[f64],
-    seed: u64,
-    controls: OptimizeControls,
-) -> Result<OptimizeOutcome, OptimizeError> {
-    match spsa_resumable(f, x0, seed, controls, None, &par::Budget::unlimited())? {
-        OptRun::Done(out) => Ok(out),
-        OptRun::Interrupted(_) => unreachable!("unlimited budget cannot expire"),
-    }
-}
-
-/// Budget-aware SPSA: polls `budget` once per outer iteration and returns
-/// [`OptRun::Interrupted`] with the loop state when it expires. The
-/// perturbation RNG is re-seeded per iteration from `(seed, iteration)`
-/// (counter mode), so a resumed run draws exactly the deltas an
-/// uninterrupted run would — the iteration index is the RNG counter and is
-/// part of [`SpsaState`].
-///
-/// # Errors
-///
-/// [`OptimizeError::NonFiniteObjective`] the first time the objective is
-/// NaN/±∞.
-pub fn spsa_resumable(
-    mut f: impl FnMut(&[f64]) -> f64,
-    x0: &[f64],
-    seed: u64,
-    controls: OptimizeControls,
-    resume: Option<SpsaState>,
-    budget: &par::Budget,
-) -> Result<OptRun<SpsaState>, OptimizeError> {
-    let n = x0.len();
-    let (start_iteration, mut x, mut best_x, mut best_f, mut trace, mut evaluations) = match resume
-    {
-        Some(st) => (
-            st.next_iteration,
-            st.x,
-            st.best_x,
-            st.best_f,
-            st.trace,
-            st.evaluations,
-        ),
-        None => {
-            let x = x0.to_vec();
-            let best_f = f(&x);
-            check_finite(0, best_f, &[])?;
-            (1, x.clone(), x, best_f, vec![best_f], 1)
-        }
-    };
-    let (a0, c0, big_a, alpha, gamma) = (0.2, 0.1, 10.0, 0.602, 0.101);
-
-    for it in start_iteration..=controls.max_iterations {
-        if !budget.tick() {
-            obs::event!(
-                "vqe.optimize.interrupted",
-                optimizer = "spsa",
-                iteration = it
-            );
-            return Ok(OptRun::Interrupted(Box::new(SpsaState {
-                next_iteration: it,
-                seed,
-                x,
-                best_x,
-                best_f,
-                trace,
-                evaluations,
-            })));
-        }
-        let ak = a0 / ((it as f64 + big_a).powf(alpha));
-        let ck = c0 / (it as f64).powf(gamma);
-        let mut rng = StdRng::seed_from_u64(counter_seed(seed, it as u64));
-        let delta: Vec<f64> = (0..n)
-            .map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 })
-            .collect();
-        let xp: Vec<f64> = x.iter().zip(&delta).map(|(xi, d)| xi + ck * d).collect();
-        let xm: Vec<f64> = x.iter().zip(&delta).map(|(xi, d)| xi - ck * d).collect();
-        let fp = f(&xp);
-        let fm = f(&xm);
-        evaluations += 2;
-        check_finite(it, fp, &[])?;
-        check_finite(it, fm, &[])?;
-        for j in 0..n {
-            x[j] -= ak * (fp - fm) / (2.0 * ck * delta[j]);
-        }
-        let fx = f(&x);
-        evaluations += 1;
-        check_finite(it, fx, &[])?;
-        if fx < best_f {
-            best_f = fx;
-            best_x = x.clone();
-        }
-        trace.push(best_f);
-    }
-
-    Ok(OptRun::Done(OptimizeOutcome {
-        params: best_x,
-        value: best_f,
-        iterations: controls.max_iterations,
-        evaluations,
-        trace,
-        converged: true,
-    }))
+    })
 }
 
 /// Central finite-difference gradient of `f` at `x`, with the per-parameter
@@ -878,19 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn spsa_approaches_quadratic_minimum() {
-        let controls = OptimizeControls {
-            max_iterations: 4000,
-            ..Default::default()
-        };
-        let out = spsa(quadratic, &[0.0, 0.0, 0.0], 7, controls).unwrap();
-        assert!(out.value < 1.7, "value {}", out.value);
-        // Deterministic for the same seed.
-        let out2 = spsa(quadratic, &[0.0, 0.0, 0.0], 7, controls).unwrap();
-        assert_eq!(out.value, out2.value);
-    }
-
-    #[test]
     fn traces_are_monotone_nonincreasing_for_lbfgs() {
         let out = lbfgs(
             quadratic_grad,
@@ -1020,75 +779,23 @@ mod tests {
             err,
             OptimizeError::NonFiniteObjective { iteration: 0, .. }
         ));
-
-        let err = spsa(|_| f64::NAN, &[1.0], 3, OptimizeControls::default()).unwrap_err();
-        assert!(matches!(err, OptimizeError::NonFiniteObjective { .. }));
-    }
-
-    /// Drives a resumable optimizer to completion in budget-limited segments
-    /// of `ticks` iterations each, chaining the interrupted state.
-    fn run_segmented<S>(
-        mut step: impl FnMut(Option<S>, &par::Budget) -> Result<OptRun<S>, OptimizeError>,
-        ticks: u64,
-    ) -> OptimizeOutcome {
-        let mut state = None;
-        loop {
-            match step(state.take(), &par::Budget::max_ticks(ticks)).unwrap() {
-                OptRun::Done(out) => return out,
-                OptRun::Interrupted(st) => state = Some(*st),
-            }
-        }
     }
 
     #[test]
     fn lbfgs_resume_is_bit_identical() {
         let x0 = [0.0, 0.0, 0.0];
-        let full = lbfgs(quadratic_grad, &x0, OptimizeControls::default()).unwrap();
+        let controls = OptimizeControls::default();
+        let full = lbfgs(quadratic_grad, &x0, controls).unwrap();
         for ticks in [1, 2, 3] {
-            let segmented = run_segmented(
-                |resume, budget| {
-                    lbfgs_resumable(
-                        quadratic_grad,
-                        &x0,
-                        OptimizeControls::default(),
-                        resume,
-                        budget,
-                    )
-                },
-                ticks,
-            );
-            assert_eq!(full, segmented, "segment length {ticks}");
-        }
-    }
-
-    #[test]
-    fn nelder_mead_resume_is_bit_identical() {
-        let x0 = [0.0, 0.0, 0.0];
-        let controls = OptimizeControls {
-            max_iterations: 2000,
-            ..Default::default()
-        };
-        let full = nelder_mead(quadratic, &x0, 0.5, controls).unwrap();
-        let segmented = run_segmented(
-            |resume, budget| nelder_mead_resumable(quadratic, &x0, 0.5, controls, resume, budget),
-            7,
-        );
-        assert_eq!(full, segmented);
-    }
-
-    #[test]
-    fn spsa_resume_is_bit_identical() {
-        let x0 = [0.0, 0.0, 0.0];
-        let controls = OptimizeControls {
-            max_iterations: 300,
-            ..Default::default()
-        };
-        let full = spsa(quadratic, &x0, 7, controls).unwrap();
-        for ticks in [1, 13] {
-            let segmented = run_segmented(
-                |resume, budget| spsa_resumable(quadratic, &x0, 7, controls, resume, budget),
-                ticks,
-            );
+            let mut state = None;
+            let segmented = loop {
+                let budget = par::Budget::max_ticks(ticks);
+                match lbfgs_resumable(quadratic_grad, &x0, controls, state.take(), &budget).unwrap()
+                {
+                    OptRun::Done(out) => break out,
+                    OptRun::Interrupted(st) => state = Some(*st),
+                }
+            };
             assert_eq!(full, segmented, "segment length {ticks}");
         }
     }

@@ -13,8 +13,13 @@ use pauli_codesign::arch::{
 };
 use pauli_codesign::chem::Benchmark;
 use pauli_codesign::par::{self, Budget};
-use pauli_codesign::resilience::{decode_vqe, decode_yield, encode_vqe, encode_yield, Checkpoint};
+use pauli_codesign::resilience::stages::{self, Checkpoints};
+use pauli_codesign::resilience::{
+    decode_vqe, decode_yield, encode_vqe, encode_yield, Checkpoint, CheckpointError, FaultPlan,
+    PcdError,
+};
 use pauli_codesign::vqe::driver::{run_vqe, run_vqe_resumable, VqeOptions, VqeResult, VqeRun};
+use pauli_codesign::vqe::VqeError;
 
 /// A scratch directory for one test's checkpoint files, removed on drop.
 struct ScratchDir(std::path::PathBuf);
@@ -173,4 +178,81 @@ fn resume_after_checkpoint_loss_still_recovers_from_scratch() {
     let _ = std::fs::remove_file(&ckpt);
     let (second, _) = vqe_through_kills(3, &ckpt);
     assert_eq!(first.energy.to_bits(), second.energy.to_bits());
+}
+
+/// Asserts that `run` was refused as a checkpoint saved for other inputs,
+/// with exit code 31 and a message naming `file`.
+fn assert_refused<T: std::fmt::Debug>(run: Result<T, PcdError>, file: &str) {
+    let err = run.expect_err("a resume under other inputs must be refused");
+    assert!(
+        matches!(
+            err,
+            PcdError::Checkpoint(CheckpointError::InputsMismatch { .. })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(err.exit_code(), 31);
+    assert!(err.to_string().contains(file), "{err}");
+}
+
+#[test]
+fn resume_under_other_inputs_is_a_typed_error() {
+    let scratch = ScratchDir::new("kill-resume-inputs");
+    let build = |molecule: Benchmark, bond: f64| {
+        let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none()).expect("builds");
+        let (ir, _) = stages::ansatz(&system, 0.5);
+        (system, ir)
+    };
+    let (h2, h2_ir) = build(Benchmark::H2, 0.74);
+    let (stretched, stretched_ir) = build(Benchmark::H2, 1.2);
+    let (lih, lih_ir) = build(Benchmark::LiH, 1.6);
+    let mut store = Checkpoints::new(&scratch.0, false);
+
+    // An interrupted H2 run leaves `vqe.ckpt` keyed by its inputs.
+    let run = stages::vqe(&h2, &h2_ir, &Budget::max_ticks(2), Some(&store));
+    assert!(matches!(run, Err(PcdError::Interrupted { .. })), "{run:?}");
+    store.resume = true;
+    let unlimited = Budget::unlimited();
+    assert_refused(
+        stages::vqe(&stretched, &stretched_ir, &unlimited, Some(&store)),
+        "vqe.ckpt",
+    );
+    assert_refused(
+        stages::vqe(&lih, &lih_ir, &unlimited, Some(&store)),
+        "vqe.ckpt",
+    );
+
+    // `run_vqe_resumable` itself refuses optimizer state of another
+    // parameter count instead of indexing past it.
+    let saved =
+        decode_vqe(&Checkpoint::read(scratch.path("vqe.ckpt")).expect("read")).expect("decode");
+    let x0 = vec![0.0; lih_ir.num_parameters()];
+    let err = run_vqe_resumable(
+        lih.qubit_hamiltonian(),
+        &lih_ir,
+        &x0,
+        VqeOptions::default(),
+        Some(saved),
+        &unlimited,
+    )
+    .expect_err("H2 state cannot resume a LiH run");
+    assert!(
+        matches!(err, VqeError::CheckpointLength { expected, found }
+            if expected == lih_ir.num_parameters() && found == h2_ir.num_parameters()),
+        "{err:?}"
+    );
+
+    // The same inputs resume to the uninterrupted energy and leave the
+    // keyed `vqe.done` marker, which other inputs may not read either.
+    let resumed = stages::vqe(&h2, &h2_ir, &unlimited, Some(&store)).expect("resumes");
+    let fresh = stages::vqe(&h2, &h2_ir, &unlimited, None).expect("fresh");
+    assert_eq!(resumed.energy.to_bits(), fresh.energy.to_bits());
+    assert_refused(
+        stages::vqe(&stretched, &stretched_ir, &unlimited, Some(&store)),
+        "vqe.done",
+    );
+    assert_refused(
+        stages::vqe(&lih, &lih_ir, &unlimited, Some(&store)),
+        "vqe.done",
+    );
 }
