@@ -95,8 +95,8 @@ enum CliError {
     /// configuration is a checkpoint-class failure (exit 31).
     Serve(ServeError),
     /// A net coordinator or worker failed: transport exhaustion is
-    /// resumable (exit 36, any partial progress sealed locally), a
-    /// protocol mismatch is operator error (exit 37), and a supervisor
+    /// exit 36 (a rerun worker rejoins; the coordinator re-grants or
+    /// rescues the shard), a protocol mismatch is operator error (exit 37), and a supervisor
     /// failure inside granted jobs keeps the batch taxonomy.
     Remote(RemoteError),
 }
@@ -123,9 +123,9 @@ const EXIT_REPORT_STRICT: u8 = 34;
 const EXIT_SERVE_TRANSPORT: u8 = 35;
 
 /// Exit code for a net worker/coordinator whose transport died for good
-/// (retry budget exhausted). Resumable: a worker seals what it computed
-/// as `shard-<id>.manifest.partial` first, and rerunning the same
-/// command reconnects and resumes.
+/// (retry budget exhausted). A worker keeps nothing: rerunning it
+/// rejoins the batch like any new worker, and the coordinator re-grants
+/// the shard at the next epoch or rescues it in-process.
 const EXIT_NET_TRANSPORT: u8 = 36;
 
 /// Exit code for a net protocol mismatch (version skew or a nonsensical
@@ -256,6 +256,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
                               cross-check"
                 .to_string(),
             "shard-id" => batch::SHARDS_NEED_LISTEN.to_string(),
+            "local-dir" => "--local-dir is gone: a worker keeps nothing on disk; a rerun \
+                            rejoins, and the coordinator re-grants or rescues the shard"
+                .to_string(),
             old => format!("--{old} is gone: select the campaign with `--campaign {old}`"),
         }));
     }
@@ -301,13 +304,14 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
 /// Flags a command no longer takes, as `(command, flag)`: each is a usage
 /// error naming what replaced it.
-const RETIRED_FLAGS: [(&str, &str); 6] = [
+const RETIRED_FLAGS: [(&str, &str); 7] = [
     ("run", "expectation"),
     ("chaos", "kill-resume"),
     ("chaos", "supervised"),
     ("chaos", "net"),
     ("chaos", "serve"),
     ("batch", "shard-id"),
+    ("batch", "local-dir"),
 ];
 
 /// One form of a `pcd` command: a row of `pcd help` and the handler.
@@ -424,11 +428,11 @@ static COMMANDS: [Command; 17] = [
     },
     Command {
         name: "batch",
-        synopsis: "--connect ADDR [--worker-id NAME] [--workers N] [--local-dir DIR] \
-                   [--max-reconnects K] [--backoff-ms B]",
+        synopsis: "--connect ADDR [--worker-id NAME] [--workers N] [--max-reconnects K] \
+                   [--backoff-ms B]",
         about: "join a coordinated batch as a worker, reconnecting on a worker-id-seeded \
-                backoff ladder; on a lost transport, seal undelivered records into --local-dir \
-                and exit 36 (rerun to resume); version skew exits 37",
+                backoff ladder; a lost transport exits 36 (a rerun rejoins, and the \
+                coordinator re-grants or rescues the shard); version skew exits 37",
         run: batch::cmd_batch,
     },
     Command {
@@ -1066,18 +1070,25 @@ mod tests {
 
     #[test]
     fn retired_expectation_flag_is_a_usage_error_naming_its_removal() {
-        for args in [
-            &["run", "H2", "--expectation", "clustered"][..],
-            &["run", "H2", "--expectation", "terms"],
-            &["run", "H2", "--expectation"],
+        for (args, names) in [
+            (
+                &["run", "H2", "--expectation", "clustered"][..],
+                "--expectation is gone",
+            ),
+            (
+                &["run", "H2", "--expectation", "terms"],
+                "--expectation is gone",
+            ),
+            (&["run", "H2", "--expectation"], "--expectation is gone"),
+            (
+                &["batch", "--connect", "127.0.0.1:1", "--local-dir", "x"],
+                "--local-dir is gone",
+            ),
         ] {
             let err = run(&argv(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
             assert_eq!(err.exit_code(), 1, "{args:?}");
-            assert!(
-                err.to_string().contains("--expectation is gone"),
-                "{args:?}: {err}"
-            );
+            assert!(err.to_string().contains(names), "{args:?}: {err}");
         }
     }
 
@@ -1211,7 +1222,7 @@ mod tests {
         for name in [
             "trace.jsonl",
             "batch.manifest",
-            "shard-0.manifest.partial",
+            "shard-0.manifest.partial", // no writer left: not a report input
             "shard-1.manifest.quarantined",
             "0011223344556677.cache.quarantined",
             "merge.lineage", // `.lineage` is not a report input
@@ -1230,7 +1241,6 @@ mod tests {
             [
                 "0011223344556677.cache.quarantined",
                 "batch.manifest",
-                "shard-0.manifest.partial",
                 "shard-1.manifest.quarantined",
                 "trace.jsonl",
             ]

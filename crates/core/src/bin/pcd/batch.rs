@@ -256,7 +256,6 @@ fn cmd_batch_worker(flags: &Flags) -> Result<(), CliError> {
             .unwrap_or_else(|| format!("worker-{}", std::process::id())),
         threads: flags.opt("workers")?.unwrap_or(d.threads).max(1),
         max_reconnects: flags.opt("max-reconnects")?.unwrap_or(d.max_reconnects),
-        local_dir: flags.get("local-dir").map(PathBuf::from).or(d.local_dir),
         ..d
     };
     if let Some(ms) = flags.opt("backoff-ms")? {
@@ -267,11 +266,10 @@ fn cmd_batch_worker(flags: &Flags) -> Result<(), CliError> {
         opts.worker_id, opts.connect
     );
     let report = run_worker(&opts).map_err(|e| {
-        if let (RemoteError::TransportLost(_), Some(dir)) = (&e, &opts.local_dir) {
+        if matches!(e, RemoteError::TransportLost(_)) {
             eprintln!(
-                "transport lost: partial progress (if any) sealed under {} — \
-                 rerun the same command to resume",
-                dir.display()
+                "transport lost: this worker keeps nothing — rerun it to rejoin; the \
+                 coordinator re-grants or rescues the shard"
             );
         }
         CliError::Remote(e)

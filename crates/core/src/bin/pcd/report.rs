@@ -24,11 +24,10 @@ pub(crate) fn report_dir_entries(dir: &Path) -> Vec<PathBuf> {
             ) {
                 return true;
             }
-            // Transport forensics: partial shard manifests sealed by
-            // degraded workers, and artifacts the serve cache set aside
-            // as corrupt.
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            name.ends_with(".manifest.partial") || name.ends_with(".quarantined")
+            // Transport forensics: artifacts set aside as corrupt.
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.ends_with(".quarantined"))
         })
         .collect();
     paths.sort();

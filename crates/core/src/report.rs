@@ -21,7 +21,7 @@
 //!   (from manifests), injected-fault sites (from `resilience.fault`
 //!   events and flight `fault` entries), and flight-dump reasons;
 //! - **takeovers** — shards a coordinator re-granted past a silent
-//!   worker (from `net.takeover` events and partial shard seals);
+//!   worker (from `net.takeover` events);
 //! - **drift vs baseline** — bench medians compared against a committed
 //!   `BENCH_pipeline.json`, so a report over CI artifacts shows creep at
 //!   a glance.
@@ -36,10 +36,7 @@ use obs::json::JsonValue;
 use obs::{Record, StreamingHistogram};
 use resilience::Checkpoint;
 use serve::KIND_SERVE_MANIFEST;
-use supervisor::{
-    decode_manifest, decode_shard_manifest, BatchMeta, JobRecord, JobState, ShardMeta,
-    KIND_BATCH_MANIFEST, KIND_SHARD_MANIFEST,
-};
+use supervisor::{decode_manifest, BatchMeta, JobRecord, JobState, KIND_BATCH_MANIFEST};
 
 /// One input file, classified by content.
 #[derive(Debug)]
@@ -68,17 +65,6 @@ pub enum Artifact {
         /// Per-request records in admission order.
         records: Vec<JobRecord>,
     },
-    /// A shard-manifest checkpoint: the partial seal
-    /// (`shard-<id>.manifest.partial`) a worker writes after losing its
-    /// coordinator transport for good. Forensic evidence, never workload:
-    /// the coordinator re-granted the shard after the worker vanished, so
-    /// these records are also in the `batch.manifest` it sealed.
-    PartialShard {
-        /// Shard header: batch identity plus lineage.
-        meta: ShardMeta,
-        /// Records delivered before the transport died.
-        records: Vec<JobRecord>,
-    },
     /// A `*.quarantined` file — a serve cache entry set aside because
     /// its CRC or schema failed validation. The content
     /// is possibly arbitrary corrupt bytes, so only the size is kept.
@@ -105,7 +91,6 @@ impl Artifact {
             Artifact::Flight(_) => "flight",
             Artifact::Manifest { .. } => "manifest",
             Artifact::Serve { .. } => "serve",
-            Artifact::PartialShard { .. } => "partial",
             Artifact::Quarantined { .. } => "quarantined",
             Artifact::Bench { .. } => "bench",
         }
@@ -129,11 +114,6 @@ pub fn classify(text: &str) -> Result<Artifact, String> {
         let mut ck =
             Checkpoint::from_bytes(text.as_bytes()).map_err(|e| format!("checkpoint: {e}"))?;
         return match ck.kind.as_str() {
-            KIND_SHARD_MANIFEST => {
-                let (meta, records) =
-                    decode_shard_manifest(&ck).map_err(|e| format!("shard manifest: {e}"))?;
-                Ok(Artifact::PartialShard { meta, records })
-            }
             KIND_SERVE_MANIFEST => {
                 // Serve manifests reuse the batch-manifest payload under
                 // their own kind tag; rewrap so the decoder accepts it.
@@ -196,15 +176,13 @@ pub fn classify(text: &str) -> Result<Artifact, String> {
 ///
 /// A `*.quarantined` file is recognizable only by suffix: it was set
 /// aside precisely *because* its content failed validation (it may not
-/// even be UTF-8). A `*.manifest.partial` must decode as a shard
-/// manifest — the name promises one. Every other name defers to
-/// [`classify`] on content alone.
+/// even be UTF-8). Every other name defers to [`classify`] on content
+/// alone.
 ///
 /// # Errors
 ///
-/// As [`classify`]; additionally when a `*.manifest.partial` does not
-/// decode as a shard-manifest checkpoint, or when a non-quarantined
-/// input is not UTF-8.
+/// As [`classify`]; additionally when a non-quarantined input is not
+/// UTF-8.
 pub fn classify_named(name: &str, bytes: &[u8]) -> Result<Artifact, String> {
     if name.ends_with(".quarantined") {
         return Ok(Artifact::Quarantined {
@@ -212,15 +190,6 @@ pub fn classify_named(name: &str, bytes: &[u8]) -> Result<Artifact, String> {
         });
     }
     let text = std::str::from_utf8(bytes).map_err(|_| "not UTF-8".to_string())?;
-    if name.ends_with(".manifest.partial") {
-        return match classify(text)? {
-            partial @ Artifact::PartialShard { .. } => Ok(partial),
-            other => Err(format!(
-                "partial shard manifest: decoded as {}, expected a shard-manifest checkpoint",
-                other.kind()
-            )),
-        };
-    }
     classify(text)
 }
 
@@ -291,14 +260,9 @@ pub struct Report {
     /// quarantined / shed / pending (kept apart from batch `jobs` — a
     /// daemon's traffic is not a batch's workload).
     pub serve: (u64, u64, u64, u64),
-    /// Takeovers from `net.takeover` trace events and partial shard
-    /// seals: `(shard_id, dead owner, epoch of the new grant)`.
+    /// Takeovers from `net.takeover` trace events:
+    /// `(shard_id, dead owner, epoch of the new grant)`.
     pub takeovers: Vec<(usize, String, u64)>,
-    /// Partial shard manifests from degraded workers, by shard id:
-    /// `(shard_id, owner, epoch, records delivered, records assigned)`.
-    /// Kept out of the job totals — the sealed `batch.manifest` covers
-    /// the same jobs.
-    pub partial_shards: Vec<(usize, String, u64, u64, u64)>,
     /// `*.quarantined` files seen: `(count, total bytes)`.
     pub quarantined_files: (u64, u64),
     /// Benchmarks drifting beyond the tolerance, worst first.
@@ -326,7 +290,6 @@ pub struct ReportBuilder {
     jobs: (u64, u64, u64, u64),
     serve: (u64, u64, u64, u64),
     takeovers: Vec<(usize, String, u64)>,
-    partial_shards: Vec<(usize, String, u64, u64, u64)>,
     quarantined_files: (u64, u64),
     bench: BTreeMap<String, u64>,
     clusters: BTreeMap<String, u64>,
@@ -420,26 +383,6 @@ impl ReportBuilder {
                     }
                 }
             }
-            Artifact::PartialShard { meta, records } => {
-                // Deliberately NOT folded into the job totals: the
-                // coordinator re-granted this shard after the worker
-                // vanished, so every record here is also in the sealed
-                // batch.manifest — counting both would double-report.
-                let jobs = meta.batch.jobs;
-                let shards = meta.shards.max(1);
-                let assigned = (jobs / shards + usize::from(meta.shard_id < jobs % shards)) as u64;
-                if let Some(from) = &meta.taken_over_from {
-                    self.takeovers
-                        .push((meta.shard_id, from.clone(), meta.epoch));
-                }
-                self.partial_shards.push((
-                    meta.shard_id,
-                    meta.owner,
-                    meta.epoch,
-                    records.len() as u64,
-                    assigned,
-                ));
-            }
             Artifact::Quarantined { bytes } => {
                 self.quarantined_files.0 += 1;
                 self.quarantined_files.1 += bytes;
@@ -491,10 +434,8 @@ impl ReportBuilder {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
 
-        let mut partial_shards = self.partial_shards;
-        partial_shards.sort();
-        // A takeover can surface in several traces of one run (and in a
-        // partial seal) — report each once.
+        // A takeover can surface in several traces of one run — report
+        // each once.
         let mut takeovers = self.takeovers;
         takeovers.sort();
         takeovers.dedup();
@@ -511,7 +452,6 @@ impl ReportBuilder {
             jobs: self.jobs,
             serve: self.serve,
             takeovers,
-            partial_shards,
             quarantined_files: self.quarantined_files,
             drift,
             bench_compared: compared,
@@ -619,22 +559,13 @@ impl Report {
                 let _ = writeln!(out, "  shard {shard:<3} from {from} at epoch {epoch}");
             }
         }
-        if !self.partial_shards.is_empty() || self.quarantined_files.0 > 0 {
+        if self.quarantined_files.0 > 0 {
             let _ = writeln!(out, "transport artifacts:");
-            for (id, owner, epoch, delivered, assigned) in &self.partial_shards {
-                let _ = writeln!(
-                    out,
-                    "  partial shard {id:<3} epoch {epoch:<3} {delivered}/{assigned} record(s) \
-                     sealed before transport loss  (owner {owner})"
-                );
-            }
-            if self.quarantined_files.0 > 0 {
-                let _ = writeln!(
-                    out,
-                    "  {} quarantined file(s) ({} bytes) held for forensics",
-                    self.quarantined_files.0, self.quarantined_files.1
-                );
-            }
+            let _ = writeln!(
+                out,
+                "  {} quarantined file(s) ({} bytes) held for forensics",
+                self.quarantined_files.0, self.quarantined_files.1
+            );
         }
         if !self.quarantined_by_stage.is_empty() {
             let _ = writeln!(out, "quarantined by stage:");
@@ -802,28 +733,8 @@ impl Report {
                 ),
             );
         }
-        if !self.partial_shards.is_empty() || self.quarantined_files.0 > 0 {
+        if self.quarantined_files.0 > 0 {
             let mut transport = BTreeMap::new();
-            transport.insert(
-                "partial_shards".to_string(),
-                JsonValue::Array(
-                    self.partial_shards
-                        .iter()
-                        .map(|(id, owner, epoch, delivered, assigned)| {
-                            let mut o = BTreeMap::new();
-                            o.insert("shard_id".to_string(), JsonValue::Number(*id as f64));
-                            o.insert("owner".to_string(), JsonValue::String(owner.clone()));
-                            o.insert("epoch".to_string(), JsonValue::Number(*epoch as f64));
-                            o.insert(
-                                "delivered".to_string(),
-                                JsonValue::Number(*delivered as f64),
-                            );
-                            o.insert("assigned".to_string(), JsonValue::Number(*assigned as f64));
-                            JsonValue::Object(o)
-                        })
-                        .collect(),
-                ),
-            );
             transport.insert(
                 "quarantined_files".to_string(),
                 JsonValue::Number(self.quarantined_files.0 as f64),
@@ -1081,67 +992,6 @@ mod tests {
         assert!(classify("not json at all {{{").is_err());
     }
 
-    fn partial_fixture() -> Vec<u8> {
-        let meta = ShardMeta {
-            batch: BatchMeta {
-                batch_seed: 7,
-                jobs: 5,
-                pipeline_fault_rate: 0.0,
-            },
-            shards: 2,
-            shard_id: 0,
-            owner: "w0".to_string(),
-            epoch: 2,
-            taken_over_from: None,
-        };
-        let records = vec![JobRecord {
-            index: 0,
-            id: "h2-0".to_string(),
-            state: JobState::Done {
-                energy_bits: (-1.1f64).to_bits(),
-                iterations: 3,
-                evaluations: 9,
-                scf_retries: 0,
-                sabre_fallback: false,
-            },
-            retries: 0,
-            backoff_ms: 0,
-        }];
-        supervisor::encode_shard_manifest(&meta, &records).to_bytes()
-    }
-
-    #[test]
-    fn partial_shard_manifest_classifies_by_name_not_as_a_live_shard() {
-        let bytes = partial_fixture();
-        // Only a degraded worker writes shard manifests, so content alone
-        // says "partial" too — and a partial must never be counted as
-        // fleet workload.
-        assert_eq!(
-            classify_named("shard-0.manifest", &bytes)
-                .expect("partial")
-                .kind(),
-            "partial"
-        );
-        let artifact =
-            classify_named("shard-0.manifest.partial", &bytes).expect("classifies partial");
-        assert_eq!(artifact.kind(), "partial");
-        let mut b = ReportBuilder::new();
-        b.add("w0/shard-0.manifest.partial", artifact);
-        let report = b.finish(&BTreeMap::new(), 0.10);
-        assert_eq!(
-            report.jobs,
-            (0, 0, 0, 0),
-            "partials must not inflate job totals"
-        );
-        // jobs=5 over 2 shards: shard 0 owns indices 0, 2, 4 — 1 of 3
-        // records made it out before the transport died.
-        assert_eq!(report.partial_shards, vec![(0, "w0".to_string(), 2, 1, 3)]);
-        let rendered = report.render();
-        assert!(rendered.contains("transport artifacts:"));
-        assert!(rendered.contains("1/3 record(s) sealed before transport loss"));
-        assert!(report.to_json().get("transport").is_some());
-    }
-
     #[test]
     fn quarantined_files_classify_by_name_even_when_not_utf8() {
         let artifact = classify_named("shard-1.manifest.quarantined", &[0xFF, 0xFE, 0x00, 0x01])
@@ -1161,12 +1011,5 @@ mod tests {
         assert!(report
             .render()
             .contains("2 quarantined file(s) (14 bytes) held for forensics"));
-    }
-
-    #[test]
-    fn partial_suffix_on_a_non_shard_checkpoint_is_an_error() {
-        let err = classify_named("batch.manifest.partial", trace_fixture().as_bytes())
-            .expect_err("a trace under a partial name must not classify");
-        assert!(err.contains("partial shard manifest"), "{err}");
     }
 }

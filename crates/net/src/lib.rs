@@ -16,8 +16,7 @@
 //!   dribbles one byte at a time decodes identically to one that writes
 //!   whole frames.
 //! - **Messages** ([`message`]) — the coordinator/worker vocabulary
-//!   (hello/welcome/claim/grant/job-result/heartbeat/lease-renew/
-//!   ack/reject/drain) as single-line JSON payloads, mirroring the serve
+//!   (hello/welcome/claim/grant/job-result/heartbeat/ack/reject/drain) as single-line JSON payloads, mirroring the serve
 //!   protocol's one-object-per-line idiom. Job records travel as opaque
 //!   manifest-encoded JSON strings, so the supervisor's bit-exact record
 //!   encoding is reused verbatim rather than re-specified here.

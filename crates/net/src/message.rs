@@ -1,8 +1,8 @@
 //! The coordinator/worker vocabulary, as single-line JSON frame payloads.
 //!
-//! Worker → coordinator: `hello`, `claim`, `job-result`, `heartbeat`,
-//! `lease-renew`. Coordinator → worker: `welcome`, `grant`, `wait`,
-//! `ack`, `reject`, `drain`. Every exchange is strictly request/response
+//! Worker → coordinator: `hello`, `claim`, `job-result`, `heartbeat`.
+//! Coordinator → worker: `welcome`, `grant`, `wait`, `ack`, `reject`,
+//! `drain`. Every exchange is strictly request/response
 //! — one frame out, one frame back — so a connection never multiplexes
 //! replies and a severed link is always at a message boundary or inside
 //! exactly one frame (which the CRC catches).
@@ -94,7 +94,9 @@ pub enum Message {
         /// Manifest-encoded record line.
         record_json: String,
     },
-    /// Worker liveness ping while computing.
+    /// Worker liveness ping while computing. It also renews the lease:
+    /// a `reject` reply tells a partitioned worker its shard was
+    /// reassigned.
     Heartbeat {
         /// Shard being worked.
         shard_id: usize,
@@ -103,16 +105,7 @@ pub enum Message {
         /// Beats sent so far on this lease.
         beats: u64,
     },
-    /// Worker asks to extend its lease; the reply tells it whether it
-    /// still owns the shard (a partitioned worker discovers here that
-    /// its shard was reassigned).
-    LeaseRenew {
-        /// Shard being worked.
-        shard_id: usize,
-        /// Lease epoch the worker holds.
-        epoch: u64,
-    },
-    /// Positive reply (to job-result, heartbeat, lease-renew).
+    /// Positive reply (to job-result, heartbeat).
     Ack {
         /// The epoch the coordinator currently recognizes for the shard.
         epoch: u64,
@@ -183,7 +176,6 @@ impl Message {
             Message::Wait { .. } => "wait",
             Message::JobResult { .. } => "job-result",
             Message::Heartbeat { .. } => "heartbeat",
-            Message::LeaseRenew { .. } => "lease-renew",
             Message::Ack { .. } => "ack",
             Message::Reject { .. } => "reject",
             Message::Drain => "drain",
@@ -255,11 +247,6 @@ impl Message {
                 ("epoch", u64s(*epoch)),
                 ("beats", u64s(*beats)),
             ]),
-            Message::LeaseRenew { shard_id, epoch } => obj(vec![
-                ("type", s("lease-renew")),
-                ("shard_id", n(*shard_id)),
-                ("epoch", u64s(*epoch)),
-            ]),
             Message::Ack { epoch } => obj(vec![("type", s("ack")), ("epoch", u64s(*epoch))]),
             Message::Reject { reason } => obj(vec![("type", s("reject")), ("reason", s(reason))]),
             Message::Drain => obj(vec![("type", s("drain"))]),
@@ -316,10 +303,6 @@ impl Message {
                 epoch: get_u64_str(&msg, "epoch")?,
                 beats: get_u64_str(&msg, "beats")?,
             }),
-            "lease-renew" => Ok(Message::LeaseRenew {
-                shard_id: get_usize(&msg, "shard_id")?,
-                epoch: get_u64_str(&msg, "epoch")?,
-            }),
             "ack" => Ok(Message::Ack {
                 epoch: get_u64_str(&msg, "epoch")?,
             }),
@@ -374,10 +357,6 @@ mod tests {
                 shard_id: 1,
                 epoch: 2,
                 beats: 17,
-            },
-            Message::LeaseRenew {
-                shard_id: 1,
-                epoch: 2,
             },
             Message::Ack { epoch: 3 },
             Message::Reject {

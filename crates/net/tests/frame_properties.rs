@@ -57,7 +57,6 @@ fn arb_message() -> BoxedStrategy<Message> {
             epoch: 1,
             beats: beats as u64,
         }),
-        (0usize..8).prop_map(|shard_id| Message::LeaseRenew { shard_id, epoch: 2 }),
         (0usize..1000).prop_map(|epoch| Message::Ack {
             epoch: epoch as u64
         }),

@@ -11,8 +11,8 @@
 //!   "millions of users" shape depends on);
 //! - a **corrupt entry** (truncated, bit-flipped, torn write) fails its
 //!   CRC before any field is trusted, is renamed aside to
-//!   `<key>.cache.quarantined` — mirroring shard-manifest quarantine in
-//!   `supervisor::merge` — and the caller recomputes;
+//!   `<key>.cache.quarantined` (which `pcd report` counts as a
+//!   transport artifact), and the caller recomputes;
 //! - a **write** goes through the atomic temp-file + fsync + rename
 //!   path, except when the [`FaultKind::CacheWrite`] injection site
 //!   orders a torn write, which the next read then detects and

@@ -4,9 +4,9 @@
 //! # Execution model
 //!
 //! One accept thread owns the Unix listener and the admission decision;
-//! `workers` threads pull work from a bounded two-lane queue (interactive
-//! client requests ride the fast lane, resumed backlog the slow lane —
-//! the same [`Lane`](supervisor::Lane) discipline as the batch engine).
+//! `workers` threads pull work from the batch engine's two-lane
+//! [`JobQueue`] (interactive client requests ride the fast lane, resumed
+//! backlog the slow lane); the accept thread enforces the queue cap.
 //! Each job request runs as a single-job supervised batch, which buys
 //! the whole robustness stack for free: panic isolation (`catch_unwind`
 //! at the worker boundary — the watchdog that turns a panicking kernel
@@ -39,20 +39,19 @@
 //! daemon starts fresh: an always-on front door must come up even when
 //! its own state is damaged.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use obs::json::JsonValue;
 use resilience::{Checkpoint, CheckpointError, FaultPlan};
 use supervisor::engine::InjectionPlan;
 use supervisor::{
-    decode_manifest, encode_manifest, run_batch, BatchMeta, JobRecord, JobSpec, JobState,
-    ShedPolicy, SupervisorConfig, KIND_BATCH_MANIFEST,
+    decode_manifest, encode_manifest, run_batch, BatchMeta, JobQueue, JobRecord, JobSpec, JobState,
+    Lane, ShedPolicy, SupervisorConfig, KIND_BATCH_MANIFEST,
 };
 
 use crate::cache::{cache_key, Cache, CacheProbe, CachedResult};
@@ -286,89 +285,6 @@ enum Work {
     Resume(usize),
 }
 
-struct LaneState {
-    fast: VecDeque<Work>,
-    slow: VecDeque<Work>,
-    closed: bool,
-}
-
-/// The daemon's bounded two-lane work queue. Client connections ride
-/// the fast lane, resumed backlog the slow lane; capacity is enforced by
-/// the (single-threaded) admission path, not here.
-struct WorkQueue {
-    state: Mutex<LaneState>,
-    ready: Condvar,
-}
-
-impl WorkQueue {
-    fn new() -> Self {
-        WorkQueue {
-            state: Mutex::new(LaneState {
-                fast: VecDeque::new(),
-                slow: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, LaneState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn push_fast(&self, work: Work) {
-        self.lock().fast.push_back(work);
-        self.ready.notify_one();
-    }
-
-    fn push_slow(&self, work: Work) {
-        self.lock().slow.push_back(work);
-        self.ready.notify_one();
-    }
-
-    /// Oldest waiting client connection, for `drop-oldest` eviction.
-    /// Resumed backlog is never evicted — it is already journaled.
-    fn evict_oldest_client(&self) -> Option<UnixStream> {
-        let mut state = self.lock();
-        match state.fast.pop_front() {
-            Some(Work::Client(stream)) => Some(stream),
-            Some(other) => {
-                // Not a client (cannot happen today — resumes ride the
-                // slow lane) — put it back rather than lose it.
-                state.fast.push_front(other);
-                None
-            }
-            None => None,
-        }
-    }
-
-    fn len(&self) -> usize {
-        let state = self.lock();
-        state.fast.len() + state.slow.len()
-    }
-
-    fn pop(&self) -> Option<Work> {
-        let mut state = self.lock();
-        loop {
-            if let Some(work) = state.fast.pop_front() {
-                return Some(work);
-            }
-            if let Some(work) = state.slow.pop_front() {
-                return Some(work);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_all();
-    }
-}
-
 /// One journaled request: the spec in admission order, and its record
 /// once known. `None` seals as a pending record.
 struct Entry {
@@ -402,7 +318,7 @@ impl Stats {
 struct Shared {
     config: ServeConfig,
     cache: Cache,
-    queue: WorkQueue,
+    queue: JobQueue<Work>,
     journal: Mutex<Vec<Entry>>,
     stats: Stats,
     /// Serve-level fault plan: `CacheWrite` and `Accept` draws.
@@ -487,7 +403,7 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeSummary, ServeError> {
     let shared = Shared {
         config: config.clone(),
         cache,
-        queue: WorkQueue::new(),
+        queue: JobQueue::new(),
         journal: Mutex::new(Vec::new()),
         stats: Stats::default(),
         serve_faults: Mutex::new(FaultPlan::new(
@@ -499,7 +415,7 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeSummary, ServeError> {
 
     let resumed_pending = load_restart_state(&shared)?;
     for index in &resumed_pending {
-        shared.queue.push_slow(Work::Resume(*index));
+        shared.queue.push(Work::Resume(*index), Lane::Slow);
     }
 
     let socket_path = config.socket_path();
@@ -650,7 +566,7 @@ fn accept_loop(shared: &Shared, listener: &UnixListener) {
                 if shared
                     .config
                     .idle_exit
-                    .is_some_and(|idle| last_activity.elapsed() > idle && shared.queue.len() == 0)
+                    .is_some_and(|idle| last_activity.elapsed() > idle && shared.queue.is_empty())
                 {
                     return;
                 }
@@ -710,9 +626,12 @@ fn admit_connection(shared: &Shared, stream: UnixStream) {
                 shed_connection(shared, stream, ShedPolicy::RejectNew.name(), depth);
             }
             ShedPolicy::DropOldest => {
-                if let Some(victim) = shared.queue.evict_oldest_client() {
+                let oldest = shared
+                    .queue
+                    .evict_oldest_fast(|work| matches!(work, Work::Client(_)));
+                if let Some(Work::Client(victim)) = oldest {
                     shed_connection(shared, victim, ShedPolicy::DropOldest.name(), depth);
-                    shared.queue.push_fast(Work::Client(stream));
+                    shared.queue.push(Work::Client(stream), Lane::Fast);
                 } else {
                     // Nothing evictable (the queue is all resumed
                     // backlog, which is already journaled) — the
@@ -723,7 +642,7 @@ fn admit_connection(shared: &Shared, stream: UnixStream) {
         }
         return;
     }
-    shared.queue.push_fast(Work::Client(stream));
+    shared.queue.push(Work::Client(stream), Lane::Fast);
 }
 
 fn shed_connection(shared: &Shared, mut stream: UnixStream, policy: &str, depth: usize) {

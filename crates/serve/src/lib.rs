@@ -20,7 +20,7 @@
 //!   entry. Repeat traffic is O(1): a hit answers from the sealed entry
 //!   without touching SCF or VQE. A truncated or bit-flipped entry fails
 //!   its CRC *before* being trusted, is quarantined aside as
-//!   `*.quarantined` (mirroring shard-manifest handling), and the request
+//!   `*.quarantined` (counted by `pcd report`), and the request
 //!   is recomputed — corruption degrades throughput, never correctness.
 //! - **Zero-downtime restart** ([`daemon`]) — SIGTERM (or a `drain` op)
 //!   gracefully drains: in-flight jobs finish, queued requests are

@@ -395,8 +395,6 @@ fn net_chaos_trial(
             .args(["--connect", &proxy_addr.to_string()])
             .args(["--worker-id", &worker_id])
             .args(["--workers", &opts.threads.max(1).to_string()])
-            .arg("--local-dir")
-            .arg(scratch.join(&worker_id))
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()

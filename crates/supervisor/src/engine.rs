@@ -469,13 +469,13 @@ pub(crate) fn run_scoped(
         (Some(ticks), Some(limit)) => Some(Budget::wall_clock(limit).with_max_ticks(ticks)),
     };
 
-    let queue = JobQueue::bounded(0);
+    let queue = JobQueue::new();
     for &index in &to_run {
-        // The runtime queue is preloaded with the already-admitted set,
-        // so this cannot shed; admission owns that decision. Short jobs
-        // ride the fast lane so they are not stuck behind long VQE runs;
-        // outcomes are index-keyed, so lane order never changes records.
-        let _ = queue.try_push_lane(index, jobs[index].lane());
+        // The runtime queue is preloaded with the already-admitted set;
+        // admission owns the shed decision. Short jobs ride the fast lane
+        // so they are not stuck behind long VQE runs; outcomes are
+        // index-keyed, so lane order never changes records.
+        queue.push(index, jobs[index].lane());
     }
     queue.close();
 

@@ -36,7 +36,7 @@
 //! hangs, and transient faults.
 //!
 //! Determinism is also what makes the batch **horizontally shardable**
-//! ([`remote`], [`shard`]): a TCP coordinator splits a batch across
+//! ([`remote`]): a TCP coordinator splits a batch across
 //! worker processes by `index % N`, grants each shard under a monotonic
 //! lease epoch, re-grants a silent worker's shard at the next epoch,
 //! checks every record on the wire as it arrives, and seals the union of
@@ -55,7 +55,6 @@ pub mod manifest;
 pub mod progress;
 pub mod queue;
 pub mod remote;
-pub mod shard;
 
 pub use backoff::BackoffPolicy;
 pub use breaker::{CircuitBreaker, Stage};
@@ -68,10 +67,6 @@ pub use manifest::{decode_manifest, encode_manifest, BatchMeta, KIND_BATCH_MANIF
 pub use progress::{ProgressSnapshot, ProgressTracker};
 pub use queue::{admit, admit_plan, Admission, JobQueue, Lane, ShedPolicy, FAST_LANE_MAX_QUBITS};
 pub use remote::{
-    partial_manifest_path, reconnect_schedule, run_worker, Coordinator, CoordinatorOptions,
-    CoordinatorReport, CoordinatorWatch, RemoteError, RemoteTakeover, WorkerOptions, WorkerReport,
-};
-pub use shard::{
-    decode_shard_manifest, encode_shard_manifest, job_shard, shard_indices, ShardMeta, ShardSpec,
-    KIND_SHARD_MANIFEST,
+    reconnect_schedule, run_worker, Coordinator, CoordinatorOptions, CoordinatorReport,
+    CoordinatorWatch, RemoteError, RemoteTakeover, WorkerOptions, WorkerReport,
 };

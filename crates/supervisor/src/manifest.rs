@@ -30,7 +30,7 @@ pub struct BatchMeta {
     pub pipeline_fault_rate: f64,
 }
 
-pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
+fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Object(
         fields
             .into_iter()
@@ -39,11 +39,11 @@ pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     )
 }
 
-pub(crate) fn num(v: usize) -> JsonValue {
+fn num(v: usize) -> JsonValue {
     JsonValue::Number(v as f64)
 }
 
-pub(crate) fn string(s: &str) -> JsonValue {
+fn string(s: &str) -> JsonValue {
     JsonValue::String(s.to_string())
 }
 
@@ -53,7 +53,7 @@ fn get<'a>(record: &'a JsonValue, field: &str) -> Result<&'a JsonValue, Checkpoi
         .ok_or_else(|| CheckpointError::Malformed(format!("manifest: missing field `{field}`")))
 }
 
-pub(crate) fn get_usize(record: &JsonValue, field: &str) -> Result<usize, CheckpointError> {
+fn get_usize(record: &JsonValue, field: &str) -> Result<usize, CheckpointError> {
     get(record, field)?
         .as_u64()
         .and_then(|v| usize::try_from(v).ok())
@@ -62,7 +62,7 @@ pub(crate) fn get_usize(record: &JsonValue, field: &str) -> Result<usize, Checkp
         })
 }
 
-pub(crate) fn get_str<'a>(record: &'a JsonValue, field: &str) -> Result<&'a str, CheckpointError> {
+fn get_str<'a>(record: &'a JsonValue, field: &str) -> Result<&'a str, CheckpointError> {
     get(record, field)?.as_str().ok_or_else(|| {
         CheckpointError::Malformed(format!("manifest: field `{field}` is not a string"))
     })
@@ -74,7 +74,7 @@ fn get_bool(record: &JsonValue, field: &str) -> Result<bool, CheckpointError> {
     })
 }
 
-pub(crate) fn get_u64_str(record: &JsonValue, field: &str) -> Result<u64, CheckpointError> {
+fn get_u64_str(record: &JsonValue, field: &str) -> Result<u64, CheckpointError> {
     get_str(record, field)?.parse::<u64>().map_err(|_| {
         CheckpointError::Malformed(format!("manifest: field `{field}` is not a decimal u64"))
     })
@@ -179,8 +179,8 @@ fn decode_record(line: &JsonValue, position: usize) -> Result<JobRecord, Checkpo
 }
 
 /// Decodes one record line without pinning its index to a line position —
-/// shard manifests carry *global* job indices, so a shard's records are a
-/// sparse, ascending subsequence rather than `0..n`.
+/// a record on the wire carries its *global* job index, which the
+/// coordinator checks against the envelope and the granted shard.
 pub(crate) fn decode_record_sparse(line: &JsonValue) -> Result<JobRecord, CheckpointError> {
     let index = get_usize(line, "index")?;
     let id = get_str(line, "id")?.to_string();

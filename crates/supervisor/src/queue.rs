@@ -1,4 +1,4 @@
-//! Bounded job queue with explicit backpressure and load-shedding.
+//! Deterministic load-shedding and the two-lane work queue.
 //!
 //! Two layers:
 //!
@@ -8,10 +8,9 @@
 //!   identically at any worker count. `RejectNew` keeps the first `cap`
 //!   arrivals (the queue is full, newcomers bounce); `DropOldest` keeps
 //!   the last `cap` (newcomers push the oldest waiting jobs out).
-//! - [`JobQueue`] — the runtime bounded queue workers pull from:
-//!   `try_push` surfaces backpressure to the producer, `pop` blocks until
-//!   work or close. The supervisor preloads it with the admitted set, so
-//!   the runtime path never sheds on its own.
+//! - [`JobQueue`] — the runtime two-lane queue workers pull from: `pop`
+//!   blocks until work or close. The supervisor preloads it with the
+//!   admitted set, so the runtime path never sheds on its own.
 //!
 //! Every shed is recorded as a `supervisor.shed` obs event and counted in
 //! `supervisor.jobs_shed`.
@@ -151,32 +150,26 @@ impl Lane {
     }
 }
 
-struct QueueState {
-    fast: VecDeque<usize>,
-    slow: VecDeque<usize>,
+struct Lanes<T> {
+    fast: VecDeque<T>,
+    slow: VecDeque<T>,
     closed: bool,
 }
 
-impl QueueState {
-    fn len(&self) -> usize {
-        self.fast.len() + self.slow.len()
-    }
-}
-
-/// A bounded multi-producer multi-consumer queue of job indices with two
-/// priority lanes: `pop` always drains the fast lane first, FIFO within
-/// each lane, and the capacity bounds the two lanes together.
-pub struct JobQueue {
-    cap: usize,
-    state: Mutex<QueueState>,
+/// A multi-producer multi-consumer queue with two priority lanes: `pop`
+/// always drains the fast lane first, FIFO within each lane. It holds
+/// job indices in the batch engine, which preloads the admitted set, and
+/// connections in the serve daemon, whose admission path enforces the
+/// cap — so the queue itself never bounds or sheds.
+pub struct JobQueue<T = usize> {
+    state: Mutex<Lanes<T>>,
     ready: Condvar,
 }
 
-impl std::fmt::Debug for JobQueue {
+impl<T> std::fmt::Debug for JobQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.lock();
         f.debug_struct("JobQueue")
-            .field("cap", &self.cap)
             .field("fast", &state.fast.len())
             .field("slow", &state.slow.len())
             .field("closed", &state.closed)
@@ -184,12 +177,10 @@ impl std::fmt::Debug for JobQueue {
     }
 }
 
-impl JobQueue {
-    /// A queue holding at most `cap` waiting jobs (`0` = unbounded).
-    pub fn bounded(cap: usize) -> Self {
+impl<T> Default for JobQueue<T> {
+    fn default() -> Self {
         JobQueue {
-            cap,
-            state: Mutex::new(QueueState {
+            state: Mutex::new(Lanes {
                 fast: VecDeque::new(),
                 slow: VecDeque::new(),
                 closed: false,
@@ -197,46 +188,54 @@ impl JobQueue {
             ready: Condvar::new(),
         }
     }
+}
 
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
+impl<T> JobQueue<T> {
+    /// An empty, open queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Lanes<T>> {
         // A worker panicking while holding the lock leaves structurally
         // valid state; the supervisor's whole job is to outlive panics.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueues a job in the slow lane if there is room. `Err(index)`
-    /// hands the job back — that is the backpressure signal.
-    pub fn try_push(&self, index: usize) -> Result<(), usize> {
-        self.try_push_lane(index, Lane::Slow)
-    }
-
-    /// Enqueues a job in `lane` if there is room. `Err(index)` hands the
-    /// job back — that is the backpressure signal.
-    pub fn try_push_lane(&self, index: usize, lane: Lane) -> Result<(), usize> {
+    /// Enqueues `item` at the back of `lane`.
+    pub fn push(&self, item: T, lane: Lane) {
         let mut state = self.lock();
-        if state.closed || (self.cap > 0 && state.len() >= self.cap) {
-            return Err(index);
-        }
         match lane {
-            Lane::Fast => state.fast.push_back(index),
-            Lane::Slow => state.slow.push_back(index),
+            Lane::Fast => state.fast.push_back(item),
+            Lane::Slow => state.slow.push_back(item),
         }
         drop(state);
         self.ready.notify_one();
-        Ok(())
     }
 
-    /// Blocks until a job is available or the queue is closed and empty.
-    /// The fast lane drains completely before any slow-lane job is handed
-    /// out.
-    pub fn pop(&self) -> Option<usize> {
+    /// Removes the oldest fast-lane item, but only when `evictable`
+    /// accepts it — `drop-oldest` shedding evicts a waiting client, never
+    /// work that must not be lost.
+    pub fn evict_oldest_fast(&self, evictable: impl FnOnce(&T) -> bool) -> Option<T> {
+        let mut state = self.lock();
+        if state.fast.front().is_some_and(evictable) {
+            state.fast.pop_front()
+        } else {
+            None
+        }
+    }
+
+    /// Blocks until an item is available or the queue is closed and
+    /// empty. The fast lane drains completely before any slow-lane item
+    /// is handed out.
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.lock();
         loop {
-            if let Some(index) = state.fast.pop_front() {
-                return Some(index);
+            if let Some(item) = state.fast.pop_front() {
+                return Some(item);
             }
-            if let Some(index) = state.slow.pop_front() {
-                return Some(index);
+            if let Some(item) = state.slow.pop_front() {
+                return Some(item);
             }
             if state.closed {
                 return None;
@@ -245,19 +244,20 @@ impl JobQueue {
         }
     }
 
-    /// Closes the queue: no new pushes; `pop` drains what remains, then
-    /// returns `None` to every worker.
+    /// Closes the queue: `pop` drains what remains, then returns `None`
+    /// to every consumer.
     pub fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
     }
 
-    /// Jobs currently waiting across both lanes.
+    /// Items currently waiting across both lanes.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        let state = self.lock();
+        state.fast.len() + state.slow.len()
     }
 
-    /// Whether no jobs are waiting.
+    /// Whether no items are waiting.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -344,27 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_applies_backpressure() {
-        let q = JobQueue::bounded(2);
-        assert!(q.try_push(0).is_ok());
-        assert!(q.try_push(1).is_ok());
-        assert_eq!(q.try_push(2), Err(2), "full queue hands the job back");
-        assert_eq!(q.pop(), Some(0));
-        assert!(q.try_push(2).is_ok(), "space freed by pop");
-        q.close();
-        assert_eq!(q.try_push(9), Err(9), "closed queue rejects pushes");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None, "closed and drained");
-    }
-
-    #[test]
     fn fast_lane_drains_before_slow() {
-        let q = JobQueue::bounded(0);
-        assert!(q.try_push_lane(0, Lane::Slow).is_ok());
-        assert!(q.try_push_lane(1, Lane::Fast).is_ok());
-        assert!(q.try_push_lane(2, Lane::Slow).is_ok());
-        assert!(q.try_push_lane(3, Lane::Fast).is_ok());
+        let q = JobQueue::new();
+        q.push(0, Lane::Slow);
+        q.push(1, Lane::Fast);
+        q.push(2, Lane::Slow);
+        q.push(3, Lane::Fast);
         q.close();
         // Fast lane FIFO first, then slow lane FIFO — deterministic
         // regardless of the interleaved arrival order.
@@ -375,12 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_both_lanes_together() {
-        let q = JobQueue::bounded(2);
-        assert!(q.try_push_lane(0, Lane::Fast).is_ok());
-        assert!(q.try_push_lane(1, Lane::Slow).is_ok());
-        assert_eq!(q.try_push_lane(2, Lane::Fast), Err(2));
-        assert_eq!(q.try_push(3), Err(3));
+    fn eviction_takes_only_an_evictable_fast_lane_head() {
+        let q = JobQueue::new();
+        q.push(0, Lane::Slow);
+        assert_eq!(
+            q.evict_oldest_fast(|_| true),
+            None,
+            "slow lane is never evicted"
+        );
+        q.push(1, Lane::Fast);
+        q.push(2, Lane::Fast);
+        assert_eq!(q.evict_oldest_fast(|&i| i != 1), None, "head refused");
+        assert_eq!(q.evict_oldest_fast(|_| true), Some(1));
         assert_eq!(q.len(), 2);
     }
 
@@ -395,7 +386,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_workers() {
-        let q = std::sync::Arc::new(JobQueue::bounded(0));
+        let q = std::sync::Arc::new(JobQueue::<usize>::new());
         let q2 = q.clone();
         let handle = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(20));

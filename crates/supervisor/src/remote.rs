@@ -26,10 +26,10 @@
 //!   match the jobs file, and a duplicate must be bit-identical. A record
 //!   that passes is final; nothing re-validates it later.
 //! - Degradation is graceful on both ends: a worker that exhausts its
-//!   transport budget mid-shard seals what it has as a local
-//!   `shard-<id>.manifest.partial` (the CRC-sealed shard codec, read only
-//!   by `pcd report`) and exits resumable; a coordinator that loses every
-//!   worker rescues unfinished shards in-process at the next epoch.
+//!   transport budget gives up with [`RemoteError::TransportLost`] and
+//!   keeps nothing — a rerun rejoins like any new worker, and the
+//!   coordinator re-grants the shard at the next epoch; a coordinator
+//!   that loses every worker rescues unfinished shards in-process.
 //!
 //! After the last job lands the coordinator seals the union of its
 //! per-shard record tables into `batch.manifest` with the same encoder a
@@ -40,7 +40,7 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -51,7 +51,6 @@ use crate::backoff::BackoffPolicy;
 use crate::engine::{run_scoped, InjectionPlan, SupervisorConfig, SupervisorError};
 use crate::job::{parse_jobs, JobRecord, JobSpec};
 use crate::manifest::{decode_record_sparse, encode_manifest, encode_record, BatchMeta};
-use crate::shard::{encode_shard_manifest, shard_indices, ShardMeta, ShardSpec};
 use resilience::splitmix64;
 
 /// A remote-batch failure, split by exit taxonomy: transport exhaustion
@@ -59,8 +58,9 @@ use resilience::splitmix64;
 /// (exit 37), everything else is the usual supervisor failure.
 #[derive(Debug)]
 pub enum RemoteError {
-    /// The transport died and the retry budget ran out. Partial progress
-    /// (when any) was sealed locally; re-running the worker resumes.
+    /// The transport died and the retry budget ran out. The worker keeps
+    /// nothing: a rerun rejoins, and the coordinator re-grants or rescues
+    /// the shard.
     TransportLost(String),
     /// The peer speaks a different protocol (version skew, wrong batch,
     /// or a reply that makes no sense at this point in the exchange).
@@ -87,14 +87,17 @@ impl From<SupervisorError> for RemoteError {
     }
 }
 
-/// FNV-1a of a worker id — the stable seed root of its reconnect ladder.
+/// 64-bit FNV-1a (offset basis `0xcbf29ce484222325`, prime `0x100000001b3`).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `splitmix64(fnv1a(worker_id))` — the stable seed root of a worker's
+/// reconnect ladder.
 fn worker_seed(worker_id: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in worker_id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    splitmix64(h)
+    splitmix64(fnv1a(worker_id.as_bytes()))
 }
 
 /// The deterministic reconnect schedule for a worker: delay before
@@ -103,6 +106,20 @@ fn worker_seed(worker_id: &str) -> u64 {
 pub fn reconnect_schedule(worker_id: &str, policy: &BackoffPolicy, attempts: usize) -> Vec<u64> {
     let seed = worker_seed(worker_id);
     (1..=attempts).map(|a| policy.delay_ms(seed, a)).collect()
+}
+
+/// Deterministic job→shard assignment: round-robin over arrival order, so
+/// the coordinator and every worker compute the same partition with no
+/// coordination.
+fn job_shard(index: usize, shards: usize) -> usize {
+    index % shards.max(1)
+}
+
+/// The global job indices shard `shard_id` of `shards` owns, ascending.
+fn shard_indices(n_jobs: usize, shards: usize, shard_id: usize) -> Vec<usize> {
+    (0..n_jobs)
+        .filter(|&i| job_shard(i, shards) == shard_id)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -430,13 +447,7 @@ impl Coordinator {
                     slot.owner.clone(),
                 )
             };
-            let owned = shard_indices(
-                self.jobs.len(),
-                &ShardSpec {
-                    shards: self.opts.shards,
-                    shard_id,
-                },
-            );
+            let owned = shard_indices(self.jobs.len(), self.opts.shards, shard_id);
             let records = run_scoped(
                 &self.jobs,
                 &self.config,
@@ -645,7 +656,7 @@ fn respond(msg: Message, ctx: &Arc<CoordCtx>) -> Message {
                     ),
                 };
             }
-            if index >= ctx.ids.len() || crate::shard::job_shard(index, ctx.shards) != shard_id {
+            if index >= ctx.ids.len() || job_shard(index, ctx.shards) != shard_id {
                 return Message::Reject {
                     reason: format!("index {index} does not belong to shard {shard_id}"),
                 };
@@ -690,14 +701,7 @@ fn respond(msg: Message, ctx: &Arc<CoordCtx>) -> Message {
             }
             slot.records.insert(index, (record_json, record));
             obs::counter_add("net.coord.results_received", 1);
-            let owned = shard_indices(
-                ctx.ids.len(),
-                &ShardSpec {
-                    shards: ctx.shards,
-                    shard_id,
-                },
-            )
-            .len();
+            let owned = shard_indices(ctx.ids.len(), ctx.shards, shard_id).len();
             if slot.records.len() >= owned {
                 slot.done = true;
                 obs::event!("net.shard_complete", shard = shard_id);
@@ -706,8 +710,7 @@ fn respond(msg: Message, ctx: &Arc<CoordCtx>) -> Message {
         }
         Message::Heartbeat {
             shard_id, epoch, ..
-        }
-        | Message::LeaseRenew { shard_id, epoch } => {
+        } => {
             let mut state = ctx.state.lock().unwrap_or_else(|e| e.into_inner());
             let Some(slot) = state.slots.get_mut(shard_id) else {
                 return Message::Reject {
@@ -748,10 +751,6 @@ pub struct WorkerOptions {
     pub backoff: BackoffPolicy,
     /// Reconnect attempts per outage before giving up.
     pub max_reconnects: usize,
-    /// Where to seal a partial shard manifest when the transport dies
-    /// for good mid-shard. `None` = the progress is simply lost (the
-    /// coordinator re-grants; determinism makes the re-run identical).
-    pub local_dir: Option<PathBuf>,
 }
 
 impl Default for WorkerOptions {
@@ -767,7 +766,6 @@ impl Default for WorkerOptions {
                 jitter: 0.5,
             },
             max_reconnects: 8,
-            local_dir: None,
         }
     }
 }
@@ -786,8 +784,6 @@ pub struct WorkerReport {
     /// Delay (ms) before each reconnect, in order — bit-for-bit
     /// reproducible for a given worker id and backoff policy.
     pub reconnect_delays_ms: Vec<u64>,
-    /// Partial manifest sealed on transport exhaustion, when one was.
-    pub partial_sealed: Option<PathBuf>,
 }
 
 /// The batch identity a worker learns from `welcome`.
@@ -887,13 +883,6 @@ fn parse_welcome(welcome: Message, opts: &WorkerOptions) -> Result<WelcomeInfo, 
     })
 }
 
-/// The path a worker seals partial progress to: `shard-<id>.manifest`
-/// plus `.partial`. The coordinator never reads it — partial seals are
-/// for `pcd report` forensics and manual resume, never workload.
-pub fn partial_manifest_path(dir: &Path, shard_id: usize) -> PathBuf {
-    dir.join(format!("shard-{shard_id}.manifest.partial"))
-}
-
 /// Heartbeat loop on its own connection, so a long-computing worker
 /// never starves its lease. Sets `stale` when the coordinator rejects
 /// the epoch (the shard was taken over — stop working on it).
@@ -945,8 +934,7 @@ fn heartbeat_loop(
 ///
 /// # Errors
 ///
-/// [`RemoteError::TransportLost`] when the reconnect budget runs out
-/// (partial progress sealed to `local_dir` when set),
+/// [`RemoteError::TransportLost`] when the reconnect budget runs out,
 /// [`RemoteError::Protocol`] on version/handshake skew, or a local
 /// [`RemoteError::Supervisor`] failure.
 pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerReport, RemoteError> {
@@ -958,7 +946,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerReport, RemoteError> {
         records_sent: 0,
         reconnects: 0,
         reconnect_delays_ms: Vec::new(),
-        partial_sealed: None,
     };
     let mut attempt = 0usize;
     let (mut stream, welcome) = connect_and_hello(opts, &mut report, &mut attempt)?;
@@ -1044,11 +1031,7 @@ fn run_granted_shard(
     shard_id: usize,
     epoch: u64,
 ) -> Result<ShardDelivery, RemoteError> {
-    let spec = ShardSpec {
-        shards: info.shards,
-        shard_id,
-    };
-    let owned = shard_indices(info.jobs.len(), &spec);
+    let owned = shard_indices(info.jobs.len(), info.shards, shard_id);
     let hb_stop = Arc::new(AtomicBool::new(false));
     let hb_stale = Arc::new(AtomicBool::new(false));
     let hb = std::thread::spawn({
@@ -1107,18 +1090,6 @@ fn run_granted_shard(
                         *stream = s;
                         cursor = 0; // resend from the top
                     }
-                    Err(RemoteError::TransportLost(msg)) => {
-                        let sealed = seal_partial(opts, info, shard_id, epoch, &records);
-                        report.partial_sealed = sealed;
-                        return finish_hb(Err(RemoteError::TransportLost(format!(
-                            "{msg}; shard {shard_id} progress {} locally",
-                            if report.partial_sealed.is_some() {
-                                "sealed"
-                            } else {
-                                "discarded"
-                            }
-                        ))));
-                    }
                     Err(e) => return finish_hb(Err(e)),
                 }
             }
@@ -1127,50 +1098,11 @@ fn run_granted_shard(
     finish_hb(Ok(ShardDelivery::Delivered))
 }
 
-/// Seals the computed-but-undelivered records as a CRC'd partial shard
-/// manifest. Best-effort: a seal failure only loses forensics, never
-/// correctness (the coordinator re-runs the shard deterministically).
-fn seal_partial(
-    opts: &WorkerOptions,
-    info: &WelcomeInfo,
-    shard_id: usize,
-    epoch: u64,
-    records: &[JobRecord],
-) -> Option<PathBuf> {
-    let dir = opts.local_dir.as_ref()?;
-    if std::fs::create_dir_all(dir).is_err() {
-        return None;
-    }
-    let meta = ShardMeta {
-        batch: BatchMeta {
-            batch_seed: info.config.batch_seed,
-            jobs: info.jobs.len(),
-            pipeline_fault_rate: info.config.pipeline_fault_rate,
-        },
-        shards: info.shards,
-        shard_id,
-        owner: format!("net:{}", opts.worker_id),
-        epoch,
-        taken_over_from: None,
-    };
-    let path = partial_manifest_path(dir, shard_id);
-    match encode_shard_manifest(&meta, records).write(&path) {
-        Ok(()) => {
-            obs::counter_add("net.worker.partial_seals", 1);
-            obs::event!(
-                "net.partial_seal",
-                shard = shard_id,
-                path = path.display().to_string()
-            );
-            Some(path)
-        }
-        Err(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+
     use crate::chaos::trial_jobs;
     use crate::engine::run_batch;
     use crate::manifest::encode_manifest;
@@ -1239,8 +1171,7 @@ mod tests {
             })
             .collect();
         for w in workers {
-            let report = w.join().unwrap().unwrap();
-            assert!(report.partial_sealed.is_none());
+            w.join().unwrap().unwrap();
         }
         let report = coord.join().unwrap().unwrap();
         assert_eq!(
@@ -1479,7 +1410,6 @@ mod tests {
                     records_sent: 0,
                     reconnects: 0,
                     reconnect_delays_ms: Vec::new(),
-                    partial_sealed: None,
                 };
                 let mut attempt = 0;
                 let err = connect_and_hello(&opts, &mut report, &mut attempt).unwrap_err();
@@ -1501,31 +1431,22 @@ mod tests {
     }
 
     #[test]
-    fn partial_seal_writes_a_decodable_manifest_the_merge_ignores() {
-        let dir = scratch("partial");
-        let jobs = trial_jobs(4);
-        let info = WelcomeInfo {
-            jobs: jobs.clone(),
-            config: SupervisorConfig {
-                batch_seed: 9,
-                ..SupervisorConfig::default()
-            },
-            shards: 2,
-            heartbeat_ms: 50,
-        };
-        let opts = WorkerOptions {
-            local_dir: Some(dir.clone()),
-            ..worker_opts("127.0.0.1:1".parse().unwrap(), "sealer")
-        };
-        let records = run_scoped(&jobs, &info.config, None, Some(&[0, 2])).unwrap();
-        let owned: Vec<JobRecord> = records.into_iter().filter(|r| r.index % 2 == 0).collect();
-        let path = seal_partial(&opts, &info, 0, 3, &owned).expect("seal lands");
-        assert!(path.ends_with("shard-0.manifest.partial"));
-        let ck = resilience::Checkpoint::read(&path).unwrap();
-        let (meta, back) = crate::shard::decode_shard_manifest(&ck).unwrap();
-        assert_eq!(meta.owner, "net:sealer");
-        assert_eq!(meta.epoch, 3);
-        assert_eq!(back, owned);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn partition_covers_every_job_exactly_once() {
+        for shards in 1..=5 {
+            let mut seen = vec![0usize; 23];
+            for shard_id in 0..shards {
+                for index in shard_indices(23, shards, shard_id) {
+                    seen[index] += 1;
+                }
+            }
+            assert!(seen.iter().all(|&c| c == 1), "shards={shards}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }
