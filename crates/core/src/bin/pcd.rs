@@ -24,7 +24,8 @@
 //! state sealed) ·
 //! `31` checkpoint unreadable or corrupt (also a sealed serve manifest
 //! that belongs to a different configuration) · `32` batch finished but
-//! degraded (jobs quarantined or shed) · `34` `report --strict` found
+//! degraded (jobs quarantined, or shed in a manifest resumed from an
+//! older build) · `34` `report --strict` found
 //! warnings · `35` serve transport failure (socket or state-dir I/O) ·
 //! `36` net transport lost for good (resumable) · `37` net protocol
 //! mismatch. Codes 10–14 and 30–31 follow [`PcdError::exit_code`].
@@ -76,7 +77,8 @@ enum CliError {
     BatchDegraded {
         /// Jobs quarantined after exhausting retries.
         quarantined: usize,
-        /// Jobs shed by admission control.
+        /// Jobs shed, which only a manifest resumed from an older build
+        /// holds: a batch runs every job it is given.
         shed: usize,
     },
     /// `report --strict` found warnings (corrupt/unreadable artifacts).
@@ -259,6 +261,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
             "local-dir" => "--local-dir is gone: a worker keeps nothing on disk; a rerun \
                             rejoins, and the coordinator re-grants or rescues the shard"
                 .to_string(),
+            "queue-cap" | "shed" => format!(
+                "--{old} is gone: a batch runs every job it is given, and `pcd serve` queues \
+                 every connection it accepts"
+            ),
             old => format!("--{old} is gone: select the campaign with `--campaign {old}`"),
         }));
     }
@@ -304,7 +310,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
 /// Flags a command no longer takes, as `(command, flag)`: each is a usage
 /// error naming what replaced it.
-const RETIRED_FLAGS: [(&str, &str); 7] = [
+const RETIRED_FLAGS: [(&str, &str); 11] = [
     ("run", "expectation"),
     ("chaos", "kill-resume"),
     ("chaos", "supervised"),
@@ -312,6 +318,10 @@ const RETIRED_FLAGS: [(&str, &str); 7] = [
     ("chaos", "serve"),
     ("batch", "shard-id"),
     ("batch", "local-dir"),
+    ("batch", "queue-cap"),
+    ("batch", "shed"),
+    ("serve", "queue-cap"),
+    ("serve", "shed"),
 ];
 
 /// One form of a `pcd` command: a row of `pcd help` and the handler.
@@ -405,25 +415,26 @@ static COMMANDS: [Command; 17] = [
     },
     Command {
         name: "batch",
-        synopsis: "<JOBS.jsonl> [--workers N] [--seed N] [--max-retries K] [--queue-cap Q] \
-                   [--shed reject-new|drop-oldest] [--job-timeout S] [--slice-ticks T] \
-                   [--max-slices M] [--breaker N] [--backoff-ms B] [--fault-rate R] \
-                   [--deadline SECS] [--drain-after-ticks T] [--checkpoint DIR] [--resume] \
-                   [--progress] [--progress-interval-ms MS=500] [--flight-dir DIR]",
-        about: "run pipeline jobs (JSONL: molecule, bond, ratio, id) on supervised workers; \
-                exit 30 drained (resumable manifest), 32 degraded (quarantined/shed jobs); \
+        synopsis: "<JOBS.jsonl> [--workers N] [--seed N] [--max-retries K] [--job-timeout S] \
+                   [--slice-ticks T] [--max-slices M] [--breaker N] [--backoff-ms B] \
+                   [--fault-rate R] [--deadline SECS] [--drain-after-ticks T] \
+                   [--checkpoint DIR] [--resume] [--progress] [--progress-interval-ms MS=500] \
+                   [--flight-dir DIR]",
+        about: "run every pipeline job (JSONL: molecule, bond, ratio, id) on supervised \
+                workers; exit 30 drained (resumable manifest), 32 degraded (quarantined jobs); \
                 --progress shows a live status line; --flight-dir collects flight-<job>.jsonl \
                 dumps of quarantines, deadline expiries and faults",
         run: batch::cmd_batch,
     },
     Command {
         name: "batch",
-        synopsis: "<JOBS.jsonl> --listen ADDR --shards N --checkpoint DIR [--lease-ms MS] \
-                   [--heartbeat-ms MS] [--net-deadline SECS] [--no-rescue]",
+        synopsis: "<JOBS.jsonl> --listen ADDR --shards N --checkpoint DIR [--seed N] \
+                   [--fault-rate R] [--workers N] [--lease-ms MS] [--heartbeat-ms MS] \
+                   [--net-deadline SECS] [--no-rescue]",
         about: "coordinate the batch over TCP: `batch --connect` workers lease shards and \
                 stream records back; a shard silent past --lease-ms is re-granted; with no \
-                workers left the coordinator finishes it (unless --no-rescue); seals the \
-                batch.manifest a one-machine run would, bit for bit",
+                workers left the coordinator finishes it on --workers threads (unless \
+                --no-rescue); seals the batch.manifest a one-machine run would, bit for bit",
         run: batch::cmd_batch,
     },
     Command {
@@ -437,10 +448,9 @@ static COMMANDS: [Command; 17] = [
     },
     Command {
         name: "serve",
-        synopsis: "[--state-dir DIR] [--socket PATH] [--workers N] [--seed N] [--queue-cap Q] \
-                   [--shed reject-new|drop-oldest] [--max-retries K] [--slice-ticks T] \
-                   [--max-slices M] [--breaker N] [--fault-rate R] [--deadline-ms MS] \
-                   [--max-requests N] [--idle-exit-ms MS] [--flight-dir DIR] \
+        synopsis: "[--state-dir DIR] [--socket PATH] [--workers N] [--seed N] [--max-retries K] \
+                   [--slice-ticks T] [--max-slices M] [--breaker N] [--fault-rate R] \
+                   [--deadline-ms MS] [--max-requests N] [--idle-exit-ms MS] [--flight-dir DIR] \
                    [--cache-max-bytes B]",
         about: "always-on daemon: answer JSONL job requests on a Unix socket (default \
                 DIR/serve.sock) from a CRC-sealed result cache (--cache-max-bytes 0 = \
@@ -566,20 +576,49 @@ fn all_synopses() -> impl Iterator<Item = &'static str> {
         .chain(chaos::CAMPAIGNS.iter().map(|c| c.synopsis))
 }
 
-/// Binds `flags` to the synopses of `command` (and, for `chaos`, of its
-/// campaign), whose defaults [`Flags::get`] then falls back to, and
-/// rejects the first flag they do not name: a misspelt or misplaced flag
-/// is a usage error, never a silently ignored setting.
+/// The flag that selects a command form: the first flag of its synopsis
+/// when that flag is required (not bracketed), as `--listen` is for
+/// `batch`. A form without one is its command's default.
+fn selector(synopsis: &str) -> Option<&str> {
+    let first = synopsis
+        .split_whitespace()
+        .find(|word| word.trim_start_matches('[').starts_with("--"))?;
+    first.strip_prefix("--")
+}
+
+/// The form of `command` the arguments select: the one whose selector
+/// flag is given, else the default form.
+fn form<'a>(command: &'a Command, flags: &Flags) -> &'a Command {
+    let forms = || COMMANDS.iter().filter(|c| c.name == command.name);
+    forms()
+        .find(|c| selector(c.synopsis).is_some_and(|key| flags.is_set(key)))
+        .or_else(|| forms().find(|c| selector(c.synopsis).is_none()))
+        .unwrap_or(command)
+}
+
+/// Binds `flags` to [`GLOBAL`] and the synopsis of the form of `command`
+/// they select (and, for `chaos`, of its campaign), whose defaults
+/// [`Flags::get`] then falls back to, and rejects the first flag they do
+/// not name: a misspelt or misplaced flag is a usage error, never a
+/// silently ignored setting.
 fn check_flags(command: &Command, flags: &mut Flags) -> Result<(), CliError> {
-    let forms = COMMANDS.iter().filter(|c| c.name == command.name);
-    let synopses = std::iter::once(GLOBAL.0).chain(forms.map(|c| c.synopsis));
-    flags.known = synopses.flat_map(synopsis_flags).collect();
+    if command.name == "batch" {
+        batch::check_form(flags)?;
+    }
+    let form = form(command, flags);
+    flags.known = [GLOBAL.0, form.synopsis]
+        .into_iter()
+        .flat_map(synopsis_flags)
+        .collect();
     let who = if command.name == "chaos" {
         let campaign = chaos::campaign(flags)?;
         flags.known.extend(synopsis_flags(campaign.synopsis));
         format!("--campaign {}", campaign.kind)
     } else {
-        format!("pcd {}", command.name)
+        match selector(form.synopsis) {
+            Some(key) => format!("pcd {} --{key}", command.name),
+            None => format!("pcd {}", command.name),
+        }
     };
     let reads = |key: &str| flags.known.iter().any(|(name, _)| *name == key);
     match flags.options.iter().find(|(key, _)| !reads(key)) {
@@ -836,6 +875,7 @@ mod tests {
     #[test]
     fn resume_under_a_coordinator_is_a_usage_error() {
         let args = [
+            "batch",
             "jobs.jsonl",
             "--listen",
             "127.0.0.1:0",
@@ -843,7 +883,7 @@ mod tests {
             "ckpt",
             "--resume",
         ];
-        let err = batch::cmd_batch(&flags(&args)).unwrap_err();
+        let err = run(&argv(&args)).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
         assert_eq!(err.exit_code(), 1);
         assert!(
@@ -938,6 +978,28 @@ mod tests {
             (&["vqe", "H2", "--samples", "10"], "--samples"),
             (&["yield", "--ratio", "0.5"], "--ratio"),
             (&["report", ".", "--strictt"], "--strictt"),
+            // A coordinated batch's shards run the workers' engine config,
+            // so the coordinator takes none of the plain batch's knobs.
+            (
+                &[
+                    "batch",
+                    "j.jsonl",
+                    "--listen",
+                    "127.0.0.1:0",
+                    "--shards",
+                    "1",
+                    "--checkpoint",
+                    "D",
+                    "--max-retries",
+                    "0",
+                ],
+                "pcd batch --listen does not read --max-retries",
+            ),
+            // A worker learns the seed from the coordinator's welcome.
+            (
+                &["batch", "--connect", "127.0.0.1:1", "--seed", "5"],
+                "pcd batch --connect does not read --seed",
+            ),
         ] {
             let err = run(&argv(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
@@ -947,8 +1009,9 @@ mod tests {
     }
 
     /// `pcd help` shows every command form and campaign; `check_flags`
-    /// accepts each flag a row names and rejects another row's; and the
-    /// flags that take no value are those written without a metavar.
+    /// binds the form the arguments select, accepts each flag its row
+    /// names and rejects another row's; and the flags that take no value
+    /// are those written without a metavar.
     #[test]
     fn usage_and_check_flags_follow_the_table() {
         let words = |s: &str| s.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -957,13 +1020,16 @@ mod tests {
             .flat_map(synopsis_flags)
             .map(|f| f.0)
             .collect();
-        for command in &COMMANDS {
-            let chaos = command.name == "chaos";
+        let selectors: Vec<&str> = COMMANDS
+            .iter()
+            .filter_map(|c| selector(c.synopsis))
+            .collect();
+        for form in &COMMANDS {
+            let command = COMMANDS.iter().find(|c| c.name == form.name).unwrap();
+            let chaos = form.name == "chaos";
             let campaigns = chaos::CAMPAIGNS.iter().map(Some).filter(|_| chaos);
             for campaign in campaigns.chain((!chaos).then_some(None)) {
-                let forms = COMMANDS.iter().filter(|c| c.name == command.name);
-                let forms = forms.map(|c| format!("{} {}", c.name, c.synopsis));
-                let rows: Vec<String> = forms
+                let rows: Vec<String> = std::iter::once(format!("{} {}", form.name, form.synopsis))
                     .chain(campaign.map(|c| format!("{} {}", c.kind, c.synopsis)))
                     .collect();
                 let mut reads = vec!["trace", "metrics"];
@@ -975,13 +1041,26 @@ mod tests {
                     let mut f = flags(&[]);
                     f.options.push((key.to_string(), "1".to_string()));
                     f.options
+                        .extend(selector(form.synopsis).map(|k| (k.to_string(), "1".to_string())));
+                    f.options
                         .extend(campaign.map(|c| ("campaign".into(), c.kind.into())));
                     check_flags(command, &mut f)
                 };
                 for key in &reads {
                     assert!(bind(key).is_ok(), "{rows:?} rejects --{key}");
                 }
-                let stranger = every.iter().find(|key| !reads.contains(key)).unwrap();
+                // Another form's flag first, then any other row's. A
+                // selector would switch the form, and `--shards` has its
+                // own error: it needs --listen.
+                let siblings = COMMANDS.iter().filter(|c| c.name == form.name);
+                let stranger = siblings
+                    .flat_map(|c| synopsis_flags(c.synopsis))
+                    .map(|f| f.0)
+                    .chain(every.iter().copied())
+                    .find(|key| {
+                        !reads.contains(key) && *key != "shards" && !selectors.contains(key)
+                    })
+                    .unwrap();
                 let err = bind(stranger).unwrap_err().to_string();
                 assert!(
                     err.contains(&format!("does not read --{stranger}")),
@@ -1084,6 +1163,11 @@ mod tests {
                 &["batch", "--connect", "127.0.0.1:1", "--local-dir", "x"],
                 "--local-dir is gone",
             ),
+            (
+                &["batch", "j.jsonl", "--queue-cap", "2"],
+                "--queue-cap is gone",
+            ),
+            (&["serve", "--shed", "drop-oldest"], "--shed is gone"),
         ] {
             let err = run(&argv(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");

@@ -9,7 +9,7 @@ use pauli_codesign::resilience::{Checkpoint, PcdError};
 use pauli_codesign::serve::{run_serve, ServeConfig};
 use pauli_codesign::supervisor::{
     parse_jobs, run_batch_resumed, run_worker, BatchReport, Coordinator, CoordinatorOptions,
-    InjectionPlan, JobSpec, JobState, RemoteError, ShedPolicy, SupervisorConfig, WorkerOptions,
+    InjectionPlan, JobSpec, JobState, RemoteError, SupervisorConfig, WorkerOptions,
 };
 
 use crate::{CliError, Flags};
@@ -26,7 +26,10 @@ fn nonzero<T: crate::Number + PartialEq + Default>(
     Ok(flags.opt(key)?.filter(|n: &T| *n != T::default()))
 }
 
-pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
+/// The errors for a flag of one `batch` form given to another, which
+/// say what the flag needs instead of only that this form does not read
+/// it.
+pub(crate) fn check_form(flags: &Flags) -> Result<(), CliError> {
     // Shards exist only under a coordinator, which grants them; a
     // multi-process batch on one host is a loopback --listen plus local
     // --connect workers.
@@ -41,19 +44,32 @@ pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
                 .to_string(),
         ));
     }
+    Ok(())
+}
+
+pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
     // Worker mode has no jobs file: the batch identity (jobs, seed,
     // fault rate) arrives over the wire in the coordinator's welcome.
     if flags.is_set("connect") {
         return cmd_batch_worker(flags);
     }
     let d = SupervisorConfig::default();
+    let batch_seed = flags.opt("seed")?.unwrap_or(d.batch_seed);
+    let fault_rate = if flags.is_set("fault-rate") {
+        flags.rate("fault-rate")?
+    } else {
+        d.pipeline_fault_rate
+    };
+    let workers = flags.opt("workers")?.unwrap_or(d.workers).max(1);
+    // Coordinator mode: serve the batch to TCP workers.
+    if flags.is_set("listen") {
+        return cmd_batch_coordinator(flags, batch_seed, fault_rate, workers);
+    }
     let slice_wall = flags.seconds("job-timeout")?;
     let mut config = SupervisorConfig {
-        workers: flags.opt("workers")?.unwrap_or(d.workers).max(1),
-        batch_seed: flags.opt("seed")?.unwrap_or(d.batch_seed),
+        workers,
+        batch_seed,
         max_retries: flags.opt("max-retries")?.unwrap_or(d.max_retries),
-        queue_cap: flags.opt("queue-cap")?.unwrap_or(d.queue_cap),
-        shed: flags.get("shed").map_or(Ok(d.shed), ShedPolicy::parse)?,
         slice_ticks: flags.opt("slice-ticks")?.unwrap_or(d.slice_ticks),
         slice_wall,
         // One wall-clock slice per attempt unless the caller asked for a
@@ -63,20 +79,14 @@ pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
             None => d.max_slices,
         }),
         breaker_threshold: flags.opt("breaker")?.unwrap_or(d.breaker_threshold),
-        pipeline_fault_rate: if flags.is_set("fault-rate") {
-            flags.rate("fault-rate")?
-        } else {
-            d.pipeline_fault_rate
-        },
+        pipeline_fault_rate: fault_rate,
+        injection: InjectionPlan::at_rate(fault_rate),
         drain_after_ticks: flags.opt("drain-after-ticks")?.or(d.drain_after_ticks),
         deadline: flags.seconds("deadline")?.or(d.deadline),
         ckpt_dir: flags.get("checkpoint").map(PathBuf::from).or(d.ckpt_dir),
         flight_dir: flags.get("flight-dir").map(PathBuf::from).or(d.flight_dir),
         ..d
     };
-    if config.pipeline_fault_rate > 0.0 {
-        config.injection = InjectionPlan::chaos(config.pipeline_fault_rate);
-    }
     if let Some(ms) = flags.opt("backoff-ms")? {
         config.backoff.base_ms = ms;
     }
@@ -88,18 +98,7 @@ pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
     config.progress_interval = Some(Duration::from_millis(interval_ms));
     config.progress_stderr = flags.is_set("progress");
 
-    let jobs_path = flags
-        .positional
-        .first()
-        .ok_or_else(|| CliError::Usage("a JOBS.jsonl file is required".to_string()))?;
-    let text = std::fs::read_to_string(jobs_path)
-        .map_err(|e| CliError::Usage(format!("reading {jobs_path}: {e}")))?;
-    let jobs = parse_jobs(&text).map_err(CliError::Usage)?;
-
-    // Coordinator mode: serve the batch to TCP workers.
-    if flags.is_set("listen") {
-        return cmd_batch_coordinator(flags, &jobs, &config);
-    }
+    let jobs = read_jobs(flags)?;
     let report = if flags.is_set("resume") {
         let dir = config
             .ckpt_dir
@@ -113,11 +112,7 @@ pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
         // with its seed and fault rate, whatever the flags say.
         config.batch_seed = meta.batch_seed;
         config.pipeline_fault_rate = meta.pipeline_fault_rate;
-        config.injection = if meta.pipeline_fault_rate > 0.0 {
-            InjectionPlan::chaos(meta.pipeline_fault_rate)
-        } else {
-            InjectionPlan::none()
-        };
+        config.injection = InjectionPlan::at_rate(meta.pipeline_fault_rate);
         run_batch_resumed(&jobs, &config, Some(&prior))?
     } else {
         run_batch_resumed(&jobs, &config, None)?
@@ -125,6 +120,17 @@ pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
 
     print_batch_report(&report);
     batch_outcome(&report)
+}
+
+/// The jobs of the file a `batch` command names.
+fn read_jobs(flags: &Flags) -> Result<Vec<JobSpec>, CliError> {
+    let jobs_path = flags
+        .positional
+        .first()
+        .ok_or_else(|| CliError::Usage("a JOBS.jsonl file is required".to_string()))?;
+    let text = std::fs::read_to_string(jobs_path)
+        .map_err(|e| CliError::Usage(format!("reading {jobs_path}: {e}")))?;
+    parse_jobs(&text).map_err(CliError::Usage)
 }
 
 fn print_batch_report(report: &BatchReport) {
@@ -193,12 +199,16 @@ fn batch_outcome(report: &BatchReport) -> Result<(), CliError> {
 
 /// `pcd batch JOBS.jsonl --listen ADDR --shards N --checkpoint DIR`:
 /// coordinate a multi-machine batch over TCP and seal the same
-/// `batch.manifest` a single-machine run would.
+/// `batch.manifest` a single-machine run would. `workers` sizes a rescue.
 fn cmd_batch_coordinator(
     flags: &Flags,
-    jobs: &[JobSpec],
-    config: &SupervisorConfig,
+    batch_seed: u64,
+    fault_rate: f64,
+    workers: usize,
 ) -> Result<(), CliError> {
+    let dir = flags.get("checkpoint").ok_or_else(|| {
+        CliError::Usage("a coordinator needs --checkpoint (batch.manifest seals there)".to_string())
+    })?;
     let d = CoordinatorOptions::default();
     let opts = CoordinatorOptions {
         listen: parse_addr(flags, "listen")?,
@@ -210,8 +220,10 @@ fn cmd_batch_coordinator(
             .map_or(d.deadline, |secs: u64| Duration::from_secs(secs.max(1))),
         rescue: d.rescue && !flags.is_set("no-rescue"),
     };
+    let jobs = read_jobs(flags)?;
     let shards = opts.shards;
-    let coordinator = Coordinator::bind(jobs, config, opts).map_err(CliError::Remote)?;
+    let coordinator =
+        Coordinator::bind(&jobs, batch_seed, fault_rate, workers, dir.as_ref(), opts)?;
     eprintln!(
         "pcd batch: coordinating {} job(s) as {shards} shard(s) on {}",
         jobs.len(),
@@ -236,7 +248,7 @@ fn cmd_batch_coordinator(
     }
     batch_outcome(&BatchReport {
         records: report.records,
-        batch_seed: config.batch_seed,
+        batch_seed,
     })
 }
 
@@ -308,8 +320,6 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         socket: flags.get("socket").map(PathBuf::from).or(d.socket),
         workers: flags.opt("workers")?.unwrap_or(d.workers).max(1),
         seed: flags.opt("seed")?.unwrap_or(d.seed),
-        queue_cap: flags.opt("queue-cap")?.unwrap_or(d.queue_cap),
-        shed: flags.get("shed").map_or(Ok(d.shed), ShedPolicy::parse)?,
         max_retries: flags.opt("max-retries")?.unwrap_or(d.max_retries),
         slice_ticks: flags.opt("slice-ticks")?.unwrap_or(d.slice_ticks),
         max_slices: flags.opt("max-slices")?.unwrap_or(d.max_slices),

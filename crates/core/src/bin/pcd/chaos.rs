@@ -43,8 +43,7 @@ pub(crate) static CAMPAIGNS: [Campaign; 5] = [
         synopsis: "[--seed N=42] [--trials N=20] [--fault-rate R=0.25] [--jobs N=6] \
                    [--workers N=2] [--flight-dir DIR]",
         about: "no job lost, worker-count invariant, drain/resume exact",
-        counters: "supervisor.panics_caught supervisor.timeouts supervisor.jobs_shed \
-                   supervisor.breaker_opened",
+        counters: "supervisor.panics_caught supervisor.timeouts supervisor.breaker_opened",
     },
     Campaign {
         kind: "serve",

@@ -1,12 +1,13 @@
-//! The long-lived serve daemon: accept loop, admission, worker pool,
-//! graceful drain, and the sealed restart manifest.
+//! The long-lived serve daemon: accept loop, worker pool, graceful
+//! drain, and the sealed restart manifest.
 //!
 //! # Execution model
 //!
-//! One accept thread owns the Unix listener and the admission decision;
-//! `workers` threads pull work from the batch engine's two-lane
-//! [`JobQueue`] (interactive client requests ride the fast lane, resumed
-//! backlog the slow lane); the accept thread enforces the queue cap.
+//! One accept thread owns the Unix listener and queues every connection
+//! it accepts; `workers` threads pull work from the batch engine's
+//! two-lane [`JobQueue`] (interactive client requests ride the fast
+//! lane, resumed backlog the slow lane). The only shed is an injected
+//! [`FaultKind::Accept`](resilience::FaultKind) fault.
 //! Each job request runs as a single-job supervised batch, which buys
 //! the whole robustness stack for free: panic isolation (`catch_unwind`
 //! at the worker boundary — the watchdog that turns a panicking kernel
@@ -48,10 +49,9 @@ use std::time::{Duration, Instant};
 
 use obs::json::JsonValue;
 use resilience::{Checkpoint, CheckpointError, FaultPlan};
-use supervisor::engine::InjectionPlan;
 use supervisor::{
     decode_manifest, encode_manifest, run_batch, BatchMeta, JobQueue, JobRecord, JobSpec, JobState,
-    Lane, ShedPolicy, SupervisorConfig, KIND_BATCH_MANIFEST,
+    Lane, SupervisorConfig, KIND_BATCH_MANIFEST,
 };
 
 use crate::cache::{cache_key, Cache, CacheProbe, CachedResult};
@@ -78,10 +78,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Serve seed: the root of every content-keyed derivation.
     pub seed: u64,
-    /// Admission cap on waiting requests (`0` = unbounded).
-    pub queue_cap: usize,
-    /// What to shed when arrivals exceed the cap.
-    pub shed: ShedPolicy,
     /// Supervisor-level retries per job.
     pub max_retries: usize,
     /// Budget ticks per VQE slice (engine timeout grain).
@@ -115,8 +111,6 @@ impl Default for ServeConfig {
             socket: None,
             workers: 2,
             seed: 42,
-            queue_cap: 0,
-            shed: ShedPolicy::RejectNew,
             max_retries: 3,
             slice_ticks: 0,
             max_slices: 64,
@@ -197,7 +191,7 @@ pub struct ServeSummary {
     pub accepted: usize,
     /// Requests answered `done`.
     pub done: usize,
-    /// Connections shed (cap or injected accept fault).
+    /// Connections shed by an injected accept fault.
     pub shed: usize,
     /// Admitted requests whose client disconnected before compute (or
     /// before the response could be written).
@@ -241,21 +235,13 @@ pub fn compute_record(
         workers: 1,
         batch_seed: request_seed(config.seed, cache_key(spec, config.seed, config.fault_rate)),
         max_retries: config.max_retries,
-        queue_cap: 0,
-        shed: ShedPolicy::RejectNew,
         slice_ticks: config.slice_ticks,
-        slice_wall: None,
         max_slices: config.max_slices,
         breaker_threshold: config.breaker_threshold,
-        backoff: supervisor::BackoffPolicy::default(),
         pipeline_fault_rate: config.fault_rate,
-        injection: InjectionPlan::none(),
-        drain_after_ticks: None,
         deadline,
-        ckpt_dir: None,
         flight_dir: config.flight_dir.clone(),
-        progress_interval: None,
-        progress_stderr: false,
+        ..SupervisorConfig::default()
     };
     match run_batch(std::slice::from_ref(spec), &engine) {
         Ok(mut report) => {
@@ -602,12 +588,11 @@ fn sweep_backlog(shared: &Shared, listener: &UnixListener) {
     }
 }
 
-/// Admission: the [`FaultKind::Accept`](resilience::FaultKind) site may
-/// force a shed; otherwise the queue cap and [`ShedPolicy`] decide.
-/// Every shed is a *typed* response on the wire plus a counter, an obs
-/// event, and a flight dump — never a silent drop.
-fn admit_connection(shared: &Shared, stream: UnixStream) {
-    let depth = shared.queue.len();
+/// Queues every accepted connection unless the
+/// [`FaultKind::Accept`](resilience::FaultKind) site forces a shed. A
+/// shed is a *typed* response on the wire plus a counter, an obs event,
+/// and a flight dump — never a silent drop.
+fn admit_connection(shared: &Shared, mut stream: UnixStream) {
     let forced = {
         let mut plan = shared
             .serve_faults
@@ -615,50 +600,17 @@ fn admit_connection(shared: &Shared, stream: UnixStream) {
             .unwrap_or_else(|e| e.into_inner());
         plan.should_inject(resilience::FaultKind::Accept)
     };
-    if forced {
-        shed_connection(shared, stream, "accept-fault", depth);
+    if !forced {
+        shared.queue.push(Work::Client(stream), Lane::Fast);
         return;
     }
-    let cap = shared.config.queue_cap;
-    if cap > 0 && depth >= cap {
-        match shared.config.shed {
-            ShedPolicy::RejectNew => {
-                shed_connection(shared, stream, ShedPolicy::RejectNew.name(), depth);
-            }
-            ShedPolicy::DropOldest => {
-                let oldest = shared
-                    .queue
-                    .evict_oldest_fast(|work| matches!(work, Work::Client(_)));
-                if let Some(Work::Client(victim)) = oldest {
-                    shed_connection(shared, victim, ShedPolicy::DropOldest.name(), depth);
-                    shared.queue.push(Work::Client(stream), Lane::Fast);
-                } else {
-                    // Nothing evictable (the queue is all resumed
-                    // backlog, which is already journaled) — the
-                    // newcomer bounces instead.
-                    shed_connection(shared, stream, ShedPolicy::RejectNew.name(), depth);
-                }
-            }
-        }
-        return;
-    }
-    shared.queue.push(Work::Client(stream), Lane::Fast);
-}
-
-fn shed_connection(shared: &Shared, mut stream: UnixStream, policy: &str, depth: usize) {
+    let depth = shared.queue.len();
     Stats::bump(&shared.stats.shed);
     obs::counter_add("serve.shed", 1);
-    obs::counter_add(
-        match policy {
-            "reject-new" => "serve.shed.reject_new",
-            "drop-oldest" => "serve.shed.drop_oldest",
-            _ => "serve.shed.accept_fault",
-        },
-        1,
-    );
-    obs::event!("serve.shed", policy = policy, queue_depth = depth);
+    obs::counter_add("serve.shed.accept_fault", 1);
+    obs::event!("serve.shed", policy = "accept-fault", queue_depth = depth);
     shared.flight_dump("shed");
-    let _ = write_line(&mut stream, &protocol::shed_response(policy, depth));
+    let _ = write_line(&mut stream, &protocol::shed_response("accept-fault", depth));
 }
 
 fn worker_loop(shared: &Shared) {
@@ -806,7 +758,9 @@ fn handle_client(shared: &Shared, mut stream: UnixStream) {
                     protocol::quarantined_response(&record)
                 }
                 JobState::Pending { .. } => protocol::deadline_response(&record.id),
-                JobState::Shed => protocol::shed_response(shared.config.shed.name(), 0),
+                // A fresh one-job batch never sheds; should it, the
+                // client still gets a typed answer.
+                JobState::Shed => protocol::shed_response("engine", 0),
             };
             finish_entry(shared, index, record);
             if !write_line(&mut stream, &response) {

@@ -6,14 +6,14 @@
 //! through the supervised engine, and is hardened for continuous
 //! operation:
 //!
-//! - **Admission control** ([`daemon`]) — a bounded two-lane request
-//!   queue reusing the supervisor's [`ShedPolicy`](supervisor::ShedPolicy)
-//!   and [`Lane`](supervisor::Lane): interactive requests ride the fast
-//!   lane, resumed backlog the slow lane, and when arrivals exceed the
-//!   cap the daemon answers with a *typed* shed response — never a silent
-//!   drop. Per-request deadlines propagate into the engine's wall-clock
-//!   drain, and a client that disconnects while queued is cancelled
-//!   before its job spends any compute.
+//! - **Two-lane request queue** ([`daemon`]) — every accepted connection
+//!   is queued on the supervisor's [`JobQueue`](supervisor::JobQueue):
+//!   interactive requests ride the fast [`Lane`](supervisor::Lane),
+//!   resumed backlog the slow lane. An injected accept fault answers with
+//!   a *typed* shed response — never a silent drop. Per-request deadlines
+//!   propagate into the engine's wall-clock drain, and a client that
+//!   disconnects while queued is cancelled before its job spends any
+//!   compute.
 //! - **Content-addressed result cache** ([`cache`]) — a request's
 //!   identity (molecule, basis, bond bits, compression ratio bits,
 //!   topology, serve seed, fault rate) hashes to a CRC-sealed cache

@@ -12,7 +12,7 @@
 //! | `status`      | meaning                                            |
 //! |---------------|----------------------------------------------------|
 //! | `done`        | converged result (`cached` tells you which path)   |
-//! | `shed`        | admission refused the request (typed, not a drop)  |
+//! | `shed`        | an injected accept fault refused the request       |
 //! | `quarantined` | the job exhausted its retry budget                 |
 //! | `deadline`    | the per-request deadline cut the job; it resumes   |
 //! | `pending`     | a drain caught the request queued; it resumes      |
@@ -128,8 +128,8 @@ pub fn done_response(record: &JobRecord, cached: bool) -> String {
 }
 
 /// The typed load-shed response. `policy` names what shed the request
-/// (`reject-new`, `drop-oldest`, or `accept-fault` for an injected
-/// accept failure); `queue_depth` is the depth that triggered it.
+/// (`accept-fault` for an injected accept failure); `queue_depth` is the
+/// queue depth at the time.
 pub fn shed_response(policy: &str, queue_depth: usize) -> String {
     obj(vec![
         ("status", s("shed")),
@@ -244,7 +244,7 @@ mod tests {
     fn responses_are_single_json_lines_with_status_tags() {
         use obs::json;
         for (line, status) in [
-            (shed_response("reject-new", 4), "shed"),
+            (shed_response("accept-fault", 4), "shed"),
             (deadline_response("a"), "deadline"),
             (pending_response("a"), "pending"),
             (error_response("nope"), "error"),

@@ -2,10 +2,11 @@
 //!
 //! A job that keeps dying at the same pipeline stage is not going to be
 //! saved by more retries — it is burning worker time the rest of the
-//! queue needs. The breaker counts *consecutive* failures per stage
-//! (SCF / compile / VQE); crossing the threshold opens the breaker and
-//! the supervisor fails the job fast into quarantine instead of running
-//! its remaining retry budget.
+//! queue needs. The breaker counts a job's failures per stage (SCF /
+//! compile / VQE); the failure that brings a stage's count to the
+//! threshold trips the breaker, and the supervisor fails the job fast
+//! into quarantine instead of running its remaining retry budget. A
+//! count never resets: every attempt of a job fails or finishes it.
 //!
 //! The gating breaker is **per job**: batch-wide gating on live
 //! completion order would make one job's fate depend on scheduling, which
@@ -26,9 +27,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// All stages, in pipeline order.
-    pub const ALL: [Stage; 3] = [Stage::Scf, Stage::Compile, Stage::Vqe];
-
     /// Maps an error's stage label onto a breaker stage. Unknown labels
     /// (panics, transients, timeouts) charge the VQE stage: the attempt
     /// boundary is the VQE slice loop.
@@ -58,73 +56,52 @@ impl Stage {
     }
 }
 
-/// Consecutive-failure circuit breaker over the three pipeline stages.
+/// Per-stage failure-count circuit breaker over the three pipeline stages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitBreaker {
     threshold: usize,
-    consecutive: [usize; 3],
-    open: [bool; 3],
+    failures: [usize; 3],
 }
 
 impl CircuitBreaker {
-    /// A breaker that opens a stage after `threshold` consecutive
-    /// failures there (`0` disables the breaker).
+    /// A breaker that trips on a stage's `threshold`-th failure (`0`
+    /// disables the breaker).
     pub fn new(threshold: usize) -> Self {
-        CircuitBreaker {
-            threshold,
-            consecutive: [0; 3],
-            open: [false; 3],
-        }
+        Self::restore(threshold, [0; 3])
     }
 
-    /// Records a successful pass through `stage`, resetting its count.
-    pub fn record_success(&mut self, stage: Stage) {
-        self.consecutive[stage.index()] = 0;
-    }
-
-    /// Records a failure at `stage`. Returns `true` when this failure
-    /// just opened the breaker.
+    /// Records a failure at `stage`. Returns `true` when the stage's
+    /// count has reached the threshold: the job must fail fast.
     pub fn record_failure(&mut self, stage: Stage) -> bool {
         let i = stage.index();
-        self.consecutive[i] += 1;
-        if self.threshold > 0 && !self.open[i] && self.consecutive[i] >= self.threshold {
-            self.open[i] = true;
+        self.failures[i] += 1;
+        if self.threshold > 0 && self.failures[i] >= self.threshold {
             obs::counter_add("supervisor.breaker_opened", 1);
+            // `consecutive` is the trace's established key for the count.
             obs::event!(
                 "supervisor.breaker_open",
                 stage = stage.name(),
-                consecutive = self.consecutive[i]
+                consecutive = self.failures[i]
             );
             return true;
         }
         false
     }
 
-    /// The consecutive-failure counts per stage, in [`Stage::ALL`] order
-    /// — what a drained job's manifest records.
+    /// The failure counts per stage, in SCF / compile / VQE order — what a
+    /// drained job's manifest records.
     pub fn snapshot(&self) -> [usize; 3] {
-        self.consecutive
+        self.failures
     }
 
     /// Rebuilds a breaker from a manifest snapshot. A `Pending` job never
-    /// has an open breaker (opening quarantines immediately), so the
+    /// has a tripped breaker (tripping quarantines immediately), so the
     /// counts are all that needs restoring.
-    pub fn restore(threshold: usize, consecutive: [usize; 3]) -> Self {
+    pub fn restore(threshold: usize, failures: [usize; 3]) -> Self {
         CircuitBreaker {
             threshold,
-            consecutive,
-            open: [false; 3],
+            failures,
         }
-    }
-
-    /// Whether `stage`'s breaker has opened.
-    pub fn is_open(&self, stage: Stage) -> bool {
-        self.open[stage.index()]
-    }
-
-    /// The first open stage, if any — open means fail fast.
-    pub fn open_stage(&self) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| self.is_open(*s))
     }
 }
 
@@ -138,27 +115,15 @@ mod tests {
         assert!(!b.record_failure(Stage::Scf));
         assert!(!b.record_failure(Stage::Scf));
         assert!(b.record_failure(Stage::Scf), "third consecutive opens");
-        assert!(b.is_open(Stage::Scf));
-        assert_eq!(b.open_stage(), Some(Stage::Scf));
-        assert!(!b.is_open(Stage::Vqe));
-    }
-
-    #[test]
-    fn success_resets_the_streak() {
-        let mut b = CircuitBreaker::new(2);
-        b.record_failure(Stage::Vqe);
-        b.record_success(Stage::Vqe);
-        assert!(!b.record_failure(Stage::Vqe), "streak was reset");
-        assert!(!b.is_open(Stage::Vqe));
+        assert!(!b.record_failure(Stage::Vqe));
     }
 
     #[test]
     fn stages_are_independent() {
         let mut b = CircuitBreaker::new(2);
-        b.record_failure(Stage::Scf);
-        b.record_failure(Stage::Compile);
-        b.record_failure(Stage::Vqe);
-        assert_eq!(b.open_stage(), None, "no stage has two consecutive");
+        assert!(!b.record_failure(Stage::Scf));
+        assert!(!b.record_failure(Stage::Compile));
+        assert!(!b.record_failure(Stage::Vqe), "no stage has two failures");
     }
 
     #[test]
@@ -167,7 +132,6 @@ mod tests {
         for _ in 0..100 {
             assert!(!b.record_failure(Stage::Vqe));
         }
-        assert_eq!(b.open_stage(), None);
     }
 
     #[test]

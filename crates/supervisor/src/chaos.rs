@@ -32,8 +32,7 @@ use resilience::{splitmix64, trial_seed, CampaignReport, Checkpoint, Trial};
 use crate::engine::{run_batch, run_batch_resumed, InjectionPlan, SupervisorConfig};
 use crate::job::{JobRecord, JobSpec};
 use crate::manifest::{decode_manifest, encode_manifest, BatchMeta};
-use crate::queue::ShedPolicy;
-use crate::remote::{Coordinator, CoordinatorOptions};
+use crate::remote::{shard_config, Coordinator, CoordinatorOptions};
 
 /// Supervised-chaos campaign configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,24 +68,10 @@ pub(crate) fn trial_jobs(n: usize) -> Vec<JobSpec> {
 }
 
 fn trial_config(trial: usize, opts: &SupervisedChaosOptions) -> SupervisorConfig {
-    // Every third trial undersizes the queue so the shed path gets
-    // exercised too, alternating the policy.
-    let (queue_cap, shed) = if trial % 3 == 2 && opts.jobs > 1 {
-        let policy = if trial.is_multiple_of(2) {
-            ShedPolicy::RejectNew
-        } else {
-            ShedPolicy::DropOldest
-        };
-        (opts.jobs - 1, policy)
-    } else {
-        (0, ShedPolicy::RejectNew)
-    };
     SupervisorConfig {
         workers: opts.workers,
         batch_seed: trial_seed(opts.seed, trial),
         max_retries: 3,
-        queue_cap,
-        shed,
         slice_ticks: 2,
         max_slices: 64,
         breaker_threshold: 3,
@@ -152,7 +137,7 @@ fn supervised_trial(t: usize, jobs: &[JobSpec], opts: &SupervisedChaosOptions) -
     if !baseline.all_terminal() {
         trial.violate("undrained batch left non-terminal jobs");
     }
-    let counted = baseline.done() + baseline.quarantined() + baseline.shed();
+    let counted = baseline.done() + baseline.quarantined();
     if counted != jobs.len() {
         trial.violate(format!(
             "terminal states count {counted}, expected {} (lost or double-counted)",
@@ -192,12 +177,10 @@ fn supervised_trial(t: usize, jobs: &[JobSpec], opts: &SupervisedChaosOptions) -
         trial = t,
         done = baseline.done(),
         quarantined = baseline.quarantined(),
-        shed = baseline.shed(),
         violations = trial.violations.len()
     );
     trial.add("jobs done", baseline.done());
     trial.add("jobs quarantined", baseline.quarantined());
-    trial.add("jobs shed", baseline.shed());
     trial.add(
         "retries",
         baseline.records.iter().map(|r| r.retries).sum::<usize>(),
@@ -339,19 +322,10 @@ fn net_chaos_trial(
     let _ = std::fs::remove_dir_all(scratch);
     std::fs::create_dir_all(scratch).map_err(|e| format!("scratch dir: {e}"))?;
 
-    // Uninterrupted in-process reference: the sealed manifest every
-    // proxied + killed run must reproduce bit-for-bit.
-    let config = SupervisorConfig {
-        workers: opts.threads.max(1),
-        batch_seed,
-        pipeline_fault_rate: opts.fault_rate,
-        injection: if opts.fault_rate > 0.0 {
-            InjectionPlan::chaos(opts.fault_rate)
-        } else {
-            InjectionPlan::none()
-        },
-        ..SupervisorConfig::default()
-    };
+    // Uninterrupted in-process reference, under the config every shard
+    // runs: the sealed manifest every proxied + killed run must reproduce
+    // bit-for-bit.
+    let config = shard_config(batch_seed, opts.fault_rate, opts.threads);
     let reference = run_batch(jobs, &config).map_err(|e| format!("reference run: {e}"))?;
     let meta = BatchMeta {
         batch_seed,
@@ -361,13 +335,12 @@ fn net_chaos_trial(
     let reference_bytes = encode_manifest(&meta, &reference.records).to_bytes();
 
     // Coordinator behind the fault proxy.
-    let coord_config = SupervisorConfig {
-        ckpt_dir: Some(scratch.join("ckpt")),
-        ..config
-    };
     let coordinator = Coordinator::bind(
         jobs,
-        &coord_config,
+        batch_seed,
+        opts.fault_rate,
+        opts.threads,
+        &scratch.join("ckpt"),
         CoordinatorOptions {
             shards: opts.workers.max(1),
             deadline: Duration::from_secs(60),
@@ -491,23 +464,6 @@ mod tests {
                 trial.violations
             );
         }
-        assert!(report.survived());
-    }
-
-    #[test]
-    fn shed_trials_actually_shed() {
-        let opts = SupervisedChaosOptions {
-            seed: 42,
-            trials: 3,
-            jobs: 4,
-            workers: 2,
-            fault_rate: 0.0,
-            check_drain: false,
-            flight_dir: None,
-        };
-        let report = run_supervised_chaos(&opts);
-        // Trial 2 undersizes the queue by one.
-        assert_eq!(report.trials[2].tally("jobs shed"), 1);
         assert!(report.survived());
     }
 }

@@ -40,7 +40,7 @@ use crate::breaker::{CircuitBreaker, Stage};
 use crate::job::{attempt_seed, job_seed, JobRecord, JobSpec, JobState};
 use crate::manifest::{encode_manifest, BatchMeta};
 use crate::progress::ProgressTracker;
-use crate::queue::{admit, admit_plan, JobQueue, ShedPolicy};
+use crate::queue::JobQueue;
 use resilience::splitmix64;
 
 /// A failure of the supervisor itself (not of a job — job failures end in
@@ -124,6 +124,16 @@ impl InjectionPlan {
         }
     }
 
+    /// How a batch's fault rate reaches the worker boundary: everything
+    /// on at `rate`, or no injections at rate 0.
+    pub fn at_rate(rate: f64) -> Self {
+        if rate > 0.0 {
+            Self::chaos(rate)
+        } else {
+            Self::none()
+        }
+    }
+
     fn draw(&self, aseed: u64, site: u64) -> bool {
         if self.rate <= 0.0 {
             return false;
@@ -155,10 +165,6 @@ pub struct SupervisorConfig {
     pub batch_seed: u64,
     /// Supervisor-level retries per job (attempts = retries + 1).
     pub max_retries: usize,
-    /// Queue capacity for admission control (`0` = unbounded).
-    pub queue_cap: usize,
-    /// What to shed when arrivals exceed the cap.
-    pub shed: ShedPolicy,
     /// Budget ticks per VQE slice (`0` = one unbounded slice). This is
     /// the deterministic job-timeout grain: an attempt that needs more
     /// than [`max_slices`](Self::max_slices) slices times out.
@@ -171,8 +177,8 @@ pub struct SupervisorConfig {
     /// Slices an attempt may consume before it counts as timed out.
     /// Must be positive.
     pub max_slices: usize,
-    /// Consecutive same-stage failures that trip the per-job circuit
-    /// breaker (`0` disables it).
+    /// Failures at one stage that trip a job's circuit breaker (`0`
+    /// disables it).
     pub breaker_threshold: usize,
     /// Retry spacing.
     pub backoff: BackoffPolicy,
@@ -208,8 +214,6 @@ impl Default for SupervisorConfig {
             workers: 2,
             batch_seed: 42,
             max_retries: 3,
-            queue_cap: 0,
-            shed: ShedPolicy::RejectNew,
             slice_ticks: 0,
             slice_wall: None,
             max_slices: 64,
@@ -254,7 +258,8 @@ impl BatchReport {
         self.count("quarantined")
     }
 
-    /// Jobs shed by admission control.
+    /// Jobs recorded as shed: a batch never sheds, but a manifest sealed
+    /// by a build with admission control may carry `shed` records.
     pub fn shed(&self) -> usize {
         self.count("shed")
     }
@@ -341,12 +346,7 @@ pub fn run_batch_resumed(
 /// `scope_indices` (`None` = all of them) and returns their records, in
 /// ascending index order, *without* writing any manifest.
 ///
-/// `prior` may be sparse here (a shard manifest carries only its own
-/// partition); records are matched by their global index. Admission
-/// control is always evaluated over the *full* arrival order — which jobs
-/// are shed is a batch-level decision every shard replays identically —
-/// but shed obs events fire only on fresh runs, never when replaying a
-/// prior decision.
+/// `prior` may be sparse here; records are matched by their global index.
 pub(crate) fn run_scoped(
     jobs: &[JobSpec],
     config: &SupervisorConfig,
@@ -421,44 +421,15 @@ pub(crate) fn run_scoped(
     batch_span.record("resumed", prior.is_some());
 
     // Seed every owned slot: terminal prior records carry over untouched;
-    // shed decisions are made up-front by deterministic admission control
-    // over the *full* arrival order (so every shard agrees with the
-    // 1-shard run); everything else goes to the queue. On a fresh full
-    // run `admit` emits the shed events; when prior records exist the
-    // original run already counted its shed, so the replay is silent.
-    let shed_record = |index: usize| JobRecord {
-        index,
-        id: jobs[index].id.clone(),
-        state: JobState::Shed,
-        retries: 0,
-        backoff_ms: 0,
-    };
+    // everything else goes to the queue.
     let mut slots: Vec<Option<JobRecord>> = vec![None; jobs.len()];
     let mut to_run: Vec<usize> = Vec::new();
-    if prior.is_none() {
-        let admission = admit(jobs.len(), config.queue_cap, config.shed);
-        let shed: std::collections::BTreeSet<usize> = admission.shed.into_iter().collect();
-        for &index in &owned {
-            if shed.contains(&index) {
-                slots[index] = Some(shed_record(index));
-            } else {
-                to_run.push(index);
+    for &index in &owned {
+        match prior_map.get(&index) {
+            Some(record) if record.state.is_terminal() => {
+                slots[index] = Some((*record).clone());
             }
-        }
-    } else {
-        let admission = admit_plan(jobs.len(), config.queue_cap, config.shed);
-        let shed: std::collections::BTreeSet<usize> = admission.shed.into_iter().collect();
-        for &index in &owned {
-            match prior_map.get(&index) {
-                Some(record) if record.state.is_terminal() => {
-                    slots[index] = Some((*record).clone());
-                }
-                Some(_) => to_run.push(index),
-                // No record at all: the prior run died before this job was
-                // ever scheduled. Replay the admission decision for it.
-                None if shed.contains(&index) => slots[index] = Some(shed_record(index)),
-                None => to_run.push(index),
-            }
+            _ => to_run.push(index),
         }
     }
 
@@ -471,10 +442,9 @@ pub(crate) fn run_scoped(
 
     let queue = JobQueue::new();
     for &index in &to_run {
-        // The runtime queue is preloaded with the already-admitted set;
-        // admission owns the shed decision. Short jobs ride the fast lane
-        // so they are not stuck behind long VQE runs; outcomes are
-        // index-keyed, so lane order never changes records.
+        // Short jobs ride the fast lane so they are not stuck behind long
+        // VQE runs; outcomes are index-keyed, so lane order never changes
+        // records.
         queue.push(index, jobs[index].lane());
     }
     queue.close();
@@ -713,15 +683,6 @@ fn run_supervised_job(
         };
 
         loop {
-            if let Some(stage) = breaker.open_stage() {
-                progress.breaker_trip();
-                return quarantine(
-                    attempt,
-                    stage.name().to_string(),
-                    format!("circuit breaker open at {}", stage.name()),
-                    backoff_ms,
-                );
-            }
             let aseed = attempt_seed(jseed, attempt);
             let inject_panic = config.injection.panic_at(aseed);
             let inject_hang = config.injection.hang_at(aseed);
@@ -828,7 +789,7 @@ fn run_supervised_job(
                 obs::counter_add("supervisor.timeouts", 1);
             }
             let stage = Stage::from_label(&stage_label);
-            let opened = breaker.record_failure(stage);
+            let tripped = breaker.record_failure(stage);
             obs::counter_add("supervisor.retries", 1);
             progress.retry();
             obs::event!(
@@ -837,7 +798,7 @@ fn run_supervised_job(
                 attempt = attempt,
                 stage = stage_label.as_str()
             );
-            if opened {
+            if tripped {
                 progress.breaker_trip();
                 return quarantine(attempt, stage_label, error, backoff_ms);
             }
@@ -1094,7 +1055,7 @@ mod tests {
         let report = run_batch(&jobs, &config).unwrap();
         match &report.records[0].state {
             JobState::Quarantined { attempts, .. } => {
-                assert_eq!(*attempts, 2, "breaker trips at 2 consecutive failures");
+                assert_eq!(*attempts, 2, "breaker trips at the second failure");
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
@@ -1124,18 +1085,40 @@ mod tests {
     }
 
     #[test]
-    fn queue_cap_sheds_deterministically() {
-        let jobs = h2_jobs(4);
-        let config = SupervisorConfig {
-            queue_cap: 2,
-            shed: ShedPolicy::DropOldest,
-            ..SupervisorConfig::default()
+    fn shed_record_in_a_manifest_decodes_and_resumes_untouched() {
+        // Builds that had admission control sealed `shed` records; a
+        // resume keeps them and runs every other job.
+        let jobs = h2_jobs(2);
+        let shed = JobRecord {
+            index: 0,
+            id: jobs[0].id.clone(),
+            state: JobState::Shed,
+            retries: 0,
+            backoff_ms: 0,
         };
-        let report = run_batch(&jobs, &config).unwrap();
-        assert_eq!(report.shed(), 2);
-        assert_eq!(report.done(), 2);
-        assert_eq!(report.records[0].state, JobState::Shed);
-        assert_eq!(report.records[1].state, JobState::Shed);
+        let pending = JobRecord {
+            index: 1,
+            id: jobs[1].id.clone(),
+            state: JobState::Pending {
+                attempt: 0,
+                slices_used: 0,
+                checkpoint: None,
+                breaker: [0; 3],
+            },
+            retries: 0,
+            backoff_ms: 0,
+        };
+        let meta = BatchMeta {
+            batch_seed: SupervisorConfig::default().batch_seed,
+            jobs: 2,
+            pipeline_fault_rate: 0.0,
+        };
+        let manifest = encode_manifest(&meta, &[shed.clone(), pending]);
+        let (_, prior) = crate::manifest::decode_manifest(&manifest).unwrap();
+        let report = run_batch_resumed(&jobs, &SupervisorConfig::default(), Some(&prior)).unwrap();
+        assert_eq!(report.records[0], shed);
+        assert_eq!(report.done(), 1);
+        assert!(report.all_terminal());
     }
 
     #[test]

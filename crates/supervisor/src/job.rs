@@ -173,8 +173,8 @@ pub enum JobState {
         /// The final failure, stringified.
         error: String,
     },
-    /// Admission control dropped the job under the shed policy; it never
-    /// ran.
+    /// The job never ran: written by serve for a request cancelled before
+    /// it started, and by older builds' batch admission control.
     Shed,
     /// A drain interrupted the job; the manifest knows how to resume it.
     Pending {
@@ -187,7 +187,7 @@ pub enum JobState {
         /// Relative filename of the persisted VQE checkpoint, when the
         /// attempt got far enough to have one.
         checkpoint: Option<String>,
-        /// Circuit-breaker consecutive-failure counts per stage
+        /// Circuit-breaker failure counts per stage
         /// (SCF / compile / VQE) at the drain point — restored on resume
         /// so the resumed retry ladder quarantines exactly where the
         /// uninterrupted one would have.

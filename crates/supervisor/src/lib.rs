@@ -7,11 +7,10 @@
 //! a pool of supervised workers and keeps the fleet alive when individual
 //! jobs fail:
 //!
-//! - **Backpressure and load-shedding** ([`queue`]) — a bounded,
-//!   seed-deterministic job queue; when more jobs arrive than the cap
-//!   allows, the configured [`ShedPolicy`] (reject-new or drop-oldest)
-//!   decides deterministically which jobs are shed, and every shed is an
-//!   obs event.
+//! - **Two-lane work queue** ([`queue`]) — a batch runs every job it is
+//!   given; short jobs ride the fast lane so long VQE runs cannot
+//!   head-of-line-block them, and since outcomes are index-keyed the
+//!   lane order never changes a record.
 //! - **Panic isolation** ([`engine`]) — each job attempt runs inside
 //!   `catch_unwind` at the worker boundary; a panic is a per-job failure,
 //!   never a process abort, and a job that keeps failing is *quarantined*
@@ -19,8 +18,9 @@
 //! - **Timeouts, backoff, and circuit breaking** ([`backoff`],
 //!   [`breaker`]) — job attempts run in budget slices on [`par::Budget`];
 //!   a seedable exponential-backoff-plus-jitter ladder spaces retries, and
-//!   a per-job, per-stage (SCF / compile / VQE) circuit breaker trips on
-//!   consecutive failures and fails the job fast.
+//!   a per-job, per-stage (SCF / compile / VQE) circuit breaker counts
+//!   the job's failures at each stage and fails it fast once one stage
+//!   reaches the threshold.
 //! - **Graceful drain** ([`manifest`]) — on deadline or drain request,
 //!   in-flight jobs checkpoint through the resilience container (format
 //!   v2, tagged with the job id) and the supervisor emits a resumable
@@ -65,7 +65,7 @@ pub use engine::{
 pub use job::{attempt_seed, job_seed, parse_jobs, JobRecord, JobSpec, JobState};
 pub use manifest::{decode_manifest, encode_manifest, BatchMeta, KIND_BATCH_MANIFEST};
 pub use progress::{ProgressSnapshot, ProgressTracker};
-pub use queue::{admit, admit_plan, Admission, JobQueue, Lane, ShedPolicy, FAST_LANE_MAX_QUBITS};
+pub use queue::{JobQueue, Lane, FAST_LANE_MAX_QUBITS};
 pub use remote::{
     reconnect_schedule, run_worker, Coordinator, CoordinatorOptions, CoordinatorReport,
     CoordinatorWatch, RemoteError, RemoteTakeover, WorkerOptions, WorkerReport,

@@ -55,7 +55,7 @@ pub struct ProgressSnapshot {
     pub done: usize,
     /// Jobs quarantined.
     pub quarantined: usize,
-    /// Jobs shed by admission control.
+    /// Jobs carried over as shed from a manifest an older build sealed.
     pub shed: usize,
     /// Jobs parked as pending by a drain.
     pub pending: usize,
@@ -128,8 +128,8 @@ impl ProgressTracker {
         }
     }
 
-    /// Records a job that reached `label` without ever running (shed at
-    /// admission, terminal in a resume manifest, or drained pre-start).
+    /// Records a job that reached `label` without ever running (terminal
+    /// in a resume manifest, or drained pre-start).
     pub fn job_skipped(&self, label: &str) {
         let mut inner = self.lock();
         inner.queued = inner.queued.saturating_sub(1);

@@ -40,7 +40,7 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -120,6 +120,19 @@ fn shard_indices(n_jobs: usize, shards: usize, shard_id: usize) -> Vec<usize> {
     (0..n_jobs)
         .filter(|&i| job_shard(i, shards) == shard_id)
         .collect()
+}
+
+/// The engine config a shard runs under, on a worker or in a
+/// coordinator's rescue: the batch identity from the welcome, the local
+/// thread count, and the library defaults for every policy knob.
+pub(crate) fn shard_config(batch_seed: u64, fault_rate: f64, threads: usize) -> SupervisorConfig {
+    SupervisorConfig {
+        workers: threads.max(1),
+        batch_seed,
+        pipeline_fault_rate: fault_rate,
+        injection: InjectionPlan::at_rate(fault_rate),
+        ..SupervisorConfig::default()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -257,6 +270,7 @@ pub struct Coordinator {
     listener: TcpListener,
     addr: SocketAddr,
     jobs: Vec<JobSpec>,
+    /// What a rescue runs under: the config every worker builds.
     config: SupervisorConfig,
     dir: PathBuf,
     opts: CoordinatorOptions,
@@ -264,15 +278,23 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Binds the listen address and prepares the shard table.
+    /// Binds the listen address and prepares the shard table. The batch
+    /// identity (`batch_seed`, `fault_rate`) goes to every worker in its
+    /// welcome; `threads` sizes a rescue, and `dir` receives the sealed
+    /// `batch.manifest`. A rescued shard runs the engine config a worker
+    /// builds from the welcome, so it seals the same records.
     ///
     /// # Errors
     ///
-    /// [`RemoteError::Supervisor`] on a bad spec (no jobs, no checkpoint
-    /// directory, zero shards) or a bind failure.
+    /// [`RemoteError::Supervisor`] on a bad spec (no jobs, zero shards)
+    /// or a checkpoint-directory failure; [`RemoteError::TransportLost`]
+    /// on a bind failure.
     pub fn bind(
         jobs: &[JobSpec],
-        config: &SupervisorConfig,
+        batch_seed: u64,
+        fault_rate: f64,
+        threads: usize,
+        dir: &Path,
         opts: CoordinatorOptions,
     ) -> Result<Coordinator, RemoteError> {
         if jobs.is_empty() {
@@ -281,13 +303,7 @@ impl Coordinator {
         if opts.shards == 0 {
             return Err(SupervisorError::Spec("--shards must be at least 1".to_string()).into());
         }
-        let Some(dir) = config.ckpt_dir.clone() else {
-            return Err(SupervisorError::Spec(
-                "a coordinator needs --checkpoint (batch.manifest seals there)".to_string(),
-            )
-            .into());
-        };
-        std::fs::create_dir_all(&dir).map_err(|e| {
+        std::fs::create_dir_all(dir).map_err(|e| {
             RemoteError::Supervisor(SupervisorError::Io {
                 path: dir.display().to_string(),
                 message: e.to_string(),
@@ -324,8 +340,8 @@ impl Coordinator {
             }),
             jobs_jsonl,
             ids: jobs.iter().map(|j| j.id.clone()).collect(),
-            batch_seed: config.batch_seed,
-            fault_rate: config.pipeline_fault_rate,
+            batch_seed,
+            fault_rate,
             shards: opts.shards,
             lease_ms: opts.lease_ms,
             heartbeat_ms: opts.heartbeat_ms,
@@ -336,8 +352,8 @@ impl Coordinator {
             listener,
             addr,
             jobs: jobs.to_vec(),
-            config: config.clone(),
-            dir,
+            config: shard_config(batch_seed, fault_rate, threads),
+            dir: dir.to_path_buf(),
             opts,
             ctx,
         })
@@ -863,21 +879,9 @@ fn parse_welcome(welcome: Message, opts: &WorkerOptions) -> Result<WelcomeInfo, 
     };
     let jobs = parse_jobs(&jobs_jsonl)
         .map_err(|e| RemoteError::Protocol(format!("jobs in welcome: {e}")))?;
-    let fault_rate = f64::from_bits(fault_rate_bits);
-    let config = SupervisorConfig {
-        workers: opts.threads.max(1),
-        batch_seed,
-        pipeline_fault_rate: fault_rate,
-        injection: if fault_rate > 0.0 {
-            InjectionPlan::chaos(fault_rate)
-        } else {
-            InjectionPlan::none()
-        },
-        ..SupervisorConfig::default()
-    };
     Ok(WelcomeInfo {
         jobs,
-        config,
+        config: shard_config(batch_seed, f64::from_bits(fault_rate_bits), opts.threads),
         shards,
         heartbeat_ms,
     })
@@ -1101,7 +1105,6 @@ fn run_granted_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
     use crate::chaos::trial_jobs;
     use crate::engine::run_batch;
@@ -1114,16 +1117,9 @@ mod tests {
         dir
     }
 
-    fn config(batch_seed: u64, dir: &Path) -> SupervisorConfig {
-        SupervisorConfig {
-            batch_seed,
-            ckpt_dir: Some(dir.to_path_buf()),
-            ..SupervisorConfig::default()
-        }
-    }
-
-    fn reference_bytes(jobs: &[JobSpec], config: &SupervisorConfig) -> Vec<u8> {
-        let reference = run_batch(jobs, config).unwrap();
+    fn reference_bytes(jobs: &[JobSpec], batch_seed: u64) -> Vec<u8> {
+        let config = shard_config(batch_seed, 0.0, 2);
+        let reference = run_batch(jobs, &config).unwrap();
         let meta = BatchMeta {
             batch_seed: config.batch_seed,
             jobs: jobs.len(),
@@ -1150,12 +1146,15 @@ mod tests {
     fn three_workers_over_loopback_match_the_single_machine_manifest() {
         let dir = scratch("loopback");
         let jobs = trial_jobs(7);
-        let config = config(41, &dir.join("ckpt"));
-        let expected = reference_bytes(&jobs, &config);
+        let seed = 41;
+        let expected = reference_bytes(&jobs, seed);
 
         let coordinator = Coordinator::bind(
             &jobs,
-            &config,
+            seed,
+            0.0,
+            2,
+            &dir.join("ckpt"),
             CoordinatorOptions {
                 shards: 3,
                 ..CoordinatorOptions::default()
@@ -1187,12 +1186,15 @@ mod tests {
     fn vanished_worker_is_taken_over_at_the_next_epoch() {
         let dir = scratch("takeover");
         let jobs = trial_jobs(6);
-        let config = config(43, &dir.join("ckpt"));
-        let expected = reference_bytes(&jobs, &config);
+        let seed = 43;
+        let expected = reference_bytes(&jobs, seed);
 
         let coordinator = Coordinator::bind(
             &jobs,
-            &config,
+            seed,
+            0.0,
+            2,
+            &dir.join("ckpt"),
             CoordinatorOptions {
                 shards: 2,
                 lease_ms: 120,
@@ -1248,12 +1250,15 @@ mod tests {
     fn coordinator_rescues_when_the_whole_fleet_dies() {
         let dir = scratch("rescue");
         let jobs = trial_jobs(5);
-        let config = config(47, &dir.join("ckpt"));
-        let expected = reference_bytes(&jobs, &config);
+        let seed = 47;
+        let expected = reference_bytes(&jobs, seed);
 
         let coordinator = Coordinator::bind(
             &jobs,
-            &config,
+            seed,
+            0.0,
+            2,
+            &dir.join("ckpt"),
             CoordinatorOptions {
                 shards: 2,
                 lease_ms: 80,
@@ -1288,12 +1293,15 @@ mod tests {
     fn wire_checks_reject_foreign_mislabelled_and_divergent_records() {
         let dir = scratch("wire");
         let jobs = trial_jobs(4);
-        let config = config(29, &dir.join("ckpt"));
-        let expected = reference_bytes(&jobs, &config);
+        let seed = 29;
+        let expected = reference_bytes(&jobs, seed);
 
         let coordinator = Coordinator::bind(
             &jobs,
-            &config,
+            seed,
+            0.0,
+            2,
+            &dir.join("ckpt"),
             CoordinatorOptions {
                 shards: 2,
                 lease_ms: 200,
@@ -1325,11 +1333,7 @@ mod tests {
                 ..
             }
         ));
-        let worker_config = SupervisorConfig {
-            batch_seed: 29,
-            ..SupervisorConfig::default()
-        };
-        let records = run_scoped(&jobs, &worker_config, None, Some(&[0, 1])).unwrap();
+        let records = run_scoped(&jobs, &shard_config(29, 0.0, 2), None, Some(&[0, 1])).unwrap();
         let mut send = |record: &JobRecord| {
             let msg = Message::JobResult {
                 shard_id: 0,
@@ -1369,8 +1373,8 @@ mod tests {
     fn version_skew_is_rejected_as_protocol_error() {
         let dir = scratch("version");
         let jobs = trial_jobs(2);
-        let config = config(3, &dir.join("ckpt"));
-        let coordinator = Coordinator::bind(&jobs, &config, CoordinatorOptions::default()).unwrap();
+        let options = CoordinatorOptions::default();
+        let coordinator = Coordinator::bind(&jobs, 3, 0.0, 2, &dir.join("ckpt"), options).unwrap();
         let addr = coordinator.addr();
         let watch = coordinator.watch();
         let coord = std::thread::spawn(move || coordinator.run());

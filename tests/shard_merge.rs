@@ -44,16 +44,12 @@ fn jobs(n: usize) -> Vec<JobSpec> {
 // Real-pipeline equivalence and takeover over a loopback coordinator.
 // ---------------------------------------------------------------------------
 
-fn config(batch_seed: u64, ckpt: Option<PathBuf>) -> SupervisorConfig {
-    SupervisorConfig {
-        batch_seed,
-        ckpt_dir: ckpt,
-        ..SupervisorConfig::default()
-    }
-}
-
 fn reference_bytes(specs: &[JobSpec], batch_seed: u64) -> Vec<u8> {
-    let report = run_batch(specs, &config(batch_seed, None)).unwrap();
+    let config = SupervisorConfig {
+        batch_seed,
+        ..SupervisorConfig::default()
+    };
+    let report = run_batch(specs, &config).unwrap();
     let meta = BatchMeta {
         batch_seed,
         jobs: specs.len(),
@@ -72,8 +68,7 @@ fn coordinate(
     SocketAddr,
     std::thread::JoinHandle<Result<CoordinatorReport, RemoteError>>,
 ) {
-    let coordinator =
-        Coordinator::bind(specs, &config(batch_seed, Some(dir.to_path_buf())), opts).unwrap();
+    let coordinator = Coordinator::bind(specs, batch_seed, 0.0, 2, dir, opts).unwrap();
     let addr = coordinator.addr();
     (addr, std::thread::spawn(move || coordinator.run()))
 }
