@@ -24,6 +24,7 @@
 
 pub mod topology;
 pub mod yield_sim;
+mod ziggurat;
 
 pub use topology::Topology;
 pub use yield_sim::{

@@ -17,9 +17,15 @@
 //! X-Tree's N−1 edges beat the grid's ~2N.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::topology::Topology;
+use crate::ziggurat::Ziggurat;
+
+/// Version of the normal sampler behind [`simulate_yield`]. Every chunk's
+/// fabricated frequencies are drawn by it, so a [`YieldCheckpoint`] taken
+/// under another version belongs to another stream and must not resume.
+pub const NORMAL_SAMPLER: &str = "zig1";
 
 /// Thresholds (GHz) of the frequency-collision conditions.
 ///
@@ -279,7 +285,8 @@ pub enum YieldRun {
 /// Deterministic for a fixed `seed` *at any thread count*: samples are
 /// grouped into fixed `YIELD_CHUNK`-sized chunks, each with its own RNG
 /// seeded from `seed` and the chunk index, and the per-chunk tallies are
-/// integers, so the reduction is exact regardless of scheduling.
+/// integers, so the reduction is exact regardless of scheduling. The
+/// normal variates come from a 256-layer ziggurat ([`NORMAL_SAMPLER`]).
 ///
 /// # Panics
 ///
@@ -325,6 +332,32 @@ pub fn simulate_yield_resumable(
     seed: u64,
     resume: Option<YieldCheckpoint>,
     budget: &par::Budget,
+) -> YieldRun {
+    let zig = Ziggurat::get();
+    run_chunks(
+        topology,
+        model,
+        sigma,
+        samples,
+        seed,
+        resume,
+        budget,
+        |rng| zig.sample(rng),
+    )
+}
+
+/// The chunked Monte Carlo behind [`simulate_yield_resumable`], drawing its
+/// standard normal variates from `normal`.
+#[allow(clippy::too_many_arguments)]
+fn run_chunks(
+    topology: &Topology,
+    model: &CollisionModel,
+    sigma: f64,
+    samples: usize,
+    seed: u64,
+    resume: Option<YieldCheckpoint>,
+    budget: &par::Budget,
+    normal: impl Fn(&mut StdRng) -> f64 + Sync,
 ) -> YieldRun {
     assert!(sigma >= 0.0, "sigma must be non-negative");
     assert!(samples > 0, "at least one sample required");
@@ -374,7 +407,7 @@ pub fn simulate_yield_resumable(
             let mut fabricated = vec![0.0f64; targets.len()];
             for _ in 0..chunk_samples {
                 for (f, &t) in fabricated.iter_mut().zip(&targets) {
-                    *f = t + sigma * gaussian(&mut rng);
+                    *f = t + sigma * normal(&mut rng);
                 }
                 let c = model.count_collisions(topology, &fabricated);
                 total_collisions += c;
@@ -397,16 +430,68 @@ pub fn simulate_yield_resumable(
     })
 }
 
-/// Standard normal via Box–Muller.
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+
+    /// The sampler the ziggurat replaced, kept as its oracle: Box–Muller,
+    /// cosine half only.
+    fn box_muller(rng: &mut StdRng) -> f64 {
+        let u1: f64 = rng.random::<f64>().max(1e-12);
+        let u2: f64 = rng.random();
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+
+    /// [`simulate_yield`] on the Box–Muller stream.
+    fn oracle(t: &Topology, m: &CollisionModel, sigma: f64, n: usize, seed: u64) -> YieldEstimate {
+        let budget = par::Budget::unlimited();
+        match run_chunks(t, m, sigma, n, seed, None, &budget, box_muller) {
+            YieldRun::Done(estimate) => estimate,
+            YieldRun::Interrupted(_) => unreachable!("unlimited budget cannot expire"),
+        }
+    }
+
+    /// Mean and standard error of the mean.
+    fn mean_se(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (mean, (var / n).sqrt())
+    }
+
+    #[test]
+    fn ziggurat_yield_matches_the_box_muller_oracle_over_64_seeds() {
+        let m = CollisionModel::default();
+        let cases = [
+            (Topology::xtree(17), 0.04),
+            (Topology::xtree(17), 0.3),
+            (Topology::grid17q(), 0.04),
+            (Topology::grid17q(), 0.3),
+        ];
+        for (t, sigma) in cases {
+            // Per-seed `yield_rate` and `mean_collisions` columns.
+            let columns = |run: &dyn Fn(u64) -> YieldEstimate| {
+                let runs: Vec<YieldEstimate> = (0..64).map(run).collect();
+                [
+                    runs.iter().map(|e| e.yield_rate).collect::<Vec<_>>(),
+                    runs.iter().map(|e| e.mean_collisions).collect(),
+                ]
+            };
+            let zig = columns(&|seed| simulate_yield(&t, &m, sigma, 2000, seed));
+            let bm = columns(&|seed| oracle(&t, &m, sigma, 2000, seed));
+            let names = ["yield_rate", "mean_collisions"];
+            for ((name, zig), bm) in names.iter().zip(&zig).zip(&bm) {
+                let (z, z_se) = mean_se(zig);
+                let (b, b_se) = mean_se(bm);
+                assert!(
+                    (z - b).abs() <= 3.0 * z_se.hypot(b_se),
+                    "{} σ={sigma} {name}: ziggurat {z} ± {z_se} vs Box–Muller {b} ± {b_se}",
+                    t.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn allocation_assigns_every_qubit_a_candidate() {
@@ -443,10 +528,14 @@ mod tests {
 
     #[test]
     fn yield_decreases_with_dispersion() {
+        // Below the allocation ladder's spacing, where yield falls steeply
+        // with σ. At 0.02 and 0.2 GHz the grid's yield is under 0.005
+        // (EXPERIMENTS.md), about 9 and 7 working chips out of 2000, so
+        // that pair can tie on one seed.
         let t = Topology::grid17q();
         let m = CollisionModel::default();
-        let y1 = simulate_yield(&t, &m, 0.02, 2000, 7).yield_rate;
-        let y2 = simulate_yield(&t, &m, 0.2, 2000, 7).yield_rate;
+        let y1 = simulate_yield(&t, &m, 0.01, 2000, 7).yield_rate;
+        let y2 = simulate_yield(&t, &m, 0.04, 2000, 7).yield_rate;
         assert!(y1 > y2, "{y1} vs {y2}");
     }
 

@@ -30,6 +30,7 @@
 //! `36` net transport lost for good (resumable) · `37` net protocol
 //! mismatch. Codes 10–14 and 30–31 follow [`PcdError::exit_code`].
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -235,10 +236,12 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            // Written, not `eprintln!`ed: that panics (exit 101) when
+            // stderr is a closed pipe, and the exit code must survive.
+            let mut stderr = std::io::stderr().lock();
+            let _ = writeln!(stderr, "error: {e}");
             if matches!(e, CliError::Usage(_)) {
-                eprintln!();
-                eprintln!("{}", usage());
+                let _ = writeln!(stderr, "\n{}", usage());
             }
             ExitCode::from(e.exit_code())
         }
@@ -298,7 +301,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if result.is_ok() || interrupted {
         if let Some(path) = &trace_path {
             obs::write_jsonl(path).map_err(|e| format!("writing trace {path}: {e}"))?;
-            eprintln!("trace written to {path}");
+            let _ = writeln!(std::io::stderr(), "trace written to {path}");
         }
         if metrics {
             println!();

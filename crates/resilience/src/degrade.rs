@@ -122,11 +122,13 @@ mod tests {
 
     #[test]
     fn unlimited_budget_gets_full_fidelity() {
+        let _gate = crate::obs_gate();
         assert_eq!(policy().select(&Budget::unlimited()), 20_000);
     }
 
     #[test]
     fn budget_above_threshold_gets_full_fidelity() {
+        let _gate = crate::obs_gate();
         let b = Budget::max_ticks(10);
         for _ in 0..2 {
             b.tick();
@@ -137,6 +139,7 @@ mod tests {
 
     #[test]
     fn budget_below_threshold_steps_down_the_ladder() {
+        let _gate = crate::obs_gate();
         let b = Budget::max_ticks(10);
         for _ in 0..6 {
             b.tick();
@@ -152,6 +155,7 @@ mod tests {
 
     #[test]
     fn downgrades_are_counted_in_obs() {
+        let _gate = crate::obs_gate();
         obs::reset();
         obs::enable();
         let b = Budget::max_ticks(10);

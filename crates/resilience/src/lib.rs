@@ -64,3 +64,12 @@ pub use error::PcdError;
 pub use fault::{splitmix64, FaultKind, FaultPlan, InjectedFault};
 pub use recover::build_system_with_recovery;
 pub use stages::CompileStrategy;
+
+/// Serialises this crate's tests that enable obs or reach
+/// [`DegradationPolicy::select`]: the obs registry is process-global, so a
+/// downgrade one test counts must not land in another test's snapshot.
+#[cfg(test)]
+pub(crate) fn obs_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}

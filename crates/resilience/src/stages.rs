@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 
 use ansatz::uccsd::UccsdAnsatz;
 use ansatz::{compress, CompressionReport, PauliIr};
+use arch::yield_sim::NORMAL_SAMPLER;
 use arch::{simulate_yield_resumable, CollisionModel, Topology, YieldEstimate, YieldRun};
 use chem::scf::ScfOptions;
 use chem::{Benchmark, MolecularSystem};
@@ -312,11 +313,33 @@ pub fn read_vqe_checkpoint(path: &Path) -> Result<VqeCheckpoint, PcdError> {
     Ok(decode_vqe(&Checkpoint::read(path)?)?)
 }
 
+/// Fabrication precision σ (GHz) the yield stage samples at.
+const YIELD_SIGMA: f64 = 0.04;
+
+/// Seed of the yield stage's Monte Carlo.
+const YIELD_SEED: u64 = 17;
+
+/// The stream key a `yield.ckpt` carries in its `job` header field: the
+/// normal sampler's version, then a CRC-32 over it, the topology's edges,
+/// σ and the seed. Tallies drawn from another stream (another sampler or
+/// other inputs) are never resumed.
+pub fn yield_key(topology: &Topology, sigma: f64, seed: u64) -> String {
+    let mut words = vec![topology.num_qubits() as u64, sigma.to_bits(), seed];
+    for &(a, b) in topology.edges() {
+        words.extend([a as u64, b as u64]);
+    }
+    let mut bytes = NORMAL_SAMPLER.as_bytes().to_vec();
+    bytes.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+    format!("yield-{NORMAL_SAMPLER}-{:08x}", crc32(&bytes))
+}
+
 /// Yield Monte Carlo of the 17-qubit X-Tree at σ = 0.04 GHz. A fresh run
 /// sheds samples down a 1×/¼/¹⁄₂₀ ladder of `base_samples` once the
 /// budget's remaining fraction drops below `degrade_threshold`; a resumed
 /// run keeps its checkpoint's sample count. A budget expiry saves
-/// `yield.ckpt` and returns `Interrupted`.
+/// `yield.ckpt` tagged with [`yield_key`] and returns `Interrupted`; a
+/// resume from a file with another key, or with none, is refused as
+/// [`CheckpointError::InputsMismatch`].
 pub fn yield_mc(
     base_samples: usize,
     degrade_threshold: f64,
@@ -324,7 +347,9 @@ pub fn yield_mc(
     store: Option<&Checkpoints>,
 ) -> Result<YieldEstimate, PcdError> {
     let mut span = obs::span("pipeline.yield");
-    let resume = load(store, YIELD_CKPT, None)?
+    let xtree = Topology::xtree(17);
+    let key = yield_key(&xtree, YIELD_SIGMA, YIELD_SEED);
+    let resume = load(store, YIELD_CKPT, Some(&key))?
         .map(|ck| decode_yield(&ck))
         .transpose()?;
     let samples = match &resume {
@@ -337,12 +362,21 @@ pub fn yield_mc(
         }
     };
     span.record("samples", samples);
-    let (xtree, model) = (Topology::xtree(17), CollisionModel::default());
-    match simulate_yield_resumable(&xtree, &model, 0.04, samples, 17, resume, budget) {
+    let model = CollisionModel::default();
+    let run = simulate_yield_resumable(
+        &xtree,
+        &model,
+        YIELD_SIGMA,
+        samples,
+        YIELD_SEED,
+        resume,
+        budget,
+    );
+    match run {
         YieldRun::Done(estimate) => Ok(estimate),
         YieldRun::Interrupted(ck) => Err(PcdError::Interrupted {
             stage: "yield",
-            checkpoint: save(store, YIELD_CKPT, &encode_yield(&ck))?,
+            checkpoint: save(store, YIELD_CKPT, &encode_yield(&ck).with_job(key))?,
         }),
     }
 }
@@ -494,6 +528,7 @@ mod tests {
 
     #[test]
     fn interrupted_yield_keeps_its_sample_count_on_resume() {
+        let _gate = crate::obs_gate();
         let unlimited = Budget::unlimited();
         let baseline = yield_mc(1000, DEGRADE_THRESHOLD, &unlimited, None).expect("yield");
         let mut store = scratch("yield");

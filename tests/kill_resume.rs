@@ -9,7 +9,7 @@
 
 use pauli_codesign::ansatz::{compress, uccsd::UccsdAnsatz};
 use pauli_codesign::arch::{
-    simulate_yield, simulate_yield_resumable, CollisionModel, Topology, YieldRun,
+    simulate_yield, simulate_yield_resumable, CollisionModel, Topology, YieldCheckpoint, YieldRun,
 };
 use pauli_codesign::chem::Benchmark;
 use pauli_codesign::par::{self, Budget};
@@ -255,4 +255,45 @@ fn resume_under_other_inputs_is_a_typed_error() {
         stages::vqe(&lih, &lih_ir, &unlimited, Some(&store)),
         "vqe.done",
     );
+}
+
+#[test]
+fn a_yield_checkpoint_from_another_stream_is_refused() {
+    let scratch = ScratchDir::new("kill-resume-yield-key");
+    let ckpt = scratch.path("yield.ckpt");
+    let (samples, threshold) = (2_000, stages::DEGRADE_THRESHOLD);
+    let mut store = Checkpoints::new(&scratch.0, false);
+
+    // An interrupted run tags its tallies with the stream they were drawn
+    // from.
+    let run = stages::yield_mc(samples, threshold, &Budget::max_ticks(1), Some(&store));
+    assert!(matches!(run, Err(PcdError::Interrupted { .. })), "{run:?}");
+    let saved = Checkpoint::read(&ckpt).expect("read");
+    let key = stages::yield_key(&Topology::xtree(17), 0.04, 17);
+    assert!(key.starts_with("yield-zig1-"), "{key}");
+    assert_eq!(saved.job.as_deref(), Some(key.as_str()));
+
+    // Untagged tallies, as every file saved before the stream key, and
+    // tallies of another sampler are refused rather than resumed.
+    store.resume = true;
+    let tallies = encode_yield(&YieldCheckpoint {
+        samples,
+        next_chunk: 8,
+        good: 7,
+        total_collisions: 2_600,
+    });
+    let unlimited = Budget::unlimited();
+    for foreign in [tallies.clone(), tallies.with_job("yield-bm0-00000000")] {
+        foreign.write(&ckpt).expect("write");
+        assert_refused(
+            stages::yield_mc(samples, threshold, &unlimited, Some(&store)),
+            "yield.ckpt",
+        );
+    }
+
+    // The run's own file resumes to the uninterrupted estimate.
+    saved.write(&ckpt).expect("write");
+    let resumed = stages::yield_mc(samples, threshold, &unlimited, Some(&store)).expect("resumes");
+    let fresh = stages::yield_mc(samples, threshold, &unlimited, None).expect("fresh");
+    assert_eq!(resumed, fresh);
 }
