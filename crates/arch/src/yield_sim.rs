@@ -123,6 +123,35 @@ impl CollisionModel {
         }
         collisions
     }
+
+    /// Whether any collision condition fires on fabricated frequencies `f`:
+    /// `count_collisions(topology, f) > 0`, returning at the first condition
+    /// that fires. A chip works only if none does, and at the dispersions
+    /// of Fig 11 most chips fail on an early edge, so the Monte Carlo tests
+    /// with this instead of counting. Every frequency must be allocated:
+    /// there is no NaN skip (see [`count_collisions`](Self::count_collisions)).
+    pub fn collides(&self, topology: &Topology, f: &[f64]) -> bool {
+        let a = self.anharmonicity;
+        topology.edges().iter().any(|&(x, y)| {
+            let (j, k) = if f[x] >= f[y] { (x, y) } else { (y, x) };
+            // d ≥ 0: the higher-frequency qubit is the control.
+            let d = f[j] - f[k];
+            if d < self.degeneracy_threshold
+                || (d + a / 2.0).abs() < self.half_anharmonicity_threshold
+                || (d + a).abs() < self.anharmonicity_threshold
+                // Condition 4: with j above k only the j → k band can hold.
+                || (self.enforce_cr_band && !(d > 0.0 && d < -a))
+            {
+                return true;
+            }
+            topology.neighbors(j).iter().any(|&m| {
+                m != k
+                    && ((f[k] - f[m]).abs() < self.degeneracy_threshold
+                        || (f[k] - f[m] + a / 2.0).abs() < self.half_anharmonicity_threshold
+                        || (2.0 * f[j] + a - f[k] - f[m]).abs() < self.two_photon_threshold)
+            })
+        })
+    }
 }
 
 /// Deterministic greedy frequency allocation: BFS order over the graph,
@@ -239,8 +268,6 @@ pub struct YieldEstimate {
     pub yield_rate: f64,
     /// Monte-Carlo samples drawn.
     pub samples: usize,
-    /// Mean number of collisions per chip.
-    pub mean_collisions: f64,
 }
 
 /// Samples per independently-seeded Monte-Carlo chunk. Fixed — never
@@ -267,8 +294,6 @@ pub struct YieldCheckpoint {
     pub next_chunk: usize,
     /// Collision-free chips among the tallied chunks.
     pub good: usize,
-    /// Total collisions among the tallied chunks.
-    pub total_collisions: usize,
 }
 
 /// Outcome of a budget-aware yield simulation.
@@ -363,7 +388,7 @@ fn run_chunks(
     assert!(samples > 0, "at least one sample required");
     let targets = allocate_frequencies(topology, model);
     let n_chunks = samples.div_ceil(YIELD_CHUNK);
-    let (start_chunk, mut good, mut total_collisions) = match resume {
+    let (start_chunk, mut good) = match resume {
         Some(ck) => {
             assert!(
                 ck.samples == samples,
@@ -375,9 +400,9 @@ fn run_chunks(
                 "checkpoint chunk {} exceeds chunk count {n_chunks}",
                 ck.next_chunk
             );
-            (ck.next_chunk, ck.good, ck.total_collisions)
+            (ck.next_chunk, ck.good)
         }
-        None => (0, 0, 0),
+        None => (0, 0),
     };
 
     let mut wave_start = start_chunk;
@@ -392,42 +417,59 @@ fn run_chunks(
                 samples,
                 next_chunk: wave_start,
                 good,
-                total_collisions,
             }));
         }
         let wave_len = YIELD_WAVE.min(n_chunks - wave_start);
         let tallies = par::map_indexed(wave_len, |i| {
-            let chunk = wave_start + i;
-            let chunk_samples = YIELD_CHUNK.min(samples - chunk * YIELD_CHUNK);
-            let mut rng = StdRng::seed_from_u64(
-                seed.wrapping_add((chunk as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            );
             let mut good = 0usize;
-            let mut total_collisions = 0usize;
-            let mut fabricated = vec![0.0f64; targets.len()];
-            for _ in 0..chunk_samples {
-                for (f, &t) in fabricated.iter_mut().zip(&targets) {
-                    *f = t + sigma * normal(&mut rng);
-                }
-                let c = model.count_collisions(topology, &fabricated);
-                total_collisions += c;
-                if c == 0 {
-                    good += 1;
-                }
-            }
-            (good, total_collisions)
+            for_each_chip(
+                &targets,
+                sigma,
+                samples,
+                seed,
+                wave_start + i,
+                &normal,
+                |chip| {
+                    if !model.collides(topology, chip) {
+                        good += 1;
+                    }
+                },
+            );
+            good
         });
-        for (g, t) in tallies {
-            good += g;
-            total_collisions += t;
-        }
+        good += tallies.into_iter().sum::<usize>();
         wave_start += wave_len;
     }
     YieldRun::Done(YieldEstimate {
         yield_rate: good as f64 / samples as f64,
         samples,
-        mean_collisions: total_collisions as f64 / samples as f64,
     })
+}
+
+/// Calls `visit` on each fabricated chip of Monte-Carlo chunk `chunk`, in
+/// draw order: the chunk's RNG is seeded from `seed` and the chunk's
+/// absolute index alone (counter mode), and every chip draws one variate
+/// per qubit, `f_q = target_q + σ·normal`.
+fn for_each_chip(
+    targets: &[f64],
+    sigma: f64,
+    samples: usize,
+    seed: u64,
+    chunk: usize,
+    normal: impl Fn(&mut StdRng) -> f64,
+    mut visit: impl FnMut(&[f64]),
+) {
+    let chunk_samples = YIELD_CHUNK.min(samples - chunk * YIELD_CHUNK);
+    let mut rng = StdRng::seed_from_u64(
+        seed.wrapping_add((chunk as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+    );
+    let mut fabricated = vec![0.0f64; targets.len()];
+    for _ in 0..chunk_samples {
+        for (f, &t) in fabricated.iter_mut().zip(targets) {
+            *f = t + sigma * normal(&mut rng);
+        }
+        visit(&fabricated);
+    }
 }
 
 #[cfg(test)]
@@ -452,6 +494,28 @@ mod tests {
         }
     }
 
+    /// The collision-free fraction and the mean `count_collisions` of the
+    /// `n` chips the Monte Carlo draws from `normal`, counted chip by chip.
+    fn drawn_chips(
+        t: &Topology,
+        m: &CollisionModel,
+        sigma: f64,
+        n: usize,
+        seed: u64,
+        normal: impl Fn(&mut StdRng) -> f64,
+    ) -> (f64, f64) {
+        let targets = allocate_frequencies(t, m);
+        let (mut good, mut collisions) = (0usize, 0usize);
+        for chunk in 0..n.div_ceil(YIELD_CHUNK) {
+            for_each_chip(&targets, sigma, n, seed, chunk, &normal, |chip| {
+                let c = m.count_collisions(t, chip);
+                good += usize::from(c == 0);
+                collisions += c;
+            });
+        }
+        (good as f64 / n as f64, collisions as f64 / n as f64)
+    }
+
     /// Mean and standard error of the mean.
     fn mean_se(xs: &[f64]) -> (f64, f64) {
         let n = xs.len() as f64;
@@ -470,16 +534,31 @@ mod tests {
             (Topology::grid17q(), 0.3),
         ];
         for (t, sigma) in cases {
-            // Per-seed `yield_rate` and `mean_collisions` columns.
-            let columns = |run: &dyn Fn(u64) -> YieldEstimate| {
-                let runs: Vec<YieldEstimate> = (0..64).map(run).collect();
+            // Per-seed `yield_rate` and mean-collisions columns. The
+            // collisions are counted on the drawn chips, whose collision-free
+            // fraction must be the Monte Carlo's `yield_rate` to the bit.
+            let zig_normal = |rng: &mut StdRng| Ziggurat::get().sample(rng);
+            let columns = |run: &dyn Fn(u64) -> (YieldEstimate, (f64, f64))| {
+                let runs: Vec<(f64, f64)> = (0..64)
+                    .map(|seed| {
+                        let (estimate, (rate, collisions)) = run(seed);
+                        assert_eq!(estimate.yield_rate.to_bits(), rate.to_bits(), "seed {seed}");
+                        (rate, collisions)
+                    })
+                    .collect();
                 [
-                    runs.iter().map(|e| e.yield_rate).collect::<Vec<_>>(),
-                    runs.iter().map(|e| e.mean_collisions).collect(),
+                    runs.iter().map(|r| r.0).collect::<Vec<_>>(),
+                    runs.iter().map(|r| r.1).collect(),
                 ]
             };
-            let zig = columns(&|seed| simulate_yield(&t, &m, sigma, 2000, seed));
-            let bm = columns(&|seed| oracle(&t, &m, sigma, 2000, seed));
+            let zig = columns(&|seed| {
+                let chips = drawn_chips(&t, &m, sigma, 2000, seed, zig_normal);
+                (simulate_yield(&t, &m, sigma, 2000, seed), chips)
+            });
+            let bm = columns(&|seed| {
+                let chips = drawn_chips(&t, &m, sigma, 2000, seed, box_muller);
+                (oracle(&t, &m, sigma, 2000, seed), chips)
+            });
             let names = ["yield_rate", "mean_collisions"];
             for ((name, zig), bm) in names.iter().zip(&zig).zip(&bm) {
                 let (z, z_se) = mean_se(zig);
@@ -522,7 +601,6 @@ mod tests {
         for t in [Topology::xtree(17), Topology::grid17q()] {
             let e = simulate_yield(&t, &CollisionModel::default(), 0.0, 200, 1);
             assert_eq!(e.yield_rate, 1.0, "{}", t.name());
-            assert_eq!(e.mean_collisions, 0.0);
         }
     }
 
@@ -550,7 +628,11 @@ mod tests {
             xt.yield_rate,
             gr.yield_rate
         );
-        assert!(xt.mean_collisions < gr.mean_collisions);
+        let collisions = |t: &Topology| {
+            let zig = |rng: &mut StdRng| Ziggurat::get().sample(rng);
+            drawn_chips(t, &m, 0.3, 4000, 11, zig).1
+        };
+        assert!(collisions(&Topology::xtree(17)) < collisions(&Topology::grid17q()));
     }
 
     #[test]
@@ -596,11 +678,119 @@ mod tests {
                         samples: 500,
                         next_chunk: 0,
                         good: 0,
-                        total_collisions: 0
                     }
                 );
             }
             YieldRun::Done(_) => panic!("zero budget must interrupt immediately"),
+        }
+    }
+
+    /// `yield_rate` bits of 5000 chips at seed 2026, recorded before the
+    /// Monte Carlo tested chips with [`CollisionModel::collides`] instead
+    /// of counting their collisions.
+    #[test]
+    fn yield_rate_bits_match_the_counting_monte_carlo() {
+        let pins: [(Topology, [(f64, u64); 3]); 4] = [
+            (
+                Topology::xtree(17),
+                [
+                    (0.01, 0x3fc2_88ce_703a_fb7f),
+                    (0.04, 0x3f8b_089a_0275_2546),
+                    (0.3, 0x3faa_8587_93dd_97f6),
+                ],
+            ),
+            (
+                Topology::grid17q(),
+                [
+                    (0.01, 0x3fa0_e560_4189_374c),
+                    (0.04, 0x3f53_a92a_3055_3261),
+                    (0.3, 0x3f8b_7175_8e21_9653),
+                ],
+            ),
+            (
+                Topology::line(17),
+                [
+                    (0.01, 0x3fdd_4c98_5f06_f694),
+                    (0.04, 0x3f99_ce07_5f6f_d220),
+                    (0.3, 0x3fb9_652b_d3c3_6113),
+                ],
+            ),
+            (
+                Topology::heavy_hex(2, 7),
+                [
+                    (0.01, 0x3fd3_a5e3_53f7_ced9),
+                    (0.04, 0x3f98_fc50_4816_f007),
+                    (0.3, 0x3fb7_318f_c504_816f),
+                ],
+            ),
+        ];
+        let m = CollisionModel::default();
+        for (t, cases) in &pins {
+            for &(sigma, bits) in cases {
+                let e = simulate_yield(t, &m, sigma, 5000, 2026);
+                assert_eq!(
+                    e.yield_rate.to_bits(),
+                    bits,
+                    "{} σ={sigma}: {} vs {}",
+                    t.name(),
+                    e.yield_rate,
+                    f64::from_bits(bits)
+                );
+            }
+        }
+    }
+
+    /// A connected graph on `n` qubits: a random tree (qubit `q` hangs off
+    /// `parents[q] mod q`) plus the chords `chords` that are not edges yet.
+    fn random_connected(n: usize, parents: &[usize], chords: &[(usize, usize)]) -> Topology {
+        let mut edges: Vec<(usize, usize)> = (1..n).map(|q| (parents[q] % q, q)).collect();
+        for &(a, b) in chords {
+            let (a, b) = (a % n, b % n);
+            let key = (a.min(b), a.max(b));
+            if a != b && !edges.iter().any(|&(x, y)| (x.min(y), x.max(y)) == key) {
+                edges.push((a, b));
+            }
+        }
+        Topology::from_edges("random", n, edges)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The early-exit test agrees with the counter on every chip the
+        /// Monte Carlo draws, on five topology families, σ from 0 to 0.3,
+        /// with and without the CR-band condition.
+        #[test]
+        fn collides_iff_the_counter_finds_a_collision(
+            sigma in 0.0f64..0.3,
+            seed in 0u64..u64::MAX,
+            cr_band in 0u8..2,
+            n in 2usize..18,
+            parents in proptest::collection::vec(0usize..64, 18),
+            chords in proptest::collection::vec((0usize..64, 0usize..64), 0..12),
+        ) {
+            let m = CollisionModel {
+                enforce_cr_band: cr_band == 1,
+                ..CollisionModel::default()
+            };
+            let families = [
+                Topology::xtree(17),
+                Topology::grid17q(),
+                Topology::line(17),
+                Topology::heavy_hex(2, 7),
+                random_connected(n, &parents, &chords),
+            ];
+            for t in &families {
+                let targets = allocate_frequencies(t, &m);
+                let zig = |rng: &mut StdRng| Ziggurat::get().sample(rng);
+                let mut seen = 0;
+                for_each_chip(&targets, sigma, 128, seed, 0, zig, |chip| {
+                    let counted = m.count_collisions(t, chip);
+                    assert_eq!(m.collides(t, chip), counted > 0, "{} {chip:?}", t.name());
+                    seen += 1;
+                });
+                proptest::prop_assert_eq!(seen, YIELD_CHUNK);
+            }
         }
     }
 
@@ -611,6 +801,9 @@ mod tests {
         assert_eq!(m.count_collisions(&t, &[5.0, 5.0]), 1); // condition 1
         assert_eq!(m.count_collisions(&t, &[5.0, 5.0 + 0.34]), 1); // condition 3
         assert_eq!(m.count_collisions(&t, &[5.0, 5.1]), 0);
+        assert!(m.collides(&t, &[5.0, 5.0]));
+        assert!(m.collides(&t, &[5.0, 5.0 + 0.34]));
+        assert!(!m.collides(&t, &[5.0, 5.1]));
     }
 
     #[test]

@@ -51,19 +51,17 @@ fn print_rows(
     samples: usize,
 ) {
     println!(
-        "{:<12} {:>14} {:>14} {:>8} {:>16}",
-        "sigma (GHz)", "XTree yield", "Grid yield", "ratio", "mean collisions"
+        "{:<12} {:>14} {:>14} {:>8}",
+        "sigma (GHz)", "XTree yield", "Grid yield", "ratio"
     );
     for &sigma in sigmas {
         let x = simulate_yield(xtree, model, sigma, samples, 17);
         let g = simulate_yield(grid, model, sigma, samples, 17);
         println!(
-            "{sigma:<12.2} {:>14.4} {:>14.4} {:>7.1}x {:>7.2} / {:<7.2}",
+            "{sigma:<12.2} {:>14.4} {:>14.4} {:>7.1}x",
             x.yield_rate,
             g.yield_rate,
             x.yield_rate / g.yield_rate.max(1e-9),
-            x.mean_collisions,
-            g.mean_collisions
         );
     }
 }

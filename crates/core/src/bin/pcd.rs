@@ -39,6 +39,34 @@ use pauli_codesign::resilience::PcdError;
 use pauli_codesign::serve::ServeError;
 use pauli_codesign::supervisor::{RemoteError, SupervisorError};
 
+/// `println!` through a locked stdout. A failed write is dropped, not
+/// panicked on: when the reader has gone (a closed pipe, `BrokenPipe`) the
+/// command still ends with its own exit code, never a panic's 101.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout().lock(), $($arg)*);
+    }};
+}
+
+/// `print!` through a locked stdout, dropping a failed write as
+/// [`outln!`] does.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = write!(std::io::stdout().lock(), $($arg)*);
+    }};
+}
+
+/// `eprintln!` through a locked stderr, dropping a failed write as
+/// [`outln!`] does.
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr().lock(), $($arg)*);
+    }};
+}
+
 #[path = "pcd/batch.rs"]
 mod batch;
 #[path = "pcd/bench.rs"]
@@ -283,7 +311,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let result = match COMMANDS.iter().find(|c| c.name == command) {
         Some(c) => check_flags(c, &mut flags).and_then(|()| (c.run)(&flags)),
         None if matches!(command, "help" | "--help" | "-h") => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         None => Err(CliError::Usage(format!("unknown command `{command}`"))),
@@ -304,8 +332,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let _ = writeln!(std::io::stderr(), "trace written to {path}");
         }
         if metrics {
-            println!();
-            print!("{}", obs::summary());
+            outln!();
+            out!("{}", obs::summary());
         }
     }
     result

@@ -134,9 +134,13 @@ fn read_jobs(flags: &Flags) -> Result<Vec<JobSpec>, CliError> {
 }
 
 fn print_batch_report(report: &BatchReport) {
-    println!(
+    outln!(
         "{:<4} {:<14} {:<12} {:>12} {:>8}  detail",
-        "#", "job", "state", "energy", "retries"
+        "#",
+        "job",
+        "state",
+        "energy",
+        "retries"
     );
     for record in &report.records {
         let (energy, detail) = match &record.state {
@@ -168,7 +172,7 @@ fn print_batch_report(report: &BatchReport) {
                 (String::new(), format!("pending at attempt {attempt}"))
             }
         };
-        println!(
+        outln!(
             "{:<4} {:<14} {:<12} {:>12} {:>8}  {}",
             record.index,
             record.id,
@@ -184,7 +188,7 @@ fn print_batch_report(report: &BatchReport) {
 /// still pending (drained), 32 with jobs quarantined or shed (degraded).
 fn batch_outcome(report: &BatchReport) -> Result<(), CliError> {
     let (pending, quarantined, shed) = (report.pending(), report.quarantined(), report.shed());
-    println!(
+    outln!(
         "batch: {} done, {quarantined} quarantined, {shed} shed, {pending} pending",
         report.done()
     );
@@ -224,7 +228,7 @@ fn cmd_batch_coordinator(
     let shards = opts.shards;
     let coordinator =
         Coordinator::bind(&jobs, batch_seed, fault_rate, workers, dir.as_ref(), opts)?;
-    eprintln!(
+    errln!(
         "pcd batch: coordinating {} job(s) as {shards} shard(s) on {}",
         jobs.len(),
         coordinator.addr()
@@ -232,16 +236,18 @@ fn cmd_batch_coordinator(
     let report = coordinator.run().map_err(CliError::Remote)?;
 
     for takeover in &report.takeovers {
-        println!(
+        outln!(
             "  took over shard {} from {} at epoch {}",
-            takeover.shard_id, takeover.from, takeover.epoch
+            takeover.shard_id,
+            takeover.from,
+            takeover.epoch
         );
     }
     for shard in &report.rescued {
-        println!("  rescued shard {shard} in-process after losing its workers");
+        outln!("  rescued shard {shard} in-process after losing its workers");
     }
     if report.deduped > 0 {
-        println!(
+        outln!(
             "  deduplicated {} bit-identical resent record(s)",
             report.deduped
         );
@@ -273,20 +279,21 @@ fn cmd_batch_worker(flags: &Flags) -> Result<(), CliError> {
     if let Some(ms) = flags.opt("backoff-ms")? {
         opts.backoff.base_ms = ms;
     }
-    eprintln!(
+    errln!(
         "pcd batch: worker {} connecting to {}",
-        opts.worker_id, opts.connect
+        opts.worker_id,
+        opts.connect
     );
     let report = run_worker(&opts).map_err(|e| {
         if matches!(e, RemoteError::TransportLost(_)) {
-            eprintln!(
+            errln!(
                 "transport lost: this worker keeps nothing — rerun it to rejoin; the \
                  coordinator re-grants or rescues the shard"
             );
         }
         CliError::Remote(e)
     })?;
-    println!(
+    outln!(
         "worker {}: {} shard(s) run {:?}, {} record(s) delivered, {} reconnect(s)",
         report.worker_id,
         report.shards_run.len(),
@@ -295,7 +302,7 @@ fn cmd_batch_worker(flags: &Flags) -> Result<(), CliError> {
         report.reconnects
     );
     if !report.reconnect_delays_ms.is_empty() {
-        println!(
+        outln!(
             "  reconnect backoff ladder (ms): {:?}",
             report.reconnect_delays_ms
         );
@@ -343,7 +350,7 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("creating flight dir {}: {e}", dir.display()))?;
     }
-    eprintln!(
+    errln!(
         "pcd serve: listening on {} ({} worker(s), seed {}, state in {})",
         config.socket_path().display(),
         config.workers,
@@ -352,7 +359,7 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
     );
 
     let summary = run_serve(&config)?;
-    println!(
+    outln!(
         "serve: {} accepted, {} done ({} cache hit(s), {} miss(es)), \
          {} shed, {} cancelled, {} quarantined, {} resumed",
         summary.accepted,
@@ -365,13 +372,13 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         summary.resumed,
     );
     if summary.cache_quarantined > 0 {
-        println!(
+        outln!(
             "  {} corrupt cache entrie(s) quarantined aside and recomputed",
             summary.cache_quarantined
         );
     }
     if summary.drained {
-        println!(
+        outln!(
             "  drained: restart state sealed in {}",
             config.manifest_path().display()
         );

@@ -1,4 +1,4 @@
-//! `pcd bench`: the parallel hot paths serial vs parallel, five in-bench
+//! `pcd bench`: the parallel hot paths serial vs parallel, six in-bench
 //! oracle gates, the `--baseline`/`--history` regression gates, and the
 //! `--obs-overhead` budget.
 
@@ -217,7 +217,7 @@ fn oracle_gate(
             .map_or(0, |r| r.median_ns)
     };
     let (oracle_ns, fast_ns) = (median(oracle), median(fast));
-    println!(
+    outln!(
         "{label:<28} {oracle_ns:>14} {fast_ns:>14} {:>8.2}x",
         oracle_ns as f64 / fast_ns.max(1) as f64
     );
@@ -263,13 +263,16 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     let threads = par::num_threads();
     obs::enable();
 
-    println!(
+    outln!(
         "pcd bench — {n_qubits}-qubit kernels, {threads} worker thread(s){}",
         if smoke { " (smoke)" } else { "" }
     );
-    println!(
+    outln!(
         "{:<28} {:>14} {:>14} {:>9}",
-        "benchmark", "serial (ns)", "parallel (ns)", "speedup"
+        "benchmark",
+        "serial (ns)",
+        "parallel (ns)",
+        "speedup"
     );
 
     let mut records: Vec<BenchRecord> = Vec::new();
@@ -278,7 +281,7 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
                 size: usize,
                 serial: criterion::Measurement,
                 parallel: criterion::Measurement| {
-        println!(
+        outln!(
             "{name:<28} {:>14} {:>14} {:>8.2}x",
             serial.median_ns,
             parallel.median_ns,
@@ -289,13 +292,14 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         }
     };
 
-    // Hamiltonian expectation on a statevector: the VQE inner loop.
+    // Hamiltonian expectation on a statevector, one sweep per term: the
+    // oracle every faster evaluator below is gated against.
     let h = synthetic_hamiltonian(n_qubits, 64);
     let sv = synthetic_state(n_qubits);
     let serial = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || sv.expectation(&h))
+        par::with_threads(1, || sv.expectation_per_term(&h))
     });
-    let parallel = criterion::measure(warmup, samples, || sv.expectation(&h));
+    let parallel = criterion::measure(warmup, samples, || sv.expectation_per_term(&h));
     pair(&mut records, "expectation", n_qubits, serial, parallel);
 
     // Cluster-diagonalized expectation on the same Hamiltonian and state.
@@ -318,13 +322,31 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         "expectation_clustered",
     )?;
 
+    // The fused expectation (one pair sweep per flip mask, no output
+    // vector) at one thread: the evaluator `pcd run`'s cross-check uses.
+    let grouped = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || sv.expectation(&h))
+    });
+    records.push(record(
+        "expectation_grouped",
+        grouped.median_ns,
+        1,
+        n_qubits,
+    ));
+    oracle_gate(
+        &records,
+        "expectation_grouped",
+        "expectation_serial",
+        "expectation_grouped",
+    )?;
+
     // Grouped H|ψ⟩ (one pair sweep per distinct flip mask) at one thread:
     // the Lanczos matvec and the H|ψ⟩ inside every gradient.
     let mut h_psi = vec![pauli_codesign::numeric::Complex64::ZERO; 1 << n_qubits];
     let h_apply = criterion::measure(warmup, samples, || {
         par::with_threads(1, || h.apply(sv.amplitudes(), &mut h_psi))
     });
-    println!("{:<28} {:>14}", "h_apply", h_apply.median_ns);
+    outln!("{:<28} {:>14}", "h_apply", h_apply.median_ns);
     records.push(record("h_apply", h_apply.median_ns, 1, n_qubits));
 
     // Fused adjoint gradient against its per-entry parameter-shift oracle
@@ -350,7 +372,7 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
             "vqe_gradient_fused",
         )?;
     } else {
-        println!("vqe_gradient: skipped (a UCCSD register needs an even qubit count ≥ 4)");
+        outln!("vqe_gradient: skipped (a UCCSD register needs an even qubit count ≥ 4)");
     }
 
     // Exact reference of H2O at equilibrium at one thread: Lanczos on the
@@ -528,13 +550,13 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     write_bench_json(&out_path, &records, &meta, Some(&clusters_json))?;
     let snapshot = obs::snapshot();
     for counter in ["par.tasks", "par.threads"] {
-        println!(
+        outln!(
             "obs {:<24}: {}",
             counter,
             snapshot.counters.get(counter).copied().unwrap_or(0)
         );
     }
-    println!("report written to {out_path}");
+    outln!("report written to {out_path}");
 
     if let Some(baseline_path) = flags.get("baseline") {
         let tolerance = flags.positive::<f64>("tolerance")? / 100.0;
@@ -546,7 +568,7 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         if !regressions.is_empty() {
             return Err(CliError::BenchRegression(regressions));
         }
-        println!(
+        outln!(
             "baseline check: no benchmark more than {:.0}% slower than {baseline_path}",
             tolerance * 100.0
         );
@@ -578,7 +600,7 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         if !drifts.is_empty() {
             return Err(CliError::BenchRegression(drifts));
         }
-        println!(
+        outln!(
             "history check: no cumulative creep beyond {:.0}% across {} report(s) in {history_path}",
             drift_tolerance * 100.0,
             reports.len()
@@ -600,15 +622,15 @@ fn cmd_obs_overhead(flags: &Flags) -> Result<(), CliError> {
     obs::reset();
     obs::disable();
 
-    println!(
+    outln!(
         "pcd bench --obs-overhead — disabled-tracing fast path, \
          {CALLS} calls/sample, budget {budget_ns:.0} ns/call"
     );
-    println!("{:<28} {:>12}", "op", "ns/call");
+    outln!("{:<28} {:>12}", "op", "ns/call");
     let mut over: Vec<String> = Vec::new();
     let mut check = |name: &str, m: criterion::Measurement| {
         let per_call = m.median_ns as f64 / CALLS as f64;
-        println!("{name:<28} {per_call:>12.1}");
+        outln!("{name:<28} {per_call:>12.1}");
         if per_call > budget_ns {
             over.push(format!(
                 "{name}: {per_call:.1} ns/call exceeds the {budget_ns:.0} ns budget"
@@ -652,6 +674,6 @@ fn cmd_obs_overhead(flags: &Flags) -> Result<(), CliError> {
     if !over.is_empty() {
         return Err(CliError::BenchRegression(over));
     }
-    println!("obs overhead within budget");
+    outln!("obs overhead within budget");
     Ok(())
 }

@@ -163,10 +163,10 @@ pub(crate) fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
         }
     };
 
-    print!("{report}");
+    out!("{report}");
     let snapshot = obs::snapshot();
     for counter in campaign.counters.split_whitespace() {
-        println!(
+        outln!(
             "  obs {:<28}: {}",
             counter,
             snapshot.counters.get(counter).copied().unwrap_or(0)
@@ -180,7 +180,7 @@ pub(crate) fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
                     .count()
             })
             .unwrap_or(0);
-        println!("  flight dumps     : {dumps} in {}", dir.display());
+        outln!("  flight dumps     : {dumps} in {}", dir.display());
     }
     if !report.survived() {
         return Err(CliError::ChaosUnsurvived {

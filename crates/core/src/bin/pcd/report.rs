@@ -82,11 +82,11 @@ pub(crate) fn cmd_report(flags: &Flags) -> Result<(), CliError> {
     };
 
     let report = builder.finish(&baseline, drift_tolerance);
-    print!("{}", report.render());
+    out!("{}", report.render());
     if let Some(out) = flags.get("out") {
         let json = format!("{}\n", report.to_json());
         obs::atomic_write(out, json.as_bytes()).map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("report JSON written to {out}");
+        errln!("report JSON written to {out}");
     }
     // --strict turns degraded evidence into a failure: CI gates on it so
     // corrupt or missing artifacts cannot pass silently.

@@ -35,41 +35,44 @@ pub(crate) fn cmd_info(flags: &Flags) -> Result<(), CliError> {
     let circuit = synthesize_chain_nominal(ansatz.ir());
     let groups = group_qubit_wise(system.qubit_hamiltonian());
 
-    println!("{} @ {bond} Å", molecule.name());
-    println!("  qubits                 : {}", system.num_qubits());
-    println!(
+    outln!("{} @ {bond} Å", molecule.name());
+    outln!("  qubits                 : {}", system.num_qubits());
+    outln!(
         "  active electrons       : {}",
         system.num_active_electrons()
     );
-    println!(
+    outln!(
         "  Hamiltonian terms      : {}",
         system.qubit_hamiltonian().len()
     );
-    println!("  measurement groups     : {}", groups.len());
+    outln!("  measurement groups     : {}", groups.len());
     let cstats = pauli_codesign::pauli::ClusteredSum::build(system.qubit_hamiltonian()).stats();
-    println!(
+    outln!(
         "  commuting clusters     : {} ({} singleton, {} fused)",
-        cstats.clusters, cstats.singletons, cstats.fused
+        cstats.clusters,
+        cstats.singletons,
+        cstats.fused
     );
-    println!(
+    outln!(
         "  cluster Clifford cost  : {} ops, depth {}",
-        cstats.clifford_ops, cstats.clifford_depth
+        cstats.clifford_ops,
+        cstats.clifford_depth
     );
-    println!(
+    outln!(
         "  UCCSD parameters       : {}",
         ansatz.ir().num_parameters()
     );
-    println!("  UCCSD Pauli strings    : {}", ansatz.ir().len());
-    println!(
+    outln!("  UCCSD Pauli strings    : {}", ansatz.ir().len());
+    outln!(
         "  circuit gates (CNOTs)  : {} ({})",
         circuit.gate_count(),
         circuit.cnot_count()
     );
-    println!(
+    outln!(
         "  Hartree-Fock energy    : {:.6} Ha",
         system.hartree_fock_energy()
     );
-    println!(
+    outln!(
         "  exact ground state     : {:.6} Ha",
         system.exact_ground_state_energy()
     );
@@ -95,20 +98,21 @@ pub(crate) fn cmd_vqe(flags: &Flags) -> Result<(), CliError> {
     let bond = flags.bond(molecule)?;
     let ratio = flags.ratio()?;
     let (run, exact, report) = vqe_point(molecule, bond, ratio)?;
-    println!(
+    outln!(
         "{} @ {bond} Å, ratio {:.0}%",
         molecule.name(),
         ratio * 100.0
     );
-    println!(
+    outln!(
         "  parameters   : {} of {}",
-        report.kept_parameters, report.original_parameters
+        report.kept_parameters,
+        report.original_parameters
     );
-    println!("  VQE energy   : {:.6} Ha", run.energy);
-    println!("  exact energy : {exact:.6} Ha");
-    println!("  error        : {:+.2e} Ha", run.energy - exact);
-    println!("  iterations   : {}", run.iterations);
-    println!("  evaluations  : {}", run.evaluations);
+    outln!("  VQE energy   : {:.6} Ha", run.energy);
+    outln!("  exact energy : {exact:.6} Ha");
+    outln!("  error        : {:+.2e} Ha", run.energy - exact);
+    outln!("  iterations   : {}", run.iterations);
+    outln!("  evaluations  : {}", run.evaluations);
     Ok(())
 }
 
@@ -159,47 +163,52 @@ pub(crate) fn cmd_run(flags: &Flags) -> Result<(), CliError> {
     }
     let exact = stages::reference(&system);
     let CrossCheck {
-        per_term,
+        grouped,
         clustered,
         stats,
     } = stages::crosscheck(&system, &ir, &result.params);
     drop(root);
 
-    println!(
+    outln!(
         "{} @ {bond} Å, ratio {:.0}%",
         molecule.name(),
         ratio * 100.0
     );
-    println!("  SCF retries  : {scf_retries}");
-    println!(
+    outln!("  SCF retries  : {scf_retries}");
+    outln!(
         "  parameters   : {} of {}",
-        report.kept_parameters, report.original_parameters
+        report.kept_parameters,
+        report.original_parameters
     );
-    println!("  VQE energy   : {:.6} Ha", result.energy);
-    println!("  energy bits  : 0x{}", f64_to_hex(result.energy));
+    outln!("  VQE energy   : {:.6} Ha", result.energy);
+    outln!("  energy bits  : 0x{}", f64_to_hex(result.energy));
     // The VQE drivers take the sector path exactly when this build succeeds.
     let evaluator = match SectorAnsatz::build(system.qubit_hamiltonian(), &ir) {
         Ok(sector) => format!("sector {}/{}", sector.dim(), 1u64 << ir.num_qubits()),
         Err(_) => "grouped".to_string(),
     };
-    println!(
-        "  evaluator    : {evaluator} (cross-check terms {per_term:.9} / clustered {clustered:.9})"
+    outln!(
+        "  evaluator    : {evaluator} (cross-check grouped {grouped:.9} / clustered {clustered:.9})"
     );
-    println!(
+    outln!(
         "  H clusters   : {} over {} terms (largest {}, fused {}, Clifford depth {})",
-        stats.clusters, stats.terms, stats.largest, stats.fused, stats.clifford_depth
+        stats.clusters,
+        stats.terms,
+        stats.largest,
+        stats.fused,
+        stats.clifford_depth
     );
-    println!("  exact energy : {exact:.6} Ha");
-    println!("  error        : {:+.2e} Ha", result.energy - exact);
-    println!("  iterations   : {}", result.iterations);
+    outln!("  exact energy : {exact:.6} Ha");
+    outln!("  error        : {:+.2e} Ha", result.energy - exact);
+    outln!("  iterations   : {}", result.iterations);
     let samples = estimate.samples;
     if samples != base_samples {
-        println!("  yield samples: {samples} (degraded from {base_samples})");
+        outln!("  yield samples: {samples} (degraded from {base_samples})");
     } else {
-        println!("  yield samples: {samples}");
+        outln!("  yield samples: {samples}");
     }
-    println!("  yield (xtree): {:.4}", estimate.yield_rate);
-    println!("  budget ticks : {}", budget.ticks_used());
+    outln!("  yield (xtree): {:.4}", estimate.yield_rate);
+    outln!("  budget ticks : {}", budget.ticks_used());
     Ok(())
 }
 
@@ -215,7 +224,7 @@ pub(crate) fn cmd_scan(flags: &Flags) -> Result<(), CliError> {
             "scan needs --from ≤ --to and --step > 0".to_string(),
         ));
     }
-    let first_failure = scan(molecule, ratio, (from, to, step), |row| println!("{row}"));
+    let first_failure = scan(molecule, ratio, (from, to, step), |row| outln!("{row}"));
     first_failure.map_or(Ok(()), |e| Err(e.into()))
 }
 
@@ -268,23 +277,23 @@ pub(crate) fn cmd_compile(flags: &Flags) -> Result<(), CliError> {
     }
     let (ir, _) = stages::ansatz(&system, ratio);
 
-    println!("{} at {:.0}% on {}", molecule.name(), ratio * 100.0, arch);
+    outln!("{} at {:.0}% on {}", molecule.name(), ratio * 100.0, arch);
     if which == "mtr" || which == "both" {
         if arch.root().is_some() {
             let p = compile_mtr(&ir, &arch);
-            println!(
+            outln!(
                 "  MtR   : {} original CNOTs, +{} added ({} swaps)",
                 p.original_cnots(),
                 p.added_cnots(),
                 p.swap_count()
             );
         } else {
-            println!("  MtR   : (skipped — requires a tree architecture)");
+            outln!("  MtR   : (skipped — requires a tree architecture)");
         }
     }
     if which == "sabre" || which == "both" {
         let p = compile_sabre(&ir, &arch, 1);
-        println!(
+        outln!(
             "  SABRE : {} original CNOTs, +{} added ({} swaps)",
             p.original_cnots(),
             p.added_cnots(),
@@ -317,23 +326,23 @@ pub(crate) fn cmd_adapt(flags: &Flags) -> Result<(), CliError> {
         AdaptOptions::default(),
     );
     let exact = system.exact_ground_state_energy();
-    println!(
+    outln!(
         "{} @ {bond} Å — ADAPT-VQE ({} pool operators)",
         molecule.name(),
         pool.len()
     );
-    println!(
+    outln!(
         "  energy     : {:.6} Ha (exact {exact:.6}, error {:+.2e})",
         r.energy,
         r.energy - exact
     );
-    println!(
+    outln!(
         "  operators  : {} selected ({:?})",
         r.selected.len(),
         r.selected
     );
-    println!("  iterations : {}", r.total_iterations);
-    println!("  converged  : {}", r.converged);
+    outln!("  iterations : {}", r.total_iterations);
+    outln!("  converged  : {}", r.converged);
     Ok(())
 }
 
@@ -345,11 +354,13 @@ pub(crate) fn cmd_excited(flags: &Flags) -> Result<(), CliError> {
     let (system, _) = stages::build(molecule, bond, &mut FaultPlan::none())?;
     let ir = UccsdAnsatz::for_system(&system).into_ir();
     let states = run_vqd(system.qubit_hamiltonian(), &ir, k, VqdOptions::default());
-    println!("{} @ {bond} Å — VQD ladder", molecule.name());
+    outln!("{} @ {bond} Å — VQD ladder", molecule.name());
     for (i, s) in states.iter().enumerate() {
-        println!(
+        outln!(
             "  state {i}: E = {:.6} Ha ({} iters, residual overlap {:.1e})",
-            s.energy, s.iterations, s.max_overlap_with_lower
+            s.energy,
+            s.iterations,
+            s.max_overlap_with_lower
         );
     }
     Ok(())
@@ -366,13 +377,13 @@ pub(crate) fn cmd_qasm(flags: &Flags) -> Result<(), CliError> {
     match flags.get("out") {
         Some(path) => {
             std::fs::write(path, &qasm).map_err(|e| format!("writing {path}: {e}"))?;
-            println!(
+            outln!(
                 "wrote {} gates ({} CNOTs) to {path}",
                 compiled.circuit().gate_count(),
                 compiled.total_cnots()
             );
         }
-        None => print!("{qasm}"),
+        None => out!("{qasm}"),
     }
     Ok(())
 }
@@ -385,10 +396,9 @@ pub(crate) fn cmd_yield(flags: &Flags) -> Result<(), CliError> {
     }
     let samples = flags.positive("samples")?;
     let est = simulate_yield(&arch, &CollisionModel::default(), sigma, samples, 17);
-    println!("{arch}");
-    println!("  sigma           : {sigma} GHz");
-    println!("  samples         : {samples}");
-    println!("  yield           : {:.4}", est.yield_rate);
-    println!("  mean collisions : {:.2}", est.mean_collisions);
+    outln!("{arch}");
+    outln!("  sigma           : {sigma} GHz");
+    outln!("  samples         : {samples}");
+    outln!("  yield           : {:.4}", est.yield_rate);
     Ok(())
 }

@@ -1123,7 +1123,7 @@ mod tests {
             for trial in 0..8 {
                 let sum = random_sum(n, 4 + 3 * trial as usize, xorshift(&mut seed) + trial);
                 let state = random_state(n, xorshift(&mut seed));
-                let reference = sum.expectation(&state);
+                let reference = sum.expectation_per_term(&state);
                 let clustered = ClusteredSum::build(&sum).expectation(&state);
                 assert!(
                     (reference - clustered).abs() < 1e-10,
@@ -1150,7 +1150,7 @@ mod tests {
         assert!(stats.clifford_depth > 0);
 
         let state = random_state(3, 0x5EED);
-        let reference = h.expectation(&state);
+        let reference = h.expectation_per_term(&state);
         assert!((clustered.expectation(&state) - reference).abs() < 1e-12);
     }
 
@@ -1166,7 +1166,7 @@ mod tests {
         assert_eq!(stats.clusters, 1);
         assert_eq!(stats.clifford_ops, 0);
         let state = random_state(4, 0x7777);
-        assert!((clustered.expectation(&state) - h.expectation(&state)).abs() < 1e-12);
+        assert!((clustered.expectation(&state) - h.expectation_per_term(&state)).abs() < 1e-12);
     }
 
     /// Identity terms ride along as constant offsets.
@@ -1177,7 +1177,7 @@ mod tests {
         h.push(0.5, "XY".parse().unwrap());
         let state = random_state(2, 0x1234);
         let clustered = ClusteredSum::build(&h);
-        assert!((clustered.expectation(&state) - h.expectation(&state)).abs() < 1e-12);
+        assert!((clustered.expectation(&state) - h.expectation_per_term(&state)).abs() < 1e-12);
     }
 
     /// Bit-identical across thread counts: the cluster grid and in-cluster
@@ -1199,6 +1199,8 @@ mod tests {
     fn sum_level_entry_point_agrees() {
         let sum = random_sum(6, 12, 0xEE);
         let state = random_state(6, 0xFF);
-        assert!((sum.expectation_clustered(&state) - sum.expectation(&state)).abs() < 1e-10);
+        assert!(
+            (sum.expectation_clustered(&state) - sum.expectation_per_term(&state)).abs() < 1e-10
+        );
     }
 }

@@ -224,12 +224,30 @@ impl WeightedPauliSum {
         }
     }
 
-    /// The real expectation value `⟨state|H|state⟩`.
+    /// The real expectation value `⟨state|H|state⟩`, with one pair sweep
+    /// per distinct flip mask and no output vector.
+    ///
+    /// Each sweep of [`apply`](Self::apply) sums its group's coefficient
+    /// `c(b) = r(b) + i·m(b)` at every pair `{b, b⊕x}`; here the pair adds
+    /// `2·Re(conj(ψ_{b⊕x})·c(b)·ψ_b)` to the energy instead of writing
+    /// `H|ψ⟩`, and a diagonal sweep adds `d(b)·|ψ_b|²`. Agrees with
+    /// [`expectation_per_term`](Self::expectation_per_term) to rounding, and
+    /// is bit-identical at every thread count.
     ///
     /// # Panics
     ///
     /// Panics if `state.len() != 2^num_qubits`.
     pub fn expectation(&self, state: &[Complex64]) -> f64 {
+        FlipGroups::new(self).expectation(state)
+    }
+
+    /// `⟨state|H|state⟩` with one full sweep per term: the reference oracle
+    /// that [`expectation`](Self::expectation) is tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state.len() != 2^num_qubits`.
+    pub fn expectation_per_term(&self, state: &[Complex64]) -> f64 {
         let dim = checked_dim(self.num_qubits);
         assert_eq!(state.len(), dim, "state length must be 2^n");
         // Parallelize over terms when there are enough to keep every worker
@@ -463,6 +481,81 @@ impl FlipGroups {
             }
         }
     }
+}
+
+impl FlipGroups {
+    fn expectation(&self, state: &[Complex64]) -> f64 {
+        let dim = checked_dim(self.num_qubits);
+        assert_eq!(state.len(), dim, "state length must be 2^n");
+        let sweep = |sweep: &FlipSweep| {
+            let zs = &self.zs[sweep.start..sweep.end];
+            let (even, odd) = self.coeffs[sweep.start..sweep.end].split_at(sweep.n_even);
+            if sweep.x == 0 {
+                diagonal_expectation(zs, even, state)
+            } else {
+                pair_expectation(sweep.x, zs, even, odd, state)
+            }
+        };
+        // As in `expectation_per_term`: across sweeps when there are enough
+        // to keep every worker busy, else across each sweep's chunks. Every
+        // sweep folds the same fixed chunk grid either way, and the sweeps
+        // are summed in order, so the result is the same bits.
+        let per_sweep: Vec<f64> = if self.sweeps.len() >= 2 * par::num_threads() {
+            par::map_slice(&self.sweeps, sweep)
+        } else {
+            self.sweeps.iter().map(sweep).collect()
+        };
+        per_sweep.into_iter().sum()
+    }
+}
+
+/// `Σ_b d(b)·|ψ_b|²` for a diagonal sweep.
+fn diagonal_expectation(zs: &[u64], coeffs: &[f64], state: &[Complex64]) -> f64 {
+    par::map_reduce(
+        state.len(),
+        flip::chunk_len(0),
+        0.0,
+        |range| {
+            let state = &state[range.clone()];
+            let mut acc = 0.0;
+            flip::for_each_pair(range.start, range.len(), 0, zs, |b, mut p| {
+                acc += signed_sum(coeffs, &mut p) * state[b].norm_sqr();
+            });
+            acc
+        },
+        |a, b| a + b,
+    )
+}
+
+/// `Σ_pairs 2·Re(conj(ψ_hi)·c(lo)·ψ_lo)` for a sweep on flip mask `x ≠ 0`,
+/// with `c = r + i·m` as in [`apply_pairs`]: the pair's two entries of
+/// `⟨ψ|G|ψ⟩` are complex conjugates.
+fn pair_expectation(x: u64, zs: &[u64], even: &[f64], odd: &[f64], state: &[Complex64]) -> f64 {
+    let xs = x as usize;
+    let acc = par::map_reduce(
+        state.len(),
+        flip::chunk_len(x),
+        0.0,
+        |range| {
+            let state = &state[range.clone()];
+            let mut acc = 0.0;
+            flip::for_each_pair(range.start, range.len(), x, zs, |lo, mut p| {
+                let (a, b) = (state[lo], state[lo ^ xs]);
+                // conj(ψ_hi)·ψ_lo = re + i·im.
+                let re = b.re * a.re + b.im * a.im;
+                let r = signed_sum(even, &mut p);
+                if odd.is_empty() {
+                    acc += r * re;
+                } else {
+                    let im = b.re * a.im - b.im * a.re;
+                    acc += r * re - signed_sum(odd, &mut p) * im;
+                }
+            });
+            acc
+        },
+        |a, b| a + b,
+    );
+    2.0 * acc
 }
 
 /// `Σ_j (−1)^(bit j of parities)·coeffs[j]`, consuming one parity bit per
@@ -800,6 +893,52 @@ mod tests {
                     "n={} b={}: grouped {} vs per-term {}", n, b, g, r
                 );
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The fused `expectation` agrees with the per-term oracle within
+        /// 1e-12·‖H‖₁ on random sums mixing odd-Y, even-Y, diagonal,
+        /// identity and duplicate-mask terms, plus a burst of up to 140
+        /// terms on one mask (past two 64-term sweeps).
+        #[test]
+        fn fused_expectation_matches_per_term_on_random_sums(
+            n in 1usize..9,
+            state_seed in 1u64..u64::MAX,
+            terms in proptest::collection::vec(
+                (0u64..u64::MAX, 0u64..u64::MAX, -2.0f64..2.0, 0u8..4),
+                1..90,
+            ),
+            burst_x in 0u64..u64::MAX,
+            burst in proptest::collection::vec((0u64..u64::MAX, -2.0f64..2.0), 0..140),
+        ) {
+            let full = (1u64 << n) - 1;
+            let mut h = WeightedPauliSum::new(n);
+            let mut last_x = 0;
+            for &(xr, zr, w, kind) in &terms {
+                let (x, z) = match kind {
+                    0 => (xr & full, zr & full), // any Y parity
+                    1 => (0, zr & full),         // diagonal
+                    2 => (0, 0),                 // identity
+                    _ => (last_x, zr & full),    // the previous term's mask
+                };
+                last_x = x;
+                h.push(w, PauliString::from_symplectic(n, x, z));
+            }
+            for &(zr, w) in &burst {
+                h.push(w, PauliString::from_symplectic(n, burst_x & full, zr & full));
+            }
+            let state = random_state(n, state_seed);
+            let norm = state.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+            let state: Vec<Complex64> = state.into_iter().map(|z| z / norm).collect();
+            let fused = h.expectation(&state);
+            let per_term = h.expectation_per_term(&state);
+            proptest::prop_assert!(
+                (fused - per_term).abs() <= 1e-12 * h.one_norm(),
+                "n={}: fused {} vs per-term {}", n, fused, per_term
+            );
         }
     }
 

@@ -229,7 +229,6 @@ pub fn encode_yield(state: &YieldCheckpoint) -> Checkpoint {
             ("samples", num(state.samples)),
             ("next_chunk", num(state.next_chunk)),
             ("good", num(state.good)),
-            ("total_collisions", num(state.total_collisions)),
         ])],
     )
 }
@@ -254,7 +253,6 @@ pub fn decode_yield(ck: &Checkpoint) -> Result<YieldCheckpoint, CheckpointError>
         samples: get_usize(record, "samples")?,
         next_chunk: get_usize(record, "next_chunk")?,
         good: get_usize(record, "good")?,
-        total_collisions: get_usize(record, "total_collisions")?,
     })
 }
 
@@ -306,7 +304,6 @@ mod tests {
             samples: 20_000,
             next_chunk: 17,
             good: 801,
-            total_collisions: 5321,
         };
         let bytes = encode_yield(&state).to_bytes();
         let decoded = decode_yield(&Checkpoint::from_bytes(&bytes).unwrap()).unwrap();
@@ -338,7 +335,6 @@ mod tests {
             samples: 64,
             next_chunk: 0,
             good: 0,
-            total_collisions: 0,
         });
         assert!(matches!(
             decode_vqe(&y),

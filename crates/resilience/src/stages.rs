@@ -319,18 +319,26 @@ const YIELD_SIGMA: f64 = 0.04;
 /// Seed of the yield stage's Monte Carlo.
 const YIELD_SEED: u64 = 17;
 
+/// Version of the tallies a `yield.ckpt` holds. 2: the collision-free
+/// count alone; version 1 files also summed every chip's collisions.
+const YIELD_TALLIES: &str = "v2";
+
 /// The stream key a `yield.ckpt` carries in its `job` header field: the
-/// normal sampler's version, then a CRC-32 over it, the topology's edges,
-/// σ and the seed. Tallies drawn from another stream (another sampler or
-/// other inputs) are never resumed.
+/// normal sampler's version and the tallies' version, then a CRC-32 over
+/// both, the topology's edges, σ and the seed. Tallies drawn from another
+/// stream (another sampler or other inputs) or kept under another schema
+/// are never resumed.
 pub fn yield_key(topology: &Topology, sigma: f64, seed: u64) -> String {
     let mut words = vec![topology.num_qubits() as u64, sigma.to_bits(), seed];
     for &(a, b) in topology.edges() {
         words.extend([a as u64, b as u64]);
     }
-    let mut bytes = NORMAL_SAMPLER.as_bytes().to_vec();
+    let mut bytes = format!("{NORMAL_SAMPLER}-{YIELD_TALLIES}").into_bytes();
     bytes.extend(words.iter().flat_map(|w| w.to_le_bytes()));
-    format!("yield-{NORMAL_SAMPLER}-{:08x}", crc32(&bytes))
+    format!(
+        "yield-{NORMAL_SAMPLER}-{YIELD_TALLIES}-{:08x}",
+        crc32(&bytes)
+    )
 }
 
 /// Yield Monte Carlo of the 17-qubit X-Tree at σ = 0.04 GHz. A fresh run
@@ -387,12 +395,13 @@ pub fn reference(system: &MolecularSystem) -> f64 {
     system.exact_ground_state_energy()
 }
 
-/// A converged state's energy re-evaluated by the per-term and clustered
-/// evaluators, with the shape of the cluster partition.
+/// A converged state's energy re-evaluated by the flip-grouped and
+/// clustered evaluators, with the shape of the cluster partition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossCheck {
-    /// Energy summed term by term.
-    pub per_term: f64,
+    /// Energy from one pair sweep per flip mask
+    /// ([`WeightedPauliSum::expectation`](pauli::WeightedPauliSum::expectation)).
+    pub grouped: f64,
     /// Energy from the clustered (diagonal-frame) evaluator.
     pub clustered: f64,
     /// Shape of the Hamiltonian's cluster partition.
@@ -406,7 +415,7 @@ pub fn crosscheck(system: &MolecularSystem, ir: &PauliIr, params: &[f64]) -> Cro
     let state = vqe::prepare_state(ir, params);
     let clusters = ClusteredSum::build(system.qubit_hamiltonian());
     CrossCheck {
-        per_term: state.expectation(system.qubit_hamiltonian()),
+        grouped: state.expectation(system.qubit_hamiltonian()),
         clustered: state.expectation_with(&clusters),
         stats: clusters.stats(),
     }
@@ -552,7 +561,7 @@ mod tests {
         let (system, ir) = h2();
         let run = vqe(&system, &ir, &Budget::unlimited(), None).expect("vqe");
         let check = crosscheck(&system, &ir, &run.params);
-        assert!((check.per_term - run.energy).abs() < 1e-9);
+        assert!((check.grouped - run.energy).abs() < 1e-9);
         assert!((check.clustered - run.energy).abs() < 1e-9);
         assert!((reference(&system) - run.energy).abs() < 1e-6);
         let (program, strategy) =
@@ -571,7 +580,7 @@ mod tests {
         assert_eq!(sector.dim(), 225);
         let run = vqe(&system, &ir, &Budget::unlimited(), None).expect("vqe");
         let check = crosscheck(&system, &ir, &run.params);
-        assert!((check.per_term - run.energy).abs() < 1e-9);
+        assert!((check.grouped - run.energy).abs() < 1e-9);
         assert!((check.clustered - run.energy).abs() < 1e-9);
     }
 

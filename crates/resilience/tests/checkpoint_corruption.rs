@@ -85,7 +85,6 @@ fn yield_checkpoint_survives_the_same_gauntlet() {
         samples: 20_000,
         next_chunk: 250,
         good: 801,
-        total_collisions: 5_321,
     })
     .to_bytes();
     for len in 0..bytes.len() {

@@ -337,9 +337,18 @@ impl Statevector {
         }
     }
 
-    /// Expectation value of a weighted Pauli sum in this state.
+    /// Expectation value of a weighted Pauli sum in this state, one
+    /// amplitude-pair sweep per flip mask
+    /// ([`WeightedPauliSum::expectation`]).
     pub fn expectation(&self, observable: &WeightedPauliSum) -> f64 {
         observable.expectation(&self.amps)
+    }
+
+    /// Expectation value with one amplitude sweep per term
+    /// ([`WeightedPauliSum::expectation_per_term`]): the oracle of
+    /// [`expectation`](Self::expectation) and of the clustered evaluator.
+    pub fn expectation_per_term(&self, observable: &WeightedPauliSum) -> f64 {
+        observable.expectation_per_term(&self.amps)
     }
 
     /// Expectation value via commuting-cluster simultaneous

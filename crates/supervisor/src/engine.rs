@@ -23,6 +23,7 @@
 //! uninterrupted one bit-for-bit — the property `pcd chaos --campaign
 //! supervised` asserts under injected faults.
 
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -515,7 +516,9 @@ pub(crate) fn run_scoped(
         monitor_stop.store(true, Ordering::Relaxed);
     });
     if config.progress_interval.is_some() && config.progress_stderr {
-        eprintln!(); // terminate the in-place status line
+        // Terminate the in-place status line. A closed stderr drops the
+        // write rather than panicking.
+        let _ = writeln!(std::io::stderr().lock());
     }
 
     let finished = results.into_inner().unwrap_or_else(|e| e.into_inner());

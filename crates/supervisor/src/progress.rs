@@ -15,6 +15,7 @@
 //! tracker only observes.
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::sync::Mutex;
 
 use obs::RollingHistogram;
@@ -231,7 +232,9 @@ impl ProgressTracker {
             );
         }
         if stderr {
-            eprint!("\r{}", snap.render_line());
+            // Written, not `eprint!`ed: a closed stderr drops the line
+            // rather than panicking.
+            let _ = write!(std::io::stderr().lock(), "\r{}", snap.render_line());
         }
         let mut inner = self.lock();
         for roll in inner.stage_us.values_mut() {

@@ -390,7 +390,7 @@ mod tests {
         let (h, ir) = toy();
         let run = VqeResult::from(nelder_mead_on_toy(&h, &ir));
         let psi = crate::state::prepare_state(&ir, &run.params);
-        let per_term = psi.expectation(&h);
+        let per_term = psi.expectation_per_term(&h);
         let clustered = psi.expectation_with(&pauli::ClusteredSum::build(&h));
         assert!(
             (run.energy - per_term).abs() < 1e-12,

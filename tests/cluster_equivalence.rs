@@ -105,7 +105,7 @@ proptest! {
     ) {
         let sv = deterministic_state(num_qubits, state_seed);
         let h = deterministic_hamiltonian(num_qubits, 32, ham_seed);
-        let per_term = sv.expectation(&h);
+        let per_term = sv.expectation_per_term(&h);
         // Scale the agreement tolerance by the total weight: term
         // coefficients here grow to ~6.4 and the evaluators sum ~32 of
         // them through different orderings.
@@ -141,7 +141,7 @@ fn clustered_agrees_on_molecular_hamiltonians() {
     for (label, system) in &systems {
         let h = system.qubit_hamiltonian();
         let sv = deterministic_state(h.num_qubits(), 0xC0FF_EE00_DEAD_BEEF);
-        let per_term = sv.expectation(h);
+        let per_term = sv.expectation_per_term(h);
         let clustered = sv.expectation_clustered(h);
         assert!(
             (per_term - clustered).abs() < 1e-10,

@@ -1,10 +1,12 @@
 //! The fused VQE inner loop against its unfused oracles.
 //!
-//! Three fast paths sweep amplitude pairs `{b, b⊕x}` once per flip mask
+//! Four fast paths sweep amplitude pairs `{b, b⊕x}` once per flip mask
 //! instead of once per Pauli string:
 //!
 //! * `WeightedPauliSum::apply` (one sweep per distinct X mask of `H`),
 //!   oracle `apply_per_term`;
+//! * `WeightedPauliSum::expectation` (the same sweeps, folded into
+//!   `⟨ψ|H|ψ⟩` with no output vector), oracle `expectation_per_term`;
 //! * `vqe::prepare_state` (one sweep per same-mask IR run), oracle the
 //!   per-entry `Statevector::apply_pauli_evolution` loop — equal bit for bit;
 //! * `vqe::energy_and_gradient` (one backward sweep per run), oracle
@@ -34,7 +36,7 @@ fn prepare_per_entry(ir: &PauliIr, params: &[f64]) -> Statevector {
 fn assert_gradients_agree(h: &WeightedPauliSum, ir: &PauliIr, theta: &[f64], what: &str) {
     let (e, fused) = vqe::energy_and_gradient(h, ir, theta);
     let oracle = vqe::parameter_shift_gradient(h, ir, theta);
-    let per_term = prepare_per_entry(ir, theta).expectation(h);
+    let per_term = prepare_per_entry(ir, theta).expectation_per_term(h);
     assert!(
         (e - per_term).abs() < 1e-12,
         "{what}: energy {e} vs per-term {per_term}"
@@ -48,9 +50,9 @@ fn assert_gradients_agree(h: &WeightedPauliSum, ir: &PauliIr, theta: &[f64], wha
 }
 
 /// Fused preparation is `==` the per-entry loop, fused gradients sit within
-/// 1e-12 of parameter shift, and the grouped-matvec Lanczos energy within
-/// 1e-10 of the per-term matvec's, on every Table I molecule up to 12
-/// qubits.
+/// 1e-12 of parameter shift, the fused expectation within 1e-12·‖H‖₁ of
+/// the per-term sweep, and the grouped-matvec Lanczos energy within 1e-10
+/// of the per-term matvec's, on every Table I molecule up to 12 qubits.
 #[test]
 fn table_one_molecules_up_to_twelve_qubits_match_their_oracles() {
     let molecules = [
@@ -79,6 +81,13 @@ fn table_one_molecules_up_to_twelve_qubits_match_their_oracles() {
             "{name}: fused preparation differs from the per-entry loop"
         );
         assert_gradients_agree(h, &ir, &theta, name);
+
+        let psi = vqe::prepare_state(&ir, &theta);
+        let (fused, per_term) = (psi.expectation(h), psi.expectation_per_term(h));
+        assert!(
+            (fused - per_term).abs() <= 1e-12 * h.one_norm(),
+            "{name}: fused expectation {fused} vs per-term {per_term}"
+        );
 
         let grouped = h.ground_state_energy();
         let per_term = lanczos_ground_state(

@@ -158,11 +158,6 @@ fn yield_kill_and_resume_is_bit_identical_at_1_and_4_threads() {
             resumed.yield_rate,
             baseline.yield_rate
         );
-        assert_eq!(
-            resumed.mean_collisions.to_bits(),
-            baseline.mean_collisions.to_bits(),
-            "threads {threads}"
-        );
         assert_eq!(resumed.samples, baseline.samples);
     }
 }
@@ -257,6 +252,43 @@ fn resume_under_other_inputs_is_a_typed_error() {
     );
 }
 
+/// A `yield.ckpt` saved while the tallies still summed every chip's
+/// collisions: `pcd run H2 --checkpoint D --budget-iters 6 --samples 40000`
+/// interrupted in the yield stage, its record holding `total_collisions`
+/// and its key no tallies version.
+const YIELD_TALLIES_V1: &[u8] = include_bytes!("fixtures/yield-zig1-tallies.ckpt");
+
+#[test]
+fn a_yield_checkpoint_with_collision_totals_is_refused_with_exit_31() {
+    let scratch = ScratchDir::new("kill-resume-yield-v1");
+    std::fs::write(scratch.path("yield.ckpt"), YIELD_TALLIES_V1).expect("write fixture");
+    let old = Checkpoint::read(scratch.path("yield.ckpt")).expect("a valid file");
+    assert_eq!(old.job.as_deref(), Some("yield-zig1-dced3545"));
+    let store = Checkpoints::new(&scratch.0, true);
+    let unlimited = Budget::unlimited();
+    assert_refused(
+        stages::yield_mc(40_000, stages::DEGRADE_THRESHOLD, &unlimited, Some(&store)),
+        "yield.ckpt",
+    );
+
+    let dir = scratch.0.to_str().expect("utf-8 temp path");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_pcd"))
+        .args([
+            "run",
+            "H2",
+            "--samples",
+            "40000",
+            "--checkpoint",
+            dir,
+            "--resume",
+        ])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("pcd starts");
+    assert_eq!(status.code(), Some(31));
+}
+
 #[test]
 fn a_yield_checkpoint_from_another_stream_is_refused() {
     let scratch = ScratchDir::new("kill-resume-yield-key");
@@ -280,7 +312,6 @@ fn a_yield_checkpoint_from_another_stream_is_refused() {
         samples,
         next_chunk: 8,
         good: 7,
-        total_collisions: 2_600,
     });
     let unlimited = Budget::unlimited();
     for foreign in [tallies.clone(), tallies.with_job("yield-bm0-00000000")] {

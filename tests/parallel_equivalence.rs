@@ -125,9 +125,10 @@ proptest! {
         }
     }
 
-    /// `WeightedPauliSum::expectation` is bit-identical at 1/2/4 threads,
-    /// on both the few-terms (chunk-parallel) and many-terms
-    /// (term-parallel) strategies.
+    /// Both expectation evaluators, the fused one (one pair sweep per flip
+    /// mask) and its per-term oracle, are bit-identical at 1/2/4 threads,
+    /// on both the few-sweeps (chunk-parallel) and many-sweeps
+    /// (sweep- or term-parallel) strategies.
     #[test]
     fn expectation_bit_identical_across_threads(
         state_seed in 1u64..u64::MAX,
@@ -136,11 +137,15 @@ proptest! {
         let sv = deterministic_state(BIG_QUBITS, state_seed);
         for terms in [3usize, 20] {
             let h = deterministic_hamiltonian(BIG_QUBITS, terms, ham_seed);
-            let e1 = par::with_threads(1, || sv.expectation(&h));
-            let e2 = par::with_threads(2, || sv.expectation(&h));
-            let e4 = par::with_threads(4, || sv.expectation(&h));
-            prop_assert_eq!(e1.to_bits(), e2.to_bits());
-            prop_assert_eq!(e1.to_bits(), e4.to_bits());
+            let evaluators: [fn(&Statevector, &WeightedPauliSum) -> f64; 2] =
+                [Statevector::expectation, Statevector::expectation_per_term];
+            for evaluate in evaluators {
+                let e1 = par::with_threads(1, || evaluate(&sv, &h));
+                let e2 = par::with_threads(2, || evaluate(&sv, &h));
+                let e4 = par::with_threads(4, || evaluate(&sv, &h));
+                prop_assert_eq!(e1.to_bits(), e2.to_bits());
+                prop_assert_eq!(e1.to_bits(), e4.to_bits());
+            }
         }
     }
 
@@ -168,7 +173,7 @@ proptest! {
     /// The fused preparation and the fused adjoint gradient are
     /// bit-identical at 1/2/4 threads: each chunk rotates only its own
     /// pairs, and the gradient's per-chunk bracket sums fold in chunk
-    /// order over a grid fixed by the flip mask, as `term_expectation`'s do.
+    /// order over a grid fixed by the flip mask, as the expectation sweeps' do.
     #[test]
     fn fused_prepare_and_gradient_bit_identical_across_threads(
         theta_seed in 1u64..u64::MAX,
