@@ -481,31 +481,24 @@ impl FlipGroups {
             }
         }
     }
-}
 
-impl FlipGroups {
     fn expectation(&self, state: &[Complex64]) -> f64 {
         let dim = checked_dim(self.num_qubits);
         assert_eq!(state.len(), dim, "state length must be 2^n");
-        let sweep = |sweep: &FlipSweep| {
-            let zs = &self.zs[sweep.start..sweep.end];
-            let (even, odd) = self.coeffs[sweep.start..sweep.end].split_at(sweep.n_even);
-            if sweep.x == 0 {
-                diagonal_expectation(zs, even, state)
-            } else {
-                pair_expectation(sweep.x, zs, even, odd, state)
-            }
-        };
-        // As in `expectation_per_term`: across sweeps when there are enough
-        // to keep every worker busy, else across each sweep's chunks. Every
-        // sweep folds the same fixed chunk grid either way, and the sweeps
-        // are summed in order, so the result is the same bits.
-        let per_sweep: Vec<f64> = if self.sweeps.len() >= 2 * par::num_threads() {
-            par::map_slice(&self.sweeps, sweep)
-        } else {
-            self.sweeps.iter().map(sweep).collect()
-        };
-        per_sweep.into_iter().sum()
+        // Each sweep folds its chunks in index order, and the sweeps are
+        // summed in order: the same bits at every thread count.
+        self.sweeps
+            .iter()
+            .map(|sweep| {
+                let zs = &self.zs[sweep.start..sweep.end];
+                let (even, odd) = self.coeffs[sweep.start..sweep.end].split_at(sweep.n_even);
+                if sweep.x == 0 {
+                    diagonal_expectation(zs, even, state)
+                } else {
+                    pair_expectation(sweep.x, zs, even, odd, state)
+                }
+            })
+            .sum()
     }
 }
 

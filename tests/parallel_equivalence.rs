@@ -126,9 +126,9 @@ proptest! {
     }
 
     /// Both expectation evaluators, the fused one (one pair sweep per flip
-    /// mask) and its per-term oracle, are bit-identical at 1/2/4 threads,
-    /// on both the few-sweeps (chunk-parallel) and many-sweeps
-    /// (sweep- or term-parallel) strategies.
+    /// mask, chunk-parallel within each sweep) and its per-term oracle (on
+    /// both its few-terms chunk-parallel and many-terms term-parallel
+    /// strategies), are bit-identical at 1/2/4 threads.
     #[test]
     fn expectation_bit_identical_across_threads(
         state_seed in 1u64..u64::MAX,
