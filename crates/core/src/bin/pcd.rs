@@ -30,7 +30,6 @@
 //! `36` net transport lost for good (resumable) · `37` net protocol
 //! mismatch. Codes 10–14 and 30–31 follow [`PcdError::exit_code`].
 
-use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -264,12 +263,11 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            // Written, not `eprintln!`ed: that panics (exit 101) when
-            // stderr is a closed pipe, and the exit code must survive.
-            let mut stderr = std::io::stderr().lock();
-            let _ = writeln!(stderr, "error: {e}");
+            // Not `eprintln!`: that panics (exit 101) when stderr is a
+            // closed pipe, and the exit code must survive.
+            errln!("error: {e}");
             if matches!(e, CliError::Usage(_)) {
-                let _ = writeln!(stderr, "\n{}", usage());
+                errln!("\n{}", usage());
             }
             ExitCode::from(e.exit_code())
         }
@@ -285,7 +283,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }) {
         return Err(CliError::Usage(match *old {
             "expectation" => "--expectation is gone: the optimizer always uses the grouped H|ψ⟩ \
-                              energy, and `pcd run` still prints the per-term/clustered \
+                              energy, and `pcd run` still prints the grouped/clustered \
                               cross-check"
                 .to_string(),
             "shard-id" => batch::SHARDS_NEED_LISTEN.to_string(),
@@ -329,7 +327,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if result.is_ok() || interrupted {
         if let Some(path) = &trace_path {
             obs::write_jsonl(path).map_err(|e| format!("writing trace {path}: {e}"))?;
-            let _ = writeln!(std::io::stderr(), "trace written to {path}");
+            errln!("trace written to {path}");
         }
         if metrics {
             outln!();
@@ -391,7 +389,7 @@ static COMMANDS: [Command; 17] = [
         name: "run",
         synopsis: "<molecule> [--bond Å] [--ratio R=0.5] [--samples N=20000] [--deadline SECS] \
                    [--budget-iters N] [--checkpoint DIR] [--resume] [--degrade-threshold F=0.25]",
-        about: "durable pipeline: compressed VQE, yield Monte Carlo, and a per-term/clustered \
+        about: "durable pipeline: compressed VQE, yield Monte Carlo, and a grouped/clustered \
                 cross-check of the energy. On expiry of --deadline or --budget-iters (the \
                 scarcer wins) the stage checkpoints into DIR (atomic, CRC) and the run exits 30; \
                 --resume restores it (same molecule/bond/ratio/samples). Yield samples shed \
