@@ -109,15 +109,84 @@ pub fn jacobi_eigen(a: &RealMatrix) -> Eigen {
 /// Diagonalizes a symmetric tridiagonal matrix given its diagonal and
 /// off-diagonal, returning ascending eigenvalues only.
 ///
-/// Used by the Lanczos ground-state solver, where only the extremal Ritz
-/// value is needed. Internally expands to a dense matrix — Lanczos subspace
-/// dimensions here are ≤ a few hundred.
+/// Expands to a dense matrix and runs [`jacobi_eigen`]: the oracle that
+/// [`tridiagonal_lowest_eigenvalue`] is tested against. The Lanczos solver
+/// takes its per-step Ritz value from the bisection instead.
 ///
 /// # Panics
 ///
 /// Panics if `offdiag.len() + 1 != diag.len()`.
 pub fn tridiagonal_eigenvalues(diag: &[f64], offdiag: &[f64]) -> Vec<f64> {
     tridiagonal_eigen(diag, offdiag).values
+}
+
+/// The lowest eigenvalue of a symmetric tridiagonal matrix, by Sturm-count
+/// bisection: O(k) per count, no dense matrix.
+///
+/// The bracket starts at `[min_i (d_i − r_i), min_i d_i]` — Gershgorin
+/// below, the Rayleigh quotient of a unit vector above — and is halved
+/// until its midpoint no longer lies strictly inside it, so the answer is
+/// accurate to a few ulps of ‖T‖. A pivot below `pivmin` counts as
+/// negative (LAPACK `dstebz`'s guard), which keeps split matrices (zero
+/// off-diagonals) and repeated diagonals safe.
+///
+/// # Panics
+///
+/// Panics if `offdiag.len() + 1 != diag.len()`.
+///
+/// # Examples
+///
+/// ```
+/// use numeric::tridiagonal_lowest_eigenvalue;
+///
+/// // [[2, 1], [1, 2]] has eigenvalues 1 and 3.
+/// let low = tridiagonal_lowest_eigenvalue(&[2.0, 2.0], &[1.0]);
+/// assert!((low - 1.0).abs() < 1e-14);
+/// ```
+pub fn tridiagonal_lowest_eigenvalue(diag: &[f64], offdiag: &[f64]) -> f64 {
+    assert_eq!(
+        offdiag.len() + 1,
+        diag.len(),
+        "offdiag must be one shorter than diag"
+    );
+    let n = diag.len();
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::INFINITY;
+    let mut max_e2 = 0.0f64;
+    for (i, &d) in diag.iter().enumerate() {
+        let left = if i > 0 { offdiag[i - 1].abs() } else { 0.0 };
+        let right = if i + 1 < n { offdiag[i].abs() } else { 0.0 };
+        lo = lo.min(d - left - right);
+        hi = hi.min(d);
+        max_e2 = max_e2.max(right * right);
+    }
+    let pivmin = f64::MIN_POSITIVE * max_e2.max(1.0);
+
+    // Whether T − x·I has a negative pivot in its LDLᵀ factorization, i.e.
+    // whether some eigenvalue lies below x (Sylvester's law of inertia). A
+    // pivot under `pivmin` counts as negative, so the division is safe.
+    let any_below = |x: f64| {
+        let mut q = diag[0] - x;
+        for (&d, &e) in diag[1..].iter().zip(offdiag) {
+            if q < pivmin {
+                return true;
+            }
+            q = d - x - e * e / q;
+        }
+        q < pivmin
+    };
+
+    loop {
+        let mid = 0.5 * (lo + hi);
+        if !(mid > lo && mid < hi) {
+            return mid;
+        }
+        if any_below(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
 }
 
 /// Full eigendecomposition of a symmetric tridiagonal matrix (dense
@@ -219,6 +288,47 @@ mod tests {
         let dense = jacobi_eigen(&a).values;
         for (x, y) in vals.iter().zip(&dense) {
             assert!((x - y).abs() < 1e-10);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The bisection's lowest eigenvalue matches the Jacobi oracle to
+        /// 1e-12·max(1, ‖T‖∞) on random tridiagonals from 1×1 up, with
+        /// zero off-diagonals (split matrices), repeated diagonals, and
+        /// the whole matrix scaled by ±1e6 or 1e-6.
+        #[test]
+        fn bisection_lowest_eigenvalue_matches_jacobi(
+            entries in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, 0u8..4), 1..24),
+            scale in 0usize..4,
+        ) {
+            let scale = [1.0, 1e6, -1e6, 1e-6][scale];
+            let mut diag = Vec::with_capacity(entries.len());
+            let mut off = Vec::with_capacity(entries.len());
+            for (i, &(d, e, kind)) in entries.iter().enumerate() {
+                let d = match (kind, diag.last()) {
+                    (1, Some(&prev)) => prev, // repeated diagonal
+                    _ => d * scale,
+                };
+                diag.push(d);
+                if i > 0 {
+                    off.push(if kind == 2 { 0.0 } else { e * scale }); // split
+                }
+            }
+            let norm_inf = (0..diag.len())
+                .map(|i| {
+                    let left = if i > 0 { off[i - 1].abs() } else { 0.0 };
+                    let right = off.get(i).map_or(0.0, |e: &f64| e.abs());
+                    diag[i].abs() + left + right
+                })
+                .fold(0.0f64, f64::max);
+            let bisection = tridiagonal_lowest_eigenvalue(&diag, &off);
+            let jacobi = tridiagonal_eigenvalues(&diag, &off)[0];
+            proptest::prop_assert!(
+                (bisection - jacobi).abs() <= 1e-12 * norm_inf.max(1.0),
+                "k={}: bisection {} vs Jacobi {}", diag.len(), bisection, jacobi
+            );
         }
     }
 

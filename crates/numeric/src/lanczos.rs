@@ -11,11 +11,16 @@
 //!
 //! Full reorthogonalization is used: subspace dimensions stay small (≤ a few
 //! hundred), so the O(k²·n) cost is small next to the matvec and it removes
-//! the classic ghost-eigenvalue failure mode. [`lanczos_lowest_eigenvalues`]
-//! reaches the low spectrum by deflation, one ground-state solve per level.
+//! the classic ghost-eigenvalue failure mode. Each step's lowest Ritz value
+//! comes from a Sturm bisection of the tridiagonal
+//! ([`tridiagonal_lowest_eigenvalue`], O(k) per probe), so no step
+//! diagonalizes a dense matrix; only a caller that wants the Ritz vector
+//! pays for one [`tridiagonal_eigen`] at the end.
+//! [`lanczos_lowest_eigenvalues`] reaches the low spectrum by deflation,
+//! one ground-state solve per level.
 
 use crate::complex::Complex64;
-use crate::eigen::{tridiagonal_eigen, tridiagonal_eigenvalues};
+use crate::eigen::{tridiagonal_eigen, tridiagonal_lowest_eigenvalue};
 
 /// Options controlling [`lanczos_ground_state`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,7 +95,7 @@ pub fn lanczos_ground_state(
     options: LanczosOptions,
     seed: u64,
 ) -> LanczosResult {
-    lanczos_ground_state_with_vector(dim, apply, options, seed).0
+    krylov(dim, apply, options, seed).result
 }
 
 /// [`lanczos_ground_state`] variant that also reconstructs the converged
@@ -101,10 +106,34 @@ pub fn lanczos_ground_state(
 /// Panics if `dim == 0`.
 pub fn lanczos_ground_state_with_vector(
     dim: usize,
-    mut apply: impl FnMut(&[Complex64], &mut [Complex64]),
+    apply: impl FnMut(&[Complex64], &mut [Complex64]),
     options: LanczosOptions,
     seed: u64,
 ) -> (LanczosResult, Vec<Complex64>) {
+    let k = krylov(dim, apply, options, seed);
+    let vector = ritz_vector(&k.basis, &k.alphas, &k.betas, dim);
+    (k.result, vector)
+}
+
+/// The Krylov basis and tridiagonal `(alphas, betas)` a Lanczos run ended
+/// with (`betas` one shorter than `alphas`), and its result.
+struct Krylov {
+    basis: Vec<Vec<Complex64>>,
+    alphas: Vec<f64>,
+    betas: Vec<f64>,
+    result: LanczosResult,
+}
+
+/// The Lanczos iteration shared by both ground-state entry points. Each
+/// step's lowest Ritz value comes from [`tridiagonal_lowest_eigenvalue`]
+/// (bisection, O(k) per Sturm count); the Ritz vector is left to the
+/// caller that wants it.
+fn krylov(
+    dim: usize,
+    mut apply: impl FnMut(&[Complex64], &mut [Complex64]),
+    options: LanczosOptions,
+    seed: u64,
+) -> Krylov {
     assert!(dim > 0, "operator dimension must be positive");
 
     // Deterministic, cheap start vector (xorshift on the seed).
@@ -153,20 +182,19 @@ pub fn lanczos_ground_state_with_vector(
         }
 
         let beta = norm(&w);
-        let Some(&ritz) = tridiagonal_eigenvalues(&alphas, &betas).first() else {
-            unreachable!("Ritz spectrum has at least one eigenvalue");
-        };
+        let ritz = tridiagonal_lowest_eigenvalue(&alphas, &betas);
 
         if (prev_ritz - ritz).abs() < options.tol || beta < 1e-13 {
-            let vector = ritz_vector(&basis, &alphas, &betas, dim);
-            return (
-                LanczosResult {
+            return Krylov {
+                basis,
+                alphas,
+                betas,
+                result: LanczosResult {
                     eigenvalue: ritz,
                     iterations: it + 1,
                     converged: true,
                 },
-                vector,
-            );
+            };
         }
         prev_ritz = ritz;
         betas.push(beta);
@@ -176,16 +204,17 @@ pub fn lanczos_ground_state_with_vector(
     }
 
     // betas has one more entry than the final subspace uses; trim it.
-    let k = basis.len();
-    let vector = ritz_vector(&basis, &alphas[..k], &betas[..k.saturating_sub(1)], dim);
-    (
-        LanczosResult {
+    betas.truncate(alphas.len() - 1);
+    Krylov {
+        basis,
+        alphas,
+        betas,
+        result: LanczosResult {
             eigenvalue: prev_ritz,
             iterations: max_iter,
             converged: false,
         },
-        vector,
-    )
+    }
 }
 
 /// The `k` lowest eigenvalues of a Hermitian operator, by Lanczos with

@@ -8,7 +8,8 @@
 //! * [`RealMatrix`] — a dense row-major real matrix with the products,
 //!   solvers and decompositions used by the Hartree-Fock engine;
 //! * [`eigen`] — a Jacobi eigensolver for real symmetric matrices (Fock and
-//!   overlap matrices are tiny: ≤ ~20×20 for our benchmark set);
+//!   overlap matrices are tiny: ≤ ~20×20 for our benchmark set), and a
+//!   Sturm bisection for a tridiagonal's lowest eigenvalue;
 //! * [`lanczos`] — a Lanczos solver for large implicit Hermitian operators:
 //!   ground states and, by deflation, the low spectrum (exact molecular
 //!   references in the N-electron sector, and the full 2ⁿ space as oracle);
@@ -36,7 +37,9 @@ pub mod linsolve;
 pub mod matrix;
 
 pub use complex::Complex64;
-pub use eigen::{jacobi_eigen, tridiagonal_eigen, tridiagonal_eigenvalues, Eigen};
+pub use eigen::{
+    jacobi_eigen, tridiagonal_eigen, tridiagonal_eigenvalues, tridiagonal_lowest_eigenvalue, Eigen,
+};
 pub use lanczos::{
     lanczos_ground_state, lanczos_ground_state_with_vector, lanczos_lowest_eigenvalues,
     LanczosOptions, LanczosResult,

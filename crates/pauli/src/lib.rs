@@ -47,7 +47,9 @@ pub mod sector;
 pub mod string;
 pub mod sum;
 
-pub use cluster::{CliffordOp, ClusterError, ClusterStats, ClusteredSum, DiagonalFrame};
+pub use cluster::{
+    commutation_graph, CliffordOp, ClusterError, ClusterStats, ClusteredSum, DiagonalFrame,
+};
 pub use grouping::{group_qubit_wise, qubit_wise_commute, MeasurementGroup};
 pub use sector::{SectorBasis, SectorError, SectorOperator};
 pub use string::{ParsePauliError, Pauli, PauliString, Phase};

@@ -15,7 +15,8 @@ use pauli_codesign::chem::Benchmark;
 use pauli_codesign::numeric::Complex64;
 use pauli_codesign::par;
 use pauli_codesign::pauli::{
-    group_qubit_wise, qubit_wise_commute, ClusteredSum, Pauli, PauliString, WeightedPauliSum,
+    commutation_graph, group_qubit_wise, qubit_wise_commute, ClusterStats, ClusteredSum, Pauli,
+    PauliString, WeightedPauliSum,
 };
 use pauli_codesign::sim::Statevector;
 
@@ -162,5 +163,80 @@ fn clustered_agrees_on_molecular_hamiltonians() {
             stats.clusters,
             h.len()
         );
+    }
+}
+
+/// The packed commutation graph equals the graph of pairwise
+/// `commutes_with` calls bit for bit on every Table I Hamiltonian at
+/// equilibrium, so the greedy partition grown on it cannot change.
+#[test]
+fn packed_commutation_graph_matches_commutes_with_on_table_one() {
+    for molecule in Benchmark::ALL {
+        let system = molecule
+            .build(molecule.equilibrium_bond_length())
+            .expect("chemistry");
+        let h = system.qubit_hamiltonian();
+        let rows = commutation_graph(h);
+        assert_eq!(rows.len(), h.len(), "{molecule}");
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), h.len().div_ceil(64), "{molecule}");
+            for j in 0..row.len() * 64 {
+                let bit = (row[j / 64] >> (j % 64)) & 1 == 1;
+                let want = j < h.len() && h[i].1.commutes_with(&h[j].1);
+                assert_eq!(bit, want, "{molecule}: terms {i} and {j}");
+            }
+        }
+    }
+}
+
+/// The partition of the Hamiltonians the pipeline benchmark and the traced
+/// kernels run, pinned whole: the greedy clusters, their fused-path choice
+/// and their Clifford frames.
+#[test]
+fn cluster_stats_of_h2o_beh2_bh3_are_pinned() {
+    let pins = [
+        (
+            Benchmark::H2O,
+            ClusterStats {
+                clusters: 24,
+                terms: 551,
+                largest: 79,
+                singletons: 0,
+                fused: 24,
+                clifford_ops: 835,
+                clifford_depth: 19,
+            },
+        ),
+        (
+            Benchmark::BeH2,
+            ClusterStats {
+                clusters: 10,
+                terms: 327,
+                largest: 79,
+                singletons: 0,
+                fused: 10,
+                clifford_ops: 342,
+                clifford_depth: 19,
+            },
+        ),
+        (
+            Benchmark::BH3,
+            ClusterStats {
+                clusters: 67,
+                terms: 1534,
+                largest: 106,
+                singletons: 1,
+                fused: 66,
+                clifford_ops: 2934,
+                clifford_depth: 24,
+            },
+        ),
+    ];
+    for (molecule, want) in pins {
+        let system = molecule
+            .build(molecule.equilibrium_bond_length())
+            .expect("chemistry");
+        let got = ClusteredSum::build(system.qubit_hamiltonian()).stats();
+        assert_eq!(got, want, "{molecule}");
     }
 }

@@ -184,3 +184,29 @@ fn h2_low_spectrum_matches_dense_sector_diagonalization() {
         assert!((g - w).abs() < 1e-9, "E{k}: Lanczos {g} vs dense {w}");
     }
 }
+
+/// The exact references on the bond grid around the pipeline benchmark's
+/// H2O and BeH2 geometries, pinned to 1e-10 Ha of the values a dense Jacobi
+/// diagonalization of every Lanczos step's tridiagonal gave: the bisection
+/// Ritz value changes the cost of the solve, not its answer.
+#[test]
+fn exact_energies_on_the_h2o_and_beh2_grid_are_pinned() {
+    let pins = [
+        (Benchmark::H2O, 0.95, -75.010_246_215_798_16),
+        (Benchmark::H2O, 0.96, -75.013_076_991_237_24),
+        (Benchmark::H2O, 0.97, -75.015_417_803_373_55),
+        (Benchmark::BeH2, 1.31, -15.594_878_613_548_44),
+        (Benchmark::BeH2, 1.33, -15.594_778_427_065_88),
+        (Benchmark::BeH2, 1.35, -15.594_132_727_561_45),
+    ];
+    for (molecule, bond, want) in pins {
+        let got = molecule
+            .build(bond)
+            .expect("chemistry")
+            .exact_ground_state_energy();
+        assert!(
+            (got - want).abs() <= 1e-10,
+            "{molecule} at {bond} Å: {got} vs pinned {want}"
+        );
+    }
+}
