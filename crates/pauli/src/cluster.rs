@@ -547,7 +547,11 @@ impl FusedEval {
             COST_GATHER
         };
         let phase = if self.plo.is_empty() { 0.0 } else { COST_PHASE };
-        gather + phase + COST_BUTTERFLY * f64::from(self.pivots.count_ones()) + self.readout_cost()
+        let (transform, per_member) = self.readout_costs();
+        gather
+            + phase
+            + COST_BUTTERFLY * f64::from(self.pivots.count_ones())
+            + transform.min(per_member)
     }
 
     /// `Σ_m w_m·⟨ψ|P_m|ψ⟩` for every member at once: rotate `ψ` into the
@@ -560,15 +564,17 @@ impl FusedEval {
     /// conditional would mispredict half the time.
     fn expectation(&self, state: &[Complex64]) -> f64 {
         let buf = self.rotate(state);
-        if self.transform_readout() {
+        let (transform, per_member) = self.readout_costs();
+        if transform < per_member {
             self.readout_by_transform(&buf)
         } else {
             self.readout_per_member(&buf)
         }
     }
 
-    /// `ψ` in the diagonal frame, unnormalized by `2^{r/2}`: gather and
-    /// phase fused into one pass, then one butterfly pass per pivot.
+    /// `U·ψ` scaled by `2^{r/2}` (the butterflies are unnormalized):
+    /// gather and phase fused into one pass, then one butterfly pass per
+    /// pivot.
     fn rotate(&self, state: &[Complex64]) -> Vec<Complex64> {
         let dim = state.len();
         let lo_mask = (1usize << self.lo_bits) - 1;
@@ -625,17 +631,14 @@ impl FusedEval {
         buf
     }
 
-    /// Whether the Walsh–Hadamard readout (`n` real butterfly passes,
-    /// whatever the member count) beats the per-member parity pass.
-    fn transform_readout(&self) -> bool {
-        COST_TRANSFORM_PER_QUBIT * f64::from(self.num_qubits)
-            < COST_READOUT_PER_MEMBER * self.diag.len() as f64
-    }
-
-    /// Per-amplitude cost of the chosen readout.
-    fn readout_cost(&self) -> f64 {
-        (COST_TRANSFORM_PER_QUBIT * f64::from(self.num_qubits))
-            .min(COST_READOUT_PER_MEMBER * self.diag.len() as f64)
+    /// Per-amplitude costs of the two readouts: the Walsh–Hadamard
+    /// transform (`n` real butterfly passes, whatever the member count)
+    /// and the per-member parity pass.
+    fn readout_costs(&self) -> (f64, f64) {
+        (
+            COST_TRANSFORM_PER_QUBIT * f64::from(self.num_qubits),
+            COST_READOUT_PER_MEMBER * self.diag.len() as f64,
+        )
     }
 
     /// Readout, one member at a time: every member from one probability
