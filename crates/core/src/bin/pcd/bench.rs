@@ -423,6 +423,24 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         "vqe_sector",
     )?;
 
+    // The state `pcd run`'s cross-check prepares, at one thread: the H2O
+    // ratio-0.5 IR from its Hartree-Fock determinant on the full register
+    // (almost every amplitude pair exactly zero), then its grouped energy.
+    let h2o_prepare = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || vqe::prepare_state(&h2o_ir, &h2o_theta))
+    });
+    let h2o_psi = vqe::prepare_state(&h2o_ir, &h2o_theta);
+    let h2o_grouped = criterion::measure(warmup, samples, || {
+        par::with_threads(1, || h2o_psi.expectation(h2o_h))
+    });
+    for (name, m) in [
+        ("prepare_h2o", h2o_prepare),
+        ("expectation_grouped_h2o", h2o_grouped),
+    ] {
+        outln!("{name:<28} {:>14}", m.median_ns);
+        records.push(record(name, m.median_ns, 1, h2o_qubits));
+    }
+
     // AO integrals of H2O at equilibrium at one thread: the shell-pair
     // engine against its oracle, the per-function integrals (S and h per
     // element, the ERI per canonical quartet through

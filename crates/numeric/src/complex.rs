@@ -130,6 +130,18 @@ impl Complex64 {
         }
     }
 
+    /// Returns true when both parts are exactly zero, of either sign (never
+    /// for NaN). A zero amplitude times any finite factor is a zero, so the
+    /// full-space pair sweeps test this to skip arithmetic whose result is
+    /// already known.
+    ///
+    /// Tested on the bits with the sign shifted out, so the checks of a
+    /// whole pair fold into one OR and one branch.
+    #[inline(always)]
+    pub fn is_zero(self) -> bool {
+        (self.re.to_bits() | self.im.to_bits()) << 1 == 0
+    }
+
     /// Returns true when both parts are within `tol` of `other`'s.
     #[inline]
     pub fn approx_eq(self, other: Self, tol: f64) -> bool {
@@ -326,6 +338,22 @@ mod tests {
     fn sum_folds_over_iterator() {
         let total: Complex64 = (0..4).map(|k| Complex64::new(k as f64, 1.0)).sum();
         assert_eq!(total, Complex64::new(6.0, 4.0));
+    }
+
+    #[test]
+    fn is_zero_takes_both_signed_zeros_and_nothing_else() {
+        assert!(Complex64::ZERO.is_zero());
+        assert!(Complex64::new(-0.0, 0.0).is_zero());
+        assert!(Complex64::new(0.0, -0.0).is_zero());
+        for z in [
+            Complex64::new(f64::MIN_POSITIVE * f64::EPSILON, 0.0),
+            Complex64::new(0.0, -1e-300),
+            Complex64::new(f64::NAN, 0.0),
+            Complex64::new(0.0, f64::NAN),
+            Complex64::new(f64::INFINITY, 0.0),
+        ] {
+            assert!(!z.is_zero(), "{z}");
+        }
     }
 
     #[test]

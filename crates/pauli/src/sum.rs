@@ -502,7 +502,7 @@ impl FlipGroups {
     }
 }
 
-/// `Σ_b d(b)·|ψ_b|²` for a diagonal sweep.
+/// `Σ_b d(b)·|ψ_b|²` for a diagonal sweep, skipping zero amplitudes.
 fn diagonal_expectation(zs: &[u64], coeffs: &[f64], state: &[Complex64]) -> f64 {
     par::map_reduce(
         state.len(),
@@ -512,7 +512,9 @@ fn diagonal_expectation(zs: &[u64], coeffs: &[f64], state: &[Complex64]) -> f64 
             let state = &state[range.clone()];
             let mut acc = 0.0;
             flip::for_each_pair(range.start, range.len(), 0, zs, |b, mut p| {
-                acc += signed_sum(coeffs, &mut p) * state[b].norm_sqr();
+                if !state[b].is_zero() {
+                    acc += signed_sum(coeffs, &mut p) * state[b].norm_sqr();
+                }
             });
             acc
         },
@@ -522,7 +524,8 @@ fn diagonal_expectation(zs: &[u64], coeffs: &[f64], state: &[Complex64]) -> f64 
 
 /// `Σ_pairs 2·Re(conj(ψ_hi)·c(lo)·ψ_lo)` for a sweep on flip mask `x ≠ 0`,
 /// with `c = r + i·m` as in [`apply_pairs`]: the pair's two entries of
-/// `⟨ψ|G|ψ⟩` are complex conjugates.
+/// `⟨ψ|G|ψ⟩` are complex conjugates. A pair with a zero member adds
+/// exactly nothing and is skipped.
 fn pair_expectation(x: u64, zs: &[u64], even: &[f64], odd: &[f64], state: &[Complex64]) -> f64 {
     let xs = x as usize;
     let acc = par::map_reduce(
@@ -534,6 +537,10 @@ fn pair_expectation(x: u64, zs: &[u64], even: &[f64], odd: &[f64], state: &[Comp
             let mut acc = 0.0;
             flip::for_each_pair(range.start, range.len(), x, zs, |lo, mut p| {
                 let (a, b) = (state[lo], state[lo ^ xs]);
+                // conj(ψ_hi)·ψ_lo is zero when either member is.
+                if a.is_zero() || b.is_zero() {
+                    return;
+                }
                 // conj(ψ_hi)·ψ_lo = re + i·im.
                 let re = b.re * a.re + b.im * a.im;
                 let r = signed_sum(even, &mut p);
@@ -563,7 +570,8 @@ fn signed_sum(coeffs: &[f64], parities: &mut u64) -> f64 {
 }
 
 /// `out[b] (=|+=) d(b)·state[b]` for a diagonal sweep, `d(b)` its
-/// sign-weighted coefficient sum.
+/// sign-weighted coefficient sum. A zero `state[b]` skips the arithmetic,
+/// but the writing sweep still stores its zero.
 fn apply_diagonal(
     zs: &[u64],
     coeffs: &[f64],
@@ -574,6 +582,12 @@ fn apply_diagonal(
     par::for_each_chunk_mut(out, flip::chunk_len(0), |offset, out| {
         let state = &state[offset..offset + out.len()];
         flip::for_each_pair(offset, out.len(), 0, zs, |b, mut p| {
+            if state[b].is_zero() {
+                if write {
+                    out[b] = Complex64::ZERO;
+                }
+                return;
+            }
             let v = state[b] * signed_sum(coeffs, &mut p);
             if write {
                 out[b] = v;
@@ -587,7 +601,8 @@ fn apply_diagonal(
 /// `out += G·state` for a sweep on flip mask `x ≠ 0`. With
 /// `c(b) = r(b) + i·m(b)` summed over the even (`r`) and odd (`m`) terms,
 /// the group maps `a_b ↦ c(b)·a_b` into `b⊕x`, and since an odd Y count
-/// flips the parity sign across the pair, `c(b⊕x) = r(b) − i·m(b)`.
+/// flips the parity sign across the pair, `c(b⊕x) = r(b) − i·m(b)`. A pair
+/// whose two inputs are zero adds nothing and is skipped.
 fn apply_pairs(
     x: u64,
     zs: &[u64],
@@ -601,6 +616,9 @@ fn apply_pairs(
         let state = &state[offset..offset + out.len()];
         flip::for_each_pair(offset, out.len(), x, zs, |lo, mut p| {
             let hi = lo ^ xs;
+            if state[lo].is_zero() && state[hi].is_zero() {
+                return;
+            }
             let r = signed_sum(even, &mut p);
             if odd.is_empty() {
                 out[hi] += state[lo] * r;

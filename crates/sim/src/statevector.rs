@@ -299,10 +299,14 @@ impl Statevector {
     /// one sweep: each amplitude pair (or, for diagonal strings, each
     /// amplitude) is loaded once and every rotation of the run is applied
     /// to it in registers. No commutation is assumed — program order is
-    /// kept per pair — so the result is bit-identical to calling
+    /// kept per pair — so each amplitude it computes is bit-identical to calling
     /// [`apply_pauli_evolution`](Self::apply_pauli_evolution) for each
     /// rotation in turn, which stays the per-string kernel and the oracle
     /// this sweep is tested against.
+    ///
+    /// A pair (or diagonal amplitude) that is exactly zero is skipped: the
+    /// run would map it to zero. Amplitudes are `==` the per-string
+    /// kernel's; only the sign of such an untouched zero may differ.
     ///
     /// # Panics
     ///
@@ -326,11 +330,17 @@ impl Statevector {
             let zs: Vec<u64> = part.iter().map(PauliRotation::z_mask).collect();
             par::for_each_chunk_mut(&mut self.amps, flip::chunk_len(x), |offset, amps| {
                 flip::for_each_pair(offset, amps.len(), x, &zs, |lo, p| {
+                    // A rotation maps zeros to zeros: a zero amplitude (or
+                    // pair) is left as it is.
                     if x == 0 {
-                        amps[lo] = rotate_run_diagonal(part, p, amps[lo]);
+                        if !amps[lo].is_zero() {
+                            amps[lo] = rotate_run_diagonal(part, p, amps[lo]);
+                        }
                     } else {
                         let hi = lo ^ xs;
-                        (amps[lo], amps[hi]) = rotate_run_pair(part, p, amps[lo], amps[hi]);
+                        if !(amps[lo].is_zero() && amps[hi].is_zero()) {
+                            (amps[lo], amps[hi]) = rotate_run_pair(part, p, amps[lo], amps[hi]);
+                        }
                     }
                 });
             });

@@ -43,8 +43,9 @@ pub(crate) fn mask_runs<T>(
 }
 
 /// Prepares `|ψ(θ)⟩`: the Hartree-Fock basis state evolved by every IR
-/// entry in program order, one pair sweep per same-mask run. Bit-identical
-/// to applying each entry with
+/// entry in program order, one pair sweep per same-mask run that skips the
+/// pairs still exactly zero. `==` amplitude for amplitude to applying each
+/// entry with
 /// [`apply_pauli_evolution`](sim::Statevector::apply_pauli_evolution).
 ///
 /// # Panics
@@ -187,19 +188,27 @@ pub(crate) fn adjoint_walk(
 
 /// One fused backward sweep of a same-mask run of at most
 /// [`flip::MAX_MASKS`] inverse rotations over the `(φ, λ)` pairs; returns
-/// each entry's `Im⟨λ|P|φ⟩`, taken before that entry is peeled off.
+/// each entry's `Im⟨λ|P|φ⟩`, taken before that entry is peeled off. Pairs
+/// where `φ` and `λ` are all zero are skipped.
 fn peel_run(states: &mut [[Complex64; 2]], run: &[PauliRotation]) -> Vec<f64> {
     let x = run[0].x_mask();
     let xs = x as usize;
     let zs: Vec<u64> = run.iter().map(PauliRotation::z_mask).collect();
+    // Where φ and λ are all zero, every bracket is zero and the peel leaves
+    // zeros: the pair is skipped.
+    let zero = |[phi, lambda]: [Complex64; 2]| phi.is_zero() && lambda.is_zero();
     let partials = par::map_chunks_mut(states, flip::chunk_len(x), |offset, chunk| {
         let mut acc = vec![0.0; run.len()];
         flip::for_each_pair(offset, chunk.len(), x, &zs, |lo, p| {
             if x == 0 {
-                chunk[lo] = peel_run_diagonal(run, p, &mut acc, chunk[lo]);
+                if !zero(chunk[lo]) {
+                    chunk[lo] = peel_run_diagonal(run, p, &mut acc, chunk[lo]);
+                }
             } else {
                 let hi = lo ^ xs;
-                (chunk[lo], chunk[hi]) = peel_run_pair(run, p, &mut acc, chunk[lo], chunk[hi]);
+                if !(zero(chunk[lo]) && zero(chunk[hi])) {
+                    (chunk[lo], chunk[hi]) = peel_run_pair(run, p, &mut acc, chunk[lo], chunk[hi]);
+                }
             }
         });
         acc

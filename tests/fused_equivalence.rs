@@ -21,6 +21,7 @@ use pauli_codesign::ansatz::{trotterize, IrEntry, PauliIr, TrotterOrder};
 use pauli_codesign::chem::Benchmark;
 use pauli_codesign::numeric::{lanczos_ground_state, LanczosOptions};
 use pauli_codesign::pauli::{PauliString, WeightedPauliSum};
+use pauli_codesign::resilience::stages;
 use pauli_codesign::sim::Statevector;
 use pauli_codesign::vqe;
 
@@ -185,5 +186,80 @@ fn general_fused_path_matches_the_per_entry_kernel() {
             );
             assert_gradients_agree(h, &ir, &theta, &format!("Trotterized LiH ({order:?})"));
         }
+    }
+}
+
+/// The cross-check on the `pipeline_large` bond grid: H2O and BeH2 at
+/// ratio 0.5, probe angles `θ_k = 0.02·(k mod 7 − 3)`. The preparation is
+/// `==` the per-entry loop, and the grouped energy and the full-space
+/// adjoint gradient (folded into one word) keep the bits they had before
+/// the full-space sweeps skipped zero amplitude pairs: those pairs
+/// contribute exactly nothing, so skipping them changes the cost, not the
+/// answer.
+#[test]
+fn crosscheck_on_the_benchmark_grid_is_pinned() {
+    let pins = [
+        (
+            Benchmark::H2O,
+            0.95,
+            0xc052_b3ff_5915_c459u64,
+            0x20e0_b554_f4de_fb95u64,
+        ),
+        (
+            Benchmark::H2O,
+            0.96,
+            0xc052_b641_8340_21d4,
+            0x6d69_36e1_3653_ad77,
+        ),
+        (
+            Benchmark::H2O,
+            0.97,
+            0xc052_b5c2_9ade_d8d1,
+            0xb328_2dc1_1bca_6aa7,
+        ),
+        (
+            Benchmark::BeH2,
+            1.31,
+            0xc02e_ec24_9445_ac02,
+            0x7c49_344a_3f27_69c2,
+        ),
+        (
+            Benchmark::BeH2,
+            1.33,
+            0xc02e_faaf_c018_97b4,
+            0x95bd_8342_3824_abe2,
+        ),
+        (
+            Benchmark::BeH2,
+            1.35,
+            0xc02e_faf4_72cd_b6ff,
+            0xfc1c_2c4c_a1a9_3d84,
+        ),
+    ];
+    for (molecule, bond, bits, grad_pin) in pins {
+        let system = molecule.build(bond).expect("chemistry");
+        let (ir, _) = stages::ansatz(&system, 0.5);
+        let theta: Vec<f64> = (0..ir.num_parameters())
+            .map(|k| 0.02 * ((k % 7) as f64 - 3.0))
+            .collect();
+        assert_eq!(
+            vqe::prepare_state(&ir, &theta).amplitudes(),
+            prepare_per_entry(&ir, &theta).amplitudes(),
+            "{molecule} at {bond} Å: fused preparation differs from the per-entry loop"
+        );
+        let grouped = stages::crosscheck(&system, &ir, &theta).grouped;
+        let (_, grad) = vqe::energy_and_gradient(system.qubit_hamiltonian(), &ir, &theta);
+        let grad_bits = grad
+            .iter()
+            .fold(0u64, |h, g| h.rotate_left(7) ^ g.to_bits());
+        assert_eq!(
+            grouped.to_bits(),
+            bits,
+            "{molecule} at {bond} Å: grouped cross-check energy {grouped}"
+        );
+        assert_eq!(
+            grad_bits, grad_pin,
+            "{molecule} at {bond} Å: full-space adjoint gradient bits moved"
+        );
     }
 }

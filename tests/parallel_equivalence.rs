@@ -16,7 +16,7 @@ use pauli_codesign::circuit::Gate;
 use pauli_codesign::numeric::Complex64;
 use pauli_codesign::par;
 use pauli_codesign::pauli::{PauliString, WeightedPauliSum};
-use pauli_codesign::sim::Statevector;
+use pauli_codesign::sim::{PauliRotation, Statevector};
 use pauli_codesign::vqe;
 
 /// Big enough that 2^n amplitudes span multiple `par::DEFAULT_CHUNK` chunks,
@@ -56,6 +56,28 @@ fn deterministic_hamiltonian(num_qubits: usize, terms: usize, seed: u64) -> Weig
         );
     }
     h
+}
+
+/// [`deterministic_state`] with every amplitude whose index hashes below
+/// `zeros` set to `±0.0`, so a flip mask's pairs mix whole-zero, half-zero
+/// and full pairs.
+fn sparse_state(num_qubits: usize, seed: u64, zeros: f64) -> Statevector {
+    let amps = deterministic_state(num_qubits, seed)
+        .amplitudes()
+        .iter()
+        .enumerate()
+        .map(|(b, &a)| {
+            let hash = (b as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            if (hash >> 11) as f64 / (1u64 << 53) as f64 >= zeros {
+                a
+            } else if hash & 1 == 0 {
+                Complex64::ZERO
+            } else {
+                Complex64::new(-0.0, -0.0)
+            }
+        })
+        .collect();
+    Statevector::from_amplitudes(amps)
 }
 
 fn assert_bits_equal(a: &Statevector, b: &Statevector, what: &str) {
@@ -198,6 +220,62 @@ proptest! {
         for threads in [2usize, 4] {
             assert_bits_equal(&ref_state, &prepared(threads), &format!("prepare_state @ {threads} threads"));
             let (e, grad) = gradient(threads);
+            prop_assert_eq!(ref_e.to_bits(), e.to_bits());
+            for (a, b) in ref_grad.iter().zip(&grad) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    /// On sparse states above `par::SERIAL_CUTOFF`, the sweeps that skip
+    /// zero pairs — fused rotations (diagonal and with a block wider than a
+    /// chunk), the fused expectation and the grouped `H|ψ⟩` — are
+    /// bit-identical at 1/2/4 threads, as is the fused gradient of a
+    /// two-electron UCCSD IR, whose states are mostly zero.
+    #[test]
+    fn sparse_sweeps_bit_identical_across_threads(
+        state_seed in 1u64..u64::MAX,
+        ham_seed in 1u64..u64::MAX,
+        zeros in 0.0f64..1.0,
+        theta in -3.0f64..3.0,
+    ) {
+        prop_assert!(1usize << BIG_QUBITS > par::SERIAL_CUTOFF);
+        let sv = sparse_state(BIG_QUBITS, state_seed, zeros);
+        let h = deterministic_hamiltonian(BIG_QUBITS, 40, ham_seed);
+        let full = (1u64 << BIG_QUBITS) - 1;
+        let runs: Vec<Vec<PauliRotation>> = [0, (ham_seed & full) | (1 << (BIG_QUBITS - 1)), 0b101]
+            .into_iter()
+            .map(|x| {
+                (0..5u32)
+                    .map(|k| {
+                        let z = ham_seed.rotate_left(7 * k) & full;
+                        let p = PauliString::from_symplectic(BIG_QUBITS, x, z);
+                        PauliRotation::new(&p, theta + f64::from(k))
+                    })
+                    .collect()
+            })
+            .collect();
+        let ir = UccsdAnsatz::new(BIG_QUBITS / 2, 2).into_ir();
+        let params: Vec<f64> = (0..ir.num_parameters()).map(|k| theta / (k as f64 + 1.0)).collect();
+        let sweep = |threads: usize| {
+            par::with_threads(threads, || {
+                let mut rotated = sv.clone();
+                for run in &runs {
+                    rotated.apply_pauli_rotations(run);
+                }
+                let mut out = vec![Complex64::ZERO; 1 << BIG_QUBITS];
+                h.apply(sv.amplitudes(), &mut out);
+                let energy = sv.expectation(&h);
+                let (e, grad) = vqe::energy_and_gradient(&h, &ir, &params);
+                (rotated, Statevector::from_amplitudes(out), energy, e, grad)
+            })
+        };
+        let (ref_rotated, ref_out, ref_energy, ref_e, ref_grad) = sweep(1);
+        for threads in [2usize, 4] {
+            let (rotated, out, energy, e, grad) = sweep(threads);
+            assert_bits_equal(&ref_rotated, &rotated, &format!("sparse rotations @ {threads} threads"));
+            assert_bits_equal(&ref_out, &out, &format!("sparse grouped apply @ {threads} threads"));
+            prop_assert_eq!(ref_energy.to_bits(), energy.to_bits());
             prop_assert_eq!(ref_e.to_bits(), e.to_bits());
             for (a, b) in ref_grad.iter().zip(&grad) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
