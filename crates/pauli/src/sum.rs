@@ -570,8 +570,9 @@ fn signed_sum(coeffs: &[f64], parities: &mut u64) -> f64 {
 }
 
 /// `out[b] (=|+=) d(b)·state[b]` for a diagonal sweep, `d(b)` its
-/// sign-weighted coefficient sum. A zero `state[b]` skips the arithmetic,
-/// but the writing sweep still stores its zero.
+/// sign-weighted coefficient sum. A zero `state[b]` skips the arithmetic
+/// but still stores (or adds) its zero, so the writing sweep leaves no
+/// stale entry.
 fn apply_diagonal(
     zs: &[u64],
     coeffs: &[f64],
@@ -582,13 +583,11 @@ fn apply_diagonal(
     par::for_each_chunk_mut(out, flip::chunk_len(0), |offset, out| {
         let state = &state[offset..offset + out.len()];
         flip::for_each_pair(offset, out.len(), 0, zs, |b, mut p| {
-            if state[b].is_zero() {
-                if write {
-                    out[b] = Complex64::ZERO;
-                }
-                return;
-            }
-            let v = state[b] * signed_sum(coeffs, &mut p);
+            let v = if state[b].is_zero() {
+                Complex64::ZERO
+            } else {
+                state[b] * signed_sum(coeffs, &mut p)
+            };
             if write {
                 out[b] = v;
             } else {
