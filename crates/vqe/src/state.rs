@@ -188,8 +188,7 @@ pub(crate) fn adjoint_walk(
 
 /// One fused backward sweep of a same-mask run of at most
 /// [`flip::MAX_MASKS`] inverse rotations over the `(φ, λ)` pairs; returns
-/// each entry's `Im⟨λ|P|φ⟩`, taken before that entry is peeled off. Pairs
-/// where `φ` and `λ` are all zero are skipped.
+/// each entry's `Im⟨λ|P|φ⟩`, taken before that entry is peeled off.
 fn peel_run(states: &mut [[Complex64; 2]], run: &[PauliRotation]) -> Vec<f64> {
     let x = run[0].x_mask();
     let xs = x as usize;
