@@ -26,9 +26,10 @@
 //! that belongs to a different configuration) · `32` batch finished but
 //! degraded (jobs quarantined, or shed in a manifest resumed from an
 //! older build) · `34` `report --strict` found
-//! warnings · `35` serve transport failure (socket or state-dir I/O) ·
-//! `36` net transport lost for good (resumable) · `37` net protocol
-//! mismatch. Codes 10–14 and 30–31 follow [`PcdError::exit_code`].
+//! warnings · `35` serve transport failure (socket or state-dir I/O).
+//! Codes 10–14 and 30–31 follow [`PcdError::exit_code`]. `36` and `37`
+//! are retired: they were the TCP coordinator's worker exits (transport
+//! lost, protocol mismatch), and no later code reuses them.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -36,7 +37,7 @@ use std::time::Duration;
 use pauli_codesign::chem::Benchmark;
 use pauli_codesign::resilience::PcdError;
 use pauli_codesign::serve::ServeError;
-use pauli_codesign::supervisor::{RemoteError, SupervisorError};
+use pauli_codesign::supervisor::SupervisorError;
 
 /// `println!` through a locked stdout. A failed write is dropped, not
 /// panicked on: when the reader has gone (a closed pipe, `BrokenPipe`) the
@@ -124,11 +125,6 @@ enum CliError {
     /// transport failure (exit 35), a sealed manifest from a different
     /// configuration is a checkpoint-class failure (exit 31).
     Serve(ServeError),
-    /// A net coordinator or worker failed: transport exhaustion is
-    /// exit 36 (a rerun worker rejoins; the coordinator re-grants or
-    /// rescues the shard), a protocol mismatch is operator error (exit 37), and a supervisor
-    /// failure inside granted jobs keeps the batch taxonomy.
-    Remote(RemoteError),
 }
 
 /// Exit code for a chaos campaign with a violated invariant.
@@ -152,16 +148,6 @@ const EXIT_REPORT_STRICT: u8 = 34;
 /// failing, which is a typed response, or a drain, which is exit 30).
 const EXIT_SERVE_TRANSPORT: u8 = 35;
 
-/// Exit code for a net worker/coordinator whose transport died for good
-/// (retry budget exhausted). A worker keeps nothing: rerunning it
-/// rejoins the batch like any new worker, and the coordinator re-grants
-/// the shard at the next epoch or rescues it in-process.
-const EXIT_NET_TRANSPORT: u8 = 36;
-
-/// Exit code for a net protocol mismatch (version skew or a nonsensical
-/// reply) — operator error, retrying cannot help.
-const EXIT_NET_PROTOCOL: u8 = 37;
-
 impl CliError {
     fn exit_code(&self) -> u8 {
         match self {
@@ -178,10 +164,6 @@ impl CliError {
             CliError::ServeDrained { .. } => EXIT_BATCH_DRAINED,
             CliError::Serve(ServeError::Io { .. }) => EXIT_SERVE_TRANSPORT,
             CliError::Serve(_) => 31,
-            CliError::Remote(RemoteError::TransportLost(_)) => EXIT_NET_TRANSPORT,
-            CliError::Remote(RemoteError::Protocol(_)) => EXIT_NET_PROTOCOL,
-            CliError::Remote(RemoteError::Supervisor(SupervisorError::Spec(_))) => 1,
-            CliError::Remote(RemoteError::Supervisor(_)) => 31,
         }
     }
 }
@@ -223,14 +205,7 @@ impl std::fmt::Display for CliError {
                  (restart `pcd serve` with the same --state-dir to resume)"
             ),
             CliError::Serve(e) => write!(f, "{e}"),
-            CliError::Remote(e) => write!(f, "{e}"),
         }
-    }
-}
-
-impl From<RemoteError> for CliError {
-    fn from(e: RemoteError) -> Self {
-        CliError::Remote(e)
     }
 }
 
@@ -286,10 +261,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
                               energy, and `pcd run` still prints the grouped/clustered \
                               cross-check"
                 .to_string(),
-            "shard-id" => batch::SHARDS_NEED_LISTEN.to_string(),
-            "local-dir" => "--local-dir is gone: a worker keeps nothing on disk; a rerun \
-                            rejoins, and the coordinator re-grants or rescues the shard"
-                .to_string(),
+            "listen" | "connect" | "shard-id" | "local-dir" | "net" => {
+                format!("--{old} is gone: {TCP_RETIRED}")
+            }
             "queue-cap" | "shed" => format!(
                 "--{old} is gone: a batch runs every job it is given, and `pcd serve` queues \
                  every connection it accepts"
@@ -337,9 +311,14 @@ fn run(args: &[String]) -> Result<(), CliError> {
     result
 }
 
+/// Why the TCP batch forms, their flags and their chaos campaign are
+/// usage errors.
+const TCP_RETIRED: &str = "the TCP coordinator was retired, and a batch runs in one process \
+                           (`pcd batch JOBS.jsonl`)";
+
 /// Flags a command no longer takes, as `(command, flag)`: each is a usage
 /// error naming what replaced it.
-const RETIRED_FLAGS: [(&str, &str); 11] = [
+const RETIRED_FLAGS: [(&str, &str); 13] = [
     ("run", "expectation"),
     ("chaos", "kill-resume"),
     ("chaos", "supervised"),
@@ -349,6 +328,8 @@ const RETIRED_FLAGS: [(&str, &str); 11] = [
     ("batch", "local-dir"),
     ("batch", "queue-cap"),
     ("batch", "shed"),
+    ("batch", "listen"),
+    ("batch", "connect"),
     ("serve", "queue-cap"),
     ("serve", "shed"),
 ];
@@ -372,7 +353,7 @@ const GLOBAL: (&str, &str) = (
      end-of-run summary table of recorded metrics",
 );
 
-static COMMANDS: [Command; 17] = [
+static COMMANDS: [Command; 15] = [
     Command {
         name: "info",
         synopsis: "<molecule> [--bond Å]",
@@ -456,26 +437,6 @@ static COMMANDS: [Command; 17] = [
         run: batch::cmd_batch,
     },
     Command {
-        name: "batch",
-        synopsis: "<JOBS.jsonl> --listen ADDR --shards N --checkpoint DIR [--seed N] \
-                   [--fault-rate R] [--workers N] [--lease-ms MS] [--heartbeat-ms MS] \
-                   [--net-deadline SECS] [--no-rescue]",
-        about: "coordinate the batch over TCP: `batch --connect` workers lease shards and \
-                stream records back; a shard silent past --lease-ms is re-granted; with no \
-                workers left the coordinator finishes it on --workers threads (unless \
-                --no-rescue); seals the batch.manifest a one-machine run would, bit for bit",
-        run: batch::cmd_batch,
-    },
-    Command {
-        name: "batch",
-        synopsis: "--connect ADDR [--worker-id NAME] [--workers N] [--max-reconnects K] \
-                   [--backoff-ms B]",
-        about: "join a coordinated batch as a worker, reconnecting on a worker-id-seeded \
-                backoff ladder; a lost transport exits 36 (a rerun rejoins, and the \
-                coordinator re-grants or rescues the shard); version skew exits 37",
-        run: batch::cmd_batch,
-    },
-    Command {
         name: "serve",
         synopsis: "[--state-dir DIR] [--socket PATH] [--workers N] [--seed N] [--max-retries K] \
                    [--slice-ticks T] [--max-slices M] [--breaker N] [--fault-rate R] \
@@ -511,7 +472,7 @@ static COMMANDS: [Command; 17] = [
         synopsis: "<FILE|DIR>... [--baseline FILE=BENCH_pipeline.json] [--drift-tolerance \
                    PCT=10] [--out FILE] [--strict]",
         about: "aggregate traces, flight dumps, manifests and bench reports into stage \
-                latencies, counters, the critical path, quarantines, takeovers and bench drift; \
+                latencies, counters, the critical path, quarantines and bench drift; \
                 corrupt inputs are warnings, and --strict exits 34 on any",
         run: report::cmd_report,
     },
@@ -606,8 +567,8 @@ fn all_synopses() -> impl Iterator<Item = &'static str> {
 }
 
 /// The flag that selects a command form: the first flag of its synopsis
-/// when that flag is required (not bracketed), as `--listen` is for
-/// `batch`. A form without one is its command's default.
+/// when that flag is required (not bracketed), as `--obs-overhead` is
+/// for `bench`. A form without one is its command's default.
 fn selector(synopsis: &str) -> Option<&str> {
     let first = synopsis
         .split_whitespace()
@@ -631,9 +592,6 @@ fn form<'a>(command: &'a Command, flags: &Flags) -> &'a Command {
 /// not name: a misspelt or misplaced flag is a usage error, never a
 /// silently ignored setting.
 fn check_flags(command: &Command, flags: &mut Flags) -> Result<(), CliError> {
-    if command.name == "batch" {
-        batch::check_form(flags)?;
-    }
     let form = form(command, flags);
     flags.known = [GLOBAL.0, form.synopsis]
         .into_iter()
@@ -876,49 +834,34 @@ mod tests {
         assert!(run(&["frobnicate".to_string()]).is_err());
     }
 
+    /// The TCP batch forms, their flags and their campaign are retired:
+    /// each exits 1 naming the removal, before any socket is touched.
     #[test]
-    fn shards_without_a_coordinator_are_a_usage_error() {
+    fn retired_tcp_forms_are_usage_errors_naming_the_removal() {
         for args in [
-            &["batch", "jobs.jsonl", "--shards", "2"][..],
-            &["batch", "jobs.jsonl", "--shard-id", "0"],
-            &["batch", "jobs.jsonl", "--shards", "2", "--shard-id", "1"],
+            &["batch", "--connect", "127.0.0.1:1"][..],
+            &["batch", "j.jsonl", "--listen", "127.0.0.1:0"],
             &[
                 "batch",
-                "jobs.jsonl",
+                "j.jsonl",
                 "--listen",
                 "127.0.0.1:0",
                 "--shards",
                 "2",
-                "--shard-id",
-                "0",
             ],
-            &["batch", "--connect", "127.0.0.1:1", "--shards", "2"],
+            &["batch", "j.jsonl", "--shard-id", "0"],
+            &["batch", "j.jsonl", "--local-dir", "x"],
+            &["chaos", "--campaign", "net"],
+            &["chaos", "--net"],
         ] {
             let err = run(&argv(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
-            assert_eq!(err.exit_code(), 1);
-            assert!(err.to_string().contains("--shards needs --listen"), "{err}");
+            assert_eq!(err.exit_code(), 1, "{args:?}");
+            assert!(
+                err.to_string().contains("the TCP coordinator was retired"),
+                "{args:?}: {err}"
+            );
         }
-    }
-
-    #[test]
-    fn resume_under_a_coordinator_is_a_usage_error() {
-        let args = [
-            "batch",
-            "jobs.jsonl",
-            "--listen",
-            "127.0.0.1:0",
-            "--checkpoint",
-            "ckpt",
-            "--resume",
-        ];
-        let err = run(&argv(&args)).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        assert_eq!(err.exit_code(), 1);
-        assert!(
-            err.to_string().contains("--checkpoint DIR --resume"),
-            "{err}"
-        );
     }
 
     #[test]
@@ -971,16 +914,13 @@ mod tests {
         for (args, names) in [
             (&["--kill-resume", "LiH"][..], "--campaign kill-resume"),
             (&["--supervised", "--trials", "5"], "--campaign supervised"),
-            (&["--net"], "--campaign net"),
             (&["--serve", "--seed", "7"], "--campaign serve"),
             (
                 &["--campaign", "storm"],
-                "pipeline, kill-resume, supervised, serve, net",
+                "pipeline, kill-resume, supervised, serve",
             ),
             (&["--campaign", "supervised", "--workers", "0"], "--workers"),
             (&["--campaign", "serve", "--workers", "0"], "--workers"),
-            (&["--campaign", "net", "--workers", "1"], "--workers"),
-            (&["--campaign", "net", "--requests", "5"], "--requests"),
             (
                 &["--campaign", "pipeline", "--kill-every", "2"],
                 "--kill-every",
@@ -1007,28 +947,7 @@ mod tests {
             (&["vqe", "H2", "--samples", "10"], "--samples"),
             (&["yield", "--ratio", "0.5"], "--ratio"),
             (&["report", ".", "--strictt"], "--strictt"),
-            // A coordinated batch's shards run the workers' engine config,
-            // so the coordinator takes none of the plain batch's knobs.
-            (
-                &[
-                    "batch",
-                    "j.jsonl",
-                    "--listen",
-                    "127.0.0.1:0",
-                    "--shards",
-                    "1",
-                    "--checkpoint",
-                    "D",
-                    "--max-retries",
-                    "0",
-                ],
-                "pcd batch --listen does not read --max-retries",
-            ),
-            // A worker learns the seed from the coordinator's welcome.
-            (
-                &["batch", "--connect", "127.0.0.1:1", "--seed", "5"],
-                "pcd batch --connect does not read --seed",
-            ),
+            (&["batch", "j.jsonl", "--shards", "2"], "--shards"),
         ] {
             let err = run(&argv(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
@@ -1079,16 +998,13 @@ mod tests {
                     assert!(bind(key).is_ok(), "{rows:?} rejects --{key}");
                 }
                 // Another form's flag first, then any other row's. A
-                // selector would switch the form, and `--shards` has its
-                // own error: it needs --listen.
+                // selector would switch the form.
                 let siblings = COMMANDS.iter().filter(|c| c.name == form.name);
                 let stranger = siblings
                     .flat_map(|c| synopsis_flags(c.synopsis))
                     .map(|f| f.0)
                     .chain(every.iter().copied())
-                    .find(|key| {
-                        !reads.contains(key) && *key != "shards" && !selectors.contains(key)
-                    })
+                    .find(|key| !reads.contains(key) && !selectors.contains(key))
                     .unwrap();
                 let err = bind(stranger).unwrap_err().to_string();
                 assert!(
@@ -1101,7 +1017,7 @@ mod tests {
             .flat_map(synopsis_flags)
             .filter_map(|(name, metavar)| metavar.is_none().then_some(name))
             .collect();
-        let valueless = "metrics no-rescue obs-overhead progress resume smoke strict";
+        let valueless = "metrics obs-overhead progress resume smoke strict";
         assert_eq!(booleans, valueless.split(' ').collect());
         // `pcd run` states the library's yield degradation threshold.
         let mut f = flags(&[]);
@@ -1188,10 +1104,6 @@ mod tests {
                 "--expectation is gone",
             ),
             (&["run", "H2", "--expectation"], "--expectation is gone"),
-            (
-                &["batch", "--connect", "127.0.0.1:1", "--local-dir", "x"],
-                "--local-dir is gone",
-            ),
             (
                 &["batch", "j.jsonl", "--queue-cap", "2"],
                 "--queue-cap is gone",
@@ -1293,7 +1205,7 @@ mod tests {
             .filter(|line| line.starts_with("| "))
             .filter_map(|line| line.split('|').nth(1)?.trim().parse().ok())
             .collect();
-        for code in [0, 1, 10, 11, 12, 13, 14, 20, 21, 30, 31, 32, 34, 35, 36, 37] {
+        for code in [0, 1, 10, 11, 12, 13, 14, 20, 21, 30, 31, 32, 34, 35] {
             assert!(
                 documented.contains(&code),
                 "README exit-code table is stale: exit {code} is undocumented"

@@ -1,6 +1,5 @@
-//! `pcd batch` (local, `--listen` coordinator, `--connect` worker) and
-//! `pcd serve`. Every knob a flag leaves unset keeps the library default
-//! of the config it fills.
+//! `pcd batch` and `pcd serve`. Every knob a flag leaves unset keeps the
+//! library default of the config it fills.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -8,15 +7,10 @@ use std::time::Duration;
 use pauli_codesign::resilience::{Checkpoint, PcdError};
 use pauli_codesign::serve::{run_serve, ServeConfig};
 use pauli_codesign::supervisor::{
-    parse_jobs, run_batch_resumed, run_worker, BatchReport, Coordinator, CoordinatorOptions,
-    InjectionPlan, JobSpec, JobState, RemoteError, SupervisorConfig, WorkerOptions,
+    parse_jobs, run_batch_resumed, BatchReport, InjectionPlan, JobSpec, JobState, SupervisorConfig,
 };
 
 use crate::{CliError, Flags};
-
-/// Why `--shards` (or the retired `--shard-id`) needs `--listen`.
-pub(crate) const SHARDS_NEED_LISTEN: &str =
-    "--shards needs --listen: shards are granted by a coordinator to `batch --connect` workers";
 
 /// A `0 = none` flag: its value when given and nonzero.
 fn nonzero<T: crate::Number + PartialEq + Default>(
@@ -26,33 +20,7 @@ fn nonzero<T: crate::Number + PartialEq + Default>(
     Ok(flags.opt(key)?.filter(|n: &T| *n != T::default()))
 }
 
-/// The errors for a flag of one `batch` form given to another, which
-/// say what the flag needs instead of only that this form does not read
-/// it.
-pub(crate) fn check_form(flags: &Flags) -> Result<(), CliError> {
-    // Shards exist only under a coordinator, which grants them; a
-    // multi-process batch on one host is a loopback --listen plus local
-    // --connect workers.
-    if flags.is_set("shards") && !flags.is_set("listen") {
-        return Err(CliError::Usage(SHARDS_NEED_LISTEN.to_string()));
-    }
-    if flags.is_set("listen") && flags.is_set("resume") {
-        return Err(CliError::Usage(
-            "--resume does not apply to --listen: the coordinator does not resume; \
-             resume a drained manifest with a plain `pcd batch JOBS.jsonl --checkpoint DIR \
-             --resume`"
-                .to_string(),
-        ));
-    }
-    Ok(())
-}
-
 pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
-    // Worker mode has no jobs file: the batch identity (jobs, seed,
-    // fault rate) arrives over the wire in the coordinator's welcome.
-    if flags.is_set("connect") {
-        return cmd_batch_worker(flags);
-    }
     let d = SupervisorConfig::default();
     let batch_seed = flags.opt("seed")?.unwrap_or(d.batch_seed);
     let fault_rate = if flags.is_set("fault-rate") {
@@ -61,10 +29,6 @@ pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
         d.pipeline_fault_rate
     };
     let workers = flags.opt("workers")?.unwrap_or(d.workers).max(1);
-    // Coordinator mode: serve the batch to TCP workers.
-    if flags.is_set("listen") {
-        return cmd_batch_coordinator(flags, batch_seed, fault_rate, workers);
-    }
     let slice_wall = flags.seconds("job-timeout")?;
     let mut config = SupervisorConfig {
         workers,
@@ -199,125 +163,6 @@ fn batch_outcome(report: &BatchReport) -> Result<(), CliError> {
         return Err(CliError::BatchDegraded { quarantined, shed });
     }
     Ok(())
-}
-
-/// `pcd batch JOBS.jsonl --listen ADDR --shards N --checkpoint DIR`:
-/// coordinate a multi-machine batch over TCP and seal the same
-/// `batch.manifest` a single-machine run would. `workers` sizes a rescue.
-fn cmd_batch_coordinator(
-    flags: &Flags,
-    batch_seed: u64,
-    fault_rate: f64,
-    workers: usize,
-) -> Result<(), CliError> {
-    let dir = flags.get("checkpoint").ok_or_else(|| {
-        CliError::Usage("a coordinator needs --checkpoint (batch.manifest seals there)".to_string())
-    })?;
-    let d = CoordinatorOptions::default();
-    let opts = CoordinatorOptions {
-        listen: parse_addr(flags, "listen")?,
-        shards: flags.opt("shards")?.unwrap_or(d.shards),
-        lease_ms: flags.opt("lease-ms")?.unwrap_or(d.lease_ms),
-        heartbeat_ms: flags.opt("heartbeat-ms")?.unwrap_or(d.heartbeat_ms),
-        deadline: flags
-            .opt("net-deadline")?
-            .map_or(d.deadline, |secs: u64| Duration::from_secs(secs.max(1))),
-        rescue: d.rescue && !flags.is_set("no-rescue"),
-    };
-    let jobs = read_jobs(flags)?;
-    let shards = opts.shards;
-    let coordinator =
-        Coordinator::bind(&jobs, batch_seed, fault_rate, workers, dir.as_ref(), opts)?;
-    errln!(
-        "pcd batch: coordinating {} job(s) as {shards} shard(s) on {}",
-        jobs.len(),
-        coordinator.addr()
-    );
-    let report = coordinator.run().map_err(CliError::Remote)?;
-
-    for takeover in &report.takeovers {
-        outln!(
-            "  took over shard {} from {} at epoch {}",
-            takeover.shard_id,
-            takeover.from,
-            takeover.epoch
-        );
-    }
-    for shard in &report.rescued {
-        outln!("  rescued shard {shard} in-process after losing its workers");
-    }
-    if report.deduped > 0 {
-        outln!(
-            "  deduplicated {} bit-identical resent record(s)",
-            report.deduped
-        );
-    }
-    batch_outcome(&BatchReport {
-        records: report.records,
-        batch_seed,
-    })
-}
-
-/// `pcd batch --connect ADDR`: join a coordinated batch as a worker.
-fn cmd_batch_worker(flags: &Flags) -> Result<(), CliError> {
-    if !flags.positional.is_empty() {
-        return Err(CliError::Usage(
-            "--connect takes no jobs file: the batch identity arrives over the wire".to_string(),
-        ));
-    }
-    let d = WorkerOptions::default();
-    let mut opts = WorkerOptions {
-        connect: parse_addr(flags, "connect")?,
-        worker_id: flags
-            .get("worker-id")
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("worker-{}", std::process::id())),
-        threads: flags.opt("workers")?.unwrap_or(d.threads).max(1),
-        max_reconnects: flags.opt("max-reconnects")?.unwrap_or(d.max_reconnects),
-        ..d
-    };
-    if let Some(ms) = flags.opt("backoff-ms")? {
-        opts.backoff.base_ms = ms;
-    }
-    errln!(
-        "pcd batch: worker {} connecting to {}",
-        opts.worker_id,
-        opts.connect
-    );
-    let report = run_worker(&opts).map_err(|e| {
-        if matches!(e, RemoteError::TransportLost(_)) {
-            errln!(
-                "transport lost: this worker keeps nothing — rerun it to rejoin; the \
-                 coordinator re-grants or rescues the shard"
-            );
-        }
-        CliError::Remote(e)
-    })?;
-    outln!(
-        "worker {}: {} shard(s) run {:?}, {} record(s) delivered, {} reconnect(s)",
-        report.worker_id,
-        report.shards_run.len(),
-        report.shards_run,
-        report.records_sent,
-        report.reconnects
-    );
-    if !report.reconnect_delays_ms.is_empty() {
-        outln!(
-            "  reconnect backoff ladder (ms): {:?}",
-            report.reconnect_delays_ms
-        );
-    }
-    Ok(())
-}
-
-/// Parses `--<key> HOST:PORT` as a socket address.
-fn parse_addr(flags: &Flags, key: &str) -> Result<std::net::SocketAddr, CliError> {
-    let value = flags
-        .get(key)
-        .ok_or_else(|| CliError::Usage(format!("--{key} needs HOST:PORT")))?;
-    value
-        .parse()
-        .map_err(|_| CliError::Usage(format!("--{key} expects HOST:PORT, got `{value}`")))
 }
 
 pub(crate) fn cmd_serve(flags: &Flags) -> Result<(), CliError> {

@@ -5,9 +5,7 @@ use std::path::PathBuf;
 use pauli_codesign::chem::Benchmark;
 use pauli_codesign::resilience::{run_chaos, run_kill_resume, ChaosOptions, KillResumeOptions};
 use pauli_codesign::serve::{run_serve_chaos, ServeChaosOptions};
-use pauli_codesign::supervisor::{
-    run_net_chaos, run_supervised_chaos, NetChaosOptions, SupervisedChaosOptions,
-};
+use pauli_codesign::supervisor::{run_supervised_chaos, SupervisedChaosOptions};
 
 use crate::{CliError, Flags};
 
@@ -23,7 +21,7 @@ pub(crate) struct Campaign {
     counters: &'static str,
 }
 
-pub(crate) static CAMPAIGNS: [Campaign; 5] = [
+pub(crate) static CAMPAIGNS: [Campaign; 4] = [
     Campaign {
         kind: "pipeline",
         synopsis: "[molecule] [--seed N=42] [--trials N=40] [--fault-rate R=0.1] \
@@ -52,21 +50,14 @@ pub(crate) static CAMPAIGNS: [Campaign; 5] = [
         about: "daemon storms and a SIGTERM restart replay exactly",
         counters: "",
     },
-    Campaign {
-        kind: "net",
-        synopsis: "[--seed N=42] [--trials N=2] [--fault-rate R=0.25] [--jobs N=6] \
-                   [--workers N=3] [--threads N=2] [--net-fault-rate R=0.05] \
-                   [--scratch-dir DIR]",
-        about: "a faulty proxy and a killed worker leave batch.manifest exact (--workers \
-                at least 2)",
-        counters: "net.coord.takeovers net.coord.results_deduped net.proxy.dropped \
-                   net.proxy.corrupted net.proxy.duplicated net.proxy.severed net.proxy.refused",
-    },
 ];
 
 /// The campaign `--campaign` selects.
 pub(crate) fn campaign(flags: &Flags) -> Result<&'static Campaign, String> {
     let kind = flags.get("campaign").unwrap_or_default();
+    if kind == "net" {
+        return Err(format!("--campaign net is gone: {}", crate::TCP_RETIRED));
+    }
     CAMPAIGNS.iter().find(|c| c.kind == kind).ok_or_else(|| {
         let kinds: Vec<&str> = CAMPAIGNS.iter().map(|c| c.kind).collect();
         format!(
@@ -98,8 +89,6 @@ pub(crate) fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
             .map_err(|e| format!("creating flight dir {}: {e}", d.display())),
         None => Ok(None),
     };
-    let scratch_dir = flags.get("scratch-dir").map(PathBuf::from);
-    let pcd_exe = std::env::current_exe().map_err(|e| format!("locating the pcd binary: {e}"))?;
 
     // Campaigns always record, so the obs counters below can be read
     // back even without --trace/--metrics.
@@ -130,37 +119,21 @@ pub(crate) fn cmd_chaos(flags: &Flags) -> Result<(), CliError> {
             check_drain: true,
             flight_dir: created(&flight_dir)?,
         }),
-        "serve" => run_serve_chaos(&ServeChaosOptions {
+        _ => run_serve_chaos(&ServeChaosOptions {
             seed: flags.number("seed")?,
             trials: flags.positive("trials")?,
             requests: flags.positive("requests")?,
             workers: flags.positive("workers")?,
             fault_rate: flags.rate("fault-rate")?,
-            scratch_dir: scratch_dir
-                .unwrap_or_else(|| std::env::temp_dir().join("pcd-serve-chaos")),
+            scratch_dir: flags.get("scratch-dir").map_or_else(
+                || std::env::temp_dir().join("pcd-serve-chaos"),
+                PathBuf::from,
+            ),
             flight_dir: created(&flight_dir)?,
-            pcd_exe: Some(pcd_exe),
+            pcd_exe: Some(
+                std::env::current_exe().map_err(|e| format!("locating the pcd binary: {e}"))?,
+            ),
         }),
-        _ => {
-            let workers = flags.positive("workers")?;
-            if workers < 2 {
-                return Err(CliError::Usage(
-                    "--campaign net needs --workers of at least 2 (someone must survive the kill)"
-                        .to_string(),
-                ));
-            }
-            run_net_chaos(&NetChaosOptions {
-                seed: flags.number("seed")?,
-                trials: flags.positive("trials")?,
-                jobs: flags.positive("jobs")?,
-                workers,
-                threads: flags.positive("threads")?,
-                fault_rate: flags.rate("fault-rate")?,
-                net_fault_rate: flags.rate("net-fault-rate")?,
-                pcd_exe,
-                scratch_dir,
-            })
-        }
     };
 
     out!("{report}");

@@ -20,8 +20,6 @@
 //! - **quarantine/fault breakdown** — quarantined jobs by failing stage
 //!   (from manifests), injected-fault sites (from `resilience.fault`
 //!   events and flight `fault` entries), and flight-dump reasons;
-//! - **takeovers** — shards a coordinator re-granted past a silent
-//!   worker (from `net.takeover` events);
 //! - **drift vs baseline** — bench medians compared against a committed
 //!   `BENCH_pipeline.json`, so a report over CI artifacts shows creep at
 //!   a glance.
@@ -260,9 +258,6 @@ pub struct Report {
     /// quarantined / shed / pending (kept apart from batch `jobs` — a
     /// daemon's traffic is not a batch's workload).
     pub serve: (u64, u64, u64, u64),
-    /// Takeovers from `net.takeover` trace events:
-    /// `(shard_id, dead owner, epoch of the new grant)`.
-    pub takeovers: Vec<(usize, String, u64)>,
     /// `*.quarantined` files seen: `(count, total bytes)`.
     pub quarantined_files: (u64, u64),
     /// Benchmarks drifting beyond the tolerance, worst first.
@@ -289,7 +284,6 @@ pub struct ReportBuilder {
     flight_by_reason: BTreeMap<String, u64>,
     jobs: (u64, u64, u64, u64),
     serve: (u64, u64, u64, u64),
-    takeovers: Vec<(usize, String, u64)>,
     quarantined_files: (u64, u64),
     bench: BTreeMap<String, u64>,
     clusters: BTreeMap<String, u64>,
@@ -325,23 +319,13 @@ impl ReportBuilder {
                                 .record(span.duration_us);
                             self.spans.push(span);
                         }
-                        Record::Event(event) => match event.name.as_str() {
-                            "resilience.fault" => {
-                                if let Some(obs::Value::Str(site)) = event.field("site") {
-                                    *self.faults_by_site.entry(site.clone()).or_insert(0) += 1;
-                                }
+                        Record::Event(event) => {
+                            if let ("resilience.fault", Some(obs::Value::Str(site))) =
+                                (event.name.as_str(), event.field("site"))
+                            {
+                                *self.faults_by_site.entry(site.clone()).or_insert(0) += 1;
                             }
-                            "net.takeover" => {
-                                let shard = event.field("shard").and_then(obs::Value::as_u64);
-                                let epoch = event.field("epoch").and_then(obs::Value::as_u64);
-                                if let (Some(shard), Some(obs::Value::Str(from)), Some(epoch)) =
-                                    (shard, event.field("from"), epoch)
-                                {
-                                    self.takeovers.push((shard as usize, from.clone(), epoch));
-                                }
-                            }
-                            _ => {}
-                        },
+                        }
                         Record::Counter { name, value } => {
                             *self.counters.entry(name).or_insert(0) += value;
                         }
@@ -434,12 +418,6 @@ impl ReportBuilder {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
 
-        // A takeover can surface in several traces of one run — report
-        // each once.
-        let mut takeovers = self.takeovers;
-        takeovers.sort();
-        takeovers.dedup();
-
         Report {
             inputs: self.inputs,
             warnings: self.warnings,
@@ -451,7 +429,6 @@ impl ReportBuilder {
             flight_by_reason: self.flight_by_reason,
             jobs: self.jobs,
             serve: self.serve,
-            takeovers,
             quarantined_files: self.quarantined_files,
             drift,
             bench_compared: compared,
@@ -552,12 +529,6 @@ impl Report {
                 "\nserve requests: {done} done, {quarantined} quarantined, {shed} shed, \
                  {pending} pending"
             );
-        }
-        if !self.takeovers.is_empty() {
-            let _ = writeln!(out, "takeovers:");
-            for (shard, from, epoch) in &self.takeovers {
-                let _ = writeln!(out, "  shard {shard:<3} from {from} at epoch {epoch}");
-            }
         }
         if self.quarantined_files.0 > 0 {
             let _ = writeln!(out, "transport artifacts:");
@@ -715,23 +686,6 @@ impl Report {
             serve.insert("shed".to_string(), JsonValue::Number(shed as f64));
             serve.insert("pending".to_string(), JsonValue::Number(pending as f64));
             root.insert("serve".to_string(), JsonValue::Object(serve));
-        }
-        if !self.takeovers.is_empty() {
-            root.insert(
-                "takeovers".to_string(),
-                JsonValue::Array(
-                    self.takeovers
-                        .iter()
-                        .map(|(shard, from, epoch)| {
-                            let mut o = BTreeMap::new();
-                            o.insert("shard_id".to_string(), JsonValue::Number(*shard as f64));
-                            o.insert("from".to_string(), JsonValue::String(from.clone()));
-                            o.insert("epoch".to_string(), JsonValue::Number(*epoch as f64));
-                            JsonValue::Object(o)
-                        })
-                        .collect(),
-                ),
-            );
         }
         if self.quarantined_files.0 > 0 {
             let mut transport = BTreeMap::new();
@@ -966,25 +920,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A trace written while `pcd batch --listen` existed may carry
+    /// `net.takeover` events. It still loads, and the event is ignored
+    /// like any other event the report does not aggregate.
     #[test]
-    fn takeover_events_render_with_shard_from_and_epoch() {
-        let trace = [
-            r#"{"type":"event","name":"net.takeover","at_us":5.0,"fields":{"shard":1,"from":"ghost","epoch":2}}"#,
-            r#"{"type":"event","name":"net.hello","at_us":1.0,"fields":{"worker":"w0"}}"#,
-        ]
-        .join("\n");
-        let mut b = ReportBuilder::new();
-        b.add("coordinator.jsonl", classify(&trace).expect("classifies"));
-        let report = b.finish(&BTreeMap::new(), 0.10);
-        assert_eq!(report.takeovers, vec![(1, "ghost".to_string(), 2)]);
-        let rendered = report.render();
-        assert!(
-            rendered.contains("takeovers:\n  shard 1   from ghost at epoch 2\n"),
-            "{rendered}"
-        );
-        let json = report.to_json();
-        let takeover = json.get("takeovers").expect("takeovers in JSON");
-        assert!(matches!(takeover, JsonValue::Array(a) if a.len() == 1));
+    fn older_traces_with_takeover_events_still_load() {
+        let hello = r#"{"type":"event","name":"net.hello","at_us":1.0,"fields":{"worker":"w0"}}"#;
+        let takeover = r#"{"type":"event","name":"net.takeover","at_us":5.0,"fields":{"shard":1,"from":"ghost","epoch":2}}"#;
+        let report = |lines: &[&str]| {
+            let artifact = classify(&lines.join("\n")).expect("classifies");
+            assert_eq!(artifact.kind(), "trace");
+            let mut b = ReportBuilder::new();
+            b.add("coordinator.jsonl", artifact);
+            b.finish(&BTreeMap::new(), 0.10)
+        };
+        let older = report(&[takeover, hello]);
+        assert!(older.warnings.is_empty(), "{:?}", older.warnings);
+        assert_eq!(older.skipped_unknown, 0);
+        let rendered = older.render();
+        assert!(!rendered.contains("takeover"), "{rendered}");
+        assert_eq!(rendered, report(&[hello]).render());
+        assert!(older.to_json().get("takeovers").is_none());
     }
 
     #[test]

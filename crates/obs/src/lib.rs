@@ -598,8 +598,9 @@ pub fn export_snapshot_jsonl(snap: &Snapshot) -> String {
 /// after the rename so the new directory entry itself survives power loss. A
 /// reader — or a process killed mid-write — therefore sees either the
 /// complete old file or the complete new one, never a truncated artifact.
-/// Shared by trace export, `pcd bench` reports, the resilience checkpoint
-/// writer, and the supervisor's shard manifests.
+/// Shared by trace export, flight dumps, `pcd bench` and `pcd report`
+/// output, and the resilience checkpoint writer (which seals batch and
+/// serve manifests).
 ///
 /// # Errors
 ///

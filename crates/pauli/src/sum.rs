@@ -524,8 +524,8 @@ fn diagonal_expectation(zs: &[u64], coeffs: &[f64], state: &[Complex64]) -> f64 
 
 /// `Σ_pairs 2·Re(conj(ψ_hi)·c(lo)·ψ_lo)` for a sweep on flip mask `x ≠ 0`,
 /// with `c = r + i·m` as in [`apply_pairs`]: the pair's two entries of
-/// `⟨ψ|G|ψ⟩` are complex conjugates. A pair with a zero member adds
-/// exactly nothing and is skipped.
+/// `⟨ψ|G|ψ⟩` are complex conjugates. A pair whose two members are zero
+/// adds exactly nothing and is skipped.
 fn pair_expectation(x: u64, zs: &[u64], even: &[f64], odd: &[f64], state: &[Complex64]) -> f64 {
     let xs = x as usize;
     let acc = par::map_reduce(
@@ -537,8 +537,11 @@ fn pair_expectation(x: u64, zs: &[u64], even: &[f64], odd: &[f64], state: &[Comp
             let mut acc = 0.0;
             flip::for_each_pair(range.start, range.len(), x, zs, |lo, mut p| {
                 let (a, b) = (state[lo], state[lo ^ xs]);
-                // conj(ψ_hi)·ψ_lo is zero when either member is.
-                if a.is_zero() || b.is_zero() {
+                // A pair of zeros adds nothing. One zero member adds ±0,
+                // which leaves the accumulator's bits alone (it starts at
+                // +0 and never reaches −0), so the pair is still read: a
+                // NaN or ∞ partner must reach the energy.
+                if a.is_zero() && b.is_zero() {
                     return;
                 }
                 // conj(ψ_hi)·ψ_lo = re + i·im.

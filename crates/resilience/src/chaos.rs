@@ -1,8 +1,8 @@
 //! The chaos harness: one report type for every fault campaign, plus the
 //! two campaigns that exercise the pipeline itself.
 //!
-//! Every campaign — `pipeline` and `kill-resume` here, `supervised` and
-//! `net` in the supervisor crate, `serve` in the serve crate — returns a
+//! Every campaign — `pipeline` and `kill-resume` here, `supervised` in
+//! the supervisor crate, `serve` in the serve crate — returns a
 //! [`CampaignReport`]: one [`Trial`] record per seeded trial (or named
 //! phase) carrying its plan seed, named tallies and the violations it
 //! raised. A campaign *survives* when no trial raised a violation. Trial
@@ -104,8 +104,8 @@ impl Trial {
 /// `pcd chaos` prints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
-    /// Campaign kind: `pipeline`, `kill-resume`, `supervised`, `serve`
-    /// or `net`.
+    /// Campaign kind: `pipeline`, `kill-resume`, `supervised` or
+    /// `serve`.
     pub campaign: &'static str,
     /// One line naming the configuration the campaign ran.
     pub summary: String,

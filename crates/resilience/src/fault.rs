@@ -36,25 +36,11 @@ pub enum FaultKind {
     /// pressure, accept storm). The daemon must answer with a typed shed
     /// response, never a silent drop or a wedged connection.
     Accept,
-    /// A transport frame is damaged in flight (bit flip, truncation,
-    /// duplication, reorder). The receiver must reject the frame on its
-    /// CRC and rely on at-least-once redelivery — a damaged frame may
-    /// cost a retry, never a wrong or missing record.
-    FrameWrite,
-    /// Coordinator accept path drops an incoming worker connection
-    /// (fd pressure, SYN storm). The worker must treat it as any other
-    /// connect failure: seeded backoff and reconnect.
-    NetAccept,
-    /// The link between coordinator and worker is severed mid-message
-    /// (partition, NAT timeout, cable pull). Both sides must survive:
-    /// the worker reconnects or degrades to a local partial seal, the
-    /// coordinator expires the lease and reassigns the shard.
-    Partition,
 }
 
 impl FaultKind {
     /// Every injection point, in a stable order.
-    pub const ALL: [FaultKind; 11] = [
+    pub const ALL: [FaultKind; 8] = [
         FaultKind::ScfConvergence,
         FaultKind::ScfEnergy,
         FaultKind::Geometry,
@@ -63,9 +49,6 @@ impl FaultKind {
         FaultKind::OptimizerStall,
         FaultKind::CacheWrite,
         FaultKind::Accept,
-        FaultKind::FrameWrite,
-        FaultKind::NetAccept,
-        FaultKind::Partition,
     ];
 
     /// The dotted site name used in obs events and reports.
@@ -79,15 +62,12 @@ impl FaultKind {
             FaultKind::OptimizerStall => "vqe.optimizer_stall",
             FaultKind::CacheWrite => "serve.cache_write",
             FaultKind::Accept => "serve.accept",
-            FaultKind::FrameWrite => "net.frame_write",
-            FaultKind::NetAccept => "net.accept",
-            FaultKind::Partition => "net.partition",
         }
     }
 
     /// The recovery policy class responsible for this fault:
     /// `"scf_retry"`, `"compiler_fallback"`, `"vqe_restart"`,
-    /// `"cache_quarantine"`, `"admission_shed"`, or `"transport_retry"`.
+    /// `"cache_quarantine"`, or `"admission_shed"`.
     pub fn policy_class(self) -> &'static str {
         match self {
             FaultKind::ScfConvergence | FaultKind::ScfEnergy | FaultKind::Geometry => "scf_retry",
@@ -95,16 +75,14 @@ impl FaultKind {
             FaultKind::VqeObjective | FaultKind::OptimizerStall => "vqe_restart",
             FaultKind::CacheWrite => "cache_quarantine",
             FaultKind::Accept => "admission_shed",
-            FaultKind::FrameWrite | FaultKind::NetAccept | FaultKind::Partition => {
-                "transport_retry"
-            }
         }
     }
 
     /// The site's number in the draw key. Frozen per site, and a retired
     /// site's number is never reused, so a seed injects the same faults
-    /// at every remaining site across releases (6 was
-    /// `supervisor.lease_write`).
+    /// at every remaining site across releases. Retired numbers: 6 was
+    /// `supervisor.lease_write`, and 9, 10 and 11 were the TCP
+    /// transport's `net.frame_write`, `net.accept` and `net.partition`.
     fn draw_key(self) -> u64 {
         match self {
             FaultKind::ScfConvergence => 0,
@@ -115,9 +93,6 @@ impl FaultKind {
             FaultKind::OptimizerStall => 5,
             FaultKind::CacheWrite => 7,
             FaultKind::Accept => 8,
-            FaultKind::FrameWrite => 9,
-            FaultKind::NetAccept => 10,
-            FaultKind::Partition => 11,
         }
     }
 }
@@ -179,10 +154,9 @@ pub struct FaultPlan {
 }
 
 /// SplitMix64 finalizer: a high-quality 64-bit mix, enough to decorrelate
-/// the (seed, site, visit) key without carrying RNG state. The supervisor,
-/// serve and net crates derive their job, attempt, request and proxy
-/// seeds with it too, so the whole fleet shares one notion of
-/// "decorrelate this key".
+/// the (seed, site, visit) key without carrying RNG state. The supervisor
+/// and serve crates derive their job, attempt and request seeds with it
+/// too, so the whole fleet shares one notion of "decorrelate this key".
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -346,9 +320,10 @@ mod tests {
         );
     }
 
-    /// Retiring a site must not move the draws of the sites after it:
-    /// these are the visits the 12-site plan (with the retired
-    /// `supervisor.lease_write` at key 6) fired at, seed 11, rate 0.3.
+    /// Retiring a site must not move the draws of the sites that remain:
+    /// these are the visits the plans with the retired sites (key 6,
+    /// `supervisor.lease_write`; keys 9–11, the TCP transport's) fired
+    /// at, seed 11, rate 0.3.
     #[test]
     fn draw_keys_survive_retired_sites() {
         let hits = |kind: FaultKind| -> Vec<u64> {
@@ -356,8 +331,8 @@ mod tests {
             (0..48u64).filter(|_| plan.should_inject(kind)).collect()
         };
         assert_eq!(
-            hits(FaultKind::Partition),
-            [1, 7, 9, 14, 15, 16, 17, 18, 21, 23, 24, 26, 31, 32, 38, 40, 41, 42, 43, 47]
+            hits(FaultKind::Accept),
+            [1, 7, 9, 21, 22, 28, 32, 36, 37, 38, 39, 42, 46]
         );
         assert_eq!(
             hits(FaultKind::CacheWrite),

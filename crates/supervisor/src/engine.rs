@@ -320,40 +320,6 @@ pub fn run_batch_resumed(
             }
         }
     }
-    let records = run_scoped(jobs, config, prior, None)?;
-    let report = BatchReport {
-        records,
-        batch_seed: config.batch_seed,
-    };
-    obs::counter_add("supervisor.batches", 1);
-
-    if let Some(dir) = &config.ckpt_dir {
-        let meta = BatchMeta {
-            batch_seed: config.batch_seed,
-            jobs: jobs.len(),
-            pipeline_fault_rate: config.pipeline_fault_rate,
-        };
-        let path = dir.join("batch.manifest");
-        encode_manifest(&meta, &report.records)
-            .write(&path)
-            .map_err(SupervisorError::from)?;
-        obs::event!("supervisor.manifest_written", pending = report.pending());
-    }
-    Ok(report)
-}
-
-/// The shared execution core under [`run_batch_resumed`] and the
-/// coordinator's workers ([`crate::remote`]): runs the job indices in
-/// `scope_indices` (`None` = all of them) and returns their records, in
-/// ascending index order, *without* writing any manifest.
-///
-/// `prior` may be sparse here; records are matched by their global index.
-pub(crate) fn run_scoped(
-    jobs: &[JobSpec],
-    config: &SupervisorConfig,
-    prior: Option<&[JobRecord]>,
-    scope_indices: Option<&[usize]>,
-) -> Result<Vec<JobRecord>, SupervisorError> {
     if jobs.is_empty() {
         return Err(SupervisorError::Spec("batch has no jobs".to_string()));
     }
@@ -362,21 +328,6 @@ pub(crate) fn run_scoped(
             "max_slices must be positive (a hung attempt must eventually time out)".to_string(),
         ));
     }
-    let owned: Vec<usize> = match scope_indices {
-        Some(indices) => {
-            let mut owned = indices.to_vec();
-            owned.sort_unstable();
-            owned.dedup();
-            if owned.iter().any(|&i| i >= jobs.len()) {
-                return Err(SupervisorError::Spec(format!(
-                    "scope index out of range (batch has {} jobs)",
-                    jobs.len()
-                )));
-            }
-            owned
-        }
-        None => (0..jobs.len()).collect(),
-    };
     let mut prior_map: std::collections::BTreeMap<usize, &JobRecord> =
         std::collections::BTreeMap::new();
     if let Some(prior) = prior {
@@ -417,19 +368,16 @@ pub(crate) fn run_scoped(
 
     let mut batch_span = obs::span("supervisor.batch");
     batch_span.record("jobs", jobs.len());
-    batch_span.record("scope", owned.len());
     batch_span.record("workers", config.workers.max(1));
     batch_span.record("resumed", prior.is_some());
 
-    // Seed every owned slot: terminal prior records carry over untouched;
+    // Seed every slot: terminal prior records carry over untouched;
     // everything else goes to the queue.
     let mut slots: Vec<Option<JobRecord>> = vec![None; jobs.len()];
     let mut to_run: Vec<usize> = Vec::new();
-    for &index in &owned {
+    for (index, slot) in slots.iter_mut().enumerate() {
         match prior_map.get(&index) {
-            Some(record) if record.state.is_terminal() => {
-                slots[index] = Some((*record).clone());
-            }
+            Some(record) if record.state.is_terminal() => *slot = Some((*record).clone()),
             _ => to_run.push(index),
         }
     }
@@ -450,7 +398,7 @@ pub(crate) fn run_scoped(
     }
     queue.close();
 
-    let tracker = ProgressTracker::new(owned.len());
+    let tracker = ProgressTracker::new(jobs.len());
     for slot in slots.iter().flatten() {
         tracker.job_skipped(slot.state.label());
     }
@@ -527,23 +475,27 @@ pub(crate) fn run_scoped(
             *slot = Some(record);
         }
     }
-    let mut records: Vec<JobRecord> = Vec::with_capacity(owned.len());
-    for &index in &owned {
-        // Every queued index was popped by exactly one worker (the
-        // queue drains before close returns None), so a hole cannot
-        // occur; a defensive record beats a panic in the supervisor.
-        records.push(slots[index].take().unwrap_or_else(|| JobRecord {
-            index,
-            id: jobs[index].id.clone(),
-            state: JobState::Quarantined {
-                attempts: 0,
-                stage: "supervisor".to_string(),
-                error: "job was never scheduled".to_string(),
-            },
-            retries: 0,
-            backoff_ms: 0,
-        }));
-    }
+    // Every queued index was popped by exactly one worker (the queue
+    // drains before close returns None), so a hole cannot occur; a
+    // defensive record beats a panic in the supervisor.
+    let records: Vec<JobRecord> = slots
+        .into_iter()
+        .zip(jobs)
+        .enumerate()
+        .map(|(index, (slot, spec))| {
+            slot.unwrap_or_else(|| JobRecord {
+                index,
+                id: spec.id.clone(),
+                state: JobState::Quarantined {
+                    attempts: 0,
+                    stage: "supervisor".to_string(),
+                    error: "job was never scheduled".to_string(),
+                },
+                retries: 0,
+                backoff_ms: 0,
+            })
+        })
+        .collect();
 
     let label_count = |label: &str| records.iter().filter(|r| r.state.label() == label).count();
     batch_span.record("done", label_count("done"));
@@ -554,7 +506,25 @@ pub(crate) fn run_scoped(
     if config.flight_dir.is_some() {
         obs::flight::arm_dump_dir(None);
     }
-    Ok(records)
+    let report = BatchReport {
+        records,
+        batch_seed: config.batch_seed,
+    };
+    obs::counter_add("supervisor.batches", 1);
+
+    if let Some(dir) = &config.ckpt_dir {
+        let meta = BatchMeta {
+            batch_seed: config.batch_seed,
+            jobs: jobs.len(),
+            pipeline_fault_rate: config.pipeline_fault_rate,
+        };
+        let path = dir.join("batch.manifest");
+        encode_manifest(&meta, &report.records)
+            .write(&path)
+            .map_err(SupervisorError::from)?;
+        obs::event!("supervisor.manifest_written", pending = report.pending());
+    }
+    Ok(report)
 }
 
 /// Where a job starts: attempt 0 for fresh jobs, the recorded position

@@ -35,14 +35,9 @@
 //! between interrupted and uninterrupted batches while injecting panics,
 //! hangs, and transient faults.
 //!
-//! Determinism is also what makes the batch **horizontally shardable**
-//! ([`remote`]): a TCP coordinator splits a batch across
-//! worker processes by `index % N`, grants each shard under a monotonic
-//! lease epoch, re-grants a silent worker's shard at the next epoch,
-//! checks every record on the wire as it arrives, and seals the union of
-//! its record table as a `batch.manifest` that is bit-identical to a
-//! 1-shard run's — takeover provenance goes to `net.takeover` trace
-//! events, never into the manifest.
+//! A batch runs in one process: its workers are threads of the
+//! [`engine`], and a drained batch resumes from its manifest in a later
+//! process. Nothing splits a batch across processes or hosts.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -54,11 +49,10 @@ pub mod job;
 pub mod manifest;
 pub mod progress;
 pub mod queue;
-pub mod remote;
 
 pub use backoff::BackoffPolicy;
 pub use breaker::{CircuitBreaker, Stage};
-pub use chaos::{run_net_chaos, run_supervised_chaos, NetChaosOptions, SupervisedChaosOptions};
+pub use chaos::{run_supervised_chaos, SupervisedChaosOptions};
 pub use engine::{
     run_batch, run_batch_resumed, BatchReport, InjectionPlan, SupervisorConfig, SupervisorError,
 };
@@ -66,7 +60,3 @@ pub use job::{attempt_seed, job_seed, parse_jobs, JobRecord, JobSpec, JobState};
 pub use manifest::{decode_manifest, encode_manifest, BatchMeta, KIND_BATCH_MANIFEST};
 pub use progress::{ProgressSnapshot, ProgressTracker};
 pub use queue::{JobQueue, Lane, FAST_LANE_MAX_QUBITS};
-pub use remote::{
-    reconnect_schedule, run_worker, Coordinator, CoordinatorOptions, CoordinatorReport,
-    CoordinatorWatch, RemoteError, RemoteTakeover, WorkerOptions, WorkerReport,
-};

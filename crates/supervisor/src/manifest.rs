@@ -115,7 +115,7 @@ fn get_breaker(record: &JsonValue) -> Result<[usize; 3], CheckpointError> {
     Ok(counts)
 }
 
-pub(crate) fn encode_record(record: &JobRecord) -> JsonValue {
+fn encode_record(record: &JobRecord) -> JsonValue {
     let mut fields = vec![
         ("index", num(record.index)),
         ("id", string(&record.id)),
@@ -168,21 +168,12 @@ pub(crate) fn encode_record(record: &JobRecord) -> JsonValue {
 }
 
 fn decode_record(line: &JsonValue, position: usize) -> Result<JobRecord, CheckpointError> {
-    let record = decode_record_sparse(line)?;
-    if record.index != position {
+    let index = get_usize(line, "index")?;
+    if index != position {
         return Err(CheckpointError::Malformed(format!(
-            "manifest: record at line {position} claims index {}",
-            record.index
+            "manifest: record at line {position} claims index {index}"
         )));
     }
-    Ok(record)
-}
-
-/// Decodes one record line without pinning its index to a line position —
-/// a record on the wire carries its *global* job index, which the
-/// coordinator checks against the envelope and the granted shard.
-pub(crate) fn decode_record_sparse(line: &JsonValue) -> Result<JobRecord, CheckpointError> {
-    let index = get_usize(line, "index")?;
     let id = get_str(line, "id")?.to_string();
     let retries = get_usize(line, "retries")?;
     let backoff_ms = get_u64_str(line, "backoff_ms")?;

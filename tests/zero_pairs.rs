@@ -16,9 +16,10 @@
 //!   the output pre-filled with NaN so a skipped write shows;
 //! * the fused adjoint gradient sits within 1e-12 of parameter shift.
 //!
-//! A NaN angle no longer reaches the zero pairs, so the last test pins that
-//! it still poisons the energy and the gradient, and that the optimizer's
-//! non-finite guard still fires.
+//! A NaN angle no longer reaches the zero pairs, so a test pins that it
+//! still poisons the energy and the gradient, and that the optimizer's
+//! non-finite guard still fires. The last test pins that a NaN amplitude
+//! beside a zero one still reaches the grouped energy.
 
 use proptest::prelude::*;
 
@@ -256,5 +257,20 @@ fn a_nan_angle_still_poisons_the_energy_and_the_gradient() {
             matches!(err, OptimizeError::NonFiniteObjective { iteration: 0, .. }),
             "θ{p} = NaN: {err}"
         );
+    }
+}
+
+/// A NaN amplitude whose pair partner is exactly zero still reaches the
+/// grouped energy. `H = X` has one off-diagonal sweep and no diagonal one,
+/// so that pair is the only way in. The energy is NaN, as the per-term
+/// oracle's is.
+#[test]
+fn a_nan_amplitude_beside_a_zero_poisons_the_energy() {
+    let mut h = WeightedPauliSum::new(1);
+    h.push(1.0, PauliString::from_symplectic(1, 1, 0));
+    let nan = Complex64::new(f64::NAN, 0.0);
+    for state in [[nan, Complex64::ZERO], [Complex64::ZERO, nan]] {
+        assert!(h.expectation_per_term(&state).is_nan(), "{state:?}: oracle");
+        assert!(h.expectation(&state).is_nan(), "{state:?}: grouped");
     }
 }
