@@ -311,11 +311,17 @@ pub fn run_batch_resumed(
                 jobs.len()
             )));
         }
-        for (spec, record) in jobs.iter().zip(prior) {
+        for (index, (spec, record)) in jobs.iter().zip(prior).enumerate() {
+            if record.index != index {
+                return Err(SupervisorError::ManifestMismatch(format!(
+                    "manifest record {index} claims index {}",
+                    record.index
+                )));
+            }
             if spec.id != record.id {
                 return Err(SupervisorError::ManifestMismatch(format!(
-                    "job {} is `{}` in the manifest but `{}` in the batch",
-                    record.index, record.id, spec.id
+                    "job {index} is `{}` in the manifest but `{}` in the batch",
+                    record.id, spec.id
                 )));
             }
         }
@@ -327,26 +333,6 @@ pub fn run_batch_resumed(
         return Err(SupervisorError::Spec(
             "max_slices must be positive (a hung attempt must eventually time out)".to_string(),
         ));
-    }
-    let mut prior_map: std::collections::BTreeMap<usize, &JobRecord> =
-        std::collections::BTreeMap::new();
-    if let Some(prior) = prior {
-        for record in prior {
-            if record.index >= jobs.len() {
-                return Err(SupervisorError::ManifestMismatch(format!(
-                    "manifest record index {} out of range (batch has {} jobs)",
-                    record.index,
-                    jobs.len()
-                )));
-            }
-            if jobs[record.index].id != record.id {
-                return Err(SupervisorError::ManifestMismatch(format!(
-                    "job {} is `{}` in the manifest but `{}` in the batch",
-                    record.index, record.id, jobs[record.index].id
-                )));
-            }
-            prior_map.insert(record.index, record);
-        }
     }
     if config.injection.panics {
         silence_injected_panics();
@@ -376,8 +362,8 @@ pub fn run_batch_resumed(
     let mut slots: Vec<Option<JobRecord>> = vec![None; jobs.len()];
     let mut to_run: Vec<usize> = Vec::new();
     for (index, slot) in slots.iter_mut().enumerate() {
-        match prior_map.get(&index) {
-            Some(record) if record.state.is_terminal() => *slot = Some((*record).clone()),
+        match prior.map(|prior| &prior[index]) {
+            Some(record) if record.state.is_terminal() => *slot = Some(record.clone()),
             _ => to_run.push(index),
         }
     }
@@ -411,7 +397,7 @@ pub fn run_batch_resumed(
             .map(|_| {
                 scope.spawn(|| {
                     while let Some(index) = queue.pop() {
-                        let start = start_state(prior_map.get(&index).copied(), config);
+                        let start = start_state(prior.map(|prior| &prior[index]), config);
                         let record = if drain.as_ref().is_some_and(Budget::is_expired) {
                             // The drain hit before this job started: it goes
                             // back to the manifest exactly as it stood.
