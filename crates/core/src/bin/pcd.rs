@@ -268,6 +268,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 "--{old} is gone: a batch runs every job it is given, and `pcd serve` queues \
                  every connection it accepts"
             ),
+            "breaker" | "backoff-ms" => {
+                format!("--{old} is gone: a failed job retries at once, up to --max-retries")
+            }
             old => format!("--{old} is gone: select the campaign with `--campaign {old}`"),
         }));
     }
@@ -318,7 +321,7 @@ const TCP_RETIRED: &str = "the TCP coordinator was retired, and a batch runs in 
 
 /// Flags a command no longer takes, as `(command, flag)`: each is a usage
 /// error naming what replaced it.
-const RETIRED_FLAGS: [(&str, &str); 13] = [
+const RETIRED_FLAGS: [(&str, &str); 16] = [
     ("run", "expectation"),
     ("chaos", "kill-resume"),
     ("chaos", "supervised"),
@@ -332,6 +335,9 @@ const RETIRED_FLAGS: [(&str, &str); 13] = [
     ("batch", "connect"),
     ("serve", "queue-cap"),
     ("serve", "shed"),
+    ("batch", "breaker"),
+    ("batch", "backoff-ms"),
+    ("serve", "breaker"),
 ];
 
 /// One form of a `pcd` command: a row of `pcd help` and the handler.
@@ -426,10 +432,9 @@ static COMMANDS: [Command; 15] = [
     Command {
         name: "batch",
         synopsis: "<JOBS.jsonl> [--workers N] [--seed N] [--max-retries K] [--job-timeout S] \
-                   [--slice-ticks T] [--max-slices M] [--breaker N] [--backoff-ms B] \
-                   [--fault-rate R] [--deadline SECS] [--drain-after-ticks T] \
-                   [--checkpoint DIR] [--resume] [--progress] [--progress-interval-ms MS=500] \
-                   [--flight-dir DIR]",
+                   [--slice-ticks T] [--max-slices M] [--fault-rate R] [--deadline SECS] \
+                   [--drain-after-ticks T] [--checkpoint DIR] [--resume] [--progress] \
+                   [--progress-interval-ms MS=500] [--flight-dir DIR]",
         about: "run every pipeline job (JSONL: molecule, bond, ratio, id) on supervised \
                 workers; exit 30 drained (resumable manifest), 32 degraded (quarantined jobs); \
                 --progress shows a live status line; --flight-dir collects flight-<job>.jsonl \
@@ -439,7 +444,7 @@ static COMMANDS: [Command; 15] = [
     Command {
         name: "serve",
         synopsis: "[--state-dir DIR] [--socket PATH] [--workers N] [--seed N] [--max-retries K] \
-                   [--slice-ticks T] [--max-slices M] [--breaker N] [--fault-rate R] \
+                   [--slice-ticks T] [--max-slices M] [--fault-rate R] \
                    [--deadline-ms MS] [--max-requests N] [--idle-exit-ms MS] [--flight-dir DIR] \
                    [--cache-max-bytes B]",
         about: "always-on daemon: answer JSONL job requests on a Unix socket (default \
@@ -861,6 +866,22 @@ mod tests {
                 err.to_string().contains("the TCP coordinator was retired"),
                 "{args:?}: {err}"
             );
+        }
+    }
+
+    /// The breaker and backoff knobs are retired: a failed job retries at
+    /// once, and `--max-retries` is the only retry setting.
+    #[test]
+    fn retired_retry_knobs_are_usage_errors_naming_the_cap() {
+        for args in [
+            &["batch", "j.jsonl", "--breaker", "2"][..],
+            &["batch", "j.jsonl", "--backoff-ms", "5"],
+            &["serve", "--breaker", "2"],
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 1, "{args:?}");
+            assert!(err.to_string().contains("--max-retries"), "{args:?}: {err}");
         }
     }
 

@@ -7,7 +7,7 @@ use std::time::Duration;
 use pauli_codesign::resilience::{Checkpoint, PcdError};
 use pauli_codesign::serve::{run_serve, ServeConfig};
 use pauli_codesign::supervisor::{
-    parse_jobs, run_batch_resumed, BatchReport, InjectionPlan, JobSpec, JobState, SupervisorConfig,
+    parse_jobs, run_batch_resumed, BatchReport, JobSpec, JobState, SupervisorConfig,
 };
 
 use crate::{CliError, Flags};
@@ -42,18 +42,14 @@ pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
             Some(_) => 1,
             None => d.max_slices,
         }),
-        breaker_threshold: flags.opt("breaker")?.unwrap_or(d.breaker_threshold),
         pipeline_fault_rate: fault_rate,
-        injection: InjectionPlan::at_rate(fault_rate),
+        injection_rate: fault_rate,
         drain_after_ticks: flags.opt("drain-after-ticks")?.or(d.drain_after_ticks),
         deadline: flags.seconds("deadline")?.or(d.deadline),
         ckpt_dir: flags.get("checkpoint").map(PathBuf::from).or(d.ckpt_dir),
         flight_dir: flags.get("flight-dir").map(PathBuf::from).or(d.flight_dir),
         ..d
     };
-    if let Some(ms) = flags.opt("backoff-ms")? {
-        config.backoff.base_ms = ms;
-    }
     // The monitor thread only observes (it cannot influence job
     // outcomes), so it is always on for `pcd batch`: snapshots land in
     // the --trace JSONL, and --progress additionally renders the live
@@ -76,7 +72,7 @@ pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
         // with its seed and fault rate, whatever the flags say.
         config.batch_seed = meta.batch_seed;
         config.pipeline_fault_rate = meta.pipeline_fault_rate;
-        config.injection = InjectionPlan::at_rate(meta.pipeline_fault_rate);
+        config.injection_rate = meta.pipeline_fault_rate;
         run_batch_resumed(&jobs, &config, Some(&prior))?
     } else {
         run_batch_resumed(&jobs, &config, None)?
@@ -175,7 +171,6 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         max_retries: flags.opt("max-retries")?.unwrap_or(d.max_retries),
         slice_ticks: flags.opt("slice-ticks")?.unwrap_or(d.slice_ticks),
         max_slices: flags.opt("max-slices")?.unwrap_or(d.max_slices),
-        breaker_threshold: flags.opt("breaker")?.unwrap_or(d.breaker_threshold),
         fault_rate: if flags.is_set("fault-rate") {
             flags.rate("fault-rate")?
         } else {

@@ -534,25 +534,6 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     });
     pair(&mut records, "yield_xtree17", 17, serial, parallel);
 
-    // Finite-difference gradient of the H2 VQE energy.
-    let system = Benchmark::H2
-        .build(Benchmark::H2.equilibrium_bond_length())
-        .map_err(PcdError::from)?;
-    let ir = UccsdAnsatz::for_system(&system).into_ir();
-    let params = vec![0.05; ir.num_parameters()];
-    let energy = |x: &[f64]| vqe::energy(system.qubit_hamiltonian(), &ir, x);
-    let serial = criterion::measure(warmup, samples, || {
-        par::with_threads(1, || vqe::fd_gradient(energy, &params, 1e-6))
-    });
-    let parallel = criterion::measure(warmup, samples, || vqe::fd_gradient(energy, &params, 1e-6));
-    pair(
-        &mut records,
-        "fd_gradient_h2",
-        system.num_qubits(),
-        serial,
-        parallel,
-    );
-
     let meta = bench_meta_json(threads);
     let clusters_json = format!(
         "{{\"clusters\": {}, \"terms\": {}, \"largest\": {}, \"singletons\": {}, \

@@ -3,8 +3,8 @@
 //! Every thread keeps a fixed-capacity ring buffer of its most recent
 //! telemetry — span completions, events, counter deltas, and injected
 //! resilience faults — that records **even when full tracing is off**.
-//! When a supervised job is quarantined, a circuit breaker trips, a
-//! deadline expires, or a resilience fault fires, the ring is atomically
+//! When a supervised job is quarantined, a drain or deadline interrupts
+//! it, or a resilience fault fires, the ring is atomically
 //! dumped to `flight-<job>.jsonl` so there is a record of the telemetry
 //! leading up to the failure, at zero steady-state cost beyond the ring
 //! writes themselves.
@@ -380,7 +380,7 @@ pub struct FlightRecord {
 pub struct FlightDump {
     /// Job id from the header.
     pub job: String,
-    /// Why the dump was taken (`panic`/`breaker`/`deadline`/`fault`/...).
+    /// Why the dump was taken (`panic`/`timeout`/`drain`/`deadline`/`fault`/...).
     pub reason: String,
     /// Ring capacity at dump time.
     pub capacity: u64,

@@ -250,20 +250,12 @@ impl WeightedPauliSum {
     pub fn expectation_per_term(&self, state: &[Complex64]) -> f64 {
         let dim = checked_dim(self.num_qubits);
         assert_eq!(state.len(), dim, "state length must be 2^n");
-        // Parallelize over terms when there are enough to keep every worker
-        // busy; otherwise each term's amplitude sweep parallelizes over
-        // chunks internally. Both strategies fold the same fixed chunk grid
-        // in the same order, so the result is bit-identical either way (and
-        // identical at any thread count).
-        let per_term: Vec<f64> = if self.terms.len() >= 2 * par::num_threads() {
-            par::map_slice(&self.terms, |&(w, p)| term_expectation(state, w, p))
-        } else {
-            self.terms
-                .iter()
-                .map(|&(w, p)| term_expectation(state, w, p))
-                .collect()
-        };
-        per_term.into_iter().sum()
+        // One term at a time; each term's amplitude sweep parallelizes over
+        // its fixed chunk grid, so the sum is identical at any thread count.
+        self.terms
+            .iter()
+            .map(|&(w, p)| term_expectation(state, w, p))
+            .sum()
     }
 
     /// The real expectation value `⟨state|H|state⟩` via commuting-cluster

@@ -11,9 +11,8 @@
 //! Each job request runs as a single-job supervised batch, which buys
 //! the whole robustness stack for free: panic isolation (`catch_unwind`
 //! at the worker boundary — the watchdog that turns a panicking kernel
-//! into a quarantine record instead of a dead daemon), the retry ladder,
-//! circuit breakers, and per-request wall-clock deadlines via the
-//! engine's drain budget.
+//! into a quarantine record instead of a dead daemon), the retry cap,
+//! and per-request wall-clock deadlines via the engine's drain budget.
 //!
 //! # Determinism by content, not arrival
 //!
@@ -84,8 +83,6 @@ pub struct ServeConfig {
     pub slice_ticks: u64,
     /// Slices an attempt may consume before timing out.
     pub max_slices: usize,
-    /// Per-job circuit-breaker threshold.
-    pub breaker_threshold: usize,
     /// Pipeline fault rate (chaos; also drives the CacheWrite/Accept
     /// serve fault plan).
     pub fault_rate: f64,
@@ -114,7 +111,6 @@ impl Default for ServeConfig {
             max_retries: 3,
             slice_ticks: 0,
             max_slices: 64,
-            breaker_threshold: 3,
             fault_rate: 0.0,
             request_deadline: None,
             max_requests: None,
@@ -237,7 +233,6 @@ pub fn compute_record(
         max_retries: config.max_retries,
         slice_ticks: config.slice_ticks,
         max_slices: config.max_slices,
-        breaker_threshold: config.breaker_threshold,
         pipeline_fault_rate: config.fault_rate,
         deadline,
         flight_dir: config.flight_dir.clone(),
@@ -258,7 +253,6 @@ pub fn compute_record(
                 error: e.to_string(),
             },
             retries: 0,
-            backoff_ms: 0,
         },
     }
 }
@@ -742,7 +736,6 @@ fn handle_client(shared: &Shared, mut stream: UnixStream) {
                         id,
                         state: JobState::Shed,
                         retries: 0,
-                        backoff_ms: 0,
                     },
                 );
                 return;
@@ -795,7 +788,6 @@ fn compute_via_cache(
                 id: spec.id.clone(),
                 state: result.to_state(),
                 retries: 0,
-                backoff_ms: 0,
             };
             return (record, true);
         }
@@ -838,10 +830,8 @@ fn seal(shared: &Shared) -> Result<(), ServeError> {
                     attempt: 0,
                     slices_used: 0,
                     checkpoint: None,
-                    breaker: [0; 3],
                 },
                 retries: 0,
-                backoff_ms: 0,
             },
         })
         .collect();

@@ -272,7 +272,6 @@ mod tests {
                 sabre_fallback: false,
             },
             retries: 0,
-            backoff_ms: 0,
         };
         let hit = json::parse(&done_response(&record, true)).unwrap();
         assert_eq!(hit.get("cached").and_then(|v| v.as_bool()), Some(true));

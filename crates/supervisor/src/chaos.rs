@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use chem::Benchmark;
 use resilience::{trial_seed, CampaignReport, Checkpoint, Trial};
 
-use crate::engine::{run_batch, run_batch_resumed, InjectionPlan, SupervisorConfig};
+use crate::engine::{run_batch, run_batch_resumed, SupervisorConfig};
 use crate::job::{JobRecord, JobSpec};
 use crate::manifest::decode_manifest;
 
@@ -63,9 +63,8 @@ fn trial_config(trial: usize, opts: &SupervisedChaosOptions) -> SupervisorConfig
         max_retries: 3,
         slice_ticks: 2,
         max_slices: 64,
-        breaker_threshold: 3,
         pipeline_fault_rate: opts.fault_rate * 0.5,
-        injection: InjectionPlan::chaos(opts.fault_rate),
+        injection_rate: opts.fault_rate,
         flight_dir: opts.flight_dir.clone(),
         ..SupervisorConfig::default()
     }

@@ -12,7 +12,8 @@
 //!   (the `par` layer is thread-count-invariant anyway; pinning also
 //!   stops nested pools from oversubscribing);
 //! - chaos injections (panic / hang / transient) and pipeline fault
-//!   draws are keyed on `(job_seed, attempt)`;
+//!   draws are keyed on `(job_seed, attempt)`, and a failed attempt
+//!   retries at once (no wall-clock wait), up to `max_retries`;
 //! - job timeouts are *deterministic budget slices*
 //!   ([`par::Budget::max_ticks`]), not wall-clock races, and the slice
 //!   count carries across a drain so a resumed attempt sees the same
@@ -36,8 +37,6 @@ use resilience::stages::{self, CompileStrategy};
 use resilience::{encode_vqe, FaultPlan, PcdError};
 use vqe::driver::{VqeCheckpoint, VqeRun};
 
-use crate::backoff::BackoffPolicy;
-use crate::breaker::{CircuitBreaker, Stage};
 use crate::job::{attempt_seed, job_seed, JobRecord, JobSpec, JobState};
 use crate::manifest::{encode_manifest, BatchMeta};
 use crate::progress::ProgressTracker;
@@ -87,74 +86,18 @@ impl From<CheckpointError> for SupervisorError {
     }
 }
 
-/// Deterministic chaos injections at the worker boundary, keyed on
-/// `(attempt seed, site)`. Distinct from the *pipeline* fault plan (which
-/// injects numerical failures inside stages): these model infrastructure
+/// Worker-boundary chaos draw: whether injection `site` (1 = panic,
+/// 2 = hang, 3 = transient) fires for the attempt seeded `aseed` at
+/// `rate`. Distinct from the *pipeline* fault plan (which injects
+/// numerical failures inside stages): these model infrastructure
 /// failures — a worker panic, a hang, a transient error.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectionPlan {
-    /// Per-site injection probability in `[0, 1]`.
-    pub rate: f64,
-    /// Inject panics (caught at the worker boundary).
-    pub panics: bool,
-    /// Inject hangs (budget slices that make no progress).
-    pub hangs: bool,
-    /// Inject transient errors (fail this attempt outright; the next
-    /// attempt draws fresh).
-    pub transients: bool,
-}
-
-impl InjectionPlan {
-    /// No injections (the production configuration).
-    pub fn none() -> Self {
-        InjectionPlan {
-            rate: 0.0,
-            panics: false,
-            hangs: false,
-            transients: false,
-        }
+fn injected(rate: f64, aseed: u64, site: u64) -> bool {
+    if rate <= 0.0 {
+        return false;
     }
-
-    /// Everything on at `rate` — the chaos harness configuration.
-    pub fn chaos(rate: f64) -> Self {
-        InjectionPlan {
-            rate,
-            panics: true,
-            hangs: true,
-            transients: true,
-        }
-    }
-
-    /// How a batch's fault rate reaches the worker boundary: everything
-    /// on at `rate`, or no injections at rate 0.
-    pub fn at_rate(rate: f64) -> Self {
-        if rate > 0.0 {
-            Self::chaos(rate)
-        } else {
-            Self::none()
-        }
-    }
-
-    fn draw(&self, aseed: u64, site: u64) -> bool {
-        if self.rate <= 0.0 {
-            return false;
-        }
-        let u = (splitmix64(aseed ^ splitmix64(site.wrapping_add(0xC0FFEE))) >> 11) as f64
-            / (1u64 << 53) as f64;
-        u < self.rate
-    }
-
-    fn panic_at(&self, aseed: u64) -> bool {
-        self.panics && self.draw(aseed, 1)
-    }
-
-    fn hang_at(&self, aseed: u64) -> bool {
-        self.hangs && self.draw(aseed, 2)
-    }
-
-    fn transient_at(&self, aseed: u64) -> bool {
-        self.transients && self.draw(aseed, 3)
-    }
+    let u = (splitmix64(aseed ^ splitmix64(site.wrapping_add(0xC0FFEE))) >> 11) as f64
+        / (1u64 << 53) as f64;
+    u < rate
 }
 
 /// Supervisor configuration.
@@ -164,7 +107,8 @@ pub struct SupervisorConfig {
     pub workers: usize,
     /// Batch seed: the root of every per-job derivation.
     pub batch_seed: u64,
-    /// Supervisor-level retries per job (attempts = retries + 1).
+    /// Supervisor-level retries per job: a failed attempt retries at once,
+    /// and the job is quarantined after `max_retries + 1` attempts.
     pub max_retries: usize,
     /// Budget ticks per VQE slice (`0` = one unbounded slice). This is
     /// the deterministic job-timeout grain: an attempt that needs more
@@ -178,19 +122,20 @@ pub struct SupervisorConfig {
     /// Slices an attempt may consume before it counts as timed out.
     /// Must be positive.
     pub max_slices: usize,
-    /// Failures at one stage that trip a job's circuit breaker (`0`
-    /// disables it).
-    pub breaker_threshold: usize,
-    /// Retry spacing.
-    pub backoff: BackoffPolicy,
     /// Fault rate for the *pipeline* fault plan (SCF poison, geometry
     /// collapse, coupling-graph chord, VQE NaN), per
     /// [`resilience::FaultPlan`].
     pub pipeline_fault_rate: f64,
-    /// Worker-boundary chaos injections.
-    pub injection: InjectionPlan,
-    /// Drain after this many budget slices batch-wide (deterministic
-    /// drain trigger for tests and the chaos harness).
+    /// Per-attempt probability in `[0, 1]` of each worker-boundary chaos
+    /// injection — a panic, a hang (budget slices that make no progress)
+    /// and a transient error, each drawn independently from the attempt
+    /// seed. `0` injects nothing (the production configuration).
+    pub injection_rate: f64,
+    /// Drain after this many budget slices batch-wide. The tick budget is
+    /// shared by every worker: at one worker the drain cuts each job at
+    /// the same slice on every run, but at more than one the job it cuts
+    /// depends on how the workers interleave. Whatever the cut, the
+    /// drained-then-resumed records equal an uninterrupted batch's.
     pub drain_after_ticks: Option<u64>,
     /// Wall-clock drain deadline (production `--deadline`).
     pub deadline: Option<Duration>,
@@ -200,7 +145,7 @@ pub struct SupervisorConfig {
     pub ckpt_dir: Option<PathBuf>,
     /// Directory for flight-recorder dumps (`flight-<job>.jsonl`). When
     /// set, the ring is dumped on every quarantine (panic, timeout,
-    /// breaker trip), on drain/deadline interruptions, and — via the
+    /// exhausted retries), on drain/deadline interruptions, and — via the
     /// armed process-global hook — whenever a resilience fault fires.
     pub flight_dir: Option<PathBuf>,
     /// Emit a progress snapshot this often (`None` = no progress thread).
@@ -218,10 +163,8 @@ impl Default for SupervisorConfig {
             slice_ticks: 0,
             slice_wall: None,
             max_slices: 64,
-            breaker_threshold: 3,
-            backoff: BackoffPolicy::default(),
             pipeline_fault_rate: 0.0,
-            injection: InjectionPlan::none(),
+            injection_rate: 0.0,
             drain_after_ticks: None,
             deadline: None,
             ckpt_dir: None,
@@ -254,7 +197,7 @@ impl BatchReport {
         self.count("done")
     }
 
-    /// Jobs quarantined after exhausting retries or tripping a breaker.
+    /// Jobs quarantined after exhausting their retries.
     pub fn quarantined(&self) -> usize {
         self.count("quarantined")
     }
@@ -334,7 +277,7 @@ pub fn run_batch_resumed(
             "max_slices must be positive (a hung attempt must eventually time out)".to_string(),
         ));
     }
-    if config.injection.panics {
+    if config.injection_rate > 0.0 {
         silence_injected_panics();
     }
     if let Some(dir) = &config.ckpt_dir {
@@ -478,7 +421,6 @@ pub fn run_batch_resumed(
                     error: "job was never scheduled".to_string(),
                 },
                 retries: 0,
-                backoff_ms: 0,
             })
         })
         .collect();
@@ -520,8 +462,6 @@ struct StartState {
     slices_used: usize,
     resume_ck: Option<VqeCheckpoint>,
     ck_name: Option<String>,
-    breaker_counts: [usize; 3],
-    backoff_ms: u64,
 }
 
 fn start_state(record: Option<&JobRecord>, config: &SupervisorConfig) -> StartState {
@@ -530,8 +470,6 @@ fn start_state(record: Option<&JobRecord>, config: &SupervisorConfig) -> StartSt
         slices_used: 0,
         resume_ck: None,
         ck_name: None,
-        breaker_counts: [0; 3],
-        backoff_ms: 0,
     };
     let Some(record) = record else {
         return fresh;
@@ -540,7 +478,6 @@ fn start_state(record: Option<&JobRecord>, config: &SupervisorConfig) -> StartSt
         attempt,
         slices_used,
         checkpoint,
-        breaker,
     } = &record.state
     else {
         return fresh;
@@ -556,8 +493,6 @@ fn start_state(record: Option<&JobRecord>, config: &SupervisorConfig) -> StartSt
         slices_used: if resume_ck.is_some() { *slices_used } else { 0 },
         resume_ck,
         ck_name: checkpoint.clone(),
-        breaker_counts: *breaker,
-        backoff_ms: record.backoff_ms,
     }
 }
 
@@ -569,10 +504,8 @@ fn pending_record(index: usize, spec: &JobSpec, start: &StartState) -> JobRecord
             attempt: start.attempt,
             slices_used: start.slices_used,
             checkpoint: start.ck_name.clone(),
-            breaker: start.breaker_counts,
         },
         retries: start.attempt,
-        backoff_ms: start.backoff_ms,
     }
 }
 
@@ -595,8 +528,9 @@ enum AttemptOutcome {
     },
 }
 
-/// Runs one job to its record: the retry ladder, breaker, backoff, panic
-/// isolation, and drain handling around [`attempt_job`].
+/// Runs one job to its record: the retry ladder, panic isolation, and
+/// drain handling around [`attempt_job`]. A failed attempt retries at
+/// once; the job is quarantined after `max_retries + 1` attempts.
 fn run_supervised_job(
     index: usize,
     spec: &JobSpec,
@@ -607,8 +541,6 @@ fn run_supervised_job(
 ) -> JobRecord {
     par::with_threads(1, || {
         let jseed = job_seed(config.batch_seed, index);
-        let mut breaker = CircuitBreaker::restore(config.breaker_threshold, start.breaker_counts);
-        let mut backoff_ms = start.backoff_ms;
         let mut resume_ck = start.resume_ck;
         let mut slices_base = start.slices_used;
         let mut attempt = start.attempt;
@@ -617,35 +549,11 @@ fn run_supervised_job(
         obs::flight::set_job(&spec.id);
         obs::event!("supervisor.job_start", job = index, attempt = attempt);
 
-        let quarantine = |attempt: usize, stage: String, error: String, backoff_ms: u64| {
-            obs::counter_add("supervisor.jobs_quarantined", 1);
-            obs::event!(
-                "supervisor.job_quarantined",
-                job = index,
-                attempts = attempt + 1,
-                stage = stage.as_str()
-            );
-            if let Some(dir) = &config.flight_dir {
-                let _ = obs::flight::dump(dir, &spec.id, &stage);
-            }
-            JobRecord {
-                index,
-                id: spec.id.clone(),
-                state: JobState::Quarantined {
-                    attempts: attempt + 1,
-                    stage,
-                    error,
-                },
-                retries: attempt,
-                backoff_ms,
-            }
-        };
-
         loop {
             let aseed = attempt_seed(jseed, attempt);
-            let inject_panic = config.injection.panic_at(aseed);
-            let inject_hang = config.injection.hang_at(aseed);
-            let inject_transient = config.injection.transient_at(aseed);
+            let inject_panic = injected(config.injection_rate, aseed, 1);
+            let inject_hang = injected(config.injection_rate, aseed, 2);
+            let inject_transient = injected(config.injection_rate, aseed, 3);
             let taken_ck = resume_ck.take();
             let start_slices = slices_base;
             slices_base = 0;
@@ -695,7 +603,6 @@ fn run_supervised_job(
                             sabre_fallback,
                         },
                         retries: attempt,
-                        backoff_ms,
                     };
                 }
                 Ok(AttemptOutcome::Drained { slices_used, ck }) => {
@@ -734,40 +641,46 @@ fn run_supervised_job(
                             attempt,
                             slices_used: if ck_name.is_some() { slices_used } else { 0 },
                             checkpoint: ck_name,
-                            breaker: breaker.snapshot(),
                         },
                         retries: attempt,
-                        backoff_ms,
                     };
                 }
                 Ok(AttemptOutcome::Failed { stage, error }) => (stage, error),
             };
 
-            let (stage_label, error) = failure;
-            if stage_label == "timeout" {
+            let (stage, error) = failure;
+            if stage == "timeout" {
                 obs::counter_add("supervisor.timeouts", 1);
             }
-            let stage = Stage::from_label(&stage_label);
-            let tripped = breaker.record_failure(stage);
             obs::counter_add("supervisor.retries", 1);
             progress.retry();
             obs::event!(
                 "supervisor.job_retry",
                 job = index,
                 attempt = attempt,
-                stage = stage_label.as_str()
+                stage = stage.as_str()
             );
-            if tripped {
-                progress.breaker_trip();
-                return quarantine(attempt, stage_label, error, backoff_ms);
-            }
             if attempt >= config.max_retries {
-                return quarantine(attempt, stage_label, error, backoff_ms);
-            }
-            let delay = config.backoff.delay_ms(jseed, attempt);
-            backoff_ms += delay;
-            if delay > 0 {
-                std::thread::sleep(Duration::from_millis(delay));
+                obs::counter_add("supervisor.jobs_quarantined", 1);
+                obs::event!(
+                    "supervisor.job_quarantined",
+                    job = index,
+                    attempts = attempt + 1,
+                    stage = stage.as_str()
+                );
+                if let Some(dir) = &config.flight_dir {
+                    let _ = obs::flight::dump(dir, &spec.id, &stage);
+                }
+                return JobRecord {
+                    index,
+                    id: spec.id.clone(),
+                    state: JobState::Quarantined {
+                        attempts: attempt + 1,
+                        stage,
+                        error,
+                    },
+                    retries: attempt,
+                };
             }
             attempt += 1;
         }
@@ -928,7 +841,7 @@ mod tests {
     fn worker_count_does_not_change_records() {
         let jobs = h2_jobs(4);
         let config = SupervisorConfig {
-            injection: InjectionPlan::chaos(0.3),
+            injection_rate: 0.3,
             pipeline_fault_rate: 0.2,
             slice_ticks: 2,
             ..SupervisorConfig::default()
@@ -950,39 +863,28 @@ mod tests {
     #[test]
     fn injected_panics_are_isolated_and_retried() {
         let jobs = h2_jobs(4);
-        // Panic-only injection at a rate high enough that several jobs
-        // draw at least one panic; retries draw fresh and recover.
+        // An injection rate high enough that several jobs draw at least
+        // one panic; retries draw fresh and recover.
         let config = SupervisorConfig {
-            injection: InjectionPlan {
-                rate: 0.6,
-                panics: true,
-                hangs: false,
-                transients: false,
-            },
+            injection_rate: 0.6,
             max_retries: 6,
-            breaker_threshold: 0,
             ..SupervisorConfig::default()
         };
         let report = run_batch(&jobs, &config).unwrap();
         assert!(report.all_terminal(), "no job may be lost to a panic");
         assert!(
             report.records.iter().any(|r| r.retries > 0),
-            "at 60% panic rate some job must have retried"
+            "at a 60% injection rate some job must have retried"
         );
     }
 
     #[test]
     fn always_panicking_job_is_quarantined_not_fatal() {
         let jobs = h2_jobs(1);
+        // At rate 1 every draw fires, and the panic fires first.
         let config = SupervisorConfig {
-            injection: InjectionPlan {
-                rate: 1.0,
-                panics: true,
-                hangs: false,
-                transients: false,
-            },
+            injection_rate: 1.0,
             max_retries: 2,
-            breaker_threshold: 0,
             ..SupervisorConfig::default()
         };
         let report = run_batch(&jobs, &config).unwrap();
@@ -998,42 +900,22 @@ mod tests {
     }
 
     #[test]
-    fn breaker_quarantines_before_retry_budget() {
-        let jobs = h2_jobs(1);
-        let config = SupervisorConfig {
-            injection: InjectionPlan {
-                rate: 1.0,
-                panics: false,
-                hangs: false,
-                transients: true,
-            },
-            max_retries: 10,
-            breaker_threshold: 2,
-            ..SupervisorConfig::default()
-        };
-        let report = run_batch(&jobs, &config).unwrap();
-        match &report.records[0].state {
-            JobState::Quarantined { attempts, .. } => {
-                assert_eq!(*attempts, 2, "breaker trips at the second failure");
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn hang_injection_times_out_instead_of_wedging() {
         let jobs = h2_jobs(1);
+        // A batch seed whose only attempt draws a hang and neither a panic
+        // nor a transient.
+        let rate = 0.5;
+        let hang_only = |batch_seed: u64| {
+            let aseed = attempt_seed(job_seed(batch_seed, 0), 0);
+            !injected(rate, aseed, 1) && injected(rate, aseed, 2) && !injected(rate, aseed, 3)
+        };
+        let batch_seed = (0..).find(|&seed| hang_only(seed)).unwrap();
         let config = SupervisorConfig {
-            injection: InjectionPlan {
-                rate: 1.0,
-                panics: false,
-                hangs: true,
-                transients: false,
-            },
+            batch_seed,
+            injection_rate: rate,
             slice_ticks: 2,
             max_slices: 4,
-            max_retries: 1,
-            breaker_threshold: 0,
+            max_retries: 0,
             ..SupervisorConfig::default()
         };
         let report = run_batch(&jobs, &config).unwrap();
@@ -1053,7 +935,6 @@ mod tests {
             id: jobs[0].id.clone(),
             state: JobState::Shed,
             retries: 0,
-            backoff_ms: 0,
         };
         let pending = JobRecord {
             index: 1,
@@ -1062,10 +943,8 @@ mod tests {
                 attempt: 0,
                 slices_used: 0,
                 checkpoint: None,
-                breaker: [0; 3],
             },
             retries: 0,
-            backoff_ms: 0,
         };
         let meta = BatchMeta {
             batch_seed: SupervisorConfig::default().batch_seed,
@@ -1105,7 +984,6 @@ mod tests {
             id: "other".to_string(),
             state: JobState::Shed,
             retries: 0,
-            backoff_ms: 0,
         }];
         assert!(matches!(
             run_batch_resumed(&jobs, &SupervisorConfig::default(), Some(&prior)),

@@ -163,8 +163,8 @@ pub enum JobState {
         /// Whether the compiler fell back to SABRE.
         sabre_fallback: bool,
     },
-    /// The job exhausted its retry budget (or tripped a circuit breaker)
-    /// and was isolated so it cannot wedge the queue.
+    /// The job exhausted its retry budget and was isolated so it cannot
+    /// wedge the queue.
     Quarantined {
         /// Attempts spent, including the first.
         attempts: usize,
@@ -187,11 +187,6 @@ pub enum JobState {
         /// Relative filename of the persisted VQE checkpoint, when the
         /// attempt got far enough to have one.
         checkpoint: Option<String>,
-        /// Circuit-breaker failure counts per stage
-        /// (SCF / compile / VQE) at the drain point — restored on resume
-        /// so the resumed retry ladder quarantines exactly where the
-        /// uninterrupted one would have.
-        breaker: [usize; 3],
     },
 }
 
@@ -224,9 +219,6 @@ pub struct JobRecord {
     /// Retries spent at the supervisor level (panics, transients,
     /// timeouts — not the SCF ladder's internal retries).
     pub retries: usize,
-    /// Total deterministic backoff delay the retry ladder computed, in
-    /// milliseconds (slept only when the policy's base is non-zero).
-    pub backoff_ms: u64,
 }
 
 impl JobRecord {
@@ -304,7 +296,6 @@ mod tests {
                 sabre_fallback: false,
             },
             retries: 0,
-            backoff_ms: 0,
         };
         let e = -1.137f64;
         assert_eq!(mk(e.to_bits()), mk(e.to_bits()));
@@ -320,7 +311,6 @@ mod tests {
             attempt: 1,
             slices_used: 2,
             checkpoint: None,
-            breaker: [0, 0, 1],
         };
         assert!(!pending.is_terminal());
         assert_eq!(pending.label(), "pending");

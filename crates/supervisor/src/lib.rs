@@ -15,12 +15,10 @@
 //!   `catch_unwind` at the worker boundary; a panic is a per-job failure,
 //!   never a process abort, and a job that keeps failing is *quarantined*
 //!   after its retry budget so one bad input cannot wedge the queue.
-//! - **Timeouts, backoff, and circuit breaking** ([`backoff`],
-//!   [`breaker`]) — job attempts run in budget slices on [`par::Budget`];
-//!   a seedable exponential-backoff-plus-jitter ladder spaces retries, and
-//!   a per-job, per-stage (SCF / compile / VQE) circuit breaker counts
-//!   the job's failures at each stage and fails it fast once one stage
-//!   reaches the threshold.
+//! - **Timeouts and one retry cap** ([`engine`]) — job attempts run in
+//!   budget slices on [`par::Budget`], so a hung attempt times out
+//!   deterministically; a failed attempt retries at once, and the job is
+//!   quarantined after `max_retries + 1` attempts.
 //! - **Graceful drain** ([`manifest`]) — on deadline or drain request,
 //!   in-flight jobs checkpoint through the resilience container (format
 //!   v2, tagged with the job id) and the supervisor emits a resumable
@@ -41,8 +39,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod backoff;
-pub mod breaker;
 pub mod chaos;
 pub mod engine;
 pub mod job;
@@ -50,12 +46,8 @@ pub mod manifest;
 pub mod progress;
 pub mod queue;
 
-pub use backoff::BackoffPolicy;
-pub use breaker::{CircuitBreaker, Stage};
 pub use chaos::{run_supervised_chaos, SupervisedChaosOptions};
-pub use engine::{
-    run_batch, run_batch_resumed, BatchReport, InjectionPlan, SupervisorConfig, SupervisorError,
-};
+pub use engine::{run_batch, run_batch_resumed, BatchReport, SupervisorConfig, SupervisorError};
 pub use job::{attempt_seed, job_seed, parse_jobs, JobRecord, JobSpec, JobState};
 pub use manifest::{decode_manifest, encode_manifest, BatchMeta, KIND_BATCH_MANIFEST};
 pub use progress::{ProgressSnapshot, ProgressTracker};

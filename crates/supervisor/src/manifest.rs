@@ -91,37 +91,12 @@ fn get_bits(record: &JsonValue, field: &str) -> Result<u64, CheckpointError> {
         .map_err(|_| CheckpointError::Malformed(format!("manifest: field `{field}` is not hex")))
 }
 
-fn get_breaker(record: &JsonValue) -> Result<[usize; 3], CheckpointError> {
-    let JsonValue::Array(items) = get(record, "breaker")? else {
-        return Err(CheckpointError::Malformed(
-            "manifest: field `breaker` is not an array".to_string(),
-        ));
-    };
-    if items.len() != 3 {
-        return Err(CheckpointError::Malformed(format!(
-            "manifest: breaker has {} entries, expected 3",
-            items.len()
-        )));
-    }
-    let mut counts = [0usize; 3];
-    for (slot, item) in counts.iter_mut().zip(items) {
-        *slot = item
-            .as_u64()
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or_else(|| {
-                CheckpointError::Malformed("manifest: breaker entry is not an integer".to_string())
-            })?;
-    }
-    Ok(counts)
-}
-
 fn encode_record(record: &JobRecord) -> JsonValue {
     let mut fields = vec![
         ("index", num(record.index)),
         ("id", string(&record.id)),
         ("state", string(record.state.label())),
         ("retries", num(record.retries)),
-        ("backoff_ms", string(&record.backoff_ms.to_string())),
     ];
     match &record.state {
         JobState::Done {
@@ -151,14 +126,9 @@ fn encode_record(record: &JobRecord) -> JsonValue {
             attempt,
             slices_used,
             checkpoint,
-            breaker,
         } => {
             fields.push(("attempt", num(*attempt)));
             fields.push(("slices_used", num(*slices_used)));
-            fields.push((
-                "breaker",
-                JsonValue::Array(breaker.iter().map(|&c| num(c)).collect()),
-            ));
             if let Some(name) = checkpoint {
                 fields.push(("checkpoint", string(name)));
             }
@@ -167,6 +137,9 @@ fn encode_record(record: &JobRecord) -> JsonValue {
     obj(fields)
 }
 
+/// Decodes one record line. Manifests sealed by older builds also carry
+/// `backoff_ms` on every record and `breaker` on pending ones; both are
+/// ignored, so such a manifest still resumes.
 fn decode_record(line: &JsonValue, position: usize) -> Result<JobRecord, CheckpointError> {
     let index = get_usize(line, "index")?;
     if index != position {
@@ -176,7 +149,6 @@ fn decode_record(line: &JsonValue, position: usize) -> Result<JobRecord, Checkpo
     }
     let id = get_str(line, "id")?.to_string();
     let retries = get_usize(line, "retries")?;
-    let backoff_ms = get_u64_str(line, "backoff_ms")?;
     let state = match get_str(line, "state")? {
         "done" => JobState::Done {
             energy_bits: get_bits(line, "energy")?,
@@ -198,7 +170,6 @@ fn decode_record(line: &JsonValue, position: usize) -> Result<JobRecord, Checkpo
                 .get("checkpoint")
                 .and_then(JsonValue::as_str)
                 .map(str::to_string),
-            breaker: get_breaker(line)?,
         },
         other => {
             return Err(CheckpointError::Malformed(format!(
@@ -211,7 +182,6 @@ fn decode_record(line: &JsonValue, position: usize) -> Result<JobRecord, Checkpo
         id,
         state,
         retries,
-        backoff_ms,
     })
 }
 
@@ -281,7 +251,6 @@ mod tests {
                     sabre_fallback: true,
                 },
                 retries: 2,
-                backoff_ms: 350,
             },
             JobRecord {
                 index: 1,
@@ -292,14 +261,12 @@ mod tests {
                     error: "worker panic (isolated)".to_string(),
                 },
                 retries: 3,
-                backoff_ms: 700,
             },
             JobRecord {
                 index: 2,
                 id: "c".to_string(),
                 state: JobState::Shed,
                 retries: 0,
-                backoff_ms: 0,
             },
             JobRecord {
                 index: 3,
@@ -308,10 +275,8 @@ mod tests {
                     attempt: 1,
                     slices_used: 3,
                     checkpoint: Some("job3.vqe.ckpt".to_string()),
-                    breaker: [0, 1, 2],
                 },
                 retries: 1,
-                backoff_ms: 120,
             },
         ]
     }

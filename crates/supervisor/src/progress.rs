@@ -32,7 +32,6 @@ struct ProgressInner {
     shed: usize,
     pending: usize,
     retries: u64,
-    breaker_trips: u64,
     stage_us: BTreeMap<&'static str, RollingHistogram>,
 }
 
@@ -62,8 +61,6 @@ pub struct ProgressSnapshot {
     pub pending: usize,
     /// Attempt retries so far.
     pub retries: u64,
-    /// Circuit-breaker trips so far.
-    pub breaker_trips: u64,
     /// Per-stage `(name, count, p50_us, p99_us)` over the rolling window.
     pub stages: Vec<(String, u64, f64, f64)>,
 }
@@ -75,7 +72,7 @@ impl ProgressSnapshot {
         let mut line = format!(
             "[batch] {done}/{total} done  {running} running  {queued} queued  \
              {quarantined} quarantined  {shed} shed  {pending} pending  \
-             retries {retries}  breaker {breaker}",
+             retries {retries}",
             done = self.done,
             total = self.total,
             running = self.running,
@@ -84,7 +81,6 @@ impl ProgressSnapshot {
             shed = self.shed,
             pending = self.pending,
             retries = self.retries,
-            breaker = self.breaker_trips,
         );
         if let Some((_, _, p50, p99)) = self.stages.iter().find(|(name, ..)| name == "attempt") {
             line.push_str(&format!(
@@ -110,7 +106,6 @@ impl ProgressTracker {
                 shed: 0,
                 pending: 0,
                 retries: 0,
-                breaker_trips: 0,
                 stage_us: BTreeMap::new(),
             }),
         }
@@ -162,11 +157,6 @@ impl ProgressTracker {
         self.lock().retries += 1;
     }
 
-    /// Counts one circuit-breaker trip.
-    pub fn breaker_trip(&self) {
-        self.lock().breaker_trips += 1;
-    }
-
     /// Records a stage duration (µs) into that stage's rolling histogram.
     /// Stage names are static (`"chem"`, `"vqe"`, `"compile"`,
     /// `"attempt"`, `"job"`).
@@ -199,7 +189,6 @@ impl ProgressTracker {
             shed: inner.shed,
             pending: inner.pending,
             retries: inner.retries,
-            breaker_trips: inner.breaker_trips,
             stages,
         }
     }
@@ -219,8 +208,7 @@ impl ProgressTracker {
             quarantined = snap.quarantined,
             shed = snap.shed,
             pending = snap.pending,
-            retries = snap.retries,
-            breaker_trips = snap.breaker_trips
+            retries = snap.retries
         );
         for (name, count, p50, p99) in &snap.stages {
             obs::event!(
@@ -257,14 +245,12 @@ mod tests {
         t.job_finished("done", 1500.0);
         t.retry();
         t.job_finished("quarantined", 9000.0);
-        t.breaker_trip();
         let s = t.snapshot();
         assert_eq!(
             (s.total, s.queued, s.running, s.done, s.quarantined, s.shed),
             (4, 1, 0, 1, 1, 1)
         );
         assert_eq!(s.retries, 1);
-        assert_eq!(s.breaker_trips, 1);
         let job = s.stages.iter().find(|(n, ..)| n == "job").unwrap();
         assert_eq!(job.1, 2);
     }

@@ -49,9 +49,7 @@ pub use error::VqeError;
 pub use mitigation::{
     fold_cnots, richardson_extrapolate, zne_energy, MitigatedEnergy, NoiseScaling,
 };
-pub use optimize::{
-    fd_gradient, parameter_shift_gradient, LbfgsState, OptRun, OptimizeError, OptimizeOutcome,
-};
+pub use optimize::{parameter_shift_gradient, LbfgsState, OptRun, OptimizeError, OptimizeOutcome};
 pub use sector::{SectorAnsatz, SectorFallback};
 pub use state::{energy, energy_and_gradient, overlap_and_gradient, prepare_state};
 pub use vqd::{run_vqd, try_run_vqd, VqdOptions, VqdState};

@@ -490,25 +490,6 @@ pub fn nelder_mead(
     })
 }
 
-/// Central finite-difference gradient of `f` at `x`, with the per-parameter
-/// `±eps` probe pairs evaluated in parallel. Each component only reads `x`
-/// and calls `f` on its own probe points, so the result is identical to the
-/// serial loop at any thread count.
-///
-/// # Panics
-///
-/// Panics if `eps` is not positive.
-pub fn fd_gradient(f: impl Fn(&[f64]) -> f64 + Sync, x: &[f64], eps: f64) -> Vec<f64> {
-    assert!(eps > 0.0, "finite-difference step must be positive");
-    par::map_indexed(x.len(), |i| {
-        let mut xp = x.to_vec();
-        let mut xm = x.to_vec();
-        xp[i] += eps;
-        xm[i] -= eps;
-        (f(&xp) - f(&xm)) / (2.0 * eps)
-    })
-}
-
 /// Exact gradient `∂E/∂θ` by the parameter-shift rule, evaluated in
 /// closed form with one backward sweep.
 ///
@@ -667,18 +648,6 @@ mod tests {
         let out = lbfgs(|_| (2.5, vec![]), &[], OptimizeControls::default()).unwrap();
         assert_eq!(out.value, 2.5);
         assert!(out.converged);
-    }
-
-    #[test]
-    fn fd_gradient_matches_analytic_on_quadratic() {
-        let x = [0.4, -1.1, 2.2];
-        let (_, analytic) = quadratic_grad(&x);
-        for t in [1, 2, 4] {
-            let fd = par::with_threads(t, || fd_gradient(quadratic, &x, 1e-6));
-            for (a, b) in analytic.iter().zip(&fd) {
-                assert!((a - b).abs() < 1e-5, "threads {t}: {a} vs {b}");
-            }
-        }
     }
 
     #[test]

@@ -7,8 +7,7 @@ use pauli_codesign::chem::Benchmark;
 use pauli_codesign::resilience::checkpoint::CHECKPOINT_VERSION;
 use pauli_codesign::resilience::Checkpoint;
 use pauli_codesign::supervisor::{
-    decode_manifest, run_batch, run_batch_resumed, InjectionPlan, JobSpec, JobState,
-    SupervisorConfig,
+    decode_manifest, run_batch, run_batch_resumed, JobSpec, JobState, SupervisorConfig,
 };
 
 /// A scratch directory for one test's checkpoint files, removed on drop.
@@ -50,7 +49,7 @@ fn config(seed: u64, fault_rate: f64) -> SupervisorConfig {
         batch_seed: seed,
         slice_ticks: 2,
         pipeline_fault_rate: fault_rate * 0.5,
-        injection: InjectionPlan::chaos(fault_rate),
+        injection_rate: fault_rate,
         ..SupervisorConfig::default()
     }
 }
@@ -195,4 +194,60 @@ fn resume_without_checkpoints_still_converges_to_the_same_records() {
     )
     .expect("resume runs");
     assert_eq!(resumed.records, uninterrupted.records);
+}
+
+/// A drained `batch.manifest` sealed by a build that still had the
+/// circuit breaker and the backoff ladder: every record carries
+/// `backoff_ms` and every pending one `breaker`. Captured with `pcd batch`
+/// on the three-job H2 file below at `--workers 1 --slice-ticks 2
+/// --drain-after-ticks 2`.
+const BREAKER_MANIFEST: &[u8] = include_bytes!("fixtures/batch-manifest-breaker.ckpt");
+
+#[test]
+fn manifest_sealed_with_breaker_counts_still_resumes() {
+    let jobs: Vec<JobSpec> = [("h2-a", 0.70), ("h2-b", 0.74), ("h2-c", 0.78)]
+        .into_iter()
+        .map(|(id, bond)| JobSpec {
+            id: id.to_string(),
+            benchmark: Benchmark::H2,
+            bond: Some(bond),
+            ratio: 1.0,
+        })
+        .collect();
+    let base = SupervisorConfig {
+        workers: 1,
+        slice_ticks: 2,
+        ..SupervisorConfig::default()
+    };
+
+    let ck = Checkpoint::from_bytes(BREAKER_MANIFEST).expect("fixture reads");
+    let pending_lines: Vec<_> = ck.payload[1..]
+        .iter()
+        .filter(|line| line.get("state").and_then(|s| s.as_str()) == Some("pending"))
+        .collect();
+    assert!(!pending_lines.is_empty(), "the fixture is a drained batch");
+    assert!(pending_lines
+        .iter()
+        .all(|line| line.get("breaker").is_some()));
+    let (meta, prior) = decode_manifest(&ck).expect("fixture decodes");
+    assert_eq!(meta.batch_seed, base.batch_seed);
+
+    // A fresh directory holds no job checkpoints: every pending job takes
+    // the lost-checkpoint path and restarts its attempt.
+    let scratch = ScratchDir::new("drain-breaker-fixture");
+    let resumed = run_batch_resumed(
+        &jobs,
+        &SupervisorConfig {
+            ckpt_dir: Some(scratch.0.clone()),
+            ..base.clone()
+        },
+        Some(&prior),
+    )
+    .expect("resume runs");
+    let uninterrupted = run_batch(&jobs, &base).expect("batch runs");
+    assert_eq!(resumed.records, uninterrupted.records);
+
+    // The manifest the resume seals carries neither retired field.
+    let text = std::fs::read_to_string(scratch.path("batch.manifest")).expect("manifest reads");
+    assert!(!text.contains("breaker") && !text.contains("backoff_ms"));
 }

@@ -311,27 +311,6 @@ proptest! {
         prop_assert_eq!(e1, e2);
         prop_assert_eq!(e1, e4);
     }
-
-    /// Parallel finite-difference gradients are bit-identical at 1/2/4
-    /// threads (each component owns its probe pair).
-    #[test]
-    fn fd_gradient_bit_identical_across_threads(
-        a in -1.0f64..1.0,
-        b in -1.0f64..1.0,
-        c in -1.0f64..1.0,
-    ) {
-        let f = |x: &[f64]| {
-            x.iter().enumerate().map(|(i, v)| (v - i as f64).powi(2) * (1.0 + v.sin())).sum::<f64>()
-        };
-        let x = [a, b, c, a * b, b * c];
-        let g1 = par::with_threads(1, || vqe::fd_gradient(f, &x, 1e-6));
-        let g2 = par::with_threads(2, || vqe::fd_gradient(f, &x, 1e-6));
-        let g4 = par::with_threads(4, || vqe::fd_gradient(f, &x, 1e-6));
-        for i in 0..x.len() {
-            prop_assert_eq!(g1[i].to_bits(), g2[i].to_bits());
-            prop_assert_eq!(g1[i].to_bits(), g4[i].to_bits());
-        }
-    }
 }
 
 /// CNOT and SWAP touch only their quarter subspace: a non-property

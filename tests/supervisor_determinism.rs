@@ -5,7 +5,7 @@
 //! and numerical faults inside the pipeline stages.
 
 use pauli_codesign::chem::Benchmark;
-use pauli_codesign::supervisor::{run_batch, InjectionPlan, JobSpec, Lane, SupervisorConfig};
+use pauli_codesign::supervisor::{run_batch, JobSpec, Lane, SupervisorConfig};
 use proptest::prelude::*;
 
 fn jobs(n: usize) -> Vec<JobSpec> {
@@ -26,9 +26,8 @@ fn chaos_config(seed: u64, fault_rate: f64, workers: usize) -> SupervisorConfig 
         max_retries: 3,
         slice_ticks: 2,
         max_slices: 64,
-        breaker_threshold: 3,
         pipeline_fault_rate: fault_rate * 0.5,
-        injection: InjectionPlan::chaos(fault_rate),
+        injection_rate: fault_rate,
         ..SupervisorConfig::default()
     }
 }
@@ -51,7 +50,7 @@ proptest! {
             let other = run_batch(&jobs, &chaos_config(seed, fault_rate, workers))
                 .expect("supervised batch runs");
             // Full bitwise record equality: states, energy bits, retry
-            // counts, backoff totals.
+            // counts.
             prop_assert_eq!(&base.records, &other.records);
         }
     }
