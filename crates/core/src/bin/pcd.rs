@@ -271,6 +271,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
             "breaker" | "backoff-ms" => {
                 format!("--{old} is gone: a failed job retries at once, up to --max-retries")
             }
+            "progress-interval-ms" => "--progress-interval-ms is gone: the --progress line \
+                                       now updates on each job transition"
+                .to_string(),
             old => format!("--{old} is gone: select the campaign with `--campaign {old}`"),
         }));
     }
@@ -321,7 +324,7 @@ const TCP_RETIRED: &str = "the TCP coordinator was retired, and a batch runs in 
 
 /// Flags a command no longer takes, as `(command, flag)`: each is a usage
 /// error naming what replaced it.
-const RETIRED_FLAGS: [(&str, &str); 16] = [
+const RETIRED_FLAGS: [(&str, &str); 17] = [
     ("run", "expectation"),
     ("chaos", "kill-resume"),
     ("chaos", "supervised"),
@@ -338,6 +341,7 @@ const RETIRED_FLAGS: [(&str, &str); 16] = [
     ("batch", "breaker"),
     ("batch", "backoff-ms"),
     ("serve", "breaker"),
+    ("batch", "progress-interval-ms"),
 ];
 
 /// One form of a `pcd` command: a row of `pcd help` and the handler.
@@ -434,10 +438,10 @@ static COMMANDS: [Command; 15] = [
         synopsis: "<JOBS.jsonl> [--workers N] [--seed N] [--max-retries K] [--job-timeout S] \
                    [--slice-ticks T] [--max-slices M] [--fault-rate R] [--deadline SECS] \
                    [--drain-after-ticks T] [--checkpoint DIR] [--resume] [--progress] \
-                   [--progress-interval-ms MS=500] [--flight-dir DIR]",
+                   [--flight-dir DIR]",
         about: "run every pipeline job (JSONL: molecule, bond, ratio, id) on supervised \
                 workers; exit 30 drained (resumable manifest), 32 degraded (quarantined jobs); \
-                --progress shows a live status line; --flight-dir collects flight-<job>.jsonl \
+                --progress keeps a status line that updates on each job transition; --flight-dir collects flight-<job>.jsonl \
                 dumps of quarantines, deadline expiries and faults",
         run: batch::cmd_batch,
     },
@@ -1130,6 +1134,11 @@ mod tests {
                 "--queue-cap is gone",
             ),
             (&["serve", "--shed", "drop-oldest"], "--shed is gone"),
+            (
+                &["batch", "j.jsonl", "--progress-interval-ms", "100"],
+                "--progress-interval-ms is gone: the --progress line now updates on each job \
+                 transition",
+            ),
         ] {
             let err = run(&argv(args)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");

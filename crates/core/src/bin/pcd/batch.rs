@@ -48,15 +48,8 @@ pub(crate) fn cmd_batch(flags: &Flags) -> Result<(), CliError> {
         deadline: flags.seconds("deadline")?.or(d.deadline),
         ckpt_dir: flags.get("checkpoint").map(PathBuf::from).or(d.ckpt_dir),
         flight_dir: flags.get("flight-dir").map(PathBuf::from).or(d.flight_dir),
-        ..d
+        progress_stderr: flags.is_set("progress"),
     };
-    // The monitor thread only observes (it cannot influence job
-    // outcomes), so it is always on for `pcd batch`: snapshots land in
-    // the --trace JSONL, and --progress additionally renders the live
-    // stderr line.
-    let interval_ms = flags.positive("progress-interval-ms")?;
-    config.progress_interval = Some(Duration::from_millis(interval_ms));
-    config.progress_stderr = flags.is_set("progress");
 
     let jobs = read_jobs(flags)?;
     let report = if flags.is_set("resume") {

@@ -70,7 +70,7 @@ use std::time::Instant;
 
 use json::JsonValue;
 
-pub use stream::{RollingHistogram, StreamingHistogram};
+pub use stream::StreamingHistogram;
 pub use summary::summary_from_snapshot;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes` — the

@@ -110,8 +110,7 @@ impl StreamingHistogram {
         }
     }
 
-    /// Folds another histogram's buckets into this one (used by rolling
-    /// windows and by `pcd report` aggregation).
+    /// Folds another histogram's buckets into this one.
     pub fn merge(&mut self, other: &StreamingHistogram) {
         if other.count == 0 {
             return;
@@ -222,62 +221,5 @@ impl StreamingHistogram {
     /// number of distinct sample magnitudes, not the sample count).
     pub fn bucket_count(&self) -> usize {
         self.pos.len() + self.neg.len() + usize::from(self.zeros > 0)
-    }
-}
-
-/// A rolling window over [`StreamingHistogram`]s: the live window absorbs
-/// new samples, [`RollingHistogram::roll`] retires it, and at most
-/// `window_cap` retired windows are kept. [`RollingHistogram::windowed`]
-/// merges the retained windows, giving "recent" statistics (e.g. attempt
-/// latency over the last N progress ticks) in bounded memory.
-#[derive(Debug, Clone)]
-pub struct RollingHistogram {
-    windows: std::collections::VecDeque<StreamingHistogram>,
-    live: StreamingHistogram,
-    window_cap: usize,
-    total: StreamingHistogram,
-}
-
-impl RollingHistogram {
-    /// A rolling histogram retaining at most `window_cap` retired windows
-    /// (clamped to ≥ 1).
-    pub fn new(window_cap: usize) -> Self {
-        RollingHistogram {
-            windows: std::collections::VecDeque::new(),
-            live: StreamingHistogram::new(),
-            window_cap: window_cap.max(1),
-            total: StreamingHistogram::new(),
-        }
-    }
-
-    /// Records into both the live window and the all-time total.
-    pub fn record(&mut self, value: f64) {
-        self.live.record(value);
-        self.total.record(value);
-    }
-
-    /// Retires the live window, evicting the oldest retained window when
-    /// more than `window_cap` would remain.
-    pub fn roll(&mut self) {
-        let retired = std::mem::take(&mut self.live);
-        self.windows.push_back(retired);
-        while self.windows.len() > self.window_cap {
-            self.windows.pop_front();
-        }
-    }
-
-    /// Statistics over the retained windows plus the live one.
-    pub fn windowed(&self) -> StreamingHistogram {
-        let mut merged = StreamingHistogram::new();
-        for w in &self.windows {
-            merged.merge(w);
-        }
-        merged.merge(&self.live);
-        merged
-    }
-
-    /// All-time statistics (never evicted).
-    pub fn total(&self) -> &StreamingHistogram {
-        &self.total
     }
 }

@@ -573,7 +573,8 @@ mod tests {
     #[test]
     fn the_crosscheck_holds_on_the_sector_vqe_of_h2o() {
         // H2O's VQE runs on its 225-state electron sector; the full-space
-        // per-term and clustered evaluators must read the same energy.
+        // grouped `expectation` and the clustered evaluator must read the
+        // same energy.
         let (system, _) = build(Benchmark::H2O, 0.96, &mut FaultPlan::none()).expect("H2O");
         let (ir, _) = ansatz(&system, 0.5);
         let sector = ::vqe::SectorAnsatz::build(system.qubit_hamiltonian(), &ir).expect("eligible");

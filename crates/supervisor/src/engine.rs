@@ -27,9 +27,8 @@
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, Once};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use par::Budget;
 use resilience::checkpoint::CheckpointError;
@@ -39,7 +38,6 @@ use vqe::driver::{VqeCheckpoint, VqeRun};
 
 use crate::job::{attempt_seed, job_seed, JobRecord, JobSpec, JobState};
 use crate::manifest::{encode_manifest, BatchMeta};
-use crate::progress::ProgressTracker;
 use crate::queue::JobQueue;
 use resilience::splitmix64;
 
@@ -148,9 +146,8 @@ pub struct SupervisorConfig {
     /// exhausted retries), on drain/deadline interruptions, and — via the
     /// armed process-global hook — whenever a resilience fault fires.
     pub flight_dir: Option<PathBuf>,
-    /// Emit a progress snapshot this often (`None` = no progress thread).
-    pub progress_interval: Option<Duration>,
-    /// Render each progress snapshot as an in-place stderr status line.
+    /// Keep an in-place stderr status line (done/running/queued/...)
+    /// that a worker re-renders whenever it takes a job or stores a record.
     pub progress_stderr: bool,
 }
 
@@ -169,7 +166,6 @@ impl Default for SupervisorConfig {
             deadline: None,
             ckpt_dir: None,
             flight_dir: None,
-            progress_interval: None,
             progress_stderr: false,
         }
     }
@@ -327,87 +323,57 @@ pub fn run_batch_resumed(
     }
     queue.close();
 
-    let tracker = ProgressTracker::new(jobs.len());
-    for slot in slots.iter().flatten() {
-        tracker.job_skipped(slot.state.label());
-    }
-
-    let results: Mutex<Vec<Option<JobRecord>>> = Mutex::new(vec![None; jobs.len()]);
+    let slots = Mutex::new(slots);
+    let lock = || slots.lock().unwrap_or_else(|e| e.into_inner());
+    let show_progress = || {
+        if config.progress_stderr {
+            // Written under the slot lock, so a stale line never lands
+            // after a fresh one; a closed stderr drops the line rather
+            // than panicking.
+            let slots = lock();
+            let _ = write!(
+                std::io::stderr().lock(),
+                "\r{}",
+                status_line(&slots, queue.len())
+            );
+        }
+    };
     let workers = config.workers.max(1).min(to_run.len().max(1));
-    let monitor_stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     while let Some(index) = queue.pop() {
+                        show_progress();
                         let start = start_state(prior.map(|prior| &prior[index]), config);
                         let record = if drain.as_ref().is_some_and(Budget::is_expired) {
                             // The drain hit before this job started: it goes
                             // back to the manifest exactly as it stood.
-                            let record = pending_record(index, &jobs[index], &start);
-                            tracker.job_skipped(record.state.label());
-                            record
+                            pending_record(index, &jobs[index], &start)
                         } else {
-                            tracker.job_started();
-                            let t0 = Instant::now();
-                            let record = run_supervised_job(
-                                index,
-                                &jobs[index],
-                                config,
-                                drain.as_ref(),
-                                start,
-                                &tracker,
-                            );
-                            tracker.job_finished(
-                                record.state.label(),
-                                t0.elapsed().as_secs_f64() * 1e6,
-                            );
-                            record
+                            run_supervised_job(index, &jobs[index], config, drain.as_ref(), start)
                         };
-                        let mut slot = results.lock().unwrap_or_else(|e| e.into_inner());
-                        slot[index] = Some(record);
+                        lock()[index] = Some(record);
+                        show_progress();
                     }
                 })
             })
             .collect();
-        if let Some(interval) = config.progress_interval {
-            let stop = &monitor_stop;
-            let tracker = &tracker;
-            let stderr = config.progress_stderr;
-            scope.spawn(move || loop {
-                let mut slept = Duration::ZERO;
-                while slept < interval && !stop.load(Ordering::Relaxed) {
-                    let chunk = (interval - slept).min(Duration::from_millis(25));
-                    std::thread::sleep(chunk);
-                    slept += chunk;
-                }
-                tracker.emit(stderr);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-            });
-        }
         for handle in handles {
             let _ = handle.join();
         }
-        monitor_stop.store(true, Ordering::Relaxed);
     });
-    if config.progress_interval.is_some() && config.progress_stderr {
-        // Terminate the in-place status line. A closed stderr drops the
-        // write rather than panicking.
+    if config.progress_stderr {
+        // Terminate the in-place status line.
         let _ = writeln!(std::io::stderr().lock());
     }
 
-    let finished = results.into_inner().unwrap_or_else(|e| e.into_inner());
-    for (slot, fresh) in slots.iter_mut().zip(finished) {
-        if let Some(record) = fresh {
-            *slot = Some(record);
-        }
-    }
     // Every queued index was popped by exactly one worker (the queue
     // drains before close returns None), so a hole cannot occur; a
     // defensive record beats a panic in the supervisor.
     let records: Vec<JobRecord> = slots
+        .into_inner()
+        .unwrap_or_else(|e| e.into_inner())
         .into_iter()
         .zip(jobs)
         .enumerate()
@@ -537,7 +503,6 @@ fn run_supervised_job(
     config: &SupervisorConfig,
     drain: Option<&Budget>,
     start: StartState,
-    progress: &ProgressTracker,
 ) -> JobRecord {
     par::with_threads(1, || {
         let jseed = job_seed(config.batch_seed, index);
@@ -558,7 +523,6 @@ fn run_supervised_job(
             let start_slices = slices_base;
             slices_base = 0;
 
-            let t_attempt = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if inject_panic {
                     panic!("injected panic (job {index} attempt {attempt})");
@@ -572,10 +536,8 @@ fn run_supervised_job(
                     start_slices,
                     config,
                     drain,
-                    progress,
                 )
             }));
-            progress.stage_us("attempt", t_attempt.elapsed().as_secs_f64() * 1e6);
 
             let failure = match outcome {
                 Err(_) => {
@@ -653,7 +615,6 @@ fn run_supervised_job(
                 obs::counter_add("supervisor.timeouts", 1);
             }
             obs::counter_add("supervisor.retries", 1);
-            progress.retry();
             obs::event!(
                 "supervisor.job_retry",
                 job = index,
@@ -700,7 +661,6 @@ fn attempt_job(
     start_slices: usize,
     config: &SupervisorConfig,
     drain: Option<&Budget>,
-    progress: &ProgressTracker,
 ) -> AttemptOutcome {
     if inject_transient {
         return AttemptOutcome::Failed {
@@ -711,10 +671,7 @@ fn attempt_job(
 
     let mut plan = FaultPlan::new(aseed, config.pipeline_fault_rate);
     let _root = stages::root();
-    let t_chem = Instant::now();
-    let built = stages::build(spec.benchmark, spec.bond_length(), &mut plan);
-    progress.stage_us("chem", t_chem.elapsed().as_secs_f64() * 1e6);
-    let (system, scf_retries) = match built {
+    let (system, scf_retries) = match stages::build(spec.benchmark, spec.bond_length(), &mut plan) {
         Ok(built) => built,
         Err(e) => return failed(&e),
     };
@@ -723,7 +680,6 @@ fn attempt_job(
 
     let mut resume = resume_ck;
     let mut slices = start_slices;
-    let t_vqe = Instant::now();
     let result = loop {
         if drain.is_some_and(Budget::is_expired) {
             return AttemptOutcome::Drained {
@@ -766,12 +722,8 @@ fn attempt_job(
             Err(e) => return failed(&e),
         }
     };
-    progress.stage_us("vqe", t_vqe.elapsed().as_secs_f64() * 1e6);
 
-    let t_compile = Instant::now();
-    let compiled = stages::compile(&ir, &stages::xtree_for(&system), &mut plan);
-    progress.stage_us("compile", t_compile.elapsed().as_secs_f64() * 1e6);
-    match compiled {
+    match stages::compile(&ir, &stages::xtree_for(&system), &mut plan) {
         Ok((_, strategy)) => AttemptOutcome::Done {
             energy_bits: result.energy.to_bits(),
             iterations: result.iterations,
@@ -788,6 +740,25 @@ fn failed(e: &PcdError) -> AttemptOutcome {
         stage: e.stage().to_string(),
         error: e.to_string(),
     }
+}
+
+/// The `--progress` status line: the batch's records so far, the `queued`
+/// jobs no worker has taken, and the rest as running. `retries` sums the
+/// stored records' retries.
+fn status_line(slots: &[Option<JobRecord>], queued: usize) -> String {
+    let records = || slots.iter().flatten();
+    let count = |label: &str| records().filter(|r| r.state.label() == label).count();
+    let running = slots.len().saturating_sub(records().count() + queued);
+    let retries: usize = records().map(|r| r.retries).sum();
+    format!(
+        "[batch] {}/{} done  {running} running  {queued} queued  {} quarantined  {} shed  \
+         {} pending  retries {retries}",
+        count("done"),
+        slots.len(),
+        count("quarantined"),
+        count("shed"),
+        count("pending"),
+    )
 }
 
 /// Installs (once, chained) a panic hook that swallows the *injected*
@@ -923,6 +894,76 @@ mod tests {
             JobState::Quarantined { stage, .. } => assert_eq!(stage, "timeout"),
             other => panic!("expected timeout quarantine, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn progress_line_does_not_change_records() {
+        let jobs = h2_jobs(3);
+        let config = SupervisorConfig {
+            injection_rate: 0.3,
+            slice_ticks: 2,
+            ..SupervisorConfig::default()
+        };
+        let quiet = run_batch(&jobs, &config).unwrap();
+        let shown = run_batch(
+            &jobs,
+            &SupervisorConfig {
+                progress_stderr: true,
+                ..config
+            },
+        )
+        .unwrap();
+        assert_eq!(quiet.records, shown.records);
+    }
+
+    #[test]
+    fn status_line_counts_the_slots_and_the_queue() {
+        let record = |index: usize, state: JobState, retries: usize| {
+            Some(JobRecord {
+                index,
+                id: format!("j{index}"),
+                state,
+                retries,
+            })
+        };
+        let slots = [
+            record(0, JobState::Shed, 0),
+            record(
+                1,
+                JobState::Done {
+                    energy_bits: (-1.1f64).to_bits(),
+                    iterations: 9,
+                    evaluations: 20,
+                    scf_retries: 0,
+                    sabre_fallback: false,
+                },
+                2,
+            ),
+            record(
+                2,
+                JobState::Quarantined {
+                    attempts: 4,
+                    stage: "panic".to_string(),
+                    error: String::new(),
+                },
+                3,
+            ),
+            None,
+            record(
+                4,
+                JobState::Pending {
+                    attempt: 1,
+                    slices_used: 2,
+                    checkpoint: None,
+                },
+                1,
+            ),
+            None,
+        ];
+        assert_eq!(
+            status_line(&slots, 1),
+            "[batch] 1/6 done  1 running  1 queued  1 quarantined  1 shed  1 pending  retries 6"
+        );
     }
 
     #[test]

@@ -43,12 +43,10 @@ pub mod chaos;
 pub mod engine;
 pub mod job;
 pub mod manifest;
-pub mod progress;
 pub mod queue;
 
 pub use chaos::{run_supervised_chaos, SupervisedChaosOptions};
 pub use engine::{run_batch, run_batch_resumed, BatchReport, SupervisorConfig, SupervisorError};
 pub use job::{attempt_seed, job_seed, parse_jobs, JobRecord, JobSpec, JobState};
 pub use manifest::{decode_manifest, encode_manifest, BatchMeta, KIND_BATCH_MANIFEST};
-pub use progress::{ProgressSnapshot, ProgressTracker};
 pub use queue::{JobQueue, Lane, FAST_LANE_MAX_QUBITS};

@@ -7,7 +7,7 @@ use pauli_codesign::chem::Benchmark;
 use pauli_codesign::resilience::checkpoint::CHECKPOINT_VERSION;
 use pauli_codesign::resilience::Checkpoint;
 use pauli_codesign::supervisor::{
-    decode_manifest, run_batch, run_batch_resumed, JobSpec, JobState, SupervisorConfig,
+    decode_manifest, parse_jobs, run_batch, run_batch_resumed, JobSpec, JobState, SupervisorConfig,
 };
 
 /// A scratch directory for one test's checkpoint files, removed on drop.
@@ -250,4 +250,37 @@ fn manifest_sealed_with_breaker_counts_still_resumes() {
     // The manifest the resume seals carries neither retired field.
     let text = std::fs::read_to_string(scratch.path("batch.manifest")).expect("manifest reads");
     assert!(!text.contains("breaker") && !text.contains("backoff_ms"));
+}
+
+/// CI's drain/resume jobs file.
+const CI_JOBS: &str = r#"{"id":"h2-a","molecule":"H2","bond":0.70,"ratio":1.0}
+{"id":"h2-b","molecule":"H2","bond":0.74,"ratio":1.0}
+{"id":"h2-c","molecule":"H2","bond":0.78,"ratio":1.0}"#;
+
+/// At one worker the shared drain budget is spent by one job at a time,
+/// so the drain cuts the batch at the same slice on every run and the
+/// drained manifest is the same bytes.
+#[test]
+fn one_worker_drain_seals_the_same_manifest_on_every_run() {
+    let jobs = parse_jobs(CI_JOBS).expect("CI jobs parse");
+    let drained_manifest = |name: &str| {
+        let scratch = ScratchDir::new(name);
+        let cfg = SupervisorConfig {
+            workers: 1,
+            slice_ticks: 2,
+            drain_after_ticks: Some(2),
+            ckpt_dir: Some(scratch.0.clone()),
+            ..SupervisorConfig::default()
+        };
+        let report = run_batch(&jobs, &cfg).expect("batch runs");
+        assert!(
+            report.pending() > 0,
+            "a 2-tick drain must leave pending jobs"
+        );
+        std::fs::read(scratch.path("batch.manifest")).expect("manifest exists")
+    };
+    assert_eq!(
+        drained_manifest("drain-repeat-a"),
+        drained_manifest("drain-repeat-b")
+    );
 }
